@@ -2,20 +2,33 @@ package ltp_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
-	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"ltp"
 	"ltp/internal/cache"
+	"ltp/internal/core"
 	"ltp/internal/pipeline"
 )
 
-// batchSweep is a model-backend sweep whose cells all share one
+// batchCase is a sweep whose cells the engine coalesces into batched
+// evaluations, plus the same cells spelled as standalone RunSpecs
+// (row-major, last axis fastest — the sweep's enumeration order).
+type batchCase struct {
+	name    string
+	sweep   ltp.SweepSpec
+	singles []ltp.RunSpec
+}
+
+// modelBatchCase is a model-backend sweep whose cells all share one
 // functional stream (same scenario/seed/budgets), so the engine
 // coalesces them into a single batched evaluation: an IQ-size axis
 // crossed with the parking unit on/off.
-func batchSweep() (ltp.SweepSpec, []ltp.RunSpec) {
+func modelBatchCase() batchCase {
 	base := ltp.RunSpec{
 		Scenario:  "hashjoin",
 		Backend:   ltp.BackendModel,
@@ -54,8 +67,6 @@ func batchSweep() (ltp.SweepSpec, []ltp.RunSpec) {
 		},
 	}
 
-	// The same cells spelled as standalone RunSpecs (row-major, last
-	// axis fastest — the sweep's enumeration order).
 	var singles []ltp.RunSpec
 	for _, iq := range iqs {
 		for _, on := range onOff {
@@ -67,7 +78,58 @@ func batchSweep() (ltp.SweepSpec, []ltp.RunSpec) {
 			singles = append(singles, s)
 		}
 	}
-	return sweep, singles
+	return batchCase{name: "model", sweep: sweep, singles: singles}
+}
+
+// warmBatchCase is a cycle- or sampled-backend (K=4) sweep on one
+// stream whose lanes exercise every part of the shared warm
+// checkpoint: LTP off and on with two UIT geometries (two LTP
+// observers warming in one pass), gshare and TAGE (two warm groups
+// driven by one stream), a non-default prefetcher, and a co-runner set.
+func warmBatchCase(backend string) batchCase {
+	base := ltp.RunSpec{
+		Scenario:   "ptrchase",
+		Seed:       5,
+		Backend:    backend,
+		Intervals:  4,
+		Scale:      0.05,
+		WarmInsts:  8_000,
+		MaxInsts:   20_000,
+		Prefetcher: "stream",
+		Corunners:  []ltp.Corunner{{Scenario: "memhog"}},
+	}
+	smallUIT := core.DefaultConfig()
+	smallUIT.UITEntries = 64
+	parks := []struct {
+		name string
+		on   bool
+		cfg  *core.Config
+	}{{"base", false, nil}, {"uit256", true, nil}, {"uit64", true, &smallUIT}}
+	bps := []string{"gshare", "tage"}
+
+	var parkPts, bpPts []ltp.SweepPoint
+	for i := range parks {
+		p := parks[i]
+		parkPts = append(parkPts, ltp.SweepPoint{Name: p.name, Patch: ltp.RunPatch{UseLTP: &p.on, LTP: p.cfg}})
+	}
+	for i := range bps {
+		bp := bps[i]
+		bpPts = append(bpPts, ltp.SweepPoint{Name: bp, Patch: ltp.RunPatch{BranchPred: &bp}})
+	}
+	sweep := ltp.SweepSpec{
+		Base: base,
+		Axes: []ltp.SweepAxis{{Name: "park", Points: parkPts}, {Name: "bpred", Points: bpPts}},
+	}
+
+	var singles []ltp.RunSpec
+	for _, p := range parks {
+		for _, bp := range bps {
+			s := base
+			s.UseLTP, s.LTP, s.BranchPred = p.on, p.cfg, bp
+			singles = append(singles, s)
+		}
+	}
+	return batchCase{name: backend, sweep: sweep, singles: singles}
 }
 
 // collectCells drains a finished job's cell stream keyed by content
@@ -84,25 +146,48 @@ func collectCells(t *testing.T, job *ltp.Job) map[string]ltp.CellResult {
 	return cells
 }
 
-// TestBatchMatchesSingle is the tentpole's differential fence: a model
-// sweep executed through the engine's batched path must produce, per
-// cell, results bit-identical to standalone RunContext calls, under
-// the same content addresses, with cache entries interchangeable in
-// both directions (batch-populated cache serves single runs as hits,
-// single-populated cache serves the batch as hits).
+// TestBatchMatchesSingle is the batching differential fence: a sweep
+// executed through the engine's batched path — the model backend's
+// shared stream, the cycle and sampled backends' shared warm
+// checkpoints — must produce, per cell, results byte-identical to
+// standalone RunContext calls, under the same content addresses, with
+// cache entries interchangeable in both directions (batch-populated
+// cache serves single runs as hits, single-populated cache serves the
+// batch as hits).
 func TestBatchMatchesSingle(t *testing.T) {
-	sweep, singles := batchSweep()
+	for _, bc := range []batchCase{
+		modelBatchCase(),
+		warmBatchCase(ltp.BackendCycle),
+		warmBatchCase(ltp.BackendSampled),
+	} {
+		t.Run(bc.name, func(t *testing.T) { checkBatchMatchesSingle(t, bc) })
+	}
+}
+
+// resultJSON is a result's serialized bytes, the form the cache, the
+// store and the service hand out.
+func resultJSON(t *testing.T, r ltp.RunResult) string {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func checkBatchMatchesSingle(t *testing.T, bc batchCase) {
+	sweep, singles := bc.sweep, bc.singles
 	ctx := context.Background()
 
 	// Reference: every cell standalone, no engine, no cache.
-	refs := make([]ltp.RunResult, len(singles))
+	refs := make([]string, len(singles))
 	hashes := make([]string, len(singles))
 	for i, s := range singles {
 		res, err := ltp.RunContext(ctx, s)
 		if err != nil {
 			t.Fatalf("single run %d: %v", i, err)
 		}
-		refs[i] = res
+		refs[i] = resultJSON(t, res)
 		h, err := s.Hash()
 		if err != nil {
 			t.Fatal(err)
@@ -129,9 +214,9 @@ func TestBatchMatchesSingle(t *testing.T) {
 		if !ok {
 			t.Fatalf("sweep produced no cell for single spec %d (hash %s): the batch and single paths disagree on content addresses", i, hashes[i])
 		}
-		if !reflect.DeepEqual(c.Result, refs[i]) {
-			t.Fatalf("cell %d (%v) diverged from its standalone run:\nbatch:  %+v\nsingle: %+v",
-				i, c.Coords, c.Result, refs[i])
+		if got := resultJSON(t, c.Result); got != refs[i] {
+			t.Fatalf("cell %d (%v) diverged from its standalone run:\nbatch:  %s\nsingle: %s",
+				i, c.Coords, got, refs[i])
 		}
 	}
 
@@ -147,7 +232,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 		if h != hashes[i] {
 			t.Fatalf("RunCached %d hash = %s; want %s", i, h, hashes[i])
 		}
-		if !reflect.DeepEqual(res, refs[i]) {
+		if resultJSON(t, res) != refs[i] {
 			t.Fatalf("RunCached %d served a different result than the standalone run", i)
 		}
 	}
@@ -177,8 +262,67 @@ func TestBatchMatchesSingle(t *testing.T) {
 		if c.Outcome != "hit" {
 			t.Fatalf("primed sweep cell %d outcome = %s; want hit", i, c.Outcome)
 		}
-		if !reflect.DeepEqual(c.Result, refs[i]) {
+		if resultJSON(t, c.Result) != refs[i] {
 			t.Fatalf("primed sweep cell %d result diverged", i)
 		}
+	}
+}
+
+// TestBatchCancelDuringWarm cancels a batched cycle sweep while its
+// shared warm pass is running: every lane must fail as cancelled
+// promptly, nothing may reach the cache, and closing the engine must
+// leave no goroutine behind.
+func TestBatchCancelDuringWarm(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 2})
+
+	var iqPts []ltp.SweepPoint
+	for _, iq := range []int{32, 48, 64, 80} {
+		iq := iq
+		iqPts = append(iqPts, ltp.SweepPoint{Name: fmt.Sprintf("IQ%d", iq), Patch: ltp.RunPatch{IQSize: &iq}})
+	}
+	// A warm region far longer than the test: only a cancel ends it.
+	job, err := e.Submit(context.Background(), ltp.SweepSpec{
+		Base: ltp.RunSpec{Scenario: "ptrchase", Scale: 0.1, WarmInsts: 2_000_000_000, MaxInsts: 10_000},
+		Axes: []ltp.SweepAxis{{Name: "iq", Points: iqPts}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.RunningRuns() == 0 {
+		runtime.Gosched()
+	}
+	time.Sleep(50 * time.Millisecond) // past the program build, into the warm pass
+	canceledAt := time.Now()
+	job.Cancel()
+	select {
+	case <-job.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled batch never finished")
+	}
+	// The warm pass checks its context every warmCancelChunk µops
+	// (well under a millisecond); the bound leaves room for -race.
+	if settle := time.Since(canceledAt); settle > 500*time.Millisecond {
+		t.Fatalf("cancel took %v to settle", settle)
+	}
+	if _, err := job.Wait(); !errors.Is(err, ltp.ErrJobCanceled) {
+		t.Fatalf("Wait err = %v; want ErrJobCanceled", err)
+	}
+	if p := job.Progress(); p.CanceledRuns != len(iqPts) || p.DoneRuns != 0 {
+		t.Fatalf("progress = %+v; want all %d lanes cancelled", p, len(iqPts))
+	}
+	// Close waits for the batch task; a cancelled lane stores nothing.
+	e.Close()
+	if st := e.CacheStats(); st.Len != 0 {
+		t.Fatalf("cache after cancel = %+v; want nothing cached", st)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked after Close: %d -> %d\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

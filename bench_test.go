@@ -573,3 +573,73 @@ func BenchmarkModelSweepPerCell(b *testing.B) {
 	}
 	b.ReportMetric(40_000, "insts/op")
 }
+
+// cycleSweepSpecs is the sweep-warm benchmark workload's cell shape at
+// reduced budgets: IQ × ROB × parking lanes over one hashjoin stream.
+// Every lane shares one warm group, so the cycle backend warms one
+// checkpoint for the whole sweep.
+func cycleSweepSpecs() []sim.Spec {
+	var specs []sim.Spec
+	for _, iq := range []int{16, 24, 32, 40, 48, 56, 64, 80} {
+		for _, rob := range []int{128, 192} {
+			for _, useLTP := range []bool{false, true} {
+				cfg := pipeline.DefaultConfig()
+				cfg.IQSize = iq
+				cfg.ROBSize = rob
+				var lcfg *core.Config
+				if useLTP {
+					c := core.DefaultConfig()
+					lcfg = &c
+				}
+				specs = append(specs, sim.Spec{
+					Pipeline:  cfg,
+					LTP:       lcfg,
+					WarmInsts: 300_000,
+					MaxInsts:  10_000,
+				})
+			}
+		}
+	}
+	return specs
+}
+
+// BenchmarkCycleSweepShared measures the batched cycle path: one op is
+// the whole 32-cell sweep through RunBatch — one program build, one
+// warm pass, 32 measured regions from checkpoint clones, run in
+// sequence (no executor) so ns/op is CPU work, not parallelism. Read
+// ms/cell against BenchmarkCycleSweepPerCell's.
+func BenchmarkCycleSweepShared(b *testing.B) {
+	bb := sim.CycleBackend{}
+	specs := cycleSweepSpecs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run := make([]sim.Spec, len(specs))
+		copy(run, specs)
+		run[0].Stream = batchBenchStream(b)
+		for j, br := range bb.RunBatch(context.Background(), run) {
+			if br.Err != nil {
+				b.Fatalf("lane %d: %v", j, br.Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*len(specs)), "ms/cell")
+}
+
+// BenchmarkCycleSweepPerCell is BenchmarkCycleSweepShared's
+// denominator: the same cells one Run at a time, each paying its own
+// program build and warm pass. One op is ONE cell.
+func BenchmarkCycleSweepPerCell(b *testing.B) {
+	backend := sim.CycleBackend{}
+	specs := cycleSweepSpecs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec := specs[i%len(specs)]
+		spec.Stream = batchBenchStream(b)
+		if _, err := backend.Run(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/cell")
+}

@@ -90,6 +90,10 @@ func main() {
 		})
 	}
 	pipe.Run(*skip+uint64(*count)+64, 0)
+	if err := pipe.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, "ltptrace:", err)
+		os.Exit(1)
+	}
 
 	if len(recs) == 0 {
 		fmt.Fprintln(os.Stderr, "ltptrace: nothing traced (program too short?)")

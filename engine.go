@@ -710,17 +710,16 @@ func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []sweepRun) {
 }
 
 // phaseUnit is one launch unit of a phase: a single run, or a group of
-// model-backend runs sharing one functional stream (equal
-// modelBatchKey) that executes as one batched pool task through
-// runBatchCached.
+// runs sharing one backend and one functional stream (equal batchKey)
+// that executes as one batched pool task through runBatchCached.
 type phaseUnit struct {
 	idx    []int     // positions in the phase's runs slice
 	canons []RunSpec // parallel to idx; non-nil marks a batch unit
 }
 
-// phaseUnits partitions a phase's runs: model cells that share a
-// functional stream and warm/measured budgets coalesce into batch
-// units (the stream is emulated once for the whole group), everything
+// phaseUnits partitions a phase's runs: cells that share a backend, a
+// functional stream and warm/measured budgets coalesce into batch units
+// (the stream is built and warmed once for the whole group), everything
 // else launches alone. Triage phase 1 rewrites every run to the model
 // backend, so triage sweeps batch wholesale without special-casing.
 func phaseUnits(runs []sweepRun) []phaseUnit {
@@ -729,7 +728,7 @@ func phaseUnits(runs []sweepRun) []phaseUnit {
 	var order []string
 	for i := range runs {
 		if canon, err := runs[i].spec.Canonical(); err == nil {
-			if key, ok := modelBatchKey(canon); ok {
+			if key, ok := batchKey(canon); ok {
 				g := groups[key]
 				if g == nil {
 					g = &phaseUnit{}
@@ -796,7 +795,7 @@ func (j *Job) recordPhaseCell(r sweepRun, res RunResult, outcome cache.Outcome, 
 // runPhase executes one batch of enumerated runs through the engine's
 // cache and pool at the campaign tier, streaming each resolved cell
 // with the given phase tag, and returns per-run results and errors.
-// Model cells sharing a stream execute batched (see phaseUnits).
+// Cells sharing a stream execute batched (see phaseUnits).
 func (e *Engine) runPhase(jctx context.Context, job *Job, runs []sweepRun, phase string) ([]RunResult, []error) {
 	results := make([]RunResult, len(runs))
 	errs := make([]error, len(runs))
@@ -845,14 +844,14 @@ launch:
 	return results, errs
 }
 
-// runBatchCached resolves a group of canonical model-backend specs
-// (equal modelBatchKey) through the cache's batch path: lanes already
-// cached (memory or backing) or in flight are served per-key exactly
-// as runCached would serve them, and the remainder is computed by ONE
-// pool task driving runModelBatch — one shared functional stream, one
-// warm pass, per-config timing lanes. Each computed lane is stored
-// under its own content address, so batched and single-cell results
-// are fully interchangeable in the cache.
+// runBatchCached resolves a group of canonical specs (equal batchKey)
+// through the cache's batch path: lanes already cached (memory or
+// backing) or in flight are served per-key exactly as runCached would
+// serve them, and the remainder is computed by ONE pool task driving
+// runBatch — one shared functional stream, one warm pass, per-config
+// lanes fanned back onto the pool. Each computed lane is stored under
+// its own content address, so batched and single-cell results are
+// fully interchangeable in the cache.
 func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, canons []RunSpec) ([]RunResult, []cache.Outcome, []string, []error) {
 	n := len(canons)
 	results := make([]RunResult, n)
@@ -890,10 +889,11 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, canons []R
 		for i := range specs {
 			weight += runWeight(specs[i])
 		}
-		e.noteOutstanding(BackendModel, len(specs))
+		backend := specBackendName(specs[0])
+		e.noteOutstanding(backend, len(specs))
 		e.pool.SubmitCtx(bctx, tier, weight, func(tctx context.Context) {
 			defer close(done)
-			defer e.noteOutstanding(BackendModel, -len(specs))
+			defer e.noteOutstanding(backend, -len(specs))
 			// A panicking batch must become per-lane errors, not an
 			// unrecovered panic on a pool worker.
 			defer func() {
@@ -914,8 +914,9 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, canons []R
 				return
 			}
 			start := time.Now()
-			rres, rerrs := runModelBatch(tctx, specs)
-			// Amortized per-lane seconds feed the model backend's EWMA,
+			// Lanes fan back onto this pool (see poolExecutor).
+			rres, rerrs := runBatch(withExecutor(tctx, poolExecutor{e.pool}), specs)
+			// Amortized per-lane seconds feed the backend's EWMA,
 			// mirroring one noteRunSeconds per single-cell run.
 			perLane := time.Since(start).Seconds() / float64(len(specs))
 			for j := range specs {
@@ -924,7 +925,7 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, canons []R
 					continue
 				}
 				mvals[j] = cachedCell{spec: specs[j], res: rres[j]}
-				e.noteRunSeconds(BackendModel, perLane)
+				e.noteRunSeconds(backend, perLane)
 			}
 		})
 		<-done

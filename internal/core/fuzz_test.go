@@ -99,6 +99,9 @@ func TestFuzzRandomPrograms(t *testing.T) {
 			}
 			for pipe.Committed() < insts {
 				pipe.Cycle()
+				if err := pipe.Err(); err != nil {
+					t.Fatalf("seed %d mode %v: %v", seed, mode, err)
+				}
 				if pipe.Now()%512 == 0 {
 					if err := pipe.CheckInvariants(); err != nil {
 						t.Fatalf("seed %d mode %v: %v", seed, mode, err)
@@ -144,6 +147,9 @@ func TestFuzzSqueezeResources(t *testing.T) {
 		}
 		for pipe.Committed() < 8_000 {
 			pipe.Cycle()
+			if err := pipe.Err(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
 			if pipe.Now() > 5_000_000 {
 				t.Fatalf("seed %d: runaway (committed %d)", seed, pipe.Committed())
 			}

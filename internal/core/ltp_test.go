@@ -33,6 +33,9 @@ func run(t *testing.T, pipe *pipeline.Pipeline, insts uint64) pipeline.Result {
 	t.Helper()
 	for pipe.Committed() < insts {
 		pipe.Cycle()
+		if err := pipe.Err(); err != nil {
+			t.Fatal(err)
+		}
 		if pipe.Now()%128 == 0 {
 			if err := pipe.CheckInvariants(); err != nil {
 				t.Fatalf("invariant violated at cycle %d: %v", pipe.Now(), err)

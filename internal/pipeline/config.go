@@ -146,9 +146,19 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks structural constraints and panics on violations; it is
-// called by New so misconfigurations fail fast.
+// Validate checks structural constraints and the branch-predictor name
+// and panics on violations; New and NewShared apply the same checks so
+// misconfigurations fail fast.
 func (c *Config) Validate() {
+	c.validateStructure()
+	if _, err := bpred.New(c.BranchPred); err != nil {
+		panic("pipeline: " + err.Error())
+	}
+}
+
+// validateStructure is Validate without the predictor check, for
+// constructors handed a predictor instead of building one.
+func (c *Config) validateStructure() {
 	switch {
 	case c.FetchWidth <= 0 || c.DecodeWidth <= 0 || c.RenameWidth <= 0 ||
 		c.IssueWidth <= 0 || c.CommitWidth <= 0:
@@ -159,8 +169,5 @@ func (c *Config) Validate() {
 		panic("pipeline: too few available registers")
 	case c.NumALU <= 0 || c.NumMem <= 0:
 		panic("pipeline: need at least one ALU and one memory port")
-	}
-	if _, err := bpred.New(c.BranchPred); err != nil {
-		panic("pipeline: " + err.Error())
 	}
 }

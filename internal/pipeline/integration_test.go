@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"ltp/internal/isa"
@@ -31,6 +32,9 @@ func runProgram(t *testing.T, cfg Config, p *prog.Program, maxInsts uint64) (*Pi
 			break
 		}
 		pipe.Cycle()
+		if err := pipe.Err(); err != nil {
+			t.Fatal(err)
+		}
 		if pipe.Now()%64 == 0 {
 			if err := pipe.CheckInvariants(); err != nil {
 				t.Fatalf("invariant violated at cycle %d: %v", pipe.Now(), err)
@@ -304,7 +308,8 @@ func TestSmallIQDegradesMLP(t *testing.T) {
 
 func TestWatchdogPanics(t *testing.T) {
 	// A pipeline whose parker never releases parked instructions must be
-	// caught by the watchdog.
+	// caught by the watchdog — as an error, not a panic: the run aborts
+	// like a cancel and Err names the failure.
 	b := prog.NewBuilder("t")
 	for i := 0; i < 100; i++ {
 		b.Addi(isa.R(1), isa.R(1), 1)
@@ -312,13 +317,15 @@ func TestWatchdogPanics(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WatchdogCycles = 500
 	pipe := New(cfg, prog.NewEmulator(b.Build()), blackHoleParker{})
-	defer func() {
-		if recover() == nil {
-			t.Error("watchdog did not fire")
-		}
-	}()
-	for i := 0; i < 10_000; i++ {
-		pipe.Cycle()
+	pipe.Run(100, 10_000)
+	if !pipe.Aborted() {
+		t.Fatal("watchdog did not abort the run")
+	}
+	if err := pipe.Err(); err == nil || !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("Err() = %v; want the watchdog failure", err)
+	}
+	if pipe.Now() > 600 {
+		t.Errorf("run continued to cycle %d after the watchdog fired at ~500", pipe.Now())
 	}
 }
 

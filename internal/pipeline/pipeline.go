@@ -169,6 +169,9 @@ type Pipeline struct {
 	// channel) before calling Run.
 	cancelCh <-chan struct{}
 	aborted  bool
+	// err is the failure that aborted the simulation (the commit
+	// watchdog); nil after a cancel.
+	err error
 
 	// Measured-region base offsets, set by ResetStats at the warm-up
 	// boundary so Snapshot reports the measured region only.
@@ -206,11 +209,17 @@ const (
 // New builds a pipeline over the given µop stream with the given Parker
 // (use NullParker{} for the baseline core).
 func New(cfg Config, stream prog.Stream, parker Parker) *Pipeline {
-	cfg.Validate()
+	return NewShared(cfg, stream, parker, mem.NewHierarchy(cfg.Hier), mustPredictor(cfg.BranchPred))
+}
+
+// NewShared is like New but adopts an existing hierarchy and branch
+// predictor (a warm checkpoint's) instead of building cold ones.
+func NewShared(cfg Config, stream prog.Stream, parker Parker, h *mem.Hierarchy, bp bpred.Predictor) *Pipeline {
+	cfg.validateStructure()
 	p := &Pipeline{
 		cfg:           cfg,
-		Hier:          mem.NewHierarchy(cfg.Hier),
-		BP:            mustPredictor(cfg.BranchPred),
+		Hier:          h,
+		BP:            bp,
 		parker:        parker,
 		stream:        stream,
 		rob:           NewROB(cfg.ROBSize),
@@ -281,13 +290,6 @@ func (p *Pipeline) scavenge() {
 	p.retired = w
 }
 
-// NewShared is like New but reuses an existing hierarchy (warm caches).
-func NewShared(cfg Config, stream prog.Stream, parker Parker, h *mem.Hierarchy) *Pipeline {
-	p := New(cfg, stream, parker)
-	p.Hier = h
-	return p
-}
-
 // Cfg returns the configuration.
 func (p *Pipeline) Cfg() *Config { return &p.cfg }
 
@@ -331,8 +333,13 @@ const cancelPollCycles = 2048
 func (p *Pipeline) SetCancel(done <-chan struct{}) { p.cancelCh = done }
 
 // Aborted reports whether a Run returned early because the cancel
-// channel (see SetCancel) was closed.
+// channel (see SetCancel) was closed or the simulation failed (see
+// Err).
 func (p *Pipeline) Aborted() bool { return p.aborted }
+
+// Err returns the failure that aborted the simulation — the commit
+// watchdog firing — or nil when it is healthy or was merely cancelled.
+func (p *Pipeline) Err() error { return p.err }
 
 // Now returns the current cycle.
 func (p *Pipeline) Now() uint64 { return p.now }
@@ -437,10 +444,13 @@ func (p *Pipeline) Cycle() {
 	p.parker.NoteCycle(p, p.now)
 	p.sample()
 
-	if p.cfg.WatchdogCycles > 0 && p.rob.Len() > 0 &&
+	if p.err == nil && p.cfg.WatchdogCycles > 0 && p.rob.Len() > 0 &&
 		p.now-p.lastCommitCycle > p.cfg.WatchdogCycles {
-		panic(fmt.Sprintf("pipeline: watchdog, no commit for %d cycles at cycle %d\n%s",
-			p.cfg.WatchdogCycles, p.now, p.debugDump()))
+		// A wedged pipeline is a failed run, not a crashed process: abort
+		// the way a cancel does and let Err report why.
+		p.err = fmt.Errorf("pipeline: watchdog, no commit for %d cycles at cycle %d\n%s",
+			p.cfg.WatchdogCycles, p.now, p.debugDump())
+		p.aborted = true
 	}
 }
 
@@ -600,8 +610,8 @@ func (p *Pipeline) commitStage() {
 	}
 }
 
-// mustPredictor builds the configured branch predictor; Config.Validate
-// has already checked the name, so failure here is a programmer error.
+// mustPredictor builds the configured branch predictor, panicking on an
+// unknown name exactly as Config.Validate does.
 func mustPredictor(name string) bpred.Predictor {
 	bp, err := bpred.New(name)
 	if err != nil {

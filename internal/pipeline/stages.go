@@ -667,9 +667,10 @@ func (p *Pipeline) sample() {
 // maxCycles elapse (0 = no cycle cap). It returns the number of committed
 // instructions. When a cancel channel is armed (SetCancel), Run also
 // returns — promptly, within cancelPollCycles cycles — once that channel
-// closes, with Aborted reporting true.
+// closes, with Aborted reporting true; a watchdog failure returns at
+// once, with Aborted true and Err set.
 func (p *Pipeline) Run(maxInsts uint64, maxCycles uint64) uint64 {
-	for p.committed < maxInsts {
+	for p.committed < maxInsts && !p.aborted {
 		if maxCycles > 0 && p.now >= maxCycles {
 			break
 		}
@@ -689,7 +690,7 @@ func (p *Pipeline) Run(maxInsts uint64, maxCycles uint64) uint64 {
 	return p.committed
 }
 
-// debugDump renders pipeline state for watchdog panics.
+// debugDump renders pipeline state for watchdog errors.
 func (p *Pipeline) debugDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycle=%d committed=%d rob=%d iq=%d lq=%d sq=%d parked=%d intRF.free=%d fpRF.free=%d\n",

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"ltp/internal/bpred"
 	"ltp/internal/core"
-	"ltp/internal/isa"
-	"ltp/internal/mem"
 	"ltp/internal/pipeline"
 	"ltp/internal/prog"
 )
@@ -45,105 +42,92 @@ func CancelErr(ctx context.Context) error {
 	return context.Canceled
 }
 
-// warmCancelChunk bounds how many instructions a fast functional
-// warm-up executes between context checks (~a few hundred microseconds
-// of emulation).
-const warmCancelChunk = 1 << 16
-
-// warmToucher returns the fast-warm touch hook shared by the cycle and
-// sampled backends: I-line fetch warming, D-side cache warming, branch
-// predictor training and LTP table observation. The closure carries
-// the I-line dedup state, so one toucher must warm one contiguous
-// region.
-func warmToucher(h *mem.Hierarchy, bp bpred.Predictor, unit *core.LTP) func(*isa.Uop) {
-	lastILine := ^uint64(0)
-	return func(u *isa.Uop) {
-		if line := u.PC >> 6; line != lastILine {
-			h.WarmFetch(u.PC)
-			lastILine = line
-		}
-		var level mem.Level
-		switch {
-		case u.IsMem():
-			level = h.Warm(u.PC, u.Addr, u.Op == isa.Store)
-		case u.IsBranch():
-			bp.Lookup(u.PC, u.Taken, u.Target)
-		}
-		if unit != nil {
-			unit.WarmObserve(u, level)
-		}
-		h.WarmTick() // co-runner credits accrue per warmed µop
-	}
-}
-
-// Run executes one simulation through the detailed pipeline.
+// Run executes one simulation through the detailed pipeline: a batch
+// of one, which adopts its warm checkpoint without cloning, or — for a
+// detailed warm-up — the full pipeline over the warm region too.
 // Cancellation is honoured at every phase boundary and — cheaply,
 // every couple of thousand cycles — inside the detailed simulation
 // loop and the fast warm-up, so a multi-minute run aborts within about
 // a millisecond of cancel.
-func (CycleBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
+func (b CycleBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
+	if spec.WarmDetailed && spec.WarmInsts > 0 {
+		return runDetailedWarm(ctx, spec)
+	}
+	r := b.RunBatch(ctx, []Spec{spec})[0]
+	return r.Stats, r.Err
+}
+
+// RunBatch implements BatchBackend: one fast warm pass builds a
+// checkpoint per warm group (hierarchy, branch predictor, co-runners)
+// and every lane's measured region runs from its own clone. Detailed
+// warm-ups cannot share a warm pass and must run alone.
+func (CycleBackend) RunBatch(ctx context.Context, specs []Spec) []BatchResult {
+	return runBatch(ctx, specs, admitCycle, runCycleLane)
+}
+
+var _ BatchBackend = CycleBackend{}
+
+func admitCycle(spec Spec, _ prog.Stream) error {
+	if spec.WarmDetailed && spec.WarmInsts > 0 {
+		return fmt.Errorf("ltp: a detailed warm-up cannot share a warm checkpoint; run it alone")
+	}
+	return nil
+}
+
+// runCycleLane runs one cycle lane's measured region from its warmed
+// state.
+func runCycleLane(ctx context.Context, spec Spec, w *warmed) (Stats, error) {
+	var parker pipeline.Parker = pipeline.NullParker{}
+	unit := w.unit()
+	if unit != nil {
+		parker = unit
+	}
+	p := pipeline.NewShared(spec.Pipeline, w.stream, parker, w.hier, w.bp)
+	if done := ctx.Done(); done != nil {
+		p.SetCancel(done)
+	}
+	if spec.WarmInsts > 0 {
+		if unit != nil {
+			unit.WarmFinish(p.Now())
+		}
+		// Warm-up activity must not leak into measured statistics.
+		p.BP.ResetStats()
+		p.Hier.ResetStats()
+	}
+	return measureCycle(ctx, spec, p, unit)
+}
+
+// runDetailedWarm is the reference warm-up: the warm region runs
+// through the full pipeline, then every statistic resets at the
+// boundary.
+func runDetailedWarm(ctx context.Context, spec Spec) (Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return Stats{}, CancelErr(ctx)
 	}
 	pcfg := spec.Pipeline
-
 	var parker pipeline.Parker = pipeline.NullParker{}
 	var unit *core.LTP
 	if spec.LTP != nil {
 		unit = core.New(*spec.LTP, pcfg.Hier.DRAMLatency, pcfg.Hier.TagEarlyLead)
 		parker = unit
 	}
-
 	p := pipeline.New(pcfg, spec.Stream, parker)
 	p.Hier.AttachCorunners(spec.Corunners)
 	if done := ctx.Done(); done != nil {
 		p.SetCancel(done)
 	}
-
-	if spec.WarmInsts > 0 {
-		if spec.WarmDetailed {
-			// Reference warm-up: run the warm region through the full
-			// pipeline, then reset every statistic at the boundary.
-			p.Run(spec.WarmInsts, 0)
-			if p.Aborted() {
-				return Stats{}, CancelErr(ctx)
-			}
-			p.ResetStats()
-		} else {
-			// Fast functional warm-up: stream stepping plus cache,
-			// I-cache, branch-predictor and LTP-table touch hooks. The
-			// emulator, trace readers and recorders all fast-forward.
-			ff, ok := spec.Stream.(prog.FastForwarder)
-			if !ok {
-				return Stats{}, fmt.Errorf("ltp: fast warm-up needs a fast-forwardable stream; use WarmDetailed")
-			}
-			touch := warmToucher(p.Hier, p.BP, unit)
-			// Chunk the fast-forward so a cancelled context aborts the
-			// warm-up within ~warmCancelChunk emulated instructions.
-			for remaining := spec.WarmInsts; remaining > 0; {
-				n := remaining
-				if ctx.Done() != nil && n > warmCancelChunk {
-					n = warmCancelChunk
-				}
-				did := ff.FastForward(n, touch)
-				remaining -= did
-				if err := ctx.Err(); err != nil {
-					return Stats{}, CancelErr(ctx)
-				}
-				if did < n {
-					break // stream exhausted; warm what there was
-				}
-			}
-			if unit != nil {
-				unit.WarmFinish(p.Now())
-			}
-			// Warm-up activity must not leak into measured statistics.
-			p.BP.ResetStats()
-			p.Hier.ResetStats()
-		}
+	p.Run(spec.WarmInsts, 0)
+	if p.Aborted() {
+		return Stats{}, abortErr(ctx, p)
 	}
+	p.ResetStats()
+	return measureCycle(ctx, spec, p, unit)
+}
 
-	// The measured region: cap cycles relative to its start so both warm
+// measureCycle runs the measured region on a warmed pipeline and
+// collects its statistics.
+func measureCycle(ctx context.Context, spec Spec, p *pipeline.Pipeline, unit *core.LTP) (Stats, error) {
+	// Cap cycles relative to the measured region's start so both warm
 	// modes interpret MaxCycles identically.
 	maxCycles := spec.MaxCycles
 	if maxCycles > 0 {
@@ -152,7 +136,7 @@ func (CycleBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
 	startCommitted := p.Committed()
 	p.Run(startCommitted+spec.MaxInsts, maxCycles)
 	if p.Aborted() {
-		return Stats{}, CancelErr(ctx)
+		return Stats{}, abortErr(ctx, p)
 	}
 
 	// A trace source that went corrupt mid-run, a capture that hit an IO

@@ -61,26 +61,42 @@ type sampleCheckpoint struct {
 	ramp   uint64 // detailed-but-unmeasured µops run before the sample
 }
 
-// Run executes one interval-sampled simulation.
-func (SampledBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return Stats{}, CancelErr(ctx)
+// Run executes one interval-sampled simulation (a batch of one).
+func (b SampledBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
+	r := b.RunBatch(ctx, []Spec{spec})[0]
+	return r.Stats, r.Err
+}
+
+// RunBatch implements BatchBackend: the warm region is warmed once per
+// warm group into a shared checkpoint, and each lane's phase A
+// continues from its own clone of it.
+func (SampledBackend) RunBatch(ctx context.Context, specs []Spec) []BatchResult {
+	return runBatch(ctx, specs, admitSampled, runSampledLane)
+}
+
+var _ BatchBackend = SampledBackend{}
+
+func admitSampled(spec Spec, stream prog.Stream) error {
+	switch {
+	case spec.Recorder != nil:
+		return fmt.Errorf("ltp: the sampled backend cannot capture traces; record with the cycle backend")
+	case spec.WarmDetailed:
+		return fmt.Errorf("ltp: the sampled backend warms functionally; detailed warm-up needs the cycle backend")
+	case spec.LTP != nil && spec.LTP.Oracle != nil:
+		return fmt.Errorf("ltp: the sampled backend does not support oracle urgency")
+	case spec.MaxInsts == 0:
+		return fmt.Errorf("ltp: the sampled backend needs MaxInsts > 0")
 	}
-	if spec.Recorder != nil {
-		return Stats{}, fmt.Errorf("ltp: the sampled backend cannot capture traces; record with the cycle backend")
+	if _, ok := stream.(prog.FastForwarder); !ok {
+		return fmt.Errorf("ltp: the sampled backend needs a fast-forwardable stream")
 	}
-	if spec.WarmDetailed {
-		return Stats{}, fmt.Errorf("ltp: the sampled backend warms functionally; detailed warm-up needs the cycle backend")
-	}
-	if spec.LTP != nil && spec.LTP.Oracle != nil {
-		return Stats{}, fmt.Errorf("ltp: the sampled backend does not support oracle urgency")
-	}
-	if spec.MaxInsts == 0 {
-		return Stats{}, fmt.Errorf("ltp: the sampled backend needs MaxInsts > 0")
-	}
-	if _, ok := spec.Stream.(prog.FastForwarder); !ok {
-		return Stats{}, fmt.Errorf("ltp: the sampled backend needs a fast-forwardable stream")
-	}
+	return nil
+}
+
+// runSampledLane runs one sampled lane from its warmed state: phase A
+// keeps warming through the measured region and checkpoints every
+// interval, phase B simulates the intervals.
+func runSampledLane(ctx context.Context, spec Spec, w *warmed) (Stats, error) {
 	k := spec.Intervals
 	if k < 1 {
 		k = 1
@@ -91,34 +107,28 @@ func (SampledBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
 	pcfg := spec.Pipeline
 
 	// Phase A: one continuous functional pass — warm the touch hooks
-	// over the whole region, recording only the spans the intervals
+	// over the measured region, recording only the spans the intervals
 	// replay (each interval's ramp + sample plus fetch-ahead slack) as
 	// a seekable trace, and checkpointing at each interval start. The
 	// gaps between spans fast-forward without the encoder: they exist
 	// only to keep the warm state continuous, and skipping their
 	// serialization is what keeps phase A far cheaper than the cycle
 	// backend as K grows.
+	ff, ok := w.stream.(prog.FastForwarder)
+	if !ok {
+		return Stats{}, fmt.Errorf("ltp: the sampled backend needs a fast-forwardable stream")
+	}
 	var buf bytes.Buffer
-	rec := trace.NewRecorder(spec.Stream, &buf, "sampled")
-	ff := spec.Stream.(prog.FastForwarder) // validated above
-	var warmUnit *core.LTP
-	if spec.LTP != nil {
-		warmUnit = core.New(*spec.LTP, pcfg.Hier.DRAMLatency, pcfg.Hier.TagEarlyLead)
-	}
-	warmHier := mem.NewHierarchy(pcfg.Hier)
-	warmHier.AttachCorunners(spec.Corunners)
-	warmBP, err := bpred.New(spec.Pipeline.BranchPred)
-	if err != nil {
-		return Stats{}, err
-	}
-	touch := warmToucher(warmHier, warmBP, warmUnit)
+	rec := trace.NewRecorder(w.stream, &buf, "sampled")
+	unit := w.unit()
+	touch := w.touch
 
 	// The pipeline reads at most about a ROB's worth of µops beyond the
 	// sample's last committed instruction (the replay buffer bounds
 	// fetch-ahead), so a few ROBs of slack per span is generous.
 	slack := 4 * uint64(pcfg.ROBSize)
 
-	var pos uint64      // µops pulled from the source so far
+	pos := w.insts      // µops pulled from the source so far
 	var recUntil uint64 // absolute position recording must reach
 	// advance pulls µops through touch up to absolute position to,
 	// recording them while inside a replayed span (pos < recUntil) and
@@ -177,15 +187,15 @@ func (SampledBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
 		}
 		cks[i] = sampleCheckpoint{
 			pos:    rec.Pos(),
-			hier:   warmHier.Clone(),
-			bp:     warmBP.Clone(),
+			hier:   w.hier.Clone(),
+			bp:     w.bp.Clone(),
 			start:  start,
 			length: end - start,
 			sample: sample,
 			ramp:   ramp,
 		}
-		if warmUnit != nil {
-			cks[i].ltp = warmUnit.WarmSnapshot()
+		if unit != nil {
+			cks[i].ltp = unit.WarmSnapshot()
 		}
 		if seg := abs + ramp + sample + slack; seg > recUntil {
 			recUntil = seg
@@ -204,24 +214,16 @@ func (SampledBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
 	// bytes.Reader.ReadAt is stateless, so all intervals share one.
 	br := bytes.NewReader(buf.Bytes())
 	results := make([]Stats, k)
-	errs := make([]error, k)
-	runOne := func(ictx context.Context, i int) {
-		results[i], errs[i] = runSampledInterval(ictx, spec, &cks[i], br, i)
-	}
-	if spec.Exec != nil && k > 1 {
-		fns := make([]func(context.Context), k)
-		costs := make([]float64, k)
-		for i := range fns {
-			i := i
-			costs[i] = float64(cks[i].sample)
-			fns[i] = func(ictx context.Context) { runOne(ictx, i) }
-		}
-		spec.Exec.RunBatch(ctx, costs, fns)
-	} else {
-		for i := 0; i < k; i++ {
-			runOne(ctx, i)
+	fns := make([]func(context.Context) error, k)
+	costs := make([]float64, k)
+	for i := range fns {
+		costs[i] = float64(cks[i].sample)
+		fns[i] = func(ictx context.Context) (err error) {
+			results[i], err = runSampledInterval(ictx, spec, &cks[i], br, i)
+			return err
 		}
 	}
+	errs := fanOut(ctx, spec.Exec, costs, fns)
 	if err := ctx.Err(); err != nil {
 		return Stats{}, CancelErr(ctx)
 	}
@@ -267,8 +269,7 @@ func runSampledInterval(ctx context.Context, spec Spec, ck *sampleCheckpoint, sr
 		unit.WarmRestore(ck.ltp)
 		parker = unit
 	}
-	p := pipeline.NewShared(pcfg, rd, parker, ck.hier)
-	p.BP = ck.bp
+	p := pipeline.NewShared(pcfg, rd, parker, ck.hier, ck.bp)
 	if done := ctx.Done(); done != nil {
 		p.SetCancel(done)
 	}
@@ -296,14 +297,14 @@ func runSampledInterval(ctx context.Context, spec Spec, ck *sampleCheckpoint, sr
 		// boundary (exactly the cycle backend's detailed-warm reset).
 		p.Run(ck.ramp, maxCycles)
 		if p.Aborted() {
-			return Stats{}, CancelErr(ctx)
+			return Stats{}, abortErr(ctx, p)
 		}
 		p.ResetStats()
 	}
 	ramped := p.Committed()
 	p.Run(ramped+ck.sample, maxCycles)
 	if p.Aborted() {
-		return Stats{}, CancelErr(ctx)
+		return Stats{}, abortErr(ctx, p)
 	}
 	if rd.Err() != nil {
 		return Stats{}, fmt.Errorf("ltp: sampled interval %d replay: %w", idx, rd.Err())

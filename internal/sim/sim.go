@@ -90,17 +90,16 @@ type Spec struct {
 	// warm-affecting configuration (hierarchy, branch predictor, UIT
 	// geometry, co-runners). Two Specs with equal WarmKeys are
 	// guaranteed to reach an identical functionally-warmed state, so a
-	// backend may snapshot that state once and reuse it (the model
-	// backend's warm-group cache). Empty means "not reusable" and is
-	// always safe.
+	// backend may snapshot that state once and reuse it across calls.
+	// Empty means "not reusable" and is always safe.
 	WarmKey string
 
 	// Intervals is the sampling interval count K for the sampled
 	// backend (ignored by the others). K=1 degenerates to a single
 	// full-region measurement identical to the cycle backend.
 	Intervals int
-	// Exec, when non-nil, runs interval subtasks — the sampled backend
-	// hands its K measured intervals to it so they can share the
+	// Exec, when non-nil, runs fan-out subtasks — a batch's lanes and
+	// the sampled backend's K measured intervals — so they can share the
 	// process-wide scheduler pool. Nil means sequential in-goroutine
 	// execution; either way results are deterministic.
 	Exec Executor
@@ -193,16 +192,19 @@ type BatchResult struct {
 
 // BatchBackend is an optional extension: a backend that can evaluate
 // many Specs sharing one functional µop stream in a single pass,
-// amortizing stream generation and warm-up across all of them.
+// amortizing stream generation and warm-up across all of them. The
+// cycle and sampled backends warm one checkpoint per warm group and run
+// each lane's measured region from its own clone; the model backend
+// fans one measured stream into per-lane timing models.
 //
 // Contract: every spec in the batch must share the µop stream —
 // specs[0].Stream is the one driven; the Stream fields of the rest are
-// ignored and may be nil — and must agree on WarmInsts, MaxInsts and
-// everything that shapes the warm-up (callers group by WarmKey-style
-// identity; backends re-verify what they rely on and fail lanes that
-// violate it). Results are positionally matched to specs and must be
-// bit-identical to what Run would have produced for each spec alone:
-// batching is an execution strategy, never an approximation.
+// ignored and may be nil — and must agree on WarmInsts (and, for the
+// model backend, MaxInsts); everything else may vary per lane.
+// Backends re-verify what they rely on and fail lanes that violate it.
+// Results are positionally matched to specs and must be bit-identical
+// to what Run would have produced for each spec alone: batching is an
+// execution strategy, never an approximation.
 type BatchBackend interface {
 	Backend
 	// RunBatch evaluates all specs in one shared pass. The returned

@@ -640,7 +640,11 @@ func programBuilder(spec RunSpec) (func() *prog.Program, string, error) {
 // lazyStream defers program generation and emulator construction until
 // the first µop is actually pulled. The model backend's warm-group
 // cache checks sim.Spec.WarmKey before touching the stream, so a
-// warm-cache hit skips the build entirely.
+// warm-cache hit skips the build entirely. It always wraps an emulator,
+// so it fast-forwards and clones like one. The first pull is not
+// synchronized: concurrent clones are safe only after it, which the
+// warm pass of a batched cycle or sampled group (the engine batches
+// those only with a warm region) always makes.
 type lazyStream struct {
 	build func() prog.Stream
 	s     prog.Stream
@@ -658,14 +662,16 @@ func (l *lazyStream) get() prog.Stream {
 // Next implements prog.Stream.
 func (l *lazyStream) Next(u *isa.Uop) bool { return l.get().Next(u) }
 
-// CloneStream implements prog.StreamCloner when the underlying stream
-// does (the emulator always does), which is what lets the model
-// backend snapshot a warmed lazy stream into its warm-group cache.
+// FastForward implements prog.FastForwarder (the fast warm-up path).
+func (l *lazyStream) FastForward(n uint64, touch func(*isa.Uop)) uint64 {
+	return l.get().(prog.FastForwarder).FastForward(n, touch)
+}
+
+// CloneStream implements prog.StreamCloner: a warmed lazy stream
+// clones into the model backend's warm-group cache and into every lane
+// of a batched cycle or sampled group.
 func (l *lazyStream) CloneStream() prog.Stream {
-	if sc, ok := l.get().(prog.StreamCloner); ok {
-		return sc.CloneStream()
-	}
-	return nil
+	return l.get().(prog.StreamCloner).CloneStream()
 }
 
 // warmKeyVersion prefixes model warm-group keys; bump it whenever the
