@@ -1,7 +1,7 @@
 # Makefile — developer entry points. The go toolchain is the only
 # dependency.
 
-.PHONY: build test test-short race bench bench-fig bench-baseline profile vet matrix fuzz-trace fuzz-store fuzz-fabric serve smoke-serve smoke-fabric lint-docs audit api-update
+.PHONY: build test test-short race bench bench-fig bench-baseline profile profile-figs vet matrix fuzz-trace fuzz-store fuzz-fabric serve smoke-serve smoke-fabric lint-docs audit api-update
 
 # Packages whose exported symbols must all carry godoc comments (the
 # public package, the documented internals, and the service layers).
@@ -41,6 +41,14 @@ profile:
 	mkdir -p profiles
 	go run ./cmd/ltpexperiments -exp matrix -quick -cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof
 	@echo "profiles written: go tool pprof profiles/cpu.pprof"
+
+# Profile the Fig. 6 limit study at the paper-figs benchmark's budgets
+# (the bulk of that workload): the CPU profile lands in profiles/fig6.pprof.
+profile-figs:
+	mkdir -p profiles
+	go build -o profiles/ltpexperiments ./cmd/ltpexperiments
+	profiles/ltpexperiments -exp fig6 -scale 0.05 -warm 2000 -insts 3000 -parallel 2 -cpuprofile profiles/fig6.pprof > /dev/null
+	@echo "profile written: go tool pprof -top profiles/ltpexperiments profiles/fig6.pprof"
 
 # The scenario-matrix campaign at laptop-scale budgets (mean ± 95% CI
 # over seed replicates; see EXPERIMENTS.md "Scenario-matrix workflow").

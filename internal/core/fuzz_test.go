@@ -63,34 +63,44 @@ func randomProgram(seed int64) *prog.Program {
 	return b.Build()
 }
 
-// TestFuzzRandomProgramsBaselineAndLTP runs randomly generated programs
-// through the baseline and every LTP mode, checking invariants and that
-// all configurations commit the same instruction stream length without
-// deadlocking. This is the failure-injection net for the parking /
-// wakeup / squash interactions.
+// TestFuzzRandomPrograms runs randomly generated programs through the
+// baseline, every LTP mode on a small core, and the limit study's
+// unlimited core and LTP, checking invariants and that every
+// configuration commits without deadlocking. This is the
+// failure-injection net for the parking / wakeup / squash interactions.
 func TestFuzzRandomPrograms(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fuzz is slow")
-	}
 	const insts = 12_000
+	type fuzzMode struct {
+		mode  Mode
+		limit bool // unlimited IQ/RF/LQ/SQ and LTP, late LSQ allocation
+	}
+	modes := []fuzzMode{{ModeOff, false}, {ModeNU, false}, {ModeNR, false}, {ModeNRNU, false}, {ModeNRNU, true}}
 	for seed := int64(1); seed <= 8; seed++ {
 		p := randomProgram(seed)
 
-		for _, mode := range []Mode{ModeOff, ModeNU, ModeNR, ModeNRNU} {
+		for _, m := range modes {
+			mode := m.mode
 			pcfg := pipeline.DefaultConfig()
 			pcfg.Hier.PrefetchDegree = 0
 			pcfg.IQSize = 24
 			pcfg.IntRegs, pcfg.FPRegs = 72, 72
 			pcfg.LQSize, pcfg.SQSize = 24, 12
 			pcfg.WatchdogCycles = 200_000
+			lcfg := DefaultConfig()
+			lcfg.Mode = mode
+			lcfg.Entries = 48
+			lcfg.Ports = 2
+			lcfg.Tickets = 8
+			if m.limit {
+				pcfg.IQSize = pipeline.Inf
+				pcfg.IntRegs, pcfg.FPRegs = pipeline.Inf, pipeline.Inf
+				pcfg.LQSize, pcfg.SQSize = pipeline.Inf, pipeline.Inf
+				pcfg.LateLSQAlloc = true
+				lcfg.Entries, lcfg.Ports = 0, 0
+			}
 
 			var parker pipeline.Parker = pipeline.NullParker{}
 			if mode != ModeOff {
-				lcfg := DefaultConfig()
-				lcfg.Mode = mode
-				lcfg.Entries = 48
-				lcfg.Ports = 2
-				lcfg.Tickets = 8
 				parker = New(lcfg, pcfg.Hier.DRAMLatency, pcfg.Hier.TagEarlyLead)
 			}
 			pipe := pipeline.New(pcfg, prog.NewEmulator(p), parker)
@@ -100,19 +110,19 @@ func TestFuzzRandomPrograms(t *testing.T) {
 			for pipe.Committed() < insts {
 				pipe.Cycle()
 				if err := pipe.Err(); err != nil {
-					t.Fatalf("seed %d mode %v: %v", seed, mode, err)
+					t.Fatalf("seed %d mode %v limit=%v: %v", seed, mode, m.limit, err)
 				}
 				if pipe.Now()%512 == 0 {
 					if err := pipe.CheckInvariants(); err != nil {
-						t.Fatalf("seed %d mode %v: %v", seed, mode, err)
+						t.Fatalf("seed %d mode %v limit=%v: %v", seed, mode, m.limit, err)
 					}
 				}
 				if pipe.Now() > 5_000_000 {
-					t.Fatalf("seed %d mode %v: runaway (committed %d)", seed, mode, pipe.Committed())
+					t.Fatalf("seed %d mode %v limit=%v: runaway (committed %d)", seed, mode, m.limit, pipe.Committed())
 				}
 			}
 			if err := pipe.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d mode %v final: %v", seed, mode, err)
+				t.Fatalf("seed %d mode %v limit=%v final: %v", seed, mode, m.limit, err)
 			}
 		}
 	}
@@ -121,9 +131,6 @@ func TestFuzzRandomPrograms(t *testing.T) {
 // TestFuzzSqueezeResources stresses the deadlock-avoidance reserves with
 // pathologically small structures.
 func TestFuzzSqueezeResources(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fuzz is slow")
-	}
 	for seed := int64(20); seed <= 24; seed++ {
 		p := randomProgram(seed)
 		pcfg := pipeline.DefaultConfig()

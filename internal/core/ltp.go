@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
+
 	"ltp/internal/isa"
 	"ltp/internal/mem"
 	"ltp/internal/pipeline"
@@ -152,7 +155,15 @@ type LTP struct {
 
 	ext [isa.NumArchRegs]ratExt
 
-	queue []*pipeline.Inflight // parked instructions, program order
+	queue pipeline.SeqList // parked instructions, program order
+
+	// Ticket wakeup state (NR modes only; see wakeNR). ticketWaiters[t]
+	// lists, in program order, the parked instructions whose mask holds
+	// ticket t — a clear visits only them. The ticket-free parked
+	// instructions sit in freeUrgent or freeNonUrgent, program order.
+	ticketWaiters []pipeline.SeqList
+	freeUrgent    pipeline.SeqList
+	freeNonUrgent pipeline.SeqList
 
 	// ownTicket maps an in-flight seq to the ticket it owns (set on the
 	// Inflight via ownTickets map to keep pipeline.Inflight lean).
@@ -160,6 +171,7 @@ type LTP struct {
 
 	ticketOwner    []uint64 // seq of owning instruction; ^0 = free
 	pendingClears  []ticketClear
+	nextClearAt    uint64 // earliest pendingClears cycle
 	parkedStoreMap map[uint64][]*pipeline.Inflight // word addr -> parked stores
 
 	parkedLoads  int
@@ -204,6 +216,9 @@ func New(cfg Config, dramLatency uint64, earlyLead uint64) *LTP {
 		ticketOwner:    make([]uint64, cfg.Tickets),
 		parkedStoreMap: make(map[uint64][]*pipeline.Inflight),
 	}
+	if cfg.Mode.ParksNR() {
+		l.ticketWaiters = make([]pipeline.SeqList, cfg.Tickets)
+	}
 	for i := range l.ticketOwner {
 		l.ticketOwner[i] = ^uint64(0)
 	}
@@ -229,7 +244,81 @@ func (l *LTP) Predictor() *LLPredictor { return l.llpred }
 func (l *LTP) Crit() *CritTable { return l.crit }
 
 // ParkedCount implements pipeline.Parker.
-func (l *LTP) ParkedCount() int { return len(l.queue) }
+func (l *LTP) ParkedCount() int { return l.queue.Len() }
+
+// CheckInvariants validates the parking bookkeeping;
+// pipeline.CheckInvariants calls it between cycles. The queue holds
+// parked instructions in program order and agrees with the occupancy
+// counters. Under the NR modes each parked instruction sits on exactly
+// the ticket waiter lists its Tickets mask names, and on the free list
+// matching its urgency if and only if the mask is empty; the lists hold
+// nothing else.
+func (l *LTP) CheckInvariants() error {
+	loads, stores, regs := 0, 0, 0
+	parked := l.queue.Items()
+	for i, f := range parked {
+		if i > 0 && parked[i-1].Seq() >= f.Seq() {
+			return fmt.Errorf("LTP queue out of order at %d", i)
+		}
+		if !f.Parked || f.Squashed {
+			return fmt.Errorf("LTP queue holds an instruction that is not parked: %s", f)
+		}
+		if f.IsLoad() {
+			loads++
+		}
+		if f.IsStore() {
+			stores++
+		}
+		if f.HasDst() {
+			regs++
+		}
+	}
+	if loads != l.parkedLoads || stores != l.parkedStores || regs != l.parkedRegs {
+		return fmt.Errorf("LTP counts %d/%d/%d loads/stores/regs, queue holds %d/%d/%d",
+			l.parkedLoads, l.parkedStores, l.parkedRegs, loads, stores, regs)
+	}
+	if l.ticketWaiters == nil {
+		return nil
+	}
+	waits := map[*pipeline.Inflight]pipeline.TicketMask{}
+	free := map[*pipeline.Inflight]bool{}
+	for t := range l.ticketWaiters {
+		ws := l.ticketWaiters[t].Items()
+		for i, f := range ws {
+			if i > 0 && ws[i-1].Seq() >= f.Seq() {
+				return fmt.Errorf("ticket %d waiter list out of order at %d", t, i)
+			}
+			m := waits[f]
+			m.Set(t)
+			waits[f] = m
+		}
+	}
+	for urgent, fl := range map[bool][]*pipeline.Inflight{true: l.freeUrgent.Items(), false: l.freeNonUrgent.Items()} {
+		for i, f := range fl {
+			if i > 0 && fl[i-1].Seq() >= f.Seq() {
+				return fmt.Errorf("LTP free list out of order at %d", i)
+			}
+			if free[f] || f.Urgent != urgent {
+				return fmt.Errorf("LTP free lists misfile %s", f)
+			}
+			free[f] = true
+		}
+	}
+	for _, f := range parked {
+		if waits[f] != f.Tickets {
+			return fmt.Errorf("parked %s holds tickets %x but waits on %x", f, f.Tickets, waits[f])
+		}
+		if free[f] != f.Tickets.Empty() {
+			return fmt.Errorf("parked %s (tickets %x) misfiled on the free lists", f, f.Tickets)
+		}
+		delete(waits, f)
+		delete(free, f)
+	}
+	if len(waits) > 0 || len(free) > 0 {
+		return fmt.Errorf("LTP wakeup lists hold %d instructions that are not parked", len(waits)+len(free))
+	}
+	return nil
+}
 
 // freeTicket returns a free ticket index or -1.
 func (l *LTP) freeTicket() int {
@@ -400,7 +489,7 @@ func (l *LTP) ShouldPark(p *pipeline.Pipeline, f *pipeline.Inflight, now uint64)
 
 // CanAccept implements pipeline.Parker.
 func (l *LTP) CanAccept(now uint64) bool {
-	if l.cfg.Entries > 0 && len(l.queue) >= l.cfg.Entries {
+	if l.cfg.Entries > 0 && l.queue.Len() >= l.cfg.Entries {
 		return false
 	}
 	if l.cfg.Ports > 0 && l.enqThisCycle >= l.cfg.Ports {
@@ -433,7 +522,15 @@ func (l *LTP) scrubStaleTickets(f *pipeline.Inflight) {
 // Park implements pipeline.Parker.
 func (l *LTP) Park(p *pipeline.Pipeline, f *pipeline.Inflight, now uint64) {
 	l.scrubStaleTickets(f)
-	l.queue = append(l.queue, f)
+	l.queue.Insert(f)
+	if l.ticketWaiters != nil {
+		if f.Tickets.Empty() {
+			l.addFree(f)
+		}
+		forEachTicket(f.Tickets, func(t int) {
+			l.ticketWaiters[t].Insert(f)
+		})
+	}
 	l.enqThisCycle++
 	l.Enqueues++
 	l.ParkedTotal++
@@ -449,11 +546,16 @@ func (l *LTP) Park(p *pipeline.Pipeline, f *pipeline.Inflight, now uint64) {
 	}
 }
 
-// removeFromQueue drops the queue element at index i and maintains the
-// occupancy counters.
-func (l *LTP) removeFromQueue(i int) *pipeline.Inflight {
-	f := l.queue[i]
-	l.queue = append(l.queue[:i], l.queue[i+1:]...)
+// removeFromQueue drops a parked instruction from the queue and maintains
+// the occupancy counters. The caller keeps the free lists.
+func (l *LTP) removeFromQueue(f *pipeline.Inflight) {
+	l.queue.Remove(f)
+	l.noteLeft(f)
+}
+
+// noteLeft maintains the occupancy counters for an instruction leaving
+// the queue (woken or squashed).
+func (l *LTP) noteLeft(f *pipeline.Inflight) {
 	if f.IsLoad() {
 		l.parkedLoads--
 	}
@@ -464,7 +566,26 @@ func (l *LTP) removeFromQueue(i int) *pipeline.Inflight {
 	if f.HasDst() {
 		l.parkedRegs--
 	}
-	return f
+}
+
+// addFree files a ticket-free parked instruction for wakeup.
+func (l *LTP) addFree(f *pipeline.Inflight) {
+	if f.Urgent {
+		l.freeUrgent.Insert(f)
+	} else {
+		l.freeNonUrgent.Insert(f)
+	}
+}
+
+// forEachTicket calls fn for every ticket set in m, lowest first.
+func forEachTicket(m pipeline.TicketMask, fn func(t int)) {
+	for w, bitsLeft := range m {
+		for bitsLeft != 0 {
+			b := bits.TrailingZeros64(bitsLeft)
+			bitsLeft &= bitsLeft - 1
+			fn(w*64 + b)
+		}
+	}
 }
 
 func (l *LTP) dropParkedStore(f *pipeline.Inflight) {
@@ -526,41 +647,12 @@ func (l *LTP) Wake(p *pipeline.Pipeline, now uint64, max int, pressure bool) int
 	}
 
 	if l.cfg.Mode.ParksNR() {
-		// Out-of-order scan (the ticket CAM / bit-matrix): oldest first so
-		// producers leave no later than consumers.
-		for i := 0; i < len(l.queue) && woken < budget; {
-			f := l.queue[i]
-			oldest := i == 0
-			eligible := false
-			switch {
-			case pressure && oldest:
-				// §5.4: the pipeline is stalled on a commit-freed
-				// resource; release the oldest parked instruction since
-				// committing it frees resources.
-				eligible = true
-				l.PressureWakes++
-			case !f.Tickets.Empty():
-				eligible = false // still waiting on a long-latency ancestor
-			case f.Urgent:
-				eligible = true // U+NR: go as soon as tickets clear
-			default:
-				eligible = f.Seq() < bound // NU: ROB-proximity criterion
-			}
-			if !eligible || !sourcesResolved(f) || !p.CanUnpark(f, oldest) {
-				i++
-				continue
-			}
-			l.removeFromQueue(i)
-			p.Unpark(f, now)
-			l.afterUnpark(f)
-			woken++
-		}
-		return woken
+		return l.wakeNR(p, now, budget, bound, pressure)
 	}
 
 	// Queue-based Non-Urgent design: strict FIFO release.
-	for woken < budget && len(l.queue) > 0 {
-		f := l.queue[0]
+	for woken < budget && l.queue.Len() > 0 {
+		f := l.queue.Front()
 		eligible := f.Seq() < bound
 		if pressure && woken == 0 {
 			eligible = true
@@ -572,12 +664,73 @@ func (l *LTP) Wake(p *pipeline.Pipeline, now uint64, max int, pressure bool) int
 		if !sourcesResolved(f) || !p.CanUnpark(f, true) {
 			break
 		}
-		l.removeFromQueue(0)
+		l.removeFromQueue(f)
 		p.Unpark(f, now)
 		l.afterUnpark(f)
 		woken++
 	}
 	return woken
+}
+
+// wakeNR is the out-of-order release of the Non-Ready designs (the
+// ticket CAM / bit-matrix): oldest first, so producers leave no later
+// than consumers. It visits, in program order, only the instructions the
+// policy can release — the queue head under pressure (§5.4), ticket-free
+// Urgent ones, and ticket-free Non-Urgent ones older than bound (ROB
+// proximity) — and gives each the treatment a walk over the whole queue
+// would: the head is the oldest parked instruction, pressure releases
+// heads until one cannot leave, and every other instruction still
+// holding a ticket is waiting on a long-latency ancestor.
+func (l *LTP) wakeNR(p *pipeline.Pipeline, now uint64, budget int, bound uint64, pressure bool) int {
+	urgent, nonUrgent := l.freeUrgent.Sweep(), l.freeNonUrgent.Sweep()
+	woken := 0
+	for woken < budget {
+		head := l.queue.Front()
+		f := head
+		if pressure && head != nil {
+			l.PressureWakes++
+		} else {
+			f = urgent.Peek()
+			if n := nonUrgent.Peek(); n != nil && n.Seq() < bound && (f == nil || n.Seq() < f.Seq()) {
+				f = n
+			}
+			if f == nil {
+				break
+			}
+		}
+		// f is at the front of its free list, if it is on one.
+		cur := &urgent
+		if nonUrgent.Peek() == f {
+			cur = &nonUrgent
+		} else if urgent.Peek() != f {
+			cur = nil
+		}
+		if !sourcesResolved(f) || !p.CanUnpark(f, f == head) {
+			pressure = false // the head stays: later visits are not the oldest
+			if cur != nil {
+				cur.Keep()
+			}
+			continue
+		}
+		if cur != nil {
+			cur.Drop()
+		} else {
+			l.dropTicketWaits(f) // a pressure release of a waiting head
+		}
+		l.removeFromQueue(f)
+		p.Unpark(f, now)
+		l.afterUnpark(f)
+		woken++
+	}
+	urgent.Close()
+	nonUrgent.Close()
+	return woken
+}
+
+// dropTicketWaits takes an instruction leaving the LTP with tickets still
+// set off their waiter lists.
+func (l *LTP) dropTicketWaits(f *pipeline.Inflight) {
+	forEachTicket(f.Tickets, func(t int) { l.ticketWaiters[t].Remove(f) })
 }
 
 func (l *LTP) afterUnpark(f *pipeline.Inflight) {
@@ -589,13 +742,15 @@ func (l *LTP) afterUnpark(f *pipeline.Inflight) {
 // fireTicketClears applies due ticket broadcasts to parked instructions
 // and the RAT extension.
 func (l *LTP) fireTicketClears(p *pipeline.Pipeline, now uint64) {
-	if len(l.pendingClears) == 0 {
+	if len(l.pendingClears) == 0 || l.nextClearAt > now {
 		return
 	}
+	l.nextClearAt = ^uint64(0)
 	w := l.pendingClears[:0]
 	for _, c := range l.pendingClears {
 		if c.at > now {
 			w = append(w, c)
+			l.nextClearAt = min(l.nextClearAt, c.at)
 			continue
 		}
 		if l.ticketOwner[c.ticket] != c.ownerSeq {
@@ -606,10 +761,18 @@ func (l *LTP) fireTicketClears(p *pipeline.Pipeline, now uint64) {
 	l.pendingClears = w
 }
 
-// clearTicket broadcasts a ticket clear and frees the ticket.
+// clearTicket broadcasts a ticket clear and frees the ticket. Only the
+// parked instructions waiting on t hold it; those left with no ticket
+// become wakeup candidates.
 func (l *LTP) clearTicket(t int) {
-	for _, f := range l.queue {
-		f.Tickets.Clear(t)
+	if l.ticketWaiters != nil {
+		for _, f := range l.ticketWaiters[t].Items() {
+			f.Tickets.Clear(t)
+			if f.Tickets.Empty() {
+				l.addFree(f)
+			}
+		}
+		l.ticketWaiters[t].Clear()
 	}
 	for i := range l.ext {
 		l.ext[i].tickets.Clear(t)
@@ -624,6 +787,9 @@ func (l *LTP) scheduleTicketClear(f *pipeline.Inflight, at uint64) {
 	t, ok := l.ownTicket[f.Seq()]
 	if !ok {
 		return
+	}
+	if len(l.pendingClears) == 0 || at < l.nextClearAt {
+		l.nextClearAt = at
 	}
 	l.pendingClears = append(l.pendingClears, ticketClear{at: at, ticket: t, ownerSeq: f.Seq()})
 }
@@ -683,25 +849,16 @@ func (l *LTP) NoteCommit(p *pipeline.Pipeline, f *pipeline.Inflight, now uint64)
 
 // NoteSquash implements pipeline.Parker.
 func (l *LTP) NoteSquash(p *pipeline.Pipeline, fromSeq uint64, now uint64) {
-	// Drop squashed parked instructions.
-	w := l.queue[:0]
-	for _, f := range l.queue {
-		if f.Seq() >= fromSeq {
-			if f.IsLoad() {
-				l.parkedLoads--
-			}
-			if f.IsStore() {
-				l.parkedStores--
-				l.dropParkedStore(f)
-			}
-			if f.HasDst() {
-				l.parkedRegs--
-			}
-			continue
+	// Drop squashed parked instructions: a program-ordered suffix of the
+	// queue, and of every list that files parked instructions.
+	l.queue.TruncateFrom(fromSeq, l.noteLeft)
+	if l.ticketWaiters != nil {
+		l.freeUrgent.TruncateFrom(fromSeq, nil)
+		l.freeNonUrgent.TruncateFrom(fromSeq, nil)
+		for t := range l.ticketWaiters {
+			l.ticketWaiters[t].TruncateFrom(fromSeq, nil)
 		}
-		w = append(w, f)
 	}
-	l.queue = w
 
 	// Invalidate RAT extensions written by squashed instructions.
 	for i := range l.ext {
@@ -823,7 +980,7 @@ func (l *LTP) ResetStats() {
 // NoteCycle implements pipeline.Parker.
 func (l *LTP) NoteCycle(p *pipeline.Pipeline, now uint64) {
 	l.monitor.Tick(now)
-	l.OccInsts.Add(float64(len(l.queue)))
+	l.OccInsts.Add(float64(l.queue.Len()))
 	l.OccRegs.Add(float64(l.parkedRegs))
 	l.OccLoads.Add(float64(l.parkedLoads))
 	l.OccStores.Add(float64(l.parkedStores))

@@ -257,8 +257,9 @@ func TestQueueFIFOOrder(t *testing.T) {
 	pipe, unit := newLTPPipeline(testPipeConfig(), lcfg, fig2Program())
 	for pipe.Committed() < 20_000 {
 		pipe.Cycle()
-		for i := 1; i < len(unit.queue); i++ {
-			if unit.queue[i-1].Seq() >= unit.queue[i].Seq() {
+		parked := unit.queue.Items()
+		for i := 1; i < len(parked); i++ {
+			if parked[i-1].Seq() >= parked[i].Seq() {
 				t.Fatalf("LTP queue out of order at cycle %d", pipe.Now())
 			}
 		}

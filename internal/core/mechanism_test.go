@@ -43,7 +43,7 @@ func TestParkedStoreConflict(t *testing.T) {
 	if l.ParkedStoreConflict(0x2000, 20) {
 		t.Error("false conflict on a different address")
 	}
-	l.removeFromQueue(0)
+	l.removeFromQueue(st)
 	if l.ParkedStoreConflict(0x1000, 20) {
 		t.Error("conflict persists after the store left the LTP")
 	}
@@ -191,7 +191,7 @@ func TestTicketClearGuardAgainstReuse(t *testing.T) {
 	// Firing the stale clear must NOT free the new owner's ticket.
 	waiter := &pipeline.Inflight{U: isa.Uop{Seq: 11}}
 	waiter.Tickets.Set(tk)
-	l.queue = append(l.queue, waiter)
+	l.Park(nil, waiter, 0)
 	l.fireTicketClears(nil, 200)
 	if !waiter.Tickets.Has(tk) {
 		t.Error("stale scheduled clear fired against the reused ticket")

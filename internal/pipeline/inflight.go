@@ -104,6 +104,21 @@ type Inflight struct {
 	// before this cycle (set when a load must wait for disambiguation).
 	blockedUntil uint64
 
+	// Event-driven select state (see IQ). While InIQ, iqState says where
+	// the entry sits. waitOn holds, per needed source, the producer whose
+	// issue will make that operand's ready cycle known (nil once known);
+	// the entry sits on each such producer's waiters list, once per
+	// distinct producer. iqAt is the earliest cycle the entry can issue
+	// once no producer is pending: max(operand ready cycles, blockedUntil).
+	iqState iqState
+	waitOn  [2]*Inflight
+	waiters []*Inflight
+	iqAt    uint64
+
+	// issueBlock records why the last tryIssueLoad refused this load
+	// (watchdog diagnostics).
+	issueBlock loadBlock
+
 	// wibResident marks an instruction currently drained into the WIB
 	// baseline's buffer.
 	wibResident bool

@@ -338,6 +338,49 @@ func (blackHoleParker) CanAccept(uint64) bool                        { return tr
 func (blackHoleParker) Park(*Pipeline, *Inflight, uint64)            {}
 func (blackHoleParker) ParkedCount() int                             { return 1 }
 
+// conflictParker parks nothing but reports every load as conflicting
+// with an older parked store, so no load can ever issue: the shape of a
+// head load that never issues.
+type conflictParker struct{ NullParker }
+
+func (conflictParker) ParkedStoreConflict(uint64, uint64) bool { return true }
+
+func TestWatchdogNamesHeadBlocker(t *testing.T) {
+	watchdog := func(parker Parker, pr *prog.Program) string {
+		t.Helper()
+		cfg := smallConfig()
+		cfg.WatchdogCycles = 500
+		pipe := New(cfg, prog.NewEmulator(pr), parker)
+		pipe.Run(100, 10_000)
+		if pipe.Err() == nil {
+			t.Fatal("watchdog did not fire")
+		}
+		return pipe.Err().Error()
+	}
+
+	b := prog.NewBuilder("t")
+	b.Addi(isa.R(1), isa.R(1), 1)
+	msg := watchdog(blackHoleParker{}, b.Build())
+	if !strings.Contains(msg, "rob head blocked: parked in the LTP") {
+		t.Errorf("parked head not named:\n%s", msg)
+	}
+
+	b = prog.NewBuilder("t")
+	b.Ld(isa.R(2), isa.R(3), 0x7000)
+	b.Add(isa.R(4), isa.R(2), isa.R(2))
+	msg = watchdog(conflictParker{}, b.Build())
+	for _, want := range []string{
+		"rob head blocked: in IQ",
+		"blockedUntil=",
+		"last load refusal: parked-store conflict",
+		"src1 waiting on producer seq 0 (not issued, readyAt unknown)",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("watchdog dump lacks %q:\n%s", want, msg)
+		}
+	}
+}
+
 func TestProgramEndDrains(t *testing.T) {
 	b := prog.NewBuilder("t")
 	b.Addi(isa.R(1), isa.R(1), 1)

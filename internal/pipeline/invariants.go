@@ -44,19 +44,19 @@ func (p *Pipeline) CheckInvariants() error {
 		return fmt.Errorf("ROB over capacity: %d > %d", p.rob.Len(), p.rob.Cap())
 	}
 
-	// Every parked instruction is in the ROB; the Parker agrees on count.
+	// Every parked instruction is in the ROB; the Parker agrees on count
+	// and, when it can check itself, on its own bookkeeping.
 	if got := p.parker.ParkedCount(); got != parkedInROB {
 		return fmt.Errorf("parker holds %d instructions, ROB sees %d parked", got, parkedInROB)
 	}
-
-	// IQ entries are dispatched, not issued, not parked, within capacity.
-	if p.iq.Len() > p.iq.Cap() {
-		return fmt.Errorf("IQ over capacity: %d > %d", p.iq.Len(), p.iq.Cap())
-	}
-	for _, f := range p.iq.entries {
-		if f.Issued || f.Parked || f.Squashed || f.Committed {
-			return fmt.Errorf("invalid IQ entry state: %s", f)
+	if c, ok := p.parker.(interface{ CheckInvariants() error }); ok {
+		if err := c.CheckInvariants(); err != nil {
+			return err
 		}
+	}
+
+	if err := p.checkIQ(); err != nil {
+		return err
 	}
 
 	// LQ/SQ are in program order and within capacity.
@@ -131,6 +131,133 @@ func (p *Pipeline) checkRegConservation() error {
 			return fmt.Errorf("%s regfile leak: free=%d avail=%d heldByROB=%d",
 				rf.name, rf.FreeCount(), rf.avail, held[rf])
 		}
+	}
+	return nil
+}
+
+// checkIQ validates the event-driven select bookkeeping (iq.go): every IQ
+// entry is dispatched, unissued and unparked, and sits either in the
+// ready list or a timed event with no pending producer, or on the waiters
+// list of exactly its pending producers; waiters lists hold only such
+// waiting entries; retired records hold no waiter links.
+func (p *Pipeline) checkIQ() error {
+	if p.iq.Len() > p.iq.Cap() {
+		return fmt.Errorf("IQ over capacity: %d > %d", p.iq.Len(), p.iq.Cap())
+	}
+	inIQ, ready := 0, 0
+	var err error
+	p.rob.Walk(func(f *Inflight) {
+		if err != nil {
+			return
+		}
+		for _, c := range f.waiters {
+			if c.Issued || c.Squashed || !c.InIQ || c.iqState != iqWaiting ||
+				(c.waitOn[0] != f && c.waitOn[1] != f) {
+				err = fmt.Errorf("stale waiter %s on %s", c, f)
+				return
+			}
+		}
+		if f.Issued && len(f.waiters) > 0 {
+			err = fmt.Errorf("issued producer %s still has %d waiters", f, len(f.waiters))
+			return
+		}
+		if !f.InIQ {
+			if f.iqState != iqOut || f.waitOn != [2]*Inflight{} {
+				err = fmt.Errorf("instruction outside the IQ keeps select state: %s", f)
+			}
+			return
+		}
+		inIQ++
+		if f.Issued || f.Parked || f.Squashed || f.Committed || f.wibResident {
+			err = fmt.Errorf("invalid IQ entry state: %s", f)
+			return
+		}
+		var want [2]*Inflight
+		for i := 0; i < neededSrcs(f); i++ {
+			want[i] = p.expectedProducer(f, i)
+		}
+		if f.waitOn != want {
+			err = fmt.Errorf("IQ entry %s waits on %v, pending producers are %v", f, f.waitOn, want)
+			return
+		}
+		switch f.iqState {
+		case iqWaiting:
+			for i, prod := range f.waitOn {
+				if prod == nil || (i == 1 && prod == f.waitOn[0]) {
+					continue
+				}
+				n := 0
+				for _, c := range prod.waiters {
+					if c == f {
+						n++
+					}
+				}
+				if n != 1 {
+					err = fmt.Errorf("IQ entry %s listed %d times by producer %s", f, n, prod)
+					return
+				}
+			}
+			if want == [2]*Inflight{} {
+				err = fmt.Errorf("IQ entry %s waits with no pending producer", f)
+			}
+		case iqTimed:
+			if want != [2]*Inflight{} || f.iqAt <= p.now {
+				err = fmt.Errorf("timed IQ entry %s (at %d, now %d) is misplaced", f, f.iqAt, p.now)
+			}
+		case iqReady:
+			ready++
+			if want != [2]*Inflight{} || f.iqAt > p.now {
+				err = fmt.Errorf("ready IQ entry %s (at %d, now %d) is misplaced", f, f.iqAt, p.now)
+			}
+		default:
+			err = fmt.Errorf("IQ entry %s has no select state", f)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if inIQ != p.iq.Len() {
+		return fmt.Errorf("IQ counts %d entries, ROB holds %d", p.iq.Len(), inIQ)
+	}
+	rl := p.iq.ready.Items()
+	if len(rl) != ready {
+		return fmt.Errorf("ready list holds %d entries, %d are ready", len(rl), ready)
+	}
+	for i, f := range rl {
+		if f.iqState != iqReady || !f.InIQ || (i > 0 && rl[i-1].Seq() >= f.Seq()) {
+			return fmt.Errorf("ready list corrupt at %d: %s", i, f)
+		}
+	}
+	for _, recs := range [][]*Inflight{p.retired, p.pool} {
+		for _, f := range recs {
+			if len(f.waiters) > 0 || f.waitOn != [2]*Inflight{} {
+				return fmt.Errorf("retired record %s keeps waiter links", f)
+			}
+		}
+	}
+	return nil
+}
+
+// expectedProducer recomputes, without resolving anything, the producer
+// source i of f must wait on: a still-parked producer, or the unissued
+// writer of an unready register; nil when the operand's ready cycle is
+// known.
+func (p *Pipeline) expectedProducer(f *Inflight, i int) *Inflight {
+	r := f.U.Src1
+	if i == 1 {
+		r = f.U.Src2
+	}
+	if !r.Valid() {
+		return nil
+	}
+	if prod := f.SrcProd[i]; prod != nil {
+		if prod.DstPreg == NoPReg || p.classRF(r).ReadyAt(prod.DstPreg) == neverReady {
+			return prod
+		}
+		return nil
+	}
+	if p.classRF(r).ReadyAt(f.SrcPreg[i]) == neverReady {
+		return f.SrcWriter[i]
 	}
 	return nil
 }

@@ -26,6 +26,7 @@ type eventKind uint8
 const (
 	evDone      eventKind = iota // execution completes
 	evStoreAddr                  // store address resolves (violation scan)
+	evIQReady                    // a scheduled IQ entry can issue (iq.go)
 )
 
 type event struct {
@@ -253,7 +254,9 @@ func (p *Pipeline) allocInflight() *Inflight {
 		f := p.pool[n-1]
 		p.pool[n-1] = nil
 		p.pool = p.pool[:n-1]
+		waiters := f.waiters // empty; keep its backing array
 		*f = Inflight{}
+		f.waiters = waiters
 		return f
 	}
 	return new(Inflight)
@@ -477,6 +480,8 @@ func (p *Pipeline) processEvents() {
 			p.parker.NoteExecDone(p, f, p.now)
 		case evStoreAddr:
 			p.checkViolations(f)
+		case evIQReady:
+			p.iqTimerFired(f, ev.at)
 		}
 	}
 }

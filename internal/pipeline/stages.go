@@ -7,56 +7,25 @@ import (
 	"ltp/internal/isa"
 )
 
-// srcReady reports whether source i's value is available at cycle now.
-// Sources produced by parked instructions resolve lazily: the operand link
-// upgrades to a physical register once the producer leaves the LTP.
-func (p *Pipeline) srcReady(f *Inflight, i int, now uint64) bool {
-	var r isa.Reg
-	if i == 0 {
-		r = f.U.Src1
-	} else {
-		r = f.U.Src2
-	}
-	if !r.Valid() {
-		return true
-	}
-	if prod := f.SrcProd[i]; prod != nil {
-		if prod.DstPreg == NoPReg {
-			return false // producer still parked
-		}
-		f.SrcPreg[i] = prod.DstPreg
-		f.SrcProd[i] = nil
-	}
-	pr := f.SrcPreg[i]
-	if pr == NoPReg {
-		panic("pipeline: unresolved source on instruction: " + f.String())
-	}
-	return p.classRF(r).Ready(pr, now)
-}
-
-// issueStage selects up to IssueWidth ready instructions, oldest first, and
-// begins their execution. IQ entries are freed at issue (paper §3.1).
+// issueStage selects up to IssueWidth instructions, oldest first, from
+// the IQ entries whose operands are available (the ready list, see iq.go)
+// and begins their execution. IQ entries are freed at issue (paper §3.1).
 func (p *Pipeline) issueStage() {
-	issued := 0
-	for _, f := range p.iq.Candidates(p.now) {
-		if issued >= p.cfg.IssueWidth {
+	sw := p.iq.ready.Sweep()
+	for issued := 0; issued < p.cfg.IssueWidth; {
+		f := sw.Peek()
+		if f == nil {
 			break
 		}
-		// Stores only need their address operand to issue (split
-		// store-address/store-data semantics); everything else needs all
-		// sources.
-		if !p.srcReady(f, 0, p.now) {
-			continue
-		}
-		if !f.IsStore() && !p.srcReady(f, 1, p.now) {
-			continue
-		}
 		if !p.fus.canIssue(f.U.Op, p.now) {
+			sw.Keep()
 			continue
 		}
+		sw.Drop()
 		switch {
 		case f.IsLoad():
 			if !p.tryIssueLoad(f) {
+				p.iqSchedule(f) // retry at blockedUntil, a later cycle
 				continue
 			}
 		case f.IsStore():
@@ -64,7 +33,7 @@ func (p *Pipeline) issueStage() {
 		default:
 			p.issueALU(f)
 		}
-		p.iq.Remove(f)
+		p.iqLeave(f)
 		f.Issued = true
 		f.IssuedAt = p.now
 		p.fus.issue(f.U.Op, p.now)
@@ -72,6 +41,7 @@ func (p *Pipeline) issueStage() {
 		p.RFReads += uint64(validSrcs(f))
 		issued++
 	}
+	sw.Close()
 }
 
 func validSrcs(f *Inflight) int {
@@ -91,6 +61,7 @@ func (p *Pipeline) issueALU(f *Inflight) {
 	f.DoneAt = p.now + lat
 	if f.HasDst() {
 		p.classRF(f.U.Dst).SetReady(f.DstPreg, f.DoneAt)
+		p.wakeWaiters(f)
 	}
 	if f.U.Op.IsLongLatencyALU() && !f.LL {
 		f.LL = true
@@ -107,6 +78,36 @@ func (p *Pipeline) issueStore(f *Inflight) {
 	p.schedule(f.AddrKnownAt, f, evStoreAddr)
 }
 
+// loadBlock names why tryIssueLoad last refused a load.
+type loadBlock uint8
+
+const (
+	loadNotBlocked       loadBlock = iota
+	loadBlockStoreSet              // predicted store has no address yet
+	loadBlockParkedStore           // an older parked store has the same address
+	loadBlockOlderStore            // an older store's address is unresolved
+	loadBlockForwardData           // the forwarding store's data is not ready
+	loadBlockMSHR                  // MSHRs full
+)
+
+var loadBlockNames = [...]string{
+	loadNotBlocked:       "none",
+	loadBlockStoreSet:    "store-set dependence",
+	loadBlockParkedStore: "parked-store conflict",
+	loadBlockOlderStore:  "unresolved older store",
+	loadBlockForwardData: "forwarded data not ready",
+	loadBlockMSHR:        "MSHRs full",
+}
+
+func (b loadBlock) String() string { return loadBlockNames[b] }
+
+// blockLoad refuses a load for now: it retries two cycles later.
+func (p *Pipeline) blockLoad(f *Inflight, why loadBlock) bool {
+	f.blockedUntil = p.now + 2
+	f.issueBlock = why
+	return false
+}
+
 // tryIssueLoad attempts to issue a load: memory disambiguation, then
 // store→load forwarding or a cache access. Returns false when the load
 // must stay in the IQ (sets blockedUntil for the retry).
@@ -116,21 +117,19 @@ func (p *Pipeline) tryIssueLoad(f *Inflight) bool {
 	// Predicted dependence on a specific in-flight store (store sets).
 	if dep := f.DepStore; dep != nil && !dep.Committed && !dep.Squashed {
 		if dep.AddrKnownAt == 0 || dep.AddrKnownAt > now {
-			f.blockedUntil = now + 2
-			return false
+			return p.blockLoad(f, loadBlockStoreSet)
 		}
 	}
 
 	// A parked older store with a conflicting address forces a wait
 	// (limit-study late LSQ allocation; §5.3's memory dependence rule).
 	if p.parker.ParkedStoreConflict(f.U.Addr, f.Seq()) {
-		f.blockedUntil = now + 2
-		return false
+		return p.blockLoad(f, loadBlockParkedStore)
 	}
 
-	// Walk older stores in the SQ, youngest first.
+	// Walk older stores in the SQ, youngest first. Store-set mode
+	// speculates past unresolved stores.
 	var fwd *Inflight
-	unresolved := false
 	for i := len(p.sq.entries) - 1; i >= 0; i-- {
 		st := p.sq.entries[i]
 		if st.Seq() >= f.Seq() {
@@ -140,14 +139,9 @@ func (p *Pipeline) tryIssueLoad(f *Inflight) bool {
 			if st.Committed {
 				continue
 			}
-			unresolved = true
-			if p.cfg.MemDep == MemDepConservative {
-				f.blockedUntil = now + 2
-				return false
-			}
-			if p.cfg.MemDep == MemDepOracle && st.U.Addr == f.U.Addr {
-				f.blockedUntil = now + 2
-				return false
+			if p.cfg.MemDep == MemDepConservative ||
+				(p.cfg.MemDep == MemDepOracle && st.U.Addr == f.U.Addr) {
+				return p.blockLoad(f, loadBlockOlderStore)
 			}
 			continue
 		}
@@ -156,14 +150,12 @@ func (p *Pipeline) tryIssueLoad(f *Inflight) bool {
 			break
 		}
 	}
-	_ = unresolved // store-set mode speculates past unresolved stores
 
 	if fwd != nil {
 		// Same-address older store with a resolved address: forward when
 		// its data is ready, otherwise wait for the data.
 		if !p.storeDataReady(fwd, now) {
-			f.blockedUntil = now + 2
-			return false
+			return p.blockLoad(f, loadBlockForwardData)
 		}
 		f.Forwarded = true
 		f.MemDone = now + 1 + 2 // AGU + forwarding latency
@@ -171,8 +163,7 @@ func (p *Pipeline) tryIssueLoad(f *Inflight) bool {
 	} else {
 		res, ok := p.Hier.Load(f.U.PC, f.U.Addr, now+1)
 		if !ok {
-			f.blockedUntil = now + 2 // MSHRs full
-			return false
+			return p.blockLoad(f, loadBlockMSHR)
 		}
 		f.MemDone = res.Avail
 		f.MemLevel = res.Level
@@ -182,6 +173,7 @@ func (p *Pipeline) tryIssueLoad(f *Inflight) bool {
 	f.DoneAt = f.MemDone
 	if f.HasDst() {
 		p.classRF(f.U.Dst).SetReady(f.DstPreg, f.MemDone)
+		p.wakeWaiters(f)
 	}
 	if f.MemDone-now > p.cfg.LLThreshold && !f.LL {
 		f.LL = true
@@ -221,18 +213,17 @@ func (p *Pipeline) checkViolations(st *Inflight) {
 func (p *Pipeline) squash(fromSeq uint64) {
 	p.Squashes++
 	victims := p.rob.SquashFrom(fromSeq)
+	p.iqSquash(victims, fromSeq)
 	for _, f := range victims {
 		f.Squashed = true
 		if f.DstPreg != NoPReg && f.HasDst() {
 			p.classRF(f.U.Dst).Free(f.DstPreg)
 			f.DstPreg = NoPReg
 		}
-		f.InIQ = false
 		f.HasLSQ = false
 		p.removeLL(f)
 		p.recordRetired(f)
 	}
-	p.iq.SquashFrom(fromSeq)
 	p.lq.SquashFrom(fromSeq)
 	p.sq.SquashFrom(fromSeq)
 	p.ssets.OnSquash(fromSeq)
@@ -430,8 +421,8 @@ func (p *Pipeline) dispatchNormal(f *Inflight) bool {
 		preg, _ := rf.Alloc()
 		f.DstPreg = preg
 	}
-	// Sources written by parked producers become lazy links, resolved by
-	// srcReady when the producer leaves the LTP. (Only instructions the
+	// Sources written by parked producers become lazy links, resolved
+	// once the producer leaves the LTP. (Only instructions the
 	// Parker declined to force-park carry such links — typically Urgent
 	// instructions whose producer was parked before the UIT learned the
 	// chain.)
@@ -443,7 +434,7 @@ func (p *Pipeline) dispatchNormal(f *Inflight) bool {
 		p.insertLSQ(f)
 	}
 	p.rob.Push(f)
-	p.iq.Insert(f)
+	p.iqInsert(f)
 	return true
 }
 
@@ -563,7 +554,7 @@ func (p *Pipeline) Unpark(f *Inflight, now uint64) {
 	if p.cfg.LateLSQAlloc && f.U.Op.IsMem() && !f.HasLSQ {
 		p.insertLSQ(f)
 	}
-	p.iq.Insert(f)
+	p.iqInsert(f)
 }
 
 // fetchStage pulls µops from the replay buffer / emulator into the decode
@@ -626,17 +617,21 @@ func (p *Pipeline) peekFetch() (*isa.Uop, bool) {
 	if p.streamDone {
 		return nil, false
 	}
-	var u isa.Uop
-	if !p.stream.Next(&u) {
+	// Decode straight into the buffer: a local µop handed to the stream
+	// interface would escape, costing an allocation per fetched µop.
+	empty := p.bufHead == len(p.fetchBuf)
+	p.fetchBuf = append(p.fetchBuf, isa.Uop{})
+	u := &p.fetchBuf[len(p.fetchBuf)-1]
+	if !p.stream.Next(u) {
+		p.fetchBuf = p.fetchBuf[:len(p.fetchBuf)-1]
 		p.streamDone = true
 		return nil, false
 	}
-	if p.bufHead == len(p.fetchBuf) {
+	if empty {
 		// Logically empty: (re)anchor the base seq. This matters on the
 		// first fetch after a functional warm-up consumed a stream prefix.
 		p.bufBase = u.Seq
 	}
-	p.fetchBuf = append(p.fetchBuf, u)
 	return &p.fetchBuf[p.fetchPos], true
 }
 
@@ -690,7 +685,9 @@ func (p *Pipeline) Run(maxInsts uint64, maxCycles uint64) uint64 {
 	return p.committed
 }
 
-// debugDump renders pipeline state for watchdog errors.
+// debugDump renders pipeline state for watchdog errors: the occupancies,
+// why the ROB head cannot move, and the oldest in-flight instructions
+// with what each waits for.
 func (p *Pipeline) debugDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycle=%d committed=%d rob=%d iq=%d lq=%d sq=%d parked=%d intRF.free=%d fpRF.free=%d\n",
@@ -698,13 +695,57 @@ func (p *Pipeline) debugDump() string {
 		p.parker.ParkedCount(), p.intRF.FreeCount(), p.fpRF.FreeCount())
 	if h := p.rob.Head(); h != nil {
 		fmt.Fprintf(&b, "rob head: %s addrKnown=%d done=%v doneAt=%d\n", h.String(), h.AddrKnownAt, h.Done, h.DoneAt)
+		fmt.Fprintf(&b, "rob head blocked: %s\n", p.blocker(h))
 	}
 	n := 0
 	p.rob.Walk(func(f *Inflight) {
 		if n < 16 {
-			fmt.Fprintf(&b, "  %s\n", f.String())
+			fmt.Fprintf(&b, "  %s: %s\n", f.String(), p.blocker(f))
 		}
 		n++
 	})
 	return b.String()
+}
+
+// blocker names what an in-flight instruction is waiting for.
+func (p *Pipeline) blocker(f *Inflight) string {
+	var parts []string
+	switch {
+	case f.Parked:
+		return "parked in the LTP"
+	case f.wibResident:
+		parts = append(parts, "drained into the WIB")
+	case f.InIQ:
+		for i := 0; i < neededSrcs(f); i++ {
+			switch prod := f.waitOn[i]; {
+			case prod != nil && prod.Parked:
+				parts = append(parts, fmt.Sprintf("src%d waiting on parked producer seq %d", i+1, prod.Seq()))
+			case prod != nil:
+				parts = append(parts, fmt.Sprintf("src%d waiting on producer seq %d (not issued, readyAt unknown)", i+1, prod.Seq()))
+			}
+		}
+		switch f.iqState {
+		case iqTimed:
+			parts = append(parts, fmt.Sprintf("in IQ, can issue at cycle %d", f.iqAt))
+		case iqReady:
+			parts = append(parts, "in IQ, ready, not selected")
+		}
+	case !f.Issued:
+		parts = append(parts, "not dispatched")
+	case f.IsStore() && (f.AddrKnownAt == 0 || f.AddrKnownAt > p.now):
+		parts = append(parts, fmt.Sprintf("store address resolves at cycle %d", f.AddrKnownAt))
+	case f.IsStore():
+		parts = append(parts, "store data not ready")
+	case !f.Done || f.DoneAt > p.now:
+		parts = append(parts, fmt.Sprintf("executing, done at cycle %d", f.DoneAt))
+	default:
+		parts = append(parts, "ready to commit")
+	}
+	if !f.Issued && f.blockedUntil > 0 {
+		parts = append(parts, fmt.Sprintf("blockedUntil=%d", f.blockedUntil))
+	}
+	if !f.Issued && f.issueBlock != loadNotBlocked {
+		parts = append(parts, "last load refusal: "+f.issueBlock.String())
+	}
+	return strings.Join(parts, "; ")
 }

@@ -99,72 +99,38 @@ func (r *ROB) Walk(fn func(*Inflight)) {
 	}
 }
 
-// IQ is the unified instruction queue. Entries are kept sorted by sequence
-// number so the age-prioritized select scan needs no per-cycle sort:
-// dispatch appends (new instructions are always youngest) and LTP wakeup
-// re-inserts older instructions at their program-order slot.
+// iqState says where an IQ entry sits in the event-driven select.
+type iqState uint8
+
+const (
+	iqOut     iqState = iota // not in the IQ
+	iqWaiting                // on the waiters list of each pending producer
+	iqTimed                  // operands known; an evIQReady event fires at iqAt
+	iqReady                  // in IQ.ready: select examines it this cycle
+)
+
+// IQ is the unified instruction queue. It holds no list of all its
+// entries: an entry is InIQ and in exactly one of three places (see
+// iqState), and select walks only ready, the entries whose operands are
+// available by now, kept in program order so select stays oldest first.
+// The Pipeline moves entries between the places (iq.go).
 type IQ struct {
-	entries []*Inflight
-	size    int
-	scratch []*Inflight
+	n     int
+	size  int
+	ready SeqList
 }
 
 // NewIQ returns an IQ with the given capacity.
 func NewIQ(size int) *IQ { return &IQ{size: size} }
 
 // Full reports whether dispatch must stall.
-func (q *IQ) Full() bool { return len(q.entries) >= q.size }
+func (q *IQ) Full() bool { return q.n >= q.size }
 
 // Len returns the occupancy.
-func (q *IQ) Len() int { return len(q.entries) }
+func (q *IQ) Len() int { return q.n }
 
 // Cap returns the capacity.
 func (q *IQ) Cap() int { return q.size }
-
-// Insert adds an instruction at its program-order position (dispatch or
-// LTP wakeup).
-func (q *IQ) Insert(f *Inflight) {
-	f.InIQ = true
-	q.entries = insertBySeq(q.entries, f)
-}
-
-// Remove drops an issued or squashed instruction, preserving order.
-func (q *IQ) Remove(f *Inflight) {
-	for i, e := range q.entries {
-		if e == f {
-			q.entries = append(q.entries[:i], q.entries[i+1:]...)
-			f.InIQ = false
-			return
-		}
-	}
-}
-
-// SquashFrom drops all entries with seq >= fromSeq.
-func (q *IQ) SquashFrom(fromSeq uint64) {
-	w := q.entries[:0]
-	for _, e := range q.entries {
-		if e.Seq() >= fromSeq {
-			e.InIQ = false
-			continue
-		}
-		w = append(w, e)
-	}
-	q.entries = w
-}
-
-// Candidates returns entries not blocked before cycle now, oldest first.
-// The returned slice is reused across calls; entries are already in
-// program order so no sorting happens here (this used to be the single
-// hottest spot of the whole simulator).
-func (q *IQ) Candidates(now uint64) []*Inflight {
-	q.scratch = q.scratch[:0]
-	for _, e := range q.entries {
-		if e.blockedUntil <= now {
-			q.scratch = append(q.scratch, e)
-		}
-	}
-	return q.scratch
-}
 
 // orderedQueue is a program-ordered bounded queue used for the LQ and SQ.
 // Entries may be inserted out of program order (late LSQ allocation in the

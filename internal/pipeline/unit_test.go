@@ -1,11 +1,13 @@
 package pipeline
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"ltp/internal/isa"
+	"ltp/internal/prog"
 )
 
 func TestRegFileAllocFree(t *testing.T) {
@@ -147,18 +149,34 @@ func TestROBOrderAndSquash(t *testing.T) {
 }
 
 func TestIQCandidatesOrder(t *testing.T) {
-	iq := NewIQ(8)
-	for _, s := range []uint64{5, 2, 9, 1} {
-		iq.Insert(&Inflight{U: isa.Uop{Seq: s}})
+	b := prog.NewBuilder("t")
+	b.Addi(isa.R(1), isa.R(1), 1)
+	pipe := New(smallConfig(), prog.NewEmulator(b.Build()), NullParker{})
+	mk := func(s uint64) *Inflight {
+		return &Inflight{U: isa.Uop{Seq: s, Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg}}
 	}
-	cands := iq.Candidates(0)
-	if len(cands) != 4 || cands[0].Seq() != 1 || cands[3].Seq() != 9 {
-		t.Errorf("candidates not oldest-first: %v", seqsOf(cands))
+	blocked := mk(3)
+	blocked.blockedUntil = 100
+	for _, f := range []*Inflight{mk(5), mk(2), blocked, mk(9), mk(1)} {
+		pipe.iqInsert(f)
 	}
-	// blockedUntil filters.
-	cands[0].blockedUntil = 100
-	if got := iq.Candidates(50); len(got) != 3 {
-		t.Errorf("blocked entry not filtered: %d", len(got))
+	if pipe.iq.Len() != 5 {
+		t.Fatalf("IQ holds %d entries, want 5", pipe.iq.Len())
+	}
+	// Select candidates come oldest first; blockedUntil filters.
+	if got := seqsOf(pipe.iq.ready.Items()); fmt.Sprint(got) != "[1 2 5 9]" {
+		t.Errorf("candidates not oldest-first: %v", got)
+	}
+	// The blocked entry becomes a candidate at its cycle, in order.
+	pipe.now = 99
+	pipe.processEvents()
+	if pipe.iq.ready.Len() != 4 {
+		t.Errorf("blocked entry released early: %v", seqsOf(pipe.iq.ready.Items()))
+	}
+	pipe.now = 100
+	pipe.processEvents()
+	if got := seqsOf(pipe.iq.ready.Items()); fmt.Sprint(got) != "[1 2 3 5 9]" {
+		t.Errorf("blocked entry not released in order: %v", got)
 	}
 }
 

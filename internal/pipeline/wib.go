@@ -81,27 +81,22 @@ func (p *Pipeline) missDependent(f *Inflight, now uint64) bool {
 }
 
 // wibDrain moves miss-dependent IQ entries into the WIB (up to the port
-// count), freeing IQ slots for independent work.
+// count), oldest first, freeing IQ slots for independent work. The IQ
+// keeps no list of all its entries, so the scan walks the ROB's.
 func (p *Pipeline) wibDrain(now uint64) {
 	moved := 0
-	for _, f := range p.iq.entries {
+	for _, f := range p.rob.entries[p.rob.head:] {
 		if moved >= p.wib.ports || len(p.wib.entries) >= p.wib.size {
 			break
 		}
-		if f.Issued || !p.missDependent(f, now) {
+		if !f.InIQ || !p.missDependent(f, now) {
 			continue
 		}
+		p.iqRemove(f)
 		p.wib.entries = append(p.wib.entries, f)
 		f.wibResident = true
 		moved++
 		p.wib.Drains++
-	}
-	// Remove drained entries from the IQ after the scan (the scan
-	// iterates the live slice).
-	if moved > 0 {
-		for _, f := range p.wib.entries[len(p.wib.entries)-moved:] {
-			p.iq.Remove(f)
-		}
 	}
 }
 
@@ -132,7 +127,7 @@ func (p *Pipeline) wibReinsert(now uint64) {
 	for _, f := range p.wib.entries {
 		if moved < p.wib.ports && !p.iq.Full() && p.wibReady(f, now) {
 			f.wibResident = false
-			p.iq.Insert(f)
+			p.iqInsert(f)
 			moved++
 			p.wib.Reinserts++
 			continue
