@@ -171,7 +171,7 @@ type LTP struct {
 
 	ticketOwner    []uint64 // seq of owning instruction; ^0 = free
 	pendingClears  []ticketClear
-	nextClearAt    uint64 // earliest pendingClears cycle
+	nextClearAt    uint64                          // earliest pendingClears cycle
 	parkedStoreMap map[uint64][]*pipeline.Inflight // word addr -> parked stores
 
 	parkedLoads  int
