@@ -16,8 +16,8 @@ import "fmt"
 // max(operand ready cycles, blockedUntil). It is then scheduled as an
 // evIQReady event at that cycle, or put straight into the ready list if
 // the cycle has come. Select walks only the ready list, which holds
-// exactly the entries the old whole-queue scan would have found with
-// their operands available.
+// exactly the entries a scan of the whole IQ would find with their
+// operands available, in the same (program) order.
 
 // neededSrcs returns how many leading sources must be available to issue:
 // stores issue on their address operand alone (split store-address /

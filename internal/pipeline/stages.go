@@ -730,8 +730,6 @@ func (p *Pipeline) blocker(f *Inflight) string {
 		case iqReady:
 			parts = append(parts, "in IQ, ready, not selected")
 		}
-	case !f.Issued:
-		parts = append(parts, "not dispatched")
 	case f.IsStore() && (f.AddrKnownAt == 0 || f.AddrKnownAt > p.now):
 		parts = append(parts, fmt.Sprintf("store address resolves at cycle %d", f.AddrKnownAt))
 	case f.IsStore():
