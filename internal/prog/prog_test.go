@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -285,5 +287,107 @@ func TestListing(t *testing.T) {
 func TestPCMapping(t *testing.T) {
 	if IndexOf(PCOf(17)) != 17 {
 		t.Error("PC<->index mapping broken")
+	}
+}
+
+// filledMemory returns an image with a word written on each of n pages.
+func filledMemory(n int) *Memory {
+	m := NewMemory()
+	for i := 0; i < n; i++ {
+		m.Write(uint64(i)<<pageShift, int64(i+1))
+	}
+	return m
+}
+
+// TestMemoryCloneWriteOriginal holds snapshot-then-continue: writes
+// to the original after Clone, including through its one-entry page
+// cache, must not reach the copy.
+func TestMemoryCloneWriteOriginal(t *testing.T) {
+	m := filledMemory(4)
+	_ = m.Read(2 << pageShift) // prime the page cache on a shared page
+	cp := m.Clone()
+	m.Write(2<<pageShift, 100)
+	m.Write(2<<pageShift+8, 101)
+	m.Write(9<<pageShift, 102) // a page the copy never had
+	for i := 0; i < 4; i++ {
+		if got := cp.Read(uint64(i) << pageShift); got != int64(i+1) {
+			t.Errorf("copy page %d reads %d after the original was written; want %d", i, got, i+1)
+		}
+	}
+	if got := cp.Read(9 << pageShift); got != 0 {
+		t.Errorf("copy sees the original's new page: %d", got)
+	}
+	if got := m.Read(2 << pageShift); got != 100 {
+		t.Errorf("original reads %d after its own write; want 100", got)
+	}
+	if cp.Pages() != 4 || m.Pages() != 5 {
+		t.Errorf("pages: copy %d original %d; want 4 and 5", cp.Pages(), m.Pages())
+	}
+}
+
+// TestMemoryCloneWriteCopy holds the other direction, and that a copy
+// of a copy stays independent of both.
+func TestMemoryCloneWriteCopy(t *testing.T) {
+	m := filledMemory(4)
+	cp := m.Clone()
+	cp.Write(1<<pageShift, 200)
+	cp2 := cp.Clone()
+	cp2.Write(1<<pageShift, 300)
+	cp.Write(3<<pageShift, 201)
+	for _, c := range []struct {
+		name string
+		m    *Memory
+		want [4]int64
+	}{
+		{"original", m, [4]int64{1, 2, 3, 4}},
+		{"copy", cp, [4]int64{1, 200, 3, 201}},
+		{"copy of copy", cp2, [4]int64{1, 300, 3, 4}},
+	} {
+		for i, want := range c.want {
+			if got := c.m.Read(uint64(i) << pageShift); got != want {
+				t.Errorf("%s page %d reads %d; want %d", c.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestMemoryConcurrentClones clones one sealed image from many
+// goroutines at once, each then writing its copy; run under -race it
+// checks that Clone is safe to call concurrently on a shared source.
+func TestMemoryConcurrentClones(t *testing.T) {
+	m := filledMemory(16)
+	const lanes = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, lanes)
+	for l := 0; l < lanes; l++ {
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			cp := m.Clone()
+			for i := 0; i < 16; i++ {
+				addr := uint64(i) << pageShift
+				if got := cp.Read(addr); got != int64(i+1) {
+					errs <- fmt.Sprintf("lane %d page %d reads %d before writing", l, i, got)
+					return
+				}
+				cp.Write(addr, int64(1000*l+i))
+			}
+			for i := 0; i < 16; i++ {
+				if got := cp.Read(uint64(i) << pageShift); got != int64(1000*l+i) {
+					errs <- fmt.Sprintf("lane %d page %d reads %d; another lane's write leaked in", l, i, got)
+					return
+				}
+			}
+		}(l)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	for i := 0; i < 16; i++ {
+		if got := m.Read(uint64(i) << pageShift); got != int64(i+1) {
+			t.Errorf("source page %d reads %d after the lanes wrote; want %d", i, got, i+1)
+		}
 	}
 }
