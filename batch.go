@@ -18,15 +18,15 @@ const batchKeyVersion = "bk1"
 // stream with equal warm/measured budgets, which is exactly the
 // sim.BatchBackend admission contract. Timing configuration (pipeline
 // sizes, LTP mode, predictors, prefetcher, co-runners, MaxCycles,
-// Intervals) deliberately stays out — those vary across the lanes of
-// one group, and the backend partitions lanes by what their warm-up
-// reads. Cycle and sampled cells with no warm region to share, a
-// detailed warm-up, or an oracle pre-pass run alone.
+// Intervals, Oracle) deliberately stays out — those vary across the
+// lanes of one group, and the backend partitions lanes by what their
+// warm-up reads. Cycle and sampled cells with no warm region to share
+// or a detailed warm-up run alone.
 func batchKey(c RunSpec) (string, bool) {
 	switch c.Backend {
 	case BackendModel:
 	case BackendCycle, BackendSampled:
-		if c.WarmInsts == 0 || c.WarmMode == WarmDetailed || c.Oracle {
+		if c.WarmInsts == 0 || c.WarmMode == WarmDetailed {
 			return "", false
 		}
 	default:
@@ -48,13 +48,56 @@ func batchKey(c RunSpec) (string, bool) {
 	return key, true
 }
 
+// laneMemo holds what a batch's lanes share read-only, each built the
+// first time a lane needs it: co-runner traffic captures (sweep lanes
+// usually share a co-runner set, and capturing one is a functional
+// emulation pass worth paying once; the shared pattern also lets the
+// lanes share one warm checkpoint) and oracle pre-passes (one per
+// distinct budget, cache geometry, prefetcher and ROB size — a limit
+// study's lanes usually differ only in structure sizes the pre-pass
+// never reads).
+type laneMemo struct {
+	program   func() *prog.Program
+	corunners map[string][]mem.CorunnerConfig
+	oracles   map[oracleKey]*core.Oracle
+}
+
+// oracleKey is everything core.BuildOracle reads besides the program.
+type oracleKey struct {
+	budget, window        int
+	l1Size, l1Ways        int
+	l2Size, l2Ways        int
+	l3Size, l3Ways        int
+	l1Lat, l2Lat, l3Lat   uint64
+	prefetcher            string
+	prefTable, prefDegree int
+}
+
+// oracle returns the lane's limit-study pre-pass, building it on first
+// use — exactly what RunContext builds for the same spec alone.
+func (m *laneMemo) oracle(spec RunSpec, pcfg pipeline.Config) *core.Oracle {
+	h := pcfg.Hier
+	budget := int(spec.WarmInsts + spec.MaxInsts + 65_536)
+	key := oracleKey{
+		budget: budget,
+		l1Size: h.L1DSize, l1Ways: h.L1DWays, l1Lat: h.L1Latency,
+		l2Size: h.L2Size, l2Ways: h.L2Ways, l2Lat: h.L2Latency,
+		l3Size: h.L3Size, l3Ways: h.L3Ways, l3Lat: h.L3Latency,
+		prefetcher: h.PrefetcherName(), prefTable: h.PrefetchTable, prefDegree: h.PrefetchDegree,
+		window: pcfg.ROBSize,
+	}
+	o := m.oracles[key]
+	if o == nil {
+		o = core.BuildOracle(m.program(), budget, h, pcfg.ROBSize)
+		m.oracles[key] = o
+	}
+	return o
+}
+
 // resolveLane turns one canonical spec into its resolved sim.Spec
-// (stream left to the caller — batch lanes share one). corMemo
-// deduplicates co-runner traffic capture across lanes: sweep lanes
-// usually share a co-runner set, and capturing it is a functional
-// emulation pass worth paying once (the shared pattern also lets the
-// lanes share one warm checkpoint).
-func resolveLane(spec RunSpec, corMemo map[string][]mem.CorunnerConfig) (sim.Spec, pipeline.Config, *core.Config, error) {
+// (stream left to the caller — batch lanes share one), drawing shared
+// inputs from memo.
+func resolveLane(spec RunSpec, memo *laneMemo) (sim.Spec, pipeline.Config, *core.Config, error) {
 	pcfg := pipeline.DefaultConfig()
 	if spec.Pipeline != nil {
 		pcfg = *spec.Pipeline
@@ -66,7 +109,7 @@ func resolveLane(spec RunSpec, corMemo map[string][]mem.CorunnerConfig) (sim.Spe
 			Scale float64
 		}{spec.Corunners, spec.Scale})
 		if err == nil {
-			cors = corMemo[memoKey]
+			cors = memo.corunners[memoKey]
 		}
 		if cors == nil {
 			cors, err = buildCorunners(spec.Corunners, spec.Scale)
@@ -74,7 +117,7 @@ func resolveLane(spec RunSpec, corMemo map[string][]mem.CorunnerConfig) (sim.Spe
 				return sim.Spec{}, pipeline.Config{}, nil, err
 			}
 			if memoKey != "" {
-				corMemo[memoKey] = cors
+				memo.corunners[memoKey] = cors
 			}
 		}
 	}
@@ -83,6 +126,9 @@ func resolveLane(spec RunSpec, corMemo map[string][]mem.CorunnerConfig) (sim.Spe
 		c := core.DefaultConfig()
 		if spec.LTP != nil {
 			c = *spec.LTP
+		}
+		if spec.Oracle {
+			c.Oracle = memo.oracle(spec, pcfg)
 		}
 		lcfg = &c
 	}
@@ -141,16 +187,28 @@ func runBatch(ctx context.Context, specs []RunSpec) ([]RunResult, []error) {
 		}
 		return results, errs
 	}
-	stream := newLazyStream(func() prog.Stream { return prog.NewEmulator(build()) })
+	// One program serves the stream and every oracle pre-pass (both
+	// only read it).
+	var program *prog.Program
+	memo := &laneMemo{
+		program: func() *prog.Program {
+			if program == nil {
+				program = build()
+			}
+			return program
+		},
+		corunners: make(map[string][]mem.CorunnerConfig),
+		oracles:   make(map[oracleKey]*core.Oracle),
+	}
+	stream := newLazyStream(func() prog.Stream { return prog.NewEmulator(memo.program()) })
 
 	ex, _ := ctx.Value(execContextKey{}).(sim.Executor)
-	corMemo := make(map[string][]mem.CorunnerConfig)
 	simSpecs := make([]sim.Spec, 0, len(specs))
 	lanes := make([]int, 0, len(specs)) // simSpecs index -> specs index
 	pcfgs := make([]pipeline.Config, len(specs))
 	lcfgs := make([]*core.Config, len(specs))
 	for i, s := range specs {
-		ss, pcfg, lcfg, err := resolveLane(s, corMemo)
+		ss, pcfg, lcfg, err := resolveLane(s, memo)
 		if err != nil {
 			errs[i] = err
 			continue

@@ -132,6 +132,74 @@ func warmBatchCase(backend string) batchCase {
 	return batchCase{name: backend, sweep: sweep, singles: singles}
 }
 
+// oracleBatchCase is a limit-study sweep (the paper's Fig. 6 core:
+// unlimited MSHRs, late LQ/SQ allocation) with oracle classification:
+// a kernel axis, then unlimited and sized IQ/RF/LQ-SQ cores, then the
+// four parking configurations. The engine batches each kernel's
+// lanes, which share one oracle pre-pass and one warm checkpoint.
+func oracleBatchCase() batchCase {
+	base := ltp.RunSpec{Scale: 0.05, WarmInsts: 2_000, MaxInsts: 3_000, Oracle: true}
+	kernels := []string{"chains", "fpstream", "indirect"}
+	limit := func(iq, rf, lq, sq int) pipeline.Config {
+		cfg := pipeline.DefaultConfig()
+		cfg.IQSize, cfg.IntRegs, cfg.FPRegs = iq, rf, rf
+		cfg.LQSize, cfg.SQSize = lq, sq
+		cfg.Hier.L1DMSHRs, cfg.Hier.L2MSHRs = 0, 0
+		cfg.LateLSQAlloc = true
+		return cfg
+	}
+	inf := pipeline.Inf
+	cores := []struct {
+		name string
+		cfg  pipeline.Config
+	}{
+		{"inf", limit(inf, inf, inf, inf)},
+		{"iq32", limit(32, inf, inf, inf)},
+		{"rf64", limit(inf, 64, inf, inf)},
+		{"lsq16", limit(inf, inf, 16, 8)},
+	}
+	modes := []core.Mode{core.ModeOff, core.ModeNR, core.ModeNU, core.ModeNRNU}
+	ltpCfg := func(m core.Mode) *core.Config {
+		return &core.Config{Mode: m, Tickets: 128, UITWays: 4}
+	}
+
+	var kPts, cPts, mPts []ltp.SweepPoint
+	for i := range kernels {
+		kPts = append(kPts, ltp.SweepPoint{Name: kernels[i], Patch: ltp.RunPatch{Workload: &kernels[i]}})
+	}
+	for i := range cores {
+		cPts = append(cPts, ltp.SweepPoint{Name: cores[i].name, Patch: ltp.RunPatch{Pipeline: &cores[i].cfg}})
+	}
+	for _, m := range modes {
+		on := m != core.ModeOff
+		p := ltp.RunPatch{UseLTP: &on}
+		if on {
+			p.LTP = ltpCfg(m)
+		}
+		mPts = append(mPts, ltp.SweepPoint{Name: m.String(), Patch: p})
+	}
+	sweep := ltp.SweepSpec{
+		Base: base,
+		Axes: []ltp.SweepAxis{{Name: "kernel", Points: kPts}, {Name: "core", Points: cPts}, {Name: "mode", Points: mPts}},
+	}
+
+	var singles []ltp.RunSpec
+	for _, k := range kernels {
+		for _, c := range cores {
+			for _, m := range modes {
+				s := base
+				cfg := c.cfg
+				s.Workload, s.Pipeline = k, &cfg
+				if m != core.ModeOff {
+					s.UseLTP, s.LTP = true, ltpCfg(m)
+				}
+				singles = append(singles, s)
+			}
+		}
+	}
+	return batchCase{name: "oracle", sweep: sweep, singles: singles}
+}
+
 // collectCells drains a finished job's cell stream keyed by content
 // address.
 func collectCells(t *testing.T, job *ltp.Job) map[string]ltp.CellResult {
@@ -149,7 +217,7 @@ func collectCells(t *testing.T, job *ltp.Job) map[string]ltp.CellResult {
 // TestBatchMatchesSingle is the batching differential fence: a sweep
 // executed through the engine's batched path — the model backend's
 // shared stream, the cycle and sampled backends' shared warm
-// checkpoints — must produce, per cell, results byte-identical to
+// checkpoints, the limit study's shared oracle pre-passes — must produce, per cell, results byte-identical to
 // standalone RunContext calls, under the same content addresses, with
 // cache entries interchangeable in both directions (batch-populated
 // cache serves single runs as hits, single-populated cache serves the
@@ -159,6 +227,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 		modelBatchCase(),
 		warmBatchCase(ltp.BackendCycle),
 		warmBatchCase(ltp.BackendSampled),
+		oracleBatchCase(),
 	} {
 		t.Run(bc.name, func(t *testing.T) { checkBatchMatchesSingle(t, bc) })
 	}
