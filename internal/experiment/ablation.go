@@ -30,21 +30,16 @@ func (s *Suite) Ablation() *Table {
 	g := s.Classify()
 	variants := ablationVariants()
 
-	var jobs []job
+	var cells []cell
 	for _, wl := range g.Sensitive {
-		jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-			pcfg: realisticConfig(64, 128)})
-		for vi, v := range variants {
+		cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
+		for _, v := range variants {
 			lc := realisticLTP(128, 4)
 			v.Mut(&lc)
-			jobs = append(jobs, job{
-				key:    "abl/" + v.Name + "/" + wl,
-				wlName: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc,
-			})
-			_ = vi
+			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc})
 		}
 	}
-	res := s.runAll(jobs)
+	res := s.run(false, cells)
 
 	per := len(variants) + 1
 	t := &Table{Title: "Ablations [mlp-sensitive]: perf % vs base IQ:64/RF:128",

@@ -47,12 +47,11 @@ func (s *Suite) WIBvsLTP() []*Table {
 			isIQ = false
 		}
 
-		var jobs []job
+		var cells []cell
 		type ref struct{ vi, si, wi int }
 		var refs []ref
 		for wi, wl := range g.Sensitive {
-			jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-				pcfg: realisticConfig(64, 128)})
+			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
 			refs = append(refs, ref{-1, 0, wi})
 			for vi, v := range variants {
 				for si, size := range sizes {
@@ -62,16 +61,13 @@ func (s *Suite) WIBvsLTP() []*Table {
 					} else {
 						rf = size
 					}
-					jobs = append(jobs, job{
-						key:    "wib/" + row.Name + "/" + v.Name + "/" + sizeLabel(size) + "/" + wl,
-						wlName: wl, pcfg: v.Cfg(iq, rf),
-						useLTP: v.LTP, lcfg: realisticLTP(128, 4),
-					})
+					cells = append(cells, cell{wl: wl, pcfg: v.Cfg(iq, rf),
+						useLTP: v.LTP, lcfg: realisticLTP(128, 4)})
 					refs = append(refs, ref{vi, si, wi})
 				}
 			}
 		}
-		res := s.runAll(jobs)
+		res := s.run(false, cells)
 
 		base := make([]uint64, len(g.Sensitive))
 		grid := make([][][]uint64, len(variants))
@@ -145,17 +141,14 @@ func (s *Suite) DRAMModelStudy() *Table {
 		{"ddr3: LTP 32/96", true, 32, 96, true},
 	}
 
-	var jobs []job
+	var cells []cell
 	for _, wl := range g.Sensitive {
 		for _, v := range variants {
-			jobs = append(jobs, job{
-				key:    "dram/" + v.Name + "/" + wl,
-				wlName: wl, pcfg: mkCfg(v.Banked, v.IQ, v.RF),
-				useLTP: v.LTP, lcfg: realisticLTP(128, 4),
-			})
+			cells = append(cells, cell{wl: wl, pcfg: mkCfg(v.Banked, v.IQ, v.RF),
+				useLTP: v.LTP, lcfg: realisticLTP(128, 4)})
 		}
 	}
-	res := s.runAll(jobs)
+	res := s.run(false, cells)
 
 	t := &Table{Title: "DRAM model study [mlp-sensitive]",
 		Cols: []string{"CPI", "MLP", "loadLat"}}

@@ -6,21 +6,23 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"ltp"
 	"ltp/internal/core"
 	"ltp/internal/pipeline"
-	"ltp/internal/sched"
 	"ltp/internal/workload"
 )
 
-// Suite holds the shared experiment parameters and caches (oracle
-// pre-passes, MLP-group classification) across figures.
+// Suite holds the shared experiment parameters, the MLP-group
+// classification every group figure reuses, and the engine every
+// figure's simulations run on.
 type Suite struct {
 	// Scale shrinks workload working sets (1.0 = full size).
 	Scale float64
@@ -41,26 +43,20 @@ type Suite struct {
 	// Intervals is the sampled backend's measured interval count K
 	// (0 = ltp.DefaultSampledIntervals; ignored by other backends).
 	Intervals int
-	// Parallelism bounds concurrent simulations (0 = NumCPU).
+	// Parallelism bounds concurrent simulations (0 = NumCPU). It sizes
+	// the suite's engine when the first figure runs.
 	Parallelism int
 	// Quiet suppresses progress output.
 	Quiet bool
 
-	mu      sync.Mutex
-	oracles map[string]*core.Oracle
-	groups  *Groups
-	cache   map[string]ltp.RunResult
+	mu     sync.Mutex
+	groups *Groups
+	eng    *ltp.Engine
 }
 
 // NewSuite returns a Suite with the given budgets.
 func NewSuite(scale float64, warm, detail uint64) *Suite {
-	return &Suite{
-		Scale:       scale,
-		WarmInsts:   warm,
-		DetailInsts: detail,
-		oracles:     make(map[string]*core.Oracle),
-		cache:       make(map[string]ltp.RunResult),
-	}
+	return &Suite{Scale: scale, WarmInsts: warm, DetailInsts: detail}
 }
 
 // DefaultSuite is sized for a full experiment campaign on a laptop.
@@ -100,109 +96,104 @@ func realisticConfig(iq, rf int) pipeline.Config {
 	return cfg
 }
 
-// oracleFor builds (once) the limit study's classification pre-pass for a
-// workload.
-func (s *Suite) oracleFor(name string) *core.Oracle {
+// engine returns the suite's engine, starting it on first use. Its
+// content-addressed cache is what lets figures share cells (every
+// group figure's IQ:64/RF:128 baseline simulates once).
+func (s *Suite) engine() *ltp.Engine {
 	s.mu.Lock()
-	if o, ok := s.oracles[name]; ok {
-		s.mu.Unlock()
-		return o
+	defer s.mu.Unlock()
+	if s.eng == nil {
+		e, err := ltp.NewEngine(ltp.EngineConfig{Parallelism: s.Parallelism})
+		if err != nil {
+			panic(err) // unreachable: only a store path can fail NewEngine
+		}
+		s.eng = e
 	}
-	s.mu.Unlock()
-
-	wl, err := workload.ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	pcfg := pipeline.DefaultConfig()
-	budget := int(s.WarmInsts + s.DetailInsts + 65_536)
-	o := core.BuildOracle(wl.Build(s.Scale), budget, pcfg.Hier, pcfg.ROBSize)
-
-	s.mu.Lock()
-	s.oracles[name] = o
-	s.mu.Unlock()
-	return o
+	return s.eng
 }
 
-// job describes one simulation for the parallel runner.
-type job struct {
-	key    string // cache key; "" disables caching
-	wlName string
+// cell is one simulation of a figure: what the figures vary on top of
+// the suite's budgets.
+type cell struct {
+	wl     string
 	pcfg   pipeline.Config
 	useLTP bool
 	lcfg   core.Config
-	oracle bool
 }
 
-// run executes one simulation (with suite-level caching).
-func (s *Suite) run(j job) ltp.RunResult {
-	if j.key != "" {
-		s.mu.Lock()
-		if r, ok := s.cache[j.key]; ok {
-			s.mu.Unlock()
-			return r
-		}
-		s.mu.Unlock()
-	}
-	spec := ltp.RunSpec{
-		Workload:  j.wlName,
+// base is the spec every figure cell starts from: the suite's budgets
+// and backend.
+func (s *Suite) base() ltp.RunSpec {
+	return ltp.RunSpec{
 		Scale:     s.Scale,
 		WarmInsts: s.WarmInsts,
 		WarmMode:  s.WarmMode,
 		MaxInsts:  s.DetailInsts,
-		Pipeline:  &j.pcfg,
-		UseLTP:    j.useLTP,
 		Backend:   s.Backend,
 		Intervals: s.Intervals,
 	}
-	if j.useLTP {
-		lcfg := j.lcfg
-		if j.oracle {
-			lcfg.Oracle = s.oracleFor(j.wlName)
+}
+
+// run simulates cells as one sweep on the suite's engine — one axis,
+// one point per distinct simulation — and returns their results in
+// order. oracle gives the LTP cells the limit study's perfect
+// classification (the no-LTP cells canonicalize it away). Cells that
+// are the same simulation become one point, since a sweep may not
+// enumerate a simulation twice.
+func (s *Suite) run(oracle bool, cells []cell) []ltp.RunResult {
+	base := s.base()
+	base.Oracle = oracle
+	axis := ltp.SweepAxis{Name: "cell"}
+	point := make([]int, len(cells)) // cell -> axis point
+	byHash := make(map[string]int, len(cells))
+	for i, c := range cells {
+		spec := base
+		spec.Workload, spec.Pipeline, spec.UseLTP = c.wl, &c.pcfg, c.useLTP
+		if c.useLTP {
+			spec.LTP = &c.lcfg
 		}
-		spec.LTP = &lcfg
+		h, err := spec.Hash()
+		if err != nil {
+			panic(fmt.Sprintf("experiment: %v", err))
+		}
+		p, ok := byHash[h]
+		if !ok {
+			p = len(axis.Points)
+			byHash[h] = p
+			axis.Points = append(axis.Points, ltp.SweepPoint{
+				Name:  strconv.Itoa(p),
+				Patch: ltp.RunPatch{Workload: &c.wl, Pipeline: spec.Pipeline, UseLTP: &c.useLTP, LTP: spec.LTP},
+			})
+		}
+		point[i] = p
 	}
-	r := ltp.MustRun(spec)
-	if j.key != "" {
-		s.mu.Lock()
-		s.cache[j.key] = r
-		s.mu.Unlock()
+	res := s.sweep(ltp.SweepSpec{Base: base, Axes: []ltp.SweepAxis{axis}})
+	out := make([]ltp.RunResult, len(cells))
+	for i, p := range point {
+		out[i] = res[p]
 	}
-	return r
-}
-
-// costEstimate scores a job's expected wall-clock for LPT scheduling. The
-// dominant term is the simulated cycle count, which grows when the IQ is
-// small (higher CPI) and when the LTP machinery is attached; oracle jobs
-// additionally pay the classification pre-pass (amortized by the per-
-// workload oracle cache, but the first job per workload eats it).
-func (j job) costEstimate() float64 {
-	c := 1.0
-	if j.useLTP {
-		c += 0.3
-	}
-	if j.oracle {
-		c += 0.5
-	}
-	iq := j.pcfg.IQSize
-	if iq < 8 {
-		iq = 8
-	}
-	// Small IQs roughly double CPI by IQ:16 on the sensitive kernels.
-	c += 32.0 / float64(iq)
-	return c
-}
-
-// runAll executes jobs on the shared LPT worker pool (internal/sched),
-// returning results in the callers' order: starting the long jobs early
-// keeps the pool saturated at the tail of a campaign instead of idling
-// behind one straggler.
-func (s *Suite) runAll(jobs []job) []ltp.RunResult {
-	out := make([]ltp.RunResult, len(jobs))
-	sched.Run(s.Parallelism, len(jobs),
-		func(i int) float64 { return jobs[i].costEstimate() },
-		func(i int) { out[i] = s.run(jobs[i]) })
 	return out
+}
+
+// sweep runs a sweep on the suite's engine and returns every run's
+// result by enumeration index. A failed run panics: the figure runners
+// have no error path.
+func (s *Suite) sweep(spec ltp.SweepSpec) []ltp.RunResult {
+	job, err := s.engine().Submit(context.Background(), spec)
+	if err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+	res := make([]ltp.RunResult, job.TotalRuns())
+	for c := range job.Cells() {
+		if c.Err != nil {
+			panic(fmt.Sprintf("experiment: cell %v: %v", c.Coords, c.Err))
+		}
+		res[c.Index] = c.Result
+	}
+	if _, err := job.Wait(); err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+	return res
 }
 
 // Groups is the §4.1 MLP-sensitivity split of the workload suite.
@@ -235,15 +226,13 @@ func (s *Suite) Classify() *Groups {
 	s.mu.Unlock()
 
 	names := workload.Names()
-	jobs := make([]job, 0, 2*len(names))
+	cells := make([]cell, 0, 2*len(names))
 	for _, n := range names {
-		small := limitConfig(32, pipeline.Inf, pipeline.Inf, pipeline.Inf)
-		big := limitConfig(256, pipeline.Inf, pipeline.Inf, pipeline.Inf)
-		jobs = append(jobs,
-			job{key: "cls32/" + n, wlName: n, pcfg: small},
-			job{key: "cls256/" + n, wlName: n, pcfg: big})
+		cells = append(cells,
+			cell{wl: n, pcfg: limitConfig(32, pipeline.Inf, pipeline.Inf, pipeline.Inf)},
+			cell{wl: n, pcfg: limitConfig(256, pipeline.Inf, pipeline.Inf, pipeline.Inf)})
 	}
-	res := s.runAll(jobs)
+	res := s.run(false, cells)
 
 	g := &Groups{Detail: make(map[string]GroupDetail)}
 	l2lat := float64(pipeline.DefaultConfig().Hier.L2Latency)

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"ltp"
 )
 
 // tinySuite keeps experiment tests fast. Under -short (the CI race gate)
@@ -80,40 +83,44 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-// TestRunAllLPTOrder verifies the LPT worker pool returns results in
-// submission order regardless of its longest-first execution order, and
-// that the cost heuristic ranks obviously-heavier jobs higher.
-func TestRunAllLPTOrder(t *testing.T) {
+// TestSuiteRunOrder verifies the suite's sweep path returns results in
+// the callers' cell order, merges cells that are the same simulation
+// into one run served to every position, and matches a standalone run.
+func TestSuiteRunOrder(t *testing.T) {
 	s := tinySuite()
 	s.Parallelism = 2
-	var jobs []job
+	var cells []cell
 	for _, iq := range []int{8, 64, 256} {
 		for _, wl := range []string{"compute", "gather"} {
-			jobs = append(jobs, job{
-				key:    "lpt/" + wl + sizeLabel(iq),
-				wlName: wl, pcfg: limitConfig(iq, 128, 64, 32),
-			})
+			cells = append(cells, cell{wl: wl, pcfg: limitConfig(iq, 128, 64, 32)})
 		}
 	}
-	out := s.runAll(jobs)
-	if len(out) != len(jobs) {
-		t.Fatalf("got %d results for %d jobs", len(out), len(jobs))
+	cells = append(cells, cells[1]) // the same simulation again
+	out := s.run(false, cells)
+	if len(out) != len(cells) {
+		t.Fatalf("got %d results for %d cells", len(out), len(cells))
 	}
-	for i, j := range jobs {
-		want := s.run(j) // cache hit: identical result object
-		if out[i].Cycles != want.Cycles || out[i].Committed != want.Committed {
-			t.Errorf("job %d (%s): result misplaced: %d cycles vs %d", i, j.key, out[i].Cycles, want.Cycles)
+	for i, c := range cells {
+		if out[i].Design.IQEntries != c.pcfg.IQSize {
+			t.Errorf("cell %d (%s, IQ %d): result misplaced (IQ %d)", i, c.wl, c.pcfg.IQSize, out[i].Design.IQEntries)
 		}
+	}
+	if misses := s.engine().CacheStats().Misses; misses != uint64(len(cells)-1) {
+		t.Errorf("%d simulations for %d distinct cells", misses, len(cells)-1)
+	}
+	if out[len(out)-1].Cycles != out[1].Cycles {
+		t.Errorf("repeated cell got a different result: %d vs %d cycles", out[len(out)-1].Cycles, out[1].Cycles)
 	}
 
-	small := job{pcfg: limitConfig(16, 128, 64, 32)}
-	big := job{pcfg: limitConfig(256, 128, 64, 32)}
-	oracle := job{pcfg: limitConfig(16, 128, 64, 32), useLTP: true, oracle: true}
-	if small.costEstimate() <= big.costEstimate() {
-		t.Error("small-IQ job not ranked costlier than big-IQ job")
+	spec := s.base()
+	spec.Workload, spec.Pipeline = cells[3].wl, &cells[3].pcfg
+	ref, err := ltp.RunContext(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if oracle.costEstimate() <= small.costEstimate() {
-		t.Error("oracle job not ranked costlier than plain job")
+	if out[3].Cycles != ref.Cycles || out[3].Committed != ref.Committed {
+		t.Errorf("suite cell diverged from its standalone run: %d/%d vs %d/%d cycles/committed",
+			out[3].Cycles, out[3].Committed, ref.Cycles, ref.Committed)
 	}
 }
 

@@ -54,19 +54,16 @@ func (s *Suite) Fig1() []*Table {
 	}
 	cfgs := []cfg{{"IQ:32", 32, false}, {"IQ:32+LTP", 32, true}, {"IQ:256", 256, false}}
 
-	var jobs []job
+	var cells []cell
 	var order []string
 	for _, c := range cfgs {
 		for _, wl := range append(append([]string{}, g.Sensitive...), g.Insensitive...) {
 			pc := limitConfig(c.iq, pipeline.Inf, pipeline.Inf, pipeline.Inf)
-			jobs = append(jobs, job{
-				key: "fig1/" + c.name + "/" + wl, wlName: wl, pcfg: pc,
-				useLTP: c.useLTP, lcfg: ltpLimitCfg(core.ModeNRNU), oracle: true,
-			})
+			cells = append(cells, cell{wl: wl, pcfg: pc, useLTP: c.useLTP, lcfg: ltpLimitCfg(core.ModeNRNU)})
 			order = append(order, c.name+"/"+wl)
 		}
 	}
-	res := s.runAll(jobs)
+	res := s.run(true, cells)
 	byKey := map[string]ltp.RunResult{}
 	for i, k := range order {
 		byKey[k] = res[i]
@@ -126,12 +123,10 @@ func (s *Suite) Fig1() []*Table {
 // Non-Ready instructions out of the IQ, raising MLP.
 func (s *Suite) Fig3() *Table {
 	pc := limitConfig(8, pipeline.Inf, pipeline.Inf, pipeline.Inf)
-	jobs := []job{
-		{key: "fig3/noltp", wlName: "indirect", pcfg: pc},
-		{key: "fig3/ltp", wlName: "indirect", pcfg: pc,
-			useLTP: true, lcfg: ltpLimitCfg(core.ModeNRNU), oracle: true},
-	}
-	res := s.runAll(jobs)
+	res := s.run(true, []cell{
+		{wl: "indirect", pcfg: pc},
+		{wl: "indirect", pcfg: pc, useLTP: true, lcfg: ltpLimitCfg(core.ModeNRNU)},
+	})
 	t := &Table{Title: "Figure 3: tiny-IQ behaviour on the example loop (indirect)",
 		Cols: []string{"CPI", "MLP", "avgIQ"}}
 	t.Rows = append(t.Rows,
@@ -203,38 +198,33 @@ func (s *Suite) Fig6() []*Table {
 	panels := s.fig6Panels()
 	rows := fig6Rows()
 
-	var tables []*Table
+	// One sweep for the whole figure: cells of the (row, panel) plot k
+	// start at first[k], config-major, then size, then workload.
+	var cells []cell
+	var first []int
 	for _, row := range rows {
 		for _, panel := range panels {
-			// Schedule all runs of this (row, panel).
-			var jobs []job
-			type ref struct{ cfgI, sizeI, wlI int }
-			var refs []ref
-			for ci, c := range fig6Configs {
-				for si, size := range row.Sizes {
-					for wi, wl := range panel.Wls {
-						j := job{
-							key:    fmt.Sprintf("fig6/%s/%s/%d/%s", row.Name, c.Name, size, wl),
-							wlName: wl, pcfg: row.Cfg(size),
-							useLTP: c.LTP, lcfg: ltpLimitCfg(c.Mode), oracle: c.LTP,
-						}
-						jobs = append(jobs, j)
-						refs = append(refs, ref{ci, si, wi})
+			first = append(first, len(cells))
+			for _, c := range fig6Configs {
+				for _, size := range row.Sizes {
+					for _, wl := range panel.Wls {
+						cells = append(cells, cell{wl: wl, pcfg: row.Cfg(size),
+							useLTP: c.LTP, lcfg: ltpLimitCfg(c.Mode)})
 					}
 				}
 			}
-			res := s.runAll(jobs)
+		}
+	}
+	res := s.run(true, cells)
 
-			// Index results.
-			cyc := make([][][]uint64, len(fig6Configs))
-			for ci := range cyc {
-				cyc[ci] = make([][]uint64, len(row.Sizes))
-				for si := range cyc[ci] {
-					cyc[ci][si] = make([]uint64, len(panel.Wls))
-				}
-			}
-			for k, r := range refs {
-				cyc[r.cfgI][r.sizeI][r.wlI] = res[k].Cycles
+	var tables []*Table
+	k := 0
+	for _, row := range rows {
+		for _, panel := range panels {
+			off, nw, ns := first[k], len(panel.Wls), len(row.Sizes)
+			k++
+			cycles := func(ci, si, wi int) float64 {
+				return float64(res[off+(ci*ns+si)*nw+wi].Cycles)
 			}
 			// Baseline: NoLTP at the underlined size.
 			baseSizeIdx := -1
@@ -254,10 +244,9 @@ func (s *Suite) Fig6() []*Table {
 			for ci, c := range fig6Configs {
 				r := RowData{Label: c.Name}
 				for si := range row.Sizes {
-					ratios := make([]float64, len(panel.Wls))
+					ratios := make([]float64, nw)
 					for wi := range panel.Wls {
-						base := float64(cyc[0][baseSizeIdx][wi])
-						ratios[wi] = base / float64(cyc[ci][si][wi])
+						ratios[wi] = cycles(0, baseSizeIdx, wi) / cycles(ci, si, wi)
 					}
 					r.Cells = append(r.Cells, (geomeanRatio(ratios)-1)*100)
 				}
@@ -276,19 +265,16 @@ func (s *Suite) Fig7() []*Table {
 	panels := s.fig6Panels()
 	modes := []core.Mode{core.ModeNR, core.ModeNU, core.ModeNRNU}
 
-	var jobs []job
+	var cells []cell
 	for _, panel := range panels {
 		for _, m := range modes {
 			for _, wl := range panel.Wls {
 				pc := limitConfig(32, 96, pipeline.DefaultConfig().LQSize, pipeline.DefaultConfig().SQSize)
-				jobs = append(jobs, job{
-					key: fmt.Sprintf("fig7/%s/%s", m, wl), wlName: wl, pcfg: pc,
-					useLTP: true, lcfg: ltpLimitCfg(m), oracle: true,
-				})
+				cells = append(cells, cell{wl: wl, pcfg: pc, useLTP: true, lcfg: ltpLimitCfg(m)})
 			}
 		}
 	}
-	res := s.runAll(jobs)
+	res := s.run(true, cells)
 
 	metrics := []struct {
 		name string
@@ -358,28 +344,23 @@ func (s *Suite) Fig10() []*Table {
 
 	var tables []*Table
 	for _, panel := range panels {
-		var jobs []job
+		var cells []cell
 		type ref struct{ kind, ei, pi, wi int }
 		var refs []ref
 		for wi, wl := range panel.Wls {
-			jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-				pcfg: realisticConfig(64, 128)})
+			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
 			refs = append(refs, ref{0, 0, 0, wi})
-			jobs = append(jobs, job{key: "fig10/red/" + wl, wlName: wl,
-				pcfg: realisticConfig(32, 96)})
+			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96)})
 			refs = append(refs, ref{1, 0, 0, wi})
 			for ei, entries := range entriesSweep {
 				for pi, ports := range portsSweep {
-					jobs = append(jobs, job{
-						key:    fmt.Sprintf("fig10/%d/%d/%s", entries, ports, wl),
-						wlName: wl, pcfg: realisticConfig(32, 96),
-						useLTP: true, lcfg: realisticLTP(entries, ports),
-					})
+					cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96),
+						useLTP: true, lcfg: realisticLTP(entries, ports)})
 					refs = append(refs, ref{2, ei, pi, wi})
 				}
 			}
 		}
-		res := s.runAll(jobs)
+		res := s.run(false, cells)
 
 		type cell struct {
 			perfRatios []float64
@@ -473,32 +454,26 @@ func (s *Suite) Fig11() []*Table {
 
 	var tables []*Table
 	for _, panel := range panels {
-		var jobs []job
+		var cells []cell
 		type ref struct{ kind, ti, wi int }
 		var refs []ref
 		for wi, wl := range panel.Wls {
-			jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-				pcfg: realisticConfig(64, 128)})
+			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
 			refs = append(refs, ref{0, 0, wi})
-			jobs = append(jobs, job{key: "fig10/red/" + wl, wlName: wl,
-				pcfg: realisticConfig(32, 96)})
+			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96)})
 			refs = append(refs, ref{1, 0, wi})
-			jobs = append(jobs, job{key: "fig10/128/4/" + wl, wlName: wl,
-				pcfg:   realisticConfig(32, 96),
+			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96),
 				useLTP: true, lcfg: realisticLTP(128, 4)})
 			refs = append(refs, ref{2, 0, wi})
 			for ti, tk := range tickets {
 				lc := realisticLTP(128, 4)
 				lc.Mode = core.ModeNRNU
 				lc.Tickets = tk
-				jobs = append(jobs, job{
-					key:    fmt.Sprintf("fig11/%d/%s", tk, wl),
-					wlName: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc,
-				})
+				cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc})
 				refs = append(refs, ref{3, ti, wi})
 			}
 		}
-		res := s.runAll(jobs)
+		res := s.run(false, cells)
 
 		base := make([]uint64, len(panel.Wls))
 		red := make([]uint64, len(panel.Wls))
@@ -554,20 +529,16 @@ func (s *Suite) UITSweep() *Table {
 	// reach the capacity-conflict regime.
 	sizes := []int{0, 256, 64, 16, 8, 4} // 0 = unlimited
 
-	var jobs []job
+	var cells []cell
 	for _, wl := range g.Sensitive {
-		jobs = append(jobs, job{key: "fig10/base/" + wl, wlName: wl,
-			pcfg: realisticConfig(64, 128)})
+		cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
 		for _, sz := range sizes {
 			lc := realisticLTP(128, 4)
 			lc.UITEntries = sz
-			jobs = append(jobs, job{
-				key:    fmt.Sprintf("uit/%d/%s", sz, wl),
-				wlName: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc,
-			})
+			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc})
 		}
 	}
-	res := s.runAll(jobs)
+	res := s.run(false, cells)
 
 	t := &Table{Title: "UIT size sweep (§5.6) [mlp-sensitive]: perf % vs base IQ:64/RF:128"}
 	per := len(sizes) + 1

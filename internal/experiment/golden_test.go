@@ -61,21 +61,23 @@ LTP proposal               IQ 32, RF 96, 128-entry 4-port queue LTP, 256-entry U
 
 // TestMatrixTableGolden pins the scenario-matrix rendering (row order,
 // the mean ± CI column pairing, and the notes) against a hand-built
-// MatrixResult, so campaign output and EXPERIMENTS.md snippets cannot
-// drift silently.
+// matrix sweep result, so campaign output and EXPERIMENTS.md snippets
+// cannot drift silently.
 func TestMatrixTableGolden(t *testing.T) {
 	sum := func(mean, ci float64) stats.Summary {
 		return stats.Summary{N: 3, Mean: mean, CI95: ci}
 	}
-	res := &ltp.MatrixResult{
-		Scenarios: []string{"hashjoin", "ptrchase"},
-		Configs:   []string{"IQ64", "IQ32+LTP"},
-		Seeds:     3,
-		Cells: []ltp.MatrixCell{
-			{Scenario: "hashjoin", Config: "IQ64", CPI: sum(2.5, 0.125), IPC: sum(0.4, 0.02), MLP: sum(3.25, 0.1), AvgLoadLat: sum(85, 4), Parked: sum(0, 0)},
-			{Scenario: "hashjoin", Config: "IQ32+LTP", CPI: sum(2.75, 0.25), IPC: sum(0.36, 0.03), MLP: sum(3, 0.2), AvgLoadLat: sum(90, 5), Parked: sum(41.5, 2.5)},
-			{Scenario: "ptrchase", Config: "IQ64", CPI: sum(6, 0), IPC: sum(0.17, 0), MLP: sum(7.5, 0.5), AvgLoadLat: sum(150, 10), Parked: sum(0, 0)},
-			{Scenario: "ptrchase", Config: "IQ32+LTP", CPI: sum(6.25, 0.5), IPC: sum(0.16, 0.01), MLP: sum(7, 0.25), AvgLoadLat: sum(155, 12), Parked: sum(60.25, 3.125)},
+	res := &ltp.SweepResult{
+		Axes: []ltp.SweepAxisInfo{
+			{Name: "scenario", Points: []string{"hashjoin", "ptrchase"}},
+			{Name: "config", Points: []string{"IQ64", "IQ32+LTP"}},
+			{Name: "seed", Points: []string{"seed0", "seed1", "seed2"}, Replicate: true},
+		},
+		Cells: []ltp.SweepCell{
+			{Coords: []string{"hashjoin", "IQ64"}, CPI: sum(2.5, 0.125), IPC: sum(0.4, 0.02), MLP: sum(3.25, 0.1), AvgLoadLat: sum(85, 4), Parked: sum(0, 0)},
+			{Coords: []string{"hashjoin", "IQ32+LTP"}, CPI: sum(2.75, 0.25), IPC: sum(0.36, 0.03), MLP: sum(3, 0.2), AvgLoadLat: sum(90, 5), Parked: sum(41.5, 2.5)},
+			{Coords: []string{"ptrchase", "IQ64"}, CPI: sum(6, 0), IPC: sum(0.17, 0), MLP: sum(7.5, 0.5), AvgLoadLat: sum(150, 10), Parked: sum(0, 0)},
+			{Coords: []string{"ptrchase", "IQ32+LTP"}, CPI: sum(6.25, 0.5), IPC: sum(0.16, 0.01), MLP: sum(7, 0.25), AvgLoadLat: sum(155, 12), Parked: sum(60.25, 3.125)},
 		},
 	}
 	want := strings.Join([]string{

@@ -1,8 +1,9 @@
 package experiment
 
-// The scenario-matrix campaign surface: Suite.Matrix runs ltp.RunMatrix
-// with the suite's budgets and renders the aggregate as a mean ± 95% CI
-// table — the campaign's answer to single-seed figure points.
+// The scenario-matrix campaign surface: Suite.Matrix runs the
+// ltp.NewMatrixSweep campaign with the suite's budgets on the suite's
+// engine and renders the aggregate as a mean ± 95% CI table — the
+// campaign's answer to single-seed figure points.
 
 import (
 	"context"
@@ -16,21 +17,12 @@ import (
 // seeds; empty scenarios = every family, seeds <= 0 = 3) with the
 // suite's budgets and returns the rendered table.
 func (s *Suite) Matrix(scenarios []string, seeds int) (*Table, error) {
-	res, err := ltp.RunMatrix(ltp.MatrixSpec{
-		Scenarios:   scenarios,
-		Seeds:       seeds,
-		Scale:       s.Scale,
-		WarmInsts:   s.WarmInsts,
-		DetailInsts: s.DetailInsts,
-		WarmMode:    s.WarmMode,
-		Backend:     s.Backend,
-		Parallelism: s.Parallelism,
-	})
+	res, err := s.matrix(s.base(), scenarios, seeds, nil)
 	if err != nil {
 		return nil, err
 	}
 	s.logf("matrix: %d scenario(s) x %d config(s) x %d seed(s)",
-		len(res.Scenarios), len(res.Configs), res.Seeds)
+		len(res.Axes[0].Points), len(res.Axes[1].Points), len(res.Axes[2].Points))
 	return MatrixTable(res), nil
 }
 
@@ -40,34 +32,11 @@ func (s *Suite) Matrix(scenarios []string, seeds int) (*Table, error) {
 // phases render as tables — the estimates with their backend column,
 // the detailed selection below.
 func (s *Suite) TriageMatrix(scenarios []string, seeds, topK int) ([]*Table, error) {
-	sweep, err := ltp.NewMatrixSweep(ltp.MatrixSpec{
-		Scenarios:   scenarios,
-		Seeds:       seeds,
-		Scale:       s.Scale,
-		WarmInsts:   s.WarmInsts,
-		DetailInsts: s.DetailInsts,
-		WarmMode:    s.WarmMode,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sweep.Triage = &ltp.TriageSpec{TopK: topK}
-	// Honour the suite's parallelism bound: a capped suite gets its own
-	// engine sized to it; otherwise the shared process-wide engine.
-	submit := ltp.Submit
-	if s.Parallelism > 0 {
-		e, err := ltp.NewEngine(ltp.EngineConfig{Parallelism: s.Parallelism})
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		submit = e.Submit
-	}
-	job, err := submit(context.Background(), sweep)
-	if err != nil {
-		return nil, err
-	}
-	res, err := job.Wait()
+	base := s.base()
+	// Triage schedules the model pre-pass itself; the cells are the
+	// cycle-accurate re-runs.
+	base.Backend, base.Intervals = ltp.BackendCycle, 0
+	res, err := s.matrix(base, scenarios, seeds, &ltp.TriageSpec{TopK: topK})
 	if err != nil {
 		return nil, err
 	}
@@ -79,13 +48,28 @@ func (s *Suite) TriageMatrix(scenarios []string, seeds, topK int) ([]*Table, err
 	}, nil
 }
 
+// matrix runs the default-config matrix over base on the suite's
+// engine.
+func (s *Suite) matrix(base ltp.RunSpec, scenarios []string, seeds int, triage *ltp.TriageSpec) (*ltp.SweepResult, error) {
+	sweep, err := ltp.NewMatrixSweep(base, scenarios, nil, seeds)
+	if err != nil {
+		return nil, err
+	}
+	sweep.Triage = triage
+	job, err := s.engine().Submit(context.Background(), sweep)
+	if err != nil {
+		return nil, err
+	}
+	return job.Wait()
+}
+
+// matrixCols are the columns of every matrix-shaped table.
+var matrixCols = []string{"CPI", "CPI ±95", "IPC", "MLP", "loadLat", "parked", "parked ±95"}
+
 // sweepCellTable renders sweep cells as a mean ± CI table, one row per
 // cell in cell order.
 func sweepCellTable(title string, cells []ltp.SweepCell) *Table {
-	t := &Table{
-		Title: title,
-		Cols:  []string{"CPI", "CPI ±95", "IPC", "MLP", "loadLat", "parked", "parked ±95"},
-	}
+	t := &Table{Title: title, Cols: matrixCols}
 	for _, c := range cells {
 		t.Rows = append(t.Rows, RowData{
 			Label: strings.Join(c.Coords, " "),
@@ -99,33 +83,15 @@ func sweepCellTable(title string, cells []ltp.SweepCell) *Table {
 	return t
 }
 
-// MatrixTable renders a finished matrix as one row per scenario ×
-// config with mean and ±95% CI columns. A CI column of 0.00 with
-// n >= 2 means the metric is seed-invariant; CI columns are the whole
-// point of the matrix — single-seed campaigns cannot distinguish a
-// real effect from seed luck.
-func MatrixTable(res *ltp.MatrixResult) *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Scenario matrix: %d scenario(s) x %d config(s), %d seed(s) per cell",
-			len(res.Scenarios), len(res.Configs), res.Seeds),
-		Cols: []string{"CPI", "CPI ±95", "IPC", "MLP", "loadLat", "parked", "parked ±95"},
-	}
-	for _, scn := range res.Scenarios {
-		for _, cfg := range res.Configs {
-			c := res.Cell(scn, cfg)
-			if c == nil {
-				continue
-			}
-			t.Rows = append(t.Rows, RowData{
-				Label: scn + " " + cfg,
-				Cells: []float64{
-					c.CPI.Mean, c.CPI.CI95,
-					c.IPC.Mean, c.MLP.Mean, c.AvgLoadLat.Mean,
-					c.Parked.Mean, c.Parked.CI95,
-				},
-			})
-		}
-	}
+// MatrixTable renders a finished matrix sweep (ltp.NewMatrixSweep's
+// scenario, config and seed axes) as one row per scenario × config
+// with mean and ±95% CI columns. A CI column of 0.00 with n >= 2 means
+// the metric is seed-invariant; CI columns are the whole point of the
+// matrix — single-seed campaigns cannot distinguish a real effect from
+// seed luck.
+func MatrixTable(res *ltp.SweepResult) *Table {
+	t := sweepCellTable(fmt.Sprintf("Scenario matrix: %d scenario(s) x %d config(s), %d seed(s) per cell",
+		len(res.Axes[0].Points), len(res.Axes[1].Points), len(res.Axes[2].Points)), res.Cells)
 	t.Notes = append(t.Notes,
 		"mean ± half-width of the 95% CI (Student-t) over seed replicates",
 		"parked is the time-average of LTP-parked instructions (0 without LTP)")

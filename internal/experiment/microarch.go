@@ -4,14 +4,14 @@ package experiment
 // prefetcher cross on branch- and memory-bound scenarios, and the
 // shared-hierarchy contention study (solo versus a memhog co-runner,
 // LTP off versus on). Both tables run through the generalized sweep
-// axes (RunSpec.BranchPred / Prefetcher / Corunners), so every cell is
-// content-addressed exactly like a service-submitted campaign cell.
+// axes (RunPatch.Scenario / BranchPred / Prefetcher / Corunners), so
+// every cell is content-addressed exactly like a service-submitted
+// campaign cell.
 
 import (
 	"fmt"
 
 	"ltp"
-	"ltp/internal/sched"
 )
 
 // Microarch produces the predictor × prefetcher cross and the
@@ -21,50 +21,34 @@ func (s *Suite) Microarch() []*Table {
 	prefs := ltp.Prefetchers()
 	scenarios := []string{"branchy", "hashjoin", "ptrchase"}
 
-	type mj struct {
-		spec ltp.RunSpec
-	}
-	var jobs []mj
-	base := func(scenario string) ltp.RunSpec {
-		return ltp.RunSpec{
-			Scenario:  scenario,
-			Scale:     s.Scale,
-			WarmInsts: s.WarmInsts,
-			WarmMode:  s.WarmMode,
-			MaxInsts:  s.DetailInsts,
-			Backend:   s.Backend,
-			Intervals: s.Intervals,
+	axis := func(name string, labels []string, patch func(i int) ltp.RunPatch) ltp.SweepAxis {
+		ax := ltp.SweepAxis{Name: name}
+		for i, l := range labels {
+			ax.Points = append(ax.Points, ltp.SweepPoint{Name: l, Patch: patch(i)})
 		}
+		return ax
 	}
-	for _, scn := range scenarios {
-		for _, bp := range preds {
-			for _, pf := range prefs {
-				spec := base(scn)
-				spec.BranchPred = bp
-				spec.Prefetcher = pf
-				jobs = append(jobs, mj{spec: spec})
-			}
-		}
-	}
+	cross := s.sweep(ltp.SweepSpec{Base: s.base(), Axes: []ltp.SweepAxis{
+		axis("scenario", scenarios, func(i int) ltp.RunPatch { return ltp.RunPatch{Scenario: &scenarios[i]} }),
+		axis("bpred", preds, func(i int) ltp.RunPatch { return ltp.RunPatch{BranchPred: &preds[i]} }),
+		axis("prefetcher", prefs, func(i int) ltp.RunPatch { return ltp.RunPatch{Prefetcher: &prefs[i]} }),
+	}})
 
 	// Contention grid: {solo, +memhog} × {no LTP, LTP NU}, on the
 	// memory-bound chase scenario where parking matters most.
 	hog := []ltp.Corunner{{Scenario: "memhog"}}
-	for _, withHog := range []bool{false, true} {
-		for _, useLTP := range []bool{false, true} {
-			spec := base("ptrchase")
-			spec.UseLTP = useLTP
-			if withHog {
-				spec.Corunners = hog
+	onOff := []bool{false, true}
+	chase := s.base()
+	chase.Scenario = "ptrchase"
+	contention := s.sweep(ltp.SweepSpec{Base: chase, Axes: []ltp.SweepAxis{
+		axis("corunners", []string{"solo", "+memhog"}, func(i int) ltp.RunPatch {
+			if i == 0 {
+				return ltp.RunPatch{}
 			}
-			jobs = append(jobs, mj{spec: spec})
-		}
-	}
-
-	out := make([]ltp.RunResult, len(jobs))
-	sched.Run(s.Parallelism, len(jobs),
-		func(i int) float64 { return 1 },
-		func(i int) { out[i] = ltp.MustRun(jobs[i].spec) })
+			return ltp.RunPatch{Corunners: &hog}
+		}),
+		axis("ltp", []string{"no LTP", "LTP(NU)"}, func(i int) ltp.RunPatch { return ltp.RunPatch{UseLTP: &onOff[i]} }),
+	}})
 
 	var tables []*Table
 	i := 0
@@ -74,9 +58,8 @@ func (s *Suite) Microarch() []*Table {
 		for _, bp := range preds {
 			row := RowData{Label: bp}
 			for range prefs {
-				r := out[i]
+				row.Cells = append(row.Cells, cross[i].CPI)
 				i++
-				row.Cells = append(row.Cells, r.CPI)
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -85,11 +68,9 @@ func (s *Suite) Microarch() []*Table {
 
 	ct := &Table{Title: "shared-hierarchy contention [ptrchase]: CPI solo vs +memhog co-runner"}
 	ct.Cols = []string{"no LTP", "LTP(NU)"}
-	for _, label := range []string{"solo", "+memhog"} {
-		row := RowData{Label: label}
-		row.Cells = append(row.Cells, out[i].CPI, out[i+1].CPI)
-		i += 2
-		ct.Rows = append(ct.Rows, row)
+	for k, label := range []string{"solo", "+memhog"} {
+		ct.Rows = append(ct.Rows, RowData{Label: label,
+			Cells: []float64{contention[2*k].CPI, contention[2*k+1].CPI}})
 	}
 	tables = append(tables, ct)
 	return tables
