@@ -53,7 +53,7 @@ func BenchmarkTable1Baseline(b *testing.B) {
 		fmt.Println(experiment.Table1())
 	}
 	for i := 0; i < b.N; i++ {
-		r := ltp.MustRun(ltp.RunSpec{
+		r := mustRun(b, ltp.RunSpec{
 			Workload: "indirect", Scale: 0.05,
 			WarmInsts: 8_000, MaxInsts: 25_000,
 		})
@@ -394,7 +394,7 @@ func BenchmarkTriageSweep(b *testing.B) {
 // stepping + cache/bpred/LTP touch hooks) per 50k warmed instructions.
 func BenchmarkWarmFast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := ltp.MustRun(ltp.RunSpec{
+		r := mustRun(b, ltp.RunSpec{
 			Workload: "indirectwork", Scale: 0.1,
 			WarmInsts: 50_000, MaxInsts: 1_000, WarmMode: ltp.WarmFast,
 			UseLTP: true,
@@ -408,7 +408,7 @@ func BenchmarkWarmFast(b *testing.B) {
 // the same region, for the fast/detailed speedup ratio.
 func BenchmarkWarmDetailed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := ltp.MustRun(ltp.RunSpec{
+		r := mustRun(b, ltp.RunSpec{
 			Workload: "indirectwork", Scale: 0.1,
 			WarmInsts: 50_000, MaxInsts: 1_000, WarmMode: ltp.WarmDetailed,
 			UseLTP: true,
@@ -447,15 +447,7 @@ func BenchmarkEmulator(b *testing.B) {
 // mean ± CI table, folding the matrix into the bench smoke run.
 func BenchmarkMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := ltp.RunMatrix(ltp.MatrixSpec{
-			Scale:       0.05,
-			WarmInsts:   8_000,
-			DetailInsts: 25_000,
-			Seeds:       2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runMatrix(b, ltp.RunSpec{Scale: 0.05, WarmInsts: 8_000, MaxInsts: 25_000}, nil, nil, 2, 0)
 		printTables("Scenario matrix", experiment.MatrixTable(res))
 	}
 }
@@ -469,7 +461,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 		WarmInsts: 8_000, MaxInsts: 25_000,
 		RecordTo: &buf,
 	}
-	if _, err := ltp.Run(spec); err != nil {
+	if _, err := ltp.RunContext(context.Background(), spec); err != nil {
 		b.Fatal(err)
 	}
 	spec.RecordTo = nil
@@ -477,7 +469,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spec.ReplayFrom = bytes.NewReader(raw)
-		r, err := ltp.Run(spec)
+		r, err := ltp.RunContext(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,15 +72,13 @@ func diffCampaign(s *experiment.Suite, scenarios []string, seeds, parallel int, 
 	if err != nil {
 		return "", err
 	}
-	sweep, err := ltp.NewMatrixSweep(ltp.MatrixSpec{
-		Scenarios:   scenarios,
-		Seeds:       seeds,
-		Scale:       s.Scale,
-		WarmInsts:   s.WarmInsts,
-		DetailInsts: s.DetailInsts,
-		WarmMode:    s.WarmMode,
-		Backend:     s.Backend,
-	})
+	sweep, err := ltp.NewMatrixSweep(ltp.RunSpec{
+		Scale:     s.Scale,
+		WarmInsts: s.WarmInsts,
+		WarmMode:  s.WarmMode,
+		MaxInsts:  s.DetailInsts,
+		Backend:   s.Backend,
+	}, scenarios, nil, seeds)
 	if err != nil {
 		return "", err
 	}

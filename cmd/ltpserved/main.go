@@ -1,5 +1,5 @@
 // Command ltpserved is the campaign service: a long-running HTTP/JSON
-// server that executes simulations and scenario-matrix campaigns on
+// server that executes simulations and sweep campaigns on
 // one shared LPT worker pool with a content-addressed result cache, so
 // identical requests — and identical cells inside overlapping
 // campaigns — are computed once and served from cache thereafter.
@@ -18,7 +18,8 @@
 //
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/run -d '{"scenario":"hashjoin","max_insts":200000}'
-//	curl -s -X POST 'localhost:8080/v1/matrix?stream=1' -d '{"seeds":3,"scale":0.1,"detail_insts":50000}'
+//	curl -s -X POST 'localhost:8080/v1/sweep?stream=1' -d '{"base":{"scenario":"hashjoin","scale":0.1,"max_insts":50000},
+//	  "axes":[{"name":"seed","replicate":true,"points":[{"name":"s0","patch":{"seed":0}},{"name":"s1","patch":{"seed":1}}]}]}'
 //
 // See API.md for the endpoint and schema reference, DESIGN.md §8 for
 // the service architecture and §13 for the sharded fabric.

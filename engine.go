@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"ltp/internal/cache"
+	"ltp/internal/pipeline"
 	"ltp/internal/sched"
 	"ltp/internal/store"
 )
@@ -235,6 +236,39 @@ type poolExecutor struct{ pool *sched.Pool }
 
 func (x poolExecutor) RunBatch(ctx context.Context, costs []float64, fns []func(context.Context)) {
 	x.pool.RunBatch(ctx, sched.TierInteractive, costs, fns)
+}
+
+// runWeight estimates a run's relative wall-clock for LPT ordering:
+// LTP machinery and small IQs (higher CPI) dominate. Model-backend
+// cells cost a few percent
+// of a detailed cell (no per-cycle loop), so they must not claim the
+// longest-processing-time slots a campaign's detailed cells need.
+func runWeight(spec RunSpec) float64 {
+	c := 1.0
+	if spec.UseLTP {
+		c += 0.3
+	}
+	iq := pipeline.DefaultConfig().IQSize
+	if spec.Pipeline != nil {
+		iq = spec.Pipeline.IQSize
+	}
+	if iq < 8 {
+		iq = 8
+	}
+	w := c + 32.0/float64(iq)
+	switch specBackendName(spec) {
+	case BackendSampled:
+		// A sampled run cycle-simulates a 1/K coverage fraction and
+		// functionally warms the rest (roughly a tenth of detailed
+		// cost per instruction).
+		k := sampledIntervals(spec.Intervals, spec.MaxInsts)
+		w *= 0.1 + 1.0/float64(k)
+	default:
+		if !specCycleFidelity(spec) {
+			w *= 0.05
+		}
+	}
+	return w
 }
 
 // RunCached executes one simulation through the engine's pool and
@@ -1002,114 +1036,6 @@ func firstRunError(runs []sweepRun, errs []error) error {
 		}
 	}
 	return nil
-}
-
-// --- v1 matrix shims ---
-
-// MatrixProgress is a point-in-time view of a running matrix campaign
-// (the v1 progress shape; CanceledRuns extends it for v2 cancellation).
-type MatrixProgress struct {
-	// TotalRuns is the campaign's replicate count
-	// (scenarios × configs × seeds).
-	TotalRuns int `json:"total_runs"`
-	// DoneRuns counts the replicates resolved so far.
-	DoneRuns int `json:"done_runs"`
-	// CanceledRuns counts replicates abandoned by cancellation.
-	CanceledRuns int `json:"canceled_runs"`
-	// CacheHits counts resolved runs reusing a stored result.
-	CacheHits int64 `json:"cache_hits"`
-	// CacheMisses counts resolved runs that actually simulated.
-	CacheMisses int64 `json:"cache_misses"`
-	// CacheShared counts resolved runs that joined an in-flight
-	// identical simulation (possibly another campaign's).
-	CacheShared int64 `json:"cache_shared"`
-	// Finished reports whether the campaign has completed (check the
-	// job's Wait/Err for the verdict).
-	Finished bool `json:"finished"`
-}
-
-// MatrixJob is the v1 handle for an asynchronously submitted matrix
-// campaign: a thin wrapper over the v2 Job executing the equivalent
-// NewMatrixSweep. Job exposes the underlying handle (cancellation,
-// cell streaming).
-type MatrixJob struct {
-	job  *Job
-	spec MatrixSpec // canonical
-	hash string     // matrix content address ("mx1:...")
-
-	convertOnce sync.Once
-	result      *MatrixResult
-	err         error
-}
-
-// Spec returns the canonical campaign spec the job executes.
-func (j *MatrixJob) Spec() MatrixSpec { return j.spec }
-
-// Hash returns the campaign's content address (MatrixSpec.Hash).
-func (j *MatrixJob) Hash() string { return j.hash }
-
-// Job returns the underlying v2 sweep job (cancel it, stream its
-// cells).
-func (j *MatrixJob) Job() *Job { return j.job }
-
-// TotalRuns returns the campaign's replicate count.
-func (j *MatrixJob) TotalRuns() int { return j.job.TotalRuns() }
-
-// Done returns a channel closed when the campaign finishes.
-func (j *MatrixJob) Done() <-chan struct{} { return j.job.Done() }
-
-// Progress returns a point-in-time snapshot of the campaign.
-func (j *MatrixJob) Progress() MatrixProgress {
-	p := j.job.Progress()
-	return MatrixProgress{
-		TotalRuns:    p.TotalRuns,
-		DoneRuns:     p.DoneRuns,
-		CanceledRuns: p.CanceledRuns,
-		CacheHits:    p.CacheHits,
-		CacheMisses:  p.CacheMisses,
-		CacheShared:  p.CacheShared,
-		Finished:     p.Finished,
-	}
-}
-
-// Wait blocks until the campaign finishes and returns its result in
-// the matrix shape.
-func (j *MatrixJob) Wait() (*MatrixResult, error) {
-	sr, err := j.job.Wait()
-	j.convertOnce.Do(func() {
-		if err != nil {
-			j.err = err
-			return
-		}
-		j.result = matrixResultFromSweep(j.spec, sr)
-	})
-	return j.result, j.err
-}
-
-// SubmitMatrix submits the matrix campaign as its equivalent sweep
-// (NewMatrixSweep) under a background context and returns the v1
-// handle.
-//
-// Deprecated: use Engine.Submit with NewMatrixSweep, which threads a
-// context and streams per-cell results.
-func (e *Engine) SubmitMatrix(spec MatrixSpec) (*MatrixJob, error) {
-	canon, err := spec.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	hash, err := canon.Hash()
-	if err != nil {
-		return nil, err
-	}
-	sweep, err := NewMatrixSweep(canon)
-	if err != nil {
-		return nil, err
-	}
-	job, err := e.Submit(context.Background(), sweep)
-	if err != nil {
-		return nil, err
-	}
-	return &MatrixJob{job: job, spec: canon, hash: hash}, nil
 }
 
 var (

@@ -93,9 +93,9 @@ func TestEngineConcurrentDuplicates(t *testing.T) {
 	}
 }
 
-// TestSubmitMatrixAsync checks the async campaign completes, matches
-// the synchronous runner cell-for-cell, and a resubmission is served
-// entirely from cache.
+// TestSubmitMatrixAsync checks an async matrix campaign completes,
+// matches the same campaign on an independent engine cell-for-cell,
+// and a resubmission is served entirely from cache.
 func TestSubmitMatrixAsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix comparison is a long test")
@@ -103,8 +103,11 @@ func TestSubmitMatrixAsync(t *testing.T) {
 	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 4})
 	defer e.Close()
 
-	spec := quickMatrix()
-	job, err := e.SubmitMatrix(spec)
+	sweep, err := ltp.NewMatrixSweep(quickMatrixBase(), nil, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := e.Submit(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,26 +120,17 @@ func TestSubmitMatrixAsync(t *testing.T) {
 		t.Fatalf("finished progress inconsistent: %+v", p)
 	}
 
-	// Cell-for-cell equal to the synchronous, uncached runner:
-	// identical specs must simulate identically on either path.
-	sync, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scn := range res.Scenarios {
-		for _, cfg := range res.Configs {
-			a, b := res.Cell(scn, cfg), sync.Cell(scn, cfg)
-			if a == nil || b == nil {
-				t.Fatalf("missing cell %s/%s", scn, cfg)
-			}
-			if a.CPI != b.CPI {
-				t.Fatalf("cell %s/%s: async CPI %+v != sync %+v", scn, cfg, a.CPI, b.CPI)
-			}
+	// Identical specs must simulate identically on another engine.
+	other := runMatrix(t, quickMatrixBase(), nil, nil, 3, 2)
+	for i := range res.Cells {
+		a, b := res.Cells[i], other.Cells[i]
+		if a.CPI != b.CPI {
+			t.Fatalf("cell %v: CPI %+v != %+v on another engine", a.Coords, a.CPI, b.CPI)
 		}
 	}
 
 	// Resubmission: every run served from cache, none simulated.
-	job2, err := e.SubmitMatrix(spec)
+	job2, err := e.Submit(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +151,16 @@ func TestSubmitMatrixSharedCells(t *testing.T) {
 	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 4})
 	defer e.Close()
 
-	spec := ltp.MatrixSpec{
-		Scenarios:   []string{"branchy"},
-		Configs:     []ltp.MatrixConfig{{Name: "IQ64"}},
-		Seeds:       2,
-		Scale:       0.05,
-		DetailInsts: 5_000,
-	}
-	jobA, err := e.SubmitMatrix(spec)
+	sweep, err := ltp.NewMatrixSweep(ltp.RunSpec{Scale: 0.05, MaxInsts: 5_000},
+		[]string{"branchy"}, []ltp.MatrixConfig{{Name: "IQ64"}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobB, err := e.SubmitMatrix(spec)
+	jobA, err := e.Submit(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobB, err := e.Submit(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +182,15 @@ func TestSubmitMatrixSharedCells(t *testing.T) {
 func TestSubmitMatrixError(t *testing.T) {
 	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 2})
 	defer e.Close()
-	if _, err := e.SubmitMatrix(ltp.MatrixSpec{Scenarios: []string{"nosuch"}}); err == nil {
+	nosuch := "nosuch"
+	job, err := e.Submit(context.Background(), ltp.SweepSpec{
+		Base: ltp.RunSpec{Scale: 0.05, MaxInsts: 5_000},
+		Axes: []ltp.SweepAxis{{Name: "scenario", Points: []ltp.SweepPoint{{Name: nosuch, Patch: ltp.RunPatch{Scenario: &nosuch}}}}},
+	})
+	if err == nil {
+		_, err = job.Wait()
+	}
+	if err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }

@@ -4,7 +4,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	"ltp"
 	"ltp/internal/core"
@@ -12,13 +14,23 @@ import (
 	"ltp/internal/pipeline"
 )
 
+// run simulates kernel on cfg (with lcfg's parking unit when non-nil),
+// exiting on error.
+func run(kernel string, cfg pipeline.Config, lcfg *core.Config) ltp.RunResult {
+	r, err := ltp.RunContext(context.Background(), ltp.RunSpec{Workload: kernel, Scale: 0.25,
+		WarmInsts: 50_000, MaxInsts: 150_000, Pipeline: &cfg,
+		UseLTP: lcfg != nil, LTP: lcfg})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "energysweep:", err)
+		os.Exit(1)
+	}
+	return r
+}
+
 func main() {
 	const kernel = "gather"
-	const warm, insts = 50_000, 150_000
 
-	baseCfg := pipeline.DefaultConfig() // IQ 64 / RF 128
-	base := ltp.MustRun(ltp.RunSpec{Workload: kernel, Scale: 0.25,
-		WarmInsts: warm, MaxInsts: insts, Pipeline: &baseCfg})
+	base := run(kernel, pipeline.DefaultConfig(), nil) // IQ 64 / RF 128
 
 	smallCfg := pipeline.DefaultConfig()
 	smallCfg.IQSize = 32
@@ -27,8 +39,7 @@ func main() {
 	fmt.Printf("workload %q: LTP size/port sweep at IQ:32/RF:96 vs base IQ:64/RF:128\n\n", kernel)
 	fmt.Printf("%10s %6s | %8s %10s\n", "entries", "ports", "perf %", "ED2P %")
 
-	noLTP := ltp.MustRun(ltp.RunSpec{Workload: kernel, Scale: 0.25,
-		WarmInsts: warm, MaxInsts: insts, Pipeline: &smallCfg})
+	noLTP := run(kernel, smallCfg, nil)
 	fmt.Printf("%10s %6s | %8.1f %10.1f   <- just shrinking the IQ/RF\n", "-", "-",
 		energy.RelativePerf(noLTP.Cycles, base.Cycles),
 		energy.RelativeED2P(noLTP.Energy.IQRF, noLTP.Cycles, base.Energy.IQRF, base.Cycles))
@@ -38,9 +49,7 @@ func main() {
 			lcfg := core.DefaultConfig()
 			lcfg.Entries = entries
 			lcfg.Ports = ports
-			r := ltp.MustRun(ltp.RunSpec{Workload: kernel, Scale: 0.25,
-				WarmInsts: warm, MaxInsts: insts, Pipeline: &smallCfg,
-				UseLTP: true, LTP: &lcfg})
+			r := run(kernel, smallCfg, &lcfg)
 			fmt.Printf("%10d %6d | %8.1f %10.1f\n", entries, ports,
 				energy.RelativePerf(r.Cycles, base.Cycles),
 				energy.RelativeED2P(r.Energy.IQRF, r.Cycles, base.Energy.IQRF, base.Cycles))

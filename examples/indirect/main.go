@@ -4,7 +4,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	"ltp"
 	"ltp/internal/pipeline"
@@ -26,14 +28,22 @@ func main() {
 		cfg.IQSize = iq
 		cfg.IntRegs, cfg.FPRegs = 96, 96
 
-		noltp := ltp.MustRun(ltp.RunSpec{
+		noltp, err := ltp.RunContext(context.Background(), ltp.RunSpec{
 			Workload: kernel, Scale: scale,
 			WarmInsts: warm, MaxInsts: insts, Pipeline: &cfg,
 		})
-		withltp := ltp.MustRun(ltp.RunSpec{
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "indirect:", err)
+			os.Exit(1)
+		}
+		withltp, err := ltp.RunContext(context.Background(), ltp.RunSpec{
 			Workload: kernel, Scale: scale,
 			WarmInsts: warm, MaxInsts: insts, Pipeline: &cfg, UseLTP: true,
 		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "indirect:", err)
+			os.Exit(1)
+		}
 		fmt.Printf("%6d | %8.3f / %7.2f | %8.3f / %7.2f\n",
 			iq, noltp.CPI, noltp.MLP, withltp.CPI, withltp.MLP)
 	}

@@ -6,24 +6,32 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	"ltp"
 	"ltp/internal/core"
 	"ltp/internal/pipeline"
 )
 
+// run simulates kernel on the small core, exiting on error.
 func run(kernel string, useLTP bool, mode core.Mode) ltp.RunResult {
 	cfg := pipeline.DefaultConfig()
 	cfg.IQSize = 32
 	cfg.IntRegs, cfg.FPRegs = 96, 96
 	lcfg := core.DefaultConfig()
 	lcfg.Mode = mode
-	return ltp.MustRun(ltp.RunSpec{
+	r, err := ltp.RunContext(context.Background(), ltp.RunSpec{
 		Workload: kernel, Scale: 0.25,
 		WarmInsts: 50_000, MaxInsts: 150_000,
 		Pipeline: &cfg, UseLTP: useLTP, LTP: &lcfg,
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pointerchase:", err)
+		os.Exit(1)
+	}
+	return r
 }
 
 func main() {

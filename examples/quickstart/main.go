@@ -5,7 +5,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	"ltp"
 	"ltp/internal/core"
@@ -14,6 +16,13 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	// The `indirect` workload is the paper's Fig. 2 loop:
 	//   loop: A addrA = baseA + j    E j = j - 8     I i = i + 8
 	//         B t1 = load addrA      F d = d + 5     J t2 = j
@@ -21,33 +30,43 @@ func main() {
 	//         D d = load addrB       H store d
 	wl, err := ltp.WorkloadByName("indirect")
 	if err != nil {
-		panic(err)
+		return err
 	}
 	program := wl.Build(0.25)
 	fmt.Println("The paper's Fig. 2 loop in the micro-ISA:")
 	fmt.Println(program.Listing())
 
 	// Baseline big core (Table 1): IQ 64, 128 registers.
-	base := ltp.MustRun(ltp.RunSpec{
+	ctx := context.Background()
+	base, err := ltp.RunContext(ctx, ltp.RunSpec{
 		Workload: "indirect", Scale: 0.25,
 		WarmInsts: 100_000, MaxInsts: 200_000,
 	})
+	if err != nil {
+		return err
+	}
 
 	// The paper's proposal: IQ 32, 96 registers, 128-entry 4-port LTP.
 	small := pipeline.DefaultConfig()
 	small.IQSize = 32
 	small.IntRegs, small.FPRegs = 96, 96
-	withLTP := ltp.MustRun(ltp.RunSpec{
+	withLTP, err := ltp.RunContext(ctx, ltp.RunSpec{
 		Workload: "indirect", Scale: 0.25,
 		WarmInsts: 100_000, MaxInsts: 200_000,
 		Pipeline: &small, UseLTP: true,
 	})
+	if err != nil {
+		return err
+	}
 	// And the same small core without LTP, to see what parking buys.
-	noLTP := ltp.MustRun(ltp.RunSpec{
+	noLTP, err := ltp.RunContext(ctx, ltp.RunSpec{
 		Workload: "indirect", Scale: 0.25,
 		WarmInsts: 100_000, MaxInsts: 200_000,
 		Pipeline: &small,
 	})
+	if err != nil {
+		return err
+	}
 
 	fmt.Printf("%-28s %8s %8s %10s\n", "configuration", "CPI", "MLP", "IQ in use")
 	fmt.Printf("%-28s %8.3f %8.2f %10.1f\n", "baseline IQ:64 RF:128", base.CPI, base.MLP, base.AvgIQ)
@@ -77,4 +96,5 @@ func main() {
 		}
 		fmt.Printf("  %s  %-24s %s\n", in.Label, in.String(), class)
 	}
+	return nil
 }

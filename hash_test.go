@@ -168,35 +168,22 @@ func TestHashRejectsNonCanonical(t *testing.T) {
 }
 
 // TestMatrixHash checks the campaign-level canonicalization: empty
-// axes equal their explicit defaults, and Parallelism is excluded.
+// axes equal their explicit defaults, and the seed count is part of
+// the campaign's identity.
 func TestMatrixHash(t *testing.T) {
-	a := ltp.MatrixSpec{Scale: 0.05, DetailInsts: 8_000, Parallelism: 4}
-	b := ltp.MatrixSpec{
-		Scenarios:   nil,
-		Configs:     ltp.DefaultMatrixConfigs(),
-		Seeds:       3,
-		Scale:       0.05,
-		DetailInsts: 8_000,
-		Parallelism: 13,
+	base := ltp.RunSpec{Scale: 0.05, MaxInsts: 8_000}
+	ha := sweepHash(t, base, nil, nil, 0)
+	var fams []string
+	for _, f := range ltp.Scenarios() {
+		fams = append(fams, f.Name)
 	}
-	ha, err := a.Hash()
-	if err != nil {
-		t.Fatal(err)
+	if hb := sweepHash(t, base, fams, ltp.DefaultMatrixConfigs(), 3); ha != hb {
+		t.Fatalf("equivalent matrix sweeps hash differently:\n%s\n%s", ha, hb)
 	}
-	hb, err := b.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha != hb {
-		t.Fatalf("equivalent matrix specs hash differently:\n%s\n%s", ha, hb)
-	}
-	c := a
-	c.Seeds = 5
-	hc, _ := c.Hash()
-	if hc == ha {
+	if hc := sweepHash(t, base, nil, nil, 5); hc == ha {
 		t.Fatal("seed-count change did not change the matrix hash")
 	}
-	if _, err := (ltp.MatrixSpec{Scenarios: []string{"nosuch"}}).Hash(); err == nil {
-		t.Fatal("unknown scenario in matrix hashed")
+	if _, err := ltp.NewMatrixSweep(base, []string{"nosuch"}, nil, 0); err == nil {
+		t.Fatal("unknown scenario in matrix accepted")
 	}
 }

@@ -16,7 +16,7 @@ func TestPoolExecutesAll(t *testing.T) {
 		var counts [n]int32
 		for i := 0; i < n; i++ {
 			i := i
-			p.Submit(float64(i%7), func() { atomic.AddInt32(&counts[i], 1) })
+			submit(p, float64(i%7), func() { atomic.AddInt32(&counts[i], 1) })
 		}
 		p.Close()
 		for i, c := range counts {
@@ -36,12 +36,12 @@ func TestPoolLPTOrder(t *testing.T) {
 
 	// Occupy the worker so the queue fills before dispatch starts.
 	gate := make(chan struct{})
-	p.Submit(100, func() { <-gate })
+	submit(p, 100, func() { <-gate })
 
 	costs := []float64{1, 5, 3, 5, 2}
 	for i, c := range costs {
 		i := i
-		p.Submit(c, func() {
+		submit(p, c, func() {
 			mu.Lock()
 			got = append(got, i)
 			mu.Unlock()
@@ -69,7 +69,7 @@ func TestPoolConcurrentProducers(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				p.Submit(float64(j), func() { done.Add(1) })
+				submit(p, float64(j), func() { done.Add(1) })
 			}
 		}(g)
 	}
@@ -118,7 +118,7 @@ func TestPoolTierPreemptsQueue(t *testing.T) {
 func TestPoolDeliversCancelledCtx(t *testing.T) {
 	p := NewPool(1)
 	gate := make(chan struct{})
-	p.Submit(1, func() { <-gate })
+	submit(p, 1, func() { <-gate })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -138,7 +138,7 @@ func TestPoolSubmitAfterCloseRunsInline(t *testing.T) {
 	p := NewPool(1)
 	p.Close()
 	ran := false
-	p.Submit(1, func() { ran = true })
+	submit(p, 1, func() { ran = true })
 	if !ran {
 		t.Fatal("Submit after Close neither ran the job nor panicked")
 	}
@@ -182,7 +182,7 @@ func TestPoolRunBatchShared(t *testing.T) {
 
 	var extra int32
 	for i := 0; i < 10; i++ {
-		p.Submit(1, func() { atomic.AddInt32(&extra, 1) })
+		submit(p, 1, func() { atomic.AddInt32(&extra, 1) })
 	}
 	const n = 32
 	var ran [n]int32
@@ -226,4 +226,9 @@ func TestPoolRunBatchEmpty(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 	p.RunBatch(context.Background(), TierInteractive, nil, nil)
+}
+
+// submit enqueues fn at the interactive tier with no deadline.
+func submit(p *Pool, cost float64, fn func()) {
+	p.SubmitCtx(context.Background(), TierInteractive, cost, func(context.Context) { fn() })
 }

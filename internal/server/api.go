@@ -21,9 +21,9 @@ type Limits struct {
 	MaxWarmInsts uint64 `json:"max_warm_insts"`
 	// MaxDetailInsts caps the per-run measured budget.
 	MaxDetailInsts uint64 `json:"max_detail_insts"`
-	// MaxSeeds caps matrix seed replication.
+	// MaxSeeds caps a sweep's replicates per cell.
 	MaxSeeds int `json:"max_seeds"`
-	// MaxCells caps scenarios × configs per campaign.
+	// MaxCells caps the cells (non-replicate combinations) per sweep.
 	MaxCells int `json:"max_cells"`
 	// MaxActiveJobs caps concurrently admitted campaigns (the 429
 	// backpressure bound; see DESIGN.md §8).
@@ -414,95 +414,6 @@ func (r *RunRequest) runSpec(lim Limits) (ltp.RunSpec, error) {
 // the /v1/run handler performs, reused verbatim by the fabric
 // coordinator so a coordinator rejects exactly what a worker would.
 func (r *RunRequest) Spec(lim Limits) (ltp.RunSpec, error) { return r.runSpec(lim) }
-
-// MatrixConfigRequest is one configuration column of a matrix request.
-type MatrixConfigRequest struct {
-	// Name labels the column (required, unique within the request).
-	Name   string         `json:"name"`
-	Config *ConfigRequest `json:"config,omitempty"`  // core size overrides
-	UseLTP bool           `json:"use_ltp,omitempty"` // attach the parking unit
-	LTP    *LTPRequest    `json:"ltp,omitempty"`     // parking unit overrides
-}
-
-// MatrixRequest is the POST /v1/matrix body: a scenario-matrix
-// campaign. Empty scenarios/configs mean every family and the default
-// {IQ64, IQ32, IQ32+LTP} comparison.
-type MatrixRequest struct {
-	Scenarios   []string              `json:"scenarios,omitempty"`    // scenario families (empty = all)
-	Knobs       *KnobsRequest         `json:"knobs,omitempty"`        // knob overrides for every cell
-	Configs     []MatrixConfigRequest `json:"configs,omitempty"`      // configuration columns (empty = default triple)
-	Seeds       int                   `json:"seeds,omitempty"`        // replicates per cell; 0 = 3
-	BaseSeed    int64                 `json:"base_seed,omitempty"`    // replicate k runs with seed base+k
-	Scale       float64               `json:"scale,omitempty"`        // working-set scale in (0, 1]; 0 = 1.0
-	WarmInsts   uint64                `json:"warm_insts,omitempty"`   // warm-up instructions per run
-	DetailInsts uint64                `json:"detail_insts,omitempty"` // measured instructions per run; 0 = 1 M
-	WarmMode    string                `json:"warm_mode,omitempty"`    // "fast" (default) or "detailed"
-}
-
-// matrixSpec validates against the limits and converts to an
-// ltp.MatrixSpec.
-func (r *MatrixRequest) matrixSpec(lim Limits) (ltp.MatrixSpec, error) {
-	if r.Seeds < 0 || r.Seeds > lim.MaxSeeds {
-		return ltp.MatrixSpec{}, badRequest("seeds = %d above the service limit %d", r.Seeds, lim.MaxSeeds)
-	}
-	if r.Scale < 0 || r.Scale > 1 {
-		return ltp.MatrixSpec{}, badRequest("scale = %g out of range (0, 1]", r.Scale)
-	}
-	if r.WarmInsts > lim.MaxWarmInsts {
-		return ltp.MatrixSpec{}, badRequest("warm_insts = %d above the service limit %d", r.WarmInsts, lim.MaxWarmInsts)
-	}
-	if r.DetailInsts > lim.MaxDetailInsts {
-		return ltp.MatrixSpec{}, badRequest("detail_insts = %d above the service limit %d", r.DetailInsts, lim.MaxDetailInsts)
-	}
-	wm, err := ltp.ParseWarmMode(r.WarmMode)
-	if err != nil {
-		return ltp.MatrixSpec{}, badRequest("%v", err)
-	}
-	var configs []ltp.MatrixConfig
-	seen := map[string]bool{}
-	for i, c := range r.Configs {
-		if c.Name == "" {
-			return ltp.MatrixSpec{}, badRequest("configs[%d] has no name", i)
-		}
-		if seen[c.Name] {
-			return ltp.MatrixSpec{}, badRequest("duplicate config name %q", c.Name)
-		}
-		seen[c.Name] = true
-		if !c.UseLTP && c.LTP != nil {
-			return ltp.MatrixSpec{}, badRequest("configs[%d] %q: ltp overrides given without use_ltp", i, c.Name)
-		}
-		pcfg, err := c.Config.pipelineConfig()
-		if err != nil {
-			return ltp.MatrixSpec{}, err
-		}
-		lcfg, err := c.LTP.ltpConfig()
-		if err != nil {
-			return ltp.MatrixSpec{}, err
-		}
-		configs = append(configs, ltp.MatrixConfig{
-			Name: c.Name, Pipeline: pcfg, UseLTP: c.UseLTP, LTP: lcfg,
-		})
-	}
-	spec := ltp.MatrixSpec{
-		Scenarios:   r.Scenarios,
-		Knobs:       r.Knobs.knobs(),
-		Configs:     configs,
-		Seeds:       r.Seeds,
-		BaseSeed:    r.BaseSeed,
-		Scale:       r.Scale,
-		WarmInsts:   r.WarmInsts,
-		DetailInsts: r.DetailInsts,
-		WarmMode:    wm,
-	}
-	canon, err := spec.Canonical()
-	if err != nil {
-		return ltp.MatrixSpec{}, badRequest("%v", err)
-	}
-	if cells := len(canon.Scenarios) * len(canon.Configs); cells > lim.MaxCells {
-		return ltp.MatrixSpec{}, badRequest("campaign has %d cells, above the service limit %d", cells, lim.MaxCells)
-	}
-	return spec, nil
-}
 
 // PatchRequest is the JSON form of ltp.RunPatch: one axis point's
 // declarative overrides. Absent fields leave the base (or earlier

@@ -11,9 +11,8 @@
 //	GET  /v1/workloads   kernel and scenario-family registries
 //	GET  /v1/stats       cache counters, pool occupancy, job counts
 //	POST /v1/run         one simulation, synchronous, cached
-//	POST /v1/matrix      a matrix campaign: async job by default,
+//	POST /v1/sweep       a sweep campaign: async job by default,
 //	                     ?wait=1 synchronous, ?stream=1 NDJSON cells
-//	POST /v1/sweep       a generalized sweep campaign (same modes)
 //	GET  /v1/jobs        list campaign jobs
 //	GET  /v1/jobs/{id}   one campaign job's status/progress/result
 //	DELETE /v1/jobs/{id} cancel a campaign (idempotent)

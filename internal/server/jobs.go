@@ -21,22 +21,17 @@ const (
 	JobCanceled JobStatus = "canceled"
 )
 
-// JobKind tells the two campaign shapes apart in listings and
-// responses.
+// JobKind names a campaign's shape in listings and responses.
 type JobKind string
 
-// Campaign shapes: the scenario×config×seed matrix and the
-// generalized sweep.
-const (
-	KindMatrix JobKind = "matrix"
-	KindSweep  JobKind = "sweep"
-)
+// KindSweep is the generalized sweep, the one campaign shape.
+const KindSweep JobKind = "sweep"
 
 // JobView is the JSON shape of one campaign job (GET /v1/jobs).
 type JobView struct {
 	// ID addresses the job (GET/DELETE /v1/jobs/{id}).
 	ID string `json:"id"`
-	// Kind is "matrix" or "sweep".
+	// Kind is "sweep".
 	Kind JobKind `json:"kind"`
 	// Hash is the campaign's content address — identical campaigns
 	// share it even across jobs.
@@ -60,10 +55,8 @@ type JobView struct {
 // stream — if any — has ended.
 type trackedJob struct {
 	id        string
-	kind      JobKind
 	hash      string
 	job       *ltp.Job
-	mjob      *ltp.MatrixJob // non-nil for matrix-shaped jobs (result conversion)
 	submitted time.Time
 
 	mu      sync.Mutex
@@ -81,9 +74,9 @@ type trackedJob struct {
 // count drops to zero the log — potentially thousands of full
 // RunResults — is dropped rather than retained for the registry's
 // whole 128-job history.
-func newTrackedJob(id string, kind JobKind, hash string, job *ltp.Job, mjob *ltp.MatrixJob, reserveStream bool) *trackedJob {
+func newTrackedJob(id string, hash string, job *ltp.Job, reserveStream bool) *trackedJob {
 	t := &trackedJob{
-		id: id, kind: kind, hash: hash, job: job, mjob: mjob,
+		id: id, hash: hash, job: job,
 		submitted: time.Now(),
 		notify:    make(chan struct{}),
 		logDone:   make(chan struct{}),
@@ -162,7 +155,7 @@ func (t *trackedJob) maybeReleaseLog() {
 func (t *trackedJob) view() JobView {
 	v := JobView{
 		ID:          t.id,
-		Kind:        t.kind,
+		Kind:        KindSweep,
 		Hash:        t.hash,
 		Status:      JobRunning,
 		Progress:    t.job.Progress(),

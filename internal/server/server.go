@@ -78,7 +78,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/matrix", s.handleMatrix)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	s.mux.HandleFunc("POST /v1/cells", s.handleCells)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
@@ -409,17 +408,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// MatrixResponse is the POST /v1/matrix and (matrix-kind) GET
-// /v1/jobs/{id} body. Result is present only once Job.Status is done.
-type MatrixResponse struct {
-	// Job describes the campaign's identity and progress.
-	Job JobView `json:"job"`
-	// Result is the aggregated campaign (status done only).
-	Result *ltp.MatrixResult `json:"result,omitempty"`
-}
-
-// SweepResponse is the POST /v1/sweep and (sweep-kind) GET
-// /v1/jobs/{id} body. Result is present only once Job.Status is done.
+// SweepResponse is the POST /v1/sweep and GET /v1/jobs/{id} body. Result is present only once Job.Status is done.
 type SweepResponse struct {
 	// Job describes the campaign's identity and progress.
 	Job JobView `json:"job"`
@@ -427,17 +416,9 @@ type SweepResponse struct {
 	Result *ltp.SweepResult `json:"result,omitempty"`
 }
 
-// jobResponse renders a job in its kind's response shape, attaching
-// the result when finished.
-func jobResponse(t *trackedJob) any {
+// jobResponse renders a job, attaching the result when finished.
+func jobResponse(t *trackedJob) SweepResponse {
 	view := t.view()
-	if t.kind == KindMatrix {
-		resp := MatrixResponse{Job: view}
-		if view.Status == JobDone {
-			resp.Result, _ = t.mjob.Wait()
-		}
-		return resp
-	}
 	resp := SweepResponse{Job: view}
 	if view.Status == JobDone {
 		resp.Result, _ = t.job.Wait()
@@ -445,8 +426,8 @@ func jobResponse(t *trackedJob) any {
 	return resp
 }
 
-// StreamEvent is one NDJSON line of POST /v1/matrix?stream=1 and POST
-// /v1/sweep?stream=1: one "cell" event per resolved cell (in
+// StreamEvent is one NDJSON line of POST /v1/sweep?stream=1: one
+// "cell" event per resolved cell (in
 // completion order), then one final "result" (or "error") event. The
 // final event of a cancelled campaign is "error" with the job view's
 // status canceled.
@@ -457,16 +438,14 @@ type StreamEvent struct {
 	Cell *ltp.CellResult `json:"cell,omitempty"`
 	// Job is the final job view (result and error events).
 	Job *JobView `json:"job,omitempty"`
-	// Result is the aggregated matrix campaign (matrix result events).
-	Result *ltp.MatrixResult `json:"result,omitempty"`
-	// Sweep is the aggregated sweep campaign (sweep result events).
+	// Sweep is the aggregated sweep campaign (result events).
 	Sweep *ltp.SweepResult `json:"sweep,omitempty"`
 	// Error is the failure or cancellation cause (error events).
 	Error string `json:"error,omitempty"`
 }
 
-// respondSubmitted handles the ?stream=1 / ?wait=1 forms shared by
-// the matrix and sweep endpoints.
+// respondSubmitted handles the ?stream=1 / ?wait=1 forms of the sweep
+// endpoint.
 func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, t *trackedJob) {
 	switch {
 	case wantsStream(r):
@@ -532,50 +511,8 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, t *trackedJob
 		return
 	}
 	ev := StreamEvent{Type: "result", Job: &view}
-	if t.kind == KindMatrix {
-		ev.Result, _ = t.mjob.Wait()
-	} else {
-		ev.Sweep, _ = t.job.Wait()
-	}
+	ev.Sweep, _ = t.job.Wait()
 	emit(ev)
-}
-
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	var req MatrixRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	spec, err := req.matrixSpec(s.limits)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	hash, err := spec.Hash()
-	if err != nil {
-		s.writeError(w, badRequest("%v", err))
-		return
-	}
-	id, err := s.jobs.admit(hash)
-	if err != nil {
-		if errors.Is(err, errBusy) {
-			s.writeBusy(w, err, hash)
-			return
-		}
-		s.writeError(w, err)
-		return
-	}
-	mjob, err := s.engine.SubmitMatrix(spec)
-	if err != nil {
-		s.jobs.release()
-		s.writeError(w, badRequest("%v", err))
-		return
-	}
-	t := s.jobs.register(newTrackedJob(id, KindMatrix, hash, mjob.Job(), mjob, wantsStream(r)))
-	if s.logf != nil {
-		s.logf("campaign %s submitted: %d runs, hash %s", id, mjob.TotalRuns(), hash)
-	}
-	s.respondSubmitted(w, r, t)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -611,7 +548,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("%v", err))
 		return
 	}
-	t := s.jobs.register(newTrackedJob(id, KindSweep, hash, job, nil, wantsStream(r)))
+	t := s.jobs.register(newTrackedJob(id, hash, job, wantsStream(r)))
 	if s.logf != nil {
 		s.logf("sweep %s submitted: %d runs, hash %s", id, job.TotalRuns(), hash)
 	}

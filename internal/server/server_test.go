@@ -48,9 +48,33 @@ func post(t *testing.T, url string, body string, out any) *http.Response {
 // quickRunBody is a small but real run request.
 const quickRunBody = `{"scenario":"branchy","scale":0.05,"max_insts":5000}`
 
-// quickMatrixBody is a 1-scenario, 2-config, 2-seed campaign.
-const quickMatrixBody = `{"scenarios":["branchy"],"seeds":2,"scale":0.05,"detail_insts":4000,
-  "configs":[{"name":"base"},{"name":"ltp","use_ltp":true,"config":{"iq_size":32}}]}`
+// quickMatrixBody is a matrix-shaped sweep: 1 scenario, 2 configs,
+// 2 replicated seeds.
+const quickMatrixBody = `{
+  "base": {"scale":0.05,"max_insts":4000},
+  "axes": [
+    {"name":"scenario","points":[{"name":"branchy","patch":{"scenario":"branchy"}}]},
+    {"name":"config","points":[
+      {"name":"base","patch":{}},
+      {"name":"ltp","patch":{"use_ltp":true,"iq_size":32}}]},
+    {"name":"seed","replicate":true,"points":[
+      {"name":"s0","patch":{"seed":0}},
+      {"name":"s1","patch":{"seed":1}}]}
+  ]}`
+
+// seedSweepBody is a one-scenario sweep replicated over seeds
+// baseSeed, baseSeed+1, ...
+func seedSweepBody(scenario string, scale float64, maxInsts, seeds, baseSeed int) string {
+	var pts strings.Builder
+	for k := 0; k < seeds; k++ {
+		if k > 0 {
+			pts.WriteByte(',')
+		}
+		fmt.Fprintf(&pts, `{"name":"s%d","patch":{"seed":%d}}`, baseSeed+k, baseSeed+k)
+	}
+	return fmt.Sprintf(`{"base":{"scenario":%q,"scale":%g,"max_insts":%d},"axes":[{"name":"seed","replicate":true,"points":[%s]}]}`,
+		scenario, scale, maxInsts, pts.String())
+}
 
 func TestHealthAndWorkloads(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -144,16 +168,16 @@ func TestValidationRejects(t *testing.T) {
 	}
 
 	var e ErrorResponse
-	if resp := post(t, ts.URL+"/v1/matrix", `{"seeds":100000}`, &e); resp.StatusCode != 400 {
-		t.Errorf("matrix seeds over limit: status %d; want 400", resp.StatusCode)
+	if resp := post(t, ts.URL+"/v1/sweep", seedSweepBody("branchy", 0.05, 2000, DefaultLimits().MaxSeeds+1, 0), &e); resp.StatusCode != 400 {
+		t.Errorf("sweep seeds over limit: status %d; want 400", resp.StatusCode)
 	}
 }
 
 func TestMatrixWaitAndResubmitHits(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	var m1 MatrixResponse
-	if resp := post(t, ts.URL+"/v1/matrix?wait=1", quickMatrixBody, &m1); resp.StatusCode != 200 {
+	var m1 SweepResponse
+	if resp := post(t, ts.URL+"/v1/sweep?wait=1", quickMatrixBody, &m1); resp.StatusCode != 200 {
 		t.Fatalf("matrix status %d", resp.StatusCode)
 	}
 	if m1.Job.Status != JobDone || m1.Result == nil {
@@ -167,8 +191,8 @@ func TestMatrixWaitAndResubmitHits(t *testing.T) {
 	}
 
 	// Identical resubmission: served from cache, zero new simulations.
-	var m2 MatrixResponse
-	post(t, ts.URL+"/v1/matrix?wait=1", quickMatrixBody, &m2)
+	var m2 SweepResponse
+	post(t, ts.URL+"/v1/sweep?wait=1", quickMatrixBody, &m2)
 	if m2.Job.Hash != m1.Job.Hash {
 		t.Fatalf("identical campaigns hash differently")
 	}
@@ -190,7 +214,7 @@ func TestMatrixWaitAndResubmitHits(t *testing.T) {
 	if len(jobs.Jobs) != 2 {
 		t.Fatalf("%d jobs listed; want 2", len(jobs.Jobs))
 	}
-	var one MatrixResponse
+	var one SweepResponse
 	resp2, err := http.Get(ts.URL + "/v1/jobs/" + m1.Job.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +235,8 @@ func TestMatrixWaitAndResubmitHits(t *testing.T) {
 func TestMatrixAsyncLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	var m MatrixResponse
-	if resp := post(t, ts.URL+"/v1/matrix", quickMatrixBody, &m); resp.StatusCode != http.StatusAccepted {
+	var m SweepResponse
+	if resp := post(t, ts.URL+"/v1/sweep", quickMatrixBody, &m); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async matrix status %d; want 202", resp.StatusCode)
 	}
 	if m.Job.ID == "" {
@@ -220,7 +244,7 @@ func TestMatrixAsyncLifecycle(t *testing.T) {
 	}
 	// Poll until done.
 	for i := 0; ; i++ {
-		var v MatrixResponse
+		var v SweepResponse
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + m.Job.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +269,7 @@ func TestMatrixAsyncLifecycle(t *testing.T) {
 func TestMatrixStreamNDJSON(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	resp, err := http.Post(ts.URL+"/v1/matrix?stream=1", "application/json", strings.NewReader(quickMatrixBody))
+	resp, err := http.Post(ts.URL+"/v1/sweep?stream=1", "application/json", strings.NewReader(quickMatrixBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +295,7 @@ func TestMatrixStreamNDJSON(t *testing.T) {
 		t.Fatalf("%d events; want 4 cells + 1 result", len(events))
 	}
 	last := events[len(events)-1]
-	if last.Type != "result" || last.Result == nil || last.Job == nil || last.Job.Status != JobDone {
+	if last.Type != "result" || last.Sweep == nil || last.Job == nil || last.Job.Status != JobDone {
 		t.Fatalf("final event = %+v; want a done result", last)
 	}
 	seen := map[int]bool{}
@@ -312,8 +336,7 @@ func TestBackpressure429(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"scenarios":["ptrchase"],"seeds":3,"scale":0.1,"detail_insts":60000,"base_seed":%d,"configs":[{"name":"c"}]}`, 1000*i)
-			post(t, ts.URL+"/v1/matrix?wait=1", body, nil)
+			post(t, ts.URL+"/v1/sweep?wait=1", seedSweepBody("ptrchase", 0.1, 60000, 3, 1000*i), nil)
 		}(i)
 	}
 
@@ -324,7 +347,7 @@ func TestBackpressure429(t *testing.T) {
 	got429 := false
 	for i := 0; i < 4000 && !got429; i++ {
 		var e ErrorResponse
-		resp := post(t, ts.URL+"/v1/matrix", `{"scenarios":["branchy"],"seeds":1,"scale":0.05,"detail_insts":2000,"configs":[{"name":"c"}]}`, &e)
+		resp := post(t, ts.URL+"/v1/sweep", seedSweepBody("branchy", 0.05, 2000, 1, 0), &e)
 		switch resp.StatusCode {
 		case 429:
 			got429 = true
@@ -385,20 +408,20 @@ func TestDeleteJobCancels(t *testing.T) {
 	// A slow campaign: 4 runs of 120k pointer-chase instructions behind
 	// 1 worker — the first cell alone outlasts the submit+DELETE round
 	// trip by orders of magnitude, and the resubmission stays cheap.
-	slowBody := `{"scenarios":["ptrchase"],"seeds":4,"scale":0.1,"detail_insts":120000,"configs":[{"name":"c"}]}`
-	var m MatrixResponse
-	if resp := post(t, ts.URL+"/v1/matrix", slowBody, &m); resp.StatusCode != http.StatusAccepted {
+	slowBody := seedSweepBody("ptrchase", 0.1, 120000, 4, 0)
+	var m SweepResponse
+	if resp := post(t, ts.URL+"/v1/sweep", slowBody, &m); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
 
-	var del MatrixResponse
+	var del SweepResponse
 	if resp := do(t, http.MethodDelete, ts.URL+"/v1/jobs/"+m.Job.ID, &del); resp.StatusCode != 200 {
 		t.Fatalf("delete status %d", resp.StatusCode)
 	}
 
 	// The job must settle as canceled promptly (the in-flight cell
 	// aborts mid-pipeline; queued ones never start).
-	var v MatrixResponse
+	var v SweepResponse
 	for i := 0; ; i++ {
 		do(t, http.MethodGet, ts.URL+"/v1/jobs/"+m.Job.ID, &v)
 		if v.Job.Status == JobCanceled {
@@ -421,7 +444,7 @@ func TestDeleteJobCancels(t *testing.T) {
 	}
 
 	// Idempotent: deleting again returns the same settled view.
-	var again MatrixResponse
+	var again SweepResponse
 	if resp := do(t, http.MethodDelete, ts.URL+"/v1/jobs/"+m.Job.ID, &again); resp.StatusCode != 200 || again.Job.Status != JobCanceled {
 		t.Fatalf("second delete = %d %q; want 200 canceled", resp.StatusCode, again.Job.Status)
 	}
@@ -431,8 +454,8 @@ func TestDeleteJobCancels(t *testing.T) {
 
 	// No stale canceled cells: resubmitting must re-simulate (some
 	// cells may legitimately hit — the ones that finished pre-cancel).
-	var redo MatrixResponse
-	if resp := post(t, ts.URL+"/v1/matrix?wait=1", slowBody, &redo); resp.StatusCode != 200 {
+	var redo SweepResponse
+	if resp := post(t, ts.URL+"/v1/sweep?wait=1", slowBody, &redo); resp.StatusCode != 200 {
 		t.Fatalf("resubmit status %d", resp.StatusCode)
 	}
 	if redo.Job.Status != JobDone || redo.Job.Progress.CacheMisses == 0 {
@@ -442,7 +465,7 @@ func TestDeleteJobCancels(t *testing.T) {
 }
 
 // quickSweepBody exercises POST /v1/sweep: an IQ axis crossed with a
-// replicated seed axis — a shape the matrix endpoint cannot express.
+// replicated seed axis.
 const quickSweepBody = `{
   "base": {"scenario":"branchy","scale":0.05,"max_insts":4000},
   "axes": [
@@ -500,8 +523,8 @@ func TestSweepEndpoint(t *testing.T) {
 func TestCellLogReleasedAfterFinish(t *testing.T) {
 	srv, ts := newTestServer(t)
 
-	var m MatrixResponse
-	if resp := post(t, ts.URL+"/v1/matrix?wait=1", quickMatrixBody, &m); resp.StatusCode != 200 {
+	var m SweepResponse
+	if resp := post(t, ts.URL+"/v1/sweep?wait=1", quickMatrixBody, &m); resp.StatusCode != 200 {
 		t.Fatalf("matrix status %d", resp.StatusCode)
 	}
 	tj, ok := srv.jobs.get(m.Job.ID)
@@ -522,7 +545,7 @@ func TestCellLogReleasedAfterFinish(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// The job itself must remain addressable with full progress.
-	var v MatrixResponse
+	var v SweepResponse
 	do(t, http.MethodGet, ts.URL+"/v1/jobs/"+m.Job.ID, &v)
 	if v.Job.Status != JobDone || v.Result == nil {
 		t.Fatalf("job view degraded after log release: %+v", v.Job)

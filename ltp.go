@@ -330,7 +330,7 @@ type RunSpec struct {
 // Canonical errors when the spec has no normal form: a caller-supplied
 // Program, a ReplayFrom/RecordTo stream, or a prebuilt LTP.Oracle
 // (their identity lives outside the spec). Such runs still execute
-// through Run; they just cannot be cached.
+// through RunContext; they just cannot be cached.
 func (s RunSpec) Canonical() (RunSpec, error) {
 	switch {
 	case s.Program != nil:
@@ -756,14 +756,6 @@ func Scenarios() []workload.Family { return workload.Families() }
 // ScenarioByName fetches one scenario family.
 func ScenarioByName(name string) (workload.Family, error) { return workload.FamilyByName(name) }
 
-// Run executes one simulation to completion, without cancellation.
-//
-// Deprecated: use RunContext, which can be cancelled or given a
-// deadline. Run is RunContext with a background context.
-func Run(spec RunSpec) (RunResult, error) {
-	return RunContext(context.Background(), spec)
-}
-
 // cancelErr normalizes a cancellation observed mid-run into the
 // context's own error (the cancellation cause when one was supplied).
 func cancelErr(ctx context.Context) error { return sim.CancelErr(ctx) }
@@ -965,24 +957,4 @@ func finishResult(st sim.Stats, pcfg pipeline.Config, lcfg *core.Config) RunResu
 // not re-simulated. ctx bounds the whole job (see Engine.Submit).
 func Submit(ctx context.Context, spec SweepSpec) (*Job, error) {
 	return DefaultEngine().Submit(ctx, spec)
-}
-
-// SubmitMatrix asynchronously submits a scenario-matrix campaign to
-// the process-wide DefaultEngine and returns immediately with a
-// MatrixJob handle (progress counters, Done channel, Wait).
-//
-// Deprecated: use Submit with NewMatrixSweep, which threads a context
-// and streams per-cell results. For a synchronous, uncached campaign
-// on a transient pool use RunMatrix.
-func SubmitMatrix(spec MatrixSpec) (*MatrixJob, error) {
-	return DefaultEngine().SubmitMatrix(spec)
-}
-
-// MustRun is Run that panics on error (experiment harness convenience).
-func MustRun(spec RunSpec) RunResult {
-	r, err := Run(spec)
-	if err != nil {
-		panic(fmt.Sprintf("ltp: %v", err))
-	}
-	return r
 }

@@ -1,6 +1,7 @@
 package ltp_test
 
 import (
+	"context"
 	"testing"
 
 	"ltp"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestRunUnknownWorkload(t *testing.T) {
-	if _, err := ltp.Run(ltp.RunSpec{Workload: "nope"}); err == nil {
+	if _, err := ltp.RunContext(context.Background(), ltp.RunSpec{Workload: "nope"}); err == nil {
 		t.Fatal("unknown workload did not error")
 	}
 }
@@ -24,7 +25,7 @@ func TestWorkloadsRegistry(t *testing.T) {
 }
 
 func TestRunBaselineSmoke(t *testing.T) {
-	r, err := ltp.Run(ltp.RunSpec{
+	r, err := ltp.RunContext(context.Background(), ltp.RunSpec{
 		Workload: "gather", Scale: 0.05,
 		WarmInsts: 10_000, MaxInsts: 30_000,
 	})
@@ -47,8 +48,8 @@ func TestRunDeterminism(t *testing.T) {
 		Workload: "indirectwork", Scale: 0.05,
 		WarmInsts: 10_000, MaxInsts: 30_000, UseLTP: true,
 	}
-	a := ltp.MustRun(spec)
-	b := ltp.MustRun(spec)
+	a := mustRun(t, spec)
+	b := mustRun(t, spec)
 	if a.Cycles != b.Cycles || a.MLP != b.MLP {
 		t.Errorf("nondeterministic: %d vs %d cycles", a.Cycles, b.Cycles)
 	}
@@ -63,7 +64,7 @@ func TestLTPRecoversSmallCorePerformance(t *testing.T) {
 	small.IntRegs, small.FPRegs = 96, 96
 
 	mk := func(useLTP bool, cfg pipeline.Config) ltp.RunResult {
-		return ltp.MustRun(ltp.RunSpec{
+		return mustRun(t, ltp.RunSpec{
 			Workload: "indirectwork", Scale: 0.1,
 			WarmInsts: 30_000, MaxInsts: 80_000,
 			Pipeline: &cfg, UseLTP: useLTP,
@@ -88,7 +89,7 @@ func TestLTPRecoversSmallCorePerformance(t *testing.T) {
 }
 
 func TestMonitorKeepsLTPOffOnCompute(t *testing.T) {
-	r := ltp.MustRun(ltp.RunSpec{
+	r := mustRun(t, ltp.RunSpec{
 		Workload: "compute", Scale: 0.05,
 		WarmInsts: 5_000, MaxInsts: 20_000, UseLTP: true,
 	})
@@ -107,7 +108,7 @@ func TestOracleMode(t *testing.T) {
 	lcfg := core.DefaultConfig()
 	lcfg.Mode = core.ModeNRNU
 	lcfg.Entries, lcfg.Ports = 0, 0
-	r := ltp.MustRun(ltp.RunSpec{
+	r := mustRun(t, ltp.RunSpec{
 		Workload: "gather", Scale: 0.05,
 		WarmInsts: 10_000, MaxInsts: 30_000,
 		UseLTP: true, LTP: &lcfg, Oracle: true,
@@ -141,7 +142,7 @@ func TestWarmupEquivalence(t *testing.T) {
 			cfg.IQSize = 32
 			cfg.IntRegs, cfg.FPRegs = 96, 96
 			run := func(wm ltp.WarmMode) ltp.RunResult {
-				return ltp.MustRun(ltp.RunSpec{
+				return mustRun(t, ltp.RunSpec{
 					Workload: tc.workload, Scale: 0.1,
 					WarmInsts: 40_000, MaxInsts: 80_000, WarmMode: wm,
 					Pipeline: &cfg, UseLTP: tc.useLTP,
@@ -179,7 +180,7 @@ func TestWarmModeString(t *testing.T) {
 
 func TestCustomProgram(t *testing.T) {
 	wl, _ := ltp.WorkloadByName("stream")
-	r, err := ltp.Run(ltp.RunSpec{
+	r, err := ltp.RunContext(context.Background(), ltp.RunSpec{
 		Program:   wl.Build(0.05),
 		WarmInsts: 5_000, MaxInsts: 20_000,
 	})
@@ -189,4 +190,14 @@ func TestCustomProgram(t *testing.T) {
 	if r.Committed < 20_000 {
 		t.Errorf("committed %d", r.Committed)
 	}
+}
+
+// mustRun runs spec to completion, failing the test on error.
+func mustRun(tb testing.TB, spec ltp.RunSpec) ltp.RunResult {
+	tb.Helper()
+	r, err := ltp.RunContext(context.Background(), spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
 }

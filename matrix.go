@@ -1,22 +1,16 @@
 package ltp
 
 // The scenario-matrix campaign: the cross-product of {scenario family ×
-// processor configuration × N seeds}, run on the shared LPT worker pool
-// and aggregated as mean ± 95% confidence intervals. It replaces the
-// single-seed figure points with a statistically honest population —
-// the foundation the scaling roadmap (sharding, multi-backend, remote
-// campaigns) builds on. RunMatrix is the synchronous, uncached runner;
-// Engine.SubmitMatrix (the campaign service path) executes the same
-// cell enumeration asynchronously through the content-addressed cache.
+// processor configuration × N seeds}, aggregated as mean ± 95%
+// confidence intervals. It replaces single-seed figure points with a
+// statistically honest population. A matrix is one shape of sweep:
+// NewMatrixSweep builds it, and Engine.Submit runs it like any other.
 
 import (
 	"fmt"
 
 	"ltp/internal/core"
 	"ltp/internal/pipeline"
-	"ltp/internal/sched"
-	"ltp/internal/sim"
-	"ltp/internal/stats"
 	"ltp/internal/workload"
 )
 
@@ -47,334 +41,58 @@ func DefaultMatrixConfigs() []MatrixConfig {
 	}
 }
 
-// MatrixSpec describes a scenario-matrix campaign.
-type MatrixSpec struct {
-	// Scenarios lists scenario family names (empty = every family).
-	Scenarios []string
-	// Knobs overrides family defaults for every cell (nil = defaults).
-	Knobs *workload.Knobs
-	// Configs lists the configurations (empty = DefaultMatrixConfigs).
-	Configs []MatrixConfig
-
-	// Seeds is the number of replicated runs per cell (default 3).
-	Seeds int
-	// BaseSeed offsets the replicate seeds (replicate k runs with seed
-	// BaseSeed + k).
-	BaseSeed int64
-
-	// Scale shrinks workload working sets, as in RunSpec (default 1.0).
-	Scale float64
-	// WarmInsts is the per-run warm-up budget (default 0).
-	WarmInsts uint64
-	// DetailInsts is the per-run measured budget (default 1 M).
-	DetailInsts uint64
-	// WarmMode selects the warm-up path (default WarmFast).
-	WarmMode WarmMode
-	// Backend selects the execution backend for every cell (default
-	// BackendCycle; BackendSampled measures checkpointed intervals at
-	// a fraction of the wall-clock; BackendModel runs the whole
-	// campaign as fast first-order estimates).
-	Backend string
-	// Intervals is the sampled backend's measured interval count K per
-	// cell (0 = DefaultSampledIntervals; ignored — and canonically
-	// zeroed — for other backends, as in RunSpec).
-	Intervals int
-
-	// Parallelism bounds concurrent simulations (0 = NumCPU). It does
-	// not affect results and is excluded from the campaign's identity
-	// (Canonical zeroes it).
-	Parallelism int
-}
-
-// Canonical returns the campaign in normal form: scenario and config
-// lists made explicit (empty = all families / DefaultMatrixConfigs,
-// validated), budget defaults filled in, and execution-only fields
-// (Parallelism) zeroed so they cannot perturb the campaign's identity.
-// Per-cell knob resolution happens at the RunSpec level, where the
-// scenario family is known.
-//
-// Canonical additionally rejects configs whose identity lives outside
-// the spec (a prebuilt LTP.Oracle) — they cannot be content-addressed.
-// RunMatrix, which never caches, accepts them (it normalizes without
-// this restriction).
-func (m MatrixSpec) Canonical() (MatrixSpec, error) {
-	c, err := m.normalized()
-	if err != nil {
-		return MatrixSpec{}, err
+// NewMatrixSweep builds the scenario-matrix campaign as a sweep over
+// base: a "scenario" axis (empty scenarios = every family), a "config"
+// axis (empty configs = DefaultMatrixConfigs), and a replicated "seed"
+// axis of seeds replicates (seeds <= 0 = 3), replicate k running with
+// seed base.Seed + k. Cells are scenario-major, then config, each
+// aggregating its seeds into mean ± 95% CI summaries.
+func NewMatrixSweep(base RunSpec, scenarios []string, configs []MatrixConfig, seeds int) (SweepSpec, error) {
+	if len(scenarios) == 0 {
+		scenarios = workload.FamilyNames()
 	}
-	for _, cfg := range c.Configs {
-		if cfg.UseLTP && cfg.LTP.Oracle != nil {
-			return MatrixSpec{}, fmt.Errorf("ltp: matrix config %q with a prebuilt oracle has no canonical form", cfg.Name)
-		}
+	if len(configs) == 0 {
+		configs = DefaultMatrixConfigs()
 	}
-	return c, nil
-}
-
-// normalized is Canonical minus the hashability restriction: axes made
-// explicit and validated, defaults filled in, Parallelism zeroed.
-func (m MatrixSpec) normalized() (MatrixSpec, error) {
-	if len(m.Scenarios) == 0 {
-		m.Scenarios = workload.FamilyNames()
+	if seeds <= 0 {
+		seeds = 3
 	}
-	for _, name := range m.Scenarios {
+	scnAxis := SweepAxis{Name: "scenario"}
+	for _, name := range scenarios {
 		if _, err := workload.FamilyByName(name); err != nil {
-			return MatrixSpec{}, err
+			return SweepSpec{}, err
 		}
+		scnAxis.Points = append(scnAxis.Points, SweepPoint{
+			Name: name, Patch: RunPatch{Scenario: &name},
+		})
 	}
-	if len(m.Configs) == 0 {
-		m.Configs = DefaultMatrixConfigs()
-	}
-	configs := make([]MatrixConfig, len(m.Configs))
-	copy(configs, m.Configs)
-	for i := range configs {
+	cfgAxis := SweepAxis{Name: "config"}
+	for _, cfg := range configs {
+		// Each column spells out its whole core and parking unit, so
+		// it means the same whatever the base says.
 		pcfg := pipeline.DefaultConfig()
-		if configs[i].Pipeline != nil {
-			pcfg = *configs[i].Pipeline
+		if cfg.Pipeline != nil {
+			pcfg = *cfg.Pipeline
 		}
-		configs[i].Pipeline = &pcfg
-		if configs[i].UseLTP {
-			lcfg := core.DefaultConfig()
-			if configs[i].LTP != nil {
-				lcfg = *configs[i].LTP
+		var lcfg *core.Config
+		if cfg.UseLTP {
+			c := core.DefaultConfig()
+			if cfg.LTP != nil {
+				c = *cfg.LTP
 			}
-			configs[i].LTP = &lcfg
-		} else {
-			configs[i].LTP = nil
+			lcfg = &c
 		}
+		cfgAxis.Points = append(cfgAxis.Points, SweepPoint{
+			Name:  cfg.Name,
+			Patch: RunPatch{Pipeline: &pcfg, UseLTP: &cfg.UseLTP, LTP: lcfg},
+		})
 	}
-	m.Configs = configs
-	if m.Seeds <= 0 {
-		m.Seeds = 3
+	seedAxis := SweepAxis{Name: "seed", Replicate: true}
+	for k := 0; k < seeds; k++ {
+		seed := base.Seed + int64(k)
+		seedAxis.Points = append(seedAxis.Points, SweepPoint{
+			Name: fmt.Sprintf("seed%d", seed), Patch: RunPatch{Seed: &seed},
+		})
 	}
-	if m.Scale == 0 {
-		m.Scale = 1.0
-	}
-	if m.DetailInsts == 0 {
-		m.DetailInsts = 1_000_000
-	}
-	if m.WarmInsts == 0 {
-		m.WarmMode = WarmFast
-	}
-	backend, err := sim.Lookup(m.Backend)
-	if err != nil {
-		return MatrixSpec{}, err
-	}
-	m.Backend = backend.Name()
-	if backend.Fidelity() != sim.FidelityCycle {
-		m.WarmMode = WarmFast // the analytical warm path is unique
-	}
-	if m.Backend == BackendSampled {
-		m.Intervals = sampledIntervals(m.Intervals, m.DetailInsts)
-	} else {
-		m.Intervals = 0 // K is meaningless off the sampled backend
-	}
-	m.Parallelism = 0
-	return m, nil
-}
-
-// matrixSpecHashVersion versions the canonical matrix serialization
-// (see runSpecHashVersion; "mx2": the execution backend joined the
-// canonical form; "mx3": the sampled backend's interval count K).
-const matrixSpecHashVersion = "mx3"
-
-// Hash returns a stable content address ("mx4:<hex>") of the
-// canonical campaign; equal hashes mean identical cell populations.
-func (m MatrixSpec) Hash() (string, error) {
-	c, err := m.Canonical()
-	if err != nil {
-		return "", err
-	}
-	return hashJSON(matrixSpecHashVersion, c)
-}
-
-// MatrixCell aggregates one (scenario, config) cell's replicates.
-type MatrixCell struct {
-	// Scenario names the cell's scenario family.
-	Scenario string
-	// Config names the cell's configuration column.
-	Config string
-
-	// CPI summarizes the replicates' cycles per instruction.
-	CPI stats.Summary
-	// IPC summarizes instructions per cycle.
-	IPC stats.Summary
-	// MLP summarizes the average outstanding DRAM requests.
-	MLP stats.Summary
-	// AvgLoadLat summarizes the average load latency in cycles.
-	AvgLoadLat stats.Summary
-	// Parked is the time-average number of parked instructions (zero
-	// summary when the configuration has no LTP attached).
-	Parked stats.Summary
-}
-
-// MatrixResult is a finished campaign: one cell per scenario × config,
-// ordered scenario-major in the spec's order.
-type MatrixResult struct {
-	// Scenarios echoes the campaign's scenario axis, in spec order.
-	Scenarios []string
-	// Configs echoes the configuration axis, in spec order.
-	Configs []string
-	// Seeds is the replicate count per cell.
-	Seeds int
-	// Cells holds the aggregates, scenario-major.
-	Cells []MatrixCell
-}
-
-// Cell returns the named cell, or nil.
-func (m *MatrixResult) Cell(scenario, config string) *MatrixCell {
-	for i := range m.Cells {
-		c := &m.Cells[i]
-		if c.Scenario == scenario && c.Config == config {
-			return c
-		}
-	}
-	return nil
-}
-
-// cellRun is one replicate of one matrix cell, ready to execute.
-type cellRun struct {
-	spec RunSpec
-	cell int // index into the scenario-major cell array
-}
-
-// matrixRuns expands a canonical campaign into its per-replicate runs,
-// cell-major in (scenario, config, seed) order.
-func matrixRuns(spec MatrixSpec) []cellRun {
-	scenarios, configs := spec.Scenarios, spec.Configs
-	runs := make([]cellRun, 0, len(scenarios)*len(configs)*spec.Seeds)
-	for si, scn := range scenarios {
-		for ci, cfg := range configs {
-			for k := 0; k < spec.Seeds; k++ {
-				runs = append(runs, cellRun{
-					cell: si*len(configs) + ci,
-					spec: RunSpec{
-						Scenario:  scn,
-						Knobs:     spec.Knobs,
-						Seed:      spec.BaseSeed + int64(k),
-						Scale:     spec.Scale,
-						WarmInsts: spec.WarmInsts,
-						WarmMode:  spec.WarmMode,
-						MaxInsts:  spec.DetailInsts,
-						Pipeline:  cfg.Pipeline,
-						UseLTP:    cfg.UseLTP,
-						LTP:       cfg.LTP,
-						Backend:   spec.Backend,
-						Intervals: spec.Intervals,
-					},
-				})
-			}
-		}
-	}
-	return runs
-}
-
-// runWeight estimates a run's relative wall-clock for LPT ordering:
-// LTP machinery and small IQs (higher CPI) dominate, exactly as in the
-// experiment suite's estimate. Model-backend cells cost a few percent
-// of a detailed cell (no per-cycle loop), so they must not claim the
-// longest-processing-time slots a campaign's detailed cells need.
-func runWeight(spec RunSpec) float64 {
-	c := 1.0
-	if spec.UseLTP {
-		c += 0.3
-	}
-	iq := pipeline.DefaultConfig().IQSize
-	if spec.Pipeline != nil {
-		iq = spec.Pipeline.IQSize
-	}
-	if iq < 8 {
-		iq = 8
-	}
-	w := c + 32.0/float64(iq)
-	switch specBackendName(spec) {
-	case BackendSampled:
-		// A sampled run cycle-simulates a 1/K coverage fraction and
-		// functionally warms the rest (roughly a tenth of detailed
-		// cost per instruction).
-		k := sampledIntervals(spec.Intervals, spec.MaxInsts)
-		w *= 0.1 + 1.0/float64(k)
-	default:
-		if !specCycleFidelity(spec) {
-			w *= 0.05
-		}
-	}
-	return w
-}
-
-// aggregateMatrix folds per-replicate results (indexed like
-// matrixRuns' output) into the campaign's cell summaries.
-func aggregateMatrix(spec MatrixSpec, runs []cellRun, results []RunResult) *MatrixResult {
-	scenarios, configs := spec.Scenarios, spec.Configs
-	out := &MatrixResult{Scenarios: scenarios, Seeds: spec.Seeds}
-	for _, c := range configs {
-		out.Configs = append(out.Configs, c.Name)
-	}
-	out.Cells = make([]MatrixCell, len(scenarios)*len(configs))
-	samples := make([][]RunResult, len(out.Cells))
-	for i, r := range runs {
-		samples[r.cell] = append(samples[r.cell], results[i])
-	}
-	for ci := range out.Cells {
-		cellRuns := samples[ci]
-		pull := func(f func(RunResult) float64) stats.Summary {
-			vals := make([]float64, len(cellRuns))
-			for i, r := range cellRuns {
-				vals[i] = f(r)
-			}
-			return stats.Summarize(vals)
-		}
-		cell := &out.Cells[ci]
-		cell.Scenario = scenarios[ci/len(configs)]
-		cell.Config = configs[ci%len(configs)].Name
-		cell.CPI = pull(func(r RunResult) float64 { return r.CPI })
-		cell.IPC = pull(func(r RunResult) float64 { return r.IPC })
-		cell.MLP = pull(func(r RunResult) float64 { return r.MLP })
-		cell.AvgLoadLat = pull(func(r RunResult) float64 { return r.AvgLoadLatency })
-		if configs[ci%len(configs)].UseLTP {
-			cell.Parked = pull(func(r RunResult) float64 {
-				if r.LTP == nil {
-					return 0
-				}
-				return r.LTP.AvgInsts
-			})
-		}
-	}
-	return out
-}
-
-// RunMatrix executes the scenario-matrix campaign on a transient
-// shared LPT worker pool and aggregates each cell's replicates into
-// mean ± 95% CI summaries. Every run is independent and deterministic
-// in its seed, so a matrix is reproducible run-to-run and machine-to-
-// machine. RunMatrix is synchronous and uncached, and it remains the
-// only campaign path that accepts non-content-addressable configs
-// (prebuilt oracles).
-//
-// Deprecated: new callers should submit the equivalent sweep —
-// Engine.Submit with NewMatrixSweep — which is cancellable, cached and
-// streams per-cell results; a finished sweep aggregates identically to
-// RunMatrix (differentially tested).
-func RunMatrix(spec MatrixSpec) (*MatrixResult, error) {
-	parallelism := spec.Parallelism
-	// normalized, not Canonical: RunMatrix never hashes or caches, so
-	// non-content-addressable configs (prebuilt oracles) stay legal.
-	canon, err := spec.normalized()
-	if err != nil {
-		return nil, err
-	}
-	runs := matrixRuns(canon)
-
-	results := make([]RunResult, len(runs))
-	errs := make([]error, len(runs))
-	sched.Run(parallelism, len(runs), func(i int) float64 { return runWeight(runs[i].spec) }, func(i int) {
-		results[i], errs[i] = Run(runs[i].spec)
-	})
-	for i, err := range errs {
-		if err != nil {
-			r := runs[i]
-			return nil, fmt.Errorf("ltp: matrix cell %s/%s seed %d: %w",
-				r.spec.Scenario, canon.Configs[r.cell%len(canon.Configs)].Name, r.spec.Seed, err)
-		}
-	}
-	return aggregateMatrix(canon, runs, results), nil
+	return SweepSpec{Base: base, Axes: []SweepAxis{scnAxis, cfgAxis, seedAxis}}, nil
 }

@@ -1,21 +1,38 @@
 package ltp_test
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"ltp"
 )
 
-// quickMatrix is the smallest campaign that still exercises seed
-// replication, the LPT pool and the LTP config column.
-func quickMatrix() ltp.MatrixSpec {
-	return ltp.MatrixSpec{
-		Scale:       0.05,
-		WarmInsts:   3_000,
-		DetailInsts: 8_000,
-		Seeds:       3,
-		Parallelism: 4,
+// quickMatrixBase is the budget base of the smallest matrix campaigns
+// that still exercise seed replication and the LTP config column.
+func quickMatrixBase() ltp.RunSpec {
+	return ltp.RunSpec{Scale: 0.05, WarmInsts: 3_000, MaxInsts: 8_000}
+}
+
+// runMatrix runs a matrix sweep on a fresh engine and returns its
+// aggregate.
+func runMatrix(tb testing.TB, base ltp.RunSpec, scenarios []string, configs []ltp.MatrixConfig, seeds, parallelism int) *ltp.SweepResult {
+	tb.Helper()
+	sweep, err := ltp.NewMatrixSweep(base, scenarios, configs, seeds)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	e := newTestEngine(tb, ltp.EngineConfig{Parallelism: parallelism})
+	defer e.Close()
+	job, err := e.Submit(context.Background(), sweep)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := job.Wait()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 // TestScenarioRunDeterminism pins the property the whole campaign
@@ -31,11 +48,11 @@ func TestScenarioRunDeterminism(t *testing.T) {
 			MaxInsts:  8_000,
 			UseLTP:    true,
 		}
-		a, err := ltp.Run(spec)
+		a, err := ltp.RunContext(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ltp.Run(spec)
+		b, err := ltp.RunContext(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,14 +70,9 @@ func TestScenarioRunDeterminism(t *testing.T) {
 // the single-seed blind spot the matrix exists to catch — a campaign
 // whose replicates are secretly identical would report CI 0.
 func TestMatrixSeedSpread(t *testing.T) {
-	spec := quickMatrix()
-	spec.Scenarios = []string{"branchy", "hashjoin"}
-	spec.Configs = []ltp.MatrixConfig{{Name: "IQ64"}}
-	res, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scn := range spec.Scenarios {
+	scenarios := []string{"branchy", "hashjoin"}
+	res := runMatrix(t, quickMatrixBase(), scenarios, []ltp.MatrixConfig{{Name: "IQ64"}}, 3, 4)
+	for _, scn := range scenarios {
 		cell := res.Cell(scn, "IQ64")
 		if cell == nil {
 			t.Fatalf("cell %s/IQ64 missing", scn)
@@ -78,25 +90,19 @@ func TestMatrixSeedSpread(t *testing.T) {
 }
 
 // TestMatrixDeterminism asserts a whole matrix is reproducible: two
-// identical campaigns aggregate to identical cells (the worker pool's
-// dispatch order must not leak into results).
+// identical campaigns on separate engines (no shared cache) aggregate
+// to identical cells — the worker pool's dispatch order must not leak
+// into results.
 func TestMatrixDeterminism(t *testing.T) {
-	spec := quickMatrix()
-	spec.Scenarios = []string{"prodcons"}
-	spec.Seeds = 2
-	a, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
+	run := func() *ltp.SweepResult {
+		return runMatrix(t, quickMatrixBase(), []string{"prodcons"}, nil, 2, 4)
 	}
-	b, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(), run()
 	if len(a.Cells) != len(b.Cells) {
 		t.Fatalf("cell counts differ: %d vs %d", len(a.Cells), len(b.Cells))
 	}
 	for i := range a.Cells {
-		if a.Cells[i] != b.Cells[i] {
+		if !reflect.DeepEqual(a.Cells[i], b.Cells[i]) {
 			t.Errorf("cell %d diverged:\n a: %+v\n b: %+v", i, a.Cells[i], b.Cells[i])
 		}
 	}
@@ -108,13 +114,7 @@ func TestMatrixDeterminism(t *testing.T) {
 // scenario-matrix race coverage; it also checks cell bookkeeping and
 // that the LTP column actually parks somewhere.
 func TestMatrixFullCrossRace(t *testing.T) {
-	spec := quickMatrix()
-	spec.Seeds = 2
-	spec.Parallelism = 6
-	res, err := ltp.RunMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMatrix(t, quickMatrixBase(), nil, nil, 2, 6)
 	nFams := len(ltp.Scenarios())
 	if nFams < 6 {
 		t.Fatalf("only %d scenario families", nFams)
@@ -125,9 +125,9 @@ func TestMatrixFullCrossRace(t *testing.T) {
 	parkedSomewhere := false
 	for _, c := range res.Cells {
 		if c.CPI.N != 2 || c.CPI.Mean <= 0 {
-			t.Errorf("cell %s/%s malformed: %+v", c.Scenario, c.Config, c.CPI)
+			t.Errorf("cell %v malformed: %+v", c.Coords, c.CPI)
 		}
-		if c.Config == "IQ32+LTP" && c.Parked.Mean > 0 {
+		if c.Coords[1] == "IQ32+LTP" && c.Parked.Mean > 0 {
 			parkedSomewhere = true
 		}
 	}
@@ -138,9 +138,7 @@ func TestMatrixFullCrossRace(t *testing.T) {
 
 // TestMatrixUnknownScenario pins the validation path.
 func TestMatrixUnknownScenario(t *testing.T) {
-	spec := quickMatrix()
-	spec.Scenarios = []string{"no-such-family"}
-	if _, err := ltp.RunMatrix(spec); err == nil {
+	if _, err := ltp.NewMatrixSweep(quickMatrixBase(), []string{"no-such-family"}, nil, 0); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }

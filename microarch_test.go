@@ -20,7 +20,7 @@ import (
 func TestTAGEBeatsGshareOnBranchy(t *testing.T) {
 	run := func(bp string) ltp.RunResult {
 		t.Helper()
-		return ltp.MustRun(ltp.RunSpec{
+		return mustRun(t, ltp.RunSpec{
 			Scenario:   "branchy",
 			Knobs:      &workload.Knobs{FootprintWords: 512, BranchEntropy: 0.5},
 			Scale:      1.0,
@@ -57,8 +57,8 @@ func TestCorunnerDeterminism(t *testing.T) {
 		UseLTP:    true,
 		Corunners: []ltp.Corunner{{Scenario: "memhog"}},
 	}
-	a := ltp.MustRun(spec)
-	b := ltp.MustRun(spec)
+	a := mustRun(t, spec)
+	b := mustRun(t, spec)
 	if a.Result != b.Result {
 		t.Fatalf("co-runner run is not deterministic:\n%+v\n%+v", a.Result, b.Result)
 	}
@@ -70,7 +70,7 @@ func TestCorunnerDeterminism(t *testing.T) {
 	}
 	solo := spec
 	solo.Corunners = nil
-	s := ltp.MustRun(solo)
+	s := mustRun(t, solo)
 	if s.CorunnerAccesses != 0 {
 		t.Fatalf("solo run reports %d co-runner accesses", s.CorunnerAccesses)
 	}
@@ -97,7 +97,7 @@ func TestCorunnerLTPDelta(t *testing.T) {
 		if hog {
 			spec.Corunners = []ltp.Corunner{{Scenario: "memhog", Intensity: 1024}}
 		}
-		return ltp.MustRun(spec).CPI
+		return mustRun(t, spec).CPI
 	}
 	dSolo := run(false, false) - run(false, true)
 	dHog := run(true, false) - run(true, true)

@@ -80,7 +80,7 @@ func TestStoreWarmEngineDifferential(t *testing.T) {
 // zero simulations.
 func TestStoreWarmSweep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.store")
-	sweep, err := ltp.NewMatrixSweep(quickSweepMatrix())
+	sweep, err := quickSweepMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSweepSinceSnapshotFullSkip(t *testing.T) {
 	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 4})
 	defer e.Close()
 
-	sweep, err := ltp.NewMatrixSweep(quickSweepMatrix())
+	sweep, err := quickSweepMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSweepSinceSnapshotPartialSkip(t *testing.T) {
 	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 4})
 	defer e.Close()
 
-	sweep, err := ltp.NewMatrixSweep(quickSweepMatrix())
+	sweep, err := quickSweepMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestSweepSinceSnapshotPartialSkip(t *testing.T) {
 // work), while foreign hashes normalize away entirely — spec and
 // address both collapse to the snapshot-free sweep.
 func TestSweepSinceSnapshotHash(t *testing.T) {
-	base, err := ltp.NewMatrixSweep(quickSweepMatrix())
+	base, err := quickSweepMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSweepSinceSnapshotHash(t *testing.T) {
 // TestSweepSinceSnapshotRejectsTriage: a triage ranking over a
 // partially skipped population would be meaningless.
 func TestSweepSinceSnapshotRejectsTriage(t *testing.T) {
-	sweep, err := ltp.NewMatrixSweep(quickSweepMatrix())
+	sweep, err := quickSweepMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}

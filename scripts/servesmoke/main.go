@@ -1,6 +1,6 @@
 // Command servesmoke is the end-to-end smoke test behind
 // `make smoke-serve`: it builds cmd/ltpserved, boots it on a free
-// port, submits a quick matrix campaign twice, and fails unless the
+// port, submits a quick matrix-shaped sweep twice, and fails unless the
 // resubmission is served entirely from the content-addressed cache
 // (every run a hit, zero new simulations). It walks the fidelity
 // surface (model and sampled backends, triage sweeps), checking that a
@@ -32,9 +32,12 @@ import (
 	"time"
 )
 
-// matrixBody is the -quick-scale campaign the smoke submits twice.
-const matrixBody = `{"scenarios":["branchy","hashjoin"],"seeds":2,"scale":0.05,"detail_insts":5000,
- "configs":[{"name":"IQ64"},{"name":"IQ32+LTP","use_ltp":true,"config":{"iq_size":32}}]}`
+// matrixBody is the -quick-scale campaign the smoke submits twice: a
+// scenario x config matrix with two replicated seeds per cell.
+const matrixBody = `{"base":{"scale":0.05,"max_insts":5000},"axes":[
+ {"name":"scenario","points":[{"name":"branchy","patch":{"scenario":"branchy"}},{"name":"hashjoin","patch":{"scenario":"hashjoin"}}]},
+ {"name":"config","points":[{"name":"IQ64","patch":{}},{"name":"IQ32+LTP","patch":{"use_ltp":true,"iq_size":32}}]},
+ {"name":"seed","replicate":true,"points":[{"name":"s0","patch":{"seed":0}},{"name":"s1","patch":{"seed":1}}]}]}`
 
 func main() {
 	if err := run(); err != nil {
@@ -135,8 +138,8 @@ type progressView struct {
 	StoreHits    int64 `json:"store_hits"`
 }
 
-// matrixResp mirrors the documented campaign response shape.
-type matrixResp struct {
+// campaignResp mirrors the documented campaign response shape.
+type campaignResp struct {
 	Job struct {
 		ID       string       `json:"id"`
 		Hash     string       `json:"hash"`
@@ -174,9 +177,9 @@ func run() error {
 		return fmt.Errorf("healthz: %w", err)
 	}
 
-	var first matrixResp
-	if err := post(base+"/v1/matrix?wait=1", matrixBody, &first); err != nil {
-		return fmt.Errorf("first matrix: %w", err)
+	var first campaignResp
+	if err := post(base+"/v1/sweep?wait=1", matrixBody, &first); err != nil {
+		return fmt.Errorf("first campaign: %w", err)
 	}
 	if first.Job.Status != "done" {
 		return fmt.Errorf("first campaign status %q (%s)", first.Job.Status, first.Job.Error)
@@ -187,9 +190,9 @@ func run() error {
 	fmt.Printf("servesmoke: first submission: %d runs, %d simulated, %d cache hits\n",
 		first.Job.Progress.TotalRuns, first.Job.Progress.CacheMisses, first.Job.Progress.CacheHits)
 
-	var second matrixResp
-	if err := post(base+"/v1/matrix?wait=1", matrixBody, &second); err != nil {
-		return fmt.Errorf("second matrix: %w", err)
+	var second campaignResp
+	if err := post(base+"/v1/sweep?wait=1", matrixBody, &second); err != nil {
+		return fmt.Errorf("second campaign: %w", err)
 	}
 	if second.Job.Status != "done" {
 		return fmt.Errorf("second campaign status %q (%s)", second.Job.Status, second.Job.Error)
@@ -393,7 +396,7 @@ type storeStatsView struct {
 }
 
 // storeRestartFlow proves results survive a hard crash: a store-backed
-// server runs the quick matrix, is SIGKILLed mid-life, and a fresh
+// server runs the quick campaign, is SIGKILLed mid-life, and a fresh
 // server on the same store file must serve the identical campaign
 // entirely from disk — every run a store hit, zero new simulations.
 func storeRestartFlow(bin, storePath string) error {
@@ -403,9 +406,9 @@ func storeRestartFlow(bin, storePath string) error {
 	}
 	defer stopServer(srv1)
 
-	var first matrixResp
-	if err := post(base+"/v1/matrix?wait=1", matrixBody, &first); err != nil {
-		return fmt.Errorf("store-backed matrix: %w", err)
+	var first campaignResp
+	if err := post(base+"/v1/sweep?wait=1", matrixBody, &first); err != nil {
+		return fmt.Errorf("store-backed campaign: %w", err)
 	}
 	if first.Job.Status != "done" || first.Job.Progress.CacheMisses == 0 {
 		return fmt.Errorf("store-backed campaign did not simulate: %+v", first.Job)
@@ -427,9 +430,9 @@ func storeRestartFlow(bin, storePath string) error {
 		return err
 	}
 	defer stopServer(srv2)
-	var redo matrixResp
-	if err := post(base2+"/v1/matrix?wait=1", matrixBody, &redo); err != nil {
-		return fmt.Errorf("post-restart matrix: %w", err)
+	var redo campaignResp
+	if err := post(base2+"/v1/sweep?wait=1", matrixBody, &redo); err != nil {
+		return fmt.Errorf("post-restart campaign: %w", err)
 	}
 	p := redo.Job.Progress
 	if redo.Job.Status != "done" || p.StoreHits != int64(total) || p.CacheMisses != 0 || p.CacheHits != 0 {
@@ -722,29 +725,31 @@ func microarchFlow(base string) error {
 	return nil
 }
 
-// cancelBody is the slow campaign the cancel phase aborts: 8 runs of
+// cancelBody is the slow campaign the cancel phase aborts: 8 seeds of
 // 150k pointer-chase instructions behind 2 workers — many seconds of
 // work, cancelled within milliseconds of submission.
-const cancelBody = `{"scenarios":["ptrchase"],"seeds":8,"scale":0.1,"detail_insts":150000,
- "configs":[{"name":"IQ64"}]}`
+const cancelBody = `{"base":{"scenario":"ptrchase","scale":0.1,"max_insts":150000},"axes":[
+ {"name":"seed","replicate":true,"points":[{"name":"s0","patch":{"seed":0}},{"name":"s1","patch":{"seed":1}},
+  {"name":"s2","patch":{"seed":2}},{"name":"s3","patch":{"seed":3}},{"name":"s4","patch":{"seed":4}},
+  {"name":"s5","patch":{"seed":5}},{"name":"s6","patch":{"seed":6}},{"name":"s7","patch":{"seed":7}}]}]}`
 
 // cancelFlow drives DELETE /v1/jobs/{id} end to end.
 func cancelFlow(base string) error {
-	var slow matrixResp
-	if err := post(base+"/v1/matrix", cancelBody, &slow); err != nil {
-		return fmt.Errorf("slow matrix submit: %w", err)
+	var slow campaignResp
+	if err := post(base+"/v1/sweep", cancelBody, &slow); err != nil {
+		return fmt.Errorf("slow campaign submit: %w", err)
 	}
 	if slow.Job.ID == "" {
 		return fmt.Errorf("slow campaign has no job id")
 	}
 
-	var deleted matrixResp
+	var deleted campaignResp
 	if err := del(base+"/v1/jobs/"+slow.Job.ID, &deleted); err != nil {
 		return fmt.Errorf("DELETE job: %w", err)
 	}
 
 	// The job must settle in state canceled promptly.
-	var view matrixResp
+	var view campaignResp
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		if err := get(base+"/v1/jobs/"+slow.Job.ID, &view); err != nil {
@@ -790,8 +795,8 @@ func cancelFlow(base string) error {
 	// No stale canceled entries: an identical resubmission must
 	// actually simulate the abandoned cells (the pre-cancel finishers
 	// may legitimately hit).
-	var redo matrixResp
-	if err := post(base+"/v1/matrix?wait=1", cancelBody, &redo); err != nil {
+	var redo campaignResp
+	if err := post(base+"/v1/sweep?wait=1", cancelBody, &redo); err != nil {
 		return fmt.Errorf("resubmit after cancel: %w", err)
 	}
 	if redo.Job.Status != "done" {

@@ -3,8 +3,8 @@ package ltp
 // The generalized sweep: a campaign is a base RunSpec plus a list of
 // axes, each axis a list of named declarative patches, and the
 // campaign's cell population is the cross-product of the axes applied
-// to the base. The scenario×config×seed matrix (MatrixSpec) is exactly
-// one shape of sweep — NewMatrixSweep constructs it — but a sweep can
+// to the base. The scenario×config×seed matrix is exactly one shape of
+// sweep — NewMatrixSweep constructs it — but a sweep can
 // vary anything a canonicalizable RunSpec can express: structure sizes
 // (IQ/ROB/LQ/SQ, rename registers), the LTP mode, warm-up modes and
 // budgets, scenario knobs, seeds. Axes are declarative (patches, not
@@ -222,8 +222,8 @@ type TriageSpec struct {
 
 // SweepSpec describes a generalized sweep campaign: Base patched by
 // the cross-product of Axes. The zero Axes sweep is a single cell
-// (just Base). Submit it with Engine.Submit; RunMatrix-style matrices
-// are one constructor away (NewMatrixSweep).
+// (just Base). Submit it with Engine.Submit; scenario matrices are one
+// constructor away (NewMatrixSweep).
 type SweepSpec struct {
 	// Base is the template spec every cell starts from. It need not be
 	// runnable on its own (an axis may supply the scenario), but every
@@ -434,9 +434,8 @@ const sweepSpecHashVersion = "sw1"
 // labeled cell population: the axis structure plus, per enumerated
 // run, its coordinates and its cell's RunSpec.Hash. Two sweeps that
 // enumerate identical cells under identical labels hash identically,
-// however their patches spelled those cells — in particular
-// NewMatrixSweep's hash is a fixed point of MatrixSpec.Canonical
-// (equivalent matrices map to equal sweep hashes). On a value returned
+// however their patches spelled those cells — in particular equivalent
+// NewMatrixSweep spellings of one matrix hash equally. On a value returned
 // by Canonical the hash is precomputed and Hash is free.
 func (s SweepSpec) Hash() (string, error) {
 	c, err := s.Canonical()
@@ -777,73 +776,4 @@ func fillCellCoords(spec SweepSpec, cells []SweepCell) {
 			idx[ai] = 0
 		}
 	}
-}
-
-// NewMatrixSweep maps a scenario-matrix campaign onto the generalized
-// sweep: a "scenario" axis, a "config" axis, and a replicated "seed"
-// axis over the matrix's budget/scale base. The enumeration order and
-// the aggregation are exactly the matrix's, so submitting the sweep
-// yields cell summaries identical to RunMatrix on the same spec, and
-// the sweep hash is a fixed point of MatrixSpec.Canonical (equivalent
-// matrices map to equal sweep hashes).
-func NewMatrixSweep(m MatrixSpec) (SweepSpec, error) {
-	c, err := m.Canonical()
-	if err != nil {
-		return SweepSpec{}, err
-	}
-	scnAxis := SweepAxis{Name: "scenario"}
-	for _, name := range c.Scenarios {
-		name := name
-		scnAxis.Points = append(scnAxis.Points, SweepPoint{
-			Name: name, Patch: RunPatch{Scenario: &name},
-		})
-	}
-	cfgAxis := SweepAxis{Name: "config"}
-	for _, cfg := range c.Configs {
-		use := cfg.UseLTP
-		cfgAxis.Points = append(cfgAxis.Points, SweepPoint{
-			Name:  cfg.Name,
-			Patch: RunPatch{Pipeline: cfg.Pipeline, UseLTP: &use, LTP: cfg.LTP},
-		})
-	}
-	seedAxis := SweepAxis{Name: "seed", Replicate: true}
-	for k := 0; k < c.Seeds; k++ {
-		seed := c.BaseSeed + int64(k)
-		seedAxis.Points = append(seedAxis.Points, SweepPoint{
-			Name: fmt.Sprintf("seed%d", seed), Patch: RunPatch{Seed: &seed},
-		})
-	}
-	return SweepSpec{
-		Base: RunSpec{
-			Knobs:     c.Knobs,
-			Scale:     c.Scale,
-			WarmInsts: c.WarmInsts,
-			WarmMode:  c.WarmMode,
-			MaxInsts:  c.DetailInsts,
-			Backend:   c.Backend,
-		},
-		Axes: []SweepAxis{scnAxis, cfgAxis, seedAxis},
-	}, nil
-}
-
-// matrixResultFromSweep reassembles a MatrixResult from a finished
-// NewMatrixSweep campaign (axes scenario, config, seed).
-func matrixResultFromSweep(m MatrixSpec, sr *SweepResult) *MatrixResult {
-	out := &MatrixResult{Scenarios: m.Scenarios, Seeds: m.Seeds}
-	for _, c := range m.Configs {
-		out.Configs = append(out.Configs, c.Name)
-	}
-	out.Cells = make([]MatrixCell, len(sr.Cells))
-	for i, sc := range sr.Cells {
-		out.Cells[i] = MatrixCell{
-			Scenario:   sc.Coords[0],
-			Config:     sc.Coords[1],
-			CPI:        sc.CPI,
-			IPC:        sc.IPC,
-			MLP:        sc.MLP,
-			AvgLoadLat: sc.AvgLoadLat,
-			Parked:     sc.Parked,
-		}
-	}
-	return out
 }

@@ -10,108 +10,76 @@ import (
 	"ltp"
 	"ltp/internal/pipeline"
 	"ltp/internal/prog"
+	"ltp/internal/stats"
 )
 
-// quickSweepMatrix is a small real campaign both campaign paths run.
-func quickSweepMatrix() ltp.MatrixSpec {
-	return ltp.MatrixSpec{
-		Scenarios: []string{"branchy", "hashjoin"},
-		Configs: []ltp.MatrixConfig{
-			{Name: "IQ64"},
-			{Name: "IQ32+LTP", UseLTP: true},
-		},
-		Seeds:       2,
-		Scale:       0.05,
-		DetailInsts: 4_000,
-	}
+// quickSweepMatrix is a small real matrix campaign.
+func quickSweepMatrix() (ltp.SweepSpec, error) {
+	return ltp.NewMatrixSweep(ltp.RunSpec{Scale: 0.05, MaxInsts: 4_000},
+		[]string{"branchy", "hashjoin"},
+		[]ltp.MatrixConfig{{Name: "IQ64"}, {Name: "IQ32+LTP", UseLTP: true}},
+		2)
 }
 
-// TestNewMatrixSweepHashFixedPoint holds the acceptance criterion: the
-// matrix→sweep mapping is a fixed point of MatrixSpec.Canonical —
-// equivalent matrices (defaults spelled implicitly or explicitly,
-// pre-canonicalized or not) map to equal sweep hashes, and actually
-// different campaigns do not.
-func TestNewMatrixSweepHashFixedPoint(t *testing.T) {
-	m := quickSweepMatrix()
-	canon, err := m.Canonical()
+// sweepHash builds a matrix sweep and returns its content address.
+func sweepHash(t *testing.T, base ltp.RunSpec, scenarios []string, configs []ltp.MatrixConfig, seeds int) string {
+	t.Helper()
+	s, err := ltp.NewMatrixSweep(base, scenarios, configs, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h, err := s.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
 
-	s1, err := ltp.NewMatrixSweep(m)
-	if err != nil {
-		t.Fatal(err)
+// TestNewMatrixSweepHashFixedPoint pins the matrix campaigns' content
+// addresses — stores and services key campaigns by them — and checks
+// that equivalent spellings of one matrix (defaults implicit or
+// explicit) hash equally while a genuinely different campaign does not.
+func TestNewMatrixSweepHashFixedPoint(t *testing.T) {
+	if h := sweepHash(t, ltp.RunSpec{}, nil, nil, 0); h != "sw1:6cce21c57a80737a8e244c0bdcdc495402d7d3d4c967f893fe6b1df08997939d" {
+		t.Errorf("default matrix sweep hash moved: %s", h)
 	}
-	s2, err := ltp.NewMatrixSweep(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, err := s1.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := s2.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Fatalf("sweep hash not a fixed point of Canonical: %s vs %s", h1, h2)
+	base := ltp.RunSpec{Scale: 0.05, WarmInsts: 1_000, MaxInsts: 4_000}
+	scns := []string{"branchy", "ptrchase"}
+	h1 := sweepHash(t, base, scns, nil, 2)
+	if h1 != "sw1:62f331eabfa3fe93f654714dc72ac4ab5bbb42056eff45c975a2d5778ba43499" {
+		t.Errorf("quick matrix sweep hash moved: %s", h1)
 	}
 
 	// Spelling the defaults explicitly must not perturb the hash.
-	explicit := m
-	explicit.Scale = 0.05
-	explicit.BaseSeed = 0
+	explicit := base
+	explicit.Backend = ltp.BackendCycle
+	explicit.WarmMode = ltp.WarmFast
 	cfg := pipeline.DefaultConfig()
-	explicit.Configs = []ltp.MatrixConfig{
-		{Name: "IQ64", Pipeline: &cfg},
-		{Name: "IQ32+LTP", UseLTP: true},
-	}
-	s3, err := ltp.NewMatrixSweep(explicit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3, _ := s3.Hash(); h3 != h1 {
-		t.Fatalf("explicit defaults changed the sweep hash: %s vs %s", h3, h1)
+	configs := ltp.DefaultMatrixConfigs()
+	configs[0].Pipeline = &cfg
+	if h := sweepHash(t, explicit, scns, configs, 2); h != h1 {
+		t.Fatalf("explicit defaults changed the sweep hash: %s vs %s", h, h1)
 	}
 
 	// A genuinely different campaign must hash differently.
-	other := m
-	other.BaseSeed = 99
-	s4, err := ltp.NewMatrixSweep(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h4, _ := s4.Hash(); h4 == h1 {
+	other := base
+	other.Seed = 99
+	if h := sweepHash(t, other, scns, nil, 2); h == h1 {
 		t.Fatal("different base seed produced the same sweep hash")
 	}
 }
 
-// summariesEqual compares two matrix cells field-for-field (exact
-// float equality: both paths fold the identical deterministic results
-// in the identical order).
-func summariesEqual(a, b *ltp.MatrixCell) bool {
-	return a.CPI == b.CPI && a.IPC == b.IPC && a.MLP == b.MLP &&
-		a.AvgLoadLat == b.AvgLoadLat && a.Parked == b.Parked
-}
-
-// TestSweepMatrixDifferential holds the acceptance criterion: the old
-// synchronous RunMatrix shim and the new Engine.Submit sweep path
-// produce identical aggregated results for the same campaign.
+// TestSweepMatrixDifferential holds the engine's aggregation against
+// first principles: every cell of a matrix sweep run through
+// Engine.Submit summarizes exactly the results of its replicates run
+// alone through RunContext.
 func TestSweepMatrixDifferential(t *testing.T) {
-	spec := quickSweepMatrix()
-
-	old, err := ltp.RunMatrix(spec)
+	sweep, err := quickSweepMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 4})
 	defer e.Close()
-	sweep, err := ltp.NewMatrixSweep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	job, err := e.Submit(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
@@ -121,41 +89,30 @@ func TestSweepMatrixDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, scn := range old.Scenarios {
-		for _, cfg := range old.Configs {
-			oc := old.Cell(scn, cfg)
-			sc := sres.Cell(scn, cfg)
-			if oc == nil || sc == nil {
-				t.Fatalf("missing cell %s/%s on one path", scn, cfg)
-			}
-			nc := ltp.MatrixCell{
-				Scenario: scn, Config: cfg,
-				CPI: sc.CPI, IPC: sc.IPC, MLP: sc.MLP,
-				AvgLoadLat: sc.AvgLoadLat, Parked: sc.Parked,
-			}
-			if !summariesEqual(oc, &nc) {
-				t.Fatalf("cell %s/%s differs:\nRunMatrix: %+v\nSubmit:    %+v", scn, cfg, *oc, nc)
-			}
-			if sc.Replicates != old.Seeds {
-				t.Fatalf("cell %s/%s replicates = %d; want %d", scn, cfg, sc.Replicates, old.Seeds)
-			}
+	runs, err := sweep.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpi := make([][]float64, len(sres.Cells))
+	parked := make([][]float64, len(sres.Cells))
+	for _, r := range runs {
+		res := mustRun(t, r.Spec)
+		cpi[r.Cell] = append(cpi[r.Cell], res.CPI)
+		if res.LTP != nil {
+			parked[r.Cell] = append(parked[r.Cell], res.LTP.AvgInsts)
 		}
 	}
-
-	// The MatrixJob shim must agree with both.
-	mjob, err := e.SubmitMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres, err := mjob.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scn := range old.Scenarios {
-		for _, cfg := range old.Configs {
-			if !summariesEqual(old.Cell(scn, cfg), mres.Cell(scn, cfg)) {
-				t.Fatalf("shim cell %s/%s differs from RunMatrix", scn, cfg)
+	for ci, c := range sres.Cells {
+		if want := stats.Summarize(cpi[ci]); c.CPI != want {
+			t.Fatalf("cell %v CPI %+v; its replicates alone summarize to %+v", c.Coords, c.CPI, want)
+		}
+		if len(parked[ci]) > 0 {
+			if want := stats.Summarize(parked[ci]); c.Parked != want {
+				t.Fatalf("cell %v parked %+v; its replicates alone summarize to %+v", c.Coords, c.Parked, want)
 			}
+		}
+		if c.Replicates != 2 {
+			t.Fatalf("cell %v replicates = %d; want 2", c.Coords, c.Replicates)
 		}
 	}
 }
@@ -166,7 +123,7 @@ func TestSweepCellsStream(t *testing.T) {
 	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 4})
 	defer e.Close()
 
-	sweep, err := ltp.NewMatrixSweep(quickSweepMatrix())
+	sweep, err := quickSweepMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
