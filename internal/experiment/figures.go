@@ -196,13 +196,13 @@ var fig6Configs = []struct {
 // exactly as the paper normalizes.
 func (s *Suite) Fig6() []*Table {
 	panels := s.fig6Panels()
-	rows := fig6Rows()
 
-	// One sweep for the whole figure: cells of the (row, panel) plot k
-	// start at first[k], config-major, then size, then workload.
-	var cells []cell
-	var first []int
-	for _, row := range rows {
+	var tables []*Table
+	for _, row := range fig6Rows() {
+		// One sweep per row: cells of panel k start at first[k],
+		// config-major, then size, then workload.
+		var cells []cell
+		var first []int
 		for _, panel := range panels {
 			first = append(first, len(cells))
 			for _, c := range fig6Configs {
@@ -214,15 +214,10 @@ func (s *Suite) Fig6() []*Table {
 				}
 			}
 		}
-	}
-	res := s.run(true, cells)
+		res := s.run(true, cells)
 
-	var tables []*Table
-	k := 0
-	for _, row := range rows {
-		for _, panel := range panels {
+		for k, panel := range panels {
 			off, nw, ns := first[k], len(panel.Wls), len(row.Sizes)
-			k++
 			cycles := func(ci, si, wi int) float64 {
 				return float64(res[off+(ci*ns+si)*nw+wi].Cycles)
 			}
