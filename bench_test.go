@@ -27,9 +27,10 @@ import (
 )
 
 // benchSuite returns a fresh, bench-sized experiment suite.
-func benchSuite() *experiment.Suite {
+func benchSuite(tb testing.TB) *experiment.Suite {
 	s := experiment.NewSuite(0.05, 8_000, 25_000)
 	s.Quiet = true
+	tb.Cleanup(s.Close)
 	return s
 }
 
@@ -65,7 +66,7 @@ func BenchmarkTable1Baseline(b *testing.B) {
 // usage for IQ:32 / IQ:32+LTP / IQ:256).
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		tables := s.Fig1()
 		printTables("Figure 1", tables...)
 		// Headline metric: MLP recovered by LTP relative to IQ:256
@@ -81,7 +82,7 @@ func BenchmarkFig1(b *testing.B) {
 // BenchmarkFig3 regenerates the Figure 3 worked example (tiny IQ).
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		t := s.Fig3()
 		printTables("Figure 3", t)
 		b.ReportMetric(t.Rows[0].Cells[2]-t.Rows[1].Cells[2], "IQfreed")
@@ -100,7 +101,7 @@ var (
 func fig6Bench(b *testing.B, row string) {
 	for i := 0; i < b.N; i++ {
 		fig6Once.Do(func() {
-			s := benchSuite()
+			s := benchSuite(b)
 			fig6Tables = s.Fig6()
 		})
 		var keep []*experiment.Table
@@ -202,7 +203,7 @@ func BenchmarkSampledFig6IQ(b *testing.B) {
 // BenchmarkFig7 regenerates the LTP-utilization figure.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		tables := s.Fig7()
 		printTables("Figure 7", tables...)
 	}
@@ -211,7 +212,7 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkFig10 regenerates the entries/ports performance + ED²P sweep.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		tables := s.Fig10()
 		printTables("Figure 10", tables...)
 		// Headline: ED2P improvement of the 128/4p design (sensitive).
@@ -222,7 +223,7 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 regenerates the ticket-count sweep.
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		tables := s.Fig11()
 		printTables("Figure 11", tables...)
 	}
@@ -231,7 +232,7 @@ func BenchmarkFig11(b *testing.B) {
 // BenchmarkAblation regenerates the design-choice ablation table.
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		t := s.Ablation()
 		printTables("Ablations", t)
 	}
@@ -240,7 +241,7 @@ func BenchmarkAblation(b *testing.B) {
 // BenchmarkUITSweep regenerates the §5.6 UIT size sensitivity numbers.
 func BenchmarkUITSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		t := s.UITSweep()
 		printTables("UIT sweep", t)
 	}
@@ -249,7 +250,7 @@ func BenchmarkUITSweep(b *testing.B) {
 // BenchmarkWIBvsLTP regenerates the related-work baseline comparison.
 func BenchmarkWIBvsLTP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		printTables("WIB vs LTP", s.WIBvsLTP()...)
 	}
 }
@@ -257,7 +258,7 @@ func BenchmarkWIBvsLTP(b *testing.B) {
 // BenchmarkDRAMModelStudy regenerates the memory-model sensitivity check.
 func BenchmarkDRAMModelStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := benchSuite()
+		s := benchSuite(b)
 		printTables("DRAM model study", s.DRAMModelStudy())
 	}
 }

@@ -100,6 +100,7 @@ func main() {
 	s.Backend = *backend
 	s.Intervals = *intvls
 	s.Parallelism = *par
+	defer s.Close()
 
 	emit := func(name, content string) {
 		fmt.Println(content)

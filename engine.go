@@ -240,9 +240,9 @@ func (x poolExecutor) RunBatch(ctx context.Context, costs []float64, fns []func(
 
 // runWeight estimates a run's relative wall-clock for LPT ordering:
 // LTP machinery and small IQs (higher CPI) dominate. Model-backend
-// cells cost a few percent
-// of a detailed cell (no per-cycle loop), so they must not claim the
-// longest-processing-time slots a campaign's detailed cells need.
+// cells cost a few percent of a detailed cell (no per-cycle loop), so
+// they must not claim the longest-processing-time slots a campaign's
+// detailed cells need.
 func runWeight(spec RunSpec) float64 {
 	c := 1.0
 	if spec.UseLTP {

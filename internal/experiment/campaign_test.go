@@ -8,9 +8,10 @@ import (
 // microSuite uses the smallest budgets that still exercise every code
 // path (classification, oracle builds, all four Fig. 6 rows, the energy
 // model aggregation).
-func microSuite() *Suite {
+func microSuite(tb testing.TB) *Suite {
 	s := NewSuite(0.05, 3_000, 10_000)
 	s.Quiet = true
+	tb.Cleanup(s.Close)
 	return s
 }
 
@@ -21,7 +22,7 @@ func TestCampaignSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign smoke is slow")
 	}
-	s := microSuite()
+	s := microSuite(t)
 
 	t.Run("fig1", func(t *testing.T) {
 		tables := s.Fig1()

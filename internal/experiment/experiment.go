@@ -112,6 +112,18 @@ func (s *Suite) engine() *ltp.Engine {
 	return s.eng
 }
 
+// Close stops the suite's engine, if a figure started one. A figure
+// run after Close starts a fresh engine with an empty result cache.
+func (s *Suite) Close() {
+	s.mu.Lock()
+	e := s.eng
+	s.eng = nil
+	s.mu.Unlock()
+	if e != nil {
+		e.Close()
+	}
+}
+
 // cell is one simulation of a figure: what the figures vary on top of
 // the suite's budgets.
 type cell struct {

@@ -12,12 +12,13 @@ import (
 // the budgets shrink further: the shape assertions these tests make hold
 // down to a few thousand instructions, and the race detector multiplies
 // every simulated cycle's cost.
-func tinySuite() *Suite {
+func tinySuite(tb testing.TB) *Suite {
 	s := NewSuite(0.05, 5_000, 20_000)
 	if testing.Short() {
 		s = NewSuite(0.05, 2_000, 8_000)
 	}
 	s.Quiet = true
+	tb.Cleanup(s.Close)
 	return s
 }
 
@@ -31,7 +32,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestClassifyStable(t *testing.T) {
-	s := tinySuite()
+	s := tinySuite(t)
 	g1 := s.Classify()
 	g2 := s.Classify() // cached
 	if len(g1.Sensitive)+len(g1.Insensitive) != 14 {
@@ -53,7 +54,7 @@ func TestClassifyStable(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	s := tinySuite()
+	s := tinySuite(t)
 	tab := s.Fig3()
 	if len(tab.Rows) != 2 {
 		t.Fatalf("fig3 has %d rows", len(tab.Rows))
@@ -87,7 +88,7 @@ func TestTableString(t *testing.T) {
 // the callers' cell order, merges cells that are the same simulation
 // into one run served to every position, and matches a standalone run.
 func TestSuiteRunOrder(t *testing.T) {
-	s := tinySuite()
+	s := tinySuite(t)
 	s.Parallelism = 2
 	var cells []cell
 	for _, iq := range []int{8, 64, 256} {

@@ -30,10 +30,11 @@ var pinnedFigures = map[string]string{
 // pinSuite has the smallest budgets at which every runner still
 // simulates something: the pin guards plumbing (which cells run, how
 // results map back to rows), not the figures' values at paper scale.
-func pinSuite() *Suite {
+func pinSuite(tb testing.TB) *Suite {
 	s := NewSuite(0.02, 500, 1_000)
 	s.Parallelism = 2
 	s.Quiet = true
+	tb.Cleanup(s.Close)
 	return s
 }
 
@@ -42,7 +43,7 @@ func pinSuite() *Suite {
 // against pinnedFigures, so a refactor of how the figures execute
 // cannot silently change a single reported number.
 func TestFiguresPinned(t *testing.T) {
-	s := pinSuite()
+	s := pinSuite(t)
 	one := func(tab *Table) []*Table { return []*Table{tab} }
 	runners := []struct {
 		name string

@@ -100,7 +100,7 @@ func TestMatrixTableGolden(t *testing.T) {
 // figure generators emit, without depending on simulated values: the
 // bench harness and EXPERIMENTS.md both parse these by position.
 func TestFigureTableShapes(t *testing.T) {
-	s := tinySuite()
+	s := tinySuite(t)
 
 	fig3 := s.Fig3()
 	if fig3.Title != "Figure 3: tiny-IQ behaviour on the example loop (indirect)" {

@@ -63,13 +63,13 @@ func (s *Suite) matrix(base ltp.RunSpec, scenarios []string, seeds int, triage *
 	return job.Wait()
 }
 
-// matrixCols are the columns of every matrix-shaped table.
-var matrixCols = []string{"CPI", "CPI ±95", "IPC", "MLP", "loadLat", "parked", "parked ±95"}
-
 // sweepCellTable renders sweep cells as a mean ± CI table, one row per
 // cell in cell order.
 func sweepCellTable(title string, cells []ltp.SweepCell) *Table {
-	t := &Table{Title: title, Cols: matrixCols}
+	t := &Table{
+		Title: title,
+		Cols:  []string{"CPI", "CPI ±95", "IPC", "MLP", "loadLat", "parked", "parked ±95"},
+	}
 	for _, c := range cells {
 		t.Rows = append(t.Rows, RowData{
 			Label: strings.Join(c.Coords, " "),

@@ -7,10 +7,11 @@ import (
 
 // tinyMatrixSuite keeps the end-to-end matrix test inside the -short
 // budget.
-func tinyMatrixSuite() *Suite {
+func tinyMatrixSuite(tb testing.TB) *Suite {
 	s := NewSuite(0.05, 2_000, 6_000)
 	s.Quiet = true
 	s.Parallelism = 4
+	tb.Cleanup(s.Close)
 	return s
 }
 
@@ -19,7 +20,7 @@ func tinyMatrixSuite() *Suite {
 // per scenario × config, and the CI note. Under `go test -race` this
 // doubles as race coverage of the campaign path the CLI uses.
 func TestSuiteMatrixEndToEnd(t *testing.T) {
-	s := tinyMatrixSuite()
+	s := tinyMatrixSuite(t)
 	tab, err := s.Matrix([]string{"branchy", "gemmblock"}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -205,7 +205,7 @@ func (tw *Writer) Close() error {
 
 // Reader decodes a trace, yielding its µops in recorded order. It
 // implements prog.Stream and prog.FastForwarder, so it plugs into
-// pipeline.New and ltp.Run exactly where the functional emulator does.
+// pipeline.New and ltp.RunContext exactly where the functional emulator does.
 type Reader struct {
 	r        *bufio.Reader
 	name     string
