@@ -53,7 +53,7 @@ func batchKey(c RunSpec) (string, bool) {
 // usually share a co-runner set, and capturing one is a functional
 // emulation pass worth paying once; the shared pattern also lets the
 // lanes share one warm checkpoint) and oracle pre-passes (one per
-// distinct budget, cache geometry, prefetcher and ROB size — a limit
+// distinct budget, hierarchy configuration and ROB size — a limit
 // study's lanes usually differ only in structure sizes the pre-pass
 // never reads).
 type laneMemo struct {
@@ -62,33 +62,19 @@ type laneMemo struct {
 	oracles   map[oracleKey]*core.Oracle
 }
 
-// oracleKey is everything core.BuildOracle reads besides the program.
+// oracleKey holds core.BuildOracle's inputs besides the program.
 type oracleKey struct {
-	budget, window        int
-	l1Size, l1Ways        int
-	l2Size, l2Ways        int
-	l3Size, l3Ways        int
-	l1Lat, l2Lat, l3Lat   uint64
-	prefetcher            string
-	prefTable, prefDegree int
+	budget, window int
+	hier           mem.Config
 }
 
 // oracle returns the lane's limit-study pre-pass, building it on first
 // use — exactly what RunContext builds for the same spec alone.
 func (m *laneMemo) oracle(spec RunSpec, pcfg pipeline.Config) *core.Oracle {
-	h := pcfg.Hier
-	budget := int(spec.WarmInsts + spec.MaxInsts + 65_536)
-	key := oracleKey{
-		budget: budget,
-		l1Size: h.L1DSize, l1Ways: h.L1DWays, l1Lat: h.L1Latency,
-		l2Size: h.L2Size, l2Ways: h.L2Ways, l2Lat: h.L2Latency,
-		l3Size: h.L3Size, l3Ways: h.L3Ways, l3Lat: h.L3Latency,
-		prefetcher: h.PrefetcherName(), prefTable: h.PrefetchTable, prefDegree: h.PrefetchDegree,
-		window: pcfg.ROBSize,
-	}
+	key := oracleKey{int(spec.WarmInsts + spec.MaxInsts + 65_536), pcfg.ROBSize, pcfg.Hier}
 	o := m.oracles[key]
 	if o == nil {
-		o = core.BuildOracle(m.program(), budget, h, pcfg.ROBSize)
+		o = core.BuildOracle(m.program(), key.budget, key.hier, key.window)
 		m.oracles[key] = o
 	}
 	return o
