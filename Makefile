@@ -43,12 +43,15 @@ profile:
 	@echo "profiles written: go tool pprof profiles/cpu.pprof"
 
 # Profile the Fig. 6 limit study at the paper-figs benchmark's budgets
-# (the bulk of that workload): the CPU profile lands in profiles/fig6.pprof.
+# (the bulk of that workload): the CPU profile lands in profiles/fig6.pprof
+# and the allocation profile in profiles/fig6.mem.pprof (the per-lane
+# allocation budget, DESIGN.md §2).
 profile-figs:
 	mkdir -p profiles
 	go build -o profiles/ltpexperiments ./cmd/ltpexperiments
-	profiles/ltpexperiments -exp fig6 -scale 0.05 -warm 2000 -insts 3000 -parallel 2 -cpuprofile profiles/fig6.pprof > /dev/null
-	@echo "profile written: go tool pprof -top profiles/ltpexperiments profiles/fig6.pprof"
+	profiles/ltpexperiments -exp fig6 -scale 0.05 -warm 2000 -insts 3000 -parallel 2 -cpuprofile profiles/fig6.pprof -memprofile profiles/fig6.mem.pprof > /dev/null
+	@echo "CPU profile written: go tool pprof -top profiles/ltpexperiments profiles/fig6.pprof"
+	@echo "allocation profile written: go tool pprof -sample_index=alloc_space -top profiles/ltpexperiments profiles/fig6.mem.pprof"
 
 # The scenario-matrix campaign at laptop-scale budgets (mean ± 95% CI
 # over seed replicates; see EXPERIMENTS.md "Scenario-matrix workflow").

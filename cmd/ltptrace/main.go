@@ -78,7 +78,7 @@ func main() {
 		if pipe.Committed() < *skip || len(recs) >= *count {
 			return
 		}
-		label := f.U.Label
+		label := program.Insts[prog.IndexOf(f.U.PC)].Label
 		if label == "" {
 			label = "-"
 		}

@@ -2,6 +2,7 @@ package ltp_test
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -185,5 +186,30 @@ func TestMatrixHash(t *testing.T) {
 	}
 	if _, err := ltp.NewMatrixSweep(base, []string{"nosuch"}, nil, 0); err == nil {
 		t.Fatal("unknown scenario in matrix accepted")
+	}
+}
+
+// TestHashAllocBound bounds what one Hash call allocates: canonicalizing
+// a spec validates the predictor and prefetcher names without building
+// them (a baseline gshare alone is ~150 KB), so per-request hashing in
+// the service stays cheap.
+func TestHashAllocBound(t *testing.T) {
+	spec := ltp.RunSpec{Scenario: "hashjoin", Seed: 7, MaxInsts: 50000, UseLTP: true,
+		BranchPred: "tage", Prefetcher: "stream"}
+	if _, err := spec.Hash(); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := spec.Hash(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 16<<10 {
+		t.Errorf("RunSpec.Hash allocates %d bytes per call, want < 16 KB", per)
 	}
 }

@@ -85,14 +85,24 @@ var builders = map[string]func() Predictor{
 // New builds the named predictor at its baseline configuration. The
 // empty name means DefaultName.
 func New(name string) (Predictor, error) {
+	name, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return builders[name](), nil
+}
+
+// Lookup validates a predictor name without building the predictor and
+// returns its registry name (DefaultName for the empty name). The error
+// is New's.
+func Lookup(name string) (string, error) {
 	if name == "" {
 		name = DefaultName
 	}
-	b, ok := builders[name]
-	if !ok {
-		return nil, fmt.Errorf("bpred: unknown branch predictor %q (have %v)", name, Names())
+	if _, ok := builders[name]; !ok {
+		return "", fmt.Errorf("bpred: unknown branch predictor %q (have %v)", name, Names())
 	}
-	return b(), nil
+	return name, nil
 }
 
 // Default returns the baseline predictor (16-bit gshare, 4K-entry BTB).
@@ -106,6 +116,15 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Release hands a predictor that will not be used again back for reuse:
+// a later Clone of the same implementation and shape takes over its
+// tables. Implementations without pooled tables ignore it.
+func Release(p Predictor) {
+	if g, ok := p.(*Gshare); ok {
+		gsharePool.Put(g)
+	}
 }
 
 // btb is a direct-mapped, fully-tagged branch target buffer shared by

@@ -1,5 +1,7 @@
 package bpred
 
+import "sync"
+
 // Gshare is the baseline direction predictor: a global history register
 // XOR-folded into the PC indexes a table of 2-bit saturating counters,
 // plus the shared tagged BTB for targets.
@@ -84,13 +86,25 @@ func (p *Gshare) PredictOnly(pc uint64, taken bool, target uint64) bool {
 }
 
 // Clone returns a deep copy of the predictor: PHT, history and BTB are
-// duplicated so the copy trains independently.
+// duplicated so the copy trains independently. The copy's tables come
+// from a released predictor of the same shape when one is pooled.
 func (p *Gshare) Clone() Predictor {
-	cp := *p
-	cp.pht = append([]uint8(nil), p.pht...)
-	cp.btb = p.btb.clone()
-	return &cp
+	cp, _ := gsharePool.Get().(*Gshare)
+	if cp == nil || len(cp.pht) != len(p.pht) || len(cp.btb.tags) != len(p.btb.tags) {
+		cp = &Gshare{pht: make([]uint8, len(p.pht)), btb: btb{
+			tags: make([]uint64, len(p.btb.tags)), targets: make([]uint64, len(p.btb.targets))}}
+	}
+	pht, tags, targets := cp.pht, cp.btb.tags, cp.btb.targets
+	*cp = *p
+	cp.pht, cp.btb.tags, cp.btb.targets = pht, tags, targets
+	copy(cp.pht, p.pht)
+	copy(cp.btb.tags, p.btb.tags)
+	copy(cp.btb.targets, p.btb.targets)
+	return cp
 }
+
+// gsharePool holds released predictors whose tables later clones reuse.
+var gsharePool sync.Pool
 
 // ResetStats zeroes the prediction statistics while keeping the trained
 // tables.

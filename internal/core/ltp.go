@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"ltp/internal/isa"
 	"ltp/internal/mem"
@@ -138,6 +139,12 @@ type ratExt struct {
 	valid       bool
 }
 
+// parkedStore is a parked store's seq and address; LTP.parkedStoreList
+// lists them in program order.
+type parkedStore struct {
+	seq, addr uint64
+}
+
 // ticketClear is a scheduled ticket broadcast (early wakeup).
 type ticketClear struct {
 	at       uint64
@@ -155,7 +162,10 @@ type LTP struct {
 
 	ext [isa.NumArchRegs]ratExt
 
-	queue pipeline.SeqList // parked instructions, program order
+	// queue holds the parked instructions in program order. Like every
+	// list here it names them by handle; hooks that must look at a
+	// listed instruction resolve it through the pipeline.
+	queue pipeline.SeqList
 
 	// Ticket wakeup state (NR modes only; see wakeNR). ticketWaiters[t]
 	// lists, in program order, the parked instructions whose mask holds
@@ -169,14 +179,18 @@ type LTP struct {
 	// Inflight via ownTickets map to keep pipeline.Inflight lean).
 	ownTicket map[uint64]int
 
-	ticketOwner    []uint64 // seq of owning instruction; ^0 = free
-	pendingClears  []ticketClear
-	nextClearAt    uint64                          // earliest pendingClears cycle
-	parkedStoreMap map[uint64][]*pipeline.Inflight // word addr -> parked stores
+	ticketOwner   []uint64 // seq of owning instruction; ^0 = free
+	pendingClears []ticketClear
+	nextClearAt   uint64 // earliest pendingClears cycle
 
-	parkedLoads  int
-	parkedStores int
-	parkedRegs   int
+	// parkedStoreList lists the parked stores in program order;
+	// parkedStoreAddrs counts them per word address, so the common
+	// no-conflict check is one lookup.
+	parkedStoreList  []parkedStore
+	parkedStoreAddrs map[uint64]int32
+
+	parkedLoads int
+	parkedRegs  int
 
 	enqThisCycle int
 	deqThisCycle int
@@ -208,13 +222,13 @@ func New(cfg Config, dramLatency uint64, earlyLead uint64) *LTP {
 		cfg.EarlyWakeupLead = earlyLead
 	}
 	l := &LTP{
-		cfg:            cfg,
-		uit:            NewUIT(cfg.UITEntries, cfg.UITWays),
-		llpred:         DefaultLLPredictor(),
-		monitor:        NewDRAMMonitor(dramLatency, cfg.MonitorForceOn),
-		ownTicket:      make(map[uint64]int),
-		ticketOwner:    make([]uint64, cfg.Tickets),
-		parkedStoreMap: make(map[uint64][]*pipeline.Inflight),
+		cfg:              cfg,
+		uit:              NewUIT(cfg.UITEntries, cfg.UITWays),
+		llpred:           DefaultLLPredictor(),
+		monitor:          NewDRAMMonitor(dramLatency, cfg.MonitorForceOn),
+		ownTicket:        make(map[uint64]int),
+		ticketOwner:      make([]uint64, cfg.Tickets),
+		parkedStoreAddrs: make(map[uint64]int32),
 	}
 	if cfg.Mode.ParksNR() {
 		l.ticketWaiters = make([]pipeline.SeqList, cfg.Tickets)
@@ -247,17 +261,23 @@ func (l *LTP) Crit() *CritTable { return l.crit }
 func (l *LTP) ParkedCount() int { return l.queue.Len() }
 
 // CheckInvariants validates the parking bookkeeping;
-// pipeline.CheckInvariants calls it between cycles. The queue holds
-// parked instructions in program order and agrees with the occupancy
-// counters. Under the NR modes each parked instruction sits on exactly
+// pipeline.CheckInvariants calls it between cycles. Every list names
+// live records of p with their seqs. The queue holds parked instructions
+// in program order and agrees with the occupancy counters and the parked
+// store list. Under the NR modes each parked instruction sits on exactly
 // the ticket waiter lists its Tickets mask names, and on the free list
 // matching its urgency if and only if the mask is empty; the lists hold
 // nothing else.
-func (l *LTP) CheckInvariants() error {
+func (l *LTP) CheckInvariants(p *pipeline.Pipeline) error {
 	loads, stores, regs := 0, 0, 0
+	var storeList []parkedStore
 	parked := l.queue.Items()
-	for i, f := range parked {
-		if i > 0 && parked[i-1].Seq() >= f.Seq() {
+	for i, r := range parked {
+		if err := p.CheckRef(r, "LTP queue"); err != nil {
+			return err
+		}
+		f := p.Rec(r.H)
+		if i > 0 && parked[i-1].Seq >= r.Seq {
 			return fmt.Errorf("LTP queue out of order at %d", i)
 		}
 		if !f.Parked || f.Squashed {
@@ -268,51 +288,74 @@ func (l *LTP) CheckInvariants() error {
 		}
 		if f.IsStore() {
 			stores++
+			storeList = append(storeList, parkedStore{f.Seq(), f.U.Addr})
 		}
 		if f.HasDst() {
 			regs++
 		}
 	}
-	if loads != l.parkedLoads || stores != l.parkedStores || regs != l.parkedRegs {
+	if loads != l.parkedLoads || stores != len(l.parkedStoreList) || regs != l.parkedRegs {
 		return fmt.Errorf("LTP counts %d/%d/%d loads/stores/regs, queue holds %d/%d/%d",
-			l.parkedLoads, l.parkedStores, l.parkedRegs, loads, stores, regs)
+			l.parkedLoads, len(l.parkedStoreList), l.parkedRegs, loads, stores, regs)
+	}
+	perAddr := map[uint64]int32{}
+	for i, s := range storeList {
+		if l.parkedStoreList[i] != s {
+			return fmt.Errorf("parked store list holds %+v at %d, queue has %+v", l.parkedStoreList[i], i, s)
+		}
+		perAddr[s.addr]++
+	}
+	if len(perAddr) != len(l.parkedStoreAddrs) {
+		return fmt.Errorf("parked store counts cover %d addresses, queue %d", len(l.parkedStoreAddrs), len(perAddr))
+	}
+	for a, n := range perAddr {
+		if l.parkedStoreAddrs[a] != n {
+			return fmt.Errorf("parked store count for %#x is %d, queue holds %d", a, l.parkedStoreAddrs[a], n)
+		}
 	}
 	if l.ticketWaiters == nil {
 		return nil
 	}
-	waits := map[*pipeline.Inflight]pipeline.TicketMask{}
-	free := map[*pipeline.Inflight]bool{}
+	waits := map[pipeline.Handle]pipeline.TicketMask{}
+	free := map[pipeline.Handle]bool{}
 	for t := range l.ticketWaiters {
 		ws := l.ticketWaiters[t].Items()
-		for i, f := range ws {
-			if i > 0 && ws[i-1].Seq() >= f.Seq() {
+		for i, r := range ws {
+			if err := p.CheckRef(r, fmt.Sprintf("ticket %d waiter list", t)); err != nil {
+				return err
+			}
+			if i > 0 && ws[i-1].Seq >= r.Seq {
 				return fmt.Errorf("ticket %d waiter list out of order at %d", t, i)
 			}
-			m := waits[f]
+			m := waits[r.H]
 			m.Set(t)
-			waits[f] = m
+			waits[r.H] = m
 		}
 	}
-	for urgent, fl := range map[bool][]*pipeline.Inflight{true: l.freeUrgent.Items(), false: l.freeNonUrgent.Items()} {
-		for i, f := range fl {
-			if i > 0 && fl[i-1].Seq() >= f.Seq() {
+	for urgent, fl := range map[bool][]pipeline.Ref{true: l.freeUrgent.Items(), false: l.freeNonUrgent.Items()} {
+		for i, r := range fl {
+			if err := p.CheckRef(r, "LTP free list"); err != nil {
+				return err
+			}
+			if i > 0 && fl[i-1].Seq >= r.Seq {
 				return fmt.Errorf("LTP free list out of order at %d", i)
 			}
-			if free[f] || f.Urgent != urgent {
+			if f := p.Rec(r.H); free[r.H] || f.Urgent != urgent {
 				return fmt.Errorf("LTP free lists misfile %s", f)
 			}
-			free[f] = true
+			free[r.H] = true
 		}
 	}
-	for _, f := range parked {
-		if waits[f] != f.Tickets {
-			return fmt.Errorf("parked %s holds tickets %x but waits on %x", f, f.Tickets, waits[f])
+	for _, r := range parked {
+		f := p.Rec(r.H)
+		if waits[r.H] != f.Tickets {
+			return fmt.Errorf("parked %s holds tickets %x but waits on %x", f, f.Tickets, waits[r.H])
 		}
-		if free[f] != f.Tickets.Empty() {
+		if free[r.H] != f.Tickets.Empty() {
 			return fmt.Errorf("parked %s (tickets %x) misfiled on the free lists", f, f.Tickets)
 		}
-		delete(waits, f)
-		delete(free, f)
+		delete(waits, r.H)
+		delete(free, r.H)
 	}
 	if len(waits) > 0 || len(free) > 0 {
 		return fmt.Errorf("LTP wakeup lists hold %d instructions that are not parked", len(waits)+len(free))
@@ -527,9 +570,9 @@ func (l *LTP) Park(p *pipeline.Pipeline, f *pipeline.Inflight, now uint64) {
 		if f.Tickets.Empty() {
 			l.addFree(f)
 		}
-		forEachTicket(f.Tickets, func(t int) {
+		for t := range ticketsOf(f.Tickets) {
 			l.ticketWaiters[t].Insert(f)
-		})
+		}
 	}
 	l.enqThisCycle++
 	l.Enqueues++
@@ -538,8 +581,7 @@ func (l *LTP) Park(p *pipeline.Pipeline, f *pipeline.Inflight, now uint64) {
 		l.parkedLoads++
 	}
 	if f.IsStore() {
-		l.parkedStores++
-		l.parkedStoreMap[f.U.Addr] = append(l.parkedStoreMap[f.U.Addr], f)
+		l.addParkedStore(f)
 	}
 	if f.HasDst() {
 		l.parkedRegs++
@@ -560,7 +602,6 @@ func (l *LTP) noteLeft(f *pipeline.Inflight) {
 		l.parkedLoads--
 	}
 	if f.IsStore() {
-		l.parkedStores--
 		l.dropParkedStore(f)
 	}
 	if f.HasDst() {
@@ -577,36 +618,58 @@ func (l *LTP) addFree(f *pipeline.Inflight) {
 	}
 }
 
-// forEachTicket calls fn for every ticket set in m, lowest first.
-func forEachTicket(m pipeline.TicketMask, fn func(t int)) {
-	for w, bitsLeft := range m {
-		for bitsLeft != 0 {
-			b := bits.TrailingZeros64(bitsLeft)
-			bitsLeft &= bitsLeft - 1
-			fn(w*64 + b)
+// ticketsOf yields every ticket set in m, lowest first.
+func ticketsOf(m pipeline.TicketMask) func(yield func(int) bool) {
+	return func(yield func(int) bool) {
+		for w, bitsLeft := range m {
+			for bitsLeft != 0 {
+				b := bits.TrailingZeros64(bitsLeft)
+				bitsLeft &= bitsLeft - 1
+				if !yield(w*64 + b) {
+					return
+				}
+			}
 		}
 	}
 }
 
+// addParkedStore files a store entering the LTP.
+func (l *LTP) addParkedStore(f *pipeline.Inflight) {
+	s := parkedStore{f.Seq(), f.U.Addr}
+	lst := l.parkedStoreList
+	i := sort.Search(len(lst), func(i int) bool { return lst[i].seq > s.seq })
+	lst = append(lst, parkedStore{})
+	copy(lst[i+1:], lst[i:])
+	lst[i] = s
+	l.parkedStoreList = lst
+	l.parkedStoreAddrs[s.addr]++
+}
+
+// dropParkedStore unfiles a store leaving the LTP.
 func (l *LTP) dropParkedStore(f *pipeline.Inflight) {
-	lst := l.parkedStoreMap[f.U.Addr]
-	for j, e := range lst {
-		if e == f {
-			lst = append(lst[:j], lst[j+1:]...)
-			break
-		}
+	lst := l.parkedStoreList
+	i := sort.Search(len(lst), func(i int) bool { return lst[i].seq >= f.Seq() })
+	if i == len(lst) || lst[i].seq != f.Seq() {
+		return
 	}
-	if len(lst) == 0 {
-		delete(l.parkedStoreMap, f.U.Addr)
+	l.parkedStoreList = append(lst[:i], lst[i+1:]...)
+	if n := l.parkedStoreAddrs[f.U.Addr] - 1; n > 0 {
+		l.parkedStoreAddrs[f.U.Addr] = n
 	} else {
-		l.parkedStoreMap[f.U.Addr] = lst
+		delete(l.parkedStoreAddrs, f.U.Addr)
 	}
 }
 
 // ParkedStoreConflict implements pipeline.Parker.
 func (l *LTP) ParkedStoreConflict(addr uint64, seq uint64) bool {
-	for _, st := range l.parkedStoreMap[addr] {
-		if st.Seq() < seq {
+	if l.parkedStoreAddrs[addr] == 0 {
+		return false
+	}
+	for _, s := range l.parkedStoreList {
+		if s.seq >= seq {
+			break
+		}
+		if s.addr == addr {
 			return true
 		}
 	}
@@ -615,9 +678,9 @@ func (l *LTP) ParkedStoreConflict(addr uint64, seq uint64) bool {
 
 // sourcesResolved reports whether every parked producer of f has already
 // been given its physical register (left the LTP).
-func sourcesResolved(f *pipeline.Inflight) bool {
-	for i := range f.SrcProd {
-		if prod := f.SrcProd[i]; prod != nil && prod.DstPreg == pipeline.NoPReg {
+func sourcesResolved(p *pipeline.Pipeline, f *pipeline.Inflight) bool {
+	for _, h := range f.SrcProd {
+		if h != 0 && p.Rec(h).DstPreg == pipeline.NoPReg {
 			return false
 		}
 	}
@@ -652,7 +715,7 @@ func (l *LTP) Wake(p *pipeline.Pipeline, now uint64, max int, pressure bool) int
 
 	// Queue-based Non-Urgent design: strict FIFO release.
 	for woken < budget && l.queue.Len() > 0 {
-		f := l.queue.Front()
+		f := p.Rec(l.queue.Front().H)
 		eligible := f.Seq() < bound
 		if pressure && woken == 0 {
 			eligible = true
@@ -661,7 +724,7 @@ func (l *LTP) Wake(p *pipeline.Pipeline, now uint64, max int, pressure bool) int
 		if !eligible {
 			break
 		}
-		if !sourcesResolved(f) || !p.CanUnpark(f, true) {
+		if !sourcesResolved(p, f) || !p.CanUnpark(f, true) {
 			break
 		}
 		l.removeFromQueue(f)
@@ -686,26 +749,27 @@ func (l *LTP) wakeNR(p *pipeline.Pipeline, now uint64, budget int, bound uint64,
 	woken := 0
 	for woken < budget {
 		head := l.queue.Front()
-		f := head
-		if pressure && head != nil {
+		r := head
+		if pressure && head.H != 0 {
 			l.PressureWakes++
 		} else {
-			f = urgent.Peek()
-			if n := nonUrgent.Peek(); n != nil && n.Seq() < bound && (f == nil || n.Seq() < f.Seq()) {
-				f = n
+			r = urgent.Peek()
+			if n := nonUrgent.Peek(); n.H != 0 && n.Seq < bound && (r.H == 0 || n.Seq < r.Seq) {
+				r = n
 			}
-			if f == nil {
+			if r.H == 0 {
 				break
 			}
 		}
-		// f is at the front of its free list, if it is on one.
+		// r is at the front of its free list, if it is on one.
 		cur := &urgent
-		if nonUrgent.Peek() == f {
+		if nonUrgent.Peek() == r {
 			cur = &nonUrgent
-		} else if urgent.Peek() != f {
+		} else if urgent.Peek() != r {
 			cur = nil
 		}
-		if !sourcesResolved(f) || !p.CanUnpark(f, f == head) {
+		f := p.Rec(r.H)
+		if !sourcesResolved(p, f) || !p.CanUnpark(f, r == head) {
 			pressure = false // the head stays: later visits are not the oldest
 			if cur != nil {
 				cur.Keep()
@@ -730,7 +794,9 @@ func (l *LTP) wakeNR(p *pipeline.Pipeline, now uint64, budget int, bound uint64,
 // dropTicketWaits takes an instruction leaving the LTP with tickets still
 // set off their waiter lists.
 func (l *LTP) dropTicketWaits(f *pipeline.Inflight) {
-	forEachTicket(f.Tickets, func(t int) { l.ticketWaiters[t].Remove(f) })
+	for t := range ticketsOf(f.Tickets) {
+		l.ticketWaiters[t].Remove(f)
+	}
 }
 
 func (l *LTP) afterUnpark(f *pipeline.Inflight) {
@@ -756,7 +822,7 @@ func (l *LTP) fireTicketClears(p *pipeline.Pipeline, now uint64) {
 		if l.ticketOwner[c.ticket] != c.ownerSeq {
 			continue // ticket was reassigned after a squash
 		}
-		l.clearTicket(c.ticket)
+		l.clearTicket(p, c.ticket)
 	}
 	l.pendingClears = w
 }
@@ -764,9 +830,10 @@ func (l *LTP) fireTicketClears(p *pipeline.Pipeline, now uint64) {
 // clearTicket broadcasts a ticket clear and frees the ticket. Only the
 // parked instructions waiting on t hold it; those left with no ticket
 // become wakeup candidates.
-func (l *LTP) clearTicket(t int) {
+func (l *LTP) clearTicket(p *pipeline.Pipeline, t int) {
 	if l.ticketWaiters != nil {
-		for _, f := range l.ticketWaiters[t].Items() {
+		for _, r := range l.ticketWaiters[t].Items() {
+			f := p.Rec(r.H)
 			f.Tickets.Clear(t)
 			if f.Tickets.Empty() {
 				l.addFree(f)
@@ -843,7 +910,7 @@ func (l *LTP) NoteCommit(p *pipeline.Pipeline, f *pipeline.Inflight, now uint64)
 	// Tickets owned by instructions that never fired (e.g. predicted-LL
 	// loads that were squashed out of issue) are reclaimed at commit.
 	if t, ok := l.ownTicket[f.Seq()]; ok {
-		l.clearTicket(t)
+		l.clearTicket(p, t)
 	}
 }
 
@@ -851,7 +918,7 @@ func (l *LTP) NoteCommit(p *pipeline.Pipeline, f *pipeline.Inflight, now uint64)
 func (l *LTP) NoteSquash(p *pipeline.Pipeline, fromSeq uint64, now uint64) {
 	// Drop squashed parked instructions: a program-ordered suffix of the
 	// queue, and of every list that files parked instructions.
-	l.queue.TruncateFrom(fromSeq, l.noteLeft)
+	l.queue.TruncateFrom(fromSeq, func(r pipeline.Ref) { l.noteLeft(p.Rec(r.H)) })
 	if l.ticketWaiters != nil {
 		l.freeUrgent.TruncateFrom(fromSeq, nil)
 		l.freeNonUrgent.TruncateFrom(fromSeq, nil)
@@ -871,7 +938,7 @@ func (l *LTP) NoteSquash(p *pipeline.Pipeline, fromSeq uint64, now uint64) {
 	// clears so surviving dependents do not wait forever.
 	for t, owner := range l.ticketOwner {
 		if owner != ^uint64(0) && owner >= fromSeq {
-			l.clearTicket(t)
+			l.clearTicket(p, t)
 		}
 	}
 }
@@ -983,7 +1050,7 @@ func (l *LTP) NoteCycle(p *pipeline.Pipeline, now uint64) {
 	l.OccInsts.Add(float64(l.queue.Len()))
 	l.OccRegs.Add(float64(l.parkedRegs))
 	l.OccLoads.Add(float64(l.parkedLoads))
-	l.OccStores.Add(float64(l.parkedStores))
+	l.OccStores.Add(float64(len(l.parkedStoreList)))
 	l.enqThisCycle = 0
 	l.deqThisCycle = 0
 }

@@ -259,7 +259,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 		pipe.Cycle()
 		parked := unit.queue.Items()
 		for i := 1; i < len(parked); i++ {
-			if parked[i-1].Seq() >= parked[i].Seq() {
+			if parked[i-1].Seq >= parked[i].Seq {
 				t.Fatalf("LTP queue out of order at cycle %d", pipe.Now())
 			}
 		}

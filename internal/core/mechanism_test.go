@@ -8,9 +8,15 @@ import (
 	"ltp/internal/prog"
 )
 
+// handPipe returns a pipeline with l attached, for tests that allocate
+// records from its slab and drive the Parker hooks by hand.
+func handPipe(l *LTP) *pipeline.Pipeline {
+	return pipeline.New(testPipeConfig(), prog.NewEmulator(fig2Program()), l)
+}
+
 func TestScrubStaleTickets(t *testing.T) {
 	l := New(Config{Mode: ModeNRNU, Tickets: 8}, 200, 6)
-	f := &pipeline.Inflight{U: isa.Uop{Seq: 100}}
+	f := handPipe(l).NewInflight(isa.Uop{Seq: 100})
 	f.Tickets.Set(0) // stale: nobody owns it
 	f.Tickets.Set(1) // owned by an OLDER instruction: keep
 	f.Tickets.Set(2) // owned by a YOUNGER instruction: stale reuse
@@ -31,9 +37,10 @@ func TestScrubStaleTickets(t *testing.T) {
 
 func TestParkedStoreConflict(t *testing.T) {
 	l := New(DefaultConfig(), 200, 6)
-	st := &pipeline.Inflight{U: isa.Uop{Seq: 10, Op: isa.Store, Addr: 0x1000,
-		Src1: isa.R(1), Src2: isa.R(2), Dst: isa.NoReg}}
-	l.Park(nil, st, 0)
+	p := handPipe(l)
+	st := p.NewInflight(isa.Uop{Seq: 10, Op: isa.Store, Addr: 0x1000,
+		Src1: isa.R(1), Src2: isa.R(2), Dst: isa.NoReg})
+	l.Park(p, st, 0)
 	if !l.ParkedStoreConflict(0x1000, 20) {
 		t.Error("conflict with older parked store not detected")
 	}
@@ -172,7 +179,8 @@ func TestEarlyTicketWakeupLead(t *testing.T) {
 
 func TestTicketClearGuardAgainstReuse(t *testing.T) {
 	l := New(Config{Mode: ModeNRNU, Tickets: 4}, 200, 6)
-	owner := &pipeline.Inflight{U: isa.Uop{Seq: 5, Dst: isa.R(1)}}
+	p := handPipe(l)
+	owner := p.NewInflight(isa.Uop{Seq: 5, Dst: isa.R(1)})
 	l.allocateOwnTicket(owner)
 	tk, ok := l.ownTicket[owner.Seq()]
 	if !ok {
@@ -181,18 +189,18 @@ func TestTicketClearGuardAgainstReuse(t *testing.T) {
 	// Schedule a clear, then simulate a squash + reallocation of the
 	// same ticket to a different owner.
 	l.scheduleTicketClear(owner, 100)
-	l.clearTicket(tk) // squash path frees it
-	newOwner := &pipeline.Inflight{U: isa.Uop{Seq: 9, Dst: isa.R(2)}}
+	l.clearTicket(p, tk) // squash path frees it
+	newOwner := p.NewInflight(isa.Uop{Seq: 9, Dst: isa.R(2)})
 	l.allocateOwnTicket(newOwner)
 	tk2 := l.ownTicket[newOwner.Seq()]
 	if tk2 != tk {
 		t.Skip("allocator did not reuse the ticket; nothing to test")
 	}
 	// Firing the stale clear must NOT free the new owner's ticket.
-	waiter := &pipeline.Inflight{U: isa.Uop{Seq: 11}}
+	waiter := p.NewInflight(isa.Uop{Seq: 11})
 	waiter.Tickets.Set(tk)
-	l.Park(nil, waiter, 0)
-	l.fireTicketClears(nil, 200)
+	l.Park(p, waiter, 0)
+	l.fireTicketClears(p, 200)
 	if !waiter.Tickets.Has(tk) {
 		t.Error("stale scheduled clear fired against the reused ticket")
 	}

@@ -34,7 +34,7 @@ func (l queueWalkLTP) Wake(p *pipeline.Pipeline, now uint64, max int, pressure b
 	}
 	woken := 0
 	for i := 0; i < l.queue.Len() && woken < budget; {
-		f := l.queue.Items()[i]
+		f := p.Rec(l.queue.Items()[i].H)
 		oldest := i == 0
 		eligible := false
 		switch {
@@ -47,7 +47,7 @@ func (l queueWalkLTP) Wake(p *pipeline.Pipeline, now uint64, max int, pressure b
 		default:
 			eligible = f.Seq() < bound
 		}
-		if !eligible || !sourcesResolved(f) || !p.CanUnpark(f, oldest) {
+		if !eligible || !sourcesResolved(p, f) || !p.CanUnpark(f, oldest) {
 			i++
 			continue
 		}

@@ -11,6 +11,8 @@
 // prefetched lines that are still in flight behave as delayed hits.
 package mem
 
+import "sync"
+
 // LineShift selects 64-byte cache lines (Table 1).
 const LineShift = 6
 
@@ -44,23 +46,43 @@ func (l Level) String() string { return levelNames[l] }
 // line is one cache line's metadata.
 type line struct {
 	tag      uint64
-	valid    bool
-	dirty    bool
 	lru      uint64 // last-touch stamp; larger = more recent
 	fillTime uint64 // cycle at which the line's data is present
-	prefetch bool   // brought in by the prefetcher and not yet demanded
+	valid    bool
+	dirty    bool
+	prefetch bool // brought in by the prefetcher and not yet demanded
 }
 
 // Cache is a set-associative cache with true-LRU replacement.
+//
+// Clone is copy-on-write at set granularity. lines holds every set's
+// ways, row-major by set; once the cache has been cloned it is shared,
+// read-only, by the original and all its clones, and each of them copies
+// a set into its private storage on its first write to that set. That
+// storage grows in chunks of 1<<chunkShift sets, recycled between caches
+// (see Hierarchy.Release), so it costs what a run touches. slot[s] is 1
+// + the private copy holding set s, or 0 while the set still reads from
+// lines (a nil slot means every set does). The index is pointer-free, so
+// a clone copies it with a plain memmove.
 type Cache struct {
-	name     string
-	sets     int
-	ways     int
-	lat      uint64 // access latency in cycles
-	lines    []line // sets*ways, row-major by set
-	stamp    uint64
-	setMask  uint64
-	setShift uint
+	name       string
+	sets       int
+	ways       int
+	lat        uint64 // access latency in cycles
+	lines      []line
+	own        [][]line // private set copies, 1<<chunkShift sets per chunk
+	owned      int      // private set copies made
+	chunkShift uint
+	slot       []int32
+	shared     bool // lines is shared with a clone: copy a set before writing it
+	stamp      uint64
+	setMask    uint64
+	setShift   uint
+
+	// mu serializes Clone, which marks the original's lines shared, so
+	// one cache may be cloned from several goroutines at once (it must
+	// not be accessed otherwise meanwhile).
+	mu sync.Mutex
 
 	// Statistics.
 	Accesses    uint64
@@ -78,7 +100,7 @@ func NewCache(name string, sizeBytes, ways int, latency uint64) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("mem: set count must be a power of two: " + name)
 	}
-	return &Cache{
+	c := &Cache{
 		name:     name,
 		sets:     sets,
 		ways:     ways,
@@ -87,6 +109,10 @@ func NewCache(name string, sizeBytes, ways int, latency uint64) *Cache {
 		setMask:  uint64(sets - 1),
 		setShift: uint(log2(sets)),
 	}
+	for ways<<(c.chunkShift+1) <= chunkLines {
+		c.chunkShift++
+	}
+	return c
 }
 
 // Name returns the cache's name.
@@ -101,9 +127,80 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity (for tests).
 func (c *Cache) Ways() int { return c.ways }
 
+// set returns the ways of the line's set, for reading.
 func (c *Cache) set(lineAddr uint64) []line {
 	s := int(lineAddr & c.setMask)
+	if c.slot != nil {
+		if b := c.slot[s]; b != 0 {
+			return c.ownSet(int(b - 1))
+		}
+	}
 	return c.lines[s*c.ways : (s+1)*c.ways]
+}
+
+// chunkLines is the size of a pooled chunk of private set copies: as
+// many whole sets as fit, rounded down to a power of two (one set when a
+// set is larger still, in a chunk of its own).
+const chunkLines = 512
+
+// chunkPool recycles private set-copy chunks between caches.
+var chunkPool = sync.Pool{New: func() any { return new([chunkLines]line) }}
+
+// ownSet returns private copy i.
+func (c *Cache) ownSet(i int) []line {
+	o := (i & (1<<c.chunkShift - 1)) * c.ways
+	return c.own[i>>c.chunkShift][o : o+c.ways]
+}
+
+// newChunk returns storage for the next 1<<chunkShift private copies.
+func (c *Cache) newChunk() []line {
+	if c.ways > chunkLines {
+		return make([]line, c.ways)
+	}
+	return chunkPool.Get().(*[chunkLines]line)[:]
+}
+
+// release hands the private set copies back to the pool; the cache must
+// not be used afterwards.
+func (c *Cache) release() {
+	putChunks(c.own)
+	c.lines, c.own, c.slot = nil, nil, nil
+}
+
+// putChunks returns pooled chunks of private set copies.
+func putChunks(own [][]line) {
+	for _, ch := range own {
+		if len(ch) == chunkLines {
+			chunkPool.Put((*[chunkLines]line)(ch))
+		}
+	}
+}
+
+// wset returns the ways of the line's set for writing, first copying the
+// set out of a shared lines array.
+func (c *Cache) wset(lineAddr uint64) []line {
+	s := int(lineAddr & c.setMask)
+	w := c.ways
+	if c.slot != nil {
+		if b := c.slot[s]; b != 0 {
+			return c.ownSet(int(b - 1))
+		}
+	}
+	if !c.shared {
+		return c.lines[s*w : (s+1)*w]
+	}
+	if c.slot == nil {
+		c.slot = make([]int32, c.sets)
+	}
+	if c.owned&(1<<c.chunkShift-1) == 0 {
+		c.own = append(c.own, c.newChunk())
+	}
+	i := c.owned
+	c.owned++
+	c.slot[s] = int32(i + 1)
+	set := c.ownSet(i)
+	copy(set, c.lines[s*w:(s+1)*w])
+	return set
 }
 
 // Probe reports whether the line is present without updating LRU state or
@@ -127,8 +224,8 @@ func (c *Cache) Lookup(lineAddr uint64, now uint64) (bool, uint64) {
 	tag := lineAddr >> c.setShift
 	set := c.set(lineAddr)
 	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
+		if set[i].valid && set[i].tag == tag {
+			ln := &c.wset(lineAddr)[i]
 			c.stamp++
 			ln.lru = c.stamp
 			if ln.prefetch {
@@ -152,7 +249,7 @@ func (c *Cache) Lookup(lineAddr uint64, now uint64) (bool, uint64) {
 // evicted (writeback traffic).
 func (c *Cache) Insert(lineAddr, fillTime uint64, dirty, prefetch bool) (writeback bool) {
 	tag := lineAddr >> c.setShift
-	set := c.set(lineAddr)
+	set := c.wset(lineAddr)
 	victim := 0
 	for i := range set {
 		ln := &set[i]
@@ -190,7 +287,7 @@ func (c *Cache) MarkDirty(lineAddr uint64) {
 	set := c.set(lineAddr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
-			set[i].dirty = true
+			c.wset(lineAddr)[i].dirty = true
 			return
 		}
 	}
@@ -202,7 +299,7 @@ func (c *Cache) Invalidate(lineAddr uint64) {
 	set := c.set(lineAddr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
+			c.wset(lineAddr)[i].valid = false
 			return
 		}
 	}

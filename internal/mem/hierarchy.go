@@ -327,14 +327,13 @@ func (h *Hierarchy) FetchInst(addr, now uint64) Result {
 // cycle now, compacting finished entries as it goes.
 func (h *Hierarchy) OutstandingDemand(now uint64) int {
 	n := 0
-	w := h.demandEnds[:0]
 	for _, end := range h.demandEnds {
 		if end > now {
+			h.demandEnds[n] = end
 			n++
-			w = append(w, end)
 		}
 	}
-	h.demandEnds = w
+	h.demandEnds = h.demandEnds[:n]
 	return n
 }
 

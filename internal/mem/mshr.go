@@ -154,6 +154,16 @@ func (m *MSHRs) Allocate(lineAddr, fillTime, now uint64, level Level) bool {
 			return false
 		}
 	}
+	if m.capacity <= 0 && 2*(m.count+1) > len(m.slots) {
+		// An unlimited file drops completed fills before growing, so
+		// the table tracks the misses in flight, not every line ever
+		// missed; it still doubles when they fill a quarter of it, which
+		// keeps the sweeps amortized.
+		m.sweep(now)
+		if 4*(m.count+1) > len(m.slots) {
+			m.grow()
+		}
+	}
 	m.insert(lineAddr+1, fillInfo{time: fillTime, level: level})
 	return true
 }

@@ -39,6 +39,9 @@ func PrefetcherNames() []string {
 // of lines fetched ahead (<=0 = 4) — "nextline" ignores the table. The
 // empty name means DefaultPrefetcher.
 func NewPrefetcher(name string, tableSize, degree int) (Prefetcher, error) {
+	if err := CheckPrefetcher(name, tableSize); err != nil {
+		return nil, err
+	}
 	if tableSize == 0 {
 		tableSize = 256
 	}
@@ -46,8 +49,6 @@ func NewPrefetcher(name string, tableSize, degree int) (Prefetcher, error) {
 		degree = 4
 	}
 	switch name {
-	case "none":
-		return nil, nil
 	case "nextline":
 		return NewNextLinePrefetcher(degree), nil
 	case "", "stride":
@@ -55,7 +56,23 @@ func NewPrefetcher(name string, tableSize, degree int) (Prefetcher, error) {
 	case "stream":
 		return NewStreamPrefetcher(tableSize, degree), nil
 	}
-	return nil, fmt.Errorf("mem: unknown prefetcher %q (have %v)", name, PrefetcherNames())
+	return nil, nil // "none"
+}
+
+// CheckPrefetcher validates a prefetcher name and table size (as
+// NewPrefetcher takes them) without building the prefetcher; the error
+// is NewPrefetcher's.
+func CheckPrefetcher(name string, tableSize int) error {
+	switch name {
+	case "none", "nextline":
+		return nil
+	case "", "stride", "stream":
+		if tableSize < 0 || tableSize&(tableSize-1) != 0 {
+			return fmt.Errorf("mem: prefetcher table size must be a power of two, not %d", tableSize)
+		}
+		return nil
+	}
+	return fmt.Errorf("mem: unknown prefetcher %q (have %v)", name, PrefetcherNames())
 }
 
 // StridePrefetcher is the L2 stride prefetcher from Table 1 ("stride

@@ -151,7 +151,7 @@ func DefaultConfig() Config {
 // misconfigurations fail fast.
 func (c *Config) Validate() {
 	c.validateStructure()
-	if _, err := bpred.New(c.BranchPred); err != nil {
+	if _, err := bpred.Lookup(c.BranchPred); err != nil {
 		panic("pipeline: " + err.Error())
 	}
 }

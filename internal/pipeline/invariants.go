@@ -14,6 +14,9 @@ func (p *Pipeline) CheckInvariants() error {
 	if err := p.checkRegConservation(); err != nil {
 		return err
 	}
+	if err := p.checkHandles(); err != nil {
+		return err
+	}
 
 	// ROB is in program order and within capacity.
 	var prev uint64
@@ -49,8 +52,8 @@ func (p *Pipeline) CheckInvariants() error {
 	if got := p.parker.ParkedCount(); got != parkedInROB {
 		return fmt.Errorf("parker holds %d instructions, ROB sees %d parked", got, parkedInROB)
 	}
-	if c, ok := p.parker.(interface{ CheckInvariants() error }); ok {
-		if err := c.CheckInvariants(); err != nil {
+	if c, ok := p.parker.(interface{ CheckInvariants(*Pipeline) error }); ok {
+		if err := c.CheckInvariants(p); err != nil {
 			return err
 		}
 	}
@@ -65,7 +68,7 @@ func (p *Pipeline) CheckInvariants() error {
 			return fmt.Errorf("LSQ over capacity: %d > %d", q.Len(), q.Cap())
 		}
 		for i := 1; i < len(q.entries); i++ {
-			if q.entries[i-1].Seq() >= q.entries[i].Seq() {
+			if q.entries[i-1].Seq >= q.entries[i].Seq {
 				return fmt.Errorf("LSQ out of order at %d", i)
 			}
 		}
@@ -135,11 +138,100 @@ func (p *Pipeline) checkRegConservation() error {
 	return nil
 }
 
+// CheckRef reports an error unless r names a live record of this
+// pipeline — handed out by the slab, not recycled since — whose seq is
+// r.Seq. Parkers check the handles they hold with it.
+func (p *Pipeline) CheckRef(r Ref, where string) error {
+	if !p.slab.valid(r.H) {
+		return fmt.Errorf("%s holds invalid handle %d (seq %d)", where, r.H, r.Seq)
+	}
+	if f := p.slab.at(r.H); f.pooled || f.Seq() != r.Seq {
+		return fmt.Errorf("%s holds handle %d for seq %d, which names recycled record %s", where, r.H, r.Seq, f)
+	}
+	return nil
+}
+
+// checkHandle is CheckRef for containers that keep no seq: the handle
+// must name a live record.
+func (p *Pipeline) checkHandle(h Handle, where string) error {
+	if !p.slab.valid(h) {
+		return fmt.Errorf("%s holds invalid handle %d", where, h)
+	}
+	if f := p.slab.at(h); f.pooled {
+		return fmt.Errorf("%s holds handle %d of recycled record %s", where, h, f)
+	}
+	return nil
+}
+
+// checkHandles verifies that every handle the pipeline's containers hold
+// — the event heap, ROB, LQ/SQ, ready list, LL list, drain queue and
+// WIB — names a live record with the expected seq, and that the slab's
+// free lists hold only recycled (pool) or retired records.
+func (p *Pipeline) checkHandles() error {
+	for _, ev := range p.events.ev[:p.events.n] {
+		if err := p.CheckRef(Ref{Seq: ev.seq, H: ev.h}, "event heap"); err != nil {
+			return err
+		}
+	}
+	for _, h := range p.rob.entries[p.rob.head:] {
+		if err := p.checkHandle(h, "ROB"); err != nil {
+			return err
+		}
+	}
+	lists := [][]Ref{p.lq.entries, p.sq.entries, p.iq.ready.Items(), p.llList}
+	for i, where := range []string{"LQ", "SQ", "IQ ready list", "LL list"} {
+		for _, r := range lists[i] {
+			if err := p.CheckRef(r, where); err != nil {
+				return err
+			}
+		}
+	}
+	for i, h := range p.drainQ {
+		if err := p.checkHandle(h, "store drain queue"); err != nil {
+			return err
+		}
+		if f := p.slab.at(h); !f.Committed || !f.IsStore() || !f.HasLSQ {
+			return fmt.Errorf("store drain queue entry %d is not a draining store: %s", i, f)
+		}
+	}
+	if p.wib != nil {
+		for _, h := range p.wib.entries {
+			if err := p.checkHandle(h, "WIB"); err != nil {
+				return err
+			}
+		}
+	}
+	for _, h := range p.pool {
+		if !p.slab.valid(h) || !p.slab.at(h).pooled {
+			return fmt.Errorf("record pool holds live handle %d", h)
+		}
+	}
+	for _, h := range p.retired {
+		if !p.slab.valid(h) || p.slab.at(h).pooled {
+			return fmt.Errorf("retired list holds pooled handle %d", h)
+		}
+	}
+	return nil
+}
+
+// waiterNodes returns prod's waiters list.
+func (p *Pipeline) waiterNodes(prod *Inflight) []waitNode {
+	var out []waitNode
+	for n := prod.waitHead; n != 0; n = p.slab.at(n.handle()).waitNext[n.slot()] {
+		out = append(out, n)
+		if len(out) > int(p.slab.n)*2 {
+			break // a cycle; reported by the caller's tail check
+		}
+	}
+	return out
+}
+
 // checkIQ validates the event-driven select bookkeeping (iq.go): every IQ
 // entry is dispatched, unissued and unparked, and sits either in the
 // ready list or a timed event with no pending producer, or on the waiters
 // list of exactly its pending producers; waiters lists hold only such
-// waiting entries; retired records hold no waiter links.
+// waiting entries and end at their tails; retired records hold no waiter
+// links.
 func (p *Pipeline) checkIQ() error {
 	if p.iq.Len() > p.iq.Cap() {
 		return fmt.Errorf("IQ over capacity: %d > %d", p.iq.Len(), p.iq.Cap())
@@ -150,19 +242,27 @@ func (p *Pipeline) checkIQ() error {
 		if err != nil {
 			return
 		}
-		for _, c := range f.waiters {
-			if c.Issued || c.Squashed || !c.InIQ || c.iqState != iqWaiting ||
-				(c.waitOn[0] != f && c.waitOn[1] != f) {
+		nodes := p.waiterNodes(f)
+		if n := len(nodes); (n == 0) != (f.waitTail == 0) || (n > 0 && nodes[n-1] != f.waitTail) {
+			err = fmt.Errorf("waiters list of %s does not end at its tail", f)
+			return
+		}
+		for _, n := range nodes {
+			if err = p.checkHandle(n.handle(), "waiters list"); err != nil {
+				return
+			}
+			c := p.slab.at(n.handle())
+			if c.Issued || c.Squashed || !c.InIQ || c.iqState != iqWaiting || c.waitOn[n.slot()] != f.h {
 				err = fmt.Errorf("stale waiter %s on %s", c, f)
 				return
 			}
 		}
-		if f.Issued && len(f.waiters) > 0 {
-			err = fmt.Errorf("issued producer %s still has %d waiters", f, len(f.waiters))
+		if f.Issued && len(nodes) > 0 {
+			err = fmt.Errorf("issued producer %s still has %d waiters", f, len(nodes))
 			return
 		}
 		if !f.InIQ {
-			if f.iqState != iqOut || f.waitOn != [2]*Inflight{} {
+			if f.iqState != iqOut || f.waitOn != [2]Handle{} {
 				err = fmt.Errorf("instruction outside the IQ keeps select state: %s", f)
 			}
 			return
@@ -172,7 +272,7 @@ func (p *Pipeline) checkIQ() error {
 			err = fmt.Errorf("invalid IQ entry state: %s", f)
 			return
 		}
-		var want [2]*Inflight
+		var want [2]Handle
 		for i := 0; i < neededSrcs(f); i++ {
 			want[i] = p.expectedProducer(f, i)
 		}
@@ -182,31 +282,31 @@ func (p *Pipeline) checkIQ() error {
 		}
 		switch f.iqState {
 		case iqWaiting:
-			for i, prod := range f.waitOn {
-				if prod == nil || (i == 1 && prod == f.waitOn[0]) {
+			for i, h := range f.waitOn {
+				if h == 0 || (i == 1 && h == f.waitOn[0]) {
 					continue
 				}
 				n := 0
-				for _, c := range prod.waiters {
-					if c == f {
+				for _, w := range p.waiterNodes(p.slab.at(h)) {
+					if w.handle() == f.h {
 						n++
 					}
 				}
 				if n != 1 {
-					err = fmt.Errorf("IQ entry %s listed %d times by producer %s", f, n, prod)
+					err = fmt.Errorf("IQ entry %s listed %d times by producer %s", f, n, p.slab.at(h))
 					return
 				}
 			}
-			if want == [2]*Inflight{} {
+			if want == [2]Handle{} {
 				err = fmt.Errorf("IQ entry %s waits with no pending producer", f)
 			}
 		case iqTimed:
-			if want != [2]*Inflight{} || f.iqAt <= p.now {
+			if want != [2]Handle{} || f.iqAt <= p.now {
 				err = fmt.Errorf("timed IQ entry %s (at %d, now %d) is misplaced", f, f.iqAt, p.now)
 			}
 		case iqReady:
 			ready++
-			if want != [2]*Inflight{} || f.iqAt > p.now {
+			if want != [2]Handle{} || f.iqAt > p.now {
 				err = fmt.Errorf("ready IQ entry %s (at %d, now %d) is misplaced", f, f.iqAt, p.now)
 			}
 		default:
@@ -223,14 +323,16 @@ func (p *Pipeline) checkIQ() error {
 	if len(rl) != ready {
 		return fmt.Errorf("ready list holds %d entries, %d are ready", len(rl), ready)
 	}
-	for i, f := range rl {
-		if f.iqState != iqReady || !f.InIQ || (i > 0 && rl[i-1].Seq() >= f.Seq()) {
+	for i, r := range rl {
+		f := p.slab.at(r.H)
+		if f.iqState != iqReady || !f.InIQ || (i > 0 && rl[i-1].Seq >= r.Seq) {
 			return fmt.Errorf("ready list corrupt at %d: %s", i, f)
 		}
 	}
-	for _, recs := range [][]*Inflight{p.retired, p.pool} {
-		for _, f := range recs {
-			if len(f.waiters) > 0 || f.waitOn != [2]*Inflight{} {
+	for _, recs := range [][]Handle{p.retired, p.pool} {
+		for _, h := range recs {
+			f := p.slab.at(h)
+			if f.waitHead != 0 || f.waitTail != 0 || f.waitOn != [2]Handle{} {
 				return fmt.Errorf("retired record %s keeps waiter links", f)
 			}
 		}
@@ -240,24 +342,24 @@ func (p *Pipeline) checkIQ() error {
 
 // expectedProducer recomputes, without resolving anything, the producer
 // source i of f must wait on: a still-parked producer, or the unissued
-// writer of an unready register; nil when the operand's ready cycle is
+// writer of an unready register; zero when the operand's ready cycle is
 // known.
-func (p *Pipeline) expectedProducer(f *Inflight, i int) *Inflight {
+func (p *Pipeline) expectedProducer(f *Inflight, i int) Handle {
 	r := f.U.Src1
 	if i == 1 {
 		r = f.U.Src2
 	}
 	if !r.Valid() {
-		return nil
+		return 0
 	}
-	if prod := f.SrcProd[i]; prod != nil {
-		if prod.DstPreg == NoPReg || p.classRF(r).ReadyAt(prod.DstPreg) == neverReady {
-			return prod
+	if h := f.SrcProd[i]; h != 0 {
+		if prod := p.slab.at(h); prod.DstPreg == NoPReg || p.classRF(r).ReadyAt(prod.DstPreg) == neverReady {
+			return h
 		}
-		return nil
+		return 0
 	}
 	if p.classRF(r).ReadyAt(f.SrcPreg[i]) == neverReady {
 		return f.SrcWriter[i]
 	}
-	return nil
+	return 0
 }

@@ -29,6 +29,17 @@ func neededSrcs(f *Inflight) int {
 	return 2
 }
 
+// waitNode names one entry of a waiters list: the waiting record's
+// handle and the source slot (0 or 1) it waits with, as h<<1 | slot.
+// The zero node ends a list.
+type waitNode uint32
+
+func nodeOf(h Handle, slot int) waitNode { return waitNode(h)<<1 | waitNode(slot) }
+
+func (n waitNode) handle() Handle { return Handle(n >> 1) }
+
+func (n waitNode) slot() int { return int(n & 1) }
+
 // operandReadyAt returns the cycle source i of f becomes available: 0 for
 // an absent operand, neverReady while its producer has not issued. A lazy
 // link to a formerly parked producer is upgraded to its register on the
@@ -41,12 +52,13 @@ func (p *Pipeline) operandReadyAt(f *Inflight, i int) uint64 {
 	if !r.Valid() {
 		return 0
 	}
-	if prod := f.SrcProd[i]; prod != nil {
+	if h := f.SrcProd[i]; h != 0 {
+		prod := p.slab.at(h)
 		if prod.DstPreg == NoPReg {
 			return neverReady // producer still parked
 		}
 		f.SrcPreg[i] = prod.DstPreg
-		f.SrcProd[i] = nil
+		f.SrcProd[i] = 0
 	}
 	pr := f.SrcPreg[i]
 	if pr == NoPReg {
@@ -56,17 +68,17 @@ func (p *Pipeline) operandReadyAt(f *Inflight, i int) uint64 {
 }
 
 // pendingProducer returns the instruction whose issue will make source i
-// of f known, or nil when the operand's ready cycle is already known.
-func (p *Pipeline) pendingProducer(f *Inflight, i int) *Inflight {
+// of f known, or zero when the operand's ready cycle is already known.
+func (p *Pipeline) pendingProducer(f *Inflight, i int) Handle {
 	if p.operandReadyAt(f, i) != neverReady {
-		return nil
+		return 0
 	}
 	// An unready register is still owned by its allocating writer, which
 	// has not committed, so the rename-time writer link is live.
-	if prod := f.SrcProd[i]; prod != nil {
-		return prod
+	if h := f.SrcProd[i]; h != 0 {
+		return h
 	}
-	if w := f.SrcWriter[i]; w != nil && !w.Issued {
+	if w := f.SrcWriter[i]; w != 0 && !p.slab.at(w).Issued {
 		return w
 	}
 	panic(fmt.Sprintf("pipeline: no pending producer for unready source %d of %s", i, f.String()))
@@ -80,19 +92,30 @@ func (p *Pipeline) iqInsert(f *Inflight) {
 	p.iq.n++
 	for i := 0; i < neededSrcs(f); i++ {
 		prod := p.pendingProducer(f, i)
-		if prod == nil {
+		if prod == 0 {
 			continue
 		}
 		if f.waitOn[0] != prod {
-			prod.waiters = append(prod.waiters, f)
+			p.appendWaiter(p.slab.at(prod), nodeOf(f.h, i))
 		}
 		f.waitOn[i] = prod
 	}
-	if f.waitOn[0] != nil || f.waitOn[1] != nil {
+	if f.waitOn != [2]Handle{} {
 		f.iqState = iqWaiting
 		return
 	}
 	p.iqSchedule(f)
+}
+
+// appendWaiter adds node n to the tail of prod's waiters list.
+func (p *Pipeline) appendWaiter(prod *Inflight, n waitNode) {
+	if prod.waitTail == 0 {
+		prod.waitHead = n
+	} else {
+		t := prod.waitTail
+		p.slab.at(t.handle()).waitNext[t.slot()] = n
+	}
+	prod.waitTail = n
 }
 
 // iqSchedule places an entry with every operand's ready cycle known:
@@ -130,42 +153,56 @@ func (p *Pipeline) iqTimerFired(f *Inflight, at uint64) {
 
 // wakeWaiters runs when prod issues: its consumers' operands now have a
 // known ready cycle. Consumers left with no pending producer are
-// scheduled; since every latency is at least one cycle, none of them
-// joins the ready list select is walking this cycle.
+// scheduled, in the order they joined the list; since every latency is
+// at least one cycle, none of them joins the ready list select is
+// walking this cycle.
 func (p *Pipeline) wakeWaiters(prod *Inflight) {
-	for i, c := range prod.waiters {
-		prod.waiters[i] = nil
-		if c.waitOn[0] == prod {
-			c.waitOn[0] = nil
+	for n := prod.waitHead; n != 0; {
+		c := p.slab.at(n.handle())
+		next := c.waitNext[n.slot()]
+		c.waitNext[n.slot()] = 0
+		if c.waitOn[0] == prod.h {
+			c.waitOn[0] = 0
 		}
-		if c.waitOn[1] == prod {
-			c.waitOn[1] = nil
+		if c.waitOn[1] == prod.h {
+			c.waitOn[1] = 0
 		}
-		if c.waitOn[0] == nil && c.waitOn[1] == nil {
+		if c.waitOn == [2]Handle{} {
 			p.iqSchedule(c)
 		}
+		n = next
 	}
-	prod.waiters = prod.waiters[:0]
+	prod.waitHead, prod.waitTail = 0, 0
 }
 
 // unwait takes a waiting entry off its producers' waiters lists.
-func unwait(f *Inflight) {
-	for i, prod := range f.waitOn {
-		if prod == nil || (i == 1 && prod == f.waitOn[0]) {
+func (p *Pipeline) unwait(f *Inflight) {
+	for i, h := range f.waitOn {
+		if h == 0 || (i == 1 && h == f.waitOn[0]) {
 			continue
 		}
-		ws := prod.waiters
-		for j, c := range ws {
-			if c == f {
-				last := len(ws) - 1
-				copy(ws[j:], ws[j+1:])
-				ws[last] = nil
-				prod.waiters = ws[:last]
-				break
+		prod := p.slab.at(h)
+		me := nodeOf(f.h, i)
+		var prev waitNode
+		for n := prod.waitHead; n != 0; n = p.slab.at(n.handle()).waitNext[n.slot()] {
+			if n != me {
+				prev = n
+				continue
 			}
+			next := f.waitNext[i]
+			if prev == 0 {
+				prod.waitHead = next
+			} else {
+				p.slab.at(prev.handle()).waitNext[prev.slot()] = next
+			}
+			if prod.waitTail == me {
+				prod.waitTail = prev
+			}
+			break
 		}
 	}
-	f.waitOn = [2]*Inflight{}
+	f.waitOn = [2]Handle{}
+	f.waitNext = [2]waitNode{}
 }
 
 // iqRemove takes an unissued entry out of the IQ (WIB drain). A pending
@@ -173,7 +210,7 @@ func unwait(f *Inflight) {
 func (p *Pipeline) iqRemove(f *Inflight) {
 	switch f.iqState {
 	case iqWaiting:
-		unwait(f)
+		p.unwait(f)
 	case iqReady:
 		p.iq.ready.Remove(f)
 	}
@@ -192,13 +229,14 @@ func (p *Pipeline) iqLeave(f *Inflight) {
 // leave their producers' lists, and their own waiters are younger victims
 // too, so every victim's list ends up empty. Timed victims' events are
 // skipped as squashed.
-func (p *Pipeline) iqSquash(victims []*Inflight, fromSeq uint64) {
-	for _, f := range victims {
+func (p *Pipeline) iqSquash(victims []Handle, fromSeq uint64) {
+	for _, h := range victims {
+		f := p.slab.at(h)
 		if !f.InIQ {
 			continue
 		}
 		if f.iqState == iqWaiting {
-			unwait(f)
+			p.unwait(f)
 		}
 		p.iqLeave(f)
 	}

@@ -15,7 +15,7 @@ const never = ^uint64(0)
 
 // decoded is a fetched µop moving through the front end.
 type decoded struct {
-	u       isa.Uop
+	u       Uop
 	readyAt uint64 // cycle it reaches rename
 	mispred bool   // front-end branch misprediction
 }
@@ -32,15 +32,20 @@ const (
 type event struct {
 	at   uint64
 	seq  uint64 // tie-break for determinism
-	f    *Inflight
+	h    Handle
 	kind eventKind
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
-// instead of using container/heap: the interface-based heap boxes every
-// event into an interface{} (one allocation per push and pop) and its
-// indirect calls dominated the event path's profile.
-type eventHeap []event
+// eventHeap is a binary min-heap ordered by (at, seq), in ev[:n]. It is
+// hand-rolled instead of using container/heap: the interface-based heap
+// boxes every event into an interface{} (one allocation per push and
+// pop) and its indirect calls dominated the event path's profile. The
+// explicit length keeps push and pop from rewriting the slice header, a
+// pointer store the collector would have to see.
+type eventHeap struct {
+	ev []event
+	n  int
+}
 
 func (h event) before(o event) bool {
 	if h.at != o.at {
@@ -51,9 +56,13 @@ func (h event) before(o event) bool {
 
 // push adds an event, sifting it up to its heap position.
 func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
+	if h.n == len(h.ev) {
+		h.ev = append(h.ev, e)
+	}
+	s := h.ev
+	i := h.n
+	s[i] = e
+	h.n++
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !s[i].before(s[parent]) {
@@ -66,13 +75,11 @@ func (h *eventHeap) push(e event) {
 
 // pop removes and returns the earliest event. The heap must be non-empty.
 func (h *eventHeap) pop() event {
-	s := *h
+	s := h.ev
 	top := s[0]
-	n := len(s) - 1
+	h.n--
+	n := h.n
 	s[0] = s[n]
-	s[n] = event{} // release the *Inflight reference
-	s = s[:n]
-	*h = s
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -103,9 +110,13 @@ type Pipeline struct {
 	streamDone bool
 
 	// Fetch & replay buffer: every fetched, uncommitted µop. The buffer is
-	// consumed from bufHead (committed entries are dead space compacted in
-	// place) so the steady state allocates nothing.
-	fetchBuf        []isa.Uop
+	// consumed from bufHead; committed entries are dead space, reclaimed
+	// in place when the array fills (see peekFetch), so it stays about as
+	// large as the in-flight window and the steady state allocates
+	// nothing. next is the emulator's decode target: the labelled µop is
+	// copied into the label-free buffer.
+	fetchBuf        []Uop
+	next            isa.Uop
 	bufHead         int    // index of the oldest uncommitted µop
 	bufBase         uint64 // seq of fetchBuf[bufHead]
 	fetchPos        int    // next buffer index to fetch (>= bufHead)
@@ -119,22 +130,24 @@ type Pipeline struct {
 	decodeHead int
 	decodeQCap int
 
-	// Inflight record pool. Retired (committed or squashed) records park in
-	// `retired` until no live instruction can still reference them — every
-	// cross-record pointer (SrcProd, DepStore, event entries) is held by an
-	// instruction that coexisted with the referent in the ROB, so once
-	// commit has advanced a full ROB window past a record's seq it is
-	// unreachable and returns to `pool` for reuse. Disabled under the WIB
-	// baseline, whose SrcWriter links can outlive that window.
-	pool         []*Inflight
-	retired      []*Inflight
+	// Inflight records live in the slab. Retired (committed or squashed)
+	// records park in `retired` until no live instruction can still
+	// reference them — every cross-record handle (SrcProd, DepStore, event
+	// entries) is held by an instruction that coexisted with the referent
+	// in the ROB, so once commit has advanced a full ROB window past a
+	// record's seq it is unreachable and returns to `pool` (a LIFO free
+	// stack) for reuse. Disabled under the WIB baseline, whose SrcWriter
+	// links can outlive that window.
+	slab         slab
+	pool         []Handle
+	retired      []Handle
 	poolDisabled bool
 	scavengeAt   uint64 // next bufBase at which scavenging is worth retrying
 
 	// pending is an instruction that was classified (OnRename/ShouldPark
 	// ran exactly once) but could not yet dispatch due to a structural
 	// stall; it retries before anything younger renames.
-	pending       *Inflight
+	pending       Handle
 	pendingParked bool
 
 	rob   *ROB
@@ -153,10 +166,10 @@ type Pipeline struct {
 	// llList holds in-flight, incomplete long-latency instructions in
 	// program order (the paper's ROB long-latency tracking for the
 	// Non-Urgent wakeup policy).
-	llList []*Inflight
+	llList []Ref
 
 	// drainQ holds committed stores awaiting their SQ release.
-	drainQ  []*Inflight
+	drainQ  []Handle
 	drainAt []uint64
 
 	now             uint64
@@ -223,7 +236,6 @@ func NewShared(cfg Config, stream prog.Stream, parker Parker, h *mem.Hierarchy, 
 		BP:            bp,
 		parker:        parker,
 		stream:        stream,
-		rob:           NewROB(cfg.ROBSize),
 		iq:            NewIQ(cfg.IQSize),
 		lq:            newOrderedQueue(cfg.LQSize),
 		sq:            newOrderedQueue(cfg.SQSize),
@@ -231,12 +243,13 @@ func NewShared(cfg Config, stream prog.Stream, parker Parker, h *mem.Hierarchy, 
 		fpRF:          NewRegFile("fp", isa.NumFPRegs, cfg.FPRegs),
 		rat:           NewRAT(),
 		fus:           newFUBank(&cfg),
-		ssets:         NewStoreSets(),
 		decodeQCap:    cfg.FetchWidth * (int(cfg.FrontEndDepth) + 2),
 		mispredSeq:    never,
 		lastFetchLine: ^uint64(0),
 		Counters:      stats.NewSet(),
 	}
+	p.rob = newROB(cfg.ROBSize, &p.slab)
+	p.ssets = newStoreSets(&p.slab)
 	if cfg.WIBSize > 0 {
 		p.wib = NewWIB(cfg.WIBSize, cfg.WIBPorts, cfg.LLThreshold)
 		p.poolDisabled = true
@@ -251,15 +264,27 @@ func (p *Pipeline) allocInflight() *Inflight {
 		p.scavenge()
 	}
 	if n := len(p.pool); n > 0 {
-		f := p.pool[n-1]
-		p.pool[n-1] = nil
+		h := p.pool[n-1]
 		p.pool = p.pool[:n-1]
-		waiters := f.waiters // empty; keep its backing array
-		*f = Inflight{}
-		f.waiters = waiters
+		f := p.slab.at(h)
+		*f = Inflight{h: h}
 		return f
 	}
-	return new(Inflight)
+	return p.slab.fresh()
+}
+
+// Rec resolves a handle to its record. The pointer is valid while the
+// record is; it must not be kept across cycles.
+func (p *Pipeline) Rec(h Handle) *Inflight { return p.slab.at(h) }
+
+// NewInflight allocates a record for u from the pipeline's slab, as
+// rename does, for code that drives the Parker hooks by hand.
+func (p *Pipeline) NewInflight(u isa.Uop) *Inflight {
+	f := p.allocInflight()
+	f.U = uopOf(&u)
+	f.DstPreg = NoPReg
+	f.SrcPreg = [2]PReg{NoPReg, NoPReg}
+	return f
 }
 
 // recordRetired parks a committed or squashed record for later reuse.
@@ -267,7 +292,7 @@ func (p *Pipeline) recordRetired(f *Inflight) {
 	if p.poolDisabled {
 		return
 	}
-	p.retired = append(p.retired, f)
+	p.retired = append(p.retired, f.h)
 }
 
 // scavenge moves retired records whose reuse window has passed into the
@@ -280,17 +305,26 @@ func (p *Pipeline) scavenge() {
 	p.scavengeAt = p.bufBase + 64
 	horizon := uint64(p.cfg.ROBSize) + 1
 	w := p.retired[:0]
-	for _, f := range p.retired {
+	for _, h := range p.retired {
+		f := p.slab.at(h)
 		if f.pendingEvents == 0 && !f.HasLSQ && f.Seq()+horizon < p.bufBase {
-			p.pool = append(p.pool, f)
+			f.pooled = true
+			p.pool = append(p.pool, h)
 			continue
 		}
-		w = append(w, f)
-	}
-	for i := len(w); i < len(p.retired); i++ {
-		p.retired[i] = nil
+		w = append(w, h)
 	}
 	p.retired = w
+}
+
+// Release hands the pipeline's working memory back for reuse by later
+// pipelines: its record slab, and the private tables of the hierarchy
+// and branch predictor it runs on. Neither the pipeline nor that
+// hierarchy and predictor may be used afterwards.
+func (p *Pipeline) Release() {
+	p.slab.release()
+	p.Hier.Release()
+	bpred.Release(p.BP)
 }
 
 // Cfg returns the configuration.
@@ -383,7 +417,7 @@ func (p *Pipeline) SecondLLSeq() uint64 {
 	if len(p.llList) < 2 {
 		return never
 	}
-	return p.llList[1].Seq()
+	return p.llList[1].Seq
 }
 
 // wakePace bounds how far past the last known stalling instruction the
@@ -406,9 +440,9 @@ func (p *Pipeline) WakeBound() uint64 {
 		}
 		return p.bufBase + wakePace
 	case 1:
-		return p.llList[0].Seq() + wakePace
+		return p.llList[0].Seq + wakePace
 	default:
-		return p.llList[1].Seq()
+		return p.llList[1].Seq
 	}
 }
 
@@ -417,13 +451,13 @@ func (p *Pipeline) OldestLLSeq() uint64 {
 	if len(p.llList) == 0 {
 		return never
 	}
-	return p.llList[0].Seq()
+	return p.llList[0].Seq
 }
 
 // schedule pushes a timing event.
 func (p *Pipeline) schedule(at uint64, f *Inflight, kind eventKind) {
 	f.pendingEvents++
-	p.events.push(event{at: at, seq: f.Seq(), f: f, kind: kind})
+	p.events.push(event{at: at, seq: f.Seq(), h: f.h, kind: kind})
 }
 
 // Cycle advances the simulation one clock. Stage order is commit →
@@ -459,9 +493,9 @@ func (p *Pipeline) Cycle() {
 
 // processEvents applies all events due this cycle.
 func (p *Pipeline) processEvents() {
-	for len(p.events) > 0 && p.events[0].at <= p.now {
+	for p.events.n > 0 && p.events.ev[0].at <= p.now {
 		ev := p.events.pop()
-		f := ev.f
+		f := p.slab.at(ev.h)
 		f.pendingEvents--
 		if f.Squashed {
 			continue
@@ -488,35 +522,31 @@ func (p *Pipeline) processEvents() {
 
 // removeLL drops a completed instruction from the LL tracking list.
 func (p *Pipeline) removeLL(f *Inflight) {
-	if !f.LL {
-		return
-	}
-	for i, e := range p.llList {
-		if e == f {
-			p.llList = append(p.llList[:i], p.llList[i+1:]...)
-			return
-		}
+	if f.LL {
+		p.llList = removeRef(p.llList, f.Seq(), f.h)
 	}
 }
 
 // addLL inserts a detected long-latency instruction in program order.
-func (p *Pipeline) addLL(f *Inflight) {
-	p.llList = insertBySeq(p.llList, f)
-}
+func (p *Pipeline) addLL(f *Inflight) { p.llList = insertRef(p.llList, f.Ref()) }
 
-// releaseDrainedStores frees SQ entries whose post-commit writeback is done.
+// releaseDrainedStores frees SQ entries whose post-commit writeback is
+// done. Stores drain a fixed latency after commit, so the queue is in
+// release order and the due ones form its head.
 func (p *Pipeline) releaseDrainedStores() {
-	w, wa := p.drainQ[:0], p.drainAt[:0]
-	for i, f := range p.drainQ {
-		if p.drainAt[i] <= p.now {
-			p.sq.Remove(f)
-			f.HasLSQ = false
-			continue
-		}
-		w = append(w, f)
-		wa = append(wa, p.drainAt[i])
+	n := 0
+	for n < len(p.drainQ) && p.drainAt[n] <= p.now {
+		f := p.slab.at(p.drainQ[n])
+		p.sq.Remove(f)
+		f.HasLSQ = false
+		n++
 	}
-	p.drainQ, p.drainAt = w, wa
+	if n > 0 {
+		k := copy(p.drainQ, p.drainQ[n:])
+		copy(p.drainAt, p.drainAt[n:])
+		p.drainQ = p.drainQ[:k]
+		p.drainAt = p.drainAt[:k]
+	}
 }
 
 // storeDrainLatency is the cycles between a store's commit and its SQ entry
@@ -543,12 +573,13 @@ func (p *Pipeline) storeDataReady(f *Inflight, now uint64) bool {
 	if !f.U.Src2.Valid() {
 		return true
 	}
-	if prod := f.SrcProd[1]; prod != nil {
+	if h := f.SrcProd[1]; h != 0 {
+		prod := p.slab.at(h)
 		if prod.DstPreg == NoPReg {
 			return false // producer still parked
 		}
 		f.SrcPreg[1] = prod.DstPreg
-		f.SrcProd[1] = nil
+		f.SrcProd[1] = 0
 	}
 	pr := f.SrcPreg[1]
 	if pr == NoPReg {
@@ -573,7 +604,7 @@ func (p *Pipeline) commitStage() {
 			f.DoneAt = p.now
 			p.ssets.OnComplete(f)
 			if f.HasLSQ {
-				p.drainQ = append(p.drainQ, f)
+				p.drainQ = append(p.drainQ, f.h)
 				p.drainAt = append(p.drainAt, p.now+storeDrainLatency)
 			}
 		}
@@ -600,14 +631,6 @@ func (p *Pipeline) commitStage() {
 		}
 		p.bufHead++
 		p.bufBase++
-		// Compact the dead prefix in place once it dominates the buffer;
-		// the array is reused so steady-state fetch allocates nothing.
-		if p.bufHead >= 1024 && 2*p.bufHead >= len(p.fetchBuf) {
-			n := copy(p.fetchBuf, p.fetchBuf[p.bufHead:])
-			p.fetchBuf = p.fetchBuf[:n]
-			p.fetchPos -= p.bufHead
-			p.bufHead = 0
-		}
 
 		p.committed++
 		p.lastCommitCycle = p.now

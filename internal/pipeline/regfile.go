@@ -14,12 +14,19 @@ const neverReady = ^uint64(0)
 // file holds NumArch + avail registers: the architectural state always
 // occupies NumArch of them (paper footnote 4: the graphs show *available*
 // registers).
+//
+// The file grows on first use, so an effectively unlimited one (the limit
+// study's Inf) costs only the registers a run touches. Registers fresh
+// and up have never been allocated; they sit, lowest first, under the
+// LIFO free stack, which holds only registers freed since — exactly the
+// order a stack preloaded with every rename register would pop.
 type RegFile struct {
 	name    string
 	arch    int
 	avail   int
-	free    []PReg   // LIFO free list
-	readyAt []uint64 // per-preg cycle its value is available
+	free    []PReg   // LIFO stack of freed registers
+	fresh   int      // lowest never-allocated register
+	readyAt []uint64 // per-preg cycle its value is available, up to fresh
 
 	// Statistics.
 	Allocs uint64
@@ -28,39 +35,42 @@ type RegFile struct {
 
 // NewRegFile builds a register file with `arch` architectural and `avail`
 // available rename registers. Registers 0..arch-1 start out mapped to the
-// architectural state; arch..arch+avail-1 start on the free list.
+// architectural state; arch..arch+avail-1 start out free and are
+// allocated lowest first.
 func NewRegFile(name string, arch, avail int) *RegFile {
-	rf := &RegFile{
+	return &RegFile{
 		name:    name,
 		arch:    arch,
 		avail:   avail,
-		readyAt: make([]uint64, arch+avail),
+		fresh:   arch,
+		readyAt: make([]uint64, arch),
 	}
-	rf.free = make([]PReg, 0, avail)
-	// Push in reverse so allocation order starts at the lowest index.
-	for i := arch + avail - 1; i >= arch; i-- {
-		rf.free = append(rf.free, PReg(i))
-	}
-	return rf
 }
 
-// FreeCount returns the number of registers on the free list.
-func (rf *RegFile) FreeCount() int { return len(rf.free) }
+// FreeCount returns the number of free registers.
+func (rf *RegFile) FreeCount() int { return len(rf.free) + rf.arch + rf.avail - rf.fresh }
 
 // InUse returns the number of rename registers currently allocated.
-func (rf *RegFile) InUse() int { return rf.avail - len(rf.free) }
+func (rf *RegFile) InUse() int { return rf.avail - rf.FreeCount() }
 
 // Avail returns the configured number of available registers.
 func (rf *RegFile) Avail() int { return rf.avail }
 
-// Alloc pops a register from the free list. ok=false when empty.
+// Alloc takes a free register. ok=false when none is left.
 func (rf *RegFile) Alloc() (PReg, bool) {
-	if len(rf.free) == 0 {
+	var r PReg
+	switch n := len(rf.free); {
+	case n > 0:
+		r = rf.free[n-1]
+		rf.free = rf.free[:n-1]
+		rf.readyAt[r] = neverReady
+	case rf.fresh < rf.arch+rf.avail:
+		r = PReg(rf.fresh)
+		rf.fresh++
+		rf.readyAt = append(rf.readyAt, neverReady)
+	default:
 		return NoPReg, false
 	}
-	r := rf.free[len(rf.free)-1]
-	rf.free = rf.free[:len(rf.free)-1]
-	rf.readyAt[r] = neverReady
 	rf.Allocs++
 	return r, true
 }
@@ -94,8 +104,8 @@ func (rf *RegFile) Ready(r PReg, now uint64) bool { return rf.readyAt[r] <= now 
 // dependence-chain drain).
 type ratEntry struct {
 	preg   PReg
-	prod   *Inflight // non-nil while the latest writer is parked
-	writer *Inflight // latest writer, parked or not (nil = architectural)
+	prod   Handle // set while the latest writer is parked
+	writer Handle // latest writer, parked or not (zero = architectural)
 }
 
 // RAT is the speculative register alias table over the flat architectural
@@ -128,13 +138,13 @@ func classIndex(r isa.Reg) PReg {
 }
 
 // Lookup returns the current mapping for an architectural register.
-func (rat *RAT) Lookup(r isa.Reg) (PReg, *Inflight) {
+func (rat *RAT) Lookup(r isa.Reg) (PReg, Handle) {
 	e := rat.spec[r]
 	return e.preg, e.prod
 }
 
-// Writer returns the latest in-flight writer of r (nil if architectural).
-func (rat *RAT) Writer(r isa.Reg) *Inflight { return rat.spec[r].writer }
+// Writer returns the latest in-flight writer of r (zero if architectural).
+func (rat *RAT) Writer(r isa.Reg) Handle { return rat.spec[r].writer }
 
 // WritePhys records a concrete mapping (normal rename).
 func (rat *RAT) WritePhys(r isa.Reg, p PReg) {
@@ -142,19 +152,19 @@ func (rat *RAT) WritePhys(r isa.Reg, p PReg) {
 }
 
 // WritePhysBy records a concrete mapping with its producing instruction.
-func (rat *RAT) WritePhysBy(r isa.Reg, p PReg, w *Inflight) {
+func (rat *RAT) WritePhysBy(r isa.Reg, p PReg, w Handle) {
 	rat.spec[r] = ratEntry{preg: p, writer: w}
 }
 
 // WriteParked records a parked producer as the latest writer (its physical
 // register is deferred).
-func (rat *RAT) WriteParked(r isa.Reg, prod *Inflight) {
+func (rat *RAT) WriteParked(r isa.Reg, prod Handle) {
 	rat.spec[r] = ratEntry{preg: NoPReg, prod: prod, writer: prod}
 }
 
 // ResolveParked upgrades a parked mapping to a concrete register, but only
 // if the parked instruction is still the latest writer.
-func (rat *RAT) ResolveParked(r isa.Reg, prod *Inflight, p PReg) {
+func (rat *RAT) ResolveParked(r isa.Reg, prod Handle, p PReg) {
 	if rat.spec[r].prod == prod {
 		rat.spec[r] = ratEntry{preg: p, writer: prod}
 	}
@@ -182,5 +192,5 @@ func (rat *RAT) RestoreFromCommit() {
 
 // SrcParked reports whether the latest writer of r is parked.
 func (rat *RAT) SrcParked(r isa.Reg) bool {
-	return r.Valid() && rat.spec[r].prod != nil
+	return r.Valid() && rat.spec[r].prod != 0
 }

@@ -4,28 +4,30 @@ import "sort"
 
 // SeqList is a program-ordered list of in-flight instructions: the shape
 // of every select and wakeup structure — the IQ's ready list, and the
-// LTP's queue, free lists and ticket waiter lists. Instructions mostly
-// join near the tail (the youngest) and leave near the head (the oldest),
-// so the list is a window buf[off:] into its array: a removal shifts
-// whichever side of the slot is shorter, and the room that frees at the
-// front is reclaimed when an insertion finds the array full. The steady
-// state allocates nothing. The zero value is an empty list.
+// LTP's queue, free lists and ticket waiter lists. Its elements are Refs,
+// so ordered searches read seqs without resolving handles and the list
+// holds no pointers. Instructions mostly join near the tail (the
+// youngest) and leave near the head (the oldest), so the list is a
+// window buf[off:] into its array: a removal shifts whichever side of
+// the slot is shorter, and the room that frees at the front is reclaimed
+// when an insertion finds the array full. The steady state allocates
+// nothing. The zero value is an empty list.
 type SeqList struct {
-	buf []*Inflight
+	buf []Ref
 	off int
 }
 
 // Items returns the instructions, oldest first. The slice aliases the
 // list and is valid until the next change.
-func (l *SeqList) Items() []*Inflight { return l.buf[l.off:] }
+func (l *SeqList) Items() []Ref { return l.buf[l.off:] }
 
 // Len returns the number of instructions.
 func (l *SeqList) Len() int { return len(l.buf) - l.off }
 
-// Front returns the oldest instruction (nil when empty).
-func (l *SeqList) Front() *Inflight {
+// Front returns the oldest instruction (the zero Ref when empty).
+func (l *SeqList) Front() Ref {
 	if l.off == len(l.buf) {
-		return nil
+		return Ref{}
 	}
 	return l.buf[l.off]
 }
@@ -35,57 +37,52 @@ func (l *SeqList) Front() *Inflight {
 func (l *SeqList) Insert(f *Inflight) {
 	if len(l.buf) == cap(l.buf) && l.off > 0 {
 		n := copy(l.buf, l.buf[l.off:])
-		clear(l.buf[n:])
 		l.buf, l.off = l.buf[:n], 0
 	}
+	r := f.Ref()
 	n := len(l.buf)
-	l.buf = append(l.buf, f)
-	if n == l.off || l.buf[n-1].Seq() < f.Seq() {
+	l.buf = append(l.buf, r)
+	if n == l.off || l.buf[n-1].Seq < r.Seq {
 		return
 	}
-	i := l.off + sort.Search(n-l.off, func(i int) bool { return l.buf[l.off+i].Seq() > f.Seq() })
+	i := l.off + sort.Search(n-l.off, func(i int) bool { return l.buf[l.off+i].Seq > r.Seq })
 	copy(l.buf[i+1:], l.buf[i:n])
-	l.buf[i] = f
+	l.buf[i] = r
 }
 
 // Remove drops f, which must be in the list.
 func (l *SeqList) Remove(f *Inflight) {
 	items := l.Items()
-	i := sort.Search(len(items), func(i int) bool { return items[i].Seq() >= f.Seq() })
-	if i == len(items) || items[i] != f {
+	seq := f.Seq()
+	i := sort.Search(len(items), func(i int) bool { return items[i].Seq >= seq })
+	if i == len(items) || items[i].H != f.h {
 		panic("pipeline: SeqList.Remove of an absent instruction: " + f.String())
 	}
 	if i < len(items)/2 {
 		copy(items[1:i+1], items[:i])
-		items[0] = nil
 		l.off++
 	} else {
 		copy(items[i:], items[i+1:])
-		items[len(items)-1] = nil
 		l.buf = l.buf[:len(l.buf)-1]
 	}
 	l.resetIfEmpty()
 }
 
 // TruncateFrom drops the instructions with seq >= fromSeq (a squash),
-// calling drop, when non-nil, on each.
-func (l *SeqList) TruncateFrom(fromSeq uint64, drop func(*Inflight)) {
-	for l.Len() > 0 && l.buf[len(l.buf)-1].Seq() >= fromSeq {
+// youngest first, calling drop, when non-nil, on each.
+func (l *SeqList) TruncateFrom(fromSeq uint64, drop func(Ref)) {
+	for l.Len() > 0 && l.buf[len(l.buf)-1].Seq >= fromSeq {
 		last := len(l.buf) - 1
 		if drop != nil {
 			drop(l.buf[last])
 		}
-		l.buf[last] = nil
 		l.buf = l.buf[:last]
 	}
 	l.resetIfEmpty()
 }
 
 // Clear empties the list, keeping its array.
-func (l *SeqList) Clear() {
-	clear(l.buf)
-	l.buf, l.off = l.buf[:0], 0
-}
+func (l *SeqList) Clear() { l.buf, l.off = l.buf[:0], 0 }
 
 func (l *SeqList) resetIfEmpty() {
 	if l.off == len(l.buf) {
@@ -105,10 +102,10 @@ type Sweep struct {
 	r, w int
 }
 
-// Peek returns the next instruction to visit (nil at the end).
-func (s *Sweep) Peek() *Inflight {
+// Peek returns the next instruction to visit (the zero Ref at the end).
+func (s *Sweep) Peek() Ref {
 	if s.r == len(s.l.buf) {
-		return nil
+		return Ref{}
 	}
 	return s.l.buf[s.r]
 }
@@ -133,11 +130,9 @@ func (s *Sweep) Close() {
 	kept := s.w - l.off
 	if kept <= len(l.buf)-s.r {
 		copy(l.buf[s.r-kept:s.r], l.buf[l.off:s.w])
-		clear(l.buf[l.off : s.r-kept])
 		l.off = s.r - kept
 	} else {
 		n := s.w + copy(l.buf[s.w:], l.buf[s.r:])
-		clear(l.buf[n:])
 		l.buf = l.buf[:n]
 	}
 	l.resetIfEmpty()

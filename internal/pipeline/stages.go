@@ -13,10 +13,11 @@ import (
 func (p *Pipeline) issueStage() {
 	sw := p.iq.ready.Sweep()
 	for issued := 0; issued < p.cfg.IssueWidth; {
-		f := sw.Peek()
-		if f == nil {
+		r := sw.Peek()
+		if r.H == 0 {
 			break
 		}
+		f := p.slab.at(r.H)
 		if !p.fus.canIssue(f.U.Op, p.now) {
 			sw.Keep()
 			continue
@@ -115,8 +116,9 @@ func (p *Pipeline) tryIssueLoad(f *Inflight) bool {
 	now := p.now
 
 	// Predicted dependence on a specific in-flight store (store sets).
-	if dep := f.DepStore; dep != nil && !dep.Committed && !dep.Squashed {
-		if dep.AddrKnownAt == 0 || dep.AddrKnownAt > now {
+	if f.DepStore != 0 {
+		if dep := p.slab.at(f.DepStore); !dep.Committed && !dep.Squashed &&
+			(dep.AddrKnownAt == 0 || dep.AddrKnownAt > now) {
 			return p.blockLoad(f, loadBlockStoreSet)
 		}
 	}
@@ -131,10 +133,11 @@ func (p *Pipeline) tryIssueLoad(f *Inflight) bool {
 	// speculates past unresolved stores.
 	var fwd *Inflight
 	for i := len(p.sq.entries) - 1; i >= 0; i-- {
-		st := p.sq.entries[i]
-		if st.Seq() >= f.Seq() {
+		r := p.sq.entries[i]
+		if r.Seq >= f.Seq() {
 			continue
 		}
+		st := p.slab.at(r.H)
 		if st.AddrKnownAt == 0 || st.AddrKnownAt > now {
 			if st.Committed {
 				continue
@@ -192,8 +195,12 @@ func (p *Pipeline) checkViolations(st *Inflight) {
 		return
 	}
 	var victim *Inflight
-	for _, ld := range p.lq.entries {
-		if ld.Seq() <= st.Seq() || !ld.Issued || ld.Squashed {
+	for _, r := range p.lq.entries {
+		if r.Seq <= st.Seq() {
+			continue
+		}
+		ld := p.slab.at(r.H)
+		if !ld.Issued || ld.Squashed {
 			continue
 		}
 		if ld.U.Addr == st.U.Addr && ld.IssuedAt < st.AddrKnownAt && !ld.Forwarded {
@@ -214,7 +221,8 @@ func (p *Pipeline) squash(fromSeq uint64) {
 	p.Squashes++
 	victims := p.rob.SquashFrom(fromSeq)
 	p.iqSquash(victims, fromSeq)
-	for _, f := range victims {
+	for _, h := range victims {
+		f := p.slab.at(h)
 		f.Squashed = true
 		if f.DstPreg != NoPReg && f.HasDst() {
 			p.classRF(f.U.Dst).Free(f.DstPreg)
@@ -237,9 +245,9 @@ func (p *Pipeline) squash(fromSeq uint64) {
 			return
 		}
 		if f.Parked && f.DstPreg == NoPReg {
-			p.rat.WriteParked(f.U.Dst, f)
+			p.rat.WriteParked(f.U.Dst, f.h)
 		} else {
-			p.rat.WritePhysBy(f.U.Dst, f.DstPreg, f)
+			p.rat.WritePhysBy(f.U.Dst, f.DstPreg, f.h)
 		}
 	})
 	if p.wib != nil {
@@ -247,7 +255,7 @@ func (p *Pipeline) squash(fromSeq uint64) {
 	}
 
 	// Restart the front end at the squash point.
-	p.pending = nil
+	p.pending = 0
 	p.decodeQ = p.decodeQ[:0]
 	p.decodeHead = 0
 	p.fetchPos = p.bufHead + int(fromSeq-p.bufBase)
@@ -280,7 +288,7 @@ func (p *Pipeline) renameStage() {
 	p.resourceStall = false
 
 	for budget > 0 {
-		if p.pending == nil {
+		if p.pending == 0 {
 			if p.decodeHead >= len(p.decodeQ) || p.decodeQ[p.decodeHead].readyAt > p.now {
 				break
 			}
@@ -300,10 +308,10 @@ func (p *Pipeline) renameStage() {
 			// Classification runs exactly once per dynamic instruction;
 			// structural stalls retry the dispatch without re-classifying.
 			p.parker.OnRename(p, f, p.now)
-			p.pending = f
+			p.pending = f.h
 			p.pendingParked = p.parker.ShouldPark(p, f, p.now)
 		}
-		f := p.pending
+		f := p.slab.at(p.pending)
 		if p.rob.Full() {
 			p.noteStall(stallROB)
 			break
@@ -316,7 +324,7 @@ func (p *Pipeline) renameStage() {
 			break
 		}
 		f.RenamedAt = p.now
-		p.pending = nil
+		p.pending = 0
 		p.Dispatched++
 		budget--
 	}
@@ -355,7 +363,7 @@ func (p *Pipeline) resolveSources(f *Inflight) {
 			continue
 		}
 		preg, prod := p.rat.Lookup(r)
-		if prod != nil {
+		if prod != 0 {
 			f.SrcProd[i] = prod
 		} else {
 			f.SrcPreg[i] = preg
@@ -381,7 +389,7 @@ func (p *Pipeline) dispatchParked(f *Inflight) bool {
 	f.Parked = true
 	f.WasParked = true
 	if f.HasDst() {
-		p.rat.WriteParked(f.U.Dst, f)
+		p.rat.WriteParked(f.U.Dst, f.h)
 	}
 	p.rob.Push(f)
 	p.parker.Park(p, f, p.now)
@@ -395,7 +403,10 @@ func (p *Pipeline) PredictedDepStore(f *Inflight) *Inflight {
 	if !f.IsLoad() {
 		return nil
 	}
-	return p.ssets.DependencyFor(f)
+	if h := p.ssets.DependencyFor(f); h != 0 {
+		return p.slab.at(h)
+	}
+	return nil
 }
 
 // dispatchNormal renames and dispatches into the IQ. Returns false to stall.
@@ -428,7 +439,7 @@ func (p *Pipeline) dispatchNormal(f *Inflight) bool {
 	// chain.)
 	p.resolveSources(f)
 	if f.HasDst() {
-		p.rat.WritePhysBy(f.U.Dst, f.DstPreg, f)
+		p.rat.WritePhysBy(f.U.Dst, f.DstPreg, f.h)
 	}
 	if f.U.Op.IsMem() {
 		p.insertLSQ(f)
@@ -536,19 +547,21 @@ func (p *Pipeline) Unpark(f *Inflight, now uint64) {
 			panic("pipeline: Unpark without a free register (CanUnpark not checked)")
 		}
 		f.DstPreg = preg
-		p.rat.ResolveParked(f.U.Dst, f, preg)
+		p.rat.ResolveParked(f.U.Dst, f.h, preg)
 	}
 	// Resolve sources produced by previously-parked instructions: LTP
 	// leaves in an order where producers depart no later than consumers,
 	// so their registers are known by now.
-	for i := range f.SrcProd {
-		if prod := f.SrcProd[i]; prod != nil {
-			if prod.DstPreg == NoPReg {
-				panic(fmt.Sprintf("pipeline: unparking %s before its producer %s", f.String(), prod.String()))
-			}
-			f.SrcPreg[i] = prod.DstPreg
-			f.SrcProd[i] = nil
+	for i, h := range f.SrcProd {
+		if h == 0 {
+			continue
 		}
+		prod := p.slab.at(h)
+		if prod.DstPreg == NoPReg {
+			panic(fmt.Sprintf("pipeline: unparking %s before its producer %s", f.String(), prod.String()))
+		}
+		f.SrcPreg[i] = prod.DstPreg
+		f.SrcProd[i] = 0
 	}
 	f.Parked = false
 	if p.cfg.LateLSQAlloc && f.U.Op.IsMem() && !f.HasLSQ {
@@ -609,36 +622,42 @@ func (p *Pipeline) fetchStage() {
 }
 
 // peekFetch returns the next µop to fetch without consuming it, pulling
-// from the emulator into the replay buffer as needed.
-func (p *Pipeline) peekFetch() (*isa.Uop, bool) {
+// from the emulator into the replay buffer as needed. When the buffer's
+// array is full and committed µops fill at least a quarter of it, the
+// live window moves to the front instead of the array growing, so the
+// array stays within a small multiple of the in-flight window (ROB,
+// decode queue and the fetch group) and each µop is copied a few times
+// at most.
+func (p *Pipeline) peekFetch() (*Uop, bool) {
 	if p.fetchPos < len(p.fetchBuf) {
 		return &p.fetchBuf[p.fetchPos], true
 	}
 	if p.streamDone {
 		return nil, false
 	}
-	// Decode straight into the buffer: a local µop handed to the stream
-	// interface would escape, costing an allocation per fetched µop.
-	empty := p.bufHead == len(p.fetchBuf)
-	p.fetchBuf = append(p.fetchBuf, isa.Uop{})
-	u := &p.fetchBuf[len(p.fetchBuf)-1]
-	if !p.stream.Next(u) {
-		p.fetchBuf = p.fetchBuf[:len(p.fetchBuf)-1]
+	if !p.stream.Next(&p.next) {
 		p.streamDone = true
 		return nil, false
 	}
-	if empty {
+	if p.bufHead == len(p.fetchBuf) {
 		// Logically empty: (re)anchor the base seq. This matters on the
 		// first fetch after a functional warm-up consumed a stream prefix.
-		p.bufBase = u.Seq
+		p.bufBase = p.next.Seq
 	}
+	if len(p.fetchBuf) == cap(p.fetchBuf) && p.bufHead > 0 && 4*p.bufHead >= len(p.fetchBuf) {
+		n := copy(p.fetchBuf, p.fetchBuf[p.bufHead:])
+		p.fetchBuf = p.fetchBuf[:n]
+		p.fetchPos -= p.bufHead
+		p.bufHead = 0
+	}
+	p.fetchBuf = append(p.fetchBuf, uopOf(&p.next))
 	return &p.fetchBuf[p.fetchPos], true
 }
 
 // predictBranch consults the predictor, training only the first time a
 // branch seq is seen (replays after squashes re-predict without
 // re-training the statistics).
-func (p *Pipeline) predictBranch(u *isa.Uop) bool {
+func (p *Pipeline) predictBranch(u *Uop) bool {
 	if u.Seq >= p.trainedSeq {
 		p.trainedSeq = u.Seq + 1
 		return p.BP.Lookup(u.PC, u.Taken, u.Target)
@@ -717,10 +736,13 @@ func (p *Pipeline) blocker(f *Inflight) string {
 		parts = append(parts, "drained into the WIB")
 	case f.InIQ:
 		for i := 0; i < neededSrcs(f); i++ {
-			switch prod := f.waitOn[i]; {
-			case prod != nil && prod.Parked:
+			if f.waitOn[i] == 0 {
+				continue
+			}
+			switch prod := p.slab.at(f.waitOn[i]); {
+			case prod.Parked:
 				parts = append(parts, fmt.Sprintf("src%d waiting on parked producer seq %d", i+1, prod.Seq()))
-			case prod != nil:
+			default:
 				parts = append(parts, fmt.Sprintf("src%d waiting on producer seq %d (not issued, readyAt unknown)", i+1, prod.Seq()))
 			}
 		}

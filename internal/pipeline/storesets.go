@@ -9,8 +9,9 @@ package pipeline
 // set ID table (SSIT) and a last-fetched-store table (LFST) holding the
 // youngest in-flight store per set.
 type StoreSets struct {
+	slab    *slab
 	ssit    []int32 // PC hash -> set id (-1 = none)
-	lfst    map[int32]*Inflight
+	lfst    map[int32]Handle
 	nextSet int32
 
 	// Statistics.
@@ -20,11 +21,12 @@ type StoreSets struct {
 
 const ssitSize = 4096
 
-// NewStoreSets returns an empty predictor.
-func NewStoreSets() *StoreSets {
+// newStoreSets returns an empty predictor over a pipeline's records.
+func newStoreSets(sl *slab) *StoreSets {
 	s := &StoreSets{
+		slab: sl,
 		ssit: make([]int32, ssitSize),
-		lfst: make(map[int32]*Inflight),
+		lfst: make(map[int32]Handle),
 	}
 	for i := range s.ssit {
 		s.ssit[i] = -1
@@ -38,23 +40,27 @@ func ssitIndex(pc uint64) int { return int((pc >> 2) % ssitSize) }
 func (s *StoreSets) OnDispatchStore(st *Inflight) {
 	sid := s.ssit[ssitIndex(st.U.PC)]
 	if sid >= 0 {
-		s.lfst[sid] = st
+		s.lfst[sid] = st.h
 	}
 }
 
 // DependencyFor returns the in-flight store a dispatched load should wait
-// for, if its PC belongs to a store set with an in-flight member.
-func (s *StoreSets) DependencyFor(ld *Inflight) *Inflight {
+// for, if its PC belongs to a store set with an in-flight member (zero
+// otherwise).
+func (s *StoreSets) DependencyFor(ld *Inflight) Handle {
 	sid := s.ssit[ssitIndex(ld.U.PC)]
 	if sid < 0 {
-		return nil
+		return 0
 	}
-	st := s.lfst[sid]
-	if st == nil || st.Committed || st.Squashed || st.Seq() > ld.Seq() {
-		return nil
+	h := s.lfst[sid]
+	if h == 0 {
+		return 0
+	}
+	if st := s.slab.at(h); st.Committed || st.Squashed || st.Seq() > ld.Seq() {
+		return 0
 	}
 	s.Waits++
-	return st
+	return h
 }
 
 // OnViolation trains the predictor after a memory-order violation between
@@ -80,15 +86,15 @@ func (s *StoreSets) OnViolation(st, ld *Inflight) {
 // OnComplete clears LFST entries that point at a store leaving flight.
 func (s *StoreSets) OnComplete(st *Inflight) {
 	sid := s.ssit[ssitIndex(st.U.PC)]
-	if sid >= 0 && s.lfst[sid] == st {
+	if sid >= 0 && s.lfst[sid] == st.h {
 		delete(s.lfst, sid)
 	}
 }
 
 // OnSquash drops LFST entries for squashed stores.
 func (s *StoreSets) OnSquash(fromSeq uint64) {
-	for sid, st := range s.lfst {
-		if st.Seq() >= fromSeq {
+	for sid, h := range s.lfst {
+		if s.slab.at(h).Seq() >= fromSeq {
 			delete(s.lfst, sid)
 		}
 	}

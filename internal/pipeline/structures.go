@@ -1,42 +1,46 @@
 package pipeline
 
-// insertBySeq places f at its program-order position in a seq-sorted
+import "sort"
+
+// insertRef places r at its program-order position in a seq-sorted
 // slice. The common case — inserting the youngest instruction — costs a
 // plain append.
-func insertBySeq(s []*Inflight, f *Inflight) []*Inflight {
+func insertRef(s []Ref, r Ref) []Ref {
 	n := len(s)
-	if n == 0 || s[n-1].Seq() < f.Seq() {
-		return append(s, f)
+	if n == 0 || s[n-1].Seq < r.Seq {
+		return append(s, r)
 	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid].Seq() > f.Seq() {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	i := sort.Search(n, func(i int) bool { return s[i].Seq > r.Seq })
+	s = append(s, Ref{})
+	copy(s[i+1:], s[i:])
+	s[i] = r
+	return s
+}
+
+// removeRef drops the element for record h with the given seq from a
+// seq-sorted slice, if present.
+func removeRef(s []Ref, seq uint64, h Handle) []Ref {
+	i := sort.Search(len(s), func(i int) bool { return s[i].Seq >= seq })
+	if i < len(s) && s[i].H == h {
+		s = append(s[:i], s[i+1:]...)
 	}
-	s = append(s, nil)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = f
 	return s
 }
 
 // ROB is the reorder buffer: a bounded FIFO of in-flight instructions in
 // program order. It is consumed from a head index and compacted in place,
-// so the steady state allocates nothing.
+// so the steady state allocates nothing; the array grows with the
+// occupancy actually reached, not the capacity.
 type ROB struct {
-	entries []*Inflight
+	slab    *slab
+	entries []Handle
 	head    int
 	size    int
-	scratch []*Inflight // reused squash-victim buffer
+	scratch []Handle // reused squash-victim buffer
 }
 
-// NewROB returns a ROB with the given capacity.
-func NewROB(size int) *ROB {
-	return &ROB{size: size, entries: make([]*Inflight, 0, 2*size)}
-}
+// newROB returns a ROB with the given capacity over a record slab.
+func newROB(size int, s *slab) *ROB { return &ROB{size: size, slab: s} }
 
 // Full reports whether dispatch must stall.
 func (r *ROB) Full() bool { return len(r.entries)-r.head >= r.size }
@@ -48,19 +52,18 @@ func (r *ROB) Len() int { return len(r.entries) - r.head }
 func (r *ROB) Cap() int { return r.size }
 
 // Push appends a dispatched instruction.
-func (r *ROB) Push(f *Inflight) { r.entries = append(r.entries, f) }
+func (r *ROB) Push(f *Inflight) { r.entries = append(r.entries, f.h) }
 
 // Head returns the oldest in-flight instruction (nil when empty).
 func (r *ROB) Head() *Inflight {
 	if r.head >= len(r.entries) {
 		return nil
 	}
-	return r.entries[r.head]
+	return r.slab.at(r.entries[r.head])
 }
 
 // PopHead removes the oldest instruction (after commit).
 func (r *ROB) PopHead() {
-	r.entries[r.head] = nil
 	r.head++
 	switch {
 	case r.head >= len(r.entries):
@@ -68,34 +71,28 @@ func (r *ROB) PopHead() {
 		r.head = 0
 	case r.head >= r.size:
 		n := copy(r.entries, r.entries[r.head:])
-		for i := n; i < len(r.entries); i++ {
-			r.entries[i] = nil
-		}
 		r.entries = r.entries[:n]
 		r.head = 0
 	}
 }
 
 // SquashFrom removes all instructions with seq >= fromSeq (youngest first)
-// and returns them for resource reclamation. The returned slice is reused
-// across calls.
-func (r *ROB) SquashFrom(fromSeq uint64) []*Inflight {
+// and returns their handles for resource reclamation. The returned slice
+// is reused across calls.
+func (r *ROB) SquashFrom(fromSeq uint64) []Handle {
 	cut := len(r.entries)
-	for cut > r.head && r.entries[cut-1].Seq() >= fromSeq {
+	for cut > r.head && r.slab.at(r.entries[cut-1]).Seq() >= fromSeq {
 		cut--
 	}
 	r.scratch = append(r.scratch[:0], r.entries[cut:]...)
-	for i := cut; i < len(r.entries); i++ {
-		r.entries[i] = nil
-	}
 	r.entries = r.entries[:cut]
 	return r.scratch
 }
 
 // Walk calls fn on every in-flight instruction, oldest first.
 func (r *ROB) Walk(fn func(*Inflight)) {
-	for _, f := range r.entries[r.head:] {
-		fn(f)
+	for _, h := range r.entries[r.head:] {
+		fn(r.slab.at(h))
 	}
 }
 
@@ -136,7 +133,7 @@ func (q *IQ) Cap() int { return q.size }
 // Entries may be inserted out of program order (late LSQ allocation in the
 // limit study) so insertion keeps the slice sorted by seq.
 type orderedQueue struct {
-	entries []*Inflight
+	entries []Ref
 	size    int
 }
 
@@ -155,34 +152,13 @@ func (o *orderedQueue) Cap() int { return o.size }
 func (o *orderedQueue) FreeSlots() int { return o.size - len(o.entries) }
 
 // Insert places f at its program-order position.
-func (o *orderedQueue) Insert(f *Inflight) {
-	o.entries = insertBySeq(o.entries, f)
-}
+func (o *orderedQueue) Insert(f *Inflight) { o.entries = insertRef(o.entries, f.Ref()) }
 
 // Remove drops f.
-func (o *orderedQueue) Remove(f *Inflight) {
-	for i, e := range o.entries {
-		if e == f {
-			o.entries = append(o.entries[:i], o.entries[i+1:]...)
-			return
-		}
-	}
-}
+func (o *orderedQueue) Remove(f *Inflight) { o.entries = removeRef(o.entries, f.Seq(), f.h) }
 
 // SquashFrom drops all entries with seq >= fromSeq.
 func (o *orderedQueue) SquashFrom(fromSeq uint64) {
-	w := o.entries[:0]
-	for _, e := range o.entries {
-		if e.Seq() < fromSeq {
-			w = append(w, e)
-		}
-	}
-	o.entries = w
-}
-
-// Walk calls fn oldest-first.
-func (o *orderedQueue) Walk(fn func(*Inflight)) {
-	for _, e := range o.entries {
-		fn(e)
-	}
+	i := sort.Search(len(o.entries), func(i int) bool { return o.entries[i].Seq >= fromSeq })
+	o.entries = o.entries[:i]
 }

@@ -74,7 +74,7 @@ func TestRegFileConservationProperty(t *testing.T) {
 func TestRATBasics(t *testing.T) {
 	rat := NewRAT()
 	r3 := isa.R(3)
-	if p, prod := rat.Lookup(r3); p != 3 || prod != nil {
+	if p, prod := rat.Lookup(r3); p != 3 || prod != 0 {
 		t.Fatal("initial identity mapping broken")
 	}
 	rat.WritePhys(r3, 40)
@@ -93,12 +93,13 @@ func TestRATBasics(t *testing.T) {
 func TestRATParkedFlow(t *testing.T) {
 	rat := NewRAT()
 	r5 := isa.R(5)
-	f := &Inflight{U: isa.Uop{Dst: r5}, DstPreg: NoPReg}
-	rat.WriteParked(r5, f)
+	pipe := testPipe()
+	f := pipe.NewInflight(isa.Uop{Dst: r5})
+	rat.WriteParked(r5, f.Handle())
 	if !rat.SrcParked(r5) {
 		t.Error("parked bit not set")
 	}
-	rat.ResolveParked(r5, f, 77)
+	rat.ResolveParked(r5, f.Handle(), 77)
 	if rat.SrcParked(r5) {
 		t.Error("parked bit survives resolution")
 	}
@@ -106,9 +107,9 @@ func TestRATParkedFlow(t *testing.T) {
 		t.Error("resolved register wrong")
 	}
 	// A stale resolve (not the latest writer) must not clobber.
-	g := &Inflight{U: isa.Uop{Dst: r5}}
-	rat.WriteParked(r5, g)
-	rat.ResolveParked(r5, f, 99)
+	g := pipe.NewInflight(isa.Uop{Dst: r5})
+	rat.WriteParked(r5, g.Handle())
+	rat.ResolveParked(r5, f.Handle(), 99)
 	if !rat.SrcParked(r5) {
 		t.Error("stale ResolveParked clobbered a younger writer")
 	}
@@ -117,9 +118,9 @@ func TestRATParkedFlow(t *testing.T) {
 func TestRATRestoreFromCommit(t *testing.T) {
 	rat := NewRAT()
 	rat.WritePhys(isa.R(1), 50)
-	rat.WriteParked(isa.R(2), &Inflight{})
+	rat.WriteParked(isa.R(2), testPipe().NewInflight(isa.Uop{Dst: isa.R(2)}).Handle())
 	rat.RestoreFromCommit()
-	if p, prod := rat.Lookup(isa.R(1)); p != 1 || prod != nil {
+	if p, prod := rat.Lookup(isa.R(1)); p != 1 || prod != 0 {
 		t.Error("restore did not reset speculative state")
 	}
 	if rat.SrcParked(isa.R(2)) {
@@ -128,15 +129,16 @@ func TestRATRestoreFromCommit(t *testing.T) {
 }
 
 func TestROBOrderAndSquash(t *testing.T) {
-	rob := NewROB(8)
+	pipe := testPipe()
+	rob := newROB(8, &pipe.slab)
 	for i := uint64(0); i < 5; i++ {
-		rob.Push(&Inflight{U: isa.Uop{Seq: i}})
+		rob.Push(pipe.NewInflight(isa.Uop{Seq: i}))
 	}
 	if rob.Head().Seq() != 0 {
 		t.Error("head wrong")
 	}
 	victims := rob.SquashFrom(3)
-	if len(victims) != 2 || victims[0].Seq() != 3 {
+	if len(victims) != 2 || pipe.Rec(victims[0]).Seq() != 3 {
 		t.Errorf("squash returned %d victims", len(victims))
 	}
 	if rob.Len() != 3 {
@@ -149,11 +151,9 @@ func TestROBOrderAndSquash(t *testing.T) {
 }
 
 func TestIQCandidatesOrder(t *testing.T) {
-	b := prog.NewBuilder("t")
-	b.Addi(isa.R(1), isa.R(1), 1)
-	pipe := New(smallConfig(), prog.NewEmulator(b.Build()), NullParker{})
+	pipe := testPipe()
 	mk := func(s uint64) *Inflight {
-		return &Inflight{U: isa.Uop{Seq: s, Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg}}
+		return pipe.NewInflight(isa.Uop{Seq: s, Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg})
 	}
 	blocked := mk(3)
 	blocked.blockedUntil = 100
@@ -180,21 +180,30 @@ func TestIQCandidatesOrder(t *testing.T) {
 	}
 }
 
-func seqsOf(fs []*Inflight) []uint64 {
-	out := make([]uint64, len(fs))
-	for i, f := range fs {
-		out[i] = f.Seq()
+// testPipe returns a pipeline over a one-instruction program, for tests
+// that allocate records from its slab and drive structures by hand.
+func testPipe() *Pipeline {
+	b := prog.NewBuilder("t")
+	b.Addi(isa.R(1), isa.R(1), 1)
+	return New(smallConfig(), prog.NewEmulator(b.Build()), NullParker{})
+}
+
+func seqsOf(rs []Ref) []uint64 {
+	out := make([]uint64, len(rs))
+	for i, r := range rs {
+		out[i] = r.Seq
 	}
 	return out
 }
 
 func TestOrderedQueueSortedInsert(t *testing.T) {
+	pipe := testPipe()
 	q := newOrderedQueue(8)
 	for _, s := range []uint64{5, 2, 9, 1} {
-		q.Insert(&Inflight{U: isa.Uop{Seq: s}})
+		q.Insert(pipe.NewInflight(isa.Uop{Seq: s}))
 	}
 	for i := 1; i < len(q.entries); i++ {
-		if q.entries[i-1].Seq() > q.entries[i].Seq() {
+		if q.entries[i-1].Seq > q.entries[i].Seq {
 			t.Fatalf("unsorted: %v", seqsOf(q.entries))
 		}
 	}
@@ -202,8 +211,8 @@ func TestOrderedQueueSortedInsert(t *testing.T) {
 	if q.Len() != 2 {
 		t.Errorf("squash left %d", q.Len())
 	}
-	q.Remove(q.entries[0])
-	if q.Len() != 1 || q.entries[0].Seq() != 2 {
+	q.Remove(pipe.Rec(q.entries[0].H))
+	if q.Len() != 1 || q.entries[0].Seq != 2 {
 		t.Error("remove broken")
 	}
 }
@@ -211,6 +220,7 @@ func TestOrderedQueueSortedInsert(t *testing.T) {
 // Property: orderedQueue stays sorted under random insert orders.
 func TestOrderedQueueSortProperty(t *testing.T) {
 	f := func(seqs []uint16) bool {
+		pipe := testPipe()
 		q := newOrderedQueue(len(seqs) + 1)
 		seen := map[uint64]bool{}
 		for _, s := range seqs {
@@ -218,10 +228,10 @@ func TestOrderedQueueSortProperty(t *testing.T) {
 				continue // seqs are unique in reality
 			}
 			seen[uint64(s)] = true
-			q.Insert(&Inflight{U: isa.Uop{Seq: uint64(s)}})
+			q.Insert(pipe.NewInflight(isa.Uop{Seq: uint64(s)}))
 		}
 		for i := 1; i < len(q.entries); i++ {
-			if q.entries[i-1].Seq() >= q.entries[i].Seq() {
+			if q.entries[i-1].Seq >= q.entries[i].Seq {
 				return false
 			}
 		}
@@ -261,32 +271,34 @@ func TestFUPoolUnpipelined(t *testing.T) {
 }
 
 func TestStoreSets(t *testing.T) {
-	ss := NewStoreSets()
-	st := &Inflight{U: isa.Uop{Seq: 1, PC: 0x100, Op: isa.Store}}
-	ld := &Inflight{U: isa.Uop{Seq: 2, PC: 0x200, Op: isa.Load}}
-	if ss.DependencyFor(ld) != nil {
+	pipe := testPipe()
+	ss := pipe.ssets
+	st := pipe.NewInflight(isa.Uop{Seq: 1, PC: 0x100, Op: isa.Store})
+	ld := pipe.NewInflight(isa.Uop{Seq: 2, PC: 0x200, Op: isa.Load})
+	if ss.DependencyFor(ld) != 0 {
 		t.Error("untrained predictor predicted a dependence")
 	}
 	ss.OnViolation(st, ld)
 	// Re-dispatch: the store registers in the LFST, the load must wait.
 	ss.OnDispatchStore(st)
-	if got := ss.DependencyFor(ld); got != st {
+	if got := ss.DependencyFor(ld); got != st.Handle() {
 		t.Error("trained dependence not predicted")
 	}
 	ss.OnComplete(st)
-	if ss.DependencyFor(ld) != nil {
+	if ss.DependencyFor(ld) != 0 {
 		t.Error("completed store still predicted")
 	}
 }
 
 func TestStoreSetsSquash(t *testing.T) {
-	ss := NewStoreSets()
-	st := &Inflight{U: isa.Uop{Seq: 5, PC: 0x100, Op: isa.Store}}
-	ld := &Inflight{U: isa.Uop{Seq: 6, PC: 0x200, Op: isa.Load}}
+	pipe := testPipe()
+	ss := pipe.ssets
+	st := pipe.NewInflight(isa.Uop{Seq: 5, PC: 0x100, Op: isa.Store})
+	ld := pipe.NewInflight(isa.Uop{Seq: 6, PC: 0x200, Op: isa.Load})
 	ss.OnViolation(st, ld)
 	ss.OnDispatchStore(st)
 	ss.OnSquash(5)
-	if ss.DependencyFor(ld) != nil {
+	if ss.DependencyFor(ld) != 0 {
 		t.Error("squashed store still in LFST")
 	}
 }

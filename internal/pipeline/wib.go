@@ -15,7 +15,7 @@ import "ltp/internal/isa"
 // parking relieves the register file too. The WIBvsLTP experiment
 // quantifies exactly that difference.
 type WIB struct {
-	entries []*Inflight
+	entries []Handle
 	size    int
 	ports   int // drains and re-inserts per cycle, each
 
@@ -61,7 +61,7 @@ func (p *Pipeline) missDependent(f *Inflight, now uint64) bool {
 		if !r.Valid() {
 			continue
 		}
-		if prod := f.SrcProd[i]; prod != nil {
+		if f.SrcProd[i] != 0 {
 			// Parked producer: handled by the LTP, not the WIB.
 			continue
 		}
@@ -73,8 +73,10 @@ func (p *Pipeline) missDependent(f *Inflight, now uint64) bool {
 		if ra != neverReady && ra > now+p.wib.missThreshold {
 			return true
 		}
-		if prod := f.SrcWriter[i]; prod != nil && inWIB(prod) && !prod.Done {
-			return true
+		if w := f.SrcWriter[i]; w != 0 {
+			if prod := p.slab.at(w); inWIB(prod) && !prod.Done {
+				return true
+			}
 		}
 	}
 	return false
@@ -85,15 +87,16 @@ func (p *Pipeline) missDependent(f *Inflight, now uint64) bool {
 // keeps no list of all its entries, so the scan walks the ROB's.
 func (p *Pipeline) wibDrain(now uint64) {
 	moved := 0
-	for _, f := range p.rob.entries[p.rob.head:] {
+	for _, h := range p.rob.entries[p.rob.head:] {
 		if moved >= p.wib.ports || len(p.wib.entries) >= p.wib.size {
 			break
 		}
+		f := p.slab.at(h)
 		if !f.InIQ || !p.missDependent(f, now) {
 			continue
 		}
 		p.iqRemove(f)
-		p.wib.entries = append(p.wib.entries, f)
+		p.wib.entries = append(p.wib.entries, h)
 		f.wibResident = true
 		moved++
 		p.wib.Drains++
@@ -124,15 +127,15 @@ func (p *Pipeline) wibReady(f *Inflight, now uint64) bool {
 func (p *Pipeline) wibReinsert(now uint64) {
 	moved := 0
 	wr := p.wib.entries[:0]
-	for _, f := range p.wib.entries {
-		if moved < p.wib.ports && !p.iq.Full() && p.wibReady(f, now) {
+	for _, h := range p.wib.entries {
+		if f := p.slab.at(h); moved < p.wib.ports && !p.iq.Full() && p.wibReady(f, now) {
 			f.wibResident = false
 			p.iqInsert(f)
 			moved++
 			p.wib.Reinserts++
 			continue
 		}
-		wr = append(wr, f)
+		wr = append(wr, h)
 	}
 	p.wib.entries = wr
 }
@@ -148,12 +151,12 @@ func (p *Pipeline) wibCycle(now uint64) {
 // wibSquash drops squashed residents.
 func (p *Pipeline) wibSquash(fromSeq uint64) {
 	wr := p.wib.entries[:0]
-	for _, f := range p.wib.entries {
-		if f.Seq() >= fromSeq {
+	for _, h := range p.wib.entries {
+		if f := p.slab.at(h); f.Seq() >= fromSeq {
 			f.wibResident = false
 			continue
 		}
-		wr = append(wr, f)
+		wr = append(wr, h)
 	}
 	p.wib.entries = wr
 }

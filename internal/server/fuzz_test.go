@@ -1,0 +1,65 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+)
+
+// fuzzEndpoints are the request decoders FuzzServerDecode drives.
+var fuzzEndpoints = []string{"/v1/run", "/v1/sweep", "/v1/cells"}
+
+// FuzzServerDecode posts arbitrary bodies to the run, sweep and cell
+// endpoints. A handler must never panic or answer 5xx, and a body that
+// is not even JSON must be a 4xx. Requests carry an already-cancelled
+// context and the limits allow one measured instruction, so a body that
+// passes validation costs next to nothing: runs and cells are cancelled
+// before they simulate, and at most one tiny sweep job runs at a time.
+func FuzzServerDecode(f *testing.F) {
+	seeds := []struct {
+		endpoint byte
+		body     string
+	}{
+		{0, `{"scenario":"hashjoin","max_insts":1}`},
+		{0, `{"workload":"chains","scale":0.01,"max_insts":1,"use_ltp":true,"ltp":{"mode":"NR"}}`},
+		{0, `{"scenario":"hashjoin","max_insts":1,"branch_pred":"tage","prefetcher":"bogus"}`},
+		{0, `{"workload":"indirect","config":{"iq":-3},"max_insts":1}`},
+		{1, `{"base":{"scenario":"branchy","scale":0.05,"max_insts":1},"axes":[{"name":"seed","replicate":true,"points":[{"name":"s0","patch":{"seed":0}}]}]}`},
+		{1, `{"base":{},"axes":[{"name":"x","points":[]}]}`},
+		{2, `{"specs":[{"Scenario":"hashjoin","MaxInsts":1}]}`},
+		{2, `{"specs":[]}`},
+		{0, `{"scenario":`},
+		{1, `[1,2,3]`},
+		{2, `{"specs":[{"MaxInsts":-1}]}`},
+		{0, `{"unknown_field":1}`},
+	}
+	for _, s := range seeds {
+		f.Add(s.endpoint, []byte(s.body))
+	}
+	srv, err := New(Config{Parallelism: 1, Limits: Limits{
+		MaxWarmInsts: 1, MaxDetailInsts: 1, MaxSeeds: 1, MaxCells: 1,
+		MaxActiveJobs: 1, RunTimeoutSeconds: 5,
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	f.Fuzz(func(t *testing.T, endpoint byte, body []byte) {
+		path := fuzzEndpoints[int(endpoint)%len(fuzzEndpoints)]
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(cancelled)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body.String())
+		}
+		if !json.Valid(body) && (rec.Code < 400 || rec.Code > 499) {
+			t.Fatalf("POST %s with a malformed body %q: status %d, want 4xx", path, body, rec.Code)
+		}
+	})
+}

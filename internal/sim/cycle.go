@@ -83,6 +83,7 @@ func runCycleLane(ctx context.Context, spec Spec, w *warmed) (Stats, error) {
 		parker = unit
 	}
 	p := pipeline.NewShared(spec.Pipeline, w.stream, parker, w.hier, w.bp)
+	defer p.Release()
 	if done := ctx.Done(); done != nil {
 		p.SetCancel(done)
 	}
@@ -112,6 +113,7 @@ func runDetailedWarm(ctx context.Context, spec Spec) (Stats, error) {
 		parker = unit
 	}
 	p := pipeline.New(pcfg, spec.Stream, parker)
+	defer p.Release()
 	p.Hier.AttachCorunners(spec.Corunners)
 	if done := ctx.Done(); done != nil {
 		p.SetCancel(done)

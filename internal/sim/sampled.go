@@ -270,6 +270,7 @@ func runSampledInterval(ctx context.Context, spec Spec, ck *sampleCheckpoint, sr
 		parker = unit
 	}
 	p := pipeline.NewShared(pcfg, rd, parker, ck.hier, ck.bp)
+	defer p.Release()
 	if done := ctx.Done(); done != nil {
 		p.SetCancel(done)
 	}

@@ -405,17 +405,17 @@ func (s RunSpec) Canonical() (RunSpec, error) {
 	if s.BranchPred != "" {
 		pcfg.BranchPred = s.BranchPred
 	}
-	bp, err := bpred.New(pcfg.BranchPred)
+	bpName, err := bpred.Lookup(pcfg.BranchPred)
 	if err != nil {
 		return RunSpec{}, err
 	}
-	pcfg.BranchPred = bp.Name()
+	pcfg.BranchPred = bpName
 	s.BranchPred = ""
 	if s.Prefetcher != "" {
 		pcfg.Hier.Prefetcher = s.Prefetcher
 	}
 	pname := pcfg.Hier.PrefetcherName()
-	if _, err := mem.NewPrefetcher(pname, pcfg.Hier.PrefetchTable, pcfg.Hier.PrefetchDegree); err != nil {
+	if err := mem.CheckPrefetcher(pname, pcfg.Hier.PrefetchTable); err != nil {
 		return RunSpec{}, err
 	}
 	pcfg.Hier.Prefetcher = pname
@@ -849,14 +849,13 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	if spec.BranchPred != "" {
 		pcfg.BranchPred = spec.BranchPred
 	}
-	if _, err := bpred.New(pcfg.BranchPred); err != nil {
+	if _, err := bpred.Lookup(pcfg.BranchPred); err != nil {
 		return RunResult{}, err
 	}
 	if spec.Prefetcher != "" {
 		pcfg.Hier.Prefetcher = spec.Prefetcher
 	}
-	if _, err := mem.NewPrefetcher(pcfg.Hier.PrefetcherName(),
-		pcfg.Hier.PrefetchTable, pcfg.Hier.PrefetchDegree); err != nil {
+	if err := mem.CheckPrefetcher(pcfg.Hier.PrefetcherName(), pcfg.Hier.PrefetchTable); err != nil {
 		return RunResult{}, err
 	}
 	cors, err := buildCorunners(spec.Corunners, spec.Scale)
