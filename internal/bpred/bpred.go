@@ -119,8 +119,8 @@ func Names() []string {
 }
 
 // Release hands a predictor that will not be used again back for reuse:
-// a later Clone of the same implementation and shape takes over its
-// tables. Implementations without pooled tables ignore it.
+// a later Clone of the same implementation takes over its tables.
+// Implementations without pooled tables ignore it.
 func Release(p Predictor) {
 	if g, ok := p.(*Gshare); ok {
 		gsharePool.Put(g)

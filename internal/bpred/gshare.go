@@ -86,20 +86,18 @@ func (p *Gshare) PredictOnly(pc uint64, taken bool, target uint64) bool {
 }
 
 // Clone returns a deep copy of the predictor: PHT, history and BTB are
-// duplicated so the copy trains independently. The copy's tables come
-// from a released predictor of the same shape when one is pooled.
+// duplicated so the copy trains independently. The copy reuses the
+// tables of a released predictor when one is pooled.
 func (p *Gshare) Clone() Predictor {
 	cp, _ := gsharePool.Get().(*Gshare)
-	if cp == nil || len(cp.pht) != len(p.pht) || len(cp.btb.tags) != len(p.btb.tags) {
-		cp = &Gshare{pht: make([]uint8, len(p.pht)), btb: btb{
-			tags: make([]uint64, len(p.btb.tags)), targets: make([]uint64, len(p.btb.targets))}}
+	if cp == nil {
+		cp = new(Gshare)
 	}
 	pht, tags, targets := cp.pht, cp.btb.tags, cp.btb.targets
 	*cp = *p
-	cp.pht, cp.btb.tags, cp.btb.targets = pht, tags, targets
-	copy(cp.pht, p.pht)
-	copy(cp.btb.tags, p.btb.tags)
-	copy(cp.btb.targets, p.btb.targets)
+	cp.pht = append(pht[:0], p.pht...)
+	cp.btb.tags = append(tags[:0], p.btb.tags...)
+	cp.btb.targets = append(targets[:0], p.btb.targets...)
 	return cp
 }
 

@@ -180,15 +180,10 @@ func putChunks(own [][]line) {
 // set out of a shared lines array.
 func (c *Cache) wset(lineAddr uint64) []line {
 	s := int(lineAddr & c.setMask)
+	if !c.shared || (c.slot != nil && c.slot[s] != 0) {
+		return c.set(lineAddr)
+	}
 	w := c.ways
-	if c.slot != nil {
-		if b := c.slot[s]; b != 0 {
-			return c.ownSet(int(b - 1))
-		}
-	}
-	if !c.shared {
-		return c.lines[s*w : (s+1)*w]
-	}
 	if c.slot == nil {
 		c.slot = make([]int32, c.sets)
 	}

@@ -261,8 +261,7 @@ func (s *slab) fresh() *Inflight {
 	return f
 }
 
-// release returns the chunks to the pool; the slab hands out nothing
-// afterwards.
+// release returns the chunks to the pool, dropping every record.
 func (s *slab) release() {
 	for _, c := range s.chunks {
 		chunkPool.Put(c)
