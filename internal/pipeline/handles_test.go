@@ -111,3 +111,34 @@ func TestCheckInvariantsCatchesStaleHandles(t *testing.T) {
 		})
 	}
 }
+
+// TestSlabReusesRecords requires the slab to recycle records on every
+// core, the WIB baseline included: a run of 30k instructions must not
+// hand out more than about two ROB windows of records, however long it
+// runs. The kernel reads, in every iteration, a register written once
+// before the loop, so a rename link to that long-committed writer would
+// outlive the reuse window (runProgram's invariant checks report it).
+func TestSlabReusesRecords(t *testing.T) {
+	b := prog.NewBuilder("gather+const")
+	b.SetReg(isa.R(1), 77)
+	b.SetReg(isa.R(2), 6364136223846793005)
+	b.Addi(isa.R(4), isa.R(0), 0x2_0000_0000)
+	b.Label("loop").
+		Mul(isa.R(1), isa.R(1), isa.R(2)).
+		Andi(isa.R(3), isa.R(1), 0x3FFFF8).
+		Add(isa.R(5), isa.R(4), isa.R(3)).
+		Ld(isa.R(6), isa.R(5), 0).
+		Add(isa.R(9), isa.R(9), isa.R(6)).
+		Addi(isa.R(10), isa.R(10), -1).
+		Br(isa.CondNE, isa.R(10), "loop")
+	program := b.Build()
+	for _, wib := range []int{0, 256} {
+		cfg := smallConfig()
+		cfg.IQSize = 16
+		cfg.WIBSize = wib
+		pipe, _ := runProgram(t, cfg, program, 30_000)
+		if n, bound := int(pipe.slab.n), 3*cfg.ROBSize; n > bound {
+			t.Errorf("WIB %d: the slab handed out %d records, want <= %d", wib, n, bound)
+		}
+	}
+}

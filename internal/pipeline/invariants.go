@@ -177,6 +177,9 @@ func (p *Pipeline) checkHandles() error {
 		if err := p.checkHandle(h, "ROB"); err != nil {
 			return err
 		}
+		if err := p.checkLinks(p.slab.at(h)); err != nil {
+			return err
+		}
 	}
 	lists := [][]Ref{p.lq.entries, p.sq.entries, p.iq.ready.Items(), p.llList}
 	for i, where := range []string{"LQ", "SQ", "IQ ready list", "LL list"} {
@@ -209,6 +212,26 @@ func (p *Pipeline) checkHandles() error {
 	for _, h := range p.retired {
 		if !p.slab.valid(h) || p.slab.at(h).pooled {
 			return fmt.Errorf("retired list holds pooled handle %d", h)
+		}
+	}
+	return nil
+}
+
+// checkLinks verifies an in-flight record's links to other records: each
+// names a live, older record that was in flight with it, at most a ROB
+// window back — the window that keeps the linked record from being
+// reused while f can still follow the link.
+func (p *Pipeline) checkLinks(f *Inflight) error {
+	links := [...]Handle{f.SrcProd[0], f.SrcProd[1], f.SrcWriter[0], f.SrcWriter[1], f.DepStore}
+	for _, h := range links {
+		if h == 0 {
+			continue
+		}
+		if err := p.checkHandle(h, "operand link of "+f.String()); err != nil {
+			return err
+		}
+		if l := p.slab.at(h); l.Seq() >= f.Seq() || f.Seq()-l.Seq() > uint64(p.cfg.ROBSize) {
+			return fmt.Errorf("%s links to %s, outside its ROB window", f, l)
 		}
 	}
 	return nil

@@ -132,17 +132,16 @@ type Pipeline struct {
 
 	// Inflight records live in the slab. Retired (committed or squashed)
 	// records park in `retired` until no live instruction can still
-	// reference them — every cross-record handle (SrcProd, DepStore, event
-	// entries) is held by an instruction that coexisted with the referent
-	// in the ROB, so once commit has advanced a full ROB window past a
-	// record's seq it is unreachable and returns to `pool` (a LIFO free
-	// stack) for reuse. Disabled under the WIB baseline, whose SrcWriter
-	// links can outlive that window.
-	slab         slab
-	pool         []Handle
-	retired      []Handle
-	poolDisabled bool
-	scavengeAt   uint64 // next bufBase at which scavenging is worth retrying
+	// reference them — every cross-record handle (SrcProd, SrcWriter,
+	// DepStore, event entries) is held by an instruction that coexisted
+	// with the referent in the ROB (a committing writer leaves the RAT,
+	// so rename never links to a committed record), so once commit has
+	// advanced a full ROB window past a record's seq it is unreachable
+	// and returns to `pool` (a LIFO free stack) for reuse.
+	slab       slab
+	pool       []Handle
+	retired    []Handle
+	scavengeAt uint64 // next bufBase at which scavenging is worth retrying
 
 	// pending is an instruction that was classified (OnRename/ShouldPark
 	// ran exactly once) but could not yet dispatch due to a structural
@@ -252,7 +251,6 @@ func NewShared(cfg Config, stream prog.Stream, parker Parker, h *mem.Hierarchy, 
 	p.ssets = newStoreSets(&p.slab)
 	if cfg.WIBSize > 0 {
 		p.wib = NewWIB(cfg.WIBSize, cfg.WIBPorts, cfg.LLThreshold)
-		p.poolDisabled = true
 	}
 	return p
 }
@@ -288,12 +286,7 @@ func (p *Pipeline) NewInflight(u isa.Uop) *Inflight {
 }
 
 // recordRetired parks a committed or squashed record for later reuse.
-func (p *Pipeline) recordRetired(f *Inflight) {
-	if p.poolDisabled {
-		return
-	}
-	p.retired = append(p.retired, f.h)
-}
+func (p *Pipeline) recordRetired(f *Inflight) { p.retired = append(p.retired, f.h) }
 
 // scavenge moves retired records whose reuse window has passed into the
 // pool. The scan is rate-limited by commit progress so a stalled window
@@ -618,6 +611,7 @@ func (p *Pipeline) commitStage() {
 			}
 			prev := p.rat.CommitMapping(f.U.Dst, f.DstPreg)
 			p.classRF(f.U.Dst).Free(prev)
+			p.rat.Retire(f.U.Dst, f.h)
 		}
 		p.parker.NoteCommit(p, f, p.now)
 		if p.TraceSink != nil {

@@ -178,6 +178,16 @@ func (rat *RAT) CommitMapping(r isa.Reg, p PReg) (prev PReg) {
 	return prev
 }
 
+// Retire forgets a committing writer as the latest writer of r, if it
+// still is: a link to a committed instruction carries no information
+// (its value is ready), and dropping it keeps every writer link inside
+// the window in which records are not reused.
+func (rat *RAT) Retire(r isa.Reg, w Handle) {
+	if rat.spec[r].writer == w {
+		rat.spec[r].writer = 0
+	}
+}
+
 // CommittedPreg returns the committed mapping for an architectural register.
 func (rat *RAT) CommittedPreg(r isa.Reg) PReg { return rat.commit[r] }
 
