@@ -113,7 +113,7 @@ func TestCheckInvariantsCatchesStaleHandles(t *testing.T) {
 }
 
 // TestSlabReusesRecords requires the slab to recycle records on every
-// core, the WIB baseline included: a run of 30k instructions must not
+// core, the WIB baseline included: a run of 10k instructions must not
 // hand out more than about two ROB windows of records, however long it
 // runs. The kernel reads, in every iteration, a register written once
 // before the loop, so a rename link to that long-committed writer would
@@ -136,7 +136,7 @@ func TestSlabReusesRecords(t *testing.T) {
 		cfg := smallConfig()
 		cfg.IQSize = 16
 		cfg.WIBSize = wib
-		pipe, _ := runProgram(t, cfg, program, 30_000)
+		pipe, _ := runProgram(t, cfg, program, 10_000)
 		if n, bound := int(pipe.slab.n), 3*cfg.ROBSize; n > bound {
 			t.Errorf("WIB %d: the slab handed out %d records, want <= %d", wib, n, bound)
 		}
