@@ -89,15 +89,14 @@ func (e *Emulator) Next(u *isa.Uop) bool {
 		return false
 	}
 	in := &e.prog.Insts[e.pc]
-	*u = isa.Uop{
-		Seq:   e.seq,
-		PC:    PCOf(e.pc),
-		Op:    in.Op,
-		Dst:   in.Dst,
-		Src1:  in.Src1,
-		Src2:  in.Src2,
-		Size:  8,
-		Label: in.Label,
+	// Field by field, and the label only when it changes: *u usually
+	// lives on the heap, where storing a whole Uop, string included,
+	// costs a bulk write barrier per µop while the collector runs.
+	u.Seq, u.PC, u.Op = e.seq, PCOf(e.pc), in.Op
+	u.Dst, u.Src1, u.Src2 = in.Dst, in.Src1, in.Src2
+	u.Addr, u.Size, u.Taken, u.Target = 0, 8, false, 0
+	if u.Label != in.Label {
+		u.Label = in.Label
 	}
 	e.seq++
 	next := e.pc + 1

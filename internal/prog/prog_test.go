@@ -259,6 +259,39 @@ func TestEmulatorDeterminism(t *testing.T) {
 	}
 }
 
+// TestEmulatorNextRewritesEveryField decodes one stream into a reused
+// µop primed with garbage and another into a fresh µop per step: Next
+// must leave no field of the previous µop behind (labels included, as
+// labelled and unlabelled instructions alternate).
+func TestEmulatorNextRewritesEveryField(t *testing.T) {
+	build := func() *Emulator {
+		b := NewBuilder("t")
+		b.SetReg(isa.R(1), 50)
+		b.SetReg(isa.R(2), int64(0x3000))
+		b.Label("loop").
+			Ld(isa.R(6), isa.R(2), 0).Tag("L").
+			St(isa.R(2), 8, isa.R(6)).
+			Addi(isa.R(1), isa.R(1), -1).Tag("dec").
+			Br(isa.CondNE, isa.R(1), "loop")
+		return NewEmulator(b.Build())
+	}
+	reused, fresh := build(), build()
+	u := isa.Uop{Seq: 99, PC: 1, Addr: 7, Size: 3, Taken: true, Target: 5, Label: "stale"}
+	for i := 0; ; i++ {
+		var f isa.Uop
+		okr, okf := reused.Next(&u), fresh.Next(&f)
+		if okr != okf {
+			t.Fatalf("streams ended apart at %d", i)
+		}
+		if !okr {
+			break
+		}
+		if u != f {
+			t.Fatalf("µop %d decoded into a reused µop is %v, want %v", i, u.String(), f.String())
+		}
+	}
+}
+
 func TestInitFunc(t *testing.T) {
 	b := NewBuilder("t")
 	b.InitWith(func(m *Memory) { m.Write(0x4000, 5) })
