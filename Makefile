@@ -1,7 +1,7 @@
 # Makefile — developer entry points. The go toolchain is the only
 # dependency.
 
-.PHONY: build test test-short race bench bench-fig bench-baseline profile profile-figs vet matrix fuzz-trace fuzz-store fuzz-fabric serve smoke-serve smoke-fabric lint-docs audit api-update
+.PHONY: build test test-short race bench bench-fig bench-baseline profile profile-figs profile-triage vet matrix fuzz-trace fuzz-store fuzz-fabric serve smoke-serve smoke-fabric lint-docs audit api-update
 
 # Packages whose exported symbols must all carry godoc comments (the
 # public package, the documented internals, and the service layers).
@@ -52,6 +52,17 @@ profile-figs:
 	profiles/ltpexperiments -exp fig6 -scale 0.05 -warm 2000 -insts 3000 -parallel 2 -cpuprofile profiles/fig6.pprof -memprofile profiles/fig6.mem.pprof > /dev/null
 	@echo "CPU profile written: go tool pprof -top profiles/ltpexperiments profiles/fig6.pprof"
 	@echo "allocation profile written: go tool pprof -sample_index=alloc_space -top profiles/ltpexperiments profiles/fig6.mem.pprof"
+
+# Profile the fidelity-triage campaign: a model pre-pass over a sizing
+# sweep (the model tier's batched lanes, DESIGN.md §15), then the top-K
+# cells on the cycle tier. CPU profile in profiles/triage.pprof,
+# allocation profile in profiles/triage.mem.pprof.
+profile-triage:
+	mkdir -p profiles
+	go build -o profiles/ltpexperiments ./cmd/ltpexperiments
+	profiles/ltpexperiments -exp triage -quick -parallel 2 -cpuprofile profiles/triage.pprof -memprofile profiles/triage.mem.pprof > /dev/null
+	@echo "CPU profile written: go tool pprof -top profiles/ltpexperiments profiles/triage.pprof"
+	@echo "allocation profile written: go tool pprof -sample_index=alloc_space -top profiles/ltpexperiments profiles/triage.mem.pprof"
 
 # The scenario-matrix campaign at laptop-scale budgets (mean ± 95% CI
 # over seed replicates; see EXPERIMENTS.md "Scenario-matrix workflow").

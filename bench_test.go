@@ -479,10 +479,10 @@ func BenchmarkTraceReplay(b *testing.B) {
 }
 
 // batchBenchSpecs builds the 64-lane model sweep used by the batched-
-// evaluation benchmarks: a warm-heavy hashjoin stream fanned into
+// evaluation benchmarks: a warm-heavy hashjoin stream feeding
 // IQ-size × ROB-size × parking lanes, the shape an interactive
 // structure-sizing sweep submits. All lanes share one functional
-// stream and budgets, so the model backend evaluates them in one pass.
+// stream and budgets, so the model backend warms them in one pass.
 func batchBenchSpecs() []sim.Spec {
 	var specs []sim.Spec
 	for _, iq := range []int{16, 24, 32, 40, 48, 56, 64, 80} {
@@ -519,10 +519,12 @@ func batchBenchStream(b *testing.B) prog.Stream {
 }
 
 // BenchmarkModelSweepBatch measures the batched model path: one op is
-// a whole 64-cell sweep through RunBatch — one warm pass, one measured
-// emulation, 64 arena-backed timing lanes. Compare ns/op here against
-// 64× BenchmarkModelSweepPerCell's to read the amortized speedup (the
-// PR-10 acceptance floor is 5×).
+// a whole 64-cell sweep through RunBatch — one warm pass shared by the
+// warm group, then 64 lanes that each clone the trained core and the
+// stream and score their own measured region, in sequence (no
+// executor) so ns/op is CPU work, not parallelism. Compare ns/op here
+// against 64× BenchmarkModelSweepPerCell's to read the amortized
+// speedup (the acceptance floor is 5×).
 func BenchmarkModelSweepBatch(b *testing.B) {
 	backend, err := sim.Lookup("model")
 	if err != nil {
@@ -547,7 +549,7 @@ func BenchmarkModelSweepBatch(b *testing.B) {
 
 // BenchmarkModelSweepPerCell is BenchmarkModelSweepBatch's denominator:
 // the same 64 cells evaluated one Run at a time, each paying its own
-// warm-up and emulation (WarmKey is empty, so the warm-group cache
+// program build and warm-up (WarmKey is empty, so the warm-group cache
 // stays out of the measurement). One op is ONE cell, so the amortized
 // batch speedup is (this ns/op × 64) / batch ns/op.
 func BenchmarkModelSweepPerCell(b *testing.B) {

@@ -161,28 +161,3 @@ func lookupBacking(b Backing, key string) (v any, ok bool) {
 	}()
 	return b.Lookup(key)
 }
-
-// resolveFlight lands one batch-owned flight with exactly the
-// bookkeeping of run()'s deferred epilogue: counters at resolution,
-// store on success, backing append for computed successes, done-close,
-// context release.
-func (c *Cache) resolveFlight(key string, f *flight, val any, err error, fromBacking bool, b Backing) {
-	f.val, f.err, f.fromBacking = val, err, fromBacking
-	f.abandoned = f.ctx.Err() != nil
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.fromBacking {
-		c.stats.StoreHits++
-	} else {
-		c.stats.Misses++
-	}
-	if f.err == nil {
-		c.store(key, f.val)
-	}
-	c.mu.Unlock()
-	if f.err == nil && !f.fromBacking && b != nil {
-		storeBacking(b, key, f.val)
-	}
-	close(f.done)
-	f.cancel()
-}

@@ -35,7 +35,8 @@ type Stats struct {
 	Hits uint64 `json:"hits"`
 	// Misses counts Do calls that computed (each is one real
 	// simulation); Misses is therefore the number of distinct cells
-	// ever executed through the cache.
+	// ever executed through the cache. A computation abandoned by every
+	// waiter that then failed produced nothing and is not counted.
 	Misses uint64 `json:"misses"`
 	// Shared counts Do calls that joined an in-flight computation.
 	Shared uint64 `json:"shared"`
@@ -209,27 +210,7 @@ func (c *Cache) run(key string, f *flight, compute func(context.Context) (any, e
 		if p := recover(); p != nil {
 			f.val, f.err = nil, fmt.Errorf("cache: computation for %q panicked: %v", key, p)
 		}
-		f.abandoned = f.ctx.Err() != nil
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if f.fromBacking {
-			c.stats.StoreHits++
-		} else {
-			c.stats.Misses++
-		}
-		if f.err == nil {
-			c.store(key, f.val)
-		}
-		c.mu.Unlock()
-		// Persist a genuinely computed success before the waiters wake:
-		// a Do returning means the result is durable, and a failed or
-		// store-served flight must never append. The write happens off
-		// the cache mutex — it is disk I/O.
-		if f.err == nil && !f.fromBacking && b != nil {
-			storeBacking(b, key, f.val)
-		}
-		close(f.done)
-		f.cancel() // release the flight context's resources
+		c.resolveFlight(key, f, f.val, f.err, f.fromBacking, b)
 	}()
 	if b != nil {
 		if v, ok := b.Lookup(key); ok {
@@ -238,6 +219,37 @@ func (c *Cache) run(key string, f *flight, compute func(context.Context) (any, e
 		}
 	}
 	f.val, f.err = compute(f.ctx)
+}
+
+// resolveFlight lands one flight, single or batch-owned: counters at
+// resolution, store on success, backing append for computed successes,
+// done-close, context release. A flight every waiter abandoned that
+// then failed — typically with the cancellation itself — counts no
+// Miss: it produced no result, and its waiters settled long before.
+func (c *Cache) resolveFlight(key string, f *flight, val any, err error, fromBacking bool, b Backing) {
+	f.val, f.err, f.fromBacking = val, err, fromBacking
+	f.abandoned = f.ctx.Err() != nil
+	c.mu.Lock()
+	delete(c.inflight, key)
+	switch {
+	case f.fromBacking:
+		c.stats.StoreHits++
+	case f.err == nil || !f.abandoned:
+		c.stats.Misses++
+	}
+	if f.err == nil {
+		c.store(key, f.val)
+	}
+	c.mu.Unlock()
+	// Persist a genuinely computed success before the waiters wake: a
+	// Do returning means the result is durable, and a failed or
+	// store-served flight must never append. The write happens off the
+	// cache mutex — it is disk I/O.
+	if f.err == nil && !f.fromBacking && b != nil {
+		storeBacking(b, key, f.val)
+	}
+	close(f.done)
+	f.cancel() // release the flight context's resources
 }
 
 // storeBacking shields the resolution path from a panicking Backing

@@ -280,3 +280,89 @@ func TestAllWaitersCancelAbortsCompute(t *testing.T) {
 		t.Fatalf("Do after abandonment = %v, %v, %v; want fresh, miss, nil", v, out, err)
 	}
 }
+
+// TestAbandonedFailureCountsNoMiss holds Stats.Misses to "one real
+// simulation each": a flight every waiter abandoned counts no miss when
+// its compute then fails with the cancellation — single or batched —
+// while one that ignores the cancellation and succeeds still counts.
+func TestAbandonedFailureCountsNoMiss(t *testing.T) {
+	// settle waits until every flight has resolved.
+	settle := func(c *Cache) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			c.mu.Lock()
+			n := len(c.inflight)
+			c.mu.Unlock()
+			if n == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("abandoned flight never resolved")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// abandon starts a lookup under a context it then cancels, once the
+	// computation has started, and waits for the caller to detach.
+	abandon := func(do func(ctx context.Context), started <-chan struct{}) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(bg)
+		detached := make(chan struct{})
+		go func() { defer close(detached); do(ctx) }()
+		<-started
+		cancel()
+		<-detached
+	}
+
+	t.Run("single", func(t *testing.T) {
+		c := New(8)
+		started := make(chan struct{})
+		abandon(func(ctx context.Context) {
+			c.Do(ctx, "k", func(cctx context.Context) (any, error) {
+				close(started)
+				<-cctx.Done()
+				return nil, cctx.Err()
+			})
+		}, started)
+		settle(c)
+		if m := c.Stats().Misses; m != 0 {
+			t.Fatalf("abandoned, cancelled flight counted %d misses; want 0", m)
+		}
+
+		started = make(chan struct{})
+		release := make(chan struct{})
+		abandon(func(ctx context.Context) {
+			c.Do(ctx, "k", func(context.Context) (any, error) {
+				close(started)
+				<-release // ignores the cancellation
+				return "v", nil
+			})
+		}, started)
+		close(release)
+		settle(c)
+		if m := c.Stats().Misses; m != 1 {
+			t.Fatalf("abandoned flight that succeeded counted %d misses; want 1", m)
+		}
+	})
+
+	t.Run("batch", func(t *testing.T) {
+		c := New(8)
+		started := make(chan struct{})
+		abandon(func(ctx context.Context) {
+			c.DoBatch(ctx, []string{"p", "q"}, func(bctx context.Context, miss []int) ([]any, []error) {
+				close(started)
+				<-bctx.Done()
+				errs := make([]error, len(miss))
+				for j := range errs {
+					errs[j] = bctx.Err()
+				}
+				return make([]any, len(miss)), errs
+			})
+		}, started)
+		settle(c)
+		if m := c.Stats().Misses; m != 0 {
+			t.Fatalf("abandoned, cancelled batch counted %d misses; want 0", m)
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ltp/internal/isa"
+	"ltp/internal/prog"
 	"ltp/internal/sim"
 )
 
@@ -15,9 +16,8 @@ var _ sim.BatchBackend = Backend{}
 // warm-affecting configuration (hierarchy, branch predictor, UIT
 // geometry, co-runners) is identical share a single trained core.
 type warmGroup struct {
-	wc     *warmCore
-	lanes  []int
-	cached bool // wc came from the warm cache: immutable, clone for every lane
+	wc    *warmCore
+	lanes []int
 }
 
 // warmSig keys the warm-equivalence partition. A caller-provided
@@ -37,24 +37,15 @@ func warmSig(s sim.Spec) string {
 	return fmt.Sprintf("s:%+v|%s|%d/%d|%+v", s.Pipeline.Hier, s.Pipeline.BranchPred, uitE, uitW, s.Corunners)
 }
 
-// lane is one config cell's timing state during the shared measured
-// drive.
-type lane struct {
-	idx       int // position in the specs slice
-	m         *machine
-	maxCycles float64
-	done      uint64
-	capped    bool
-	stopped   bool
-}
-
-// RunBatch evaluates every spec in one shared pass: the functional
-// stream is driven once (warm region then measured region) and each
-// retired µop fans into all live timing lanes. Per-lane hot structures
-// are carved from one arena slab sized here, at admission. Results are
-// bit-identical to per-spec Run calls — lanes only ever touch their
-// own cloned state, in stream order, so the floating-point timeline is
-// evaluated in exactly the same sequence either way.
+// RunBatch evaluates every spec as its own lane. The warm region is
+// shared: lanes whose warm-affecting configuration agrees share one
+// trained core, and one drive of the stream trains every group the warm
+// cache does not already hold. Then each lane runs its measured region
+// alone, as one subtask fanned out through the lead spec's Exec, from
+// private clones of its group's core and of the stream. Live scoring
+// state is thus bounded by the executor's workers, not by the batch's
+// width, and every lane is bit-identical to a single Run: it scores the
+// same µops from the same warmed state and touches nothing it shares.
 func (b Backend) RunBatch(ctx context.Context, specs []sim.Spec) []sim.BatchResult {
 	out := make([]sim.BatchResult, len(specs))
 	if len(specs) == 0 {
@@ -108,11 +99,10 @@ func (b Backend) RunBatch(ctx context.Context, specs []sim.Spec) []sim.BatchResu
 		g.lanes = append(g.lanes, i)
 	}
 	var train []*warmGroup
-	var entry *warmEntry
+	var stream prog.Stream // the measured region's start
 	for _, g := range groups {
 		if e := b.warm.lookup(specs[g.lanes[0]].WarmKey); e != nil {
-			g.wc, g.cached = e.wc, true
-			entry = e
+			g.wc, stream = e.wc, e.stream
 			continue
 		}
 		wc, err := newWarmCore(specs[g.lanes[0]])
@@ -125,22 +115,26 @@ func (b Backend) RunBatch(ctx context.Context, specs []sim.Spec) []sim.BatchResu
 
 	// One warm pass trains every uncached group; when the whole batch
 	// is warm-cache resident the stream (possibly lazily built by the
-	// caller) is never touched and a cached clone replays the measured
-	// region instead.
-	stream := lead.Stream
-	if len(train) == 0 && entry != nil {
-		stream = entry.cloneStream()
-	} else {
+	// caller) is never touched and the lanes clone a cached snapshot
+	// instead. A trained core is read-only from here on: lanes and the
+	// warm cache only ever clone it.
+	if len(train) > 0 {
+		stream = lead.Stream
 		if lead.WarmInsts > 0 {
-			warm := func(u *isa.Uop) bool {
-				for _, g := range train {
-					g.wc.warmObserve(u)
+			wc := train[0].wc
+			warm := func(u *isa.Uop) bool { wc.warmObserve(u); return true }
+			if len(train) > 1 {
+				warm = func(u *isa.Uop) bool {
+					for _, g := range train {
+						g.wc.warmObserve(u)
+					}
+					return true
 				}
-				return true
 			}
 			if _, err := drive(ctx, stream, lead.WarmInsts, warm); err != nil {
 				return failAll(err)
 			}
+			// Warm-up activity must not leak into measured statistics.
 			for _, g := range train {
 				g.wc.bp.ResetStats()
 				g.wc.hier.ResetStats()
@@ -151,86 +145,69 @@ func (b Backend) RunBatch(ctx context.Context, specs []sim.Spec) []sim.BatchResu
 		}
 	}
 
-	// Lane admission: one arena slab for the whole group, then one
-	// machine per lane. The last lane of a trained group adopts the
-	// trainer core itself; every other lane gets a deep clone.
-	var nf64, ni64, nu16 int
-	for _, i := range admitted {
-		f, n, u := arenaNeeds(specs[i])
-		nf64 += f
-		ni64 += n
-		nu16 += u
-	}
-	ar := newArena(nf64, ni64, nu16)
-	lanes := make([]lane, 0, len(admitted))
+	// One subtask per lane, unweighted like cycle lanes. A stream that
+	// cannot be cloned (a trace replay) serves exactly one lane.
+	cloner, clonable := stream.(prog.StreamCloner)
+	lanes := make([]int, 0, len(admitted))
+	fns := make([]func(context.Context) error, 0, len(admitted))
 	for _, g := range groups {
-		for j, i := range g.lanes {
-			wc := g.wc
-			if g.cached || j < len(g.lanes)-1 {
-				wc = g.wc.clone()
+		for _, i := range g.lanes {
+			if !clonable && len(fns) > 0 {
+				out[i].Err = fmt.Errorf("ltp: a µop stream that cannot be cloned (a trace replay) serves one model lane; run each spec alone")
+				continue
 			}
-			lanes = append(lanes, lane{
-				idx:       i,
-				m:         newMachine(b.Cal, specs[i], wc, ar),
-				maxCycles: float64(specs[i].MaxCycles),
+			lanes = append(lanes, i)
+			fns = append(fns, func(lctx context.Context) error {
+				s := stream
+				if clonable {
+					s = cloner.CloneStream()
+				}
+				var err error
+				out[i].Stats, err = b.measure(lctx, specs[i], g.wc.clone(), s)
+				return err
 			})
 		}
 	}
-
-	// Measured region: single stream drive, fan-out to live lanes. The
-	// inner loop is direct machine calls on a flat lane slice — no
-	// interface dispatch, no allocation.
-	var u isa.Uop
-	active := len(lanes)
-	var consumed uint64
-	check := ctx.Done() != nil
-	var cancelErr error
-	for consumed < lead.MaxInsts && active > 0 {
-		if !stream.Next(&u) {
-			break
+	for slot, err := range sim.FanOut(ctx, lead.Exec, nil, fns) {
+		if err != nil {
+			out[lanes[slot]] = sim.BatchResult{Err: err}
 		}
-		consumed++
-		for k := range lanes {
-			l := &lanes[k]
-			if l.stopped {
-				continue
-			}
-			l.m.score(&u)
-			l.done++
-			if l.maxCycles > 0 && l.m.lastRetire >= l.maxCycles {
-				l.capped = true
-				l.stopped = true
-				active--
-			}
-		}
-		if check && consumed&(cancelChunk-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				cancelErr = sim.CancelErr(ctx)
-				break
-			}
-		}
-	}
-
-	for k := range lanes {
-		l := &lanes[k]
-		i := l.idx
-		if cancelErr != nil && !l.capped {
-			out[i].Err = cancelErr
-			continue
-		}
-		if reader := specs[i].Reader; reader != nil {
-			if reader.Err() != nil {
-				out[i].Err = fmt.Errorf("ltp: trace replay: %w", reader.Err())
-				continue
-			}
-			if l.done < specs[i].MaxInsts && !l.capped {
-				out[i].Err = fmt.Errorf(
-					"ltp: trace ended after %d of %d measured instructions (warm-up %d): replay with the recording run's budgets",
-					l.done, specs[i].MaxInsts, specs[i].WarmInsts)
-				continue
-			}
-		}
-		out[i].Stats = l.m.snapshot()
 	}
 	return out
+}
+
+// measure scores one lane's measured region from its private warmed
+// core and stream. A MaxCycles safety cap halts the estimate once the
+// modeled clock passes it, mirroring the cycle backend's
+// measured-region-relative cap.
+func (b Backend) measure(ctx context.Context, spec sim.Spec, wc *warmCore, stream prog.Stream) (sim.Stats, error) {
+	m := newMachine(b.Cal, spec, wc)
+	defer m.release()
+	maxCycles := float64(spec.MaxCycles)
+	capped := false
+	check := ctx.Done() != nil
+	var u isa.Uop
+	var done uint64
+	for done < spec.MaxInsts && stream.Next(&u) {
+		m.score(&u)
+		done++
+		if maxCycles > 0 && m.lastRetire >= maxCycles {
+			capped = true
+			break
+		}
+		if check && done&(cancelChunk-1) == 0 && ctx.Err() != nil {
+			return sim.Stats{}, sim.CancelErr(ctx)
+		}
+	}
+	if reader := spec.Reader; reader != nil {
+		if reader.Err() != nil {
+			return sim.Stats{}, fmt.Errorf("ltp: trace replay: %w", reader.Err())
+		}
+		if done < spec.MaxInsts && !capped {
+			return sim.Stats{}, fmt.Errorf(
+				"ltp: trace ended after %d of %d measured instructions (warm-up %d): replay with the recording run's budgets",
+				done, spec.MaxInsts, spec.WarmInsts)
+		}
+	}
+	return m.snapshot(), nil
 }

@@ -48,75 +48,10 @@ const cancelChunk = 1 << 16
 // Run estimates the run analytically: the warm-up region trains the
 // timing-free caches, branch predictor and urgency table; the measured
 // region is scored through the dataflow timeline. The estimate is
-// deterministic in the spec.
+// deterministic in the spec. A run is a batch of one.
 func (b Backend) Run(ctx context.Context, spec sim.Spec) (sim.Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.Stats{}, sim.CancelErr(ctx)
-	}
-	if spec.Recorder != nil {
-		return sim.Stats{}, fmt.Errorf("ltp: trace capture requires the cycle backend")
-	}
-	wc, stream, err := b.warmed(ctx, spec)
-	if err != nil {
-		return sim.Stats{}, err
-	}
-	m := newMachine(b.Cal, spec, wc, nil)
-
-	// Measured region; a MaxCycles safety cap halts the estimate once
-	// the modeled clock passes it, mirroring the cycle backend's
-	// measured-region-relative cap.
-	capped := false
-	score := func(u *isa.Uop) bool {
-		m.score(u)
-		if spec.MaxCycles > 0 && m.lastRetire >= float64(spec.MaxCycles) {
-			capped = true
-			return false
-		}
-		return true
-	}
-	done, err := drive(ctx, stream, spec.MaxInsts, score)
-	if err != nil {
-		return sim.Stats{}, err
-	}
-	if spec.Reader != nil {
-		if spec.Reader.Err() != nil {
-			return sim.Stats{}, fmt.Errorf("ltp: trace replay: %w", spec.Reader.Err())
-		}
-		if done < spec.MaxInsts && !capped {
-			return sim.Stats{}, fmt.Errorf(
-				"ltp: trace ended after %d of %d measured instructions (warm-up %d): replay with the recording run's budgets",
-				done, spec.MaxInsts, spec.WarmInsts)
-		}
-	}
-	return m.snapshot(), nil
-}
-
-// warmed produces the functionally-warmed core plus the stream
-// positioned at the measured-region start: from the warm-group cache
-// when spec.WarmKey hits (skipping the whole warm drive and any stream
-// the caller may have deferred building), otherwise by training a
-// fresh core over the warm region and — when the spec is reusable —
-// caching a snapshot for siblings.
-func (b Backend) warmed(ctx context.Context, spec sim.Spec) (*warmCore, prog.Stream, error) {
-	if e := b.warm.lookup(spec.WarmKey); e != nil {
-		return e.wc.clone(), e.cloneStream(), nil
-	}
-	wc, err := newWarmCore(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	stream := spec.Stream
-	if spec.WarmInsts > 0 {
-		warm := func(u *isa.Uop) bool { wc.warmObserve(u); return true }
-		if _, err := drive(ctx, stream, spec.WarmInsts, warm); err != nil {
-			return nil, nil, err
-		}
-		// Warm-up activity must not leak into measured statistics.
-		wc.bp.ResetStats()
-		wc.hier.ResetStats()
-	}
-	b.warm.store(spec, wc, stream)
-	return wc, stream, nil
+	r := b.RunBatch(ctx, []sim.Spec{spec})[0]
+	return r.Stats, r.Err
 }
 
 // drive pulls up to n µops from the stream through fn (false = stop),
@@ -161,7 +96,7 @@ func ringLen(n int) int {
 	return n
 }
 
-func (r *ring) init(a *arena, n int) { r.buf = a.float64s(ringLen(n)) }
+func (r *ring) init(n int) { r.buf = make([]float64, ringLen(n)) }
 
 func (r *ring) peek() float64 { return r.buf[r.i] }
 
@@ -178,6 +113,10 @@ func (r *ring) push(v float64) {
 // occupancy with one — entries with release times in the past are
 // popped lazily, and admit answers "when is there room for one more".
 type timeHeap []float64
+
+// newTimeHeap returns an empty heap with room for capacity entries plus
+// one slack slot, so admit-bounded pushes never reallocate.
+func newTimeHeap(capacity int) timeHeap { return make(timeHeap, 0, max(capacity, 0)+1) }
 
 func (h *timeHeap) push(v float64) {
 	*h = append(*h, v)
@@ -253,8 +192,7 @@ type ltpModel struct {
 // predictor, the Urgent Instruction Table and its RAT producer
 // extension). It is split out so batched evaluation can train one core
 // per warm-equivalent subgroup on a single stream pass and clone it
-// into each timing lane — clones are deep, so lanes never share
-// mutable state.
+// into each timing lane — clones never share mutable state.
 type warmCore struct {
 	hier    *mem.Hierarchy
 	bp      bpred.Predictor
@@ -284,8 +222,9 @@ func newWarmCore(spec sim.Spec) (*warmCore, error) {
 	return w, nil
 }
 
-// clone returns a deep copy: the original may keep training (or stay
-// cached) while the copy backs a measured lane.
+// clone returns an independent copy (the caches copy-on-write): the
+// original stays read-only, and may be cached, while the copy backs a
+// measured lane. Clones of one core may be taken concurrently.
 func (w *warmCore) clone() *warmCore {
 	return &warmCore{
 		hier:    w.hier.Clone(),
@@ -325,9 +264,7 @@ type machine struct {
 	// Finite-window constraints. Structures drained in program order
 	// (ROB, rename registers, LQ/SQ — release times are monotone) use
 	// release-time rings; structures drained out of order (IQ, MSHRs)
-	// use exact occupancy heaps. The backing storage comes from the
-	// machine's arena: one slab per batch group, no per-structure
-	// allocation.
+	// use exact occupancy heaps.
 	robRing ring
 	intRing ring
 	fpRing  ring
@@ -360,11 +297,8 @@ type machine struct {
 }
 
 // newMachine assembles a scoring machine around an already-warmed (or
-// fresh) core. Hot-structure storage is carved from a, so a batch
-// group can lay every lane's rings, heap backings and FU buckets into
-// one arena slab sized at admission; a nil arena falls back to direct
-// allocation (the single-cell path).
-func newMachine(cal Calibration, spec sim.Spec, wc *warmCore, a *arena) *machine {
+// fresh) core, which it takes over.
+func newMachine(cal Calibration, spec sim.Spec, wc *warmCore) *machine {
 	def := DefaultCalibration()
 	if cal.DispatchWidth <= 0 {
 		cal.DispatchWidth = def.DispatchWidth
@@ -395,15 +329,15 @@ func newMachine(cal Calibration, spec sim.Spec, wc *warmCore, a *arena) *machine
 		storeReady: make(map[uint64]float64),
 		iqCap:      cfg.IQSize,
 	}
-	m.robRing.init(a, cfg.ROBSize)
-	m.intRing.init(a, cfg.IntRegs)
-	m.fpRing.init(a, cfg.FPRegs)
-	m.lqRing.init(a, cfg.LQSize)
-	m.sqRing.init(a, cfg.SQSize)
+	m.robRing.init(cfg.ROBSize)
+	m.intRing.init(cfg.IntRegs)
+	m.fpRing.init(cfg.FPRegs)
+	m.lqRing.init(cfg.LQSize)
+	m.sqRing.init(cfg.SQSize)
 	if m.iqCap <= 0 {
 		m.iqCap = pipeline.Inf
 	}
-	m.iqHeap = a.heap(m.iqCap)
+	m.iqHeap = newTimeHeap(m.iqCap)
 	m.fuCount = [isa.NumFUKinds]int{
 		isa.FUALU:  cfg.NumALU,
 		isa.FUMul:  cfg.NumMul,
@@ -416,8 +350,8 @@ func newMachine(cal Calibration, spec sim.Spec, wc *warmCore, a *arena) *machine
 		if m.fuCount[k] <= 0 {
 			m.fuCount[k] = 1
 		}
-		m.fuBucketCyc[k] = a.int64s(fuWindow)
-		m.fuBucketCnt[k] = a.uint16s(fuWindow)
+		m.fuBucketCyc[k] = make([]int64, fuWindow)
+		m.fuBucketCnt[k] = make([]uint16, fuWindow)
 	}
 	if spec.LTP != nil {
 		capacity := spec.LTP.Entries
@@ -429,7 +363,7 @@ func newMachine(cal Calibration, spec sim.Spec, wc *warmCore, a *arena) *machine
 			parksNR:  spec.LTP.Mode.ParksNR(),
 			early:    float64(cfg.Hier.TagEarlyLead),
 			capacity: capacity,
-			occupied: a.heap(capacity),
+			occupied: newTimeHeap(capacity),
 		}
 	}
 	return m
@@ -739,6 +673,14 @@ func (m *machine) pruneStores(now float64) {
 			delete(m.storeReady, a)
 		}
 	}
+}
+
+// release hands the lane's cache set copies and predictor tables back
+// for reuse by later clones, as a finished cycle lane does. The machine
+// must not be used afterwards.
+func (m *machine) release() {
+	m.hier.Release()
+	bpred.Release(m.bp)
 }
 
 // snapshot folds the timeline into the Stats shape the cycle backend

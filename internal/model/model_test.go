@@ -1,9 +1,11 @@
 package model
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ltp/internal/core"
@@ -11,6 +13,7 @@ import (
 	"ltp/internal/pipeline"
 	"ltp/internal/prog"
 	"ltp/internal/sim"
+	"ltp/internal/trace"
 	"ltp/internal/workload"
 )
 
@@ -189,8 +192,9 @@ func TestRunBadPredictorErrors(t *testing.T) {
 	}
 }
 
-// steadyMachines builds n warmed lanes carved from one arena and a
-// slice of measured-region µops to replay through them.
+// steadyMachines builds n warmed lanes, each on its own clone of one
+// trained core as RunBatch builds them, and a slice of measured-region
+// µops to replay through them.
 func steadyMachines(t testing.TB, n int, warm, runway uint64) ([]*machine, []isa.Uop) {
 	t.Helper()
 	specs := make([]sim.Spec, n)
@@ -205,21 +209,9 @@ func steadyMachines(t testing.TB, n int, warm, runway uint64) ([]*machine, []isa
 	if _, err := drive(bg, stream, warm, func(u *isa.Uop) bool { wc.warmObserve(u); return true }); err != nil {
 		t.Fatal(err)
 	}
-	var nf64, ni64, nu16 int
-	for i := range specs {
-		f, x, u := arenaNeeds(specs[i])
-		nf64 += f
-		ni64 += x
-		nu16 += u
-	}
-	ar := newArena(nf64, ni64, nu16)
 	ms := make([]*machine, n)
 	for i := range specs {
-		c := wc
-		if i < n-1 {
-			c = wc.clone()
-		}
-		ms[i] = newMachine(Calibration{}, specs[i], c, ar)
+		ms[i] = newMachine(Calibration{}, specs[i], wc.clone())
 	}
 	// Runway µops: drive every lane to steady state (structures full,
 	// FU epochs initialized, hierarchy past compulsory churn), keeping
@@ -229,8 +221,8 @@ func steadyMachines(t testing.TB, n int, warm, runway uint64) ([]*machine, []isa
 	for uint64(len(uops)) < runway && stream.Next(&u) {
 		uops = append(uops, u)
 	}
-	for k := range uops {
-		for _, m := range ms {
+	for _, m := range ms {
+		for k := range uops {
 			m.score(&uops[k])
 		}
 	}
@@ -252,54 +244,150 @@ func TestScoreAllocsSingle(t *testing.T) {
 	}
 }
 
-// TestScoreAllocsBatchedLanes fences the batched fan-out loop — one
-// µop scored into several arena-backed lanes — at zero allocations per
-// µop in steady state.
-func TestScoreAllocsBatchedLanes(t *testing.T) {
+// TestScoreAllocsPerLane fences every lane shape of a batch — IQ sizes
+// with and without parking, each on its own clone of the trained core —
+// at zero allocations per µop in steady state.
+func TestScoreAllocsPerLane(t *testing.T) {
 	ms, uops := steadyMachines(t, 4, 5_000, 20_000)
-	i := 0
-	allocs := testing.AllocsPerRun(5_000, func() {
-		u := &uops[i%len(uops)]
-		for _, m := range ms {
-			m.score(u)
+	for lane, m := range ms {
+		i := 0
+		allocs := testing.AllocsPerRun(5_000, func() {
+			m.score(&uops[i%len(uops)])
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("lane %d (IQ %d, LTP %v) allocates %.1f per µop in steady state; want 0",
+				lane, m.cfg.IQSize, m.ltp != nil, allocs)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("batched lane loop allocates %.1f per µop in steady state; want 0", allocs)
 	}
 }
 
-// TestArenaCarving checks the bump allocator's reservation math and
-// the private-reallocation overflow guard.
-func TestArenaCarving(t *testing.T) {
-	a := newArena(8, 4, 4)
-	s1 := a.float64s(5)
-	s2 := a.float64s(3)
-	if len(s1) != 5 || len(s2) != 3 {
-		t.Fatalf("carves sized %d/%d; want 5/3", len(s1), len(s2))
+// stubExec records each fan-out and runs its subtasks in reverse order,
+// or concurrently on several goroutines.
+type stubExec struct {
+	concurrent bool
+	batches    [][]func(context.Context)
+	costs      [][]float64
+}
+
+func (x *stubExec) RunBatch(ctx context.Context, costs []float64, fns []func(context.Context)) {
+	x.batches = append(x.batches, fns)
+	x.costs = append(x.costs, costs)
+	if !x.concurrent {
+		for i := len(fns) - 1; i >= 0; i-- {
+			fns[i](ctx)
+		}
+		return
 	}
-	// Exhausted: falls back to a private make, not a panic.
-	s3 := a.float64s(2)
-	if len(s3) != 2 {
-		t.Fatalf("fallback carve sized %d; want 2", len(s3))
+	next := make(chan func(context.Context))
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for fn := range next {
+				fn(ctx)
+			}
+		}()
 	}
-	// The three-index carve must prevent append bleed into s2.
-	s1 = s1[:0]
-	for k := 0; k < 6; k++ {
-		s1 = append(s1, 1.0)
+	for _, fn := range fns {
+		next <- fn
 	}
-	for _, v := range s2 {
-		if v != 0 {
-			t.Fatal("appending past a carve's capacity clobbered its neighbour")
+	close(next)
+	wg.Wait()
+}
+
+// TestRunBatchLanesIndependent checks that lanes share nothing mutable:
+// every admitted lane is its own subtask, and whatever order or
+// concurrency the executor picks, each lane's result equals its own Run.
+// Lanes that scored on the trainer core itself instead of a clone would
+// see each other's training and diverge.
+func TestRunBatchLanesIndependent(t *testing.T) {
+	tage := laneSpec(32, true, 5_000, 10_000)
+	tage.Pipeline.BranchPred = "tage" // a second warm group
+	specs := []sim.Spec{
+		laneSpec(64, false, 5_000, 10_000),
+		laneSpec(32, true, 5_000, 10_000),
+		laneSpec(32, false, 5_000, 20_000), // refused: another measured budget
+		tage,
+		laneSpec(24, true, 5_000, 10_000),
+	}
+	admitted := []int{0, 1, 3, 4}
+	b := Backend{Cal: DefaultCalibration()}
+	singles := make([]sim.Stats, len(specs))
+	for _, i := range admitted {
+		s := specs[i]
+		s.Stream = testStream(t)
+		st, err := b.Run(bg, s)
+		if err != nil {
+			t.Fatalf("single run %d: %v", i, err)
+		}
+		singles[i] = st
+	}
+
+	for _, concurrent := range []bool{false, true} {
+		ex := &stubExec{concurrent: concurrent}
+		batch := make([]sim.Spec, len(specs))
+		copy(batch, specs)
+		for i := range batch {
+			batch[i].Exec = ex
+		}
+		batch[0].Stream = testStream(t)
+		out := b.RunBatch(bg, batch)
+		if len(ex.batches) != 1 || len(ex.batches[0]) != len(admitted) {
+			t.Fatalf("concurrent=%v: executor saw %d fan-outs; want one of %d subtasks", concurrent, len(ex.batches), len(admitted))
+		}
+		if ex.costs[0] != nil {
+			t.Fatalf("concurrent=%v: lanes carry costs %v; want none, so queued runs go first", concurrent, ex.costs[0])
+		}
+		if out[2].Err == nil || !strings.Contains(out[2].Err.Error(), "budgets") {
+			t.Fatalf("concurrent=%v: refused lane err = %v; want a budget error", concurrent, out[2].Err)
+		}
+		for _, i := range admitted {
+			if out[i].Err != nil {
+				t.Fatalf("concurrent=%v: lane %d: %v", concurrent, i, out[i].Err)
+			}
+			if !reflect.DeepEqual(out[i].Stats, singles[i]) {
+				t.Fatalf("concurrent=%v: lane %d diverged from its own run:\nbatch:  %+v\nsingle: %+v",
+					concurrent, i, out[i].Stats, singles[i])
+			}
 		}
 	}
-	// A nil arena degrades every carve to make.
-	var nilArena *arena
-	if got := nilArena.float64s(4); len(got) != 4 {
-		t.Fatalf("nil arena carve sized %d; want 4", len(got))
+}
+
+// TestRunBatchTraceReplay: a trace reader cannot be cloned, so it
+// serves exactly one lane — which must equal a single Run over the same
+// trace — and every other lane fails with an explicit error.
+func TestRunBatchTraceReplay(t *testing.T) {
+	const warm, insts = 2_000, 6_000
+	var buf bytes.Buffer
+	if _, err := trace.Record(&buf, "hashjoin", testStream(t), warm+insts); err != nil {
+		t.Fatal(err)
 	}
-	if h := nilArena.heap(3); cap(h) != heapLen(3) {
-		t.Fatalf("nil arena heap cap %d; want %d", cap(h), heapLen(3))
+	replay := func(spec sim.Spec) sim.Spec {
+		r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Stream, spec.Reader = r, r
+		return spec
+	}
+	b := Backend{Cal: DefaultCalibration()}
+	single, err := b.Run(bg, replay(laneSpec(32, true, warm, insts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	batch := []sim.Spec{replay(laneSpec(32, true, warm, insts)), laneSpec(64, false, warm, insts)}
+	batch[1].Reader = batch[0].Reader
+	out := b.RunBatch(bg, batch)
+	if out[0].Err != nil {
+		t.Fatalf("lane 0: %v", out[0].Err)
+	}
+	if !reflect.DeepEqual(out[0].Stats, single) {
+		t.Fatalf("replayed lane diverged from its single run:\nbatch:  %+v\nsingle: %+v", out[0].Stats, single)
+	}
+	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "serves one model lane") {
+		t.Fatalf("lane 1 err = %v; want the one-lane replay error", out[1].Err)
 	}
 }

@@ -19,10 +19,8 @@ const warmCacheEntries = 8
 // entry can seed any number of lanes concurrently.
 type warmEntry struct {
 	wc     *warmCore
-	stream prog.StreamCloner
+	stream prog.Stream // a prog.StreamCloner
 }
-
-func (e *warmEntry) cloneStream() prog.Stream { return e.stream.CloneStream() }
 
 // warmCache is an LRU of warmEntry keyed by sim.Spec.WarmKey. A nil
 // *warmCache (the zero Backend) disables reuse entirely, which keeps
@@ -62,10 +60,12 @@ func (c *warmCache) touch(key string) {
 	}
 }
 
-// store snapshots a freshly-warmed core under spec.WarmKey. Trace
-// replays and recordings are never cached (their stream cursor is tied
-// to a file), and streams that cannot be cloned are skipped. The
-// snapshot is taken before the lock: cloning can copy megabytes.
+// store caches a freshly-trained core under spec.WarmKey, with a
+// snapshot of its stream. The core is kept as is — once its warm pass
+// ends it is only ever cloned — but the stream is cloned, since the
+// caller keeps its own and may drive it further. Trace replays and recordings are never
+// cached (their stream cursor is tied to a file), and streams that
+// cannot be cloned are skipped. The snapshot is taken before the lock.
 func (c *warmCache) store(spec sim.Spec, wc *warmCore, stream prog.Stream) {
 	if c == nil || spec.WarmKey == "" || spec.Reader != nil || spec.Recorder != nil {
 		return
@@ -74,11 +74,11 @@ func (c *warmCache) store(spec sim.Spec, wc *warmCore, stream prog.Stream) {
 	if !ok {
 		return
 	}
-	snap, ok := sc.CloneStream().(prog.StreamCloner)
-	if !ok {
+	snap := sc.CloneStream()
+	if _, ok := snap.(prog.StreamCloner); !ok {
 		return
 	}
-	e := &warmEntry{wc: wc.clone(), stream: snap}
+	e := &warmEntry{wc: wc, stream: snap}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.entries[spec.WarmKey]; dup {

@@ -225,9 +225,9 @@ type FastForwarder interface {
 
 // StreamCloner is implemented by streams whose position and functional
 // state can be duplicated (the Emulator). Batched evaluation uses it to
-// snapshot a warmed stream once and replay the measured region into
-// many timing lanes; trace readers do not implement it (their cursor is
-// tied to a file).
+// give every lane its own copy of one warmed stream, positioned at the
+// measured region's start; trace readers do not implement it (their
+// cursor is tied to a file).
 type StreamCloner interface {
 	// CloneStream returns an independent copy of the stream at its
 	// current position.

@@ -282,7 +282,7 @@ func runBatch(ctx context.Context, specs []Spec, admit func(Spec, prog.Stream) e
 			return err
 		}
 	}
-	for slot, err := range fanOut(ctx, lead.Exec, nil, fns) {
+	for slot, err := range FanOut(ctx, lead.Exec, nil, fns) {
 		if err != nil {
 			out[admitted[slot]] = BatchResult{Err: err}
 		}
@@ -290,12 +290,14 @@ func runBatch(ctx context.Context, specs []Spec, admit func(Spec, prog.Stream) e
 	return out
 }
 
-// fanOut runs fns through ex (sequentially in this goroutine when ex is
+// FanOut runs fns through ex (sequentially in this goroutine when ex is
 // nil or there is only one) and returns their errors positionally. A
 // panicking fn becomes that fn's error: on a pool worker an unrecovered
 // panic would kill the process and strand the batch, so each subtask is
-// contained here and always completes.
-func fanOut(ctx context.Context, ex Executor, costs []float64, fns []func(context.Context) error) []error {
+// contained here and always completes. Every backend's lanes and the
+// sampled tier's intervals fan out through it; nil costs leave the
+// subtasks unweighted, so queued single runs go ahead of them.
+func FanOut(ctx context.Context, ex Executor, costs []float64, fns []func(context.Context) error) []error {
 	errs := make([]error, len(fns))
 	call := func(fctx context.Context, i int) {
 		defer func() {

@@ -41,7 +41,7 @@ func TestFanOutContainsPanics(t *testing.T) {
 				func(context.Context) error { <-started; return errOdd },
 				func(context.Context) error { return nil },
 			}
-			errs := fanOut(context.Background(), ex, nil, fns)
+			errs := FanOut(context.Background(), ex, nil, fns)
 			if errs[1] != nil || errs[3] != nil {
 				t.Fatalf("round %d: healthy subtasks failed: %v", round, errs)
 			}

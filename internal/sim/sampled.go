@@ -223,7 +223,7 @@ func runSampledLane(ctx context.Context, spec Spec, w *warmed) (Stats, error) {
 			return err
 		}
 	}
-	errs := fanOut(ctx, spec.Exec, costs, fns)
+	errs := FanOut(ctx, spec.Exec, costs, fns)
 	if err := ctx.Err(); err != nil {
 		return Stats{}, CancelErr(ctx)
 	}

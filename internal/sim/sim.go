@@ -192,10 +192,10 @@ type BatchResult struct {
 
 // BatchBackend is an optional extension: a backend that can evaluate
 // many Specs sharing one functional µop stream in a single pass,
-// amortizing stream generation and warm-up across all of them. The
-// cycle and sampled backends warm one checkpoint per warm group and run
-// each lane's measured region from its own clone; the model backend
-// fans one measured stream into per-lane timing models.
+// amortizing stream generation and warm-up across all of them. Every
+// backend warms once per warm group and runs each lane's measured
+// region from its own clone of that warm state, one subtask per lane
+// fanned out through Spec.Exec.
 //
 // Contract: every spec in the batch must share the µop stream —
 // specs[0].Stream is the one driven; the Stream fields of the rest are

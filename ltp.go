@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"ltp/internal/bpred"
 	"ltp/internal/core"
@@ -641,12 +642,13 @@ func programBuilder(spec RunSpec) (func() *prog.Program, string, error) {
 // the first µop is actually pulled. The model backend's warm-group
 // cache checks sim.Spec.WarmKey before touching the stream, so a
 // warm-cache hit skips the build entirely. It always wraps an emulator,
-// so it fast-forwards and clones like one. The first pull is not
-// synchronized: concurrent clones are safe only after it, which the
-// warm pass of a batched cycle or sampled group (the engine batches
-// those only with a warm region) always makes.
+// so it fast-forwards and clones like one. Pulls are not synchronized —
+// one goroutine drives a stream — but clones are: a batch's lanes clone
+// the stream concurrently, possibly before anything pulled from it (a
+// model batch with no warm region).
 type lazyStream struct {
 	build func() prog.Stream
+	mu    sync.Mutex // guards the first build from concurrent clones
 	s     prog.Stream
 }
 
@@ -669,9 +671,12 @@ func (l *lazyStream) FastForward(n uint64, touch func(*isa.Uop)) uint64 {
 
 // CloneStream implements prog.StreamCloner: a warmed lazy stream
 // clones into the model backend's warm-group cache and into every lane
-// of a batched cycle or sampled group.
+// of a batch.
 func (l *lazyStream) CloneStream() prog.Stream {
-	return l.get().(prog.StreamCloner).CloneStream()
+	l.mu.Lock()
+	s := l.get()
+	l.mu.Unlock()
+	return s.(prog.StreamCloner).CloneStream()
 }
 
 // warmKeyVersion prefixes model warm-group keys; bump it whenever the
