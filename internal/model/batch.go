@@ -121,17 +121,15 @@ func (b Backend) RunBatch(ctx context.Context, specs []sim.Spec) []sim.BatchResu
 	if len(train) > 0 {
 		stream = lead.Stream
 		if lead.WarmInsts > 0 {
-			wc := train[0].wc
-			warm := func(u *isa.Uop) bool { wc.warmObserve(u); return true }
+			warm := train[0].wc.warmObserve
 			if len(train) > 1 {
-				warm = func(u *isa.Uop) bool {
+				warm = func(u *isa.Uop) {
 					for _, g := range train {
 						g.wc.warmObserve(u)
 					}
-					return true
 				}
 			}
-			if _, err := drive(ctx, stream, lead.WarmInsts, warm); err != nil {
+			if err := drive(ctx, stream, lead.WarmInsts, warm); err != nil {
 				return failAll(err)
 			}
 			// Warm-up activity must not leak into measured statistics.

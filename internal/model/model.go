@@ -54,29 +54,18 @@ func (b Backend) Run(ctx context.Context, spec sim.Spec) (sim.Stats, error) {
 	return r.Stats, r.Err
 }
 
-// drive pulls up to n µops from the stream through fn (false = stop),
-// checking ctx every cancelChunk µops. It returns the number of µops
-// consumed.
-func drive(ctx context.Context, stream prog.Stream, n uint64, fn func(u *isa.Uop) bool) (uint64, error) {
+// drive pulls up to n µops from the stream through fn (the warm pass),
+// checking ctx every cancelChunk µops.
+func drive(ctx context.Context, stream prog.Stream, n uint64, fn func(u *isa.Uop)) error {
 	var u isa.Uop
-	var done uint64
 	check := ctx.Done() != nil
-	for done < n {
-		if !stream.Next(&u) {
-			break
-		}
-		cont := fn(&u)
-		done++
-		if !cont {
-			break
-		}
-		if check && done&(cancelChunk-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return done, sim.CancelErr(ctx)
-			}
+	for done := uint64(1); done <= n && stream.Next(&u); done++ {
+		fn(&u)
+		if check && done&(cancelChunk-1) == 0 && ctx.Err() != nil {
+			return sim.CancelErr(ctx)
 		}
 	}
-	return done, nil
+	return nil
 }
 
 // ring is a fixed-size release-time window: peek returns the release

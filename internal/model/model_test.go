@@ -206,7 +206,7 @@ func steadyMachines(t testing.TB, n int, warm, runway uint64) ([]*machine, []isa
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := drive(bg, stream, warm, func(u *isa.Uop) bool { wc.warmObserve(u); return true }); err != nil {
+	if err := drive(bg, stream, warm, wc.warmObserve); err != nil {
 		t.Fatal(err)
 	}
 	ms := make([]*machine, n)
