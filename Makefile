@@ -1,7 +1,7 @@
 # Makefile — developer entry points. The go toolchain is the only
 # dependency.
 
-.PHONY: build test test-short race bench bench-fig bench-baseline profile profile-figs profile-triage vet matrix fuzz-trace fuzz-store fuzz-fabric serve smoke-serve smoke-fabric lint-docs audit api-update
+.PHONY: build test test-short race bench bench-fig bench-baseline profile profile-figs profile-triage vet matrix fuzz-trace fuzz-store fuzz-fabric serve smoke-serve smoke-fabric lint-docs audit api-update loc
 
 # Packages whose exported symbols must all carry godoc comments (the
 # public package, the documented internals, and the service layers).
@@ -120,3 +120,8 @@ audit:
 # Regenerate api.txt after a deliberate public-API change.
 api-update:
 	go run ./scripts/apidiff -update
+
+# Non-test Go lines outside bench/ and hidden directories: the size
+# figure CHANGES.md and ROADMAP.md quote.
+loc:
+	@find . \( -path './.*' -o -path ./bench \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l

@@ -2,12 +2,14 @@ package ltp
 
 import (
 	"context"
+	"fmt"
 
 	"ltp/internal/core"
 	"ltp/internal/mem"
 	"ltp/internal/pipeline"
 	"ltp/internal/prog"
 	"ltp/internal/sim"
+	"ltp/internal/trace"
 )
 
 // batchKeyVersion prefixes batch-group keys.
@@ -21,7 +23,7 @@ const batchKeyVersion = "bk1"
 // Intervals, Oracle) deliberately stays out — those vary across the
 // lanes of one group, and the backend partitions lanes by what their
 // warm-up reads. Cycle and sampled cells with no warm region to share
-// or a detailed warm-up run alone.
+// or a detailed warm-up are refused: they run as batches of one.
 func batchKey(c RunSpec) (string, bool) {
 	switch c.Backend {
 	case BackendModel:
@@ -48,18 +50,51 @@ func batchKey(c RunSpec) (string, bool) {
 	return key, true
 }
 
-// laneMemo holds what a batch's lanes share read-only, each built the
-// first time a lane needs it: co-runner traffic captures (sweep lanes
-// usually share a co-runner set, and capturing one is a functional
-// emulation pass worth paying once; the shared pattern also lets the
-// lanes share one warm checkpoint) and oracle pre-passes (one per
-// distinct budget, hierarchy configuration and ROB size — a limit
-// study's lanes usually differ only in structure sizes the pre-pass
-// never reads).
-type laneMemo struct {
-	program   func() *prog.Program
+// laneInputs holds what a batch's lanes share: the µop source — the
+// stream every lane reads, the program behind it (nil for a trace
+// replay), the trace reader or recorder when there is one — and
+// read-only inputs built the first time a lane needs them: co-runner
+// traffic captures (sweep lanes usually share a co-runner set, and
+// capturing one is a functional emulation pass worth paying once; the
+// shared pattern also lets the lanes share one warm checkpoint) and
+// oracle pre-passes (one per distinct budget, hierarchy configuration
+// and ROB size — a limit study's lanes usually differ only in structure
+// sizes the pre-pass never reads).
+type laneInputs struct {
+	program  func() *prog.Program
+	stream   prog.Stream
+	reader   *trace.Reader
+	recorder *trace.Recorder
+	// sourced marks a source supplied beside the spec (an explicit
+	// Program or a replay): the spec does not name it, so no model warm
+	// key may either.
+	sourced bool
+	// oracle, when set, is a prebuilt pre-pass every LTP lane uses.
+	oracle *core.Oracle
+
 	corunners map[string][]mem.CorunnerConfig
 	oracles   map[oracleKey]*core.Oracle
+}
+
+func newLaneInputs() *laneInputs {
+	return &laneInputs{
+		corunners: make(map[string][]mem.CorunnerConfig),
+		oracles:   make(map[oracleKey]*core.Oracle),
+	}
+}
+
+// setProgram makes the lanes read an emulator over the program build
+// returns. One program serves the stream and every oracle pre-pass
+// (both only read it); it is built the first time either needs it.
+func (in *laneInputs) setProgram(build func() *prog.Program) {
+	var program *prog.Program
+	in.program = func() *prog.Program {
+		if program == nil {
+			program = build()
+		}
+		return program
+	}
+	in.stream = newLazyStream(func() prog.Stream { return prog.NewEmulator(in.program()) })
 }
 
 // oracleKey holds core.BuildOracle's inputs besides the program.
@@ -68,26 +103,26 @@ type oracleKey struct {
 	hier           mem.Config
 }
 
-// oracle returns the lane's limit-study pre-pass, building it on first
-// use — exactly what RunContext builds for the same spec alone.
-func (m *laneMemo) oracle(spec RunSpec, pcfg pipeline.Config) *core.Oracle {
-	key := oracleKey{int(spec.WarmInsts + spec.MaxInsts + 65_536), pcfg.ROBSize, pcfg.Hier}
-	o := m.oracles[key]
-	if o == nil {
-		o = core.BuildOracle(m.program(), key.budget, key.hier, key.window)
-		m.oracles[key] = o
+// oracleFor returns the lane's limit-study pre-pass, building it on
+// first use.
+func (in *laneInputs) oracleFor(spec RunSpec, pcfg pipeline.Config) (*core.Oracle, error) {
+	if in.program == nil {
+		return nil, fmt.Errorf("ltp: oracle classification needs a program, not a replayed trace")
 	}
-	return o
+	key := oracleKey{int(spec.WarmInsts + spec.MaxInsts + 65_536), pcfg.ROBSize, pcfg.Hier}
+	o := in.oracles[key]
+	if o == nil {
+		o = core.BuildOracle(in.program(), key.budget, key.hier, key.window)
+		in.oracles[key] = o
+	}
+	return o, nil
 }
 
-// resolveLane turns one canonical spec into its resolved sim.Spec
-// (stream left to the caller — batch lanes share one), drawing shared
-// inputs from memo.
-func resolveLane(spec RunSpec, memo *laneMemo) (sim.Spec, pipeline.Config, *core.Config, error) {
-	pcfg := pipeline.DefaultConfig()
-	if spec.Pipeline != nil {
-		pcfg = *spec.Pipeline
-	}
+// resolveLane turns one canonical spec into its resolved sim.Spec over
+// the shared inputs — the one RunSpec-to-sim.Spec resolution every
+// entry point uses.
+func resolveLane(spec RunSpec, in *laneInputs) (sim.Spec, error) {
+	pcfg := *spec.Pipeline
 	var cors []mem.CorunnerConfig
 	if len(spec.Corunners) > 0 {
 		memoKey, err := hashJSON("cor", struct {
@@ -95,36 +130,46 @@ func resolveLane(spec RunSpec, memo *laneMemo) (sim.Spec, pipeline.Config, *core
 			Scale float64
 		}{spec.Corunners, spec.Scale})
 		if err == nil {
-			cors = memo.corunners[memoKey]
+			cors = in.corunners[memoKey]
 		}
 		if cors == nil {
 			cors, err = buildCorunners(spec.Corunners, spec.Scale)
 			if err != nil {
-				return sim.Spec{}, pipeline.Config{}, nil, err
+				return sim.Spec{}, err
 			}
 			if memoKey != "" {
-				memo.corunners[memoKey] = cors
+				in.corunners[memoKey] = cors
 			}
 		}
 	}
 	var lcfg *core.Config
 	if spec.UseLTP {
-		c := core.DefaultConfig()
-		if spec.LTP != nil {
-			c = *spec.LTP
-		}
-		if spec.Oracle {
-			c.Oracle = memo.oracle(spec, pcfg)
+		c := *spec.LTP
+		switch {
+		case in.oracle != nil:
+			c.Oracle = in.oracle
+		case spec.Oracle:
+			o, err := in.oracleFor(spec, pcfg)
+			if err != nil {
+				return sim.Spec{}, err
+			}
+			c.Oracle = o
 		}
 		lcfg = &c
 	}
+	// A model lane whose source the spec names carries a warm-group
+	// key: the backend may then serve the whole warm-up (and the
+	// program build, via the lazy stream) from its warm cache.
 	var warmKey string
-	if spec.Backend == BackendModel {
+	if spec.Backend == BackendModel && !in.sourced {
 		if key, err := modelWarmKey(spec); err == nil {
 			warmKey = key
 		}
 	}
 	return sim.Spec{
+		Stream:       in.stream,
+		Reader:       in.reader,
+		Recorder:     in.recorder,
 		Pipeline:     pcfg,
 		LTP:          lcfg,
 		WarmInsts:    spec.WarmInsts,
@@ -134,74 +179,44 @@ func resolveLane(spec RunSpec, memo *laneMemo) (sim.Spec, pipeline.Config, *core
 		Corunners:    cors,
 		WarmKey:      warmKey,
 		Intervals:    spec.Intervals,
-	}, pcfg, lcfg, nil
+	}, nil
 }
 
 // runBatch evaluates a group of canonical specs (equal batchKey) in one
-// shared pass through their backend's RunBatch: the functional stream
-// is built lazily once and driven once, and each lane's measured region
-// fans out through the context's executor when it has one. Results and
-// errors are positional; each cell's result is bit-identical to what
-// RunContext would have produced for it alone.
+// shared pass: the functional stream is built lazily once and driven
+// once, and each lane's measured region fans out through the context's
+// executor when it has one. Results and errors are positional; each
+// cell's result is bit-identical to what RunContext produces for it
+// alone, because RunContext is runLanes over a batch of one.
 func runBatch(ctx context.Context, specs []RunSpec) ([]RunResult, []error) {
-	results := make([]RunResult, len(specs))
-	errs := make([]error, len(specs))
-	if len(specs) == 0 {
-		return results, errs
+	build, err := programBuilder(specs[0])
+	if err != nil {
+		return make([]RunResult, len(specs)), failLanes(len(specs), err)
 	}
+	in := newLaneInputs()
+	in.setProgram(build)
+	return runLanes(ctx, in, specs)
+}
+
+// runLanes resolves canonical specs over their shared inputs and
+// evaluates them in one call to their backend's RunBatch.
+func runLanes(ctx context.Context, in *laneInputs, specs []RunSpec) ([]RunResult, []error) {
+	results := make([]RunResult, len(specs))
 	backend, err := sim.Lookup(specs[0].Backend)
 	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return results, errs
+		return results, failLanes(len(specs), err)
 	}
-	bb, ok := backend.(sim.BatchBackend)
-	if !ok {
-		// Registry holds a non-batching backend (tests can do this);
-		// fall back to sequential single-cell runs.
-		for i, s := range specs {
-			results[i], errs[i] = RunContext(ctx, s)
-		}
-		return results, errs
-	}
-
-	build, _, err := programBuilder(specs[0])
-	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return results, errs
-	}
-	// One program serves the stream and every oracle pre-pass (both
-	// only read it).
-	var program *prog.Program
-	memo := &laneMemo{
-		program: func() *prog.Program {
-			if program == nil {
-				program = build()
-			}
-			return program
-		},
-		corunners: make(map[string][]mem.CorunnerConfig),
-		oracles:   make(map[oracleKey]*core.Oracle),
-	}
-	stream := newLazyStream(func() prog.Stream { return prog.NewEmulator(memo.program()) })
-
+	errs := make([]error, len(specs))
 	ex, _ := ctx.Value(execContextKey{}).(sim.Executor)
 	simSpecs := make([]sim.Spec, 0, len(specs))
 	lanes := make([]int, 0, len(specs)) // simSpecs index -> specs index
-	pcfgs := make([]pipeline.Config, len(specs))
-	lcfgs := make([]*core.Config, len(specs))
 	for i, s := range specs {
-		ss, pcfg, lcfg, err := resolveLane(s, memo)
+		ss, err := resolveLane(s, in)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		ss.Stream = stream
 		ss.Exec = ex
-		pcfgs[i], lcfgs[i] = pcfg, lcfg
 		simSpecs = append(simSpecs, ss)
 		lanes = append(lanes, i)
 	}
@@ -209,13 +224,22 @@ func runBatch(ctx context.Context, specs []RunSpec) ([]RunResult, []error) {
 		return results, errs
 	}
 
-	for j, br := range bb.RunBatch(ctx, simSpecs) {
+	for j, br := range backend.RunBatch(ctx, simSpecs) {
 		i := lanes[j]
 		if br.Err != nil {
 			errs[i] = br.Err
 			continue
 		}
-		results[i] = finishResult(br.Stats, pcfgs[i], lcfgs[i])
+		results[i] = finishResult(br.Stats, simSpecs[j].Pipeline, simSpecs[j].LTP)
 	}
 	return results, errs
+}
+
+// failLanes returns n copies of err.
+func failLanes(n int, err error) []error {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = err
+	}
+	return errs
 }

@@ -275,9 +275,11 @@ func runWeight(spec RunSpec) float64 {
 // cache at the interactive tier (ahead of queued campaign cells),
 // blocking until the result is available or ctx dies, and returns the
 // run's content address alongside it. The outcome reports how the
-// request was served: Miss (simulated now), Hit (already cached) or
-// Shared (joined an identical in-flight simulation). The spec must be
-// hashable (see RunSpec.Canonical).
+// request was served: Miss (simulated now), Hit (already cached),
+// Shared (joined an identical in-flight simulation) or StoreHit (loaded
+// from the persistent result store). The spec must be hashable (see
+// RunSpec.Canonical). A run is a batch of one: it takes the same path
+// as a sweep's cells.
 //
 // Cancelling ctx abandons only this caller: an identical in-flight
 // simulation other callers are waiting on keeps running for them, and
@@ -285,7 +287,8 @@ func runWeight(spec RunSpec) float64 {
 // cancelled is the simulation itself aborted (within about a
 // millisecond, mid-pipeline).
 func (e *Engine) RunCached(ctx context.Context, spec RunSpec) (RunResult, cache.Outcome, string, error) {
-	return e.runCached(ctx, sched.TierInteractive, spec)
+	res, outs, keys, errs := e.runBatchCached(ctx, sched.TierInteractive, []RunSpec{spec})
+	return res[0], outs[0], keys[0], errs[0]
 }
 
 // RunCellCached is RunCached at the campaign tier: queued interactive
@@ -293,65 +296,8 @@ func (e *Engine) RunCached(ctx context.Context, spec RunSpec) (RunResult, cache.
 // dispatched sweep cells (internal/fabric): a worker serving a fleet's
 // campaign shards must not let them preempt its own /v1/run traffic.
 func (e *Engine) RunCellCached(ctx context.Context, spec RunSpec) (RunResult, cache.Outcome, string, error) {
-	return e.runCached(ctx, sched.TierCampaign, spec)
-}
-
-func (e *Engine) runCached(ctx context.Context, tier sched.Tier, spec RunSpec) (RunResult, cache.Outcome, string, error) {
-	// Canonicalize once up front: the hash needs it anyway, and the
-	// canonical spec rides into the cache value so a fresh result can
-	// be persisted with its provenance (see storedRecord).
-	canon, err := spec.Canonical()
-	if err != nil {
-		return RunResult{}, cache.Miss, "", err
-	}
-	key, err := canon.Hash()
-	if err != nil {
-		return RunResult{}, cache.Miss, "", err
-	}
-	v, outcome, err := e.cache.Do(ctx, key, func(cctx context.Context) (any, error) {
-		done := make(chan struct{})
-		var res RunResult
-		var rerr error
-		backend := specBackendName(spec)
-		e.noteOutstanding(backend, 1)
-		e.pool.SubmitCtx(cctx, tier, runWeight(spec), func(tctx context.Context) {
-			defer close(done)
-			defer e.noteOutstanding(backend, -1)
-			// A panicking simulation must become this request's error,
-			// not an unrecovered panic on a pool worker (which would
-			// kill the process) — and must not let a zero-value result
-			// reach the cache.
-			defer func() {
-				if p := recover(); p != nil {
-					rerr = fmt.Errorf("ltp: simulation panicked: %v", p)
-				}
-			}()
-			// Cancelled while queued: never start the simulation.
-			if err := tctx.Err(); err != nil {
-				rerr = err
-				return
-			}
-			start := time.Now()
-			// A sampled cell fans its interval simulations back onto
-			// this pool (see poolExecutor).
-			res, rerr = RunContext(withExecutor(tctx, poolExecutor{e.pool}), spec)
-			// Each backend feeds its own EWMA: near-free model
-			// estimates must not wreck the Retry-After hint for real
-			// simulations, and vice versa.
-			if rerr == nil {
-				e.noteRunSeconds(backend, time.Since(start).Seconds())
-			}
-		})
-		<-done
-		if rerr != nil {
-			return nil, rerr
-		}
-		return cachedCell{spec: canon, res: res}, nil
-	})
-	if err != nil {
-		return RunResult{}, outcome, key, err
-	}
-	return v.(cachedCell).res, outcome, key, nil
+	res, outs, keys, errs := e.runBatchCached(ctx, sched.TierCampaign, []RunSpec{spec})
+	return res[0], outs[0], keys[0], errs[0]
 }
 
 // ErrJobCanceled is the cause a Job's Wait reports after Cancel (when
@@ -743,55 +689,34 @@ func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []sweepRun) {
 	job.result = out
 }
 
-// phaseUnit is one launch unit of a phase: a single run, or a group of
-// runs sharing one backend and one functional stream (equal batchKey)
-// that executes as one batched pool task through runBatchCached.
-type phaseUnit struct {
-	idx    []int     // positions in the phase's runs slice
-	canons []RunSpec // parallel to idx; non-nil marks a batch unit
-}
-
-// phaseUnits partitions a phase's runs: cells that share a backend, a
-// functional stream and warm/measured budgets coalesce into batch units
-// (the stream is built and warmed once for the whole group), everything
-// else launches alone. Triage phase 1 rewrites every run to the model
-// backend, so triage sweeps batch wholesale without special-casing.
-func phaseUnits(runs []sweepRun) []phaseUnit {
-	units := make([]phaseUnit, 0, len(runs))
-	groups := make(map[string]*phaseUnit)
-	var order []string
+// phaseUnits partitions a phase's runs (by position) into launch
+// units, each executed as one batch through runBatchCached. Cells that
+// share a backend, a functional stream and warm/measured budgets (equal
+// batchKey) coalesce, so the stream is built and warmed once for the
+// whole group; cells batchKey refuses — a detailed warm-up, no warm
+// region, no canonical form — are batches of one. Triage phase 1
+// rewrites every run to the model backend, so triage sweeps batch
+// wholesale without special-casing.
+func phaseUnits(runs []sweepRun) [][]int {
+	units := make([][]int, 0, len(runs))
+	groups := make(map[string]int) // batch key -> its unit's index
 	for i := range runs {
 		if canon, err := runs[i].spec.Canonical(); err == nil {
 			if key, ok := batchKey(canon); ok {
-				g := groups[key]
-				if g == nil {
-					g = &phaseUnit{}
-					groups[key] = g
-					order = append(order, key)
+				if u, seen := groups[key]; seen {
+					units[u] = append(units[u], i)
+					continue
 				}
-				g.idx = append(g.idx, i)
-				g.canons = append(g.canons, canon)
-				continue
+				groups[key] = len(units)
 			}
 		}
-		units = append(units, phaseUnit{idx: []int{i}})
-	}
-	for _, k := range order {
-		g := groups[k]
-		if len(g.idx) == 1 {
-			// A group of one gains nothing from the batch path; keep
-			// the single-cell machinery.
-			units = append(units, phaseUnit{idx: g.idx})
-			continue
-		}
-		units = append(units, *g)
+		units = append(units, []int{i})
 	}
 	return units
 }
 
 // recordPhaseCell folds one resolved cell into the job's counters and
-// cell stream — shared by the single and batched execution paths so
-// their bookkeeping cannot drift.
+// cell stream.
 func (j *Job) recordPhaseCell(r sweepRun, res RunResult, outcome cache.Outcome, hash string, err error, phase string) {
 	if err != nil && isCancellation(err) {
 		j.canceled.Add(1)
@@ -829,16 +754,15 @@ func (j *Job) recordPhaseCell(r sweepRun, res RunResult, outcome cache.Outcome, 
 // runPhase executes one batch of enumerated runs through the engine's
 // cache and pool at the campaign tier, streaming each resolved cell
 // with the given phase tag, and returns per-run results and errors.
-// Cells sharing a stream execute batched (see phaseUnits).
+// Cells sharing a stream execute in one batch (see phaseUnits).
 func (e *Engine) runPhase(jctx context.Context, job *Job, runs []sweepRun, phase string) ([]RunResult, []error) {
 	results := make([]RunResult, len(runs))
 	errs := make([]error, len(runs))
 	units := phaseUnits(runs)
-	// Bound this phase's outstanding runCached calls: without it a
-	// large admitted sweep would park one goroutine per run
-	// (potentially hundreds of thousands of stacks) before pool
-	// backpressure applies. 2× the pool keeps every worker fed while
-	// cells resolve.
+	// Bound this phase's outstanding units: without it a large
+	// admitted sweep would park one goroutine per unit (potentially
+	// hundreds of thousands of stacks) before pool backpressure
+	// applies. 2× the pool keeps every worker fed while cells resolve.
 	sem := make(chan struct{}, 2*e.pool.Workers())
 	var wg sync.WaitGroup
 launch:
@@ -848,8 +772,8 @@ launch:
 			// Cancelled: everything not yet launched is abandoned
 			// without ever touching the pool or the cache.
 			for _, unit := range units[u:] {
-				job.canceled.Add(int64(len(unit.idx)))
-				for _, k := range unit.idx {
+				job.canceled.Add(int64(len(unit)))
+				for _, k := range unit {
 					errs[k] = cancelErr(jctx)
 				}
 			}
@@ -857,18 +781,15 @@ launch:
 		case sem <- struct{}{}:
 		}
 		wg.Add(1)
-		go func(unit phaseUnit) {
+		go func(unit []int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if unit.canons == nil {
-				i := unit.idx[0]
-				res, outcome, hash, err := e.runCached(jctx, sched.TierCampaign, runs[i].spec)
-				results[i], errs[i] = res, err
-				job.recordPhaseCell(runs[i], res, outcome, hash, err, phase)
-				return
+			specs := make([]RunSpec, len(unit))
+			for j, i := range unit {
+				specs[j] = runs[i].spec
 			}
-			rres, routs, rhashes, rerrs := e.runBatchCached(jctx, sched.TierCampaign, unit.canons)
-			for j, i := range unit.idx {
+			rres, routs, rhashes, rerrs := e.runBatchCached(jctx, sched.TierCampaign, specs)
+			for j, i := range unit {
 				results[i], errs[i] = rres[j], rerrs[j]
 				job.recordPhaseCell(runs[i], rres[j], routs[j], rhashes[j], rerrs[j], phase)
 			}
@@ -878,56 +799,57 @@ launch:
 	return results, errs
 }
 
-// runBatchCached resolves a group of canonical specs (equal batchKey)
-// through the cache's batch path: lanes already cached (memory or
-// backing) or in flight are served per-key exactly as runCached would
-// serve them, and the remainder is computed by ONE pool task driving
-// runBatch — one shared functional stream, one warm pass, per-config
-// lanes fanned back onto the pool. Each computed lane is stored under
-// its own content address, so batched and single-cell results are
-// fully interchangeable in the cache.
-func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, canons []RunSpec) ([]RunResult, []cache.Outcome, []string, []error) {
-	n := len(canons)
+// runBatchCached resolves a group of specs (equal batchKey, or a batch
+// of one) through the cache: lanes already cached (memory or backing)
+// or in flight are served per key, and the remainder is computed by
+// ONE pool task driving runBatch — one shared functional stream, one
+// warm pass, per-config lanes fanned back onto the pool. Each computed
+// lane is stored under its own content address, so a cell's cache
+// entry is the same whichever batch computed it. A spec with no
+// canonical form fails its own lane.
+func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []RunSpec) ([]RunResult, []cache.Outcome, []string, []error) {
+	n := len(specs)
 	results := make([]RunResult, n)
 	outcomes := make([]cache.Outcome, n)
 	errs := make([]error, n)
 	keys := make([]string, n)
 	sub := make([]int, 0, n) // lanes with a valid content address
-	for i := range canons {
-		key, err := canons[i].Hash()
+	subKeys := make([]string, 0, n)
+	canons := make([]RunSpec, 0, n) // parallel to sub
+	for i, s := range specs {
+		// Canonicalize once: the hash needs it anyway, and the
+		// canonical spec rides into the cache value so a fresh result
+		// can be persisted with its provenance (see storedRecord).
+		canon, err := s.Canonical()
+		if err == nil {
+			keys[i], err = hashJSON(runSpecHashVersion, canon)
+		}
 		if err != nil {
-			// Cannot happen for a spec Canonical() accepted, but a
-			// surprise degrades one lane, not the group.
 			errs[i] = err
 			continue
 		}
-		keys[i] = key
 		sub = append(sub, i)
+		subKeys = append(subKeys, keys[i])
+		canons = append(canons, canon)
 	}
 	if len(sub) == 0 {
 		return results, outcomes, keys, errs
 	}
-	subKeys := make([]string, len(sub))
-	for j, i := range sub {
-		subKeys[j] = keys[i]
-	}
 	vals, outs, cerrs := e.cache.DoBatch(ctx, subKeys, func(bctx context.Context, miss []int) ([]any, []error) {
-		specs := make([]RunSpec, len(miss))
+		lanes := make([]RunSpec, len(miss))
+		var weight float64
 		for j, mj := range miss {
-			specs[j] = canons[sub[mj]]
+			lanes[j] = canons[mj]
+			weight += runWeight(lanes[j])
 		}
 		mvals := make([]any, len(miss))
 		merrs := make([]error, len(miss))
 		done := make(chan struct{})
-		var weight float64
-		for i := range specs {
-			weight += runWeight(specs[i])
-		}
-		backend := specBackendName(specs[0])
-		e.noteOutstanding(backend, len(specs))
+		backend := specBackendName(lanes[0])
+		e.noteOutstanding(backend, len(lanes))
 		e.pool.SubmitCtx(bctx, tier, weight, func(tctx context.Context) {
 			defer close(done)
-			defer e.noteOutstanding(backend, -len(specs))
+			defer e.noteOutstanding(backend, -len(lanes))
 			// A panicking batch must become per-lane errors, not an
 			// unrecovered panic on a pool worker.
 			defer func() {
@@ -949,16 +871,17 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, canons []R
 			}
 			start := time.Now()
 			// Lanes fan back onto this pool (see poolExecutor).
-			rres, rerrs := runBatch(withExecutor(tctx, poolExecutor{e.pool}), specs)
-			// Amortized per-lane seconds feed the backend's EWMA,
-			// mirroring one noteRunSeconds per single-cell run.
-			perLane := time.Since(start).Seconds() / float64(len(specs))
-			for j := range specs {
+			rres, rerrs := runBatch(withExecutor(tctx, poolExecutor{e.pool}), lanes)
+			// Each backend feeds its own EWMA with amortized per-lane
+			// seconds: near-free model estimates must not wreck the
+			// Retry-After hint for real simulations, and vice versa.
+			perLane := time.Since(start).Seconds() / float64(len(lanes))
+			for j := range lanes {
 				if rerrs[j] != nil {
 					merrs[j] = rerrs[j]
 					continue
 				}
-				mvals[j] = cachedCell{spec: specs[j], res: rres[j]}
+				mvals[j] = cachedCell{spec: lanes[j], res: rres[j]}
 				e.noteRunSeconds(backend, perLane)
 			}
 		})

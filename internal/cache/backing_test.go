@@ -249,13 +249,29 @@ func TestBackingEvictionRefetch(t *testing.T) {
 }
 
 // TestBackingPanicIsContained: a panicking Lookup becomes the waiter's
-// error; a panicking Store is swallowed (the in-memory result already
-// serves the waiters).
+// error — through Do and through DoBatch alike, with nothing computed
+// or stored; a panicking Store is swallowed (the in-memory result
+// already serves the waiters).
 func TestBackingPanicIsContained(t *testing.T) {
 	c := New(4)
-	c.SetBacking(panicBacking{})
+	b := &panicBacking{}
+	c.SetBacking(b)
 	if _, _, err := c.Do(bg, "k", func(context.Context) (any, error) { return "v", nil }); err == nil {
 		t.Fatal("panicking Lookup did not surface as an error")
+	}
+	computed := false
+	_, _, errs := c.DoBatch(bg, []string{"kb"}, func(context.Context, []int) ([]any, []error) {
+		computed = true
+		return []any{"v"}, []error{nil}
+	})
+	if errs[0] == nil {
+		t.Fatal("panicking Lookup did not surface as a DoBatch lane error")
+	}
+	if computed || b.stores != 0 {
+		t.Fatalf("DoBatch computed (%v) and stored %d records after a panicking Lookup", computed, b.stores)
+	}
+	if st := c.Stats(); st.Len != 0 || st.Misses != 2 {
+		t.Fatalf("stats %+v: want two failed misses, nothing cached", st)
 	}
 	// Detach the panicking lookup but keep the panicking Store: compute
 	// succeeds and the Store panic must not kill the flight.
@@ -266,10 +282,10 @@ func TestBackingPanicIsContained(t *testing.T) {
 	}
 }
 
-type panicBacking struct{}
+type panicBacking struct{ stores int }
 
-func (panicBacking) Lookup(string) (any, bool) { panic("lookup boom") }
-func (panicBacking) Store(string, any)         {}
+func (*panicBacking) Lookup(string) (any, bool) { panic("lookup boom") }
+func (b *panicBacking) Store(string, any)       { b.stores++ }
 
 type storePanicBacking struct{}
 

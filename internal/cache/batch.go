@@ -7,30 +7,31 @@ import (
 	"sync/atomic"
 )
 
-// DoBatch resolves a group of keys as one unit. Each key is classified
-// exactly as Do would classify it — memory hit, join of an existing
-// flight, or a new flight — but every new flight opened here is owned
-// by the batch and resolved together: the batch goroutine consults the
-// backing layer per key, then calls compute ONCE with the indices that
-// still need computing. compute returns positional values and errors
-// for exactly those indices; each success is stored (memory and
-// backing) under its own key, so batched results and single Do results
-// are fully interchangeable.
+// DoBatch resolves a group of keys as one unit; Do is a DoBatch of one
+// key. Each key is classified as a memory hit, a join of an existing
+// flight, or a new flight; every new flight opened here is owned by the
+// batch and resolved together: the batch goroutine consults the backing
+// layer per key, then calls compute ONCE with the indices that still
+// need computing. compute returns positional values and errors for
+// exactly those indices; each success is stored (memory and backing)
+// under its own key, so batched and single results are fully
+// interchangeable. A panicking compute or backing Lookup fails its
+// lanes, and nothing is stored for them.
 //
 // ctx bounds this call's wait, not the computation. The batch compute
 // context is cancelled only when every owned flight has lost all of
-// its waiters (this caller plus any Do callers that joined a lane
+// its waiters (this caller plus any callers that joined a lane
 // mid-flight), so one abandoned lane does not cancel its siblings.
 //
 // compute may be invoked more than once: if a lane joined another
 // caller's flight and that flight was abandoned at the instant of the
-// join, the lane retries alone via a fresh single flight whose compute
-// is compute(ctx, []int{i}). Invocations always receive disjoint index
-// sets and must be safe to run concurrently.
+// join, the lane retries alone through a fresh one-key DoBatch whose
+// compute is compute(ctx, []int{i}). Invocations always receive
+// disjoint index sets and must be safe to run concurrently.
 //
-// Returned slices are positional with keys. Counter semantics are
-// identical to Do: Hit for memory, Shared for joins, and Miss or
-// StoreHit per owned flight at resolution.
+// Returned slices are positional with keys. Counters: Hit for memory,
+// Shared for joins, and Miss or StoreHit per owned flight at
+// resolution.
 func (c *Cache) DoBatch(ctx context.Context, keys []string, compute func(ctx context.Context, miss []int) ([]any, []error)) ([]any, []Outcome, []error) {
 	n := len(keys)
 	vals := make([]any, n)
@@ -87,16 +88,16 @@ func (c *Cache) DoBatch(ctx context.Context, keys []string, compute func(ctx con
 		}
 		v, out, err, retry := c.wait(ctx, f, outcomes[i])
 		if retry {
-			// The joined flight was abandoned as this lane attached;
-			// redo it alone under the ordinary single-flight path.
-			i := i
-			v, out, err = c.Do(ctx, keys[i], func(cctx context.Context) (any, error) {
-				vs, es := compute(cctx, []int{i})
-				if len(vs) != 1 || len(es) != 1 {
-					return nil, fmt.Errorf("cache: batch compute returned %d/%d results for 1 key", len(vs), len(es))
-				}
-				return vs[0], es[0]
-			})
+			if cerr := ctx.Err(); cerr != nil {
+				err = cerr
+			} else {
+				// The joined flight was abandoned as this lane
+				// attached; redo it alone.
+				vs, outs, es := c.DoBatch(ctx, keys[i:i+1], func(cctx context.Context, _ []int) ([]any, []error) {
+					return compute(cctx, []int{i})
+				})
+				v, out, err = vs[0], outs[0], es[0]
+			}
 		}
 		vals[i], outcomes[i], errs[i] = v, out, err
 	}
@@ -112,8 +113,8 @@ func (c *Cache) runBatch(keys []string, owned []int, flights []*flight, bctx con
 	miss := make([]int, 0, len(owned))
 	for _, i := range owned {
 		if b != nil {
-			if v, ok := lookupBacking(b, keys[i]); ok {
-				c.resolveFlight(keys[i], flights[i], v, nil, true, b)
+			if v, ok, err := lookupBacking(b, keys[i]); ok || err != nil {
+				c.resolveFlight(keys[i], flights[i], v, err, ok, b)
 				continue
 			}
 		}
@@ -151,13 +152,15 @@ func computeBatch(bctx context.Context, miss []int, compute func(ctx context.Con
 	return vals, errs
 }
 
-// lookupBacking shields the batch path from a panicking Backing
-// implementation, mirroring storeBacking.
-func lookupBacking(b Backing, key string) (v any, ok bool) {
+// lookupBacking consults the backing layer for one key. A panicking
+// Lookup becomes the key's error, so its flight fails without
+// computing, and storeBacking never appends a second record.
+func lookupBacking(b Backing, key string) (v any, ok bool, err error) {
 	defer func() {
-		if recover() != nil {
-			v, ok = nil, false
+		if p := recover(); p != nil {
+			v, ok, err = nil, false, fmt.Errorf("cache: backing lookup for %q panicked: %v", key, p)
 		}
 	}()
-	return b.Lookup(key)
+	v, ok = b.Lookup(key)
+	return v, ok, nil
 }

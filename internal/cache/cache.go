@@ -3,7 +3,6 @@ package cache
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sync"
 )
 
@@ -84,17 +83,19 @@ type entry struct {
 	val any
 }
 
-// flight is one in-progress computation. Waiters (including the caller
-// that started it) are refcounted: a waiter whose own context dies
-// detaches, and the last detaching waiter cancels the compute context,
-// so abandoned work is reclaimed while any surviving waiter keeps the
+// flight is one key's in-progress computation, owned by the DoBatch
+// call that opened it. Waiters (including that caller) are refcounted:
+// a waiter whose own context dies detaches, and the last detaching
+// waiter releases the flight's hold on the batch's compute context,
+// which is cancelled once every flight of the batch is released — so
+// abandoned work is reclaimed while any surviving waiter keeps the
 // computation alive. A cancelled flight stores nothing — the entry can
 // never be poisoned by cancellation.
 type flight struct {
 	done    chan struct{}
-	ctx     context.Context // the compute's context
-	cancel  context.CancelFunc
-	waiters int // guarded by Cache.mu
+	ctx     context.Context    // the batch's compute context
+	cancel  context.CancelFunc // releases this flight's hold on ctx (idempotent)
+	waiters int                // guarded by Cache.mu
 	val     any
 	err     error
 	// abandoned records whether the compute context was already
@@ -142,14 +143,15 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
-// Do returns the value for key, computing it with compute if needed.
-// Exactly one concurrent caller per key computes (on its own
-// goroutine, under a context owned by the flight); the others block
-// and share the outcome. With a Backing attached, the flight consults
-// it before computing — memory, then store, then compute, all under
-// the same single flight — and persists a computed success to it. A
-// compute error is returned to every waiter and nothing is stored (in
-// memory or backing), so a later Do retries.
+// Do returns the value for key, computing it with compute if needed:
+// a DoBatch of one key. Exactly one concurrent caller per key computes
+// (on its own goroutine, under a context owned by the flight); the
+// others block and share the outcome. With a Backing attached, the
+// flight consults it before computing — memory, then store, then
+// compute, all under the same single flight — and persists a computed
+// success to it. A compute error (or a panicking compute or backing
+// Lookup) is returned to every waiter and nothing is stored (in memory
+// or backing), so a later Do retries.
 //
 // ctx bounds this call's wait, not the computation: when ctx dies the
 // call detaches and returns ctx's error, while the computation keeps
@@ -159,73 +161,18 @@ func (c *Cache) Get(key string) (any, bool) {
 // joins a flight in the instant it is being cancelled retries against
 // a fresh flight rather than surfacing the other waiters' abandonment.
 func (c *Cache) Do(ctx context.Context, key string, compute func(context.Context) (any, error)) (any, Outcome, error) {
-	for {
-		v, outcome, err, retry := c.doOnce(ctx, key, compute)
-		if !retry {
-			return v, outcome, err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, outcome, cerr
-		}
-	}
+	vals, outcomes, errs := c.DoBatch(ctx, []string{key}, func(cctx context.Context, _ []int) ([]any, []error) {
+		v, err := compute(cctx)
+		return []any{v}, []error{err}
+	})
+	return vals[0], outcomes[0], errs[0]
 }
 
-// doOnce runs one hit/join/compute attempt. retry reports that the
-// joined flight was cancelled by its other waiters and the caller
-// should start over.
-func (c *Cache) doOnce(ctx context.Context, key string, compute func(context.Context) (any, error)) (any, Outcome, error, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		c.stats.Hits++
-		v := el.Value.(*entry).val
-		c.mu.Unlock()
-		return v, Hit, nil, false
-	}
-	if f, ok := c.inflight[key]; ok {
-		f.waiters++
-		c.stats.Shared++
-		c.mu.Unlock()
-		return c.wait(ctx, f, Shared)
-	}
-	fctx, cancel := context.WithCancel(context.Background())
-	f := &flight{done: make(chan struct{}), ctx: fctx, cancel: cancel, waiters: 1}
-	c.inflight[key] = f
-	// Miss vs StoreHit is only known once the flight resolves (the
-	// backing layer is consulted on the flight goroutine), so the
-	// counter is bumped there, not here.
-	c.mu.Unlock()
-
-	go c.run(key, f, compute)
-	return c.wait(ctx, f, Miss)
-}
-
-// run executes one flight's resolution: backing lookup first, compute
-// on a backing miss. A panicking compute (or backing Lookup) becomes
-// the flight's error (every waiter sees it; nothing is stored) instead
-// of killing the process from a naked goroutine.
-func (c *Cache) run(key string, f *flight, compute func(context.Context) (any, error)) {
-	b := c.getBacking()
-	defer func() {
-		if p := recover(); p != nil {
-			f.val, f.err = nil, fmt.Errorf("cache: computation for %q panicked: %v", key, p)
-		}
-		c.resolveFlight(key, f, f.val, f.err, f.fromBacking, b)
-	}()
-	if b != nil {
-		if v, ok := b.Lookup(key); ok {
-			f.val, f.fromBacking = v, true
-			return
-		}
-	}
-	f.val, f.err = compute(f.ctx)
-}
-
-// resolveFlight lands one flight, single or batch-owned: counters at
-// resolution, store on success, backing append for computed successes,
-// done-close, context release. A flight every waiter abandoned that
-// then failed — typically with the cancellation itself — counts no
-// Miss: it produced no result, and its waiters settled long before.
+// resolveFlight lands one flight: counters at resolution, store on
+// success, backing append for computed successes, done-close, context
+// release. A flight every waiter abandoned that then failed —
+// typically with the cancellation itself — counts no Miss: it produced
+// no result, and its waiters settled long before.
 func (c *Cache) resolveFlight(key string, f *flight, val any, err error, fromBacking bool, b Backing) {
 	f.val, f.err, f.fromBacking = val, err, fromBacking
 	f.abandoned = f.ctx.Err() != nil
@@ -253,7 +200,7 @@ func (c *Cache) resolveFlight(key string, f *flight, val any, err error, fromBac
 }
 
 // storeBacking shields the resolution path from a panicking Backing
-// implementation (the deferred recover above has already fired).
+// Store.
 func storeBacking(b Backing, key string, val any) {
 	defer func() { recover() }()
 	b.Store(key, val)

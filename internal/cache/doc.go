@@ -11,7 +11,9 @@
 // dies detaches with its own error while the computation continues for
 // the survivors; only when the last waiter detaches is the computation
 // cancelled, and a cancelled computation stores nothing — one caller's
-// cancellation can never poison the shared entry.
+// cancellation can never poison the shared entry. DoBatch resolves a
+// group of keys with one compute call for the misses; Do is a DoBatch
+// of one key, so the cache has a single flight implementation.
 //
 // The cache is value-agnostic (it stores any); the ltp.Engine stores
 // ltp.RunResult values under RunSpec hashes. Hit/miss/shared/eviction

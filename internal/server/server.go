@@ -359,8 +359,10 @@ type RunResponse struct {
 	// Hash is the run's content address; repeat the request and the
 	// same hash guarantees the same result.
 	Hash string `json:"hash"`
-	// Cache is "miss" (simulated now), "hit" (served from cache) or
-	// "shared" (joined an identical in-flight simulation).
+	// Cache is "miss" (simulated now), "hit" (served from the
+	// in-memory cache), "shared" (joined an identical in-flight
+	// simulation) or "store" (loaded from the persistent result store,
+	// cache.StoreHit).
 	Cache string `json:"cache"`
 	// Result is the simulation outcome (metrics, LTP stats, energy).
 	Result ltp.RunResult `json:"result"`

@@ -43,25 +43,26 @@ func CancelErr(ctx context.Context) error {
 }
 
 // Run executes one simulation through the detailed pipeline: a batch
-// of one, which adopts its warm checkpoint without cloning, or — for a
-// detailed warm-up — the full pipeline over the warm region too.
-// Cancellation is honoured at every phase boundary and — cheaply,
-// every couple of thousand cycles — inside the detailed simulation
-// loop and the fast warm-up, so a multi-minute run aborts within about
-// a millisecond of cancel.
+// of one. Cancellation is honoured at every phase boundary and —
+// cheaply, every couple of thousand cycles — inside the detailed
+// simulation loop and the fast warm-up, so a multi-minute run aborts
+// within about a millisecond of cancel.
 func (b CycleBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
-	if spec.WarmDetailed && spec.WarmInsts > 0 {
-		return runDetailedWarm(ctx, spec)
-	}
 	r := b.RunBatch(ctx, []Spec{spec})[0]
 	return r.Stats, r.Err
 }
 
 // RunBatch implements BatchBackend: one fast warm pass builds a
 // checkpoint per warm group (hierarchy, branch predictor, co-runners)
-// and every lane's measured region runs from its own clone. Detailed
-// warm-ups cannot share a warm pass and must run alone.
+// and every lane's measured region runs from its own clone; a batch of
+// one adopts its checkpoint without cloning. A detailed warm-up cannot
+// share a warm pass: a lone detailed-warm lane runs the full pipeline
+// over its warm region too, and in a larger batch such lanes fail.
 func (CycleBackend) RunBatch(ctx context.Context, specs []Spec) []BatchResult {
+	if len(specs) == 1 && specs[0].WarmDetailed && specs[0].WarmInsts > 0 {
+		st, err := runDetailedWarm(ctx, specs[0])
+		return []BatchResult{{Stats: st, Err: err}}
+	}
 	return runBatch(ctx, specs, admitCycle, runCycleLane)
 }
 

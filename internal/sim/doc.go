@@ -4,9 +4,11 @@
 // accuracy for speed. The cycle-accurate pipeline (internal/pipeline
 // driven by CycleBackend in this package) is the reference
 // implementation; internal/model provides a fast interval-style
-// analytical estimate behind the same interface. The public ltp
-// package resolves workloads, traces and configuration defaults into a
-// Spec and dispatches on the registry here, so every layer above —
+// analytical estimate behind the same interface. Every registered
+// backend is a BatchBackend — it evaluates a group of Specs sharing one
+// µop stream, and a single run is a batch of one. The public ltp
+// package resolves workloads, traces and configuration defaults into
+// Specs and dispatches on the registry here, so every layer above —
 // the engine, the sweep machinery, the campaign service and the CLIs —
 // selects fidelity with a single string.
 package sim

@@ -190,12 +190,12 @@ type BatchResult struct {
 	Err error
 }
 
-// BatchBackend is an optional extension: a backend that can evaluate
-// many Specs sharing one functional µop stream in a single pass,
-// amortizing stream generation and warm-up across all of them. Every
-// backend warms once per warm group and runs each lane's measured
-// region from its own clone of that warm state, one subtask per lane
-// fanned out through Spec.Exec.
+// BatchBackend is a backend that can evaluate many Specs sharing one
+// functional µop stream in a single pass, amortizing stream generation
+// and warm-up across all of them. Every registered backend is one: it
+// warms once per warm group and runs each lane's measured region from
+// its own clone of that warm state, one subtask per lane fanned out
+// through Spec.Exec, and its Run is a batch of one.
 //
 // Contract: every spec in the batch must share the µop stream —
 // specs[0].Stream is the one driven; the Stream fields of the rest are
@@ -216,13 +216,13 @@ type BatchBackend interface {
 
 var (
 	registryMu sync.RWMutex
-	registry   = map[string]Backend{}
+	registry   = map[string]BatchBackend{}
 )
 
 // Register adds a backend under its Name. It panics on duplicates —
 // backends register from package init, so a collision is a programming
 // error.
-func Register(b Backend) {
+func Register(b BatchBackend) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[b.Name()]; dup {
@@ -233,7 +233,7 @@ func Register(b Backend) {
 
 // Lookup returns the named backend; the empty name selects the
 // cycle-accurate reference.
-func Lookup(name string) (Backend, error) {
+func Lookup(name string) (BatchBackend, error) {
 	if name == "" {
 		name = "cycle"
 	}

@@ -130,8 +130,8 @@ const (
 
 // sampledIntervals resolves the interval count K for a sampled-backend
 // run: default when unset, clamped to [1, MaxSampledIntervals] and to
-// at most one interval per measured instruction. Canonical and
-// RunContext share it, so the hash always names the K that executes.
+// at most one interval per measured instruction. Canonical applies it,
+// so the hash always names the K that executes.
 func sampledIntervals(k int, maxInsts uint64) int {
 	if k <= 0 {
 		k = DefaultSampledIntervals
@@ -339,7 +339,14 @@ func (s RunSpec) Canonical() (RunSpec, error) {
 	case s.ReplayFrom != nil || s.RecordTo != nil:
 		return RunSpec{}, fmt.Errorf("ltp: spec with trace streams has no canonical form")
 	}
+	return s.canonical(false)
+}
 
+// canonical normalizes a spec whose trace streams and prebuilt oracle
+// are already set aside. With sourced set, the µop source is supplied
+// beside the spec (an explicit Program or a trace replay), so the
+// workload and scenario fields are ignored and zeroed.
+func (s RunSpec) canonical(sourced bool) (RunSpec, error) {
 	backend, err := sim.Lookup(s.Backend)
 	if err != nil {
 		return RunSpec{}, err
@@ -356,6 +363,8 @@ func (s RunSpec) Canonical() (RunSpec, error) {
 		s.MaxInsts = 1_000_000
 	}
 	switch {
+	case sourced:
+		s.Workload, s.Scenario, s.Knobs, s.Seed = "", "", nil, 0
 	case s.Workload != "":
 		if _, err := workload.ByName(s.Workload); err != nil {
 			return RunSpec{}, err
@@ -616,26 +625,26 @@ func buildCorunners(cors []Corunner, scale float64) ([]mem.CorunnerConfig, error
 }
 
 // programBuilder validates the spec's workload/scenario selection and
-// returns a deferred program constructor plus the stream name. The
-// build itself can be expensive (scenario generation is rand-heavy),
-// so callers that may never need the stream — a model run whose warm
-// group is cached — defer it behind a lazyStream.
-func programBuilder(spec RunSpec) (func() *prog.Program, string, error) {
+// returns a deferred program constructor. The build itself can be
+// expensive (scenario generation is rand-heavy), so callers that may
+// never need the stream — a model run whose warm group is cached —
+// defer it behind a lazyStream.
+func programBuilder(spec RunSpec) (func() *prog.Program, error) {
 	switch {
 	case spec.Workload != "":
 		wl, err := workload.ByName(spec.Workload)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		return func() *prog.Program { return wl.Build(spec.Scale) }, spec.Workload, nil
+		return func() *prog.Program { return wl.Build(spec.Scale) }, nil
 	case spec.Scenario != "":
 		fam, err := workload.FamilyByName(spec.Scenario)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		return func() *prog.Program { return fam.Build(spec.Knobs, spec.Scale, spec.Seed) }, spec.Scenario, nil
+		return func() *prog.Program { return fam.Build(spec.Knobs, spec.Scale, spec.Seed) }, nil
 	}
-	return nil, "", fmt.Errorf("ltp: RunSpec names no workload, scenario, program or trace")
+	return nil, fmt.Errorf("ltp: RunSpec names no workload, scenario, program or trace")
 }
 
 // lazyStream defers program generation and emulator construction until
@@ -722,25 +731,6 @@ func modelWarmKey(c RunSpec) (string, error) {
 	})
 }
 
-// specWarmKey computes the warm-group key for a spec when it qualifies
-// (model backend, canonicalizable); every other spec gets "" (no warm
-// reuse), which is always safe.
-func specWarmKey(spec RunSpec) string {
-	if specBackendName(spec) != BackendModel ||
-		spec.Program != nil || spec.ReplayFrom != nil || spec.RecordTo != nil {
-		return ""
-	}
-	c, err := spec.Canonical()
-	if err != nil {
-		return ""
-	}
-	key, err := modelWarmKey(c)
-	if err != nil {
-		return ""
-	}
-	return key
-}
-
 // Workloads returns the kernel registry.
 func Workloads() []workload.Spec { return workload.All() }
 
@@ -784,146 +774,83 @@ func withExecutor(ctx context.Context, ex sim.Executor) context.Context {
 // warm-up, so a multi-minute run aborts within about a millisecond of
 // cancel. A cancelled run returns ctx's error (its cause, when one was
 // set) and no result.
+//
+// A run is a batch of one: it resolves and executes exactly as one
+// lane of an engine sweep does, so the two are byte-identical by
+// construction.
 func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, cancelErr(ctx)
 	}
-	backend, err := sim.Lookup(spec.Backend)
+	in, canon, err := runInputs(spec)
 	if err != nil {
 		return RunResult{}, err
 	}
-	cycleFidelity := backend.Fidelity() == sim.FidelityCycle
-	if spec.Scale == 0 {
-		spec.Scale = 1.0
+	results, errs := runLanes(ctx, in, []RunSpec{canon})
+	return results[0], errs[0]
+}
+
+// runInputs sets aside what a canonical spec cannot express — an
+// explicit Program, a trace to replay or record, a prebuilt oracle —
+// and returns the lane inputs carrying them along with the rest of the
+// spec in canonical form.
+func runInputs(spec RunSpec) (*laneInputs, RunSpec, error) {
+	program, replay, record := spec.Program, spec.ReplayFrom, spec.RecordTo
+	spec.Program, spec.ReplayFrom, spec.RecordTo = nil, nil, nil
+	var oracle *core.Oracle
+	if spec.UseLTP && spec.LTP != nil && spec.LTP.Oracle != nil {
+		c := *spec.LTP
+		oracle, c.Oracle = c.Oracle, nil
+		spec.LTP, spec.Oracle = &c, false
 	}
-	if spec.MaxInsts == 0 {
-		spec.MaxInsts = 1_000_000
+	sourced := program != nil || replay != nil
+	canon, err := spec.canonical(sourced)
+	if err != nil {
+		return nil, RunSpec{}, err
+	}
+	// Oracle classification and trace capture are cycle-pipeline
+	// concepts; an analytical backend would silently substitute its
+	// own urgency heuristic for a prebuilt oracle.
+	if !specCycleFidelity(canon) {
+		switch {
+		case oracle != nil:
+			return nil, RunSpec{}, fmt.Errorf("ltp: oracle classification requires the cycle backend, not %q", canon.Backend)
+		case record != nil:
+			return nil, RunSpec{}, fmt.Errorf("ltp: trace capture requires the cycle backend, not %q", canon.Backend)
+		}
 	}
 
-	// A model run that can be content-addressed carries a warm-group
-	// key: the backend may then serve the whole warm-up (and the
-	// program build, via the lazy stream) from its warm cache.
-	warmKey := specWarmKey(spec)
-
-	// Resolve the µop source: a replayed trace, or a program (explicit,
-	// scenario-generated, or registry kernel) through the emulator.
-	var stream prog.Stream
-	var program *prog.Program
-	var streamName string
-	var reader *trace.Reader
-	if spec.ReplayFrom != nil {
-		r, err := trace.NewReader(spec.ReplayFrom)
+	in := newLaneInputs()
+	in.sourced, in.oracle = sourced, oracle
+	var name string
+	switch {
+	case replay != nil:
+		r, err := trace.NewReader(replay)
 		if err != nil {
-			return RunResult{}, err
+			return nil, RunSpec{}, err
 		}
-		reader = r
-		stream = r
-		streamName = r.Name()
-	} else if program = spec.Program; program != nil {
-		stream = prog.NewEmulator(program)
-		streamName = program.Name
-	} else {
-		build, name, err := programBuilder(spec)
+		in.stream, in.reader, name = r, r, r.Name()
+	case program != nil:
+		in.setProgram(func() *prog.Program { return program })
+	default:
+		build, err := programBuilder(canon)
 		if err != nil {
-			return RunResult{}, err
+			return nil, RunSpec{}, err
 		}
-		streamName = name
-		if warmKey != "" {
-			// Deferred: a warm-cache hit in the model backend never
-			// builds the program or the emulator at all.
-			stream = newLazyStream(func() prog.Stream { return prog.NewEmulator(build()) })
-		} else {
-			program = build()
-			stream = prog.NewEmulator(program)
-			streamName = program.Name
+		in.setProgram(build)
+	}
+	if record != nil {
+		if name == "" {
+			name = in.program().Name
 		}
+		in.recorder = trace.NewRecorder(in.stream, record, name)
+		in.stream = in.recorder
 	}
-	var recorder *trace.Recorder
-	if spec.RecordTo != nil {
-		if !cycleFidelity {
-			return RunResult{}, fmt.Errorf("ltp: trace capture requires the cycle backend, not %q", backend.Name())
-		}
-		recorder = trace.NewRecorder(stream, spec.RecordTo, streamName)
-		stream = recorder
-	}
-
-	pcfg := pipeline.DefaultConfig()
-	if spec.Pipeline != nil {
-		pcfg = *spec.Pipeline
-	}
-	if spec.BranchPred != "" {
-		pcfg.BranchPred = spec.BranchPred
-	}
-	if _, err := bpred.Lookup(pcfg.BranchPred); err != nil {
-		return RunResult{}, err
-	}
-	if spec.Prefetcher != "" {
-		pcfg.Hier.Prefetcher = spec.Prefetcher
-	}
-	if err := mem.CheckPrefetcher(pcfg.Hier.PrefetcherName(), pcfg.Hier.PrefetchTable); err != nil {
-		return RunResult{}, err
-	}
-	cors, err := buildCorunners(spec.Corunners, spec.Scale)
-	if err != nil {
-		return RunResult{}, err
-	}
-
-	var lcfg *core.Config
-	if spec.UseLTP {
-		c := core.DefaultConfig()
-		if spec.LTP != nil {
-			c = *spec.LTP
-		}
-		// Oracle classification is a cycle-pipeline concept: an
-		// analytical backend would silently substitute its own
-		// urgency heuristic for the perfect pre-pass, so both the
-		// request flag and a prebuilt oracle must refuse loudly.
-		if (spec.Oracle || c.Oracle != nil) && !cycleFidelity {
-			return RunResult{}, fmt.Errorf("ltp: oracle classification requires the cycle backend, not %q", backend.Name())
-		}
-		if spec.Oracle && c.Oracle == nil {
-			if program == nil {
-				return RunResult{}, fmt.Errorf("ltp: oracle classification needs a program, not a replayed trace")
-			}
-			budget := int(spec.WarmInsts + spec.MaxInsts + 65_536)
-			c.Oracle = core.BuildOracle(program, budget, pcfg.Hier, pcfg.ROBSize)
-		}
-		lcfg = &c
-	}
-
-	intervals := 0
-	if backend.Name() == BackendSampled {
-		// The same resolution Canonical applies, so the K that runs is
-		// always the K the cache key names.
-		intervals = sampledIntervals(spec.Intervals, spec.MaxInsts)
-	}
-	ex, _ := ctx.Value(execContextKey{}).(sim.Executor)
-
-	st, err := backend.Run(ctx, sim.Spec{
-		Stream:       stream,
-		Reader:       reader,
-		Recorder:     recorder,
-		Pipeline:     pcfg,
-		LTP:          lcfg,
-		WarmInsts:    spec.WarmInsts,
-		WarmDetailed: spec.WarmMode == WarmDetailed,
-		MaxInsts:     spec.MaxInsts,
-		MaxCycles:    spec.MaxCycles,
-		Corunners:    cors,
-		WarmKey:      warmKey,
-		Intervals:    intervals,
-		Exec:         ex,
-	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return finishResult(st, pcfg, lcfg), nil
+	return in, canon, nil
 }
 
 // finishResult folds backend stats into the public RunResult shape and
-// attaches the modelled energy — the single exit path for both
-// single-cell runs and batched lanes, so the two are byte-identical by
-// construction.
+// attaches the modelled energy.
 func finishResult(st sim.Stats, pcfg pipeline.Config, lcfg *core.Config) RunResult {
 	res := RunResult{Result: st.Result, LTP: st.LTP, Sampling: st.Sampling}
 	res.Design = energy.Design{
