@@ -23,22 +23,28 @@ import (
 // call of every spec shape the public entry point accepts: the
 // warm-up modes, the oracle (requested and prebuilt), each backend,
 // a co-runner, an explicit program and a trace round trip ("trace/
-// bytes" pins the recorded trace itself). The values were recorded
-// before RunContext moved onto the batch path; a change to how a run
-// is resolved or executed must leave every one of them unchanged.
+// bytes" pins the recorded trace itself), plus three cells that bound
+// the cycle loop's idle skipping: a MaxCycles cap that lands inside a
+// DRAM stall, a sampled K=16 hashjoin cell and a detailed-warm NR+NU
+// cell with the timer-driven DRAM monitor. The values were recorded
+// before the code they fence changed; a change to how a run is
+// resolved or executed must leave every one of them unchanged.
 var pinnedEntryDigests = map[string]string{
-	"cycle/detailed-warm":   "46c71c6ca6e74a4b1f0172e6912cc31c027fba9b95cc5080b2fcf1a2d996f56b",
-	"cycle/no-warm":         "5935dc78ed0646b692dd9953afbf00363b761cf59ecca6fab8e7a1d0037db881",
-	"cycle/oracle":          "7d3d11b7b9fb0580174f9ee73d350ff64db6aecd2af2a32f91250aaea6f50dec",
-	"cycle/prebuilt-oracle": "c4aa508826554130e0cbc1bf8ee2a9ad4dc9195c174ac477b04d58b7052bbc96",
-	"model":                 "6ab486ca3434e5391396b175e05f96a0457b1696be9dcbe99dd56b560565c938",
-	"model/program":         "1af9552342121517ced5efe87391b2cbd3812436fc6d072bb8fe6e73fafdd335",
-	"sampled/K4":            "1ee26719ee16063e4c034aa6b8a706006d951385d4ece49f27612a463a137f55",
-	"cycle/memhog":          "d17b28d0eaabc127909e19c5bd6c1f2899c7dcb7c6f1c828379e73cdc62f94ba",
-	"cycle/program":         "8445aa199b5bf919ed3ae1ba8593159f968d3e6b0208f2c1f51068d3c707d886",
-	"trace/record":          "f401da63fc269db6aec6f04bf3533e6dfba6003feace18c070b4450be239a0d0",
-	"trace/bytes":           "d8d4b3617e18a5e7766ea712376d99e80cd020cc5376667c6ce06909666df1bf",
-	"trace/replay":          "f401da63fc269db6aec6f04bf3533e6dfba6003feace18c070b4450be239a0d0",
+	"cycle/detailed-warm":       "46c71c6ca6e74a4b1f0172e6912cc31c027fba9b95cc5080b2fcf1a2d996f56b",
+	"cycle/no-warm":             "5935dc78ed0646b692dd9953afbf00363b761cf59ecca6fab8e7a1d0037db881",
+	"cycle/oracle":              "7d3d11b7b9fb0580174f9ee73d350ff64db6aecd2af2a32f91250aaea6f50dec",
+	"cycle/prebuilt-oracle":     "c4aa508826554130e0cbc1bf8ee2a9ad4dc9195c174ac477b04d58b7052bbc96",
+	"model":                     "6ab486ca3434e5391396b175e05f96a0457b1696be9dcbe99dd56b560565c938",
+	"model/program":             "1af9552342121517ced5efe87391b2cbd3812436fc6d072bb8fe6e73fafdd335",
+	"sampled/K4":                "1ee26719ee16063e4c034aa6b8a706006d951385d4ece49f27612a463a137f55",
+	"cycle/memhog":              "d17b28d0eaabc127909e19c5bd6c1f2899c7dcb7c6f1c828379e73cdc62f94ba",
+	"cycle/program":             "8445aa199b5bf919ed3ae1ba8593159f968d3e6b0208f2c1f51068d3c707d886",
+	"cycle/max-cycles":          "2dfacc816bfcb57e64c1b297fd0aaf3d8e1ae430f602c758a51570ecc92944ac",
+	"sampled/K16-hashjoin":      "ad1a5fce66458f790851179a862db7f6a0284b612184c1f733379982f38d3aa5",
+	"cycle/detailed-warm-timer": "5bbe007b3e65b3354b4720a4c55eba1ec256a6d6b57fb43af6438d1d5a7eef45",
+	"trace/record":              "f401da63fc269db6aec6f04bf3533e6dfba6003feace18c070b4450be239a0d0",
+	"trace/bytes":               "d8d4b3617e18a5e7766ea712376d99e80cd020cc5376667c6ce06909666df1bf",
+	"trace/replay":              "f401da63fc269db6aec6f04bf3533e6dfba6003feace18c070b4450be239a0d0",
 }
 
 // entryShapes returns the pinned specs in a fixed order. Each call
@@ -75,6 +81,12 @@ func entryShapes(t *testing.T) []struct {
 	memhog := ltp.RunSpec{Scenario: "ptrchase", Scale: 0.05, WarmInsts: 2_000, MaxInsts: 4_000, UseLTP: true,
 		Corunners: []ltp.Corunner{{Scenario: "memhog"}}}
 	explicit := ltp.RunSpec{Program: program, WarmInsts: 2_000, MaxInsts: 3_000, UseLTP: true}
+	// The cap lands while the core waits on a DRAM miss.
+	capped := ltp.RunSpec{Scenario: "ptrchase", Seed: 1, Scale: 0.05, WarmInsts: 2_000, MaxInsts: 3_000, MaxCycles: 4_321, UseLTP: true}
+	sampled16 := ltp.RunSpec{Scenario: "hashjoin", Seed: 1, Scale: 0.05, WarmInsts: 2_000, MaxInsts: 16_000,
+		UseLTP: true, Backend: ltp.BackendSampled, Intervals: 16}
+	timer := ltp.RunSpec{Scenario: "hashjoin", Seed: 2, Scale: 0.05, WarmInsts: 2_000, WarmMode: ltp.WarmDetailed,
+		MaxInsts: 3_000, UseLTP: true, LTP: &nrnu}
 
 	return []struct {
 		name string
@@ -89,6 +101,9 @@ func entryShapes(t *testing.T) []struct {
 		{"sampled/K4", sampled},
 		{"cycle/memhog", memhog},
 		{"cycle/program", explicit},
+		{"cycle/max-cycles", capped},
+		{"sampled/K16-hashjoin", sampled16},
+		{"cycle/detailed-warm-timer", timer},
 	}
 }
 
