@@ -83,9 +83,7 @@ func run() error {
 	lcfg := core.DefaultConfig()
 	unit := core.New(lcfg, small.Hier.DRAMLatency, small.Hier.TagEarlyLead)
 	pipe := pipeline.New(small, prog.NewEmulator(program), unit)
-	for pipe.Committed() < 50_000 {
-		pipe.Cycle()
-	}
+	pipe.Run(50_000, 0)
 	for i, in := range program.Insts {
 		if in.Label == "" {
 			continue

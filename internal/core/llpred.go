@@ -119,6 +119,24 @@ func (m *DRAMMonitor) Tick(now uint64) {
 	}
 }
 
+// next returns the first cycle after now at which Enabled flips by
+// time alone — the timer expiring — or ^uint64(0) when it cannot.
+func (m *DRAMMonitor) next(now uint64) uint64 {
+	if m.forceOn || m.timerUntil <= now {
+		return ^uint64(0)
+	}
+	return m.timerUntil
+}
+
+// skip accounts for k cycles after now that Tick did not see, all on
+// the same side of the timer as cycle now+1.
+func (m *DRAMMonitor) skip(now, k uint64) {
+	m.TotalCycles += k
+	if m.Enabled(now + 1) {
+		m.EnabledCycles += k
+	}
+}
+
 // EnabledFraction returns the fraction of cycles LTP was powered on.
 func (m *DRAMMonitor) EnabledFraction() float64 {
 	if m.TotalCycles == 0 {

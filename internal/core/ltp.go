@@ -182,6 +182,7 @@ type LTP struct {
 	ticketOwner   []uint64 // seq of owning instruction; ^0 = free
 	pendingClears []ticketClear
 	nextClearAt   uint64 // earliest pendingClears cycle
+	clearedAt     uint64 // last cycle fireTicketClears applied due clears
 
 	// parkedStoreList lists the parked stores in program order;
 	// parkedStoreAddrs counts them per word address, so the common
@@ -194,6 +195,10 @@ type LTP struct {
 
 	enqThisCycle int
 	deqThisCycle int
+
+	// pressureMark is PressureWakes when this cycle's Wake began, so
+	// SkipCycles can repeat the cycle's pressure count.
+	pressureMark uint64
 
 	// Functional warm-up bookkeeping (WarmObserve/WarmFinish).
 	warmInsts    uint64
@@ -692,6 +697,7 @@ func sourcesResolved(p *pipeline.Pipeline, f *pipeline.Inflight) bool {
 // long-latency instruction, §3.2/§5.2) plus out-of-order ticket-clear
 // wakeup for the Non-Ready design (Appendix).
 func (l *LTP) Wake(p *pipeline.Pipeline, now uint64, max int, pressure bool) int {
+	l.pressureMark = l.PressureWakes
 	l.fireTicketClears(p, now)
 
 	budget := max
@@ -812,6 +818,7 @@ func (l *LTP) fireTicketClears(p *pipeline.Pipeline, now uint64) {
 		return
 	}
 	l.nextClearAt = ^uint64(0)
+	l.clearedAt = now
 	w := l.pendingClears[:0]
 	for _, c := range l.pendingClears {
 		if c.at > now {
@@ -1036,7 +1043,7 @@ func (l *LTP) ResetStats() {
 	l.OccLoads.Reset()
 	l.OccStores.Reset()
 	l.ParkedTotal, l.WokenTotal = 0, 0
-	l.PressureWakes, l.ForcedParks = 0, 0
+	l.PressureWakes, l.ForcedParks, l.pressureMark = 0, 0, 0
 	l.ClassUrgent, l.ClassNonReady = 0, 0
 	l.TicketsExhausted = 0
 	l.Enqueues, l.Dequeues = 0, 0
@@ -1053,6 +1060,34 @@ func (l *LTP) NoteCycle(p *pipeline.Pipeline, now uint64) {
 	l.OccStores.Add(float64(len(l.parkedStoreList)))
 	l.enqThisCycle = 0
 	l.deqThisCycle = 0
+}
+
+// NextChange implements pipeline.Parker: the earliest due ticket clear
+// and, when the DRAM monitor is not forced on, its timer expiring are
+// the unit's only time-driven changes. A cycle that fired clears
+// changed the unit's state, so it is not idle.
+func (l *LTP) NextChange(now uint64) uint64 {
+	if l.clearedAt == now {
+		return now + 1
+	}
+	next := l.monitor.next(now)
+	if len(l.pendingClears) > 0 {
+		next = min(next, max(l.nextClearAt, now+1))
+	}
+	return next
+}
+
+// SkipCycles implements pipeline.Parker: k more cycles like idle cycle
+// now. Nothing parks or wakes in them, so the occupancies repeat; Wake
+// counted a pressure wake in cycle now if the ROB head was stuck parked
+// under pressure, and counts one in each skipped cycle too.
+func (l *LTP) SkipCycles(now, k uint64) {
+	l.monitor.skip(now, k)
+	l.OccInsts.AddN(float64(l.queue.Len()), k)
+	l.OccRegs.AddN(float64(l.parkedRegs), k)
+	l.OccLoads.AddN(float64(l.parkedLoads), k)
+	l.OccStores.AddN(float64(len(l.parkedStoreList)), k)
+	l.PressureWakes += k * (l.PressureWakes - l.pressureMark)
 }
 
 var _ pipeline.Parker = (*LTP)(nil)

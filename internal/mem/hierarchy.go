@@ -337,6 +337,19 @@ func (h *Hierarchy) OutstandingDemand(now uint64) int {
 	return n
 }
 
+// NextDemandEnd returns the earliest cycle after now at which an
+// in-flight demand DRAM fill ends, and with it the OutstandingDemand
+// count changes; ^uint64(0) when none is in flight.
+func (h *Hierarchy) NextDemandEnd(now uint64) uint64 {
+	next := ^uint64(0)
+	for _, end := range h.demandEnds {
+		if end > now && end < next {
+			next = end
+		}
+	}
+	return next
+}
+
 // AvgLoadLatency returns the mean demand load latency in cycles.
 func (h *Hierarchy) AvgLoadLatency() float64 {
 	if h.Loads == 0 {

@@ -298,8 +298,18 @@ func TestHierarchyOutstandingDemand(t *testing.T) {
 	if got := h.OutstandingDemand(10); got != 2 {
 		t.Errorf("outstanding = %d, want 2", got)
 	}
-	if got := h.OutstandingDemand(cfg.DRAMLatency + 1); got != 0 {
+	h.Load(0, 200<<LineShift, 5)
+	if got := h.NextDemandEnd(10); got != cfg.DRAMLatency {
+		t.Errorf("next demand end after 10 = %d, want %d", got, cfg.DRAMLatency)
+	}
+	if got := h.NextDemandEnd(cfg.DRAMLatency); got != cfg.DRAMLatency+5 {
+		t.Errorf("next demand end after %d = %d, want %d", cfg.DRAMLatency, got, cfg.DRAMLatency+5)
+	}
+	if got := h.OutstandingDemand(cfg.DRAMLatency + 5); got != 0 {
 		t.Errorf("outstanding after fill = %d, want 0", got)
+	}
+	if got := h.NextDemandEnd(cfg.DRAMLatency + 5); got != ^uint64(0) {
+		t.Errorf("next demand end with none in flight = %d", got)
 	}
 }
 

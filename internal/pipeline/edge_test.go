@@ -132,3 +132,34 @@ func TestReplayBufferReclaims(t *testing.T) {
 		t.Errorf("replay buffer capacity grew to %d", cap(pipe.fetchBuf))
 	}
 }
+
+// TestRunCommitsStalledLastStore: a program that ends with stores
+// waiting for SQ entries still held by committed, draining stores must
+// commit every one of them. The last store sits between the decode
+// queue and dispatch when everything older has committed, so Run's
+// end-of-program check must count it as in flight.
+func TestRunCommitsStalledLastStore(t *testing.T) {
+	for sq := 1; sq <= 4; sq++ {
+		for n := 1; n <= 8; n++ {
+			b := prog.NewBuilder("t")
+			b.SetReg(isa.R(1), 0x4000)
+			b.SetReg(isa.R(2), 7)
+			for i := 0; i < n; i++ {
+				b.St(isa.R(1), int64(8*i), isa.R(2))
+			}
+			cfg := smallConfig()
+			cfg.SQSize = sq
+			pr := b.Build()
+			pipe := New(cfg, prog.NewEmulator(pr), NullParker{})
+			for i := range pr.Insts {
+				pipe.Hier.WarmFetch(prog.PCOf(i))
+			}
+			if got := pipe.Run(1_000, 0); got != uint64(n) || pipe.Err() != nil {
+				t.Errorf("SQ %d, %d stores: Run committed %d (err %v)", sq, n, got, pipe.Err())
+			}
+			if err := pipe.CheckInvariants(); err != nil {
+				t.Errorf("SQ %d, %d stores: %v", sq, n, err)
+			}
+		}
+	}
+}

@@ -28,7 +28,7 @@ func runProgram(t *testing.T, cfg Config, p *prog.Program, maxInsts uint64) (*Pi
 		pipe.Hier.WarmFetch(prog.PCOf(i))
 	}
 	for pipe.Committed() < maxInsts {
-		if pipe.streamDone && pipe.rob.Len() == 0 && len(pipe.decodeQ) == 0 && pipe.fetchPos >= len(pipe.fetchBuf) {
+		if pipe.finished() {
 			break
 		}
 		pipe.Cycle()

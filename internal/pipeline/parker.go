@@ -12,6 +12,12 @@ package pipeline
 // no later than consumers, so late renaming can always resolve sources —
 // or the ROB would stall forever; the pipeline's watchdog aborts if that
 // contract is broken.
+//
+// Run advances time across idle stretches (see Pipeline.Run), so a
+// Parker must also declare its time-driven state: NextChange names the
+// next cycle at which that state, or a per-cycle statistic, changes
+// with no pipeline activity, and SkipCycles accounts for the cycles Run
+// did not simulate.
 type Parker interface {
 	// OnRename is called for every renamed instruction, parked or not,
 	// before ShouldPark, so the Parker can maintain its RAT extensions
@@ -62,6 +68,22 @@ type Parker interface {
 	// statistics).
 	NoteCycle(p *Pipeline, now uint64)
 
+	// NextChange is asked after an idle cycle now (one in which the
+	// pipeline changed no state): it returns the earliest cycle after
+	// now at which the Parker's hooks can act differently from how they
+	// acted in cycle now with the pipeline left as it is — a timed
+	// event falling due, a timer expiring. It returns now+1 when the
+	// Parker's own state changed during cycle now, and never (^0) when
+	// only pipeline activity can change it.
+	NextChange(now uint64) uint64
+
+	// SkipCycles accounts for k cycles after now that Run skipped
+	// because NextChange and the pipeline's own bounds showed each of
+	// them would repeat idle cycle now: every per-cycle statistic
+	// NoteCycle and Wake keep advances as k more such cycles would
+	// have advanced it.
+	SkipCycles(now, k uint64)
+
 	// ParkedCount returns the number of instructions currently parked.
 	ParkedCount() int
 }
@@ -103,6 +125,12 @@ func (NullParker) NoteSquash(*Pipeline, uint64, uint64) {}
 
 // NoteCycle implements Parker.
 func (NullParker) NoteCycle(*Pipeline, uint64) {}
+
+// NextChange implements Parker: the baseline has no time-driven state.
+func (NullParker) NextChange(uint64) uint64 { return never }
+
+// SkipCycles implements Parker.
+func (NullParker) SkipCycles(uint64, uint64) {}
 
 // ParkedCount implements Parker.
 func (NullParker) ParkedCount() int { return 0 }

@@ -43,8 +43,9 @@ type event struct {
 // explicit length keeps push and pop from rewriting the slice header, a
 // pointer store the collector would have to see.
 type eventHeap struct {
-	ev []event
-	n  int
+	ev  []event
+	n   int
+	ops uint64 // pushes plus pops: any change to the heap moves it
 }
 
 func (h event) before(o event) bool {
@@ -63,6 +64,7 @@ func (h *eventHeap) push(e event) {
 	i := h.n
 	s[i] = e
 	h.n++
+	h.ops++
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !s[i].before(s[parent]) {
@@ -78,6 +80,7 @@ func (h *eventHeap) pop() event {
 	s := h.ev
 	top := s[0]
 	h.n--
+	h.ops++
 	n := h.n
 	s[0] = s[n]
 	i := 0
@@ -170,6 +173,11 @@ type Pipeline struct {
 	// drainQ holds committed stores awaiting their SQ release.
 	drainQ  []Handle
 	drainAt []uint64
+	drained uint64 // SQ entries released so far
+
+	unparked  uint64 // instructions that left the LTP so far
+	stallMask uint8  // rename stall reasons charged this cycle, one bit each
+	skipped   uint64 // cycles Run accounted for without simulating them
 
 	now             uint64
 	committed       uint64
@@ -342,6 +350,7 @@ func (p *Pipeline) ResetStats() {
 	p.Issues, p.RFReads, p.RFWrites = 0, 0, 0
 	p.Fetched, p.Dispatched, p.Squashes = 0, 0, 0
 	p.renameStallReasons = [8]uint64{}
+	p.skipped = 0
 	p.Hier.ResetStats()
 	p.BP.ResetStats()
 	if r, ok := p.parker.(interface{ ResetStats() }); ok {
@@ -453,9 +462,11 @@ func (p *Pipeline) schedule(at uint64, f *Inflight, kind eventKind) {
 	p.events.push(event{at: at, seq: f.Seq(), h: f.h, kind: kind})
 }
 
-// Cycle advances the simulation one clock. Stage order is commit →
-// (events) → issue → LTP wakeup → rename → fetch so same-cycle hand-off
-// flows without intra-cycle hazards.
+// Cycle advances the simulation exactly one clock. Stage order is
+// commit → (events) → issue → LTP wakeup → rename → fetch so same-cycle
+// hand-off flows without intra-cycle hazards. Cycle never skips: a
+// loop of Cycle calls is the reference Run's idle-cycle skipping is
+// tested against.
 func (p *Pipeline) Cycle() {
 	p.now++
 	p.fus.resetCycle()
@@ -535,6 +546,7 @@ func (p *Pipeline) releaseDrainedStores() {
 		n++
 	}
 	if n > 0 {
+		p.drained += uint64(n)
 		k := copy(p.drainQ, p.drainQ[n:])
 		copy(p.drainAt, p.drainAt[n:])
 		p.drainQ = p.drainQ[:k]

@@ -286,6 +286,7 @@ func (p *Pipeline) renameStage() {
 	}
 	budget -= p.parker.Wake(p, p.now, budget, pressure)
 	p.resourceStall = false
+	p.stallMask = 0
 
 	for budget > 0 {
 		if p.pending == 0 {
@@ -346,6 +347,7 @@ func (p *Pipeline) renameStage() {
 // IQ do not — the LTP drains by its wakeup policy and the IQ by issue.
 func (p *Pipeline) noteStall(reason int) {
 	p.renameStallReasons[reason]++
+	p.stallMask |= 1 << reason
 	if p.parker.ParkedCount() == 0 {
 		return
 	}
@@ -568,6 +570,7 @@ func (p *Pipeline) Unpark(f *Inflight, now uint64) {
 		p.insertLSQ(f)
 	}
 	p.iqInsert(f)
+	p.unparked++
 }
 
 // fetchStage pulls µops from the replay buffer / emulator into the decode
@@ -683,12 +686,21 @@ func (p *Pipeline) sample() {
 // returns — promptly, within cancelPollCycles cycles — once that channel
 // closes, with Aborted reporting true; a watchdog failure returns at
 // once, with Aborted true and Err set.
+//
+// Run gives the same results, bit for bit, as calling Cycle until the
+// same stop rule holds, but it does not simulate idle stretches: after
+// a cycle that changed no state (see idle.go) it computes the earliest
+// cycle at which anything can change and accounts for the cycles before
+// it in one step. Runs with co-runners attached, whose traffic ticks
+// every cycle, and the WIB baseline step every cycle.
 func (p *Pipeline) Run(maxInsts uint64, maxCycles uint64) uint64 {
+	skips := p.wib == nil && !p.Hier.HasCorunners()
+	idle := false
 	for p.committed < maxInsts && !p.aborted {
 		if maxCycles > 0 && p.now >= maxCycles {
 			break
 		}
-		if p.streamDone && p.rob.Len() == 0 && len(p.decodeQ) == 0 && p.fetchPos >= len(p.fetchBuf) {
+		if p.finished() {
 			break
 		}
 		if p.cancelCh != nil && p.now%cancelPollCycles == 0 {
@@ -699,9 +711,29 @@ func (p *Pipeline) Run(maxInsts uint64, maxCycles uint64) uint64 {
 			default:
 			}
 		}
+		if idle {
+			idle = false
+			if p.skipIdle(maxCycles) {
+				continue // re-check the stop rule at the window's last cycle
+			}
+		}
+		if !skips {
+			p.Cycle()
+			continue
+		}
+		before := p.activity()
 		p.Cycle()
+		idle = p.activity() == before && p.iq.ready.Len() == 0
 	}
 	return p.committed
+}
+
+// finished reports whether the program has ended and every instruction
+// fetched from it has committed: the stream is exhausted and nothing
+// waits in the fetch buffer, the decode queue, dispatch or the ROB.
+func (p *Pipeline) finished() bool {
+	return p.streamDone && p.rob.Len() == 0 && p.pending == 0 &&
+		len(p.decodeQ) == 0 && p.fetchPos >= len(p.fetchBuf)
 }
 
 // debugDump renders pipeline state for watchdog errors: the occupancies,

@@ -26,6 +26,27 @@ func TestAccumulator(t *testing.T) {
 	}
 }
 
+// TestAccumulatorAddN: recording a run of equal integer samples at once
+// is exactly the same as recording them one by one.
+func TestAccumulatorAddN(t *testing.T) {
+	f := func(runs []struct {
+		V uint16
+		N uint8
+	}) bool {
+		var one, bulk Accumulator
+		for _, r := range runs {
+			for i := 0; i < int(r.N); i++ {
+				one.Add(float64(r.V))
+			}
+			bulk.AddN(float64(r.V), uint64(r.N))
+		}
+		return one == bulk
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: mean is bounded by min and max of the samples.
 func TestAccumulatorBoundsProperty(t *testing.T) {
 	f := func(vals []uint16) bool {
