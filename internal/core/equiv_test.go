@@ -106,14 +106,14 @@ type stuckLTP struct{ *LTP }
 
 func (stuckLTP) Wake(*pipeline.Pipeline, uint64, int, bool) int { return 0 }
 
-// ltpView is every statistic the LTP reports.
+// ltpView is every statistic the LTP reports, and its monitor timer.
 type ltpView struct {
-	OccInsts, OccRegs, OccLoads, OccStores           stats.Accumulator
-	ParkedTotal, WokenTotal, PressureWakes           uint64
-	ForcedParks, ClassUrgent, ClassNonReady          uint64
-	TicketsExhausted, Enqueues, Dequeues             uint64
-	EnabledCycles, TotalCycles                       uint64
-	Predictions, PredictedLL, Correct, MonitorLatest uint64
+	OccInsts, OccRegs, OccLoads, OccStores        stats.Accumulator
+	ParkedTotal, WokenTotal, PressureWakes        uint64
+	ForcedParks, ClassUrgent, ClassNonReady       uint64
+	TicketsExhausted, Enqueues, Dequeues          uint64
+	EnabledCycles, TotalCycles                    uint64
+	Predictions, PredictedLL, Correct, TimerUntil uint64
 }
 
 func viewOf(l *LTP) ltpView {

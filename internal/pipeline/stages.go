@@ -717,13 +717,9 @@ func (p *Pipeline) Run(maxInsts uint64, maxCycles uint64) uint64 {
 				continue // re-check the stop rule at the window's last cycle
 			}
 		}
-		if !skips {
-			p.Cycle()
-			continue
-		}
 		before := p.activity()
 		p.Cycle()
-		idle = p.activity() == before && p.iq.ready.Len() == 0
+		idle = skips && p.activity() == before && p.iq.ready.Len() == 0
 	}
 	return p.committed
 }
