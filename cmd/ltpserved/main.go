@@ -5,10 +5,11 @@
 // campaigns — are computed once and served from cache thereafter.
 //
 // With -coordinator it instead fronts a fleet of ltpserved workers:
-// sweep cells shard across the fleet by content address (consistent
-// hashing with LPT spill), cells stranded by a dead or hung worker
-// retry on the surviving ring, and the client API is unchanged from a
-// single node.
+// the same service, whose cache misses run on the fleet — each batch
+// group (or lone cell) placed by content address (consistent hashing
+// with LPT spill), work stranded by a dead or hung worker retried on
+// the surviving ring — so the client API is unchanged from a single
+// node.
 //
 // Examples:
 //
@@ -55,21 +56,20 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = NumCPU)")
 		cacheN     = flag.Int("cache", 0, "result-cache entries (0 = default 4096)")
-		storePath  = flag.String("store", "", "persistent result-store file (empty = in-memory cache only); results survive restarts — under -coordinator it banks resolved cells for restart resume")
+		storePath  = flag.String("store", "", "persistent result-store file (empty = in-memory cache only); results survive restarts — a restarted coordinator serves stored cells without the fleet")
 		maxWarm    = flag.Uint64("max-warm", 0, "per-run warm-up instruction limit (0 = default 10M)")
 		maxInsts   = flag.Uint64("max-insts", 0, "per-run detailed instruction limit (0 = default 10M)")
 		maxJobs    = flag.Int("max-jobs", 0, "max concurrently active campaigns (0 = default 16)")
+		tenantJobs = flag.Int("tenant-jobs", 0, "max concurrently active campaigns per tenant, on any node, worker or coordinator (X-LTP-Tenant header; 0 = max-jobs)")
 		runTimeout = flag.Float64("run-timeout", 0, "per-request /v1/run wall-clock limit in seconds (0 = default 300; negative disables)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM before active campaigns are cancelled")
 		quiet      = flag.Bool("q", false, "suppress per-request logging")
 
 		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator instead of a worker (requires -workers)")
 		workers     = flag.String("workers", "", "comma-separated worker base URLs for -coordinator (e.g. http://w1:8081,http://w2:8081)")
-		window      = flag.Int("window", 0, "coordinator: cells per dispatch batch per worker (0 = 16)")
-		retries     = flag.Int("retries", 0, "coordinator: per-cell dispatch attempts across worker losses (0 = 3)")
+		retries     = flag.Int("retries", 0, "coordinator: per-batch dispatch attempts across worker losses (0 = 3)")
 		hang        = flag.Duration("hang-timeout", 0, "coordinator: sever a silent worker batch stream after this long (0 = 2m)")
 		poll        = flag.Duration("poll", 0, "coordinator: worker health/stats poll interval (0 = 2s)")
-		tenantJobs  = flag.Int("tenant-jobs", 0, "coordinator: max active campaigns per tenant (X-LTP-Tenant header; 0 = max-jobs)")
 	)
 	flag.Parse()
 
@@ -78,11 +78,18 @@ func main() {
 	if *quiet {
 		logf = nil
 	}
-	limits := server.Limits{
-		MaxWarmInsts:      *maxWarm,
-		MaxDetailInsts:    *maxInsts,
-		MaxActiveJobs:     *maxJobs,
-		RunTimeoutSeconds: *runTimeout,
+	scfg := server.Config{
+		Parallelism:  *parallel,
+		CacheEntries: *cacheN,
+		StorePath:    *storePath,
+		Limits: server.Limits{
+			MaxWarmInsts:      *maxWarm,
+			MaxDetailInsts:    *maxInsts,
+			MaxActiveJobs:     *maxJobs,
+			MaxTenantJobs:     *tenantJobs,
+			RunTimeoutSeconds: *runTimeout,
+		},
+		Logf: logf,
 	}
 
 	var svc drainable
@@ -97,15 +104,11 @@ func main() {
 			logger.Fatalf("-coordinator requires -workers (comma-separated base URLs)")
 		}
 		coord, err := fabric.New(fabric.Config{
-			Workers:         urls,
-			Limits:          limits,
-			Window:          *window,
-			RetryAttempts:   *retries,
-			HangTimeout:     *hang,
-			PollInterval:    *poll,
-			TenantMaxActive: *tenantJobs,
-			StorePath:       *storePath,
-			Logf:            logf,
+			Workers:       urls,
+			Server:        scfg,
+			RetryAttempts: *retries,
+			HangTimeout:   *hang,
+			PollInterval:  *poll,
 		})
 		if err != nil {
 			logger.Fatalf("%v", err)
@@ -113,13 +116,7 @@ func main() {
 		logger.Printf("coordinator fronting %d workers", len(urls))
 		svc = coord
 	} else {
-		srv, err := server.New(server.Config{
-			Parallelism:  *parallel,
-			CacheEntries: *cacheN,
-			StorePath:    *storePath,
-			Limits:       limits,
-			Logf:         logf,
-		})
+		srv, err := server.New(scfg)
 		if err != nil {
 			logger.Fatalf("%v", err)
 		}

@@ -40,6 +40,43 @@ type EngineConfig struct {
 	// of simulating, and every fresh simulation appends. The engine
 	// owns the handle (single writer per file) and closes it in Close.
 	StorePath string
+	// Executor, when non-nil, computes the cells the cache cannot serve
+	// in place of the worker pool (internal/fabric runs them on a fleet
+	// of ltpserved workers); nil computes them on the pool.
+	Executor Executor
+}
+
+// Executor computes an Engine's cache misses somewhere other than its
+// own worker pool. The engine calls RunBatch once per batch of missed
+// lanes, from a goroutine of its own (not a pool worker), and caches
+// and stores the results exactly as it would its own.
+type Executor interface {
+	// RunBatch computes b's lanes and returns their results, outcomes
+	// and errors, positional with b.Lanes. An outcome says how the
+	// executor's side served the lane (a remote cache hit, say); the
+	// engine reports it in place of its own Miss. RunBatch must return
+	// promptly once ctx is cancelled.
+	RunBatch(ctx context.Context, b Batch) ([]RunResult, []cache.Outcome, []error)
+	// Parallelism is how many simulations the executor runs at once
+	// (at least 1); it stands in for the pool's width in
+	// Engine.Parallelism.
+	Parallelism() int
+}
+
+// Batch is one unit of work an Engine hands its Executor: canonical
+// lanes that share one functional stream (equal batch-group key), or
+// a lone lane.
+type Batch struct {
+	// Lanes are the canonical specs to compute.
+	Lanes []RunSpec
+	// Key names the batch for placement: the lanes' batch-group key
+	// ("bk1:…"), or the lone lane's content address when it has none.
+	Key string
+	// Weight is the lanes' summed LPT cost estimate, in the units the
+	// pool orders its queue by.
+	Weight float64
+	// Tier is the priority the lanes were requested at.
+	Tier sched.Tier
 }
 
 // Engine executes runs and sweep campaigns on one shared tiered-LPT
@@ -49,6 +86,7 @@ type EngineConfig struct {
 type Engine struct {
 	pool  *sched.Pool
 	cache *cache.Cache
+	exec  Executor // nil: misses run on pool
 	// store is the persistent result tier (nil without StorePath); it
 	// backs the cache via storeBacking and closes with the engine.
 	store *store.Store
@@ -81,6 +119,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e := &Engine{
 		pool:  sched.NewPool(cfg.Parallelism),
 		cache: cache.New(cfg.CacheEntries),
+		exec:  cfg.Executor,
 	}
 	if cfg.StorePath != "" {
 		st, err := store.Open(cfg.StorePath)
@@ -114,8 +153,14 @@ func (e *Engine) Close() {
 	}
 }
 
-// Parallelism returns the engine's concurrent-simulation cap.
-func (e *Engine) Parallelism() int { return e.pool.Workers() }
+// Parallelism returns the engine's concurrent-simulation cap: the
+// pool's width, or the Executor's parallelism when one is set.
+func (e *Engine) Parallelism() int {
+	if e.exec != nil {
+		return e.exec.Parallelism()
+	}
+	return e.pool.Workers()
+}
 
 // QueuedRuns returns the number of submitted simulations not yet
 // started (the service's backpressure signal).
@@ -291,13 +336,34 @@ func (e *Engine) RunCached(ctx context.Context, spec RunSpec) (RunResult, cache.
 	return res[0], outs[0], keys[0], errs[0]
 }
 
-// RunCellCached is RunCached at the campaign tier: queued interactive
-// runs still go first. It is the execution path for coordinator-
-// dispatched sweep cells (internal/fabric): a worker serving a fleet's
-// campaign shards must not let them preempt its own /v1/run traffic.
-func (e *Engine) RunCellCached(ctx context.Context, spec RunSpec) (RunResult, cache.Outcome, string, error) {
-	res, outs, keys, errs := e.runBatchCached(ctx, sched.TierCampaign, []RunSpec{spec})
-	return res[0], outs[0], keys[0], errs[0]
+// RunBatchCached is RunCached for many specs at the given tier: specs
+// that share a functional stream (one sweep's cells differing only in
+// core configuration) resolve as one batch — one stream, one warm
+// pass — and the rest as batches of their own, one after another.
+// Results, outcomes, content addresses and errors are positional with
+// specs. It is the execution path for a fabric coordinator's
+// dispatched batches (internal/server's /v1/cells), which are one
+// batch each.
+func (e *Engine) RunBatchCached(ctx context.Context, tier sched.Tier, specs []RunSpec) ([]RunResult, []cache.Outcome, []string, []error) {
+	runs := make([]sweepRun, len(specs))
+	for i := range specs {
+		runs[i].spec = specs[i]
+	}
+	results := make([]RunResult, len(specs))
+	outcomes := make([]cache.Outcome, len(specs))
+	keys := make([]string, len(specs))
+	errs := make([]error, len(specs))
+	for _, unit := range phaseUnits(runs) {
+		group := make([]RunSpec, len(unit))
+		for j, i := range unit {
+			group[j] = specs[i]
+		}
+		r, o, k, err := e.runBatchCached(ctx, tier, group)
+		for j, i := range unit {
+			results[i], outcomes[i], keys[i], errs[i] = r[j], o[j], k[j], err[j]
+		}
+	}
+	return results, outcomes, keys, errs
 }
 
 // ErrJobCanceled is the cause a Job's Wait reports after Cancel (when
@@ -435,6 +501,7 @@ func (j *Job) Done() <-chan struct{} { return j.doneCh }
 // the same channel, which replays from the first cell. The single
 // logical consumer should drain the channel to completion — walking
 // away mid-stream strands the forwarder goroutine until process exit.
+// A consumer that reads the log by cursor uses CellsFrom instead.
 func (j *Job) Cells() <-chan CellResult {
 	j.cellsOnce.Do(func() {
 		ch := make(chan CellResult, 64)
@@ -442,32 +509,49 @@ func (j *Job) Cells() <-chan CellResult {
 		go func() {
 			next := 0
 			for {
-				j.cellMu.Lock()
-				cells := j.cellLog[next:]
-				notify := j.cellNotify
-				done := j.cellsDone
-				j.cellMu.Unlock()
+				cells, more, done := j.CellsFrom(next)
 				for _, c := range cells {
 					ch <- c
 				}
 				next += len(cells)
-				if len(cells) == 0 && done {
+				if len(cells) > 0 {
+					continue
+				}
+				if done {
 					// Every cell has been delivered; drop the log so a
 					// long-retained finished Job does not pin thousands
 					// of full RunResults.
-					j.cellMu.Lock()
-					j.cellLog = nil
-					j.cellMu.Unlock()
+					j.ReleaseCells()
 					close(ch)
 					return
 				}
-				if len(cells) == 0 {
-					<-notify
-				}
+				<-more
 			}
 		}()
 	})
 	return j.cellsCh
+}
+
+// CellsFrom reads the job's cell log by cursor: the cells resolved
+// from position from on (completion order), a channel closed at the
+// next append, and whether the log is complete (no cell can follow).
+// The returned slice is shared and must not be modified.
+func (j *Job) CellsFrom(from int) (cells []CellResult, more <-chan struct{}, done bool) {
+	j.cellMu.Lock()
+	defer j.cellMu.Unlock()
+	if from < len(j.cellLog) {
+		cells = j.cellLog[from:]
+	}
+	return cells, j.cellNotify, j.cellsDone
+}
+
+// ReleaseCells drops a finished job's cell log once its reader is done
+// with it, so a retained Job does not pin every RunResult; later reads
+// see an empty, complete log. Progress and Wait are unaffected.
+func (j *Job) ReleaseCells() {
+	j.cellMu.Lock()
+	j.cellLog = nil
+	j.cellMu.Unlock()
 }
 
 // appendCell records one resolved cell and wakes the forwarder.
@@ -763,7 +847,7 @@ func (e *Engine) runPhase(jctx context.Context, job *Job, runs []sweepRun, phase
 	// admitted sweep would park one goroutine per unit (potentially
 	// hundreds of thousands of stacks) before pool backpressure
 	// applies. 2× the pool keeps every worker fed while cells resolve.
-	sem := make(chan struct{}, 2*e.pool.Workers())
+	sem := make(chan struct{}, 2*e.Parallelism())
 	var wg sync.WaitGroup
 launch:
 	for u := range units {
@@ -803,10 +887,11 @@ launch:
 // of one) through the cache: lanes already cached (memory or backing)
 // or in flight are served per key, and the remainder is computed by
 // ONE pool task driving runBatch — one shared functional stream, one
-// warm pass, per-config lanes fanned back onto the pool. Each computed
-// lane is stored under its own content address, so a cell's cache
-// entry is the same whichever batch computed it. A spec with no
-// canonical form fails its own lane.
+// warm pass, per-config lanes fanned back onto the pool — or, with an
+// Executor, by one Executor.RunBatch call. Each computed lane is
+// stored under its own content address, so a cell's cache entry is the
+// same whichever batch computed it. A spec with no canonical form
+// fails its own lane.
 func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []RunSpec) ([]RunResult, []cache.Outcome, []string, []error) {
 	n := len(specs)
 	results := make([]RunResult, n)
@@ -835,6 +920,12 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []Ru
 	if len(sub) == 0 {
 		return results, outcomes, keys, errs
 	}
+	// remote[j] is how the Executor served lane j when this call
+	// computed it.
+	var remote []cache.Outcome
+	if e.exec != nil {
+		remote = make([]cache.Outcome, len(sub))
+	}
 	vals, outs, cerrs := e.cache.DoBatch(ctx, subKeys, func(bctx context.Context, miss []int) ([]any, []error) {
 		lanes := make([]RunSpec, len(miss))
 		var weight float64
@@ -842,51 +933,18 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []Ru
 			lanes[j] = canons[mj]
 			weight += runWeight(lanes[j])
 		}
-		mvals := make([]any, len(miss))
-		merrs := make([]error, len(miss))
-		done := make(chan struct{})
-		backend := specBackendName(lanes[0])
-		e.noteOutstanding(backend, len(lanes))
-		e.pool.SubmitCtx(bctx, tier, weight, func(tctx context.Context) {
-			defer close(done)
-			defer e.noteOutstanding(backend, -len(lanes))
-			// A panicking batch must become per-lane errors, not an
-			// unrecovered panic on a pool worker.
-			defer func() {
-				if p := recover(); p != nil {
-					err := fmt.Errorf("ltp: simulation panicked: %v", p)
-					for j := range merrs {
-						if mvals[j] == nil && merrs[j] == nil {
-							merrs[j] = err
-						}
-					}
-				}
-			}()
-			// Cancelled while queued: never start the batch.
-			if err := tctx.Err(); err != nil {
-				for j := range merrs {
-					merrs[j] = err
-				}
-				return
+		if e.exec != nil {
+			key, ok := batchKey(lanes[0])
+			if !ok {
+				key = subKeys[miss[0]]
 			}
-			start := time.Now()
-			// Lanes fan back onto this pool (see poolExecutor).
-			rres, rerrs := runBatch(withExecutor(tctx, poolExecutor{e.pool}), lanes)
-			// Each backend feeds its own EWMA with amortized per-lane
-			// seconds: near-free model estimates must not wreck the
-			// Retry-After hint for real simulations, and vice versa.
-			perLane := time.Since(start).Seconds() / float64(len(lanes))
-			for j := range lanes {
-				if rerrs[j] != nil {
-					merrs[j] = rerrs[j]
-					continue
-				}
-				mvals[j] = cachedCell{spec: lanes[j], res: rres[j]}
-				e.noteRunSeconds(backend, perLane)
+			mvals, routs, merrs := e.runExecutor(bctx, Batch{Lanes: lanes, Key: key, Weight: weight, Tier: tier})
+			for j, mj := range miss {
+				remote[mj] = routs[j]
 			}
-		})
-		<-done
-		return mvals, merrs
+			return mvals, merrs
+		}
+		return e.runPool(bctx, tier, weight, lanes)
 	})
 	for j, i := range sub {
 		outcomes[i] = outs[j]
@@ -894,9 +952,85 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []Ru
 			errs[i] = cerrs[j]
 			continue
 		}
+		if remote != nil && outs[j] == cache.Miss {
+			outcomes[i] = remote[j]
+		}
 		results[i] = vals[j].(cachedCell).res
 	}
 	return results, outcomes, keys, errs
+}
+
+// runPool computes missed lanes as ONE pool task driving runBatch.
+func (e *Engine) runPool(ctx context.Context, tier sched.Tier, weight float64, lanes []RunSpec) ([]any, []error) {
+	mvals := make([]any, len(lanes))
+	merrs := make([]error, len(lanes))
+	done := make(chan struct{})
+	backend := specBackendName(lanes[0])
+	e.noteOutstanding(backend, len(lanes))
+	e.pool.SubmitCtx(ctx, tier, weight, func(tctx context.Context) {
+		defer close(done)
+		defer e.noteOutstanding(backend, -len(lanes))
+		// A panicking batch must become per-lane errors, not an
+		// unrecovered panic on a pool worker.
+		defer func() {
+			if p := recover(); p != nil {
+				err := fmt.Errorf("ltp: simulation panicked: %v", p)
+				for j := range merrs {
+					if mvals[j] == nil && merrs[j] == nil {
+						merrs[j] = err
+					}
+				}
+			}
+		}()
+		// Cancelled while queued: never start the batch.
+		if err := tctx.Err(); err != nil {
+			for j := range merrs {
+				merrs[j] = err
+			}
+			return
+		}
+		start := time.Now()
+		// Lanes fan back onto this pool (see poolExecutor).
+		rres, rerrs := runBatch(withExecutor(tctx, poolExecutor{e.pool}), lanes)
+		e.settleLanes(backend, time.Since(start), lanes, rres, rerrs, mvals, merrs)
+	})
+	<-done
+	return mvals, merrs
+}
+
+// runExecutor computes missed lanes on the engine's Executor. A
+// mis-sized answer fails every lane rather than misplacing results.
+func (e *Engine) runExecutor(ctx context.Context, b Batch) ([]any, []cache.Outcome, []error) {
+	n := len(b.Lanes)
+	mvals := make([]any, n)
+	merrs := make([]error, n)
+	backend := specBackendName(b.Lanes[0])
+	e.noteOutstanding(backend, n)
+	defer e.noteOutstanding(backend, -n)
+	start := time.Now()
+	rres, routs, rerrs := e.exec.RunBatch(ctx, b)
+	if len(rres) != n || len(routs) != n || len(rerrs) != n {
+		err := fmt.Errorf("ltp: executor answered %d/%d/%d lanes for %d", len(rres), len(routs), len(rerrs), n)
+		return mvals, make([]cache.Outcome, n), failLanes(n, err)
+	}
+	e.settleLanes(backend, time.Since(start), b.Lanes, rres, rerrs, mvals, merrs)
+	return mvals, routs, merrs
+}
+
+// settleLanes turns computed lanes into cache values (or errors) and
+// feeds each success into its backend's EWMA with the batch's
+// amortized per-lane seconds: near-free model estimates must not wreck
+// the Retry-After hint for real simulations, and vice versa.
+func (e *Engine) settleLanes(backend string, took time.Duration, lanes []RunSpec, rres []RunResult, rerrs []error, mvals []any, merrs []error) {
+	perLane := took.Seconds() / float64(len(lanes))
+	for j := range lanes {
+		if rerrs[j] != nil {
+			merrs[j] = rerrs[j]
+			continue
+		}
+		mvals[j] = cachedCell{spec: lanes[j], res: rres[j]}
+		e.noteRunSeconds(backend, perLane)
+	}
 }
 
 // skipSnapshotRuns settles every run whose content address is in the

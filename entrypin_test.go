@@ -14,7 +14,9 @@ import (
 
 	"ltp"
 	"ltp/internal/core"
+	"ltp/internal/fabric"
 	"ltp/internal/pipeline"
+	"ltp/internal/sched"
 	"ltp/internal/server"
 	"ltp/internal/workload"
 )
@@ -192,8 +194,10 @@ func entryCells() []entryCell {
 // TestEntryPointsAgree is the single-cell metamorphic invariant: a
 // cell gives the same result bytes and the same content address from
 // every entry point — RunContext, Engine.RunCached, a one-cell
-// Engine.Submit sweep, Engine.RunCellCached and an HTTP /v1/run — and
-// the shared cache simulates it exactly once. Which entry point goes
+// Engine.Submit sweep, Engine.RunBatchCached (the /v1/cells path), an
+// HTTP /v1/run, and a fabric coordinator's /v1/run and one-cell
+// /v1/sweep in front of a worker over the same engine — and the
+// worker's cache simulates it exactly once. Which entry point goes
 // first rotates per cell, so each one serves both a miss and hits.
 func TestEntryPointsAgree(t *testing.T) {
 	ctx := context.Background()
@@ -206,12 +210,35 @@ func TestEntryPointsAgree(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
+	coord, err := fabric.New(fabric.Config{Workers: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(coord.Handler())
+	defer coord.Close()
+	defer front.Close()
 
 	type served struct {
 		result  ltp.RunResult
 		hash    string
 		outcome string
 	}
+	postRun := func(base string, c entryCell) (served, error) {
+		resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			return served{}, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return served{}, fmt.Errorf("status %s", resp.Status)
+		}
+		var rr server.RunResponse
+		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+			return served{}, err
+		}
+		return served{rr.Result, rr.Hash, rr.Cache}, nil
+	}
+
 	entries := []struct {
 		name string
 		run  func(c entryCell) (served, error)
@@ -237,12 +264,20 @@ func TestEntryPointsAgree(t *testing.T) {
 			}
 			return served{cells[0].Result, cells[0].Hash, cells[0].Outcome}, cells[0].Err
 		}},
-		{"RunCellCached", func(c entryCell) (served, error) {
-			res, out, h, err := e.RunCellCached(ctx, c.spec)
-			return served{res, h, out.String()}, err
+		{"RunBatchCached", func(c entryCell) (served, error) {
+			res, outs, hs, errs := e.RunBatchCached(ctx, sched.TierCampaign, []ltp.RunSpec{c.spec})
+			return served{res[0], hs[0], outs[0].String()}, errs[0]
 		}},
-		{"/v1/run", func(c entryCell) (served, error) {
-			resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(c.body))
+		{"/v1/run", func(c entryCell) (served, error) { return postRun(ts.URL, c) }},
+		// The coordinator's two entries sit side by side, so for every
+		// cell the second of them is served by the coordinator's own
+		// cache and never reaches e.
+		{"coordinator /v1/run", func(c entryCell) (served, error) { return postRun(front.URL, c) }},
+		{"coordinator /v1/sweep", func(c entryCell) (served, error) {
+			// The stream form: unlike ?wait=1 it carries the run's own
+			// result bytes and content address.
+			body := `{"base":` + c.body + `,"axes":[{"name":"one","points":[{"name":"p","patch":{}}]}]}`
+			resp, err := http.Post(front.URL+"/v1/sweep?stream=1", "application/json", strings.NewReader(body))
 			if err != nil {
 				return served{}, err
 			}
@@ -250,11 +285,26 @@ func TestEntryPointsAgree(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				return served{}, fmt.Errorf("status %s", resp.Status)
 			}
-			var rr server.RunResponse
-			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-				return served{}, err
+			var cells []*ltp.CellResult
+			var last server.StreamEvent
+			dec := json.NewDecoder(resp.Body)
+			for dec.More() {
+				var ev server.StreamEvent
+				if err := dec.Decode(&ev); err != nil {
+					return served{}, err
+				}
+				if ev.Type == "cell" {
+					cells = append(cells, ev.Cell)
+				}
+				last = ev
 			}
-			return served{rr.Result, rr.Hash, rr.Cache}, nil
+			if last.Type != "result" {
+				return served{}, fmt.Errorf("sweep ended with %q: %s", last.Type, last.Error)
+			}
+			if len(cells) != 1 {
+				return served{}, fmt.Errorf("one-cell sweep streamed %d cells", len(cells))
+			}
+			return served{cells[0].Result, cells[0].Hash, cells[0].Outcome}, nil
 		}},
 	}
 
@@ -291,8 +341,8 @@ func TestEntryPointsAgree(t *testing.T) {
 		}
 	}
 	st := e.CacheStats()
-	if n := uint64(len(cells)); st.Misses != n || st.Hits != n*uint64(len(entries)-1) || st.Shared != 0 || st.StoreHits != 0 {
+	if n := uint64(len(cells)); st.Misses != n || st.Hits != n*uint64(len(entries)-2) || st.Shared != 0 || st.StoreHits != 0 {
 		t.Errorf("cache stats %+v: want %d misses and %d hits, nothing shared or stored",
-			st, n, n*uint64(len(entries)-1))
+			st, n, n*uint64(len(entries)-2))
 	}
 }

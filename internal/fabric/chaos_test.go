@@ -3,14 +3,16 @@ package fabric
 // Deterministic chaos suite: every robustness claim in DESIGN.md §13
 // exercised in-process with the faultproxy. All of these run under
 // `go test -short -race` — fault injection is triggered from the
-// test's own stream-reading loop, so there is no wall-clock guessing
-// about when the campaign is "mid-flight".
+// worker side as a batch arrives, so there is no wall-clock guessing
+// about when the campaign is "mid-flight": the fault always lands on a
+// worker holding an unresolved batch.
 
 import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,21 +24,24 @@ import (
 // complete with exactly the enumerated cell count and no duplicate
 // deliveries — the stranded cells re-dispatch to the surviving ring.
 func TestChaosKillWorkerMidSweep(t *testing.T) {
+	// Mid-campaign: sever the first worker a batch reaches, with that
+	// batch unresolved on it. Every proxied connection resets; new dials
+	// are refused.
+	var killed atomic.Pointer[workerNode]
 	c := newCluster(t, clusterOpts{workers: 3, proxied: true, cfg: Config{
-		Window:        2,
 		RetryAttempts: 5, // survives a poll racing the kill and re-marking the corpse healthy
+	}, onBatch: func(n *workerNode) {
+		if killed.CompareAndSwap(nil, n) {
+			n.proxy.Kill()
+		}
 	}})
 
 	var cells []server.StreamEvent
 	resp := streamSweep(t, c.front.URL, chaosSweepBody)
-	last := readEvents(t, resp, func(ev server.StreamEvent, n int) {
-		cells = append(cells, ev)
-		if n == 2 {
-			// Mid-campaign: sever worker 0 with cells still unresolved on
-			// it. Every proxied connection resets; new dials are refused.
-			c.workers[0].proxy.Kill()
-		}
-	})
+	last := readEvents(t, resp, func(ev server.StreamEvent, n int) { cells = append(cells, ev) })
+	if killed.Load() == nil {
+		t.Fatal("no batch reached a worker; the fault never fired")
+	}
 	if last.Type != "result" {
 		t.Fatalf("campaign did not survive the worker loss: final event %q (%s)", last.Type, last.Error)
 	}
@@ -51,27 +56,58 @@ func TestChaosKillWorkerMidSweep(t *testing.T) {
 // the injured worker's connections stay open but stop moving bytes,
 // and only the coordinator's hang watchdog can notice.
 func TestChaosHangWorkerMidSweep(t *testing.T) {
+	var hung atomic.Pointer[workerNode]
 	c := newCluster(t, clusterOpts{workers: 3, proxied: true, cfg: Config{
-		Window:        2,
 		RetryAttempts: 5,
 		HangTimeout:   300 * time.Millisecond,
+	}, onBatch: func(n *workerNode) {
+		if hung.CompareAndSwap(nil, n) {
+			n.proxy.Hang()
+		}
 	}})
 
 	var cells []server.StreamEvent
 	resp := streamSweep(t, c.front.URL, chaosSweepBody)
-	last := readEvents(t, resp, func(ev server.StreamEvent, n int) {
-		cells = append(cells, ev)
-		if n == 2 {
-			c.workers[1].proxy.Hang()
-		}
-	})
+	last := readEvents(t, resp, func(ev server.StreamEvent, n int) { cells = append(cells, ev) })
+	if hung.Load() == nil {
+		t.Fatal("no batch reached a worker; the fault never fired")
+	}
+	// Unfreeze so teardown does not wait out blocked connections.
+	hung.Load().proxy.Resume()
 	if last.Type != "result" {
 		t.Fatalf("campaign did not survive the hang: final event %q (%s)", last.Type, last.Error)
 	}
 	assertCompleteNoDupes(t, last.Job.Progress.TotalRuns, cells)
+}
 
-	// Unfreeze so teardown does not wait out blocked connections.
-	c.workers[1].proxy.Resume()
+// TestLongBatchNotSevered is the other half of the hang watchdog: a
+// healthy batch that runs several hang timeouts long keeps its stream
+// alive with heartbeats, so it completes on its first dispatch and no
+// worker is marked down.
+func TestLongBatchNotSevered(t *testing.T) {
+	c := newCluster(t, clusterOpts{workers: 1, proxied: true, cfg: Config{
+		HangTimeout: 300 * time.Millisecond,
+	}})
+	start := time.Now()
+	var out server.SweepResponse
+	if resp := postJSON(t, c.front.URL+"/v1/sweep?wait=1", longGroupBody(), &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	took := time.Since(start)
+	if out.Job.Status != server.JobDone {
+		t.Fatalf("long batch %q: %s", out.Job.Status, out.Job.Error)
+	}
+	if took < 3*300*time.Millisecond {
+		t.Fatalf("the batch took %v; it must outlast the 300ms hang timeout several times over", took)
+	}
+	if got := c.workers[0].batches.Load(); got != 1 {
+		t.Fatalf("the worker saw %d batch requests; want 1 (no retry)", got)
+	}
+	for _, st := range c.coord.Workers() {
+		if !st.Healthy {
+			t.Fatalf("worker %s marked down: %s", st.URL, st.LastError)
+		}
+	}
 }
 
 // TestChaosCorruptWorkerMidSweep points the defensive decoders at a
@@ -80,7 +116,6 @@ func TestChaosHangWorkerMidSweep(t *testing.T) {
 // campaign still completes on the healthy members.
 func TestChaosCorruptWorkerMidSweep(t *testing.T) {
 	c := newCluster(t, clusterOpts{workers: 3, proxied: true, cfg: Config{
-		Window:        2,
 		RetryAttempts: 6,
 	}})
 	c.workers[2].proxy.Corrupt()
@@ -100,7 +135,7 @@ func TestChaosCorruptWorkerMidSweep(t *testing.T) {
 // the identical campaign from the bank alone.
 func TestCoordinatorRestartServesBank(t *testing.T) {
 	bank := filepath.Join(t.TempDir(), "bank.jsonl")
-	c := newCluster(t, clusterOpts{workers: 2, cfg: Config{StorePath: bank}})
+	c := newCluster(t, clusterOpts{workers: 2, cfg: Config{Server: server.Config{StorePath: bank}}})
 
 	var first server.SweepResponse
 	if resp := postJSON(t, c.front.URL+"/v1/sweep?wait=1", quickSweepBody, &first); resp.StatusCode != http.StatusOK {
@@ -117,7 +152,7 @@ func TestCoordinatorRestartServesBank(t *testing.T) {
 	// points at a dead port.
 	coord2, err := New(Config{
 		Workers:      []string{"http://127.0.0.1:1"},
-		StorePath:    bank,
+		Server:       server.Config{StorePath: bank},
 		RetryBackoff: 10 * time.Millisecond,
 		PollInterval: 100 * time.Millisecond,
 	})

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +27,8 @@ type workerNode struct {
 	srv   *server.Server
 	ts    *httptest.Server
 	proxy *faultproxy.Proxy
+	// batches counts the /v1/cells requests that reached the worker.
+	batches atomic.Int64
 }
 
 // url is the address the coordinator dials (the proxy when present).
@@ -48,6 +51,10 @@ type clusterOpts struct {
 	workers int
 	proxied bool
 	cfg     Config // Workers is filled in by the fixture
+	// onBatch, when set, runs as a /v1/cells request reaches a worker,
+	// before the worker serves it: a fault injected here lands on a
+	// worker that holds an unresolved batch.
+	onBatch func(n *workerNode)
 }
 
 // newCluster boots the fixture and registers teardown.
@@ -59,7 +66,16 @@ func newCluster(t *testing.T, opts clusterOpts) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := &workerNode{srv: srv, ts: httptest.NewServer(srv.Handler())}
+		n := &workerNode{srv: srv}
+		n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/cells" {
+				n.batches.Add(1)
+				if opts.onBatch != nil {
+					opts.onBatch(n)
+				}
+			}
+			srv.ServeHTTP(w, r)
+		}))
 		if opts.proxied {
 			p, err := faultproxy.New(strings.TrimPrefix(n.ts.URL, "http://"))
 			if err != nil {
@@ -144,9 +160,9 @@ const quickSweepBody = `{
   ]
 }`
 
-// chaosSweepBody is a 4-cell × 3-replicate campaign (12 runs) — big
-// enough that a mid-campaign fault strands work on the injured
-// worker.
+// chaosSweepBody is a 4-cell × 3-replicate campaign (12 runs, each a
+// batch of its own: no warm region) — big enough that a mid-campaign
+// fault strands work on the injured worker.
 const chaosSweepBody = `{
   "base": {"scenario":"branchy","scale":0.05,"max_insts":3000},
   "axes": [
@@ -161,6 +177,40 @@ const chaosSweepBody = `{
       {"name":"s2","patch":{"seed":3}}]}
   ]
 }`
+
+// groupSweepBody is a one-seed sweep of 6 cycle cells that share a
+// stream and a warm region: one batch group.
+const groupSweepBody = `{
+  "base": {"scenario":"branchy","scale":0.05,"seed":1,"warm_insts":2000,"max_insts":3000},
+  "axes": [
+    {"name":"iq","points":[
+      {"name":"iq16","patch":{"iq_size":16}},
+      {"name":"iq24","patch":{"iq_size":24}},
+      {"name":"iq32","patch":{"iq_size":32}},
+      {"name":"iq40","patch":{"iq_size":40}},
+      {"name":"iq48","patch":{"iq_size":48}},
+      {"name":"iq64","patch":{"iq_size":64}}]}
+  ]
+}`
+
+// longGroupBody is one batch group of 4 cells whose lanes take about a
+// second in all (on a 2-worker engine; the budget shrinks under -race).
+func longGroupBody() string {
+	insts := 1_500_000
+	if raceBuild {
+		insts /= 25
+	}
+	return fmt.Sprintf(`{
+  "base": {"scenario":"branchy","scale":0.05,"seed":7,"warm_insts":2000,"max_insts":%d},
+  "axes": [
+    {"name":"iq","points":[
+      {"name":"iq16","patch":{"iq_size":16}},
+      {"name":"iq32","patch":{"iq_size":32}},
+      {"name":"iq48","patch":{"iq_size":48}},
+      {"name":"iq64","patch":{"iq_size":64}}]}
+  ]
+}`, insts)
+}
 
 // streamSweep submits a sweep with ?stream=1 and returns the raw
 // response for line-by-line reading.

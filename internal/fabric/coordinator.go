@@ -1,28 +1,22 @@
 package fabric
 
-// The Coordinator: the fleet's front door. It serves the single-node
-// campaign API unchanged — /v1/run, /v1/sweep (wait/stream forms),
-// /v1/jobs, DELETE-cancel, since_snapshot — plus the fleet surface:
-// worker registration (/v1/workers), fleet stats, and a health view
-// that counts live workers. Requests validate against the same
-// server.Limits a worker enforces, so a coordinator rejects exactly
-// what a single node would.
+// The Coordinator: the fleet's front door. It is a server.Server over
+// an ltp.Engine whose cache misses run on the fleet (the Coordinator
+// is that engine's Executor, dispatch.go), so /v1/run, /v1/sweep,
+// /v1/jobs, cancellation, since_snapshot, admission and the result
+// store are the single-node code itself. A small mux in front adds the
+// fleet surface: worker registration (/v1/workers), fleet stats, and a
+// health view that counts live workers.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strings"
 	"sync"
 	"time"
 
-	"ltp"
 	"ltp/internal/server"
 	"ltp/internal/store"
 )
@@ -32,43 +26,31 @@ type Config struct {
 	// Workers are the initial fleet members' base URLs (more can join
 	// via POST /v1/workers).
 	Workers []string
-	// Limits is the request admission policy (zero fields =
-	// server.DefaultLimits), applied identically to a worker's.
-	Limits server.Limits
+	// Server configures the coordinator's own service exactly as it
+	// would a single node: Limits (including the per-tenant quota),
+	// StorePath (the result bank a restarted coordinator serves from),
+	// CacheEntries and Logf. Its Engine and Executor are ignored — the
+	// coordinator's engine runs its misses on the fleet.
+	Server server.Config
 	// VirtualNodes is the consistent-hash ring's per-worker vnode count
 	// (0 = DefaultVirtualNodes).
 	VirtualNodes int
-	// Window is how many cells one job dispatches to one worker per
-	// /v1/cells batch (0 = 16). Smaller windows interleave concurrent
-	// jobs more fairly on a busy fleet; larger ones amortize batch
-	// overhead.
-	Window int
-	// RetryAttempts is each cell's dispatch budget across worker losses
-	// (0 = 3).
+	// RetryAttempts is each batch's dispatch budget across worker
+	// losses (0 = 3).
 	RetryAttempts int
-	// RetryBackoff is the base delay between dispatch rounds, doubling
-	// per round up to 30s (0 = 200ms).
+	// RetryBackoff is the base delay between dispatch attempts,
+	// doubling per attempt up to 30s (0 = 200ms).
 	RetryBackoff time.Duration
-	// HangTimeout severs a batch stream with no progress for this long
-	// and retries its unresolved cells elsewhere (0 = 2m; negative
-	// disables).
+	// HangTimeout severs a batch stream that moves no byte for this
+	// long — workers send heartbeats well inside it — and retries its
+	// unresolved cells elsewhere (0 = 2m; negative disables).
 	HangTimeout time.Duration
 	// PollInterval paces the worker health/stats poll (0 = 2s).
 	PollInterval time.Duration
-	// SpillFactor tunes cache affinity against load balance: a cell
-	// leaves its ring home only when the home's estimated cost exceeds
+	// SpillFactor tunes cache affinity against load balance: a batch
+	// leaves its ring home only when the home's estimated finish exceeds
 	// SpillFactor × the best worker's (0 = 3).
 	SpillFactor float64
-	// TenantMaxActive caps one tenant's concurrently active campaigns
-	// (tenants are named by the X-LTP-Tenant request header; absent =
-	// the "" tenant). 0 = Limits.MaxActiveJobs.
-	TenantMaxActive int
-	// StorePath, when non-empty, opens a coordinator-side result bank:
-	// every resolved cell is persisted, and a restarted coordinator
-	// serves banked cells without re-dispatching them.
-	StorePath string
-	// Logf, when non-nil, receives one line per notable event.
-	Logf func(format string, args ...any)
 	// HTTPClient overrides the worker-facing client (nil = a default
 	// client; tests inject fault proxies here).
 	HTTPClient *http.Client
@@ -77,8 +59,6 @@ type Config struct {
 // Coordinator fronts a fleet of ltpserved workers behind the
 // single-node campaign API.
 type Coordinator struct {
-	limits        server.Limits
-	window        int
 	retryAttempts int
 	retryBackoff  time.Duration
 	hangTimeout   time.Duration
@@ -91,14 +71,7 @@ type Coordinator struct {
 	mu      sync.Mutex
 	workers map[string]*worker
 
-	jobs   *coordRegistry
-	jobsWG sync.WaitGroup
-
-	flightMu sync.Mutex
-	flights  map[string]*flight
-
-	store *store.Store
-
+	srv        *server.Server
 	started    time.Time
 	mux        *http.ServeMux
 	logFn      func(format string, args ...any)
@@ -108,22 +81,11 @@ type Coordinator struct {
 	closeOnce sync.Once
 }
 
-// httpErr is a coordinator-originated failure with its HTTP status.
-type httpErr struct {
-	status int
-	msg    string
-}
-
-// Error returns the message.
-func (e *httpErr) Error() string { return e.msg }
-
 // New assembles a coordinator and starts its worker poll loop (it
 // does not listen; mount Handler on an http.Server). Errors come from
-// invalid worker URLs or opening Config.StorePath.
+// invalid worker URLs or opening Config.Server.StorePath.
 func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
-		limits:        cfg.Limits.WithDefaults(),
-		window:        cfg.Window,
 		retryAttempts: cfg.RetryAttempts,
 		retryBackoff:  cfg.RetryBackoff,
 		hangTimeout:   cfg.HangTimeout,
@@ -132,13 +94,9 @@ func New(cfg Config) (*Coordinator, error) {
 		ring:          newRing(cfg.VirtualNodes),
 		hc:            cfg.HTTPClient,
 		workers:       make(map[string]*worker),
-		flights:       make(map[string]*flight),
 		started:       time.Now(),
-		logFn:         cfg.Logf,
+		logFn:         cfg.Server.Logf,
 		pollDone:      make(chan struct{}),
-	}
-	if c.window <= 0 {
-		c.window = 16
 	}
 	if c.retryAttempts <= 0 {
 		c.retryAttempts = 3
@@ -158,37 +116,26 @@ func New(cfg Config) (*Coordinator, error) {
 	if c.hc == nil {
 		c.hc = &http.Client{}
 	}
-	tenantMax := cfg.TenantMaxActive
-	if tenantMax <= 0 {
-		tenantMax = c.limits.MaxActiveJobs
-	}
-	c.jobs = newCoordRegistry(c.limits.MaxActiveJobs, tenantMax)
-
 	for _, u := range cfg.Workers {
 		if err := c.AddWorker(u); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.StorePath != "" {
-		st, err := store.Open(cfg.StorePath)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: opening result bank: %w", err)
-		}
-		c.store = st
+	scfg := cfg.Server
+	scfg.Engine, scfg.Executor = nil, c
+	srv, err := server.New(scfg)
+	if err != nil {
+		return nil, err
 	}
+	c.srv = srv
 
 	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("GET /healthz", c.handleHealth)
-	c.mux.HandleFunc("GET /v1/workloads", c.handleWorkloads)
-	c.mux.HandleFunc("GET /v1/stats", c.handleStats)
-	c.mux.HandleFunc("GET /v1/workers", c.handleWorkersGet)
-	c.mux.HandleFunc("POST /v1/workers", c.handleWorkersPost)
-	c.mux.HandleFunc("DELETE /v1/workers", c.handleWorkersDelete)
-	c.mux.HandleFunc("POST /v1/run", c.handleRun)
-	c.mux.HandleFunc("POST /v1/sweep", c.handleSweep)
-	c.mux.HandleFunc("GET /v1/jobs", c.handleJobs)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobDelete)
+	c.handle("GET /healthz", c.handleHealth)
+	c.handle("GET /v1/stats", c.handleStats)
+	c.handle("GET /v1/workers", c.handleWorkersGet)
+	c.handle("POST /v1/workers", c.handleWorkersPost)
+	c.handle("DELETE /v1/workers", c.handleWorkersDelete)
+	c.mux.Handle("/", srv) // the single-node API (it logs its own requests)
 
 	pctx, cancel := context.WithCancel(context.Background())
 	c.pollCancel = cancel
@@ -196,36 +143,30 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP surface.
-func (c *Coordinator) Handler() http.Handler { return c }
-
-// ServeHTTP dispatches to the endpoint handlers with request logging.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if c.logFn != nil {
-		c.logFn("%s %s", r.Method, r.URL.Path)
-	}
-	c.mux.ServeHTTP(w, r)
+// handle registers a fleet endpoint with request logging.
+func (c *Coordinator) handle(pattern string, h http.HandlerFunc) {
+	c.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		c.logf("%s %s", r.Method, r.URL.Path)
+		h(w, r)
+	})
 }
 
-// logf logs one line when Config.Logf was given.
+// Handler returns the coordinator's HTTP surface.
+func (c *Coordinator) Handler() http.Handler { return c.mux }
+
+// logf logs one line when Config.Server.Logf was given.
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.logFn != nil {
 		c.logFn(format, args...)
 	}
 }
 
-// Close stops the poll loop, cancels every active campaign, waits for
-// them to settle, and closes the result bank.
+// Close cancels every active campaign, waits for them to settle,
+// closes the engine (and its result store) and stops the poll loop.
 func (c *Coordinator) Close() {
-	c.closeOnce.Do(func() {
-		c.pollCancel()
-		<-c.pollDone
-		c.jobs.cancelActive()
-		c.jobsWG.Wait()
-		if c.store != nil {
-			_ = c.store.Close()
-		}
-	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.Shutdown(ctx)
 }
 
 // Shutdown drains the coordinator for process exit: it waits — bounded
@@ -233,10 +174,11 @@ func (c *Coordinator) Close() {
 // whatever is still running and closes. Stop accepting requests first
 // (http.Server.Shutdown).
 func (c *Coordinator) Shutdown(ctx context.Context) {
-	if !c.jobs.awaitIdle(ctx.Done()) {
-		c.logf("drain deadline reached; cancelling active campaigns")
-	}
-	c.Close()
+	c.closeOnce.Do(func() {
+		c.srv.Shutdown(ctx)
+		c.pollCancel()
+		<-c.pollDone
+	})
 }
 
 // AddWorker joins a worker (by base URL) to the fleet and the ring. A
@@ -259,7 +201,7 @@ func (c *Coordinator) AddWorker(rawURL string) error {
 }
 
 // RemoveWorker leaves a worker from the fleet and the ring, reporting
-// whether it was a member. Cells in flight on it finish or fail on
+// whether it was a member. Batches in flight on it finish or fail on
 // their own; future placement simply stops choosing it.
 func (c *Coordinator) RemoveWorker(rawURL string) bool {
 	name, err := normalizeWorkerURL(rawURL)
@@ -286,6 +228,19 @@ func (c *Coordinator) Workers() []WorkerStatus {
 		}
 	}
 	return out
+}
+
+// Parallelism is the healthy fleet's summed reported parallelism (a
+// member that has not reported yet counts as 1), at least 1: the
+// coordinator engine's concurrency cap (ltp.Executor).
+func (c *Coordinator) Parallelism() int {
+	par := 0
+	for _, w := range c.workerList() {
+		if w.isHealthy() {
+			par += max(w.status().Parallelism, 1)
+		}
+	}
+	return max(par, 1)
 }
 
 // normalizeWorkerURL validates a worker base URL and strips the
@@ -320,8 +275,8 @@ func (c *Coordinator) workerList() []*worker {
 }
 
 // pollLoop polls every worker's /v1/stats — immediately, then every
-// PollInterval — keeping health flags and LPT weights fresh and
-// reviving workers that come back.
+// PollInterval — keeping health flags and reported parallelism fresh
+// and reviving workers that come back.
 func (c *Coordinator) pollLoop(ctx context.Context) {
 	defer close(c.pollDone)
 	c.pollAll(ctx)
@@ -350,79 +305,11 @@ func (c *Coordinator) pollAll(ctx context.Context) {
 	wg.Wait()
 }
 
-// writeJSON writes v with the given status.
-func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeError maps an error to its status: coordinator-originated
-// errors carry one; server-shape validation errors keep theirs;
-// anything else is a 500.
-func (c *Coordinator) writeError(w http.ResponseWriter, err error) {
-	status := server.ErrorStatus(err)
-	var he *httpErr
-	if errors.As(err, &he) {
-		status = he.status
-	}
-	c.writeJSON(w, status, server.ErrorResponse{Error: err.Error()})
-}
-
-// retryAfterSeconds estimates when an admission slot frees: the active
-// campaigns' unresolved cells over the healthy fleet's total
-// parallelism, priced at the fleet cycle-cell mean. Clamped to
-// [1, 600] like the single-node server.
-func (c *Coordinator) retryAfterSeconds() int {
-	outstanding := c.jobs.remainingCells()
-	par := 0
-	for _, w := range c.workerList() {
-		if !w.isHealthy() {
-			continue
-		}
-		st := w.status()
-		if st.Parallelism > 0 {
-			par += st.Parallelism
-		} else {
-			par++
-		}
-	}
-	if par < 1 {
-		par = 1
-	}
-	mean := c.estimateSecs(ltp.BackendCycle)
-	secs := int(math.Ceil(mean * float64(outstanding+1) / float64(par)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 600 {
-		secs = 600
-	}
-	return secs
-}
-
-// writeBusy renders a 429 with Retry-After and the duplicate-job hint.
-func (c *Coordinator) writeBusy(w http.ResponseWriter, err error, hash string) {
-	retry := c.retryAfterSeconds()
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
-	resp := server.ErrorResponse{
-		Error:             err.Error(),
-		RetryAfterSeconds: retry,
-		Hash:              hash,
-	}
-	if j, ok := c.jobs.findActiveByHash(hash); ok {
-		resp.DuplicateJobID = j.id
-	}
-	c.writeJSON(w, http.StatusTooManyRequests, resp)
-}
-
 // HealthResponse is the coordinator's GET /healthz body: the
 // single-node shape plus the fleet view.
 type HealthResponse struct {
 	// Status is "ok" whenever the coordinator can respond (it serves
-	// even with zero healthy workers; sweeps then fail after their
+	// even with zero healthy workers; batches then fail after their
 	// retry budget).
 	Status string `json:"status"`
 	// UptimeSeconds is the coordinator's age.
@@ -441,36 +328,12 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 			healthy++
 		}
 	}
-	c.writeJSON(w, http.StatusOK, HealthResponse{
+	server.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:         "ok",
 		UptimeSeconds:  time.Since(c.started).Seconds(),
 		Workers:        total,
 		HealthyWorkers: healthy,
 	})
-}
-
-// handleWorkloads proxies the registry listing from any healthy worker
-// — the registry is compiled into every binary, so any member's answer
-// is authoritative.
-func (c *Coordinator) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	for _, name := range c.ring.memberList() {
-		wk := c.workerByName(name)
-		if wk == nil || !wk.isHealthy() {
-			continue
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, wk.name+"/v1/workloads", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := wk.hc.Do(req)
-		if err != nil {
-			wk.markDown(err)
-			continue
-		}
-		copyResponse(w, resp)
-		return
-	}
-	c.writeError(w, &httpErr{status: http.StatusServiceUnavailable, msg: "no healthy workers"})
 }
 
 // WorkerStatus is one fleet member's view in /v1/workers and
@@ -491,7 +354,7 @@ type WorkerStatus struct {
 	// flight on the worker.
 	PendingCells int `json:"pending_cells"`
 	// MeanRunSeconds is the worker's reported per-backend EWMA of
-	// simulated-cell seconds — the fleet LPT weights.
+	// simulated-cell seconds.
 	MeanRunSeconds map[string]float64 `json:"mean_run_seconds,omitempty"`
 }
 
@@ -509,20 +372,20 @@ type WorkerJoinRequest struct {
 }
 
 func (c *Coordinator) handleWorkersGet(w http.ResponseWriter, r *http.Request) {
-	c.writeJSON(w, http.StatusOK, WorkersResponse{Workers: c.Workers()})
+	server.WriteJSON(w, http.StatusOK, WorkersResponse{Workers: c.Workers()})
 }
 
 func (c *Coordinator) handleWorkersPost(w http.ResponseWriter, r *http.Request) {
 	var req WorkerJoinRequest
 	if err := server.DecodeJSON(r, &req); err != nil {
-		c.writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	if err := c.AddWorker(req.URL); err != nil {
-		c.writeError(w, &httpErr{status: http.StatusBadRequest, msg: err.Error()})
+		server.WriteError(w, server.HTTPError(http.StatusBadRequest, "%v", err))
 		return
 	}
-	c.writeJSON(w, http.StatusOK, WorkersResponse{Workers: c.Workers()})
+	server.WriteJSON(w, http.StatusOK, WorkersResponse{Workers: c.Workers()})
 }
 
 // handleWorkersDelete removes the worker named by the url query
@@ -530,255 +393,35 @@ func (c *Coordinator) handleWorkersPost(w http.ResponseWriter, r *http.Request) 
 func (c *Coordinator) handleWorkersDelete(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("url")
 	if raw == "" {
-		c.writeError(w, server.BadRequestf("missing url query parameter"))
+		server.WriteError(w, server.HTTPError(http.StatusBadRequest, "missing url query parameter"))
 		return
 	}
 	if !c.RemoveWorker(raw) {
-		c.writeError(w, &httpErr{status: http.StatusNotFound, msg: "no such worker"})
+		server.WriteError(w, server.HTTPError(http.StatusNotFound, "no such worker"))
 		return
 	}
-	c.writeJSON(w, http.StatusOK, WorkersResponse{Workers: c.Workers()})
+	server.WriteJSON(w, http.StatusOK, WorkersResponse{Workers: c.Workers()})
 }
 
 // FleetStatsResponse is the coordinator's GET /v1/stats body.
 type FleetStatsResponse struct {
-	// Workers is the per-member health, load and LPT-weight view.
+	// Workers is the per-member health and load view.
 	Workers []WorkerStatus `json:"workers"`
 	// Jobs counts coordinator campaigns.
 	Jobs server.JobStats `json:"jobs"`
 	// Limits echoes the admission policy.
 	Limits server.Limits `json:"limits"`
-	// Store exposes the coordinator-side result bank's counters
-	// (absent without Config.StorePath).
+	// Store exposes the coordinator's result store counters (absent
+	// without Config.Server.StorePath).
 	Store *store.Stats `json:"store,omitempty"`
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	total, active := c.jobs.counts()
-	resp := FleetStatsResponse{
+	st := c.srv.Stats()
+	server.WriteJSON(w, http.StatusOK, FleetStatsResponse{
 		Workers: c.Workers(),
-		Jobs:    server.JobStats{Total: total, Active: active},
-		Limits:  c.limits,
-	}
-	if c.store != nil {
-		st := c.store.Stats()
-		resp.Store = &st
-	}
-	c.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleRun validates the request like a worker would, then proxies
-// the original body to the run's ring home — walking the failover
-// order past dead members — and copies the worker's response through.
-func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		c.writeError(w, server.BadRequestf("reading request body: %v", err))
-		return
-	}
-	var req server.RunRequest
-	if err := strictUnmarshal(body, &req); err != nil {
-		c.writeError(w, err)
-		return
-	}
-	spec, err := req.Spec(c.limits)
-	if err != nil {
-		c.writeError(w, err)
-		return
-	}
-	hash, err := spec.Hash()
-	if err != nil {
-		c.writeError(w, server.BadRequestf("%v", err))
-		return
-	}
-	for _, name := range c.ring.lookupOrder(hash, 0) {
-		wk := c.workerByName(name)
-		if wk == nil || !wk.isHealthy() {
-			continue
-		}
-		preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, wk.name+"/v1/run", bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		preq.Header.Set("Content-Type", "application/json")
-		resp, err := wk.hc.Do(preq)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // client gone; nobody is reading
-			}
-			wk.markDown(err)
-			c.logf("run %s: worker %s failed, trying next: %v", hash, wk.name, err)
-			continue
-		}
-		copyResponse(w, resp)
-		return
-	}
-	c.writeError(w, &httpErr{status: http.StatusServiceUnavailable, msg: "no healthy workers"})
-}
-
-// copyResponse streams a proxied worker response to the client.
-func copyResponse(w http.ResponseWriter, resp *http.Response) {
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-}
-
-// strictUnmarshal decodes one JSON object with the server's strictness
-// (unknown fields and trailing garbage are 400s).
-func strictUnmarshal(b []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return server.BadRequestf("invalid request body: %v", err)
-	}
-	if dec.More() {
-		return server.BadRequestf("invalid request body: trailing data after the JSON object")
-	}
-	return nil
-}
-
-// handleSweep admits a campaign under the fleet and tenant bounds and
-// runs it across the workers; the response forms (202 view, ?wait=1,
-// ?stream=1 NDJSON) match the single-node server exactly.
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req server.SweepRequest
-	if err := server.DecodeJSON(r, &req); err != nil {
-		c.writeError(w, err)
-		return
-	}
-	spec, err := req.Spec(c.limits)
-	if err != nil {
-		c.writeError(w, err)
-		return
-	}
-	hash, err := spec.Hash()
-	if err != nil {
-		c.writeError(w, server.BadRequestf("%v", err))
-		return
-	}
-	tenant := r.Header.Get("X-LTP-Tenant")
-	id, err := c.jobs.admit(tenant, hash)
-	if err != nil {
-		var he *httpErr
-		if errors.As(err, &he) && he.status == http.StatusTooManyRequests {
-			c.writeBusy(w, err, hash)
-			return
-		}
-		c.writeError(w, err)
-		return
-	}
-	j := newCJob(id, tenant, hash, spec, wantsStream(r))
-	c.jobsWG.Add(1)
-	c.jobs.register(j)
-	go c.runJob(j)
-	c.logf("sweep %s submitted: %d runs, hash %s, tenant %q", id, j.total, hash, tenant)
-	c.respondSubmitted(w, r, j)
-}
-
-// wantsStream reports whether the submission asked for the NDJSON
-// cell stream.
-func wantsStream(r *http.Request) bool { return r.URL.Query().Get("stream") == "1" }
-
-// respondSubmitted handles the ?stream=1 / ?wait=1 forms.
-func (c *Coordinator) respondSubmitted(w http.ResponseWriter, r *http.Request, j *cjob) {
-	switch {
-	case wantsStream(r):
-		defer j.streamFinished()
-		c.streamJob(w, r, j)
-	case r.URL.Query().Get("wait") == "1":
-		select {
-		case <-j.doneCh:
-		case <-r.Context().Done():
-			return // client went away; the campaign keeps running
-		}
-		c.writeJSON(w, http.StatusOK, c.jobResponse(j))
-	default:
-		c.writeJSON(w, http.StatusAccepted, c.jobResponse(j))
-	}
-}
-
-// jobResponse renders a job in the single-node sweep response shape.
-func (c *Coordinator) jobResponse(j *cjob) server.SweepResponse {
-	view := j.view()
-	resp := server.SweepResponse{Job: view}
-	if view.Status == server.JobDone {
-		resp.Result = j.result
-	}
-	return resp
-}
-
-// streamJob writes chunked NDJSON: every resolved cell as it lands,
-// then the final result/error event — the single-node stream shape.
-func (c *Coordinator) streamJob(w http.ResponseWriter, r *http.Request, j *cjob) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(ev server.StreamEvent) {
-		_ = enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	next := 0
-	for {
-		cells, more, done := j.cellsFrom(next)
-		for i := range cells {
-			cell := cells[i]
-			emit(server.StreamEvent{Type: "cell", Cell: &cell})
-		}
-		next += len(cells)
-		if done {
-			break
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-more:
-		}
-	}
-
-	<-j.doneCh
-	view := j.view()
-	if j.err != nil {
-		emit(server.StreamEvent{Type: "error", Job: &view, Error: j.err.Error()})
-		return
-	}
-	emit(server.StreamEvent{Type: "result", Job: &view, Sweep: j.result})
-}
-
-func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
-	resp := server.JobsResponse{Jobs: []server.JobView{}}
-	for _, j := range c.jobs.list() {
-		resp.Jobs = append(resp.Jobs, j.view())
-	}
-	c.writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobs.get(r.PathValue("id"))
-	if !ok {
-		c.writeError(w, &httpErr{status: http.StatusNotFound, msg: "no such job"})
-		return
-	}
-	c.writeJSON(w, http.StatusOK, c.jobResponse(j))
-}
-
-// handleJobDelete cancels a campaign fleet-wide: cells queued on the
-// coordinator never dispatch, in-flight batches are severed (workers
-// abort their cells mid-pipeline via the request context), and the
-// job settles canceled. Idempotent, like the single-node endpoint.
-func (c *Coordinator) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobs.get(r.PathValue("id"))
-	if !ok {
-		c.writeError(w, &httpErr{status: http.StatusNotFound, msg: "no such job"})
-		return
-	}
-	j.cancel(ltp.ErrJobCanceled)
-	c.logf("campaign %s cancel requested", j.id)
-	c.writeJSON(w, http.StatusOK, c.jobResponse(j))
+		Jobs:    st.Jobs,
+		Limits:  st.Limits,
+		Store:   st.Store,
+	})
 }

@@ -1,524 +1,138 @@
 package fabric
 
-// The coordinator's execution engine: runJob drives one campaign
-// through the same phase structure the single-node engine uses
-// (snapshot diffing, triage's model pre-pass + detailed re-run), but
-// each phase's cells resolve by fleet dispatch instead of a local
-// pool. Dispatch proceeds in rounds: every pending cell is placed on
-// the ring (home worker unless the fleet LPT heuristic spills it),
-// each worker's cells stream through windowed /v1/cells batches, and
-// whatever a dead, hung or lying worker leaves unresolved is retried
-// — with exponential backoff — on the surviving ring until its
-// attempt budget runs out. A coordinator-wide flight table
-// single-flights identical cells across concurrent jobs, and the
-// optional store banks every resolved cell so a restarted coordinator
-// resumes by diffing.
+// The coordinator as its engine's Executor: the engine hands each
+// batch of cache misses — one batch group sharing a functional stream,
+// or a lone spec — to RunBatch, which places it on the ring by its key
+// (the group key, so a warm group reaches one worker and shares one
+// warm pass there), runs it as one /v1/cells request, and re-dispatches
+// whatever a dead, hung or lying worker leaves unresolved — with
+// exponential backoff — on the surviving ring until the attempt budget
+// runs out. Single-flight, the result bank, jobs and triage are the
+// engine's own.
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"net/http"
 	"time"
 
 	"ltp"
+	"ltp/internal/cache"
+	"ltp/internal/sched"
 	"ltp/internal/server"
 )
 
 // errNoWorkers is the dispatch failure when no healthy worker exists;
 // it burns retry attempts like any other worker loss so a fully dead
-// fleet fails jobs instead of spinning.
-var errNoWorkers = errors.New("fabric: no healthy workers")
+// fleet fails requests (503) instead of spinning.
+var errNoWorkers = server.HTTPError(http.StatusServiceUnavailable, "fabric: no healthy workers")
 
-// flight is one cell in flight somewhere on the fleet. Joiners (other
-// jobs wanting the same cell) wait on done; abandoned means the owner
-// was cancelled before resolving it and a joiner must take over.
-type flight struct {
-	done      chan struct{}
-	res       ltp.RunResult
-	err       error
-	abandoned bool
-}
-
-// acquireFlight registers interest in a cell hash: the first caller
-// becomes the owner (true) and must completeFlight exactly once;
-// later callers get the owner's flight to wait on.
-func (c *Coordinator) acquireFlight(hash string) (*flight, bool) {
-	c.flightMu.Lock()
-	defer c.flightMu.Unlock()
-	if f, ok := c.flights[hash]; ok {
-		return f, false
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[hash] = f
-	return f, true
-}
-
-// completeFlight resolves the owner's flight and removes it from the
-// table. abandoned marks a cancellation — joiners re-dispatch instead
-// of inheriting the owner's cancel.
-func (c *Coordinator) completeFlight(hash string, res ltp.RunResult, err error, abandoned bool) {
-	c.flightMu.Lock()
-	f, ok := c.flights[hash]
-	if ok {
-		delete(c.flights, hash)
-	}
-	c.flightMu.Unlock()
-	if !ok {
-		return
-	}
-	f.res, f.err, f.abandoned = res, err, abandoned
-	close(f.done)
-}
-
-// pendingCell is one cell awaiting fleet dispatch.
-type pendingCell struct {
-	idx      int // index into the phase's runs
-	spec     ltp.RunSpec
-	hash     string
-	backend  string
-	attempts int
-}
-
-// runJob drives one campaign to completion (the per-job goroutine).
-func (c *Coordinator) runJob(j *cjob) {
-	defer c.jobsWG.Done()
-	defer close(j.doneCh)
-	defer j.cancel(nil)
-	defer j.finishCells()
-	defer j.abandonRemaining()
-
-	runs, err := j.spec.Runs()
-	if err != nil {
-		j.err = err
-		return
-	}
-	if j.spec.Triage != nil {
-		c.runTriageJob(j, runs)
-		return
-	}
-	runs = c.skipSnapshotRuns(j, runs)
-	results, errs := c.runPhase(j, runs, "")
-	if j.ctx.Err() != nil {
-		j.err = cancelCause(j.ctx)
-		return
-	}
-	if err := firstCellError(runs, errs); err != nil {
-		j.err = err
-		return
-	}
-	j.result, j.err = ltp.AggregateSweep(j.spec, runs, results)
-}
-
-// runTriageJob mirrors the single-node triage flow: a model-backend
-// pre-pass over every cell (dispatched like any other phase), a
-// ranking by model-estimated mean CPI, and a detailed re-run of the
-// TopK cells — whose specs are untouched, so their hashes (and
-// therefore worker caches and the flight table) match direct
-// submissions.
-func (c *Coordinator) runTriageJob(j *cjob, runs []ltp.SweepRun) {
-	model := make([]ltp.SweepRun, len(runs))
-	for i, r := range runs {
-		r.Spec.Backend = ltp.BackendModel
-		model[i] = r
-	}
-	mres, merrs := c.runPhase(j, model, ltp.PhaseTriage)
-	if j.ctx.Err() != nil {
-		j.err = cancelCause(j.ctx)
-		return
-	}
-	if err := firstCellError(model, merrs); err != nil {
-		j.err = err
-		return
-	}
-	estimates, err := ltp.AggregateSweep(j.spec, model, mres)
-	if err != nil {
-		j.err = err
-		return
-	}
-
-	order := make([]int, len(estimates.Cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return estimates.Cells[order[a]].CPI.Mean < estimates.Cells[order[b]].CPI.Mean
-	})
-	selected := make(map[int]bool, j.spec.Triage.TopK)
-	for _, ci := range order[:j.spec.Triage.TopK] {
-		selected[ci] = true
-	}
-
-	var detail []ltp.SweepRun
-	for _, r := range runs {
-		if selected[r.Cell] {
-			detail = append(detail, r)
-		}
-	}
-	dres, derrs := c.runPhase(j, detail, ltp.PhaseDetail)
-	if j.ctx.Err() != nil {
-		j.err = cancelCause(j.ctx)
-		return
-	}
-	if err := firstCellError(detail, derrs); err != nil {
-		j.err = err
-		return
-	}
-	detailed, err := ltp.AggregateSweep(j.spec, detail, dres)
-	if err != nil {
-		j.err = err
-		return
-	}
-	out := &ltp.SweepResult{
-		Axes:   estimates.Axes,
-		Cells:  estimates.Cells,
-		Triage: &ltp.TriageResult{TopK: j.spec.Triage.TopK},
-	}
-	for _, cell := range detailed.Cells {
-		if cell.Replicates > 0 {
-			out.Triage.Detailed = append(out.Triage.Detailed, cell)
-		}
-	}
-	j.result = out
-}
-
-// skipSnapshotRuns settles every run whose content address is in the
-// sweep's SinceSnapshot set — streamed immediately as an outcome
-// "cached" cell — and returns the remainder for dispatch, exactly
-// like the single-node engine.
-func (c *Coordinator) skipSnapshotRuns(j *cjob, runs []ltp.SweepRun) []ltp.SweepRun {
-	if len(j.spec.SinceSnapshot) == 0 {
-		return runs
-	}
-	snap := make(map[string]bool, len(j.spec.SinceSnapshot))
-	for _, h := range j.spec.SinceSnapshot {
-		snap[h] = true
-	}
-	kept := make([]ltp.SweepRun, 0, len(runs))
-	for _, r := range runs {
-		h, err := r.Spec.Hash()
-		if err != nil || !snap[h] {
-			kept = append(kept, r)
-			continue
-		}
-		j.done.Add(1)
-		j.skipped.Add(1)
-		j.appendCell(ltp.CellResult{
-			Index:     r.Index,
-			Coords:    r.Coords,
-			Cell:      r.Cell,
-			Replicate: r.Replicate,
-			Hash:      h,
-			Backend:   backendName(r.Spec),
-			Outcome:   "cached",
-		})
-	}
-	return kept
-}
-
-// runPhase resolves one batch of enumerated runs across the fleet,
-// streaming each resolved cell with the given phase tag. Cells the
-// coordinator's store already holds settle immediately (outcome
-// "store"); cells another job has in flight join it (outcome "shared"
-// on success, take-over on abandonment); everything else dispatches.
-func (c *Coordinator) runPhase(j *cjob, runs []ltp.SweepRun, phase string) ([]ltp.RunResult, []error) {
-	results := make([]ltp.RunResult, len(runs))
-	errs := make([]error, len(runs))
-	hashes := make([]string, len(runs))
-
-	settle := func(i int, res ltp.RunResult, outcome string, err error) {
-		results[i], errs[i] = res, err
-		if err != nil && isCancel(err) {
-			j.canceled.Add(1)
-			return
-		}
-		switch outcome {
-		case "hit":
-			j.hits.Add(1)
-		case "shared":
-			j.shared.Add(1)
-		case "store":
-			j.storeHits.Add(1)
-		default:
-			j.misses.Add(1)
-		}
-		j.done.Add(1)
-		cell := ltp.CellResult{
-			Index:     runs[i].Index,
-			Coords:    runs[i].Coords,
-			Cell:      runs[i].Cell,
-			Replicate: runs[i].Replicate,
-			Hash:      hashes[i],
-			Backend:   backendName(runs[i].Spec),
-			Phase:     phase,
-			Outcome:   outcome,
-			Result:    res,
-			Err:       err,
-		}
-		if err != nil {
-			cell.Error = err.Error()
-		}
-		j.appendCell(cell)
-	}
-
-	var owned []pendingCell
-	var joinWG sync.WaitGroup
-	for i := range runs {
-		h, err := runs[i].Spec.Hash()
-		if err != nil {
-			settle(i, ltp.RunResult{}, "", err)
-			continue
-		}
-		hashes[i] = h
-		if res, ok := c.storeLookup(h); ok {
-			settle(i, res, "store", nil)
-			continue
-		}
-		f, owner := c.acquireFlight(h)
-		if owner {
-			owned = append(owned, pendingCell{idx: i, spec: runs[i].Spec, hash: h, backend: backendName(runs[i].Spec)})
-			continue
-		}
-		joinWG.Add(1)
-		go func(i int, f *flight) {
-			defer joinWG.Done()
-			c.joinFlight(j, f, pendingCell{idx: i, spec: runs[i].Spec, hash: hashes[i], backend: backendName(runs[i].Spec)}, settle)
-		}(i, f)
-	}
-	c.dispatchCells(j.ctx, owned, c.ownerResolver(settle))
-	joinWG.Wait()
-	return results, errs
-}
-
-// ownerResolver wraps a phase's settle for cells this job owns the
-// flight of: bank the result, complete the flight (abandoned on
-// cancellation, so a joining job re-dispatches instead of inheriting
-// this job's cancel), then settle.
-func (c *Coordinator) ownerResolver(settle func(int, ltp.RunResult, string, error)) func(pendingCell, ltp.RunResult, string, error) {
-	return func(p pendingCell, res ltp.RunResult, outcome string, err error) {
-		if err == nil {
-			c.bank(p.hash, p.spec, res)
-		}
-		c.completeFlight(p.hash, res, err, err != nil && isCancel(err))
-		settle(p.idx, res, outcome, err)
-	}
-}
-
-// joinFlight waits on another job's in-flight cell. On success the
-// cell settles as "shared" (it was simulated exactly once,
-// fleet-wide); on the owner's failure the error is shared too; on
-// abandonment (the owner's job was cancelled mid-flight) this job
-// takes over — re-checking the store, then racing to own a fresh
-// flight and dispatch the cell itself.
-func (c *Coordinator) joinFlight(j *cjob, f *flight, p pendingCell, settle func(int, ltp.RunResult, string, error)) {
-	for {
-		select {
-		case <-j.ctx.Done():
-			settle(p.idx, ltp.RunResult{}, "", cancelCause(j.ctx))
-			return
-		case <-f.done:
-		}
-		if !f.abandoned {
-			if f.err != nil {
-				settle(p.idx, ltp.RunResult{}, "", f.err)
-			} else {
-				settle(p.idx, f.res, "shared", nil)
-			}
-			return
-		}
-		if res, ok := c.storeLookup(p.hash); ok {
-			settle(p.idx, res, "store", nil)
-			return
-		}
-		nf, owner := c.acquireFlight(p.hash)
-		if owner {
-			c.dispatchCells(j.ctx, []pendingCell{p}, func(p pendingCell, res ltp.RunResult, outcome string, err error) {
-				if err == nil {
-					c.bank(p.hash, p.spec, res)
-				}
-				c.completeFlight(p.hash, res, err, err != nil && isCancel(err))
-				settle(p.idx, res, outcome, err)
-			})
-			return
-		}
-		f = nf
-	}
-}
-
-// dispatchCells resolves every given cell across the fleet, calling
-// resolve exactly once per cell: with its result, with its terminal
-// in-band failure, or — after the attempt budget — with the last
-// worker-loss error. Rounds re-place the surviving cells on the
-// current healthy ring with exponential backoff between them.
-func (c *Coordinator) dispatchCells(ctx context.Context, cells []pendingCell, resolve func(pendingCell, ltp.RunResult, string, error)) {
-	if len(cells) == 0 {
-		return
-	}
-	pending := make([]int, len(cells))
+// RunBatch computes one engine batch on the fleet (ltp.Executor).
+// Every lane ends with a result, its in-band simulation failure, the
+// cancellation cause, or — after the attempt budget — the last worker
+// loss.
+func (c *Coordinator) RunBatch(ctx context.Context, b ltp.Batch) ([]ltp.RunResult, []cache.Outcome, []error) {
+	n := len(b.Lanes)
+	results := make([]ltp.RunResult, n)
+	outcomes := make([]cache.Outcome, n)
+	errs := make([]error, n)
+	pending := make([]int, n)
 	for i := range pending {
 		pending[i] = i
 	}
-	for round := 0; len(pending) > 0; round++ {
-		if ctx.Err() != nil {
-			for _, k := range pending {
-				resolve(cells[k], ltp.RunResult{}, "", cancelCause(ctx))
-			}
-			return
-		}
-		if round > 0 {
-			backoff := c.retryBackoff << uint(round-1)
-			if max := 30 * time.Second; backoff > max {
-				backoff = max
-			}
-			t := time.NewTimer(backoff)
+	for attempt := 1; len(pending) > 0; attempt++ {
+		if attempt > 1 {
+			t := time.NewTimer(min(c.retryBackoff<<(attempt-2), 30*time.Second))
 			select {
 			case <-ctx.Done():
 				t.Stop()
-				continue // the loop top resolves the cancellation
 			case <-t.C:
 			}
 		}
-
-		// Fleet LPT: longest estimated cells place first, so expensive
-		// work packs onto the least-loaded (or home) workers before the
-		// cheap tail fills the gaps.
-		ests := make(map[int]float64, len(pending))
-		for _, k := range pending {
-			ests[k] = c.estimateSecs(cells[k].backend)
-		}
-		sort.SliceStable(pending, func(a, b int) bool { return ests[pending[a]] > ests[pending[b]] })
-
-		var next []int
-		var nextMu sync.Mutex
-		fail := func(k int, err error) {
-			cells[k].attempts++
-			if cells[k].attempts >= c.retryAttempts {
-				resolve(cells[k], ltp.RunResult{}, "", fmt.Errorf("fabric: cell %s failed after %d attempts: %w", cells[k].hash, cells[k].attempts, err))
-				return
+		if ctx.Err() != nil {
+			for _, k := range pending {
+				errs[k] = context.Cause(ctx)
 			}
-			nextMu.Lock()
-			next = append(next, k)
-			nextMu.Unlock()
+			break
 		}
-
-		groups := make(map[*worker][]int)
-		for _, k := range pending {
-			w := c.place(cells[k].hash, cells[k].backend, ests[k])
-			if w == nil {
-				fail(k, errNoWorkers)
-				continue
+		weight := b.Weight * float64(len(pending)) / float64(n)
+		err := errNoWorkers
+		if w := c.place(b.Key, weight); w != nil {
+			pending, err = c.runOn(ctx, w, b, weight, pending, results, outcomes, errs)
+		}
+		if len(pending) > 0 && attempt >= c.retryAttempts {
+			for _, k := range pending {
+				errs[k] = fmt.Errorf("fabric: batch %s failed after %d attempts: %w", b.Key, attempt, err)
 			}
-			groups[w] = append(groups[w], k)
+			break
 		}
-		var wg sync.WaitGroup
-		for w, ks := range groups {
-			wg.Add(1)
-			go func(w *worker, ks []int) {
-				defer wg.Done()
-				c.dispatchLane(ctx, w, cells, ks, resolve, fail)
-			}(w, ks)
-		}
-		wg.Wait()
-		pending = next
 	}
+	return results, outcomes, errs
 }
 
-// dispatchLane feeds one worker its share of a round in windowed
-// /v1/cells batches. A transport failure (connection loss, hang
-// timeout, malformed stream) marks the worker down, fails the
-// unresolved remainder back to the round loop for re-placement, and
-// abandons the lane; in-band cell errors are terminal simulation
-// failures and resolve immediately.
-func (c *Coordinator) dispatchLane(ctx context.Context, w *worker, cells []pendingCell, ks []int, resolve func(pendingCell, ltp.RunResult, string, error), fail func(int, error)) {
-	for start := 0; start < len(ks); start += c.window {
-		end := start + c.window
-		if end > len(ks) {
-			end = len(ks)
-		}
-		chunk := ks[start:end]
-		if err := ctx.Err(); err != nil {
-			for _, k := range ks[start:] {
-				fail(k, cancelCause(ctx))
-			}
-			return
-		}
+// runOn sends b's pending lanes to w as one /v1/cells request and
+// fills in every lane it resolves. It returns the lanes left
+// unresolved and why. A transport failure (connection loss, hang
+// timeout, malformed stream) also marks the worker down; in-band cell
+// errors are terminal simulation failures and resolve their lanes.
+func (c *Coordinator) runOn(ctx context.Context, w *worker, b ltp.Batch, weight float64, pending []int, results []ltp.RunResult, outcomes []cache.Outcome, errs []error) ([]int, error) {
+	specs := make([]ltp.RunSpec, len(pending))
+	for i, k := range pending {
+		specs[i] = b.Lanes[k]
+	}
+	w.addLoad(len(pending), weight)
+	defer w.releaseLoad(len(pending), weight)
 
-		specs := make([]ltp.RunSpec, len(chunk))
-		perCell := make([]float64, len(chunk))
-		var charged float64
-		for ci, k := range chunk {
-			specs[ci] = cells[k].spec
-			perCell[ci] = c.estimateSecs(cells[k].backend)
-			charged += perCell[ci]
+	resolved := make([]bool, len(pending))
+	err := w.runCells(ctx, specs, b.Tier == sched.TierInteractive, c.hangTimeout, func(ev server.CellEvent) error {
+		if ev.Index < 0 || ev.Index >= len(pending) || resolved[ev.Index] {
+			return fmt.Errorf("cell event index %d out of range or duplicate", ev.Index)
 		}
-		w.addLoad(len(chunk), charged)
-
-		unresolved := make(map[int]int, len(chunk)) // event index -> ks entry
-		for ci, k := range chunk {
-			unresolved[ci] = k
+		if ev.Error == "" && ev.Result == nil {
+			return fmt.Errorf("cell event %d carries neither result nor error", ev.Index)
 		}
-		err := w.runCells(ctx, specs, c.hangTimeout, func(ev server.CellEvent) error {
-			k, ok := unresolved[ev.Index]
-			if !ok {
-				return fmt.Errorf("cell event index %d out of range or duplicate", ev.Index)
-			}
-			if ev.Error == "" && ev.Result == nil {
-				return fmt.Errorf("cell event %d carries neither result nor error", ev.Index)
-			}
-			delete(unresolved, ev.Index)
-			w.releaseLoad(1, perCell[ev.Index])
-			if ev.Error != "" {
-				resolve(cells[k], ltp.RunResult{}, "", fmt.Errorf("fabric: cell %s failed on %s: %s", cells[k].hash, w.name, ev.Error))
-			} else {
-				resolve(cells[k], *ev.Result, normalizeOutcome(ev.Outcome), nil)
-			}
-			return nil
-		})
-		if n := len(unresolved); n > 0 {
-			var secs float64
-			for ci := range unresolved {
-				secs += perCell[ci]
-			}
-			w.releaseLoad(n, secs)
+		resolved[ev.Index] = true
+		k := pending[ev.Index]
+		if ev.Error != "" {
+			errs[k] = fmt.Errorf("fabric: cell failed on %s: %s", w.name, ev.Error)
+		} else {
+			results[k], outcomes[k] = *ev.Result, parseOutcome(ev.Outcome)
 		}
-		if err != nil {
-			if ctx.Err() == nil {
-				w.markDown(err)
-				c.logf("worker %s lost mid-batch (%d cells unresolved): %v", w.name, len(unresolved), err)
-			}
-			for _, k := range unresolved {
-				fail(k, err)
-			}
-			for _, k := range ks[end:] {
-				fail(k, err)
-			}
-			return
+		return nil
+	})
+	var left []int
+	for i, k := range pending {
+		if !resolved[i] {
+			left = append(left, k)
 		}
-		// Clean Done marker with unresolved cells is a protocol
+	}
+	switch {
+	case err != nil && ctx.Err() == nil:
+		w.markDown(err)
+		c.logf("worker %s lost mid-batch (%d cells unresolved): %v", w.name, len(left), err)
+	case err == nil && len(left) > 0:
+		// A clean Done marker with unresolved cells is a protocol
 		// violation; retry them elsewhere.
-		for _, k := range unresolved {
-			fail(k, fmt.Errorf("fabric: %s closed the batch without resolving every cell", w.name))
-		}
+		err = fmt.Errorf("fabric: %s closed the batch without resolving every cell", w.name)
 	}
+	return left, err
 }
 
-// place picks the worker for one cell: its ring home, unless the home
-// is so much more loaded than the best candidate that cache affinity
-// stops paying — then the fleet LPT argmin (load over parallelism
-// plus the cell's estimated cost, weighted by each worker's reported
-// per-backend means) wins.
-func (c *Coordinator) place(hash, backend string, est float64) *worker {
-	order := c.ring.lookupOrder(hash, 0)
+// place picks the worker for one batch by its key: the ring home,
+// unless the home is so much more loaded than the best candidate that
+// cache affinity stops paying — then the worker that would finish the
+// batch first. A worker's finish estimate is LPT's for processors of
+// different speeds: (charged weight + this batch's weight) over its
+// reported parallelism.
+func (c *Coordinator) place(key string, weight float64) *worker {
 	var home, best *worker
 	var homeCost, bestCost float64
-	for _, name := range order {
+	for _, name := range c.ring.lookupOrder(key, 0) {
 		w := c.workerByName(name)
 		if w == nil || !w.isHealthy() {
 			continue
 		}
-		cost := w.queuedSecs() + w.meanFor(backend, est)
+		cost := w.finishAfter(weight)
 		if home == nil {
 			home, homeCost = w, cost
 		}
@@ -535,105 +149,17 @@ func (c *Coordinator) place(hash, backend string, est float64) *worker {
 	return best
 }
 
-// estimateSecs is the fleet-wide estimated cost of one cell on the
-// given backend: the mean of the workers' reported per-backend EWMAs,
-// falling back to a nominal guess before any worker has reported.
-func (c *Coordinator) estimateSecs(backend string) float64 {
-	var sum float64
-	var n int
-	for _, w := range c.workerList() {
-		if m, ok := w.reportedMean(backend); ok {
-			sum += m
-			n++
-		}
-	}
-	if n > 0 {
-		return sum / float64(n)
-	}
-	if backend == ltp.BackendModel {
-		return 0.001 // analytical estimates are near-free
-	}
-	return 1.0
-}
-
-// normalizeOutcome clamps a worker-reported outcome to the known set
-// so arbitrary strings never propagate into client-facing cells.
-func normalizeOutcome(outcome string) string {
+// parseOutcome maps a worker-reported outcome onto the known set, so
+// arbitrary strings never propagate into client-facing cells.
+func parseOutcome(outcome string) cache.Outcome {
 	switch outcome {
-	case "hit", "shared", "store":
-		return outcome
+	case "hit":
+		return cache.Hit
+	case "shared":
+		return cache.Shared
+	case "store":
+		return cache.StoreHit
 	default:
-		return "miss"
-	}
-}
-
-// backendName resolves a run spec's backend label for cell rendering
-// and LPT weighting ("cycle" when the spec leaves it implicit).
-func backendName(spec ltp.RunSpec) string {
-	if spec.Backend != "" {
-		return spec.Backend
-	}
-	if canon, err := spec.Canonical(); err == nil && canon.Backend != "" {
-		return canon.Backend
-	}
-	return ltp.BackendCycle
-}
-
-// firstCellError returns the first cell failure, labeled with its
-// coordinates.
-func firstCellError(runs []ltp.SweepRun, errs []error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("fabric: sweep cell %v: %w", runs[i].Coords, err)
-		}
-	}
-	return nil
-}
-
-// bankRecord is the store payload for one banked cell — the same JSON
-// shape the single-node engine persists, so a coordinator store and a
-// worker store are interchangeable files.
-type bankRecord struct {
-	Key    string        `json:"key"`
-	Spec   ltp.RunSpec   `json:"spec"`
-	Result ltp.RunResult `json:"result"`
-}
-
-// storeLookup consults the coordinator's result bank for a resolved
-// cell. A corrupt or mismatched record degrades to a miss (the cell
-// re-simulates), never to a wrong result.
-func (c *Coordinator) storeLookup(hash string) (ltp.RunResult, bool) {
-	if c.store == nil {
-		return ltp.RunResult{}, false
-	}
-	payload, ok := c.store.Get(hash)
-	if !ok {
-		return ltp.RunResult{}, false
-	}
-	var rec bankRecord
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.Key != hash {
-		return ltp.RunResult{}, false
-	}
-	return rec.Result, true
-}
-
-// bank persists one resolved cell so a restarted coordinator resumes
-// an interrupted campaign by store lookups instead of re-dispatching.
-// Banking is best-effort: a full disk degrades durability, not the
-// running campaign.
-func (c *Coordinator) bank(hash string, spec ltp.RunSpec, res ltp.RunResult) {
-	if c.store == nil || c.store.Has(hash) {
-		return
-	}
-	canon, err := spec.Canonical()
-	if err != nil {
-		return
-	}
-	payload, err := json.Marshal(bankRecord{Key: hash, Spec: canon, Result: res})
-	if err != nil {
-		return
-	}
-	if err := c.store.Put(hash, payload); err != nil {
-		c.logf("banking cell %s failed: %v", hash, err)
+		return cache.Miss
 	}
 }

@@ -1,20 +1,23 @@
 // Package fabric is the sharded campaign fabric: a coordinator that
 // fronts a fleet of ltpserved workers and serves the single-node
 // client API (/v1/run, /v1/sweep, /v1/jobs, cancellation,
-// since_snapshot) unchanged, while sweep cells execute across the
-// fleet.
+// since_snapshot) unchanged, because it IS the single-node service —
+// a server.Server over an ltp.Engine whose cache misses run on the
+// fleet instead of a local pool.
 //
-// Cells are content-addressed (RunSpec.Hash) and location-independent,
-// which is the whole trick: a consistent-hash ring with virtual nodes
-// maps each cell hash to a home worker (so repeated campaigns hit that
-// worker's cache), a fleet-level LPT heuristic spills cells off
-// overloaded homes using the per-backend mean-run-seconds each worker
-// reports, a coordinator-wide single-flight table guarantees a cell in
-// flight for one job is never re-dispatched for another, and cells
+// The Coordinator is that engine's ltp.Executor. Cells are
+// content-addressed (RunSpec.Hash) and location-independent, which is
+// the whole trick: each batch the engine hands over — one batch group
+// sharing a functional stream and warm region, or a lone cell — is
+// placed on a consistent-hash ring with virtual nodes by its group key
+// (a lone cell by its run hash), so repeated campaigns hit that
+// worker's cache and a group shares one warm pass there; a fleet-level
+// LPT heuristic spills batches off overloaded homes; and lanes
 // stranded by a dead or hung worker are re-dispatched to the surviving
-// ring with exponential backoff. An optional coordinator-side result
-// store banks every resolved cell, so a restarted coordinator resumes
-// an interrupted campaign by diffing instead of re-simulating.
+// ring with exponential backoff. Single-flight across jobs, the job
+// registry and tenant quotas, triage and the result store (a restarted
+// coordinator serves stored cells without the fleet) are the engine's
+// and the server's own.
 //
 // See DESIGN.md §13 for the failure model and API.md for the
 // coordinator's endpoints (worker registration, fleet stats).

@@ -62,7 +62,7 @@ func TestCoordinatorMatchesDirectSubmission(t *testing.T) {
 // NDJSON stream form and checks the fleet delivered every cell
 // exactly once.
 func TestFleetSweepStreams(t *testing.T) {
-	c := newCluster(t, clusterOpts{workers: 3, cfg: Config{Window: 2}})
+	c := newCluster(t, clusterOpts{workers: 3})
 
 	var cells []server.StreamEvent
 	resp := streamSweep(t, c.front.URL, chaosSweepBody)
@@ -76,6 +76,42 @@ func TestFleetSweepStreams(t *testing.T) {
 	}
 	if last.Job.Progress.CanceledRuns != 0 {
 		t.Fatalf("healthy fleet canceled %d runs", last.Job.Progress.CanceledRuns)
+	}
+}
+
+// TestWarmGroupOneBatch checks the dispatch unit is an engine batch:
+// a one-seed sweep whose cells share a stream and a warm region (one
+// batch group) reaches one worker as one /v1/cells request, so that
+// worker simulates every cell over one warm pass and no other worker
+// simulates any.
+func TestWarmGroupOneBatch(t *testing.T) {
+	c := newCluster(t, clusterOpts{workers: 3})
+	var out server.SweepResponse
+	if resp := postJSON(t, c.front.URL+"/v1/sweep?wait=1", groupSweepBody, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	if out.Job.Status != server.JobDone {
+		t.Fatalf("group sweep %q: %s", out.Job.Status, out.Job.Error)
+	}
+	cells := uint64(out.Job.Progress.TotalRuns)
+	if cells != 6 {
+		t.Fatalf("sweep enumerated %d runs; want 6", cells)
+	}
+	owners := 0
+	for i, n := range c.workers {
+		var st server.StatsResponse
+		getJSON(t, n.ts.URL+"/v1/stats", &st)
+		batches := n.batches.Load()
+		switch {
+		case st.Cache.Misses == 0 && batches == 0:
+		case st.Cache.Misses == cells && batches == 1:
+			owners++
+		default:
+			t.Errorf("worker %d simulated %d cells in %d batches; want all %d in one batch, or none", i, st.Cache.Misses, batches, cells)
+		}
+	}
+	if owners != 1 {
+		t.Fatalf("%d workers received the group; want exactly 1", owners)
 	}
 }
 
@@ -171,7 +207,7 @@ func submitWithTenant(t *testing.T, base, tenant, body string) (*http.Response, 
 // active campaigns cannot exceed the quota, and another tenant still
 // gets in.
 func TestTenantQuota(t *testing.T) {
-	c := newCluster(t, clusterOpts{workers: 3, proxied: true, cfg: Config{TenantMaxActive: 1}})
+	c := newCluster(t, clusterOpts{workers: 3, proxied: true, cfg: Config{Server: server.Config{Limits: server.Limits{MaxTenantJobs: 1}}}})
 	// Freeze the fleet so campaigns stay active for the duration of the
 	// admission checks.
 	for _, n := range c.workers {

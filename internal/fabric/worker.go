@@ -25,9 +25,10 @@ import (
 	"ltp/internal/server"
 )
 
-// errWorkerHang marks a batch stream that went silent past the
-// coordinator's hang timeout: the request is severed and its
-// unresolved cells are re-dispatched like any other worker loss.
+// errWorkerHang marks a batch stream that went silent — not even a
+// heartbeat — past the coordinator's hang timeout: the request is
+// severed and its unresolved cells are re-dispatched like any other
+// worker loss.
 var errWorkerHang = errors.New("fabric: worker stream stalled past the hang timeout")
 
 // errStreamSevered marks a batch stream that ended without the Done
@@ -48,12 +49,13 @@ type worker struct {
 	// successful poll).
 	parallelism int
 	// means is the worker-reported per-backend EWMA of simulated-cell
-	// seconds (Engine.MeanRunSecondsByBackend) — the LPT weight source.
+	// seconds (Engine.MeanRunSecondsByBackend), shown in the roster.
 	means map[string]float64
-	// pendingCells / pendingSecs track what this coordinator currently
-	// has in flight on the worker (count and estimated seconds).
-	pendingCells int
-	pendingSecs  float64
+	// pendingCells / pendingWeight track what this coordinator
+	// currently has in flight on the worker (lanes and summed LPT
+	// weight).
+	pendingCells  int
+	pendingWeight float64
 }
 
 func newWorker(name string, hc *http.Client) *worker {
@@ -90,57 +92,32 @@ func (w *worker) markUp(st workerStats) {
 	w.means = st.Means
 }
 
-// meanFor returns the worker-reported mean seconds for a backend,
-// falling back to the given fleet estimate when the worker has not
-// reported one.
-func (w *worker) meanFor(backend string, fallback float64) float64 {
+// finishAfter estimates when the worker would finish a batch of the
+// given weight: the weight this coordinator has in flight on it plus
+// the batch's, over its parallelism — the fleet LPT placement cost.
+func (w *worker) finishAfter(weight float64) float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if m, ok := w.means[backend]; ok && m > 0 {
-		return m
-	}
-	return fallback
+	return (w.pendingWeight + weight) / float64(max(w.parallelism, 1))
 }
 
-// reportedMean returns the worker's reported mean seconds for a
-// backend, and whether it has reported one.
-func (w *worker) reportedMean(backend string) (float64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	m, ok := w.means[backend]
-	return m, ok && m > 0
-}
-
-// queuedSecs estimates the wall-clock of work this coordinator has in
-// flight on the worker, normalized by its parallelism — the load term
-// of the fleet LPT placement.
-func (w *worker) queuedSecs() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	par := w.parallelism
-	if par < 1 {
-		par = 1
-	}
-	return w.pendingSecs / float64(par)
-}
-
-// addLoad charges estimated seconds for newly dispatched cells.
-func (w *worker) addLoad(cells int, secs float64) {
+// addLoad charges a newly dispatched batch.
+func (w *worker) addLoad(cells int, weight float64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.pendingCells += cells
-	w.pendingSecs += secs
+	w.pendingWeight += weight
 }
 
-// releaseLoad returns charge for resolved (or failed) cells.
-func (w *worker) releaseLoad(cells int, secs float64) {
+// releaseLoad returns a finished (or failed) batch's charge.
+func (w *worker) releaseLoad(cells int, weight float64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.pendingCells -= cells; w.pendingCells < 0 {
 		w.pendingCells = 0
 	}
-	if w.pendingSecs -= secs; w.pendingSecs < 0 || w.pendingCells == 0 {
-		w.pendingSecs = 0
+	if w.pendingWeight -= weight; w.pendingWeight < 0 || w.pendingCells == 0 {
+		w.pendingWeight = 0
 	}
 }
 
@@ -163,7 +140,7 @@ func (w *worker) status() WorkerStatus {
 }
 
 // poll fetches /v1/stats (which doubles as the liveness probe) and
-// updates the worker's health and LPT weights.
+// updates the worker's health and reported parallelism.
 func (w *worker) poll(ctx context.Context, timeout time.Duration) {
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -192,23 +169,28 @@ func (w *worker) poll(ctx context.Context, timeout time.Duration) {
 }
 
 // runCells dispatches one batch to the worker's /v1/cells endpoint and
-// invokes onEvent per resolved cell (in the worker's completion
-// order). It returns nil only when the stream closed with the Done
-// marker; any transport failure, malformed line, non-200 status or
-// hang-timeout expiry is an error, and the caller re-dispatches
-// whatever did not resolve. hang <= 0 disables the stall watchdog.
-func (w *worker) runCells(ctx context.Context, specs []ltp.RunSpec, hang time.Duration, onEvent func(server.CellEvent) error) error {
-	body, err := json.Marshal(server.CellsRequest{Specs: specs})
+// invokes onEvent per resolved cell. It returns nil only when the
+// stream closed with the Done marker; any transport failure, malformed
+// line, non-200 status or hang-timeout expiry is an error, and the
+// caller re-dispatches whatever did not resolve. The worker sends a
+// heartbeat every third of hang, so only a stream that moves no byte
+// for hang is severed; hang <= 0 disables the watchdog.
+func (w *worker) runCells(ctx context.Context, specs []ltp.RunSpec, interactive bool, hang time.Duration, onEvent func(server.CellEvent) error) error {
+	req := server.CellsRequest{Specs: specs, Interactive: interactive}
+	if hang > 0 {
+		req.HeartbeatMS = max(int(hang/3/time.Millisecond), 1)
+	}
+	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("fabric: encoding cell batch: %w", err)
 	}
 	rctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, w.name+"/v1/cells", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(rctx, http.MethodPost, w.name+"/v1/cells", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", "application/json")
 	// The watchdog arms before the request goes out: a worker can stall
 	// while the connection is dialed or the response headers are
 	// pending, not just mid-stream, and Do blocks until headers.
@@ -217,39 +199,52 @@ func (w *worker) runCells(ctx context.Context, specs []ltp.RunSpec, hang time.Du
 		watchdog = time.AfterFunc(hang, func() { cancel(errWorkerHang) })
 		defer watchdog.Stop()
 	}
-	resp, err := w.hc.Do(req)
-	if err != nil {
+	hung := func(err error) error {
 		if errors.Is(context.Cause(rctx), errWorkerHang) {
 			return fmt.Errorf("fabric: %s: %w", w.name, errWorkerHang)
 		}
-		return fmt.Errorf("fabric: %s /v1/cells: %w", w.name, err)
+		return err
+	}
+	resp, err := w.hc.Do(hreq)
+	if err != nil {
+		return hung(fmt.Errorf("fabric: %s /v1/cells: %w", w.name, err))
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("fabric: %s /v1/cells status %d: %s", w.name, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	err = decodeCellEvents(resp.Body, func(ev server.CellEvent) error {
-		if watchdog != nil {
-			watchdog.Reset(hang)
-		}
-		return onEvent(ev)
-	})
-	if err != nil && errors.Is(context.Cause(rctx), errWorkerHang) {
-		return fmt.Errorf("fabric: %s: %w", w.name, errWorkerHang)
+	var stream io.Reader = resp.Body
+	if watchdog != nil {
+		stream = progressReader{resp.Body, func() { watchdog.Reset(hang) }}
 	}
-	if err != nil {
-		return fmt.Errorf("fabric: %s /v1/cells stream: %w", w.name, err)
+	if err := decodeCellEvents(stream, onEvent); err != nil {
+		return hung(fmt.Errorf("fabric: %s /v1/cells stream: %w", w.name, err))
 	}
 	return nil
 }
 
+// progressReader calls moved after every read that returned bytes.
+type progressReader struct {
+	r     io.Reader
+	moved func()
+}
+
+func (p progressReader) Read(b []byte) (int, error) {
+	n, err := p.r.Read(b)
+	if n > 0 {
+		p.moved()
+	}
+	return n, err
+}
+
 // decodeCellEvents reads a worker's NDJSON cell-event stream, invoking
-// fn per event, until the Done marker. It is the coordinator's trust
-// boundary for batch responses: malformed bytes, truncation before
-// Done, or an fn rejection (index out of range, duplicate cell) all
-// return an error — never a panic — so the caller can fail the
-// unresolved cells and retry them on the surviving ring.
+// fn per cell event (heartbeats are skipped), until the Done marker.
+// It is the coordinator's trust boundary for batch responses:
+// malformed bytes, truncation before Done, or an fn rejection (index
+// out of range, duplicate cell) all return an error — never a panic —
+// so the caller can fail the unresolved cells and retry them on the
+// surviving ring.
 func decodeCellEvents(r io.Reader, fn func(server.CellEvent) error) error {
 	dec := json.NewDecoder(io.LimitReader(r, maxStreamBytes))
 	for {
@@ -263,19 +258,22 @@ func decodeCellEvents(r io.Reader, fn func(server.CellEvent) error) error {
 		if ev.Done {
 			return nil
 		}
+		if ev.Heartbeat {
+			continue
+		}
 		if err := fn(ev); err != nil {
 			return err
 		}
 	}
 }
 
-// maxStreamBytes bounds one batch response stream (a window of cells
-// is a few MB of JSON at most; a worker pouring more than this at the
+// maxStreamBytes bounds one batch response stream (a batch group is a
+// few MB of JSON at most; a worker pouring more than this at the
 // coordinator is broken or hostile).
 const maxStreamBytes = 256 << 20
 
 // workerStats is the slice of a worker's /v1/stats the coordinator
-// consumes: the pool size and the per-backend LPT weights.
+// consumes: the pool size and the per-backend mean cell seconds.
 type workerStats struct {
 	// Parallelism is the worker's concurrent-simulation cap.
 	Parallelism int

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,6 +27,10 @@ type Limits struct {
 	// MaxActiveJobs caps concurrently admitted campaigns (the 429
 	// backpressure bound; see DESIGN.md §8).
 	MaxActiveJobs int `json:"max_active_jobs"`
+	// MaxTenantJobs caps one tenant's concurrently admitted campaigns
+	// (tenants are named by the X-LTP-Tenant request header; absent =
+	// the "" tenant). Zero means MaxActiveJobs, which never binds first.
+	MaxTenantJobs int `json:"max_tenant_jobs"`
 	// RunTimeoutSeconds bounds one synchronous /v1/run request's
 	// wall-clock; the request's context is cancelled at the deadline
 	// and the simulation aborts mid-pipeline (504). Negative disables
@@ -65,16 +68,14 @@ func (l Limits) withDefaults() Limits {
 	if l.MaxActiveJobs == 0 {
 		l.MaxActiveJobs = d.MaxActiveJobs
 	}
+	if l.MaxTenantJobs == 0 {
+		l.MaxTenantJobs = l.MaxActiveJobs
+	}
 	if l.RunTimeoutSeconds == 0 {
 		l.RunTimeoutSeconds = d.RunTimeoutSeconds
 	}
 	return l
 }
-
-// WithDefaults returns the limits with zero fields filled from
-// DefaultLimits — exported so the fabric coordinator (internal/fabric)
-// applies the same admission policy the single-node server does.
-func (l Limits) WithDefaults() Limits { return l.withDefaults() }
 
 // apiError is a validation or policy failure with its HTTP status.
 type apiError struct {
@@ -87,6 +88,12 @@ func (e *apiError) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) *apiError {
 	return &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// HTTPError builds an error that WriteError renders with the given
+// status, however deeply it is wrapped.
+func HTTPError(status int, format string, args ...any) error {
+	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
 // KnobsRequest is the JSON form of workload.Knobs (absent or zero
@@ -411,8 +418,7 @@ func (r *RunRequest) runSpec(lim Limits) (ltp.RunSpec, error) {
 
 // Spec validates the request against the limits and converts it to a
 // canonicalizable ltp.RunSpec — the exported form of the conversion
-// the /v1/run handler performs, reused verbatim by the fabric
-// coordinator so a coordinator rejects exactly what a worker would.
+// the /v1/run handler performs.
 func (r *RunRequest) Spec(lim Limits) (ltp.RunSpec, error) { return r.runSpec(lim) }
 
 // PatchRequest is the JSON form of ltp.RunPatch: one axis point's
@@ -659,30 +665,13 @@ func (r *SweepRequest) sweepSpec(lim Limits) (ltp.SweepSpec, error) {
 
 // Spec validates the request against the limits and converts it to a
 // canonical ltp.SweepSpec — the exported form of the conversion the
-// /v1/sweep handler performs, reused verbatim by the fabric
-// coordinator so both tiers enforce one admission policy.
+// /v1/sweep handler performs.
 func (r *SweepRequest) Spec(lim Limits) (ltp.SweepSpec, error) { return r.sweepSpec(lim) }
 
 // DecodeJSON strictly decodes one JSON object from the request body
 // (unknown fields and trailing garbage are errors carrying a 400
-// status) — exported for the fabric coordinator's request parsing.
+// status).
 func DecodeJSON(r *http.Request, dst any) error { return decodeJSON(r, dst) }
-
-// ErrorStatus maps an error to its HTTP status: validation and policy
-// failures carry their own (400, 404, 429, ...); anything else is a
-// 500. Exported so the fabric coordinator renders errors exactly like
-// a worker.
-func ErrorStatus(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.status
-	}
-	return http.StatusInternalServerError
-}
-
-// BadRequestf builds a 400-status error in the service's error shape
-// (exported for the fabric coordinator's own validation failures).
-func BadRequestf(format string, args ...any) error { return badRequest(format, args...) }
 
 // boundedMul multiplies point counts without overflowing (the precise
 // value above any service limit does not matter).

@@ -16,12 +16,13 @@
 //	GET  /v1/jobs        list campaign jobs
 //	GET  /v1/jobs/{id}   one campaign job's status/progress/result
 //	DELETE /v1/jobs/{id} cancel a campaign (idempotent)
+//	POST /v1/cells       a fabric coordinator's batch (internal/fabric)
 //
 // Validation is strict: unknown JSON fields, unknown workload,
 // scenario or warm-mode names, out-of-range scales, and budgets above
 // the configured Limits are all 400s before any simulation starts.
-// Backpressure is a 429 once MaxActiveJobs campaigns are in flight,
-// carrying a Retry-After estimate (queue depth × mean cell latency)
+// Backpressure is a 429 once MaxActiveJobs campaigns are in flight
+// (or MaxTenantJobs of one X-LTP-Tenant's), carrying a Retry-After estimate (queue depth × mean cell latency)
 // and the campaign hash so clients can poll a running duplicate;
 // within an admitted campaign the engine's bounded worker pool is the
 // real throttle (DESIGN.md §8; §9 covers cancellation propagation).

@@ -47,78 +47,32 @@ type JobView struct {
 	SubmittedAt string `json:"submitted_at"`
 }
 
-// trackedJob pairs a sweep job with its registry identity and an
-// append-only log of its streamed cell results — the NDJSON stream's
-// source. Exactly one stream can exist per job (the submitting
-// request's, reserved at registration; there is no reconnect
-// endpoint), and the log is dropped once the job finishes and that
-// stream — if any — has ended.
+// trackedJob pairs a sweep job with its registry identity. The NDJSON
+// stream reads the job's own cell log (ltp.Job.CellsFrom). Exactly one
+// stream can exist per job (the submitting request's, reserved at
+// registration; there is no reconnect endpoint), and the log is
+// released once the job finishes and that stream — if any — has ended,
+// rather than retained for the registry's whole 128-job history.
 type trackedJob struct {
 	id        string
+	tenant    string
 	hash      string
 	job       *ltp.Job
 	submitted time.Time
 
 	mu      sync.Mutex
-	cells   []ltp.CellResult
-	notify  chan struct{} // closed and replaced on every append
-	logDone chan struct{} // closed when the cell stream has fully drained
-	streams int           // NDJSON streams reading the log (reserved at submit)
+	streams int // NDJSON streams reading the log (reserved at submit)
 }
 
-// newTrackedJob wraps a submitted job and starts draining its cell
-// stream into the log. reserveStream pre-counts the submitting
-// request's own NDJSON stream so the log cannot be released between
-// registration and that stream's first read; streams are only ever
-// created by the submitting request, so once the job finishes and the
-// count drops to zero the log — potentially thousands of full
-// RunResults — is dropped rather than retained for the registry's
-// whole 128-job history.
-func newTrackedJob(id string, hash string, job *ltp.Job, reserveStream bool) *trackedJob {
-	t := &trackedJob{
-		id: id, hash: hash, job: job,
-		submitted: time.Now(),
-		notify:    make(chan struct{}),
-		logDone:   make(chan struct{}),
-	}
+// newTrackedJob wraps a submitted job. reserveStream pre-counts the
+// submitting request's own NDJSON stream so the log cannot be released
+// between registration and that stream's first read.
+func newTrackedJob(id, tenant, hash string, job *ltp.Job, reserveStream bool) *trackedJob {
+	t := &trackedJob{id: id, tenant: tenant, hash: hash, job: job, submitted: time.Now()}
 	if reserveStream {
 		t.streams = 1
 	}
-	go func() {
-		for c := range job.Cells() {
-			t.mu.Lock()
-			t.cells = append(t.cells, c)
-			close(t.notify)
-			t.notify = make(chan struct{})
-			t.mu.Unlock()
-		}
-		// Mark completion and wake any stream blocked on the current
-		// notify channel — without this final wakeup a stream that read
-		// the last cell before logDone closed would wait forever.
-		t.mu.Lock()
-		close(t.logDone)
-		close(t.notify)
-		t.notify = make(chan struct{})
-		t.mu.Unlock()
-	}()
 	return t
-}
-
-// cellsFrom returns the logged cells from index from on, plus a
-// channel that signals further appends and whether the log is
-// complete.
-func (t *trackedJob) cellsFrom(from int) (cells []ltp.CellResult, more <-chan struct{}, done bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if from < len(t.cells) {
-		cells = t.cells[from:]
-	}
-	select {
-	case <-t.logDone:
-		done = true
-	default:
-	}
-	return cells, t.notify, done
 }
 
 // streamFinished releases one reserved/active stream slot and drops
@@ -130,25 +84,19 @@ func (t *trackedJob) streamFinished() {
 	t.maybeReleaseLog()
 }
 
-// maybeReleaseLog drops the cell log once the job has finished, the
-// drain goroutine has completed, and no stream is (or can ever be)
-// reading it.
+// maybeReleaseLog drops the job's cell log once the job has finished
+// and no stream is (or can ever be) reading it.
 func (t *trackedJob) maybeReleaseLog() {
 	select {
 	case <-t.job.Done():
 	default:
 		return
 	}
-	select {
-	case <-t.logDone:
-	default:
-		return
-	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.streams == 0 {
-		t.cells = nil
+		t.job.ReleaseCells()
 	}
-	t.mu.Unlock()
 }
 
 // view snapshots the job for JSON rendering.
@@ -185,44 +133,57 @@ func (t *trackedJob) view() JobView {
 const maxRetainedJobs = 128
 
 // registry tracks submitted campaigns, enforces the active-job
-// backpressure bound, and retains at most maxRetainedJobs finished
-// campaigns so a long-running service cannot grow without limit.
+// backpressure bound and the per-tenant quota, and retains at most
+// maxRetainedJobs finished campaigns so a long-running service cannot
+// grow without limit.
 type registry struct {
-	mu       sync.Mutex
-	idle     *sync.Cond // broadcast whenever active drops
-	seq      int
-	total    int
-	jobs     map[string]*trackedJob
-	order    []string // submission order, for listing and eviction
-	active   int
-	max      int
-	finished map[string]bool
+	mu        sync.Mutex
+	idle      *sync.Cond // broadcast whenever active drops
+	seq       int
+	total     int
+	jobs      map[string]*trackedJob
+	order     []string // submission order, for listing and eviction
+	active    int
+	max       int
+	tenantMax int
+	perTenant map[string]int // active campaigns per tenant
+	finished  map[string]bool
 }
 
-func newRegistry(maxActive int) *registry {
+func newRegistry(maxActive, tenantMax int) *registry {
 	r := &registry{
-		jobs:     make(map[string]*trackedJob),
-		finished: make(map[string]bool),
-		max:      maxActive,
+		jobs:      make(map[string]*trackedJob),
+		finished:  make(map[string]bool),
+		perTenant: make(map[string]int),
+		max:       maxActive,
+		tenantMax: tenantMax,
 	}
 	r.idle = sync.NewCond(&r.mu)
 	return r
 }
 
-// errBusy is the 429 the registry returns at the active-job bound (the
-// handler decorates it with Retry-After and duplicate-job hints).
-var errBusy = &apiError{status: 429, msg: "too many active campaigns; retry after one finishes"}
+// errBusy and errTenantBusy are the 429s the registry returns at the
+// active-job bound and at a tenant's quota (the handler decorates them
+// with Retry-After and duplicate-job hints).
+var (
+	errBusy       = &apiError{status: 429, msg: "too many active campaigns; retry after one finishes"}
+	errTenantBusy = &apiError{status: 429, msg: "tenant is at its active-campaign quota; retry after one of its campaigns finishes"}
+)
 
-// admit reserves an active-job slot and returns the new job's id, or
-// errBusy at the bound. The caller must call either register (on
-// successful submission) or release (on failure).
-func (r *registry) admit(hash string) (string, error) {
+// admit reserves an active-job slot for the tenant and returns the new
+// job's id, or a 429 at either bound. The caller must call either
+// register (on successful submission) or release (on failure).
+func (r *registry) admit(tenant, hash string) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.active >= r.max {
 		return "", errBusy
 	}
+	if r.perTenant[tenant] >= r.tenantMax {
+		return "", errTenantBusy
+	}
 	r.active++
+	r.perTenant[tenant]++
 	r.seq++
 	short := hash
 	if i := len("mx1:"); len(short) > i+8 {
@@ -233,11 +194,19 @@ func (r *registry) admit(hash string) (string, error) {
 
 // release returns an admitted slot without registering (submission
 // failed validation downstream).
-func (r *registry) release() {
+func (r *registry) release(tenant string) {
 	r.mu.Lock()
-	r.active--
-	r.idle.Broadcast()
+	r.free(tenant)
 	r.mu.Unlock()
+}
+
+// free returns one active slot of the tenant's (caller holds mu).
+func (r *registry) free(tenant string) {
+	r.active--
+	if r.perTenant[tenant]--; r.perTenant[tenant] <= 0 {
+		delete(r.perTenant, tenant)
+	}
+	r.idle.Broadcast()
 }
 
 // register records the job and arranges the slot's release (and
@@ -251,12 +220,10 @@ func (r *registry) register(t *trackedJob) *trackedJob {
 	go func() {
 		<-t.job.Done()
 		r.mu.Lock()
-		r.active--
+		r.free(t.tenant)
 		r.finished[t.id] = true
 		r.prune()
-		r.idle.Broadcast()
 		r.mu.Unlock()
-		<-t.logDone
 		t.maybeReleaseLog()
 	}()
 	return t
@@ -338,12 +305,11 @@ func (r *registry) live() []*trackedJob {
 
 // remainingRuns sums the not-yet-resolved runs of every active
 // campaign — the true backlog behind a 429, which the pool's queue
-// depth understates because each job coordinator exposes only a
-// bounded window of cells to the pool at a time. A triage job's
-// remaining work is capped at its detailed-phase size: the model
-// pre-pass runs cost milliseconds, and pricing them at the
-// cycle-cell EWMA mean would inflate Retry-After by orders of
-// magnitude.
+// depth understates because each job exposes only a bounded window of
+// cells to the pool at a time. A triage job's remaining work is capped
+// at its detailed-phase size: the model pre-pass runs cost
+// milliseconds, and pricing them at the cycle-cell EWMA mean would
+// inflate Retry-After by orders of magnitude.
 func (r *registry) remainingRuns() int {
 	total := 0
 	for _, t := range r.live() {

@@ -32,6 +32,10 @@ type Config struct {
 	// when Engine is supplied — a caller-owned engine configures its own
 	// store.
 	StorePath string
+	// Executor, when non-nil, computes the owned engine's cache misses
+	// in place of its pool (ltp.EngineConfig.Executor): a fabric
+	// coordinator's fleet. Ignored when Engine is supplied.
+	Executor ltp.Executor
 	// Limits is the request admission policy (zero fields =
 	// DefaultLimits).
 	Limits Limits
@@ -65,13 +69,14 @@ func New(cfg Config) (*Server, error) {
 			Parallelism:  cfg.Parallelism,
 			CacheEntries: cfg.CacheEntries,
 			StorePath:    cfg.StorePath,
+			Executor:     cfg.Executor,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: opening result store: %w", err)
 		}
 		s.engine = e
 	}
-	s.jobs = newRegistry(s.limits.MaxActiveJobs)
+	s.jobs = newRegistry(s.limits.MaxActiveJobs, s.limits.MaxTenantJobs)
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -124,8 +129,8 @@ func (s *Server) Shutdown(ctx context.Context) {
 	s.Close()
 }
 
-// writeJSON writes v with the given status.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as indented JSON with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -148,15 +153,16 @@ type ErrorResponse struct {
 	DuplicateJobID string `json:"duplicate_job_id,omitempty"`
 }
 
-// writeError maps an error to its status (apiError carries one;
-// anything else is a 500).
-func (s *Server) writeError(w http.ResponseWriter, err error) {
+// WriteError renders err as an ErrorResponse with its status: the one
+// an HTTPError (or a validation failure) anywhere in its chain
+// carries, else 500.
+func WriteError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var ae *apiError
 	if errors.As(err, &ae) {
 		status = ae.status
 	}
-	s.writeJSON(w, status, ErrorResponse{Error: err.Error()})
+	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
 // retryAfterSeconds estimates when an active-job slot (or pool
@@ -164,9 +170,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 // engine's per-run latency weighted by the queue's backend mix
 // (Engine.PerRunSeconds) — a backlog of near-free model estimates no
 // longer prices like one of cycle runs. The backlog is the larger of
-// the pool's queue and the active campaigns' unresolved runs — the
-// coordinators feed the pool through a bounded window, so the pool
-// queue alone understates a deep backlog.
+// the pool's queue and the active campaigns' unresolved runs — each
+// job feeds the pool through a bounded window, so the pool queue alone
+// understates a deep backlog.
 func (s *Server) retryAfterSeconds() int {
 	outstanding := s.engine.QueuedRuns() + s.engine.RunningRuns()
 	if left := s.jobs.remainingRuns(); left > outstanding {
@@ -211,7 +217,7 @@ func (s *Server) writeBusy(w http.ResponseWriter, err error, hash string) {
 	if t, ok := s.jobs.findActiveByHash(hash); ok {
 		resp.DuplicateJobID = t.id
 	}
-	s.writeJSON(w, http.StatusTooManyRequests, resp)
+	WriteJSON(w, http.StatusTooManyRequests, resp)
 }
 
 // HealthResponse is the GET /healthz body.
@@ -223,7 +229,7 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.started).Seconds(),
 	})
@@ -286,7 +292,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 			},
 		})
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // PoolStats is the worker-pool section of GET /v1/stats.
@@ -333,12 +339,17 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.Stats())
+}
+
+// Stats snapshots the GET /v1/stats body.
+func (s *Server) Stats() StatsResponse {
 	total, active := s.jobs.counts()
 	var storeStats *store.Stats
 	if st, ok := s.engine.StoreStats(); ok {
 		storeStats = &st
 	}
-	s.writeJSON(w, http.StatusOK, StatsResponse{
+	return StatsResponse{
 		Cache: s.engine.CacheStats(),
 		Store: storeStats,
 		Pool: PoolStats{
@@ -350,7 +361,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Jobs:   JobStats{Total: total, Active: active},
 		Limits: s.limits,
-	})
+	}
 }
 
 // RunResponse is the POST /v1/run body: the canonical hash, how the
@@ -371,12 +382,12 @@ type RunResponse struct {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	spec, err := req.runSpec(s.limits)
 	if err != nil {
-		s.writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	// The request's context bounds the run: a client disconnect
@@ -393,17 +404,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
-		s.writeError(w, &apiError{status: http.StatusGatewayTimeout,
+		WriteError(w, &apiError{status: http.StatusGatewayTimeout,
 			msg: fmt.Sprintf("simulation exceeded the %gs service timeout", s.limits.RunTimeoutSeconds)})
 		return
 	case r.Context().Err() != nil:
 		// Client went away; nobody is reading the response.
 		return
 	default:
-		s.writeError(w, fmt.Errorf("simulation failed: %w", err))
+		WriteError(w, fmt.Errorf("simulation failed: %w", err))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, RunResponse{
+	WriteJSON(w, http.StatusOK, RunResponse{
 		Hash:   hash,
 		Cache:  outcome.String(),
 		Result: res,
@@ -459,9 +470,9 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, t *tra
 		case <-r.Context().Done():
 			return // client went away; the campaign keeps running
 		}
-		s.writeJSON(w, http.StatusOK, jobResponse(t))
+		WriteJSON(w, http.StatusOK, jobResponse(t))
 	default:
-		s.writeJSON(w, http.StatusAccepted, jobResponse(t))
+		WriteJSON(w, http.StatusAccepted, jobResponse(t))
 	}
 }
 
@@ -470,9 +481,9 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, t *tra
 func wantsStream(r *http.Request) bool { return r.URL.Query().Get("stream") == "1" }
 
 // streamJob writes chunked NDJSON: every resolved cell as it lands
-// (served from the job's cell log, which is reserved for this stream
-// at submission and released once the job finishes and the stream
-// ends), then the final result/error event. A client disconnect stops
+// (read from the job's cell log, which is reserved for this stream at
+// submission and released once the job finishes and the stream ends),
+// then the final result/error event. A client disconnect stops
 // the stream without stopping the campaign — cancel via
 // DELETE /v1/jobs/{id} instead.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, t *trackedJob) {
@@ -490,7 +501,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, t *trackedJob
 
 	next := 0
 	for {
-		cells, more, done := t.cellsFrom(next)
+		cells, more, done := t.job.CellsFrom(next)
 		for i := range cells {
 			c := cells[i]
 			emit(StreamEvent{Type: "cell", Cell: &c})
@@ -520,39 +531,36 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, t *trackedJob
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	spec, err := req.sweepSpec(s.limits)
 	if err != nil {
-		s.writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	hash, err := spec.Hash()
 	if err != nil {
-		s.writeError(w, badRequest("%v", err))
+		WriteError(w, badRequest("%v", err))
 		return
 	}
-	id, err := s.jobs.admit(hash)
+	tenant := r.Header.Get("X-LTP-Tenant")
+	id, err := s.jobs.admit(tenant, hash)
 	if err != nil {
-		if errors.Is(err, errBusy) {
-			s.writeBusy(w, err, hash)
-			return
-		}
-		s.writeError(w, err)
+		s.writeBusy(w, err, hash)
 		return
 	}
 	// The job deliberately outlives the submitting request (fetch it
 	// via /v1/jobs/{id}); Server.Shutdown cancels it at drain time.
 	job, err := s.engine.Submit(context.Background(), spec)
 	if err != nil {
-		s.jobs.release()
-		s.writeError(w, badRequest("%v", err))
+		s.jobs.release(tenant)
+		WriteError(w, badRequest("%v", err))
 		return
 	}
-	t := s.jobs.register(newTrackedJob(id, hash, job, wantsStream(r)))
+	t := s.jobs.register(newTrackedJob(id, tenant, hash, job, wantsStream(r)))
 	if s.logf != nil {
-		s.logf("sweep %s submitted: %d runs, hash %s", id, job.TotalRuns(), hash)
+		s.logf("sweep %s submitted: %d runs, hash %s, tenant %q", id, job.TotalRuns(), hash, tenant)
 	}
 	s.respondSubmitted(w, r, t)
 }
@@ -568,16 +576,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	for _, t := range s.jobs.list() {
 		resp.Jobs = append(resp.Jobs, t.view())
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, &apiError{status: http.StatusNotFound, msg: "no such job"})
+		WriteError(w, &apiError{status: http.StatusNotFound, msg: "no such job"})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, jobResponse(t))
+	WriteJSON(w, http.StatusOK, jobResponse(t))
 }
 
 // handleJobDelete cancels a campaign: queued cells never simulate,
@@ -587,12 +595,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, &apiError{status: http.StatusNotFound, msg: "no such job"})
+		WriteError(w, &apiError{status: http.StatusNotFound, msg: "no such job"})
 		return
 	}
 	t.job.Cancel()
 	if s.logf != nil {
 		s.logf("campaign %s cancel requested", t.id)
 	}
-	s.writeJSON(w, http.StatusOK, jobResponse(t))
+	WriteJSON(w, http.StatusOK, jobResponse(t))
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ltp"
+	"ltp/internal/pipeline"
 )
 
 // newTestServer returns a server over a small engine plus its ts.
@@ -533,10 +537,8 @@ func TestCellLogReleasedAfterFinish(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		tj.mu.Lock()
-		released := tj.cells == nil
-		tj.mu.Unlock()
-		if released {
+		cells, _, done := tj.job.CellsFrom(0)
+		if done && len(cells) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -829,5 +831,62 @@ func TestStoreBackedServer(t *testing.T) {
 	var e ErrorResponse
 	if resp := post(t, ts2.URL+"/v1/sweep", string(body), &e); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("triage+since_snapshot accepted: status %d", resp.StatusCode)
+	}
+}
+
+// TestCellsBatchSplitsMixedStreams checks that /v1/cells, which runs
+// its request as one engine batch, still answers a request mixing
+// functional streams correctly: lanes that share a stream and warm
+// region compute together, and a lane on another stream computes on
+// its own, each matching its standalone RunContext result.
+func TestCellsBatchSplitsMixedStreams(t *testing.T) {
+	srv, ts := newTestServer(t)
+	base := ltp.RunSpec{Scenario: "branchy", Scale: 0.05, Seed: 1, WarmInsts: 2000, MaxInsts: 3000}
+	small, other := base, base
+	small.Pipeline = &pipeline.Config{}
+	*small.Pipeline = pipeline.DefaultConfig()
+	small.Pipeline.IQSize = 16
+	other.Seed = 2
+	specs := []ltp.RunSpec{base, small, other}
+	body, err := json.Marshal(CellsRequest{Specs: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/cells", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	got := make(map[int]ltp.RunResult)
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev CellEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("stream ended without the done marker: %v", err)
+		}
+		if ev.Done {
+			break
+		}
+		if ev.Error != "" || ev.Result == nil {
+			t.Fatalf("cell %d: %q", ev.Index, ev.Error)
+		}
+		got[ev.Index] = *ev.Result
+	}
+	for i, spec := range specs {
+		want, err := ltp.RunContext(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wj, _ := json.Marshal(want)
+		gj, _ := json.Marshal(got[i])
+		if !bytes.Equal(wj, gj) {
+			t.Errorf("specs[%d]: batch result differs from RunContext's", i)
+		}
+	}
+	if st := srv.Stats().Cache; st.Misses != uint64(len(specs)) {
+		t.Fatalf("cache misses %d; want %d", st.Misses, len(specs))
 	}
 }

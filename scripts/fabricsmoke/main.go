@@ -77,7 +77,7 @@ func run() error {
 	// ...and the coordinator fronting them, tuned to notice faults fast.
 	coord, err := boot(bin, "coordinator",
 		"-coordinator", "-workers", strings.Join(urls, ","),
-		"-addr", "127.0.0.1:0", "-window", "2", "-retries", "5", "-poll", "300ms")
+		"-addr", "127.0.0.1:0", "-retries", "5", "-poll", "300ms")
 	if err != nil {
 		return err
 	}

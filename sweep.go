@@ -553,10 +553,9 @@ func (s SweepSpec) RunHashes() ([]string, error) {
 	return out, nil
 }
 
-// SweepRun is one enumerated simulation of a sweep's cross-product,
-// in the exported shape a distributed coordinator needs to dispatch
-// cells individually: the resolved (patched) spec plus the indices
-// that place its result back into the SweepResult grid.
+// SweepRun is one enumerated simulation of a sweep's cross-product:
+// the resolved (patched) spec plus the indices that place its result
+// in the SweepResult grid.
 type SweepRun struct {
 	// Index is the run's enumeration index (row-major, last axis
 	// fastest).
@@ -573,10 +572,8 @@ type SweepRun struct {
 }
 
 // Runs validates the sweep and enumerates its cross-product in
-// enumeration order (the same order RunHashes reports). This is the
-// unit a sharded coordinator places onto workers: each SweepRun's spec
-// hashes independently (RunSpec.Hash), and AggregateSweep folds any
-// subset of resolved runs back into the sweep's cell grid.
+// enumeration order (the same order RunHashes reports); each
+// SweepRun's spec hashes independently (RunSpec.Hash).
 func (s SweepSpec) Runs() ([]SweepRun, error) {
 	c, err := s.Canonical()
 	if err != nil {
@@ -588,27 +585,6 @@ func (s SweepSpec) Runs() ([]SweepRun, error) {
 		out[i] = SweepRun{Index: r.idx, Spec: r.spec, Coords: r.coords, Cell: r.cell, Replicate: r.rep}
 	}
 	return out, nil
-}
-
-// AggregateSweep folds per-run results into the sweep's cell
-// summaries, exactly as a locally executed campaign would (Engine
-// jobs use the same fold). runs and results must be parallel slices;
-// they may cover any subset of the sweep's enumeration — cells with
-// no resolved replicates keep their coordinates and a zero summary,
-// matching an incremental (SinceSnapshot-diffed) local job.
-func AggregateSweep(spec SweepSpec, runs []SweepRun, results []RunResult) (*SweepResult, error) {
-	c, err := spec.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	if len(runs) != len(results) {
-		return nil, fmt.Errorf("ltp: AggregateSweep: %d runs but %d results", len(runs), len(results))
-	}
-	internal := make([]sweepRun, len(runs))
-	for i, r := range runs {
-		internal[i] = sweepRun{idx: r.Index, spec: r.Spec, coords: r.Coords, cell: r.Cell, rep: r.Replicate}
-	}
-	return aggregateSweep(c, internal, results), nil
 }
 
 // SweepCell aggregates one cell's replicates.
