@@ -54,7 +54,7 @@ type drainable interface {
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = NumCPU)")
+		parallel   = flag.Int("parallel", 0, "max concurrent simulations on a worker or single node (0 = NumCPU; a coordinator's is its fleet's)")
 		cacheN     = flag.Int("cache", 0, "result-cache entries (0 = default 4096)")
 		storePath  = flag.String("store", "", "persistent result-store file (empty = in-memory cache only); results survive restarts — a restarted coordinator serves stored cells without the fleet")
 		maxWarm    = flag.Uint64("max-warm", 0, "per-run warm-up instruction limit (0 = default 10M)")
@@ -105,7 +105,10 @@ func main() {
 		}
 		coord, err := fabric.New(fabric.Config{
 			Workers:       urls,
-			Server:        scfg,
+			Limits:        scfg.Limits,
+			StorePath:     scfg.StorePath,
+			CacheEntries:  scfg.CacheEntries,
+			Logf:          scfg.Logf,
 			RetryAttempts: *retries,
 			HangTimeout:   *hang,
 			PollInterval:  *poll,

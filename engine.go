@@ -41,8 +41,9 @@ type EngineConfig struct {
 	// owns the handle (single writer per file) and closes it in Close.
 	StorePath string
 	// Executor, when non-nil, computes the cells the cache cannot serve
-	// in place of the worker pool (internal/fabric runs them on a fleet
-	// of ltpserved workers); nil computes them on the pool.
+	// (internal/fabric runs them on a fleet of ltpserved workers), and
+	// the engine builds no worker pool; nil computes them on a pool of
+	// Parallelism workers.
 	Executor Executor
 }
 
@@ -77,6 +78,10 @@ type Batch struct {
 	Weight float64
 	// Tier is the priority the lanes were requested at.
 	Tier sched.Tier
+	// clock is when the engine started timing the batch; the pool
+	// restarts it as the batch leaves the queue, so the per-run
+	// seconds time the simulation rather than the wait.
+	clock *time.Time
 }
 
 // Engine executes runs and sweep campaigns on one shared tiered-LPT
@@ -84,9 +89,9 @@ type Batch struct {
 // concurrent use; create one per process (or use DefaultEngine) so the
 // parallelism cap and the cell deduplication are global.
 type Engine struct {
-	pool  *sched.Pool
+	pool  *sched.Pool // nil when EngineConfig.Executor was given
 	cache *cache.Cache
-	exec  Executor // nil: misses run on pool
+	exec  Executor // poolBatches over pool unless EngineConfig.Executor
 	// store is the persistent result tier (nil without StorePath); it
 	// backs the cache via storeBacking and closes with the engine.
 	store *store.Store
@@ -116,19 +121,18 @@ type Engine struct {
 // persistent store, if configured). The only error source is opening
 // EngineConfig.StorePath — a store-less config cannot fail.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
-	e := &Engine{
-		pool:  sched.NewPool(cfg.Parallelism),
-		cache: cache.New(cfg.CacheEntries),
-		exec:  cfg.Executor,
-	}
+	e := &Engine{cache: cache.New(cfg.CacheEntries), exec: cfg.Executor}
 	if cfg.StorePath != "" {
 		st, err := store.Open(cfg.StorePath)
 		if err != nil {
-			e.pool.Close()
 			return nil, err
 		}
 		e.store = st
 		e.cache.SetBacking(storeBacking{st})
+	}
+	if e.exec == nil {
+		e.pool = sched.NewPool(cfg.Parallelism)
+		e.exec = poolBatches{e.pool}
 	}
 	return e, nil
 }
@@ -144,7 +148,9 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.mu.Unlock()
 	e.jobs.Wait()
-	e.pool.Close()
+	if e.pool != nil {
+		e.pool.Close()
+	}
 	if e.store != nil {
 		// All appends have drained with the jobs and the pool; detach
 		// the backing before the handle closes under it.
@@ -153,21 +159,29 @@ func (e *Engine) Close() {
 	}
 }
 
-// Parallelism returns the engine's concurrent-simulation cap: the
-// pool's width, or the Executor's parallelism when one is set.
-func (e *Engine) Parallelism() int {
-	if e.exec != nil {
-		return e.exec.Parallelism()
-	}
-	return e.pool.Workers()
-}
+// Parallelism returns the engine's concurrent-simulation cap: its
+// executor's (the pool's width by default).
+func (e *Engine) Parallelism() int { return e.exec.Parallelism() }
 
 // QueuedRuns returns the number of submitted simulations not yet
-// started (the service's backpressure signal).
-func (e *Engine) QueuedRuns() int { return e.pool.Queued() }
+// started (the service's backpressure signal). Over an Executor it is
+// the outstanding cells beyond the executor's parallelism.
+func (e *Engine) QueuedRuns() int {
+	if e.pool == nil {
+		return max(e.outstandingRuns()-e.exec.Parallelism(), 0)
+	}
+	return e.pool.Queued()
+}
 
 // RunningRuns returns the number of simulations currently executing.
-func (e *Engine) RunningRuns() int { return e.pool.Running() }
+// Over an Executor it is the outstanding cells up to the executor's
+// parallelism.
+func (e *Engine) RunningRuns() int {
+	if e.pool == nil {
+		return min(e.outstandingRuns(), e.exec.Parallelism())
+	}
+	return e.pool.Running()
+}
 
 // CacheStats returns a snapshot of the result-cache counters.
 func (e *Engine) CacheStats() cache.Stats { return e.cache.Stats() }
@@ -258,6 +272,17 @@ func (e *Engine) noteRunSeconds(backend string, s float64) {
 	e.runMeans[backend] = s
 }
 
+// outstandingRuns sums the outstanding-cell counts of every backend.
+func (e *Engine) outstandingRuns() int {
+	e.statMu.Lock()
+	defer e.statMu.Unlock()
+	n := 0
+	for _, c := range e.outstanding {
+		n += c
+	}
+	return n
+}
+
 // noteOutstanding adjusts a backend's outstanding-cell count.
 func (e *Engine) noteOutstanding(backend string, delta int) {
 	e.statMu.Lock()
@@ -281,6 +306,44 @@ type poolExecutor struct{ pool *sched.Pool }
 
 func (x poolExecutor) RunBatch(ctx context.Context, costs []float64, fns []func(context.Context)) {
 	x.pool.RunBatch(ctx, sched.TierInteractive, costs, fns)
+}
+
+// poolBatches is the default Executor: each batch is ONE pool task at
+// the batch's tier and weight driving runBatch — one shared functional
+// stream, one warm pass — whose per-config lanes fan back onto the
+// same pool (poolExecutor). Every lane it answers is a Miss.
+type poolBatches struct{ pool *sched.Pool }
+
+func (x poolBatches) Parallelism() int { return x.pool.Workers() }
+
+func (x poolBatches) RunBatch(ctx context.Context, b Batch) ([]RunResult, []cache.Outcome, []error) {
+	n := len(b.Lanes)
+	results := make([]RunResult, n)
+	errs := make([]error, n)
+	done := make(chan struct{})
+	x.pool.SubmitCtx(ctx, b.Tier, b.Weight, func(tctx context.Context) {
+		defer close(done)
+		// A panicking batch must become per-lane errors, not an
+		// unrecovered panic on a pool worker.
+		defer func() {
+			if p := recover(); p != nil {
+				errs = failLanes(n, fmt.Errorf("ltp: simulation panicked: %v", p))
+			}
+		}()
+		// Cancelled while queued: never start the batch.
+		if err := tctx.Err(); err != nil {
+			errs = failLanes(n, err)
+			return
+		}
+		if b.clock != nil {
+			*b.clock = time.Now()
+		}
+		rres, rerrs := runBatch(withExecutor(tctx, poolExecutor{x.pool}), b.Lanes)
+		copy(results, rres)
+		copy(errs, rerrs)
+	})
+	<-done
+	return results, make([]cache.Outcome, n), errs
 }
 
 // runWeight estimates a run's relative wall-clock for LPT ordering:
@@ -886,9 +949,9 @@ launch:
 // runBatchCached resolves a group of specs (equal batchKey, or a batch
 // of one) through the cache: lanes already cached (memory or backing)
 // or in flight are served per key, and the remainder is computed by
-// ONE pool task driving runBatch — one shared functional stream, one
-// warm pass, per-config lanes fanned back onto the pool — or, with an
-// Executor, by one Executor.RunBatch call. Each computed lane is
+// one Executor.RunBatch call — by default one pool task driving
+// runBatch (poolBatches), so one shared functional stream and one warm
+// pass serve every lane. Each computed lane is
 // stored under its own content address, so a cell's cache entry is the
 // same whichever batch computed it. A spec with no canonical form
 // fails its own lane.
@@ -920,12 +983,9 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []Ru
 	if len(sub) == 0 {
 		return results, outcomes, keys, errs
 	}
-	// remote[j] is how the Executor served lane j when this call
+	// remote[j] is how the executor served lane j when this call
 	// computed it.
-	var remote []cache.Outcome
-	if e.exec != nil {
-		remote = make([]cache.Outcome, len(sub))
-	}
+	remote := make([]cache.Outcome, len(sub))
 	vals, outs, cerrs := e.cache.DoBatch(ctx, subKeys, func(bctx context.Context, miss []int) ([]any, []error) {
 		lanes := make([]RunSpec, len(miss))
 		var weight float64
@@ -933,18 +993,15 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []Ru
 			lanes[j] = canons[mj]
 			weight += runWeight(lanes[j])
 		}
-		if e.exec != nil {
-			key, ok := batchKey(lanes[0])
-			if !ok {
-				key = subKeys[miss[0]]
-			}
-			mvals, routs, merrs := e.runExecutor(bctx, Batch{Lanes: lanes, Key: key, Weight: weight, Tier: tier})
-			for j, mj := range miss {
-				remote[mj] = routs[j]
-			}
-			return mvals, merrs
+		key, ok := batchKey(lanes[0])
+		if !ok {
+			key = subKeys[miss[0]]
 		}
-		return e.runPool(bctx, tier, weight, lanes)
+		mvals, routs, merrs := e.compute(bctx, Batch{Lanes: lanes, Key: key, Weight: weight, Tier: tier})
+		for j, mj := range miss {
+			remote[mj] = routs[j]
+		}
+		return mvals, merrs
 	})
 	for j, i := range sub {
 		outcomes[i] = outs[j]
@@ -952,7 +1009,7 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []Ru
 			errs[i] = cerrs[j]
 			continue
 		}
-		if remote != nil && outs[j] == cache.Miss {
+		if outs[j] == cache.Miss {
 			outcomes[i] = remote[j]
 		}
 		results[i] = vals[j].(cachedCell).res
@@ -960,77 +1017,39 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []Ru
 	return results, outcomes, keys, errs
 }
 
-// runPool computes missed lanes as ONE pool task driving runBatch.
-func (e *Engine) runPool(ctx context.Context, tier sched.Tier, weight float64, lanes []RunSpec) ([]any, []error) {
-	mvals := make([]any, len(lanes))
-	merrs := make([]error, len(lanes))
-	done := make(chan struct{})
-	backend := specBackendName(lanes[0])
-	e.noteOutstanding(backend, len(lanes))
-	e.pool.SubmitCtx(ctx, tier, weight, func(tctx context.Context) {
-		defer close(done)
-		defer e.noteOutstanding(backend, -len(lanes))
-		// A panicking batch must become per-lane errors, not an
-		// unrecovered panic on a pool worker.
-		defer func() {
-			if p := recover(); p != nil {
-				err := fmt.Errorf("ltp: simulation panicked: %v", p)
-				for j := range merrs {
-					if mvals[j] == nil && merrs[j] == nil {
-						merrs[j] = err
-					}
-				}
-			}
-		}()
-		// Cancelled while queued: never start the batch.
-		if err := tctx.Err(); err != nil {
-			for j := range merrs {
-				merrs[j] = err
-			}
-			return
-		}
-		start := time.Now()
-		// Lanes fan back onto this pool (see poolExecutor).
-		rres, rerrs := runBatch(withExecutor(tctx, poolExecutor{e.pool}), lanes)
-		e.settleLanes(backend, time.Since(start), lanes, rres, rerrs, mvals, merrs)
-	})
-	<-done
-	return mvals, merrs
-}
-
-// runExecutor computes missed lanes on the engine's Executor. A
-// mis-sized answer fails every lane rather than misplacing results.
-func (e *Engine) runExecutor(ctx context.Context, b Batch) ([]any, []cache.Outcome, []error) {
+// compute runs missed lanes on the engine's executor and turns them
+// into cache values (or errors). Each lane the executor simulated
+// (outcome Miss) feeds its backend's EWMA with the batch's amortized
+// per-lane seconds; a lane a fleet worker served from its own cache or
+// store took a round trip, not a simulation, and would understate the
+// backlog the Retry-After hint prices. Backends are kept apart so
+// near-free model estimates do not wreck the hint for real
+// simulations. A mis-sized answer fails every lane rather than
+// misplacing results.
+func (e *Engine) compute(ctx context.Context, b Batch) ([]any, []cache.Outcome, []error) {
 	n := len(b.Lanes)
 	mvals := make([]any, n)
-	merrs := make([]error, n)
 	backend := specBackendName(b.Lanes[0])
 	e.noteOutstanding(backend, n)
 	defer e.noteOutstanding(backend, -n)
 	start := time.Now()
+	b.clock = &start
 	rres, routs, rerrs := e.exec.RunBatch(ctx, b)
 	if len(rres) != n || len(routs) != n || len(rerrs) != n {
 		err := fmt.Errorf("ltp: executor answered %d/%d/%d lanes for %d", len(rres), len(routs), len(rerrs), n)
 		return mvals, make([]cache.Outcome, n), failLanes(n, err)
 	}
-	e.settleLanes(backend, time.Since(start), b.Lanes, rres, rerrs, mvals, merrs)
-	return mvals, routs, merrs
-}
-
-// settleLanes turns computed lanes into cache values (or errors) and
-// feeds each success into its backend's EWMA with the batch's
-// amortized per-lane seconds: near-free model estimates must not wreck
-// the Retry-After hint for real simulations, and vice versa.
-func (e *Engine) settleLanes(backend string, took time.Duration, lanes []RunSpec, rres []RunResult, rerrs []error, mvals []any, merrs []error) {
-	perLane := took.Seconds() / float64(len(lanes))
-	for j := range lanes {
+	perLane := time.Since(start).Seconds() / float64(n)
+	for j := range b.Lanes {
 		if rerrs[j] != nil {
-			merrs[j] = rerrs[j]
 			continue
 		}
-		mvals[j] = cachedCell{spec: lanes[j], res: rres[j]}
-		e.noteRunSeconds(backend, perLane)
+		mvals[j] = cachedCell{spec: b.Lanes[j], res: rres[j]}
+		if routs[j] == cache.Miss {
+			e.noteRunSeconds(backend, perLane)
+		}
 	}
+	return mvals, routs, rerrs
 }
 
 // skipSnapshotRuns settles every run whose content address is in the

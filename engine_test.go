@@ -354,3 +354,87 @@ func TestEngineCloseNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// outcomeExecutor is an ltp.Executor that answers every lane with a
+// zero result and the given outcome after a short pause.
+type outcomeExecutor struct{ out cache.Outcome }
+
+func (x outcomeExecutor) Parallelism() int { return 3 }
+
+func (x outcomeExecutor) RunBatch(ctx context.Context, b ltp.Batch) ([]ltp.RunResult, []cache.Outcome, []error) {
+	time.Sleep(5 * time.Millisecond)
+	outs := make([]cache.Outcome, len(b.Lanes))
+	for i := range outs {
+		outs[i] = x.out
+	}
+	return make([]ltp.RunResult, len(b.Lanes)), outs, make([]error, len(b.Lanes))
+}
+
+// TestExecutorOutcomes checks the Executor hook: the engine reports
+// the executor's outcome in place of its own Miss, takes its
+// parallelism and its backlog, and times only the lanes the executor
+// simulated (a remote hit is a round trip, not a simulation).
+func TestExecutorOutcomes(t *testing.T) {
+	for _, out := range []cache.Outcome{cache.Miss, cache.Hit} {
+		e := newTestEngine(t, ltp.EngineConfig{Executor: outcomeExecutor{out}})
+		defer e.Close()
+		if got := e.Parallelism(); got != 3 {
+			t.Fatalf("Parallelism %d; want the executor's 3", got)
+		}
+		if _, got, _, err := e.RunCached(context.Background(), engineSpec()); err != nil || got != out {
+			t.Fatalf("executor outcome %v: engine reported %v, %v", out, got, err)
+		}
+		if _, got, _, _ := e.RunCached(context.Background(), engineSpec()); got != cache.Hit {
+			t.Fatalf("repeat was %v; want the engine's own hit", got)
+		}
+		if mean := e.MeanRunSeconds(); (out == cache.Miss) != (mean > 0) {
+			t.Fatalf("executor outcome %v: mean run seconds %v", out, mean)
+		}
+		if q, r := e.QueuedRuns(), e.RunningRuns(); q != 0 || r != 0 {
+			t.Fatalf("idle executor engine reports %d queued, %d running", q, r)
+		}
+	}
+}
+
+// blockingExecutor holds every batch until release closes.
+type blockingExecutor struct{ release chan struct{} }
+
+func (x blockingExecutor) Parallelism() int { return 3 }
+
+func (x blockingExecutor) RunBatch(ctx context.Context, b ltp.Batch) ([]ltp.RunResult, []cache.Outcome, []error) {
+	<-x.release
+	return make([]ltp.RunResult, len(b.Lanes)), make([]cache.Outcome, len(b.Lanes)), make([]error, len(b.Lanes))
+}
+
+// TestExecutorBacklog checks an executor engine's backlog signal: the
+// cells handed to the executor count as running up to its
+// parallelism and as queued beyond it.
+func TestExecutorBacklog(t *testing.T) {
+	x := blockingExecutor{release: make(chan struct{})}
+	e := newTestEngine(t, ltp.EngineConfig{Executor: x})
+	defer e.Close()
+	var wg sync.WaitGroup
+	for seed := int64(1); seed <= 5; seed++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spec := engineSpec()
+			spec.Seed = seed
+			if _, _, _, err := e.RunCached(context.Background(), spec); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.QueuedRuns()+e.RunningRuns() < 5 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if q, r := e.QueuedRuns(), e.RunningRuns(); q != 2 || r != 3 {
+		t.Errorf("5 cells on a 3-wide executor: %d queued, %d running; want 2, 3", q, r)
+	}
+	close(x.release)
+	wg.Wait()
+	if q, r := e.QueuedRuns(), e.RunningRuns(); q != 0 || r != 0 {
+		t.Fatalf("drained executor engine reports %d queued, %d running", q, r)
+	}
+}

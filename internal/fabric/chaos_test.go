@@ -85,7 +85,8 @@ func TestChaosHangWorkerMidSweep(t *testing.T) {
 // alive with heartbeats, so it completes on its first dispatch and no
 // worker is marked down.
 func TestLongBatchNotSevered(t *testing.T) {
-	c := newCluster(t, clusterOpts{workers: 1, proxied: true, cfg: Config{
+	// A 4-wide worker takes the 4-lane group as one chunk.
+	c := newCluster(t, clusterOpts{workers: 1, parallelism: 4, proxied: true, cfg: Config{
 		HangTimeout: 300 * time.Millisecond,
 	}})
 	start := time.Now()
@@ -135,7 +136,7 @@ func TestChaosCorruptWorkerMidSweep(t *testing.T) {
 // the identical campaign from the bank alone.
 func TestCoordinatorRestartServesBank(t *testing.T) {
 	bank := filepath.Join(t.TempDir(), "bank.jsonl")
-	c := newCluster(t, clusterOpts{workers: 2, cfg: Config{Server: server.Config{StorePath: bank}}})
+	c := newCluster(t, clusterOpts{workers: 2, cfg: Config{StorePath: bank}})
 
 	var first server.SweepResponse
 	if resp := postJSON(t, c.front.URL+"/v1/sweep?wait=1", quickSweepBody, &first); resp.StatusCode != http.StatusOK {
@@ -152,7 +153,7 @@ func TestCoordinatorRestartServesBank(t *testing.T) {
 	// points at a dead port.
 	coord2, err := New(Config{
 		Workers:      []string{"http://127.0.0.1:1"},
-		Server:       server.Config{StorePath: bank},
+		StorePath:    bank,
 		RetryBackoff: 10 * time.Millisecond,
 		PollInterval: 100 * time.Millisecond,
 	})

@@ -49,8 +49,10 @@ type testCluster struct {
 // clusterOpts tunes the fixture.
 type clusterOpts struct {
 	workers int
-	proxied bool
-	cfg     Config // Workers is filled in by the fixture
+	// parallelism is each worker's pool width (0 = 2).
+	parallelism int
+	proxied     bool
+	cfg         Config // Workers is filled in by the fixture
 	// onBatch, when set, runs as a /v1/cells request reaches a worker,
 	// before the worker serves it: a fault injected here lands on a
 	// worker that holds an unresolved batch.
@@ -61,8 +63,11 @@ type clusterOpts struct {
 func newCluster(t *testing.T, opts clusterOpts) *testCluster {
 	t.Helper()
 	c := &testCluster{}
+	if opts.parallelism == 0 {
+		opts.parallelism = 2
+	}
 	for i := 0; i < opts.workers; i++ {
-		srv, err := server.New(server.Config{Parallelism: 2})
+		srv, err := server.New(server.Config{Parallelism: opts.parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,6 +110,13 @@ func newCluster(t *testing.T, opts clusterOpts) *testCluster {
 	}
 	c.coord = coord
 	c.front = httptest.NewServer(coord.Handler())
+	// Batches are chunked by their ring home's reported parallelism, so
+	// wait for every worker's first poll.
+	for deadline := time.Now().Add(10 * time.Second); !allReported(coord); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never reported their parallelism")
+		}
+	}
 	t.Cleanup(func() {
 		c.front.Close()
 		coord.Close()
@@ -117,6 +129,17 @@ func newCluster(t *testing.T, opts clusterOpts) *testCluster {
 		}
 	})
 	return c
+}
+
+// allReported reports whether every fleet member has reported its
+// parallelism.
+func allReported(c *Coordinator) bool {
+	for _, st := range c.Workers() {
+		if st.Parallelism == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // postJSON sends a JSON body and decodes the JSON response.
@@ -194,7 +217,7 @@ const groupSweepBody = `{
 }`
 
 // longGroupBody is one batch group of 4 cells whose lanes take about a
-// second in all (on a 2-worker engine; the budget shrinks under -race).
+// second in all (on 2 CPUs; the budget shrinks under -race).
 func longGroupBody() string {
 	insts := 1_500_000
 	if raceBuild {

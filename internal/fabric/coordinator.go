@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"ltp"
 	"ltp/internal/server"
 	"ltp/internal/store"
 )
@@ -26,12 +27,19 @@ type Config struct {
 	// Workers are the initial fleet members' base URLs (more can join
 	// via POST /v1/workers).
 	Workers []string
-	// Server configures the coordinator's own service exactly as it
-	// would a single node: Limits (including the per-tenant quota),
-	// StorePath (the result bank a restarted coordinator serves from),
-	// CacheEntries and Logf. Its Engine and Executor are ignored — the
-	// coordinator's engine runs its misses on the fleet.
-	Server server.Config
+	// Limits is the coordinator's admission policy, as on a single node
+	// (zero fields = server.DefaultLimits; MaxTenantJobs is the
+	// per-tenant quota).
+	Limits server.Limits
+	// StorePath, when non-empty, is the coordinator engine's persistent
+	// result store: the bank a restarted coordinator serves from.
+	StorePath string
+	// CacheEntries bounds the coordinator engine's result cache
+	// (0 = cache.DefaultEntries).
+	CacheEntries int
+	// Logf, when non-nil, receives one line per request and per fleet
+	// event.
+	Logf func(format string, args ...any)
 	// VirtualNodes is the consistent-hash ring's per-worker vnode count
 	// (0 = DefaultVirtualNodes).
 	VirtualNodes int
@@ -71,6 +79,7 @@ type Coordinator struct {
 	mu      sync.Mutex
 	workers map[string]*worker
 
+	engine     *ltp.Engine
 	srv        *server.Server
 	started    time.Time
 	mux        *http.ServeMux
@@ -83,7 +92,7 @@ type Coordinator struct {
 
 // New assembles a coordinator and starts its worker poll loop (it
 // does not listen; mount Handler on an http.Server). Errors come from
-// invalid worker URLs or opening Config.Server.StorePath.
+// invalid worker URLs or opening Config.StorePath.
 func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		retryAttempts: cfg.RetryAttempts,
@@ -95,7 +104,7 @@ func New(cfg Config) (*Coordinator, error) {
 		hc:            cfg.HTTPClient,
 		workers:       make(map[string]*worker),
 		started:       time.Now(),
-		logFn:         cfg.Server.Logf,
+		logFn:         cfg.Logf,
 		pollDone:      make(chan struct{}),
 	}
 	if c.retryAttempts <= 0 {
@@ -121,13 +130,16 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	scfg := cfg.Server
-	scfg.Engine, scfg.Executor = nil, c
-	srv, err := server.New(scfg)
+	e, err := ltp.NewEngine(ltp.EngineConfig{Executor: c, StorePath: cfg.StorePath, CacheEntries: cfg.CacheEntries})
 	if err != nil {
+		return nil, fmt.Errorf("fabric: opening result store: %w", err)
+	}
+	srv, err := server.New(server.Config{Engine: e, Limits: cfg.Limits, Logf: cfg.Logf})
+	if err != nil {
+		e.Close()
 		return nil, err
 	}
-	c.srv = srv
+	c.engine, c.srv = e, srv
 
 	c.mux = http.NewServeMux()
 	c.handle("GET /healthz", c.handleHealth)
@@ -154,7 +166,7 @@ func (c *Coordinator) handle(pattern string, h http.HandlerFunc) {
 // Handler returns the coordinator's HTTP surface.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
-// logf logs one line when Config.Server.Logf was given.
+// logf logs one line when Config.Logf was given.
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.logFn != nil {
 		c.logFn(format, args...)
@@ -176,6 +188,7 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Shutdown(ctx context.Context) {
 	c.closeOnce.Do(func() {
 		c.srv.Shutdown(ctx)
+		c.engine.Close()
 		c.pollCancel()
 		<-c.pollDone
 	})
@@ -412,7 +425,7 @@ type FleetStatsResponse struct {
 	// Limits echoes the admission policy.
 	Limits server.Limits `json:"limits"`
 	// Store exposes the coordinator's result store counters (absent
-	// without Config.Server.StorePath).
+	// without Config.StorePath).
 	Store *store.Stats `json:"store,omitempty"`
 }
 

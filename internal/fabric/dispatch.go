@@ -2,18 +2,20 @@ package fabric
 
 // The coordinator as its engine's Executor: the engine hands each
 // batch of cache misses — one batch group sharing a functional stream,
-// or a lone spec — to RunBatch, which places it on the ring by its key
-// (the group key, so a warm group reaches one worker and shares one
-// warm pass there), runs it as one /v1/cells request, and re-dispatches
-// whatever a dead, hung or lying worker leaves unresolved — with
-// exponential backoff — on the surviving ring until the attempt budget
-// runs out. Single-flight, the result bank, jobs and triage are the
-// engine's own.
+// or a lone spec — to RunBatch, which cuts it into chunks no wider than
+// its ring home's parallelism, places each chunk on the ring by the
+// group key (so a group that fits one worker reaches that worker whole
+// and shares one warm pass there), runs each as one /v1/cells request,
+// and re-dispatches whatever a dead, hung or lying worker leaves
+// unresolved — with exponential backoff — on the surviving ring until
+// the attempt budget runs out. Single-flight, the result bank, jobs
+// and triage are the engine's own.
 
 import (
 	"context"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"ltp"
@@ -36,10 +38,51 @@ func (c *Coordinator) RunBatch(ctx context.Context, b ltp.Batch) ([]ltp.RunResul
 	results := make([]ltp.RunResult, n)
 	outcomes := make([]cache.Outcome, n)
 	errs := make([]error, n)
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
+	chunks := c.chunks(b.Key, n)
+	var wg sync.WaitGroup
+	for i, lanes := range chunks {
+		key := b.Key
+		if i > 0 {
+			key = fmt.Sprintf("%s#%d", b.Key, i)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.runChunk(ctx, b, key, lanes, results, outcomes, errs)
+		}()
 	}
+	wg.Wait()
+	return results, outcomes, errs
+}
+
+// chunks cuts a batch of n lanes into contiguous, near-equal chunks no
+// wider than the reported parallelism of the key's ring home (a worker
+// that has not reported counts as 1, as in Parallelism). A chunk fills
+// one worker's pool over one warm pass; a group wider than that
+// spreads over the fleet instead of queueing on one worker while the
+// others idle. With no healthy worker the batch stays whole.
+func (c *Coordinator) chunks(key string, n int) [][]int {
+	width := n
+	for _, name := range c.ring.lookupOrder(key, 0) {
+		if w := c.workerByName(name); w != nil && w.isHealthy() {
+			width = max(w.status().Parallelism, 1)
+			break
+		}
+	}
+	k := (n + width - 1) / width
+	out := make([][]int, k)
+	for i := range out {
+		for l := i * n / k; l < (i+1)*n/k; l++ {
+			out[i] = append(out[i], l)
+		}
+	}
+	return out
+}
+
+// runChunk computes the lanes of b listed in pending, placing them by
+// key, into the positional results, outcomes and errs (chunks of one
+// batch write disjoint lanes).
+func (c *Coordinator) runChunk(ctx context.Context, b ltp.Batch, key string, pending []int, results []ltp.RunResult, outcomes []cache.Outcome, errs []error) {
 	for attempt := 1; len(pending) > 0; attempt++ {
 		if attempt > 1 {
 			t := time.NewTimer(min(c.retryBackoff<<(attempt-2), 30*time.Second))
@@ -53,21 +96,20 @@ func (c *Coordinator) RunBatch(ctx context.Context, b ltp.Batch) ([]ltp.RunResul
 			for _, k := range pending {
 				errs[k] = context.Cause(ctx)
 			}
-			break
+			return
 		}
-		weight := b.Weight * float64(len(pending)) / float64(n)
+		weight := b.Weight * float64(len(pending)) / float64(len(b.Lanes))
 		err := errNoWorkers
-		if w := c.place(b.Key, weight); w != nil {
+		if w := c.place(key, weight); w != nil {
 			pending, err = c.runOn(ctx, w, b, weight, pending, results, outcomes, errs)
 		}
 		if len(pending) > 0 && attempt >= c.retryAttempts {
 			for _, k := range pending {
-				errs[k] = fmt.Errorf("fabric: batch %s failed after %d attempts: %w", b.Key, attempt, err)
+				errs[k] = fmt.Errorf("fabric: batch %s failed after %d attempts: %w", key, attempt, err)
 			}
-			break
+			return
 		}
 	}
-	return results, outcomes, errs
 }
 
 // runOn sends b's pending lanes to w as one /v1/cells request and

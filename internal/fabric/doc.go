@@ -8,10 +8,11 @@
 // The Coordinator is that engine's ltp.Executor. Cells are
 // content-addressed (RunSpec.Hash) and location-independent, which is
 // the whole trick: each batch the engine hands over — one batch group
-// sharing a functional stream and warm region, or a lone cell — is
-// placed on a consistent-hash ring with virtual nodes by its group key
-// (a lone cell by its run hash), so repeated campaigns hit that
-// worker's cache and a group shares one warm pass there; a fleet-level
+// sharing a functional stream and warm region, or a lone cell — is cut
+// into chunks no wider than its ring home's parallelism and placed on
+// a consistent-hash ring with virtual nodes by its group key (a lone
+// cell by its run hash), so repeated campaigns hit that worker's cache
+// and each chunk shares one warm pass there; a fleet-level
 // LPT heuristic spills batches off overloaded homes; and lanes
 // stranded by a dead or hung worker are re-dispatched to the surviving
 // ring with exponential backoff. Single-flight across jobs, the job

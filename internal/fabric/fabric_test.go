@@ -81,33 +81,21 @@ func TestFleetSweepStreams(t *testing.T) {
 
 // TestWarmGroupOneBatch checks the dispatch unit is an engine batch:
 // a one-seed sweep whose cells share a stream and a warm region (one
-// batch group) reaches one worker as one /v1/cells request, so that
-// worker simulates every cell over one warm pass and no other worker
-// simulates any.
+// batch group) reaches one worker that can run it whole as one
+// /v1/cells request, so that worker simulates every cell over one warm
+// pass and no other worker simulates any.
 func TestWarmGroupOneBatch(t *testing.T) {
-	c := newCluster(t, clusterOpts{workers: 3})
-	var out server.SweepResponse
-	if resp := postJSON(t, c.front.URL+"/v1/sweep?wait=1", groupSweepBody, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-	if out.Job.Status != server.JobDone {
-		t.Fatalf("group sweep %q: %s", out.Job.Status, out.Job.Error)
-	}
-	cells := uint64(out.Job.Progress.TotalRuns)
-	if cells != 6 {
-		t.Fatalf("sweep enumerated %d runs; want 6", cells)
-	}
+	c := newCluster(t, clusterOpts{workers: 3, parallelism: 8})
+	cells := runGroupSweep(t, c)
 	owners := 0
 	for i, n := range c.workers {
-		var st server.StatsResponse
-		getJSON(t, n.ts.URL+"/v1/stats", &st)
-		batches := n.batches.Load()
+		misses, batches := workerLoad(t, n)
 		switch {
-		case st.Cache.Misses == 0 && batches == 0:
-		case st.Cache.Misses == cells && batches == 1:
+		case misses == 0 && batches == 0:
+		case misses == cells && batches == 1:
 			owners++
 		default:
-			t.Errorf("worker %d simulated %d cells in %d batches; want all %d in one batch, or none", i, st.Cache.Misses, batches, cells)
+			t.Errorf("worker %d simulated %d cells in %d batches; want all %d in one batch, or none", i, misses, batches, cells)
 		}
 	}
 	if owners != 1 {
@@ -115,8 +103,55 @@ func TestWarmGroupOneBatch(t *testing.T) {
 	}
 }
 
-// TestRunProxiesToRingHome checks /v1/run rides the ring: the second
-// identical request lands on the same worker and hits its cache.
+// TestWideGroupChunks checks a batch group wider than its ring home's
+// parallelism is cut into chunks of that width, each one /v1/cells
+// request, so the fleet shares it instead of one worker queueing it.
+func TestWideGroupChunks(t *testing.T) {
+	c := newCluster(t, clusterOpts{workers: 3, parallelism: 2})
+	cells := runGroupSweep(t, c)
+	var misses, batches uint64
+	for i, n := range c.workers {
+		m, b := workerLoad(t, n)
+		if m != 2*b {
+			t.Errorf("worker %d simulated %d cells in %d batches; want 2 per batch", i, m, b)
+		}
+		misses, batches = misses+m, batches+b
+	}
+	if misses != cells || batches != cells/2 {
+		t.Fatalf("fleet simulated %d cells in %d batches; want %d in %d", misses, batches, cells, cells/2)
+	}
+}
+
+// runGroupSweep runs groupSweepBody through c and returns its run
+// count (6).
+func runGroupSweep(t *testing.T, c *testCluster) uint64 {
+	t.Helper()
+	var out server.SweepResponse
+	if resp := postJSON(t, c.front.URL+"/v1/sweep?wait=1", groupSweepBody, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	if out.Job.Status != server.JobDone {
+		t.Fatalf("group sweep %q: %s", out.Job.Status, out.Job.Error)
+	}
+	if out.Job.Progress.TotalRuns != 6 {
+		t.Fatalf("sweep enumerated %d runs; want 6", out.Job.Progress.TotalRuns)
+	}
+	return 6
+}
+
+// workerLoad returns how many cells a worker simulated and how many
+// /v1/cells requests reached it.
+func workerLoad(t *testing.T, n *workerNode) (misses, batches uint64) {
+	t.Helper()
+	var st server.StatsResponse
+	getJSON(t, n.ts.URL+"/v1/stats", &st)
+	return st.Cache.Misses, uint64(n.batches.Load())
+}
+
+// TestRunProxiesToRingHome checks /v1/run rides the ring: exactly one
+// worker simulates a run, and the same run sent through a second
+// coordinator over the same fleet (whose own cache is cold) lands on
+// that worker again and hits the worker's cache.
 func TestRunProxiesToRingHome(t *testing.T) {
 	c := newCluster(t, clusterOpts{workers: 3})
 	const body = `{"scenario":"branchy","scale":0.05,"max_insts":5000}`
@@ -125,20 +160,48 @@ func TestRunProxiesToRingHome(t *testing.T) {
 	if resp := postJSON(t, c.front.URL+"/v1/run", body, &first); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first run status %d", resp.StatusCode)
 	}
-	if !strings.HasPrefix(first.Hash, "rs3:") {
-		t.Fatalf("unexpected run hash %q", first.Hash)
+	if !strings.HasPrefix(first.Hash, "rs3:") || first.Cache != "miss" {
+		t.Fatalf("first run: hash %q, cache %q; want an rs3 miss", first.Hash, first.Cache)
 	}
-	if resp := postJSON(t, c.front.URL+"/v1/run", body, &second); resp.StatusCode != http.StatusOK {
+	home := -1
+	for i, n := range c.workers {
+		switch misses, _ := workerLoad(t, n); {
+		case misses == 1 && home < 0:
+			home = i
+		case misses != 0:
+			t.Fatalf("worker %d simulated %d runs; want the run on exactly one worker", i, misses)
+		}
+	}
+	if home < 0 {
+		t.Fatal("no worker simulated the run")
+	}
+
+	coord2, err := New(Config{Workers: c.coord.ring.memberList(), PollInterval: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front2 := httptest.NewServer(coord2.Handler())
+	t.Cleanup(func() { front2.Close(); coord2.Close() })
+	if resp := postJSON(t, front2.URL+"/v1/run", body, &second); resp.StatusCode != http.StatusOK {
 		t.Fatalf("second run status %d", resp.StatusCode)
 	}
 	if second.Hash != first.Hash {
 		t.Fatalf("hash changed between identical runs: %q vs %q", second.Hash, first.Hash)
 	}
 	if second.Cache != "hit" {
-		t.Fatalf("second identical run was %q; want hit (same ring home)", second.Cache)
+		t.Fatalf("run through a second coordinator was %q; want the ring home's hit", second.Cache)
 	}
 	if !reflect.DeepEqual(second.Result, first.Result) {
 		t.Fatal("identical runs disagree on the result")
+	}
+	for i, n := range c.workers {
+		want := uint64(0)
+		if i == home {
+			want = 1
+		}
+		if misses, _ := workerLoad(t, n); misses != want {
+			t.Fatalf("worker %d simulated %d runs after the repeat; want the home's one only", i, misses)
+		}
 	}
 }
 
@@ -207,7 +270,7 @@ func submitWithTenant(t *testing.T, base, tenant, body string) (*http.Response, 
 // active campaigns cannot exceed the quota, and another tenant still
 // gets in.
 func TestTenantQuota(t *testing.T) {
-	c := newCluster(t, clusterOpts{workers: 3, proxied: true, cfg: Config{Server: server.Config{Limits: server.Limits{MaxTenantJobs: 1}}}})
+	c := newCluster(t, clusterOpts{workers: 3, proxied: true, cfg: Config{Limits: server.Limits{MaxTenantJobs: 1}}})
 	// Freeze the fleet so campaigns stay active for the duration of the
 	// admission checks.
 	for _, n := range c.workers {

@@ -32,10 +32,6 @@ type Config struct {
 	// when Engine is supplied — a caller-owned engine configures its own
 	// store.
 	StorePath string
-	// Executor, when non-nil, computes the owned engine's cache misses
-	// in place of its pool (ltp.EngineConfig.Executor): a fabric
-	// coordinator's fleet. Ignored when Engine is supplied.
-	Executor ltp.Executor
 	// Limits is the request admission policy (zero fields =
 	// DefaultLimits).
 	Limits Limits
@@ -69,7 +65,6 @@ func New(cfg Config) (*Server, error) {
 			Parallelism:  cfg.Parallelism,
 			CacheEntries: cfg.CacheEntries,
 			StorePath:    cfg.StorePath,
-			Executor:     cfg.Executor,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: opening result store: %w", err)

@@ -1,7 +1,10 @@
 // Command fabricsmoke is the end-to-end fabric smoke test behind
 // `make smoke-fabric`: it builds cmd/ltpserved, boots three worker
-// processes and one coordinator fronting them, submits a sweep
-// campaign on the NDJSON stream, SIGKILLs one worker while its cells
+// processes and one coordinator fronting them, and runs two campaigns.
+// The first is one warm batch group wider than a worker (the shape of
+// a sizing sweep over one warm prefix); it must complete, and its wall
+// time is printed. The second is submitted on the NDJSON stream, and
+// the smoke SIGKILLs one worker while its cells
 // are mid-flight, and fails unless the campaign still completes with
 // every enumerated cell delivered exactly once — the process-level
 // proof of the retry-and-re-dispatch story the in-process chaos tests
@@ -36,6 +39,19 @@ const sweepBody = `{
   {"name":"rob","points":[{"name":"rob96","patch":{"rob_size":96}},{"name":"rob128","patch":{"rob_size":128}},
                           {"name":"rob160","patch":{"rob_size":160}},{"name":"rob192","patch":{"rob_size":192}}]},
   {"name":"seed","replicate":true,"points":[{"name":"s1","patch":{"seed":1}},{"name":"s2","patch":{"seed":2}}]}
+ ]
+}`
+
+// groupBody is the grouped campaign: 12 cycle cells of one kernel
+// over one warm region — a single batch group, six times as wide as a
+// worker's -parallel 2.
+const groupBody = `{
+ "base": {"workload":"hashprobe","scale":0.2,"warm_insts":1000000,"max_insts":50000},
+ "axes": [
+  {"name":"iq","points":[{"name":"iq16","patch":{"iq_size":16}},{"name":"iq32","patch":{"iq_size":32}},
+                         {"name":"iq64","patch":{"iq_size":64}}]},
+  {"name":"rob","points":[{"name":"rob96","patch":{"rob_size":96}},{"name":"rob128","patch":{"rob_size":128}},
+                          {"name":"rob160","patch":{"rob_size":160}},{"name":"rob192","patch":{"rob_size":192}}]}
  ]
 }`
 
@@ -83,6 +99,9 @@ func run() error {
 	}
 	defer coord.kill()
 	fmt.Printf("fabricsmoke: coordinator at %s fronting %d workers\n", coord.base, len(workers))
+	if err := runGroup(coord.base); err != nil {
+		return err
+	}
 
 	start := time.Now()
 	resp, err := http.Post(coord.base+"/v1/sweep?stream=1", "application/json", strings.NewReader(sweepBody))
@@ -160,7 +179,7 @@ func run() error {
 		return fmt.Errorf("campaign incomplete after recovery: %d cells streamed, progress %+v", cells, p)
 	}
 	wall := time.Since(start)
-	fmt.Printf("fabricsmoke: campaign of %d runs survived the kill in %.1fs (every cell exactly once)\n",
+	fmt.Printf("fabricsmoke: campaign of %d runs survived the kill in %.3fs (every cell exactly once)\n",
 		p.TotalRuns, wall.Seconds())
 
 	// The poll loop must have noticed the corpse.
@@ -203,6 +222,61 @@ func run() error {
 			direct.Job.Status, direct.Job.Hash, last.Job.Hash)
 	}
 	fmt.Printf("fabricsmoke: fleet and single-node agree on %s\n", last.Job.Hash)
+	return nil
+}
+
+// runGroup runs the grouped campaign through the coordinator, once
+// every worker has reported its parallelism, and prints its wall time.
+func runGroup(base string) error {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		var roster struct {
+			Workers []struct {
+				Parallelism int `json:"parallelism"`
+			} `json:"workers"`
+		}
+		if err := getJSON(base+"/v1/workers", &roster); err != nil {
+			return fmt.Errorf("workers: %w", err)
+		}
+		reported := 0
+		for _, w := range roster.Workers {
+			if w.Parallelism > 0 {
+				reported++
+			}
+		}
+		if reported == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("only %d of 3 workers reported their parallelism", reported)
+		}
+	}
+	start := time.Now()
+	resp, err := http.Post(base+"/v1/sweep?wait=1", "application/json", strings.NewReader(groupBody))
+	if err != nil {
+		return fmt.Errorf("submitting grouped sweep: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 2048))
+		return fmt.Errorf("grouped sweep status %d; body: %s", resp.StatusCode, bytes.TrimSpace(body))
+	}
+	var out struct {
+		Job struct {
+			Status   string `json:"status"`
+			Error    string `json:"error"`
+			Progress struct {
+				TotalRuns int `json:"total_runs"`
+				DoneRuns  int `json:"done_runs"`
+			} `json:"progress"`
+		} `json:"job"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return fmt.Errorf("decoding grouped sweep: %w", err)
+	}
+	if p := out.Job.Progress; out.Job.Status != "done" || p.DoneRuns != p.TotalRuns || p.TotalRuns != 12 {
+		return fmt.Errorf("grouped campaign %q (%s): progress %+v", out.Job.Status, out.Job.Error, p)
+	}
+	fmt.Printf("fabricsmoke: grouped campaign of 12 runs (one warm group) in %.3fs\n", time.Since(start).Seconds())
 	return nil
 }
 
