@@ -1,7 +1,9 @@
 package ltp_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"sync"
@@ -262,6 +264,43 @@ func TestModelBackendDeterminism(t *testing.T) {
 	}
 	if a.Result != b.Result {
 		t.Fatalf("model backend is nondeterministic:\n%+v\n%+v", a.Result, b.Result)
+	}
+}
+
+// TestModelHonorsIdentPolicy: the model classifies through the lane's
+// own LTP unit, so the identification policy reaches it as it reaches
+// the cycle tier. Under IdentCrit both tiers train the criticality
+// table and leave the UIT empty, and the model's estimate differs from
+// its IdentPaper one.
+func TestModelHonorsIdentPolicy(t *testing.T) {
+	run := func(backend string, ident core.IdentPolicy) ltp.RunResult {
+		t.Helper()
+		lcfg := core.DefaultConfig()
+		lcfg.Ident = ident
+		res, err := ltp.RunContext(context.Background(), ltp.RunSpec{
+			Scenario: "hashjoin", Scale: 0.05, WarmInsts: 20_000, MaxInsts: 20_000,
+			UseLTP: true, LTP: &lcfg, Backend: backend,
+		})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", backend, ident, err)
+		}
+		return res
+	}
+	for _, backend := range []string{ltp.BackendCycle, ltp.BackendModel} {
+		if n := run(backend, core.IdentCrit).LTP.UITLen; n != 0 {
+			t.Errorf("%s: IdentCrit lane reports UITLen %d; want 0 (the crit table is trained instead)", backend, n)
+		}
+	}
+	paper, err := json.Marshal(run(ltp.BackendModel, core.IdentPaper))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crit, err := json.Marshal(run(ltp.BackendModel, core.IdentCrit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(paper, crit) {
+		t.Fatal("model IdentCrit result is byte-identical to IdentPaper: the model ignores the identification policy")
 	}
 }
 

@@ -61,14 +61,10 @@ func batchKey(c RunSpec) (string, bool) {
 // and ROB size — a limit study's lanes usually differ only in structure
 // sizes the pre-pass never reads).
 type laneInputs struct {
-	program  func() *prog.Program
+	program  *prog.Program
 	stream   prog.Stream
 	reader   *trace.Reader
 	recorder *trace.Recorder
-	// sourced marks a source supplied beside the spec (an explicit
-	// Program or a replay): the spec does not name it, so no model warm
-	// key may either.
-	sourced bool
 	// oracle, when set, is a prebuilt pre-pass every LTP lane uses.
 	oracle *core.Oracle
 
@@ -83,18 +79,14 @@ func newLaneInputs() *laneInputs {
 	}
 }
 
-// setProgram makes the lanes read an emulator over the program build
-// returns. One program serves the stream and every oracle pre-pass
-// (both only read it); it is built the first time either needs it.
-func (in *laneInputs) setProgram(build func() *prog.Program) {
-	var program *prog.Program
-	in.program = func() *prog.Program {
-		if program == nil {
-			program = build()
-		}
-		return program
+// source returns the stream every lane reads: for a program, an
+// emulator over it, built on first use. One program serves the stream
+// and every oracle pre-pass (both only read it).
+func (in *laneInputs) source() prog.Stream {
+	if in.stream == nil {
+		in.stream = prog.NewEmulator(in.program)
 	}
-	in.stream = newLazyStream(func() prog.Stream { return prog.NewEmulator(in.program()) })
+	return in.stream
 }
 
 // oracleKey holds core.BuildOracle's inputs besides the program.
@@ -112,7 +104,7 @@ func (in *laneInputs) oracleFor(spec RunSpec, pcfg pipeline.Config) (*core.Oracl
 	key := oracleKey{int(spec.WarmInsts + spec.MaxInsts + 65_536), pcfg.ROBSize, pcfg.Hier}
 	o := in.oracles[key]
 	if o == nil {
-		o = core.BuildOracle(in.program(), key.budget, key.hier, key.window)
+		o = core.BuildOracle(in.program, key.budget, key.hier, key.window)
 		in.oracles[key] = o
 	}
 	return o, nil
@@ -120,7 +112,8 @@ func (in *laneInputs) oracleFor(spec RunSpec, pcfg pipeline.Config) (*core.Oracl
 
 // resolveLane turns one canonical spec into its resolved sim.Spec over
 // the shared inputs — the one RunSpec-to-sim.Spec resolution every
-// entry point uses.
+// entry point uses. runLanes sets the Stream once every lane has
+// resolved.
 func resolveLane(spec RunSpec, in *laneInputs) (sim.Spec, error) {
 	pcfg := *spec.Pipeline
 	var cors []mem.CorunnerConfig
@@ -157,17 +150,7 @@ func resolveLane(spec RunSpec, in *laneInputs) (sim.Spec, error) {
 		}
 		lcfg = &c
 	}
-	// A model lane whose source the spec names carries a warm-group
-	// key: the backend may then serve the whole warm-up (and the
-	// program build, via the lazy stream) from its warm cache.
-	var warmKey string
-	if spec.Backend == BackendModel && !in.sourced {
-		if key, err := modelWarmKey(spec); err == nil {
-			warmKey = key
-		}
-	}
 	return sim.Spec{
-		Stream:       in.stream,
 		Reader:       in.reader,
 		Recorder:     in.recorder,
 		Pipeline:     pcfg,
@@ -177,24 +160,23 @@ func resolveLane(spec RunSpec, in *laneInputs) (sim.Spec, error) {
 		MaxInsts:     spec.MaxInsts,
 		MaxCycles:    spec.MaxCycles,
 		Corunners:    cors,
-		WarmKey:      warmKey,
 		Intervals:    spec.Intervals,
 	}, nil
 }
 
 // runBatch evaluates a group of canonical specs (equal batchKey) in one
-// shared pass: the functional stream is built lazily once and driven
-// once, and each lane's measured region fans out through the context's
+// shared pass: the functional stream is built once and driven once,
+// and each lane's measured region fans out through the context's
 // executor when it has one. Results and errors are positional; each
 // cell's result is bit-identical to what RunContext produces for it
 // alone, because RunContext is runLanes over a batch of one.
 func runBatch(ctx context.Context, specs []RunSpec) ([]RunResult, []error) {
-	build, err := programBuilder(specs[0])
+	program, err := buildProgram(specs[0])
 	if err != nil {
 		return make([]RunResult, len(specs)), failLanes(len(specs), err)
 	}
 	in := newLaneInputs()
-	in.setProgram(build)
+	in.program = program
 	return runLanes(ctx, in, specs)
 }
 
@@ -222,6 +204,12 @@ func runLanes(ctx context.Context, in *laneInputs, specs []RunSpec) ([]RunResult
 	}
 	if len(simSpecs) == 0 {
 		return results, errs
+	}
+	// The emulator is built only once every lane has resolved, so its
+	// memory image is never live beside an oracle pre-pass's own.
+	stream := in.source()
+	for j := range simSpecs {
+		simSpecs[j].Stream = stream
 	}
 
 	for j, br := range backend.RunBatch(ctx, simSpecs) {

@@ -253,6 +253,15 @@ func (l *LTP) Cfg() Config { return l.cfg }
 // UITTable exposes the UIT (tests, examples).
 func (l *LTP) UITTable() *UIT { return l.uit }
 
+// Urgent reports whether the identification policy's table marks pc
+// urgent: the criticality table under IdentCrit, the UIT otherwise.
+func (l *LTP) Urgent(pc uint64) bool {
+	if l.cfg.Ident == IdentCrit {
+		return l.crit.Urgent(pc)
+	}
+	return l.uit.Urgent(pc)
+}
+
 // Monitor exposes the DRAM-timer monitor.
 func (l *LTP) Monitor() *DRAMMonitor { return l.monitor }
 
@@ -416,11 +425,7 @@ func (l *LTP) classifyOracle(f *pipeline.Inflight) {
 // backward urgency propagation, and ticket inheritance (§5.2 and
 // Appendix).
 func (l *LTP) classifyRealistic(f *pipeline.Inflight, now uint64) {
-	if l.cfg.Ident == IdentCrit {
-		f.Urgent = l.crit.Urgent(f.U.PC)
-	} else {
-		f.Urgent = l.uit.Urgent(f.U.PC)
-	}
+	f.Urgent = l.Urgent(f.U.PC)
 	if f.Urgent {
 		// Backward propagation: the producers of an Urgent instruction's
 		// sources are Urgent too (one dependence edge per iteration).
@@ -971,13 +976,7 @@ func (l *LTP) WarmObserve(u *isa.Uop, level mem.Level) {
 	l.warmInsts++
 	crit := l.cfg.Ident == IdentCrit
 	// Backward urgency propagation, as in classifyRealistic.
-	urgent := false
-	if crit {
-		urgent = l.crit.Urgent(u.PC)
-	} else {
-		urgent = l.uit.Urgent(u.PC)
-	}
-	if urgent {
+	if l.Urgent(u.PC) {
 		for _, r := range [2]isa.Reg{u.Src1, u.Src2} {
 			if r.Valid() && l.ext[r].valid && l.ext[r].producerPC != 0 {
 				if crit {

@@ -2,7 +2,6 @@ package model
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"ltp/internal/bpred"
@@ -10,24 +9,16 @@ import (
 	"ltp/internal/isa"
 	"ltp/internal/mem"
 	"ltp/internal/pipeline"
-	"ltp/internal/prog"
 	"ltp/internal/sim"
 )
 
-func init() {
-	sim.Register(Backend{Cal: DefaultCalibration(), warm: newWarmCache(warmCacheEntries)})
-}
+func init() { sim.Register(Backend{Cal: DefaultCalibration()}) }
 
 // Backend is the interval-style analytical execution backend.
 type Backend struct {
 	// Cal supplies the fitted coefficients (zero fields fall back to
 	// DefaultCalibration).
 	Cal Calibration
-
-	// warm caches functionally-warmed group state keyed by
-	// sim.Spec.WarmKey (nil disables reuse; the registered instance
-	// carries one). See warmcache.go.
-	warm *warmCache
 }
 
 // Name returns "model".
@@ -45,27 +36,13 @@ func (Backend) About() string {
 // checks.
 const cancelChunk = 1 << 16
 
-// Run estimates the run analytically: the warm-up region trains the
-// timing-free caches, branch predictor and urgency table; the measured
-// region is scored through the dataflow timeline. The estimate is
-// deterministic in the spec. A run is a batch of one.
+// Run estimates the run analytically: the shared warm checkpoint
+// trains the caches, branch predictor and LTP classification tables;
+// the measured region is scored through the dataflow timeline. The
+// estimate is deterministic in the spec. A run is a batch of one.
 func (b Backend) Run(ctx context.Context, spec sim.Spec) (sim.Stats, error) {
 	r := b.RunBatch(ctx, []sim.Spec{spec})[0]
 	return r.Stats, r.Err
-}
-
-// drive pulls up to n µops from the stream through fn (the warm pass),
-// checking ctx every cancelChunk µops.
-func drive(ctx context.Context, stream prog.Stream, n uint64, fn func(u *isa.Uop)) error {
-	var u isa.Uop
-	check := ctx.Done() != nil
-	for done := uint64(1); done <= n && stream.Next(&u); done++ {
-		fn(&u)
-		if check && done&(cancelChunk-1) == 0 && ctx.Err() != nil {
-			return sim.CancelErr(ctx)
-		}
-	}
-	return nil
 }
 
 // ring is a fixed-size release-time window: peek returns the release
@@ -176,58 +153,20 @@ type ltpModel struct {
 	classNonReady uint64
 }
 
-// warmCore is the warm-trainable half of a machine: everything the
-// functional warm-up pass mutates (caches and prefetcher, branch
-// predictor, the Urgent Instruction Table and its RAT producer
-// extension). It is split out so batched evaluation can train one core
-// per warm-equivalent subgroup on a single stream pass and clone it
-// into each timing lane — clones never share mutable state.
-type warmCore struct {
-	hier    *mem.Hierarchy
-	bp      bpred.Predictor
-	uit     *core.UIT
-	regProd [isa.NumArchRegs]uint64 // producing PC, for urgency training
-}
-
-// newWarmCore builds the warm-trainable structures for a spec. An
-// unknown branch-predictor name surfaces as an error (the server
-// validates names upstream, but direct library callers reach this
-// path).
-func newWarmCore(spec sim.Spec) (*warmCore, error) {
-	bp, err := bpred.New(spec.Pipeline.BranchPred)
-	if err != nil {
-		return nil, fmt.Errorf("ltp: model backend: %w", err)
-	}
-	w := &warmCore{
-		hier: mem.NewHierarchy(spec.Pipeline.Hier),
-		bp:   bp,
-	}
-	w.hier.AttachCorunners(spec.Corunners)
-	uitEntries, uitWays := core.DefaultConfig().UITEntries, core.DefaultConfig().UITWays
-	if spec.LTP != nil {
-		uitEntries, uitWays = spec.LTP.UITEntries, spec.LTP.UITWays
-	}
-	w.uit = core.NewUIT(uitEntries, uitWays)
-	return w, nil
-}
-
-// clone returns an independent copy (the caches copy-on-write): the
-// original stays read-only, and may be cached, while the copy backs a
-// measured lane. Clones of one core may be taken concurrently.
-func (w *warmCore) clone() *warmCore {
-	return &warmCore{
-		hier:    w.hier.Clone(),
-		bp:      w.bp.Clone(),
-		uit:     w.uit.Clone(),
-		regProd: w.regProd,
-	}
-}
-
 // machine is the model's scoring state for one run.
 type machine struct {
-	*warmCore
-	cal Calibration
-	cfg pipeline.Config
+	hier *mem.Hierarchy
+	bp   bpred.Predictor
+	// unit is the lane's own LTP unit, warmed by the shared checkpoint
+	// (nil when the lane does not park). Its identification tables are
+	// real finite structures (the UIT, or the criticality table under
+	// IdentCrit), not an unbounded oracle set: capacity pressure and the
+	// resulting misclassification are part of the mechanism the model
+	// estimates (the hashjoin family's LTP loss comes from exactly
+	// that).
+	unit *core.LTP
+	cal  Calibration
+	cfg  pipeline.Config
 
 	// Dataflow timeline.
 	regReady   [isa.NumArchRegs]float64
@@ -262,12 +201,7 @@ type machine struct {
 	iqHeap  timeHeap
 	iqCap   int
 
-	// ltp is the parking side-state; its uit (in warmCore) is a real
-	// finite Urgent Instruction Table (the same set-associative LRU
-	// structure the cycle backend's unit uses), not an unbounded oracle
-	// set: capacity pressure and the resulting misclassification are
-	// part of the mechanism the model estimates (the hashjoin family's
-	// LTP loss comes from exactly that).
+	// ltp is the parking side-state (nil exactly when unit is).
 	ltp *ltpModel
 
 	// Accumulators for the Stats snapshot (memory counters live in
@@ -285,9 +219,9 @@ type machine struct {
 	fpOcc      float64
 }
 
-// newMachine assembles a scoring machine around an already-warmed (or
-// fresh) core, which it takes over.
-func newMachine(cal Calibration, spec sim.Spec, wc *warmCore) *machine {
+// newMachine assembles a scoring machine around a lane's warmed state,
+// which it takes over.
+func newMachine(cal Calibration, spec sim.Spec, w *sim.Warmed) *machine {
 	def := DefaultCalibration()
 	if cal.DispatchWidth <= 0 {
 		cal.DispatchWidth = def.DispatchWidth
@@ -312,7 +246,9 @@ func newMachine(cal Calibration, spec sim.Spec, wc *warmCore) *machine {
 	}
 	cfg := spec.Pipeline
 	m := &machine{
-		warmCore:   wc,
+		hier:       w.Hierarchy(),
+		bp:         w.Predictor(),
+		unit:       w.Unit(),
 		cal:        cal,
 		cfg:        cfg,
 		storeReady: make(map[uint64]float64),
@@ -342,7 +278,7 @@ func newMachine(cal Calibration, spec sim.Spec, wc *warmCore) *machine {
 		m.fuBucketCyc[k] = make([]int64, fuWindow)
 		m.fuBucketCnt[k] = make([]uint16, fuWindow)
 	}
-	if spec.LTP != nil {
+	if m.unit != nil {
 		capacity := spec.LTP.Entries
 		if capacity <= 0 {
 			capacity = cfg.ROBSize
@@ -358,52 +294,12 @@ func newMachine(cal Calibration, spec sim.Spec, wc *warmCore) *machine {
 	return m
 }
 
-// warmObserve trains the timing-free structures on one warm-up µop:
-// caches and prefetcher, branch predictor, and the Urgent Instruction
-// Table (the same training the cycle backend's fast warm-up performs).
-func (w *warmCore) warmObserve(u *isa.Uop) {
-	ll := u.Op.IsLongLatencyALU()
-	switch {
-	case u.IsMem():
-		lvl := w.hier.Warm(u.PC, u.Addr, u.Op == isa.Store)
-		ll = u.Op == isa.Load && lvl >= mem.LvlL3
-	case u.IsBranch():
-		w.bp.Lookup(u.PC, u.Taken, u.Target)
-	}
-	// Co-runner cache pressure is modelled functionally (shared-level
-	// pollution, no MSHR timing) — a documented fidelity tolerance.
-	w.hier.WarmTick()
-	w.observeUrgency(u, ll)
-}
-
-// observeUrgency updates the UIT in the real unit's WarmObserve order:
-// one-hop backward propagation on re-encountering an urgent PC first
-// (the producers feeding an urgent µop become urgent the next time the
-// chain is seen, so dependent-miss chains converge over iterations,
-// not instantly), long-latency seeding of the µop's own PC second, and
-// producer tracking last. An earlier draft marked the producer urgent
-// immediately and kept the set unbounded, which made the urgency
-// oracle too clean to reproduce UIT-capacity misclassification.
-func (w *warmCore) observeUrgency(u *isa.Uop, ll bool) {
-	if w.uit.Urgent(u.PC) {
-		for _, r := range [2]isa.Reg{u.Src1, u.Src2} {
-			if r.Valid() && w.regProd[r] != 0 {
-				w.uit.Insert(w.regProd[r])
-			}
-		}
-	}
-	if ll {
-		w.uit.Insert(u.PC)
-	}
-	if u.Dst.Valid() {
-		w.regProd[u.Dst] = u.PC
-	}
-}
-
 // score advances the dataflow timeline by one measured µop.
 func (m *machine) score(u *isa.Uop) {
 	m.n++
-	m.hier.WarmTick() // functional co-runner contention (see warmObserve)
+	// Co-runner cache pressure is modelled functionally (shared-level
+	// pollution, no MSHR timing) — a documented fidelity tolerance.
+	m.hier.WarmTick()
 
 	// Front end: sustained dispatch throughput, gated by redirect
 	// bubbles and the ROB window.
@@ -436,7 +332,7 @@ func (m *machine) score(u *isa.Uop) {
 	parked := false
 	if m.ltp != nil {
 		slack := depReady - d
-		urgent := m.uit.Urgent(u.PC)
+		urgent := m.unit.Urgent(u.PC)
 		if urgent {
 			m.ltp.classUrgent++
 		}
@@ -517,7 +413,7 @@ func (m *machine) score(u *isa.Uop) {
 	}
 	lat := float64(isa.Latency[u.Op])
 	isDRAM := false
-	ll := u.Op.IsLongLatencyALU()
+	var level mem.Level
 	if u.Op == isa.Load {
 		// The measured region walks the real timed hierarchy: MSHR
 		// occupancy, merges onto in-flight fills (including
@@ -529,11 +425,11 @@ func (m *machine) score(u *isa.Uop) {
 			r, ok = m.hier.Load(u.PC, u.Addr, uint64(issue))
 		}
 		llat := float64(r.Latency(uint64(issue))) + m.cal.LoadExtra
-		isDRAM = r.Level == mem.LvlDRAM
+		level = r.Level
+		isDRAM = level == mem.LvlDRAM
 		if isDRAM {
 			m.dramLatSum += llat
 		}
-		ll = r.Level >= mem.LvlL3
 		lat = llat
 	}
 	// Functional-unit contention: pipelined classes accept one µop per
@@ -621,7 +517,11 @@ func (m *machine) score(u *isa.Uop) {
 			m.sqOcc += retire + drain - d
 		}
 	}
-	m.observeUrgency(u, ll)
+	if m.unit != nil {
+		// Classification keeps training through the measured region,
+		// on the level the timed walk served the load from.
+		m.unit.WarmObserve(u, level)
+	}
 	m.lastDisp = d
 }
 
@@ -734,7 +634,7 @@ func (m *machine) snapshot() sim.Stats {
 			Dequeues:      m.ltp.parkedTotal,
 			ClassUrgent:   m.ltp.classUrgent,
 			ClassNonReady: m.ltp.classNonReady,
-			UITLen:        m.uit.Len(),
+			UITLen:        m.unit.UITTable().Len(),
 			LLPredAcc:     1,
 		}
 		if fc > 0 {

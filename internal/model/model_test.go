@@ -146,84 +146,57 @@ func TestRunBatchBudgetMismatch(t *testing.T) {
 	}
 }
 
-// TestWarmCacheHitIdentity: a warm-cache hit must reproduce the cold
-// run exactly — the cached core and stream snapshot replay the same
-// measured region — and must never touch the caller's stream (a nil
-// stream on the hit path proves the whole warm drive was skipped).
-func TestWarmCacheHitIdentity(t *testing.T) {
-	b := Backend{Cal: DefaultCalibration(), warm: newWarmCache(4)}
-	spec := laneSpec(48, true, 5_000, 10_000)
-	spec.WarmKey = "test-warm-group"
-
-	cold := spec
-	cold.Stream = testStream(t)
-	first, err := b.Run(bg, cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.warm.Len() != 1 {
-		t.Fatalf("warm cache holds %d entries after cold run; want 1", b.warm.Len())
-	}
-
-	hit := spec // Stream deliberately nil: a hit must not need it
-	second, err := b.Run(bg, hit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("warm-cache hit diverged from cold run:\ncold: %+v\nhit:  %+v", first, second)
-	}
-}
-
 // TestRunBadPredictorErrors is the mustPredictor regression test: an
-// unknown branch predictor must surface as an error through Run and
-// RunBatch, never as a panic.
+// unknown branch predictor must surface as the shared driver's error
+// through Run and RunBatch, never as a panic.
 func TestRunBadPredictorErrors(t *testing.T) {
 	spec := laneSpec(64, false, 1_000, 2_000)
 	spec.Pipeline.BranchPred = "no-such-predictor"
 	spec.Stream = testStream(t)
 	b := Backend{Cal: DefaultCalibration()}
-	if _, err := b.Run(bg, spec); err == nil || !strings.Contains(err.Error(), "model backend") {
-		t.Fatalf("Run err = %v; want model backend predictor error", err)
+	if _, err := b.Run(bg, spec); err == nil || !strings.Contains(err.Error(), "unknown branch predictor") {
+		t.Fatalf("Run err = %v; want the unknown-predictor error", err)
 	}
 	out := b.RunBatch(bg, []sim.Spec{spec})
-	if out[0].Err == nil || !strings.Contains(out[0].Err.Error(), "model backend") {
-		t.Fatalf("RunBatch err = %v; want model backend predictor error", out[0].Err)
+	if out[0].Err == nil || !strings.Contains(out[0].Err.Error(), "unknown branch predictor") {
+		t.Fatalf("RunBatch err = %v; want the unknown-predictor error", out[0].Err)
 	}
 }
 
-// steadyMachines builds n warmed lanes, each on its own clone of one
-// trained core as RunBatch builds them, and a slice of measured-region
-// µops to replay through them.
+// steadyMachines builds n lanes warmed by the shared checkpoint, as
+// RunBatch builds them, drives each to steady state over a runway of
+// measured-region µops, and returns the machines with that runway to
+// replay through them.
 func steadyMachines(t testing.TB, n int, warm, runway uint64) ([]*machine, []isa.Uop) {
 	t.Helper()
 	specs := make([]sim.Spec, n)
 	for i := range specs {
 		specs[i] = laneSpec(24+8*i, i%2 == 1, warm, runway)
 	}
-	stream := testStream(t)
-	wc, err := newWarmCore(specs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := drive(bg, stream, warm, wc.warmObserve); err != nil {
-		t.Fatal(err)
-	}
+	specs[0].Stream = testStream(t)
 	ms := make([]*machine, n)
-	for i := range specs {
-		ms[i] = newMachine(Calibration{}, specs[i], wc.clone())
-	}
+	var uops []isa.Uop
 	// Runway µops: drive every lane to steady state (structures full,
 	// FU epochs initialized, hierarchy past compulsory churn), keeping
-	// the tail as the replay body for the fence.
-	uops := make([]isa.Uop, 0, runway)
-	var u isa.Uop
-	for uint64(len(uops)) < runway && stream.Next(&u) {
-		uops = append(uops, u)
-	}
-	for _, m := range ms {
+	// the tail as the replay body for the fence. Lanes run in order on
+	// this goroutine (no Exec), and each reads the same µops from its
+	// own clone of the stream.
+	lane := func(_ context.Context, spec sim.Spec, w *sim.Warmed) (sim.Stats, error) {
+		m := newMachine(Calibration{}, spec, w)
+		uops = make([]isa.Uop, 0, runway)
+		var u isa.Uop
+		for uint64(len(uops)) < runway && w.Stream().Next(&u) {
+			uops = append(uops, u)
+		}
 		for k := range uops {
 			m.score(&uops[k])
+		}
+		ms[(spec.Pipeline.IQSize-24)/8] = m
+		return sim.Stats{}, nil
+	}
+	for i, r := range sim.RunBatch(bg, specs, admitModel, lane) {
+		if r.Err != nil {
+			t.Fatalf("lane %d: %v", i, r.Err)
 		}
 	}
 	return ms, uops
@@ -245,8 +218,9 @@ func TestScoreAllocsSingle(t *testing.T) {
 }
 
 // TestScoreAllocsPerLane fences every lane shape of a batch — IQ sizes
-// with and without parking, each on its own clone of the trained core —
-// at zero allocations per µop in steady state.
+// with and without parking, each on its own clone of the checkpoint,
+// the parking lanes training their LTP unit on every µop — at zero
+// allocations per µop in steady state.
 func TestScoreAllocsPerLane(t *testing.T) {
 	ms, uops := steadyMachines(t, 4, 5_000, 20_000)
 	for lane, m := range ms {
@@ -356,8 +330,9 @@ func TestRunBatchLanesIndependent(t *testing.T) {
 }
 
 // TestRunBatchTraceReplay: a trace reader cannot be cloned, so it
-// serves exactly one lane — which must equal a single Run over the same
-// trace — and every other lane fails with an explicit error.
+// serves a batch of one — which must equal a single Run over the same
+// trace — and a wider batch fails every lane with the shared driver's
+// error, as cycle and sampled batches do.
 func TestRunBatchTraceReplay(t *testing.T) {
 	const warm, insts = 2_000, 6_000
 	var buf bytes.Buffer
@@ -378,16 +353,83 @@ func TestRunBatchTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch := []sim.Spec{replay(laneSpec(32, true, warm, insts)), laneSpec(64, false, warm, insts)}
-	batch[1].Reader = batch[0].Reader
-	out := b.RunBatch(bg, batch)
+	out := b.RunBatch(bg, []sim.Spec{replay(laneSpec(32, true, warm, insts))})
 	if out[0].Err != nil {
 		t.Fatalf("lane 0: %v", out[0].Err)
 	}
 	if !reflect.DeepEqual(out[0].Stats, single) {
 		t.Fatalf("replayed lane diverged from its single run:\nbatch:  %+v\nsingle: %+v", out[0].Stats, single)
 	}
-	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "serves one model lane") {
-		t.Fatalf("lane 1 err = %v; want the one-lane replay error", out[1].Err)
+
+	batch := []sim.Spec{replay(laneSpec(32, true, warm, insts)), laneSpec(64, false, warm, insts)}
+	batch[1].Reader = batch[0].Reader
+	for i, r := range b.RunBatch(bg, batch) {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "clonable") {
+			t.Fatalf("lane %d err = %v; want the shared driver's clonable-stream error", i, r.Err)
+		}
+	}
+}
+
+// countingStream counts the µops drawn from one stream instance, by
+// Next or FastForward. Its clones are the inner stream's own, so lanes
+// reading their clones leave the count alone.
+type countingStream struct {
+	inner prog.Stream
+	drawn uint64
+}
+
+func (c *countingStream) Next(u *isa.Uop) bool {
+	ok := c.inner.Next(u)
+	if ok {
+		c.drawn++
+	}
+	return ok
+}
+
+func (c *countingStream) FastForward(n uint64, touch func(*isa.Uop)) uint64 {
+	did := c.inner.(prog.FastForwarder).FastForward(n, touch)
+	c.drawn += did
+	return did
+}
+
+func (c *countingStream) CloneStream() prog.Stream {
+	return c.inner.(prog.StreamCloner).CloneStream()
+}
+
+// TestOneWarmPassPerBatch: every tier warms a batch in one pass over
+// the lead stream — IQ {32, 64} × LTP {off, on} plus a TAGE lane as a
+// second warm group draw exactly WarmInsts µops from it, and every lane
+// measures from its own clone.
+func TestOneWarmPassPerBatch(t *testing.T) {
+	const warm, insts = 5_000, 4_000
+	var specs []sim.Spec
+	for _, iq := range []int{32, 64} {
+		for _, useLTP := range []bool{false, true} {
+			specs = append(specs, laneSpec(iq, useLTP, warm, insts))
+		}
+	}
+	tage := laneSpec(48, true, warm, insts)
+	tage.Pipeline.BranchPred = "tage"
+	specs = append(specs, tage)
+
+	for _, name := range []string{"cycle", "sampled", "model"} {
+		backend, err := sim.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lead := &countingStream{inner: testStream(t)}
+		batch := append([]sim.Spec(nil), specs...)
+		batch[0].Stream = lead
+		for i, r := range backend.RunBatch(bg, batch) {
+			if r.Err != nil {
+				t.Fatalf("%s lane %d: %v", name, i, r.Err)
+			}
+			if r.Stats.Committed == 0 {
+				t.Fatalf("%s lane %d measured nothing", name, i)
+			}
+		}
+		if lead.drawn != warm {
+			t.Fatalf("%s: the lead stream yielded %d µops; want exactly the %d-µop warm region, once", name, lead.drawn, warm)
+		}
 	}
 }

@@ -16,11 +16,11 @@ import (
 // The warm checkpoint: one fast functional pass over the warm region
 // trains the caches, the branch predictor and the LTP classification
 // tables, and every lane of a batch starts its measured region from
-// that state. The cycle and sampled backends share it — it is the only
-// fast-warm implementation in this package — so a sizing sweep's cells
-// (IQ × ROB × LTP on/off, which the warm pass never reads) pay for the
-// program build and the warm region once per warm group instead of once
-// per cell.
+// that state. All three tiers share it — the cycle, sampled and model
+// backends each hand RunBatch their own lane function, and no backend
+// warms any other way — so a sizing sweep's cells (IQ × ROB × LTP
+// on/off, which the warm pass never reads) pay for the program build
+// and the warm region once per warm group instead of once per cell.
 
 // warmCancelChunk bounds how many instructions a fast functional
 // warm-up executes between context checks (~a few hundred microseconds
@@ -57,22 +57,32 @@ func (w *warmer) touch(u *isa.Uop) {
 	w.hier.WarmTick() // co-runner credits accrue per warmed µop
 }
 
-// warmed is one lane's private start state: its own hierarchy,
+// Warmed is one lane's private start state: its own hierarchy,
 // predictor and (when the lane parks) LTP unit, and its own µop stream
 // positioned where the warm region ended.
-type warmed struct {
+type Warmed struct {
 	warmer // units holds the lane's LTP unit, if any
 	stream prog.Stream
 	insts  uint64 // µops the warm region actually consumed
 }
 
-// unit returns the lane's LTP unit (nil without one).
-func (w *warmed) unit() *core.LTP {
+// Hierarchy returns the lane's warmed memory hierarchy.
+func (w *Warmed) Hierarchy() *mem.Hierarchy { return w.hier }
+
+// Predictor returns the lane's warmed branch predictor.
+func (w *Warmed) Predictor() bpred.Predictor { return w.bp }
+
+// Unit returns the lane's warmed LTP unit (nil without one).
+func (w *Warmed) Unit() *core.LTP {
 	if len(w.units) == 0 {
 		return nil
 	}
 	return w.units[0]
 }
+
+// Stream returns the lane's µop stream, positioned at the start of the
+// measured region.
+func (w *Warmed) Stream() prog.Stream { return w.stream }
 
 // checkpoint is one warm group's state at the warm/measured boundary:
 // lanes whose hierarchy, branch predictor and co-runners agree see the
@@ -176,8 +186,8 @@ func warmCheckpoints(ctx context.Context, stream prog.Stream, warmInsts uint64, 
 
 // adopt hands the checkpoint's own state to the batch's only lane: a
 // single run pays nothing for the checkpoint.
-func (ck *checkpoint) adopt(stream prog.Stream, insts uint64) *warmed {
-	return &warmed{warmer: ck.warmer, stream: stream, insts: insts}
+func (ck *checkpoint) adopt(stream prog.Stream, insts uint64) *Warmed {
+	return &Warmed{warmer: ck.warmer, stream: stream, insts: insts}
 }
 
 // seal snapshots every observer so lanes can restore from it. After
@@ -192,8 +202,8 @@ func (ck *checkpoint) seal() {
 // clone gives one lane deep copies of the sealed checkpoint: its own
 // hierarchy, predictor, stream and — when it parks — a fresh LTP unit
 // restored from its configuration's observer.
-func (ck *checkpoint) clone(spec Spec, stream prog.StreamCloner, insts uint64) *warmed {
-	w := &warmed{
+func (ck *checkpoint) clone(spec Spec, stream prog.StreamCloner, insts uint64) *Warmed {
+	w := &Warmed{
 		warmer: warmer{hier: ck.hier.Clone(), bp: ck.bp.Clone(), lastILine: ck.lastILine},
 		stream: stream.CloneStream(),
 		insts:  insts,
@@ -206,17 +216,17 @@ func (ck *checkpoint) clone(spec Spec, stream prog.StreamCloner, insts uint64) *
 	return w
 }
 
-// laneFunc runs one lane's measured region from its private warm state.
-type laneFunc func(ctx context.Context, spec Spec, w *warmed) (Stats, error)
+// LaneFunc runs one lane's measured region from its private warm state.
+type LaneFunc func(ctx context.Context, spec Spec, w *Warmed) (Stats, error)
 
-// runBatch is the cycle and sampled backends' shared batch driver.
-// admit vets each lane against the lead stream; admitted lanes must
-// share the stream and the warm budget. One functional pass warms a
+// RunBatch is every backend's batch driver. admit vets each lane
+// against the lead spec (specs[0]); admitted lanes must also share the
+// stream and the warm budget. One functional pass warms a
 // checkpoint per warm group, then every lane runs from its own clone,
 // fanned out through the lead spec's Exec. A batch of one adopts its
 // checkpoint instead, which makes Run a batch of one at no extra cost.
 // Checkpoints are garbage once the last lane has cloned its state.
-func runBatch(ctx context.Context, specs []Spec, admit func(Spec, prog.Stream) error, run laneFunc) []BatchResult {
+func RunBatch(ctx context.Context, specs []Spec, admit func(spec, lead Spec) error, run LaneFunc) []BatchResult {
 	out := make([]BatchResult, len(specs))
 	if len(specs) == 0 {
 		return out
@@ -230,7 +240,7 @@ func runBatch(ctx context.Context, specs []Spec, admit func(Spec, prog.Stream) e
 	lead := specs[0]
 	admitted := make([]int, 0, len(specs))
 	for i, s := range specs {
-		switch err := admit(s, lead.Stream); {
+		switch err := admit(s, lead); {
 		case err != nil:
 			out[i].Err = err
 		case s.WarmInsts != lead.WarmInsts:

@@ -6,7 +6,6 @@ import (
 
 	"ltp/internal/core"
 	"ltp/internal/pipeline"
-	"ltp/internal/prog"
 )
 
 func init() { Register(CycleBackend{}) }
@@ -63,12 +62,12 @@ func (CycleBackend) RunBatch(ctx context.Context, specs []Spec) []BatchResult {
 		st, err := runDetailedWarm(ctx, specs[0])
 		return []BatchResult{{Stats: st, Err: err}}
 	}
-	return runBatch(ctx, specs, admitCycle, runCycleLane)
+	return RunBatch(ctx, specs, admitCycle, runCycleLane)
 }
 
 var _ BatchBackend = CycleBackend{}
 
-func admitCycle(spec Spec, _ prog.Stream) error {
+func admitCycle(spec, _ Spec) error {
 	if spec.WarmDetailed && spec.WarmInsts > 0 {
 		return fmt.Errorf("ltp: a detailed warm-up cannot share a warm checkpoint; run it alone")
 	}
@@ -77,9 +76,9 @@ func admitCycle(spec Spec, _ prog.Stream) error {
 
 // runCycleLane runs one cycle lane's measured region from its warmed
 // state.
-func runCycleLane(ctx context.Context, spec Spec, w *warmed) (Stats, error) {
+func runCycleLane(ctx context.Context, spec Spec, w *Warmed) (Stats, error) {
 	var parker pipeline.Parker = pipeline.NullParker{}
-	unit := w.unit()
+	unit := w.Unit()
 	if unit != nil {
 		parker = unit
 	}

@@ -71,12 +71,12 @@ func (b SampledBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
 // warm group into a shared checkpoint, and each lane's phase A
 // continues from its own clone of it.
 func (SampledBackend) RunBatch(ctx context.Context, specs []Spec) []BatchResult {
-	return runBatch(ctx, specs, admitSampled, runSampledLane)
+	return RunBatch(ctx, specs, admitSampled, runSampledLane)
 }
 
 var _ BatchBackend = SampledBackend{}
 
-func admitSampled(spec Spec, stream prog.Stream) error {
+func admitSampled(spec, lead Spec) error {
 	switch {
 	case spec.Recorder != nil:
 		return fmt.Errorf("ltp: the sampled backend cannot capture traces; record with the cycle backend")
@@ -87,7 +87,7 @@ func admitSampled(spec Spec, stream prog.Stream) error {
 	case spec.MaxInsts == 0:
 		return fmt.Errorf("ltp: the sampled backend needs MaxInsts > 0")
 	}
-	if _, ok := stream.(prog.FastForwarder); !ok {
+	if _, ok := lead.Stream.(prog.FastForwarder); !ok {
 		return fmt.Errorf("ltp: the sampled backend needs a fast-forwardable stream")
 	}
 	return nil
@@ -96,7 +96,7 @@ func admitSampled(spec Spec, stream prog.Stream) error {
 // runSampledLane runs one sampled lane from its warmed state: phase A
 // keeps warming through the measured region and checkpoints every
 // interval, phase B simulates the intervals.
-func runSampledLane(ctx context.Context, spec Spec, w *warmed) (Stats, error) {
+func runSampledLane(ctx context.Context, spec Spec, w *Warmed) (Stats, error) {
 	k := spec.Intervals
 	if k < 1 {
 		k = 1
@@ -120,7 +120,7 @@ func runSampledLane(ctx context.Context, spec Spec, w *warmed) (Stats, error) {
 	}
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(w.stream, &buf, "sampled")
-	unit := w.unit()
+	unit := w.Unit()
 	touch := w.touch
 
 	// The pipeline reads at most about a ROB's worth of µops beyond the

@@ -84,16 +84,6 @@ type Spec struct {
 	// Empty means a solo run.
 	Corunners []mem.CorunnerConfig
 
-	// WarmKey, when non-empty, is a content key for the functional
-	// stream identity plus everything the warm-up region trains:
-	// workload/scenario knobs and seed, warm budget and mode,
-	// warm-affecting configuration (hierarchy, branch predictor, UIT
-	// geometry, co-runners). Two Specs with equal WarmKeys are
-	// guaranteed to reach an identical functionally-warmed state, so a
-	// backend may snapshot that state once and reuse it across calls.
-	// Empty means "not reusable" and is always safe.
-	WarmKey string
-
 	// Intervals is the sampling interval count K for the sampled
 	// backend (ignored by the others). K=1 degenerates to a single
 	// full-region measurement identical to the cycle backend.
@@ -192,10 +182,11 @@ type BatchResult struct {
 
 // BatchBackend is a backend that can evaluate many Specs sharing one
 // functional µop stream in a single pass, amortizing stream generation
-// and warm-up across all of them. Every registered backend is one: it
-// warms once per warm group and runs each lane's measured region from
-// its own clone of that warm state, one subtask per lane fanned out
-// through Spec.Exec, and its Run is a batch of one.
+// and warm-up across all of them. Every registered backend is one, and
+// every one is the shared driver RunBatch with its own lane function:
+// it warms once per warm group and runs each lane's measured region
+// from its own clone of that warm state, one subtask per lane fanned
+// out through Spec.Exec, and its Run is a batch of one.
 //
 // Contract: every spec in the batch must share the µop stream —
 // specs[0].Stream is the one driven; the Stream fields of the rest are

@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"ltp/internal/bpred"
 	"ltp/internal/core"
@@ -624,111 +623,24 @@ func buildCorunners(cors []Corunner, scale float64) ([]mem.CorunnerConfig, error
 	return out, nil
 }
 
-// programBuilder validates the spec's workload/scenario selection and
-// returns a deferred program constructor. The build itself can be
-// expensive (scenario generation is rand-heavy), so callers that may
-// never need the stream — a model run whose warm group is cached —
-// defer it behind a lazyStream.
-func programBuilder(spec RunSpec) (func() *prog.Program, error) {
+// buildProgram builds the program the spec's workload or scenario
+// names.
+func buildProgram(spec RunSpec) (*prog.Program, error) {
 	switch {
 	case spec.Workload != "":
 		wl, err := workload.ByName(spec.Workload)
 		if err != nil {
 			return nil, err
 		}
-		return func() *prog.Program { return wl.Build(spec.Scale) }, nil
+		return wl.Build(spec.Scale), nil
 	case spec.Scenario != "":
 		fam, err := workload.FamilyByName(spec.Scenario)
 		if err != nil {
 			return nil, err
 		}
-		return func() *prog.Program { return fam.Build(spec.Knobs, spec.Scale, spec.Seed) }, nil
+		return fam.Build(spec.Knobs, spec.Scale, spec.Seed), nil
 	}
 	return nil, fmt.Errorf("ltp: RunSpec names no workload, scenario, program or trace")
-}
-
-// lazyStream defers program generation and emulator construction until
-// the first µop is actually pulled. The model backend's warm-group
-// cache checks sim.Spec.WarmKey before touching the stream, so a
-// warm-cache hit skips the build entirely. It always wraps an emulator,
-// so it fast-forwards and clones like one. Pulls are not synchronized —
-// one goroutine drives a stream — but clones are: a batch's lanes clone
-// the stream concurrently, possibly before anything pulled from it (a
-// model batch with no warm region).
-type lazyStream struct {
-	build func() prog.Stream
-	mu    sync.Mutex // guards the first build from concurrent clones
-	s     prog.Stream
-}
-
-func newLazyStream(build func() prog.Stream) *lazyStream { return &lazyStream{build: build} }
-
-func (l *lazyStream) get() prog.Stream {
-	if l.s == nil {
-		l.s = l.build()
-	}
-	return l.s
-}
-
-// Next implements prog.Stream.
-func (l *lazyStream) Next(u *isa.Uop) bool { return l.get().Next(u) }
-
-// FastForward implements prog.FastForwarder (the fast warm-up path).
-func (l *lazyStream) FastForward(n uint64, touch func(*isa.Uop)) uint64 {
-	return l.get().(prog.FastForwarder).FastForward(n, touch)
-}
-
-// CloneStream implements prog.StreamCloner: a warmed lazy stream
-// clones into the model backend's warm-group cache and into every lane
-// of a batch.
-func (l *lazyStream) CloneStream() prog.Stream {
-	l.mu.Lock()
-	s := l.get()
-	l.mu.Unlock()
-	return s.(prog.StreamCloner).CloneStream()
-}
-
-// warmKeyVersion prefixes model warm-group keys; bump it whenever the
-// key's field set changes meaning.
-const warmKeyVersion = "wk1"
-
-// modelWarmKey content-addresses everything the model backend's warm
-// pass depends on — stream identity, warm budget, and the
-// warm-affecting configuration (hierarchy + prefetcher, branch
-// predictor, UIT geometry, co-runners) — for a canonical model-backend
-// spec. Timing-only axes (IQ/ROB/LSQ sizes, LTP mode and capacity,
-// MaxInsts, MaxCycles) are deliberately absent: sweep cells that vary
-// only those share one functionally-warmed snapshot.
-func modelWarmKey(c RunSpec) (string, error) {
-	uitEntries, uitWays := core.DefaultConfig().UITEntries, core.DefaultConfig().UITWays
-	if c.LTP != nil {
-		uitEntries, uitWays = c.LTP.UITEntries, c.LTP.UITWays
-	}
-	return hashJSON(warmKeyVersion, struct {
-		Workload   string
-		Scenario   string
-		Knobs      *workload.Knobs
-		Seed       int64
-		Scale      float64
-		WarmInsts  uint64
-		Hier       mem.Config
-		BranchPred string
-		UITEntries int
-		UITWays    int
-		Corunners  []Corunner
-	}{
-		Workload:   c.Workload,
-		Scenario:   c.Scenario,
-		Knobs:      c.Knobs,
-		Seed:       c.Seed,
-		Scale:      c.Scale,
-		WarmInsts:  c.WarmInsts,
-		Hier:       c.Pipeline.Hier,
-		BranchPred: c.Pipeline.BranchPred,
-		UITEntries: uitEntries,
-		UITWays:    uitWays,
-		Corunners:  c.Corunners,
-	})
 }
 
 // Workloads returns the kernel registry.
@@ -821,7 +733,7 @@ func runInputs(spec RunSpec) (*laneInputs, RunSpec, error) {
 	}
 
 	in := newLaneInputs()
-	in.sourced, in.oracle = sourced, oracle
+	in.oracle = oracle
 	var name string
 	switch {
 	case replay != nil:
@@ -830,20 +742,19 @@ func runInputs(spec RunSpec) (*laneInputs, RunSpec, error) {
 			return nil, RunSpec{}, err
 		}
 		in.stream, in.reader, name = r, r, r.Name()
-	case program != nil:
-		in.setProgram(func() *prog.Program { return program })
 	default:
-		build, err := programBuilder(canon)
-		if err != nil {
-			return nil, RunSpec{}, err
+		if program == nil {
+			if program, err = buildProgram(canon); err != nil {
+				return nil, RunSpec{}, err
+			}
 		}
-		in.setProgram(build)
+		in.program = program
 	}
 	if record != nil {
 		if name == "" {
-			name = in.program().Name
+			name = in.program.Name
 		}
-		in.recorder = trace.NewRecorder(in.stream, record, name)
+		in.recorder = trace.NewRecorder(in.source(), record, name)
 		in.stream = in.recorder
 	}
 	return in, canon, nil
