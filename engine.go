@@ -400,32 +400,23 @@ func (e *Engine) RunCached(ctx context.Context, spec RunSpec) (RunResult, cache.
 }
 
 // RunBatchCached is RunCached for many specs at the given tier: specs
-// that share a functional stream (one sweep's cells differing only in
-// core configuration) resolve as one batch — one stream, one warm
-// pass — and the rest as batches of their own, one after another.
-// Results, outcomes, content addresses and errors are positional with
-// specs. It is the execution path for a fabric coordinator's
-// dispatched batches (internal/server's /v1/cells), which are one
-// batch each.
+// that share a functional stream (cells differing only in core
+// configuration) resolve as one batch — one stream, one warm pass —
+// and the rest as batches of their own, all launched concurrently
+// within the engine's parallelism (see runUnits). A spec listed twice
+// simulates once: the repeat joins the first's cache flight. Results,
+// outcomes, content addresses and errors are positional with specs.
+// It is the execution path for a fabric coordinator's dispatched
+// batches (internal/server's /v1/cells) and for the figure runners of
+// internal/experiment.
 func (e *Engine) RunBatchCached(ctx context.Context, tier sched.Tier, specs []RunSpec) ([]RunResult, []cache.Outcome, []string, []error) {
-	runs := make([]sweepRun, len(specs))
-	for i := range specs {
-		runs[i].spec = specs[i]
-	}
 	results := make([]RunResult, len(specs))
 	outcomes := make([]cache.Outcome, len(specs))
 	keys := make([]string, len(specs))
 	errs := make([]error, len(specs))
-	for _, unit := range phaseUnits(runs) {
-		group := make([]RunSpec, len(unit))
-		for j, i := range unit {
-			group[j] = specs[i]
-		}
-		r, o, k, err := e.runBatchCached(ctx, tier, group)
-		for j, i := range unit {
-			results[i], outcomes[i], keys[i], errs[i] = r[j], o[j], k[j], err[j]
-		}
-	}
+	e.runUnits(ctx, tier, specs, func(i int, res RunResult, out cache.Outcome, key string, err error) {
+		results[i], outcomes[i], keys[i], errs[i] = res, out, key, err
+	})
 	return results, outcomes, keys, errs
 }
 
@@ -836,19 +827,19 @@ func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []sweepRun) {
 	job.result = out
 }
 
-// phaseUnits partitions a phase's runs (by position) into launch
-// units, each executed as one batch through runBatchCached. Cells that
-// share a backend, a functional stream and warm/measured budgets (equal
+// phaseUnits partitions specs (by position) into launch units, each
+// executed as one batch through runBatchCached. Cells that share a
+// backend, a functional stream and warm/measured budgets (equal
 // batchKey) coalesce, so the stream is built and warmed once for the
 // whole group; cells batchKey refuses — a detailed warm-up, no warm
 // region, no canonical form — are batches of one. Triage phase 1
 // rewrites every run to the model backend, so triage sweeps batch
 // wholesale without special-casing.
-func phaseUnits(runs []sweepRun) [][]int {
-	units := make([][]int, 0, len(runs))
+func phaseUnits(specs []RunSpec) [][]int {
+	units := make([][]int, 0, len(specs))
 	groups := make(map[string]int) // batch key -> its unit's index
-	for i := range runs {
-		if canon, err := runs[i].spec.Canonical(); err == nil {
+	for i := range specs {
+		if canon, err := specs[i].Canonical(); err == nil {
 			if key, ok := batchKey(canon); ok {
 				if u, seen := groups[key]; seen {
 					units[u] = append(units[u], i)
@@ -901,49 +892,62 @@ func (j *Job) recordPhaseCell(r sweepRun, res RunResult, outcome cache.Outcome, 
 // runPhase executes one batch of enumerated runs through the engine's
 // cache and pool at the campaign tier, streaming each resolved cell
 // with the given phase tag, and returns per-run results and errors.
-// Cells sharing a stream execute in one batch (see phaseUnits).
 func (e *Engine) runPhase(jctx context.Context, job *Job, runs []sweepRun, phase string) ([]RunResult, []error) {
 	results := make([]RunResult, len(runs))
 	errs := make([]error, len(runs))
-	units := phaseUnits(runs)
-	// Bound this phase's outstanding units: without it a large
-	// admitted sweep would park one goroutine per unit (potentially
-	// hundreds of thousands of stacks) before pool backpressure
-	// applies. 2× the pool keeps every worker fed while cells resolve.
+	specs := make([]RunSpec, len(runs))
+	for i := range runs {
+		specs[i] = runs[i].spec
+	}
+	e.runUnits(jctx, sched.TierCampaign, specs, func(i int, res RunResult, out cache.Outcome, hash string, err error) {
+		results[i], errs[i] = res, err
+		job.recordPhaseCell(runs[i], res, out, hash, err, phase)
+	})
+	return results, errs
+}
+
+// runUnits executes specs through runBatchCached, one launch unit (see
+// phaseUnits) per goroutine, and calls done once per spec as its unit
+// resolves (concurrently, from the unit's goroutine). At most 2× the
+// engine's parallelism units are outstanding: without the bound a large
+// batch would park one goroutine per unit (potentially hundreds of
+// thousands of stacks) before pool backpressure applies, and 2× keeps
+// every worker fed while cells resolve. Once ctx dies no further unit
+// launches: every spec of a unit not yet launched is reported with the
+// cancellation cause without touching the cache or the executor.
+func (e *Engine) runUnits(ctx context.Context, tier sched.Tier, specs []RunSpec, done func(i int, res RunResult, out cache.Outcome, key string, err error)) {
+	units := phaseUnits(specs)
 	sem := make(chan struct{}, 2*e.Parallelism())
 	var wg sync.WaitGroup
-launch:
-	for u := range units {
+	for u, unit := range units {
 		select {
-		case <-jctx.Done():
-			// Cancelled: everything not yet launched is abandoned
-			// without ever touching the pool or the cache.
-			for _, unit := range units[u:] {
-				job.canceled.Add(int64(len(unit)))
-				for _, k := range unit {
-					errs[k] = cancelErr(jctx)
-				}
-			}
-			break launch
+		case <-ctx.Done():
 		case sem <- struct{}{}:
 		}
+		if ctx.Err() != nil {
+			err := cancelErr(ctx)
+			for _, unit := range units[u:] {
+				for _, i := range unit {
+					done(i, RunResult{}, cache.Miss, "", err)
+				}
+			}
+			break
+		}
 		wg.Add(1)
-		go func(unit []int) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			specs := make([]RunSpec, len(unit))
+			group := make([]RunSpec, len(unit))
 			for j, i := range unit {
-				specs[j] = runs[i].spec
+				group[j] = specs[i]
 			}
-			rres, routs, rhashes, rerrs := e.runBatchCached(jctx, sched.TierCampaign, specs)
+			res, outs, keys, errs := e.runBatchCached(ctx, tier, group)
 			for j, i := range unit {
-				results[i], errs[i] = rres[j], rerrs[j]
-				job.recordPhaseCell(runs[i], rres[j], routs[j], rhashes[j], rerrs[j], phase)
+				done(i, res[j], outs[j], keys[j], errs[j])
 			}
-		}(units[u])
+		}()
 	}
 	wg.Wait()
-	return results, errs
 }
 
 // runBatchCached resolves a group of specs (equal batchKey, or a batch

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ltp"
 	"ltp/internal/cache"
+	"ltp/internal/pipeline"
+	"ltp/internal/sched"
 )
 
 // engineSpec is a tiny but real simulation for engine tests.
@@ -436,5 +439,130 @@ func TestExecutorBacklog(t *testing.T) {
 	wg.Wait()
 	if q, r := e.QueuedRuns(), e.RunningRuns(); q != 0 || r != 0 {
 		t.Fatalf("drained executor engine reports %d queued, %d running", q, r)
+	}
+}
+
+// overlapExecutor records how many RunBatch calls run at once. Each
+// call waits up to a second for a second call to join it, so an engine
+// that launches two batches concurrently peaks at two, and one that
+// runs them one after another peaks at one.
+type overlapExecutor struct {
+	mu          sync.Mutex
+	calls, live int
+	peak        int
+	pair        chan struct{} // closed when two calls are in flight
+}
+
+func (x *overlapExecutor) Parallelism() int { return 2 }
+
+func (x *overlapExecutor) RunBatch(ctx context.Context, b ltp.Batch) ([]ltp.RunResult, []cache.Outcome, []error) {
+	x.mu.Lock()
+	x.calls++
+	x.live++
+	if x.live > x.peak {
+		x.peak = x.live
+		if x.peak == 2 {
+			close(x.pair)
+		}
+	}
+	x.mu.Unlock()
+	select {
+	case <-x.pair:
+	case <-ctx.Done():
+	case <-time.After(time.Second):
+	}
+	x.mu.Lock()
+	x.live--
+	x.mu.Unlock()
+	return make([]ltp.RunResult, len(b.Lanes)), make([]cache.Outcome, len(b.Lanes)), make([]error, len(b.Lanes))
+}
+
+// warmGroupSpec is a cell of warm group seed: cells of one seed share a
+// functional stream and warm region, so they batch together.
+func warmGroupSpec(seed int64, iq int) ltp.RunSpec {
+	spec := engineSpec()
+	spec.Seed, spec.WarmInsts = seed, 1_000
+	cfg := pipeline.DefaultConfig()
+	cfg.IQSize = iq
+	spec.Pipeline = &cfg
+	return spec
+}
+
+// TestRunBatchCachedGroupsOverlap checks that RunBatchCached launches
+// its warm groups concurrently, as a sweep's phase does: two groups of
+// two lanes each reach the executor as two overlapping batches.
+func TestRunBatchCachedGroupsOverlap(t *testing.T) {
+	x := &overlapExecutor{pair: make(chan struct{})}
+	e := newTestEngine(t, ltp.EngineConfig{Executor: x})
+	defer e.Close()
+	specs := []ltp.RunSpec{warmGroupSpec(1, 32), warmGroupSpec(2, 32), warmGroupSpec(1, 64), warmGroupSpec(2, 64)}
+	_, _, _, errs := e.RunBatchCached(context.Background(), sched.TierCampaign, specs)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("lane %d: %v", i, err)
+		}
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.calls != 2 {
+		t.Errorf("%d executor batches for two warm groups; want 2", x.calls)
+	}
+	if x.peak != 2 {
+		t.Errorf("at most %d batches in flight; want the two warm groups overlapped", x.peak)
+	}
+}
+
+// parkingExecutor holds every batch until its context dies, counting
+// the batches it was handed.
+type parkingExecutor struct{ started atomic.Int32 }
+
+func (x *parkingExecutor) Parallelism() int { return 1 }
+
+func (x *parkingExecutor) RunBatch(ctx context.Context, b ltp.Batch) ([]ltp.RunResult, []cache.Outcome, []error) {
+	x.started.Add(1)
+	<-ctx.Done()
+	errs := make([]error, len(b.Lanes))
+	for i := range errs {
+		errs[i] = ctx.Err()
+	}
+	return make([]ltp.RunResult, len(b.Lanes)), make([]cache.Outcome, len(b.Lanes)), errs
+}
+
+// TestRunBatchCachedCancel checks a cancelled RunBatchCached: every
+// lane — in flight or never launched — reports the cancellation, and
+// no unit reaches the executor after the cancel.
+func TestRunBatchCachedCancel(t *testing.T) {
+	x := &parkingExecutor{}
+	e := newTestEngine(t, ltp.EngineConfig{Executor: x})
+	defer e.Close()
+	var specs []ltp.RunSpec
+	for seed := int64(1); seed <= 6; seed++ {
+		specs = append(specs, warmGroupSpec(seed, 32))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var errs []error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _, errs = e.RunBatchCached(ctx, sched.TierCampaign, specs)
+	}()
+	// A 1-wide executor keeps two units in flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for x.started.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	atCancel := x.started.Load()
+	cancel()
+	<-done
+	if atCancel != 2 {
+		t.Errorf("%d units in flight before the cancel; want 2", atCancel)
+	}
+	if n := x.started.Load(); n != atCancel {
+		t.Errorf("%d units reached the executor after the cancel", n-atCancel)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("lane %d: %v; want the cancellation", i, err)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // ChampSim-style criticality-table identification (IdentCrit): an
 // alternative to the paper's UIT + LL-predictor policy, modeled on the
 // criticality predictor used in ChampSim-based prefetch research (a
@@ -88,14 +90,23 @@ type CritTable struct {
 // DefaultCritEntries is the baseline criticality-table size.
 const DefaultCritEntries = 1024
 
+// checkCritEntries errors unless a criticality-table size is a power
+// of two (<=0 selects DefaultCritEntries, which is).
+func checkCritEntries(entries int) error {
+	if entries > 0 && entries&(entries-1) != 0 {
+		return fmt.Errorf("core: crit table size must be a power of two, not %d", entries)
+	}
+	return nil
+}
+
 // NewCritTable builds a direct-mapped table with the given power-of-two
 // entry count (<=0 = DefaultCritEntries).
 func NewCritTable(entries int) *CritTable {
 	if entries <= 0 {
 		entries = DefaultCritEntries
 	}
-	if entries&(entries-1) != 0 {
-		panic("core: crit table size must be a power of two")
+	if err := checkCritEntries(entries); err != nil {
+		panic(err.Error()) // configurations are validated at spec admission
 	}
 	return &CritTable{
 		entries: make([]critEntry, entries),

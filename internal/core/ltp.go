@@ -116,6 +116,18 @@ type Config struct {
 	EarlyWakeupLead uint64
 }
 
+// Validate reports a table size New refuses: a finite UIT whose set
+// count is not a power of two, or a criticality-table size that is not
+// a power of two.
+func (c Config) Validate() error {
+	if c.UITEntries > 0 {
+		if _, _, err := uitSets(c.UITEntries, c.UITWays); err != nil {
+			return err
+		}
+	}
+	return checkCritEntries(c.CritEntries)
+}
+
 // DefaultConfig returns the paper's realistic design: Non-Urgent-only,
 // 128-entry 4-port queue, 256-entry UIT.
 func DefaultConfig() Config {

@@ -19,6 +19,8 @@
 // interface.
 package core
 
+import "fmt"
+
 // UIT is the Urgent Instruction Table: a PC-tagged, set-associative table
 // whose entries mark instructions known to be ancestors of long-latency
 // instructions. Presence means Urgent; absence means Non-Urgent. Entries
@@ -41,6 +43,22 @@ type UIT struct {
 	Evicts  uint64
 }
 
+// uitSets returns the set count and associativity of a finite UIT of
+// entries entries (ways <= 0 = 4, capped at entries), or an error
+// unless the set count is a positive power of two.
+func uitSets(entries, ways int) (int, int, error) {
+	if ways <= 0 {
+		ways = 4
+	}
+	if entries < ways {
+		ways = entries
+	}
+	if sets := entries / ways; sets > 0 && sets&(sets-1) == 0 {
+		return sets, ways, nil
+	}
+	return 0, 0, fmt.Errorf("core: UIT set count must be a power of two (%d entries, %d ways)", entries, ways)
+}
+
 // NewUIT builds a UIT with the given total entry count (power of two) and
 // associativity. entries <= 0 selects the unlimited (oracle-storage) mode
 // used to quantify UIT-size sensitivity (§5.6).
@@ -48,15 +66,9 @@ func NewUIT(entries, ways int) *UIT {
 	if entries <= 0 {
 		return &UIT{infMode: true, infSet: make(map[uint64]struct{})}
 	}
-	if ways <= 0 {
-		ways = 4
-	}
-	if entries < ways {
-		ways = entries
-	}
-	sets := entries / ways
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("core: UIT set count must be a power of two")
+	sets, ways, err := uitSets(entries, ways)
+	if err != nil {
+		panic(err.Error()) // configurations are validated at spec admission
 	}
 	return &UIT{
 		tags:    make([]uint64, entries),

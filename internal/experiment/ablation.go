@@ -30,26 +30,27 @@ func (s *Suite) Ablation() *Table {
 	g := s.Classify()
 	variants := ablationVariants()
 
+	base := func(wl string) cell { return cell{wl: wl, pcfg: realisticConfig(64, 128)} }
+	variant := func(wl string, v ablationVariant) cell {
+		lc := realisticLTP(128, 4)
+		v.Mut(&lc)
+		return cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc}
+	}
 	var cells []cell
 	for _, wl := range g.Sensitive {
-		cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
+		cells = append(cells, base(wl))
 		for _, v := range variants {
-			lc := realisticLTP(128, 4)
-			v.Mut(&lc)
-			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc})
+			cells = append(cells, variant(wl, v))
 		}
 	}
 	res := s.run(false, cells)
 
-	per := len(variants) + 1
 	t := &Table{Title: "Ablations [mlp-sensitive]: perf % vs base IQ:64/RF:128",
 		Cols: []string{"perf %"}}
-	for vi, v := range variants {
+	for _, v := range variants {
 		var ratios []float64
-		for wi := range g.Sensitive {
-			base := res[wi*per].Cycles
-			r := res[wi*per+1+vi].Cycles
-			ratios = append(ratios, float64(base)/float64(r))
+		for _, wl := range g.Sensitive {
+			ratios = append(ratios, float64(res[base(wl)].Cycles)/float64(res[variant(wl, v)].Cycles))
 		}
 		t.Rows = append(t.Rows, RowData{Label: v.Name,
 			Cells: []float64{(geomeanRatio(ratios) - 1) * 100}})

@@ -30,75 +30,45 @@ func (s *Suite) WIBvsLTP() []*Table {
 	}
 
 	rows := []struct {
-		Name string
-		IQ   []int
-		RF   []int
+		Name   string
+		Prefix string
+		Sizes  []int
+		Core   func(size int) (iq, rf int)
 	}{
-		{"IQ sweep (RF:128)", []int{64, 32, 16}, nil},
-		{"RF sweep (IQ:64)", nil, []int{128, 96, 64}},
+		{"IQ sweep (RF:128)", "IQ:", []int{64, 32, 16}, func(n int) (int, int) { return n, 128 }},
+		{"RF sweep (IQ:64)", "RF:", []int{128, 96, 64}, func(n int) (int, int) { return 64, n }},
 	}
-
-	var tables []*Table
+	base := func(wl string) cell { return cell{wl: wl, pcfg: realisticConfig(64, 128)} }
+	at := func(v variant, iq, rf int, wl string) cell {
+		return cell{wl: wl, pcfg: v.Cfg(iq, rf), useLTP: v.LTP, lcfg: realisticLTP(128, 4)}
+	}
+	var cells []cell
 	for _, row := range rows {
-		sizes := row.IQ
-		isIQ := true
-		if sizes == nil {
-			sizes = row.RF
-			isIQ = false
-		}
-
-		var cells []cell
-		type ref struct{ vi, si, wi int }
-		var refs []ref
-		for wi, wl := range g.Sensitive {
-			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
-			refs = append(refs, ref{-1, 0, wi})
-			for vi, v := range variants {
-				for si, size := range sizes {
-					iq, rf := 64, 128
-					if isIQ {
-						iq = size
-					} else {
-						rf = size
-					}
-					cells = append(cells, cell{wl: wl, pcfg: v.Cfg(iq, rf),
-						useLTP: v.LTP, lcfg: realisticLTP(128, 4)})
-					refs = append(refs, ref{vi, si, wi})
+		for _, wl := range g.Sensitive {
+			cells = append(cells, base(wl))
+			for _, v := range variants {
+				for _, size := range row.Sizes {
+					iq, rf := row.Core(size)
+					cells = append(cells, at(v, iq, rf, wl))
 				}
 			}
 		}
-		res := s.run(false, cells)
+	}
+	res := s.run(false, cells)
 
-		base := make([]uint64, len(g.Sensitive))
-		grid := make([][][]uint64, len(variants))
-		for vi := range grid {
-			grid[vi] = make([][]uint64, len(sizes))
-			for si := range grid[vi] {
-				grid[vi][si] = make([]uint64, len(g.Sensitive))
-			}
-		}
-		for k, r := range refs {
-			if r.vi < 0 {
-				base[r.wi] = res[k].Cycles
-			} else {
-				grid[r.vi][r.si][r.wi] = res[k].Cycles
-			}
-		}
-
+	var tables []*Table
+	for _, row := range rows {
 		t := &Table{Title: "WIB vs LTP [" + row.Name + ", mlp-sensitive]: perf % vs base IQ:64/RF:128"}
-		for _, size := range sizes {
-			prefix := "IQ:"
-			if !isIQ {
-				prefix = "RF:"
-			}
-			t.Cols = append(t.Cols, prefix+sizeLabel(size))
+		for _, size := range row.Sizes {
+			t.Cols = append(t.Cols, row.Prefix+sizeLabel(size))
 		}
-		for vi, v := range variants {
+		for _, v := range variants {
 			r := RowData{Label: v.Name}
-			for si := range sizes {
+			for _, size := range row.Sizes {
+				iq, rf := row.Core(size)
 				ratios := make([]float64, len(g.Sensitive))
-				for wi := range g.Sensitive {
-					ratios[wi] = float64(base[wi]) / float64(grid[vi][si][wi])
+				for wi, wl := range g.Sensitive {
+					ratios[wi] = float64(res[base(wl)].Cycles) / float64(res[at(v, iq, rf, wl)].Cycles)
 				}
 				r.Cells = append(r.Cells, (geomeanRatio(ratios)-1)*100)
 			}
@@ -141,22 +111,23 @@ func (s *Suite) DRAMModelStudy() *Table {
 		{"ddr3: LTP 32/96", true, 32, 96, true},
 	}
 
+	at := func(v variant, wl string) cell {
+		return cell{wl: wl, pcfg: mkCfg(v.Banked, v.IQ, v.RF), useLTP: v.LTP, lcfg: realisticLTP(128, 4)}
+	}
 	var cells []cell
 	for _, wl := range g.Sensitive {
 		for _, v := range variants {
-			cells = append(cells, cell{wl: wl, pcfg: mkCfg(v.Banked, v.IQ, v.RF),
-				useLTP: v.LTP, lcfg: realisticLTP(128, 4)})
+			cells = append(cells, at(v, wl))
 		}
 	}
 	res := s.run(false, cells)
 
 	t := &Table{Title: "DRAM model study [mlp-sensitive]",
 		Cols: []string{"CPI", "MLP", "loadLat"}}
-	per := len(variants)
-	for vi, v := range variants {
+	for _, v := range variants {
 		var cpi, mlp, lat []float64
-		for wi := range g.Sensitive {
-			r := res[wi*per+vi]
+		for _, wl := range g.Sensitive {
+			r := res[at(v, wl)]
 			cpi = append(cpi, r.CPI)
 			mlp = append(mlp, r.MLP)
 			lat = append(lat, r.AvgLoadLatency)

@@ -10,13 +10,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
 	"ltp"
 	"ltp/internal/core"
 	"ltp/internal/pipeline"
+	"ltp/internal/sched"
 	"ltp/internal/workload"
 )
 
@@ -125,12 +125,15 @@ func (s *Suite) Close() {
 }
 
 // cell is one simulation of a figure: what the figures vary on top of
-// the suite's budgets.
+// the suite's budgets. It is comparable, so a runner reads each result
+// back by the cell value it listed, built by the same constructor.
 type cell struct {
-	wl     string
-	pcfg   pipeline.Config
-	useLTP bool
-	lcfg   core.Config
+	wl       string // kernel name ("" = scenario)
+	scenario string // scenario family, when wl is empty
+	pcfg     pipeline.Config
+	useLTP   bool
+	lcfg     core.Config
+	corunner string // co-running scenario family ("" = solo)
 }
 
 // base is the spec every figure cell starts from: the suite's budgets
@@ -146,66 +149,32 @@ func (s *Suite) base() ltp.RunSpec {
 	}
 }
 
-// run simulates cells as one sweep on the suite's engine — one axis,
-// one point per distinct simulation — and returns their results in
-// order. oracle gives the LTP cells the limit study's perfect
-// classification (the no-LTP cells canonicalize it away). Cells that
-// are the same simulation become one point, since a sweep may not
-// enumerate a simulation twice.
-func (s *Suite) run(oracle bool, cells []cell) []ltp.RunResult {
-	base := s.base()
-	base.Oracle = oracle
-	axis := ltp.SweepAxis{Name: "cell"}
-	point := make([]int, len(cells)) // cell -> axis point
-	byHash := make(map[string]int, len(cells))
+// run simulates cells as one batch on the suite's engine at the
+// campaign tier and returns each cell's result keyed by the cell.
+// oracle gives the LTP cells the limit study's perfect classification
+// (the no-LTP cells canonicalize it away). A cell listed twice
+// simulates once: the engine joins the repeat to the first. A failed
+// cell panics: the figure runners have no error path.
+func (s *Suite) run(oracle bool, cells []cell) map[cell]ltp.RunResult {
+	specs := make([]ltp.RunSpec, len(cells))
 	for i, c := range cells {
-		spec := base
-		spec.Workload, spec.Pipeline, spec.UseLTP = c.wl, &c.pcfg, c.useLTP
-		if c.useLTP {
-			spec.LTP = &c.lcfg
+		spec := s.base()
+		spec.Workload, spec.Scenario, spec.Pipeline = c.wl, c.scenario, &c.pcfg
+		spec.UseLTP, spec.LTP, spec.Oracle = c.useLTP, &c.lcfg, oracle
+		if c.corunner != "" {
+			spec.Corunners = []ltp.Corunner{{Scenario: c.corunner}}
 		}
-		h, err := spec.Hash()
-		if err != nil {
-			panic(fmt.Sprintf("experiment: %v", err))
-		}
-		p, ok := byHash[h]
-		if !ok {
-			p = len(axis.Points)
-			byHash[h] = p
-			axis.Points = append(axis.Points, ltp.SweepPoint{
-				Name:  strconv.Itoa(p),
-				Patch: ltp.RunPatch{Workload: &c.wl, Pipeline: spec.Pipeline, UseLTP: &c.useLTP, LTP: spec.LTP},
-			})
-		}
-		point[i] = p
+		specs[i] = spec
 	}
-	res := s.sweep(ltp.SweepSpec{Base: base, Axes: []ltp.SweepAxis{axis}})
-	out := make([]ltp.RunResult, len(cells))
-	for i, p := range point {
-		out[i] = res[p]
+	res, _, _, errs := s.engine().RunBatchCached(context.Background(), sched.TierCampaign, specs)
+	out := make(map[cell]ltp.RunResult, len(cells))
+	for i, c := range cells {
+		if errs[i] != nil {
+			panic(fmt.Sprintf("experiment: cell %+v: %v", c, errs[i]))
+		}
+		out[c] = res[i]
 	}
 	return out
-}
-
-// sweep runs a sweep on the suite's engine and returns every run's
-// result by enumeration index. A failed run panics: the figure runners
-// have no error path.
-func (s *Suite) sweep(spec ltp.SweepSpec) []ltp.RunResult {
-	job, err := s.engine().Submit(context.Background(), spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
-	res := make([]ltp.RunResult, job.TotalRuns())
-	for c := range job.Cells() {
-		if c.Err != nil {
-			panic(fmt.Sprintf("experiment: cell %v: %v", c.Coords, c.Err))
-		}
-		res[c.Index] = c.Result
-	}
-	if _, err := job.Wait(); err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
-	return res
 }
 
 // Groups is the §4.1 MLP-sensitivity split of the workload suite.
@@ -238,18 +207,19 @@ func (s *Suite) Classify() *Groups {
 	s.mu.Unlock()
 
 	names := workload.Names()
+	at := func(wl string, iq int) cell {
+		return cell{wl: wl, pcfg: limitConfig(iq, pipeline.Inf, pipeline.Inf, pipeline.Inf)}
+	}
 	cells := make([]cell, 0, 2*len(names))
 	for _, n := range names {
-		cells = append(cells,
-			cell{wl: n, pcfg: limitConfig(32, pipeline.Inf, pipeline.Inf, pipeline.Inf)},
-			cell{wl: n, pcfg: limitConfig(256, pipeline.Inf, pipeline.Inf, pipeline.Inf)})
+		cells = append(cells, at(n, 32), at(n, 256))
 	}
 	res := s.run(false, cells)
 
 	g := &Groups{Detail: make(map[string]GroupDetail)}
 	l2lat := float64(pipeline.DefaultConfig().Hier.L2Latency)
-	for i, n := range names {
-		r32, r256 := res[2*i], res[2*i+1]
+	for _, n := range names {
+		r32, r256 := res[at(n, 32)], res[at(n, 256)]
 		d := GroupDetail{
 			SpeedupPct: (float64(r32.Cycles)/float64(r256.Cycles) - 1) * 100,
 			AvgLoadLat: r32.AvgLoadLatency,

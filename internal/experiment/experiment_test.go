@@ -84,9 +84,9 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-// TestSuiteRunOrder verifies the suite's sweep path returns results in
-// the callers' cell order, merges cells that are the same simulation
-// into one run served to every position, and matches a standalone run.
+// TestSuiteRunOrder verifies the suite's batch path returns each
+// cell's own result under its cell, simulates a cell listed twice only
+// once, and matches a standalone run.
 func TestSuiteRunOrder(t *testing.T) {
 	s := tinySuite(t)
 	s.Parallelism = 2
@@ -98,30 +98,28 @@ func TestSuiteRunOrder(t *testing.T) {
 	}
 	cells = append(cells, cells[1]) // the same simulation again
 	out := s.run(false, cells)
-	if len(out) != len(cells) {
-		t.Fatalf("got %d results for %d cells", len(out), len(cells))
+	if len(out) != len(cells)-1 {
+		t.Fatalf("got %d results for %d distinct cells", len(out), len(cells)-1)
 	}
-	for i, c := range cells {
-		if out[i].Design.IQEntries != c.pcfg.IQSize {
-			t.Errorf("cell %d (%s, IQ %d): result misplaced (IQ %d)", i, c.wl, c.pcfg.IQSize, out[i].Design.IQEntries)
+	for _, c := range cells {
+		if got := out[c].Design.IQEntries; got != c.pcfg.IQSize {
+			t.Errorf("cell (%s, IQ %d): result misplaced (IQ %d)", c.wl, c.pcfg.IQSize, got)
 		}
 	}
 	if misses := s.engine().CacheStats().Misses; misses != uint64(len(cells)-1) {
 		t.Errorf("%d simulations for %d distinct cells", misses, len(cells)-1)
 	}
-	if out[len(out)-1].Cycles != out[1].Cycles {
-		t.Errorf("repeated cell got a different result: %d vs %d cycles", out[len(out)-1].Cycles, out[1].Cycles)
-	}
 
+	c := cells[3]
 	spec := s.base()
-	spec.Workload, spec.Pipeline = cells[3].wl, &cells[3].pcfg
+	spec.Workload, spec.Pipeline = c.wl, &c.pcfg
 	ref, err := ltp.RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[3].Cycles != ref.Cycles || out[3].Committed != ref.Committed {
+	if got := out[c]; got.Cycles != ref.Cycles || got.Committed != ref.Committed {
 		t.Errorf("suite cell diverged from its standalone run: %d/%d vs %d/%d cycles/committed",
-			out[3].Cycles, out[3].Committed, ref.Cycles, ref.Committed)
+			got.Cycles, got.Committed, ref.Cycles, ref.Committed)
 	}
 }
 

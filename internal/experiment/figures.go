@@ -54,48 +54,42 @@ func (s *Suite) Fig1() []*Table {
 	}
 	cfgs := []cfg{{"IQ:32", 32, false}, {"IQ:32+LTP", 32, true}, {"IQ:256", 256, false}}
 
+	wls := append(append([]string{}, g.Sensitive...), g.Insensitive...)
+	at := func(c cfg, wl string) cell {
+		return cell{wl: wl, pcfg: limitConfig(c.iq, pipeline.Inf, pipeline.Inf, pipeline.Inf),
+			useLTP: c.useLTP, lcfg: ltpLimitCfg(core.ModeNRNU)}
+	}
 	var cells []cell
-	var order []string
 	for _, c := range cfgs {
-		for _, wl := range append(append([]string{}, g.Sensitive...), g.Insensitive...) {
-			pc := limitConfig(c.iq, pipeline.Inf, pipeline.Inf, pipeline.Inf)
-			cells = append(cells, cell{wl: wl, pcfg: pc, useLTP: c.useLTP, lcfg: ltpLimitCfg(core.ModeNRNU)})
-			order = append(order, c.name+"/"+wl)
+		for _, wl := range wls {
+			cells = append(cells, at(c, wl))
 		}
 	}
 	res := s.run(true, cells)
-	byKey := map[string]ltp.RunResult{}
-	for i, k := range order {
-		byKey[k] = res[i]
-	}
 
-	groupVals := func(cfgName string, group []string, get func(ltp.RunResult) float64) float64 {
-		var vals []float64
+	// vals gathers one metric over a group's workloads under c.
+	vals := func(c cfg, group []string, get func(ltp.RunResult) float64) []float64 {
+		var out []float64
 		for _, wl := range group {
-			vals = append(vals, get(byKey[cfgName+"/"+wl]))
+			out = append(out, get(res[at(c, wl)]))
 		}
-		return mean(vals)
+		return out
 	}
-	// CPI uses the geometric mean so a single pathological kernel (pure
-	// pointer chasing) does not drown the group.
-	groupCPI := func(cfgName string, group []string) float64 {
-		var vals []float64
-		for _, wl := range group {
-			vals = append(vals, byKey[cfgName+"/"+wl].CPI)
-		}
-		return geomeanRatio(vals)
-	}
+	cpiOf := func(r ltp.RunResult) float64 { return r.CPI }
+	mlpOf := func(r ltp.RunResult) float64 { return r.MLP }
 
 	cpi := &Table{Title: "Figure 1a: CPI (geomean)", Cols: []string{"MLP", "NMLP"}}
 	out := &Table{Title: "Figure 1b: avg outstanding requests", Cols: []string{"MLP", "NMLP"}}
 	for _, c := range cfgs {
+		// CPI uses the geometric mean so a single pathological kernel
+		// (pure pointer chasing) does not drown the group.
 		cpi.Rows = append(cpi.Rows, RowData{Label: c.name, Cells: []float64{
-			groupCPI(c.name, g.Sensitive),
-			groupCPI(c.name, g.Insensitive),
+			geomeanRatio(vals(c, g.Sensitive, cpiOf)),
+			geomeanRatio(vals(c, g.Insensitive, cpiOf)),
 		}})
 		out.Rows = append(out.Rows, RowData{Label: c.name, Cells: []float64{
-			groupVals(c.name, g.Sensitive, func(r ltp.RunResult) float64 { return r.MLP }),
-			groupVals(c.name, g.Insensitive, func(r ltp.RunResult) float64 { return r.MLP }),
+			mean(vals(c, g.Sensitive, mlpOf)),
+			mean(vals(c, g.Insensitive, mlpOf)),
 		}})
 	}
 
@@ -111,8 +105,8 @@ func (s *Suite) Fig1() []*Table {
 		{"SQ", func(r ltp.RunResult) float64 { return r.AvgSQ }},
 	} {
 		use.Rows = append(use.Rows, RowData{Label: m.name, Cells: []float64{
-			groupVals("IQ:256", g.Sensitive, m.get),
-			groupVals("IQ:256", g.Insensitive, m.get),
+			mean(vals(cfgs[2], g.Sensitive, m.get)),
+			mean(vals(cfgs[2], g.Insensitive, m.get)),
 		}})
 	}
 	return []*Table{cpi, out, use}
@@ -123,15 +117,15 @@ func (s *Suite) Fig1() []*Table {
 // Non-Ready instructions out of the IQ, raising MLP.
 func (s *Suite) Fig3() *Table {
 	pc := limitConfig(8, pipeline.Inf, pipeline.Inf, pipeline.Inf)
-	res := s.run(true, []cell{
-		{wl: "indirect", pcfg: pc},
-		{wl: "indirect", pcfg: pc, useLTP: true, lcfg: ltpLimitCfg(core.ModeNRNU)},
-	})
+	plain := cell{wl: "indirect", pcfg: pc}
+	parked := cell{wl: "indirect", pcfg: pc, useLTP: true, lcfg: ltpLimitCfg(core.ModeNRNU)}
+	res := s.run(true, []cell{plain, parked})
 	t := &Table{Title: "Figure 3: tiny-IQ behaviour on the example loop (indirect)",
 		Cols: []string{"CPI", "MLP", "avgIQ"}}
-	t.Rows = append(t.Rows,
-		RowData{Label: "traditional IQ(8)", Cells: []float64{res[0].CPI, res[0].MLP, res[0].AvgIQ}},
-		RowData{Label: "IQ(8)+LTP", Cells: []float64{res[1].CPI, res[1].MLP, res[1].AvgIQ}})
+	row := func(label string, c cell) RowData {
+		return RowData{Label: label, Cells: []float64{res[c].CPI, res[c].MLP, res[c].AvgIQ}}
+	}
+	t.Rows = append(t.Rows, row("traditional IQ(8)", plain), row("IQ(8)+LTP", parked))
 	t.Notes = append(t.Notes,
 		"the paper's Fig. 3 is a worked example: with LTP the IQ holds ready work instead of stalled NR instructions")
 	return t
@@ -193,42 +187,31 @@ var fig6Configs = []struct {
 // size with everything else unlimited, for the four parking configurations
 // with oracle classification and an unlimited LTP. Values are percent
 // performance versus the no-LTP run at the baseline (underlined) size,
-// exactly as the paper normalizes.
+// exactly as the paper normalizes. All four rows run as one batch.
 func (s *Suite) Fig6() []*Table {
 	panels := s.fig6Panels()
-
-	var tables []*Table
-	for _, row := range fig6Rows() {
-		// One sweep per row: cells of panel k start at first[k],
-		// config-major, then size, then workload.
-		var cells []cell
-		var first []int
+	rows := fig6Rows()
+	at := func(row fig6Row, size, ci int, wl string) cell {
+		c := fig6Configs[ci]
+		return cell{wl: wl, pcfg: row.Cfg(size), useLTP: c.LTP, lcfg: ltpLimitCfg(c.Mode)}
+	}
+	var cells []cell
+	for _, row := range rows {
 		for _, panel := range panels {
-			first = append(first, len(cells))
-			for _, c := range fig6Configs {
+			for ci := range fig6Configs {
 				for _, size := range row.Sizes {
 					for _, wl := range panel.Wls {
-						cells = append(cells, cell{wl: wl, pcfg: row.Cfg(size),
-							useLTP: c.LTP, lcfg: ltpLimitCfg(c.Mode)})
+						cells = append(cells, at(row, size, ci, wl))
 					}
 				}
 			}
 		}
-		res := s.run(true, cells)
+	}
+	res := s.run(true, cells)
 
-		for k, panel := range panels {
-			off, nw, ns := first[k], len(panel.Wls), len(row.Sizes)
-			cycles := func(ci, si, wi int) float64 {
-				return float64(res[off+(ci*ns+si)*nw+wi].Cycles)
-			}
-			// Baseline: NoLTP at the underlined size.
-			baseSizeIdx := -1
-			for si, v := range row.Sizes {
-				if v == row.BaseSize {
-					baseSizeIdx = si
-				}
-			}
-
+	var tables []*Table
+	for _, row := range rows {
+		for _, panel := range panels {
 			t := &Table{
 				Title: fmt.Sprintf("Figure 6 [%s sweep, panel %s]: perf %% vs NoLTP %s:%d",
 					row.Name, panel.Name, row.Name, row.BaseSize),
@@ -238,10 +221,12 @@ func (s *Suite) Fig6() []*Table {
 			}
 			for ci, c := range fig6Configs {
 				r := RowData{Label: c.Name}
-				for si := range row.Sizes {
-					ratios := make([]float64, nw)
-					for wi := range panel.Wls {
-						ratios[wi] = cycles(0, baseSizeIdx, wi) / cycles(ci, si, wi)
+				for _, size := range row.Sizes {
+					ratios := make([]float64, len(panel.Wls))
+					for wi, wl := range panel.Wls {
+						// Baseline: NoLTP at the underlined size.
+						ratios[wi] = float64(res[at(row, row.BaseSize, 0, wl)].Cycles) /
+							float64(res[at(row, size, ci, wl)].Cycles)
 					}
 					r.Cells = append(r.Cells, (geomeanRatio(ratios)-1)*100)
 				}
@@ -260,12 +245,15 @@ func (s *Suite) Fig7() []*Table {
 	panels := s.fig6Panels()
 	modes := []core.Mode{core.ModeNR, core.ModeNU, core.ModeNRNU}
 
+	at := func(m core.Mode, wl string) cell {
+		pc := limitConfig(32, 96, pipeline.DefaultConfig().LQSize, pipeline.DefaultConfig().SQSize)
+		return cell{wl: wl, pcfg: pc, useLTP: true, lcfg: ltpLimitCfg(m)}
+	}
 	var cells []cell
 	for _, panel := range panels {
 		for _, m := range modes {
 			for _, wl := range panel.Wls {
-				pc := limitConfig(32, 96, pipeline.DefaultConfig().LQSize, pipeline.DefaultConfig().SQSize)
-				cells = append(cells, cell{wl: wl, pcfg: pc, useLTP: true, lcfg: ltpLimitCfg(m)})
+				cells = append(cells, at(m, wl))
 			}
 		}
 	}
@@ -283,29 +271,21 @@ func (s *Suite) Fig7() []*Table {
 	}
 
 	var tables []*Table
-	k := 0
 	for _, panel := range panels {
 		t := &Table{Title: "Figure 7 [" + panel.Name + "]: LTP utilization"}
 		for _, m := range modes {
 			t.Cols = append(t.Cols, m.String())
 		}
-		cells := make(map[string][]float64)
-		for _, m := range modes {
-			vals := make(map[string][]float64)
-			for range panel.Wls {
-				r := res[k]
-				k++
-				for _, met := range metrics {
-					vals[met.name] = append(vals[met.name], met.get(r))
-				}
-			}
-			_ = m
-			for _, met := range metrics {
-				cells[met.name] = append(cells[met.name], mean(vals[met.name]))
-			}
-		}
 		for _, met := range metrics {
-			t.Rows = append(t.Rows, RowData{Label: met.name, Cells: cells[met.name]})
+			row := RowData{Label: met.name}
+			for _, m := range modes {
+				var vals []float64
+				for _, wl := range panel.Wls {
+					vals = append(vals, met.get(res[at(m, wl)]))
+				}
+				row.Cells = append(row.Cells, mean(vals))
+			}
+			t.Rows = append(t.Rows, row)
 		}
 		tables = append(tables, t)
 	}
@@ -336,60 +316,37 @@ func (s *Suite) Fig10() []*Table {
 	}
 	entriesSweep := []int{0, 128, 64, 32, 16} // 0 = unlimited
 	portsSweep := []int{1, 2, 4, 8}
-
-	var tables []*Table
+	base := func(wl string) cell { return cell{wl: wl, pcfg: realisticConfig(64, 128)} }
+	red := func(wl string) cell { return cell{wl: wl, pcfg: realisticConfig(32, 96)} }
+	parked := func(wl string, entries, ports int) cell {
+		return cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: realisticLTP(entries, ports)}
+	}
+	var cells []cell
 	for _, panel := range panels {
-		var cells []cell
-		type ref struct{ kind, ei, pi, wi int }
-		var refs []ref
-		for wi, wl := range panel.Wls {
-			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
-			refs = append(refs, ref{0, 0, 0, wi})
-			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96)})
-			refs = append(refs, ref{1, 0, 0, wi})
-			for ei, entries := range entriesSweep {
-				for pi, ports := range portsSweep {
-					cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96),
-						useLTP: true, lcfg: realisticLTP(entries, ports)})
-					refs = append(refs, ref{2, ei, pi, wi})
+		for _, wl := range panel.Wls {
+			cells = append(cells, base(wl), red(wl))
+			for _, entries := range entriesSweep {
+				for _, ports := range portsSweep {
+					cells = append(cells, parked(wl, entries, ports))
 				}
 			}
 		}
-		res := s.run(false, cells)
+	}
+	res := s.run(false, cells)
 
-		type cell struct {
-			perfRatios []float64
-			ed2pRatios []float64
-		}
-		base := make([]ltp.RunResult, len(panel.Wls))
-		red := make([]ltp.RunResult, len(panel.Wls))
-		grid := make([][][]ltp.RunResult, len(entriesSweep))
-		for ei := range grid {
-			grid[ei] = make([][]ltp.RunResult, len(portsSweep))
-			for pi := range grid[ei] {
-				grid[ei][pi] = make([]ltp.RunResult, len(panel.Wls))
+	var tables []*Table
+	for _, panel := range panels {
+		// pct returns the group's geomean perf and IQ/RF ED²P of the
+		// design at(wl), in percent versus the base design.
+		pct := func(at func(wl string) cell) (perf, ed2p float64) {
+			var perfRatios, ed2pRatios []float64
+			for _, wl := range panel.Wls {
+				b, r := res[base(wl)], res[at(wl)]
+				perfRatios = append(perfRatios, float64(b.Cycles)/float64(r.Cycles))
+				ed2pRatios = append(ed2pRatios,
+					energy.ED2P(r.Energy.IQRF, r.Cycles)/energy.ED2P(b.Energy.IQRF, b.Cycles))
 			}
-		}
-		for k, r := range refs {
-			switch r.kind {
-			case 0:
-				base[r.wi] = res[k]
-			case 1:
-				red[r.wi] = res[k]
-			default:
-				grid[r.ei][r.pi][r.wi] = res[k]
-			}
-		}
-
-		agg := func(rs []ltp.RunResult) cell {
-			var c cell
-			for wi, r := range rs {
-				b := base[wi]
-				c.perfRatios = append(c.perfRatios, float64(b.Cycles)/float64(r.Cycles))
-				e := energy.ED2P(r.Energy.IQRF, r.Cycles) / energy.ED2P(b.Energy.IQRF, b.Cycles)
-				c.ed2pRatios = append(c.ed2pRatios, e)
-			}
-			return c
+			return (geomeanRatio(perfRatios) - 1) * 100, (geomeanRatio(ed2pRatios) - 1) * 100
 		}
 
 		perf := &Table{Title: "Figure 10 [" + panel.Name + "]: perf % vs base IQ:64/RF:128"}
@@ -402,23 +359,21 @@ func (s *Suite) Fig10() []*Table {
 			perf.Cols = append(perf.Cols, lbl)
 			ed2p.Cols = append(ed2p.Cols, lbl)
 		}
-		for pi, ports := range portsSweep {
+		for _, ports := range portsSweep {
 			pr := RowData{Label: fmt.Sprintf("%dp", ports)}
 			er := RowData{Label: fmt.Sprintf("%dp", ports)}
-			for ei := range entriesSweep {
-				c := agg(grid[ei][pi])
-				pr.Cells = append(pr.Cells, (geomeanRatio(c.perfRatios)-1)*100)
-				er.Cells = append(er.Cells, (geomeanRatio(c.ed2pRatios)-1)*100)
+			for _, entries := range entriesSweep {
+				p, e := pct(func(wl string) cell { return parked(wl, entries, ports) })
+				pr.Cells = append(pr.Cells, p)
+				er.Cells = append(er.Cells, e)
 			}
 			perf.Rows = append(perf.Rows, pr)
 			ed2p.Rows = append(ed2p.Rows, er)
 		}
 		// The red line: IQ 32 / RF 96 without LTP.
-		c := agg(red)
-		perf.Rows = append(perf.Rows, RowData{Label: "no-LTP 32/96 (red)",
-			Cells: repeat((geomeanRatio(c.perfRatios)-1)*100, len(entriesSweep))})
-		ed2p.Rows = append(ed2p.Rows, RowData{Label: "no-LTP 32/96 (red)",
-			Cells: repeat((geomeanRatio(c.ed2pRatios)-1)*100, len(entriesSweep))})
+		p, e := pct(red)
+		perf.Rows = append(perf.Rows, RowData{Label: "no-LTP 32/96 (red)", Cells: repeat(p, len(entriesSweep))})
+		ed2p.Rows = append(ed2p.Rows, RowData{Label: "no-LTP 32/96 (red)", Cells: repeat(e, len(entriesSweep))})
 		tables = append(tables, perf, ed2p)
 		s.logf("fig10: %s done", panel.Name)
 	}
@@ -446,53 +401,34 @@ func (s *Suite) Fig11() []*Table {
 		{"mlp-insensitive", g.Insensitive},
 	}
 	tickets := []int{128, 64, 32, 16, 8, 4}
+	base := func(wl string) cell { return cell{wl: wl, pcfg: realisticConfig(64, 128)} }
+	red := func(wl string) cell { return cell{wl: wl, pcfg: realisticConfig(32, 96)} }
+	green := func(wl string) cell {
+		return cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: realisticLTP(128, 4)}
+	}
+	nrnu := func(wl string, tk int) cell {
+		lc := realisticLTP(128, 4)
+		lc.Mode = core.ModeNRNU
+		lc.Tickets = tk
+		return cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc}
+	}
+	var cells []cell
+	for _, panel := range panels {
+		for _, wl := range panel.Wls {
+			cells = append(cells, base(wl), red(wl), green(wl))
+			for _, tk := range tickets {
+				cells = append(cells, nrnu(wl, tk))
+			}
+		}
+	}
+	res := s.run(false, cells)
 
 	var tables []*Table
 	for _, panel := range panels {
-		var cells []cell
-		type ref struct{ kind, ti, wi int }
-		var refs []ref
-		for wi, wl := range panel.Wls {
-			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
-			refs = append(refs, ref{0, 0, wi})
-			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96)})
-			refs = append(refs, ref{1, 0, wi})
-			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96),
-				useLTP: true, lcfg: realisticLTP(128, 4)})
-			refs = append(refs, ref{2, 0, wi})
-			for ti, tk := range tickets {
-				lc := realisticLTP(128, 4)
-				lc.Mode = core.ModeNRNU
-				lc.Tickets = tk
-				cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc})
-				refs = append(refs, ref{3, ti, wi})
-			}
-		}
-		res := s.run(false, cells)
-
-		base := make([]uint64, len(panel.Wls))
-		red := make([]uint64, len(panel.Wls))
-		green := make([]uint64, len(panel.Wls))
-		grid := make([][]uint64, len(tickets))
-		for i := range grid {
-			grid[i] = make([]uint64, len(panel.Wls))
-		}
-		for k, r := range refs {
-			switch r.kind {
-			case 0:
-				base[r.wi] = res[k].Cycles
-			case 1:
-				red[r.wi] = res[k].Cycles
-			case 2:
-				green[r.wi] = res[k].Cycles
-			default:
-				grid[r.ti][r.wi] = res[k].Cycles
-			}
-		}
-		perfPct := func(cycles []uint64) float64 {
-			ratios := make([]float64, len(cycles))
-			for i := range cycles {
-				ratios[i] = float64(base[i]) / float64(cycles[i])
+		perfPct := func(at func(wl string) cell) float64 {
+			ratios := make([]float64, len(panel.Wls))
+			for i, wl := range panel.Wls {
+				ratios[i] = float64(res[base(wl)].Cycles) / float64(res[at(wl)].Cycles)
 			}
 			return (geomeanRatio(ratios) - 1) * 100
 		}
@@ -501,9 +437,7 @@ func (s *Suite) Fig11() []*Table {
 		row := RowData{Label: "LTP(NR+NU)"}
 		for _, tk := range tickets {
 			t.Cols = append(t.Cols, fmt.Sprintf("%d", tk))
-		}
-		for ti := range tickets {
-			row.Cells = append(row.Cells, perfPct(grid[ti]))
+			row.Cells = append(row.Cells, perfPct(func(wl string) cell { return nrnu(wl, tk) }))
 		}
 		t.Rows = append(t.Rows, row)
 		t.Rows = append(t.Rows, RowData{Label: "no-LTP 32/96 (red)", Cells: repeat(perfPct(red), len(tickets))})
@@ -524,31 +458,32 @@ func (s *Suite) UITSweep() *Table {
 	// reach the capacity-conflict regime.
 	sizes := []int{0, 256, 64, 16, 8, 4} // 0 = unlimited
 
+	base := func(wl string) cell { return cell{wl: wl, pcfg: realisticConfig(64, 128)} }
+	sized := func(wl string, uit int) cell {
+		lc := realisticLTP(128, 4)
+		lc.UITEntries = uit
+		return cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc}
+	}
 	var cells []cell
 	for _, wl := range g.Sensitive {
-		cells = append(cells, cell{wl: wl, pcfg: realisticConfig(64, 128)})
+		cells = append(cells, base(wl))
 		for _, sz := range sizes {
-			lc := realisticLTP(128, 4)
-			lc.UITEntries = sz
-			cells = append(cells, cell{wl: wl, pcfg: realisticConfig(32, 96), useLTP: true, lcfg: lc})
+			cells = append(cells, sized(wl, sz))
 		}
 	}
 	res := s.run(false, cells)
 
 	t := &Table{Title: "UIT size sweep (§5.6) [mlp-sensitive]: perf % vs base IQ:64/RF:128"}
-	per := len(sizes) + 1
 	row := RowData{Label: "LTP(NU) 128/4p"}
-	for si, sz := range sizes {
+	for _, sz := range sizes {
 		lbl := "UIT:inf"
 		if sz > 0 {
 			lbl = fmt.Sprintf("UIT:%d", sz)
 		}
 		t.Cols = append(t.Cols, lbl)
 		var ratios []float64
-		for wi := range g.Sensitive {
-			base := res[wi*per].Cycles
-			r := res[wi*per+1+si].Cycles
-			ratios = append(ratios, float64(base)/float64(r))
+		for _, wl := range g.Sensitive {
+			ratios = append(ratios, float64(res[base(wl)].Cycles)/float64(res[sized(wl, sz)].Cycles))
 		}
 		row.Cells = append(row.Cells, (geomeanRatio(ratios)-1)*100)
 	}

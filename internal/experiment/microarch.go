@@ -3,15 +3,18 @@ package experiment
 // The microarchitectural-frontier experiment: the branch-predictor ×
 // prefetcher cross on branch- and memory-bound scenarios, and the
 // shared-hierarchy contention study (solo versus a memhog co-runner,
-// LTP off versus on). Both tables run through the generalized sweep
-// axes (RunPatch.Scenario / BranchPred / Prefetcher / Corunners), so
-// every cell is content-addressed exactly like a service-submitted
-// campaign cell.
+// LTP off versus on). Both tables' cells run as one batch; a cell's
+// predictor and prefetcher are spelled in its pipeline configuration,
+// which canonicalizes exactly like the sweep axes' RunPatch.BranchPred
+// and RunPatch.Prefetcher, so every cell is content-addressed like a
+// service-submitted campaign cell.
 
 import (
 	"fmt"
 
 	"ltp"
+	"ltp/internal/core"
+	"ltp/internal/pipeline"
 )
 
 // Microarch produces the predictor × prefetcher cross and the
@@ -20,46 +23,38 @@ func (s *Suite) Microarch() []*Table {
 	preds := ltp.BranchPredictors()
 	prefs := ltp.Prefetchers()
 	scenarios := []string{"branchy", "hashjoin", "ptrchase"}
-
-	axis := func(name string, labels []string, patch func(i int) ltp.RunPatch) ltp.SweepAxis {
-		ax := ltp.SweepAxis{Name: name}
-		for i, l := range labels {
-			ax.Points = append(ax.Points, ltp.SweepPoint{Name: l, Patch: patch(i)})
-		}
-		return ax
+	crossAt := func(scn, bp, pf string) cell {
+		pc := pipeline.DefaultConfig()
+		pc.BranchPred, pc.Hier.Prefetcher = bp, pf
+		return cell{scenario: scn, pcfg: pc}
 	}
-	cross := s.sweep(ltp.SweepSpec{Base: s.base(), Axes: []ltp.SweepAxis{
-		axis("scenario", scenarios, func(i int) ltp.RunPatch { return ltp.RunPatch{Scenario: &scenarios[i]} }),
-		axis("bpred", preds, func(i int) ltp.RunPatch { return ltp.RunPatch{BranchPred: &preds[i]} }),
-		axis("prefetcher", prefs, func(i int) ltp.RunPatch { return ltp.RunPatch{Prefetcher: &prefs[i]} }),
-	}})
-
 	// Contention grid: {solo, +memhog} × {no LTP, LTP NU}, on the
 	// memory-bound chase scenario where parking matters most.
-	hog := []ltp.Corunner{{Scenario: "memhog"}}
-	onOff := []bool{false, true}
-	chase := s.base()
-	chase.Scenario = "ptrchase"
-	contention := s.sweep(ltp.SweepSpec{Base: chase, Axes: []ltp.SweepAxis{
-		axis("corunners", []string{"solo", "+memhog"}, func(i int) ltp.RunPatch {
-			if i == 0 {
-				return ltp.RunPatch{}
+	contendAt := func(corunner string, useLTP bool) cell {
+		return cell{scenario: "ptrchase", pcfg: pipeline.DefaultConfig(),
+			useLTP: useLTP, lcfg: core.DefaultConfig(), corunner: corunner}
+	}
+	var cells []cell
+	for _, scn := range scenarios {
+		for _, bp := range preds {
+			for _, pf := range prefs {
+				cells = append(cells, crossAt(scn, bp, pf))
 			}
-			return ltp.RunPatch{Corunners: &hog}
-		}),
-		axis("ltp", []string{"no LTP", "LTP(NU)"}, func(i int) ltp.RunPatch { return ltp.RunPatch{UseLTP: &onOff[i]} }),
-	}})
+		}
+	}
+	for _, corunner := range []string{"", "memhog"} {
+		cells = append(cells, contendAt(corunner, false), contendAt(corunner, true))
+	}
+	res := s.run(false, cells)
 
 	var tables []*Table
-	i := 0
 	for _, scn := range scenarios {
 		t := &Table{Title: fmt.Sprintf("predictor x prefetcher CPI [%s]", scn)}
 		t.Cols = append(t.Cols, prefs...)
 		for _, bp := range preds {
 			row := RowData{Label: bp}
-			for range prefs {
-				row.Cells = append(row.Cells, cross[i].CPI)
-				i++
+			for _, pf := range prefs {
+				row.Cells = append(row.Cells, res[crossAt(scn, bp, pf)].CPI)
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -68,9 +63,9 @@ func (s *Suite) Microarch() []*Table {
 
 	ct := &Table{Title: "shared-hierarchy contention [ptrchase]: CPI solo vs +memhog co-runner"}
 	ct.Cols = []string{"no LTP", "LTP(NU)"}
-	for k, label := range []string{"solo", "+memhog"} {
-		ct.Rows = append(ct.Rows, RowData{Label: label,
-			Cells: []float64{contention[2*k].CPI, contention[2*k+1].CPI}})
+	for _, r := range []struct{ label, corunner string }{{"solo", ""}, {"+memhog", "memhog"}} {
+		ct.Rows = append(ct.Rows, RowData{Label: r.label,
+			Cells: []float64{res[contendAt(r.corunner, false)].CPI, res[contendAt(r.corunner, true)].CPI}})
 	}
 	tables = append(tables, ct)
 	return tables

@@ -11,7 +11,10 @@
 // prefetched lines that are still in flight behave as delayed hits.
 package mem
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // LineShift selects 64-byte cache lines (Table 1).
 const LineShift = 6
@@ -92,13 +95,24 @@ type Cache struct {
 	WritebacksN uint64
 }
 
+// cacheSets returns the set count of a sizeBytes, ways-way cache, or
+// an error unless it is a positive power of two.
+func cacheSets(name string, sizeBytes, ways int) (int, error) {
+	if ways > 0 {
+		if sets := sizeBytes / (ways * LineBytes); sets > 0 && sets&(sets-1) == 0 {
+			return sets, nil
+		}
+	}
+	return 0, fmt.Errorf("mem: %s set count must be a power of two (%d B, %d ways)", name, sizeBytes, ways)
+}
+
 // NewCache builds a cache from total size in bytes, associativity and
 // access latency in cycles. Size must be a multiple of ways*LineBytes and
 // the resulting set count must be a power of two.
 func NewCache(name string, sizeBytes, ways int, latency uint64) *Cache {
-	sets := sizeBytes / (ways * LineBytes)
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("mem: set count must be a power of two: " + name)
+	sets, err := cacheSets(name, sizeBytes, ways)
+	if err != nil {
+		panic(err.Error()) // configurations are validated at spec admission
 	}
 	c := &Cache{
 		name:     name,

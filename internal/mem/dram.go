@@ -1,5 +1,7 @@
 package mem
 
+import "fmt"
+
 // DRAM models a DDR3-1600 11-11-11 style main memory at cycle granularity:
 // a single channel with multiple banks, per-bank row buffers, and a shared
 // data bus. Timing parameters are expressed in CPU cycles (Table 1's core
@@ -67,13 +69,22 @@ func DefaultDRAMConfig() DRAMConfig {
 	}
 }
 
-// NewDRAM builds the banked model.
-func NewDRAM(cfg DRAMConfig) *DRAM {
+// Validate reports a geometry NewDRAM refuses: a bank count or row
+// size that is not a positive power of two.
+func (cfg DRAMConfig) Validate() error {
 	if cfg.Banks <= 0 || cfg.Banks&(cfg.Banks-1) != 0 {
-		panic("mem: DRAM bank count must be a positive power of two")
+		return fmt.Errorf("mem: DRAM bank count must be a positive power of two, not %d", cfg.Banks)
 	}
 	if cfg.RowBytes <= 0 || cfg.RowBytes&(cfg.RowBytes-1) != 0 {
-		panic("mem: DRAM row size must be a positive power of two")
+		return fmt.Errorf("mem: DRAM row size must be a positive power of two, not %d", cfg.RowBytes)
+	}
+	return nil
+}
+
+// NewDRAM builds the banked model.
+func NewDRAM(cfg DRAMConfig) *DRAM {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error()) // configurations are validated at spec admission
 	}
 	rowBits := uint(0)
 	for 1<<rowBits < cfg.RowBytes {

@@ -111,6 +111,27 @@ type Hierarchy struct {
 	CorunnerStalls   uint64
 }
 
+// Validate reports the first geometry NewHierarchy refuses: a cache
+// whose set count is not a positive power of two, or a banked DRAM
+// whose bank count or row size is not.
+func (c Config) Validate() error {
+	for _, l := range []struct {
+		name       string
+		size, ways int
+	}{
+		{"L1I", c.L1ISize, c.L1IWays}, {"L1D", c.L1DSize, c.L1DWays},
+		{"L2", c.L2Size, c.L2Ways}, {"L3", c.L3Size, c.L3Ways},
+	} {
+		if _, err := cacheSets(l.name, l.size, l.ways); err != nil {
+			return err
+		}
+	}
+	if c.DRAM != nil {
+		return c.DRAM.Validate()
+	}
+	return nil
+}
+
 // NewHierarchy builds the stack from a Config.
 func NewHierarchy(cfg Config) *Hierarchy {
 	h := &Hierarchy{

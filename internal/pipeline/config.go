@@ -13,6 +13,9 @@
 package pipeline
 
 import (
+	"errors"
+	"fmt"
+
 	"ltp/internal/bpred"
 	"ltp/internal/mem"
 )
@@ -146,28 +149,35 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks structural constraints and the branch-predictor name
-// and panics on violations; New and NewShared apply the same checks so
-// misconfigurations fail fast.
-func (c *Config) Validate() {
-	c.validateStructure()
-	if _, err := bpred.Lookup(c.BranchPred); err != nil {
-		panic("pipeline: " + err.Error())
+// Validate reports the first constraint the configuration breaks: the
+// structure rules, the branch-predictor name, or a cache or DRAM
+// geometry the hierarchy refuses (mem.Config.Validate). Run specs are
+// checked with it at admission, so a bad configuration is an error;
+// New and NewShared still panic on one, as a guard against
+// programming errors.
+func (c *Config) Validate() error {
+	if err := c.checkStructure(); err != nil {
+		return err
 	}
+	if _, err := bpred.Lookup(c.BranchPred); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	return c.Hier.Validate()
 }
 
-// validateStructure is Validate without the predictor check, for
-// constructors handed a predictor instead of building one.
-func (c *Config) validateStructure() {
+// checkStructure is Validate's structure rules alone, for constructors
+// handed a predictor and a hierarchy instead of building them.
+func (c *Config) checkStructure() error {
 	switch {
 	case c.FetchWidth <= 0 || c.DecodeWidth <= 0 || c.RenameWidth <= 0 ||
 		c.IssueWidth <= 0 || c.CommitWidth <= 0:
-		panic("pipeline: widths must be positive")
+		return errors.New("pipeline: widths must be positive")
 	case c.ROBSize <= 0 || c.IQSize <= 0 || c.LQSize <= 0 || c.SQSize <= 0:
-		panic("pipeline: structure sizes must be positive")
+		return errors.New("pipeline: structure sizes must be positive")
 	case c.IntRegs < 8 || c.FPRegs < 8:
-		panic("pipeline: too few available registers")
+		return errors.New("pipeline: too few available registers")
 	case c.NumALU <= 0 || c.NumMem <= 0:
-		panic("pipeline: need at least one ALU and one memory port")
+		return errors.New("pipeline: need at least one ALU and one memory port")
 	}
+	return nil
 }

@@ -236,7 +236,9 @@ func New(cfg Config, stream prog.Stream, parker Parker) *Pipeline {
 // NewShared is like New but adopts an existing hierarchy and branch
 // predictor (a warm checkpoint's) instead of building cold ones.
 func NewShared(cfg Config, stream prog.Stream, parker Parker, h *mem.Hierarchy, bp bpred.Predictor) *Pipeline {
-	cfg.validateStructure()
+	if err := cfg.checkStructure(); err != nil {
+		panic(err.Error()) // configurations are validated at spec admission
+	}
 	p := &Pipeline{
 		cfg:           cfg,
 		Hier:          h,

@@ -362,23 +362,23 @@ func TestTicketMaskProperty(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
-	good.Validate() // must not panic
+	if err := good.Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
+	}
 
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.FetchWidth = 0 },
 		func(c *Config) { c.ROBSize = 0 },
 		func(c *Config) { c.IntRegs = 1 },
 		func(c *Config) { c.NumALU = 0 },
+		func(c *Config) { c.BranchPred = "oracle" },
+		func(c *Config) { c.Hier.L2Size = 3 << 10 },
+		func(c *Config) { c.Hier.L1DWays = 0 },
 	} {
 		c := DefaultConfig()
 		mut(&c)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid config must panic")
-				}
-			}()
-			c.Validate()
-		}()
+		if c.Validate() == nil {
+			t.Errorf("invalid config %+v validated", c)
+		}
 	}
 }

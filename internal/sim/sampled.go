@@ -384,6 +384,9 @@ func stitchSampled(cks []sampleCheckpoint, sts []Stats, sampledInsts uint64) Sta
 		out.StallLQ += sampleScale(r.StallLQ, w)
 		out.StallSQ += sampleScale(r.StallSQ, w)
 		out.StallLTP += sampleScale(r.StallLTP, w)
+		out.CorunnerAccesses += sampleScale(r.CorunnerAccesses, w)
+		out.CorunnerDRAM += sampleScale(r.CorunnerDRAM, w)
+		out.CorunnerStalls += sampleScale(r.CorunnerStalls, w)
 
 		mlp += r.MLP * c
 		avgIQ += r.AvgIQ * c

@@ -330,7 +330,9 @@ type RunSpec struct {
 // Canonical errors when the spec has no normal form: a caller-supplied
 // Program, a ReplayFrom/RecordTo stream, or a prebuilt LTP.Oracle
 // (their identity lives outside the spec). Such runs still execute
-// through RunContext; they just cannot be cached.
+// through RunContext; they just cannot be cached. It also errors on a
+// configuration no tier can build: a pipeline, cache, DRAM, UIT or
+// criticality-table geometry the constructors refuse.
 func (s RunSpec) Canonical() (RunSpec, error) {
 	switch {
 	case s.Program != nil:
@@ -440,6 +442,11 @@ func (s RunSpec) canonical(sourced bool) (RunSpec, error) {
 		}
 	}
 	s.Prefetcher = ""
+	// Geometry a constructor would refuse is an error here, before any
+	// tier builds the machine.
+	if err := pcfg.Validate(); err != nil {
+		return RunSpec{}, err
+	}
 	s.Pipeline = &pcfg
 
 	cors, err := canonicalCorunners(s.Corunners)
@@ -458,6 +465,9 @@ func (s RunSpec) canonical(sourced bool) (RunSpec, error) {
 		}
 		if lcfg.Ident.String() == "" {
 			return RunSpec{}, fmt.Errorf("ltp: unknown LTP identification policy %d", lcfg.Ident)
+		}
+		if err := lcfg.Validate(); err != nil {
+			return RunSpec{}, err
 		}
 		s.LTP = &lcfg
 	} else {

@@ -6,6 +6,7 @@ import (
 
 	"ltp"
 	"ltp/internal/core"
+	"ltp/internal/mem"
 	"ltp/internal/pipeline"
 )
 
@@ -200,4 +201,78 @@ func mustRun(tb testing.TB, spec ltp.RunSpec) ltp.RunResult {
 		tb.Fatal(err)
 	}
 	return r
+}
+
+// TestBadConfigErrors feeds every tier configurations the machine's
+// constructors refuse — structure sizes, cache set counts, DRAM
+// geometry, UIT and criticality-table sizes — through both RunContext
+// and Engine.RunCached. Each must come back as an error, never a
+// panic, and never as an estimate of a machine that cannot be built.
+func TestBadConfigErrors(t *testing.T) {
+	pipe := func(mut func(*pipeline.Config)) func(*ltp.RunSpec) {
+		return func(s *ltp.RunSpec) {
+			c := pipeline.DefaultConfig()
+			mut(&c)
+			s.Pipeline = &c
+		}
+	}
+	ltpCfg := func(mut func(*core.Config)) func(*ltp.RunSpec) {
+		return func(s *ltp.RunSpec) {
+			c := core.DefaultConfig()
+			mut(&c)
+			s.UseLTP, s.LTP = true, &c
+		}
+	}
+	bad := []struct {
+		name string
+		mut  func(*ltp.RunSpec)
+	}{
+		{"IQ 0", pipe(func(c *pipeline.Config) { c.IQSize = 0 })},
+		{"4 int regs", pipe(func(c *pipeline.Config) { c.IntRegs = 4 })},
+		{"3 kB L2", pipe(func(c *pipeline.Config) { c.Hier.L2Size = 3 << 10 })},
+		{"0-way L1D", pipe(func(c *pipeline.Config) { c.Hier.L1DWays = 0 })},
+		{"3 DRAM banks", pipe(func(c *pipeline.Config) {
+			d := mem.DefaultDRAMConfig()
+			d.Banks = 3
+			c.Hier.DRAM = &d
+		})},
+		{"1000 B DRAM rows", pipe(func(c *pipeline.Config) {
+			d := mem.DefaultDRAMConfig()
+			d.RowBytes = 1000
+			c.Hier.DRAM = &d
+		})},
+		{"UIT 12", ltpCfg(func(c *core.Config) { c.UITEntries = 12 })},
+		{"crit table 100", ltpCfg(func(c *core.Config) { c.Ident, c.CritEntries = core.IdentCrit, 100 })},
+	}
+	eng, err := ltp.NewEngine(ltp.EngineConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	noPanic := func(what string, run func() error) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s panicked: %v", what, p)
+			}
+		}()
+		if err := run(); err == nil {
+			t.Errorf("%s returned no error", what)
+		}
+	}
+	for _, backend := range []string{ltp.BackendCycle, ltp.BackendSampled, ltp.BackendModel} {
+		for _, b := range bad {
+			spec := ltp.RunSpec{Workload: "compute", Scale: 0.05, WarmInsts: 1_000, MaxInsts: 2_000, Backend: backend}
+			b.mut(&spec)
+			noPanic(backend+"/"+b.name+" RunContext", func() error {
+				_, err := ltp.RunContext(ctx, spec)
+				return err
+			})
+			noPanic(backend+"/"+b.name+" RunCached", func() error {
+				_, _, _, err := eng.RunCached(ctx, spec)
+				return err
+			})
+		}
+	}
 }

@@ -148,6 +148,19 @@ func TestSampledK1Corunner(t *testing.T) {
 	if cres.CorunnerAccesses == 0 {
 		t.Fatal("contended cycle run replayed zero co-runner accesses")
 	}
+
+	// K>1 stitches its intervals: the co-runner counters must scale up
+	// to the whole run like every other additive counter.
+	sspec.Intervals = 4
+	kres, err := ltp.RunContext(context.Background(), sspec)
+	if err != nil {
+		t.Fatalf("sampled K=4: %v", err)
+	}
+	if kres.CorunnerAccesses == 0 || kres.CorunnerDRAM == 0 || kres.CorunnerStalls == 0 {
+		t.Errorf("K=4 sampled run reports co-runner accesses/DRAM/stalls %d/%d/%d (cycle %d/%d/%d)",
+			kres.CorunnerAccesses, kres.CorunnerDRAM, kres.CorunnerStalls,
+			cres.CorunnerAccesses, cres.CorunnerDRAM, cres.CorunnerStalls)
+	}
 }
 
 // TestMicroarchAxisHashing holds the rs3 canonicalization contract for

@@ -25,8 +25,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
+
+	"ltp/scripts/internal/daemon"
 )
 
 // sweepBody is the campaign: 16 cells × 2 seed replicates = 32 runs,
@@ -58,7 +59,7 @@ const groupBody = `{
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "fabricsmoke: FAIL:", err)
-		dumpDaemonStderr()
+		daemon.DumpStderr()
 		os.Exit(1)
 	}
 	fmt.Println("fabricsmoke: PASS")
@@ -79,32 +80,32 @@ func run() error {
 	}
 
 	// Three workers...
-	var workers []*daemon
+	var workers []*daemon.Daemon
 	var urls []string
 	for i := 0; i < 3; i++ {
-		w, err := boot(bin, fmt.Sprintf("worker%d", i), "-addr", "127.0.0.1:0", "-q", "-parallel", "2")
+		w, err := daemon.Boot(bin, fmt.Sprintf("worker%d", i), "-addr", "127.0.0.1:0", "-q", "-parallel", "2")
 		if err != nil {
 			return err
 		}
-		defer w.kill()
+		defer w.Kill()
 		workers = append(workers, w)
-		urls = append(urls, w.base)
+		urls = append(urls, w.Base)
 	}
 	// ...and the coordinator fronting them, tuned to notice faults fast.
-	coord, err := boot(bin, "coordinator",
+	coord, err := daemon.Boot(bin, "coordinator",
 		"-coordinator", "-workers", strings.Join(urls, ","),
 		"-addr", "127.0.0.1:0", "-retries", "5", "-poll", "300ms")
 	if err != nil {
 		return err
 	}
-	defer coord.kill()
-	fmt.Printf("fabricsmoke: coordinator at %s fronting %d workers\n", coord.base, len(workers))
-	if err := runGroup(coord.base); err != nil {
+	defer coord.Kill()
+	fmt.Printf("fabricsmoke: coordinator at %s fronting %d workers\n", coord.Base, len(workers))
+	if err := runGroup(coord.Base); err != nil {
 		return err
 	}
 
 	start := time.Now()
-	resp, err := http.Post(coord.base+"/v1/sweep?stream=1", "application/json", strings.NewReader(sweepBody))
+	resp, err := http.Post(coord.Base+"/v1/sweep?stream=1", "application/json", strings.NewReader(sweepBody))
 	if err != nil {
 		return fmt.Errorf("submitting sweep: %w", err)
 	}
@@ -162,7 +163,7 @@ func run() error {
 		if cells == 3 && !killed {
 			killed = true
 			fmt.Println("fabricsmoke: SIGKILLing worker0 mid-campaign")
-			workers[0].kill()
+			workers[0].Kill()
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -189,7 +190,7 @@ func run() error {
 			Workers        int `json:"workers"`
 			HealthyWorkers int `json:"healthy_workers"`
 		}
-		if err := getJSON(coord.base+"/healthz", &health); err != nil {
+		if err := daemon.Get(coord.Base+"/healthz", &health); err != nil {
 			return fmt.Errorf("healthz: %w", err)
 		}
 		if health.Workers == 3 && health.HealthyWorkers == 2 {
@@ -209,7 +210,7 @@ func run() error {
 			Status string `json:"status"`
 		} `json:"job"`
 	}
-	dresp, err := http.Post(workers[1].base+"/v1/sweep?wait=1", "application/json", strings.NewReader(sweepBody))
+	dresp, err := http.Post(workers[1].Base+"/v1/sweep?wait=1", "application/json", strings.NewReader(sweepBody))
 	if err != nil {
 		return fmt.Errorf("direct sweep: %w", err)
 	}
@@ -234,7 +235,7 @@ func runGroup(base string) error {
 				Parallelism int `json:"parallelism"`
 			} `json:"workers"`
 		}
-		if err := getJSON(base+"/v1/workers", &roster); err != nil {
+		if err := daemon.Get(base+"/v1/workers", &roster); err != nil {
 			return fmt.Errorf("workers: %w", err)
 		}
 		reported := 0
@@ -278,136 +279,4 @@ func runGroup(base string) error {
 	}
 	fmt.Printf("fabricsmoke: grouped campaign of 12 runs (one warm group) in %.3fs\n", time.Since(start).Seconds())
 	return nil
-}
-
-// daemon is one booted ltpserved process.
-type daemon struct {
-	cmd  *exec.Cmd
-	base string
-	once sync.Once
-}
-
-// kill SIGKILLs the process (idempotent) and reaps it.
-func (d *daemon) kill() {
-	d.once.Do(func() {
-		d.cmd.Process.Kill()
-		d.cmd.Wait()
-	})
-}
-
-// boot starts ltpserved with the given args and waits for its
-// machine-readable "listening on <addr>" line.
-func boot(bin, name string, args ...string) (*daemon, error) {
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = newDaemonTail(name + ": ltpserved " + strings.Join(args, " "))
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting %s: %w", name, err)
-	}
-	d := &daemon{cmd: cmd}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if line := sc.Text(); strings.HasPrefix(line, "listening on ") {
-				addrCh <- strings.TrimPrefix(line, "listening on ")
-				return
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		d.base = "http://" + addr
-		return d, nil
-	case <-time.After(30 * time.Second):
-		d.kill()
-		return nil, fmt.Errorf("%s never reported its address", name)
-	}
-}
-
-// getJSON fetches a URL and decodes the JSON body.
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != 200 {
-		return fmt.Errorf("status %d; body: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return json.Unmarshal(body, out)
-}
-
-// stderrTail captures the last lines of one daemon's stderr for the
-// failure dump (same shape as servesmoke's).
-type stderrTail struct {
-	name string
-
-	mu      sync.Mutex
-	partial []byte
-	lines   []string
-}
-
-// stderrTailLines is how much of each daemon's stderr is retained.
-const stderrTailLines = 100
-
-// Write appends daemon output, keeping only the newest lines.
-func (t *stderrTail) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.partial = append(t.partial, p...)
-	for {
-		i := bytes.IndexByte(t.partial, '\n')
-		if i < 0 {
-			break
-		}
-		t.lines = append(t.lines, string(t.partial[:i]))
-		t.partial = t.partial[i+1:]
-		if len(t.lines) > stderrTailLines {
-			t.lines = t.lines[len(t.lines)-stderrTailLines:]
-		}
-	}
-	return len(p), nil
-}
-
-// daemonTails registers every booted daemon's stderr tail.
-var daemonTails struct {
-	mu    sync.Mutex
-	tails []*stderrTail
-}
-
-// newDaemonTail creates and registers a tail for one daemon.
-func newDaemonTail(name string) *stderrTail {
-	t := &stderrTail{name: name}
-	daemonTails.mu.Lock()
-	daemonTails.tails = append(daemonTails.tails, t)
-	daemonTails.mu.Unlock()
-	return t
-}
-
-// dumpDaemonStderr prints every daemon's captured stderr tail.
-func dumpDaemonStderr() {
-	daemonTails.mu.Lock()
-	tails := daemonTails.tails
-	daemonTails.mu.Unlock()
-	for _, t := range tails {
-		t.mu.Lock()
-		lines := t.lines
-		if len(t.partial) > 0 {
-			lines = append(lines, string(t.partial))
-		}
-		if len(lines) == 0 {
-			fmt.Fprintf(os.Stderr, "--- %s: no stderr output ---\n", t.name)
-		} else {
-			fmt.Fprintf(os.Stderr, "--- %s: last %d stderr lines ---\n", t.name, len(lines))
-			for _, l := range lines {
-				fmt.Fprintln(os.Stderr, l)
-			}
-		}
-		t.mu.Unlock()
-	}
 }

@@ -18,18 +18,16 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
+
+	"ltp/scripts/internal/daemon"
 )
 
 // matrixBody is the -quick-scale campaign the smoke submits twice: a
@@ -42,89 +40,10 @@ const matrixBody = `{"base":{"scale":0.05,"max_insts":5000},"axes":[
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "servesmoke: FAIL:", err)
-		dumpDaemonStderr()
+		daemon.DumpStderr()
 		os.Exit(1)
 	}
 	fmt.Println("servesmoke: PASS")
-}
-
-// stderrTailLines is how much of each daemon's stderr the harness
-// retains for the failure dump.
-const stderrTailLines = 100
-
-// stderrTail captures the last stderrTailLines lines a daemon wrote
-// to stderr, so a failure can show what the server was doing instead
-// of a bare HTTP status.
-type stderrTail struct {
-	name string
-
-	mu      sync.Mutex
-	partial []byte
-	lines   []string
-}
-
-// Write appends daemon output, keeping only the newest lines.
-func (t *stderrTail) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.partial = append(t.partial, p...)
-	for {
-		i := bytes.IndexByte(t.partial, '\n')
-		if i < 0 {
-			break
-		}
-		t.lines = append(t.lines, string(t.partial[:i]))
-		t.partial = t.partial[i+1:]
-		if len(t.lines) > stderrTailLines {
-			t.lines = t.lines[len(t.lines)-stderrTailLines:]
-		}
-	}
-	return len(p), nil
-}
-
-// dump prints the captured tail.
-func (t *stderrTail) dump(w io.Writer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	lines := t.lines
-	if len(t.partial) > 0 {
-		lines = append(lines, string(t.partial))
-	}
-	if len(lines) == 0 {
-		fmt.Fprintf(w, "--- %s: no stderr output ---\n", t.name)
-		return
-	}
-	fmt.Fprintf(w, "--- %s: last %d stderr lines ---\n", t.name, len(lines))
-	for _, l := range lines {
-		fmt.Fprintln(w, l)
-	}
-}
-
-// daemonTails registers every booted server's stderr tail for the
-// failure dump.
-var daemonTails struct {
-	mu    sync.Mutex
-	tails []*stderrTail
-}
-
-// newDaemonTail creates and registers a tail for one server.
-func newDaemonTail(name string) *stderrTail {
-	t := &stderrTail{name: name}
-	daemonTails.mu.Lock()
-	daemonTails.tails = append(daemonTails.tails, t)
-	daemonTails.mu.Unlock()
-	return t
-}
-
-// dumpDaemonStderr prints every daemon's captured stderr tail (newest
-// server last) — the first thing to read when the smoke fails.
-func dumpDaemonStderr() {
-	daemonTails.mu.Lock()
-	tails := daemonTails.tails
-	daemonTails.mu.Unlock()
-	for _, t := range tails {
-		t.dump(os.Stderr)
-	}
 }
 
 // progressView mirrors the documented job.progress fields.
@@ -166,14 +85,15 @@ func run() error {
 
 	// Two workers keep the cancel phase deterministic: the slow
 	// campaign's first cells are still in flight when the DELETE lands.
-	srv, base, err := bootServer(bin)
+	srv, err := bootServer(bin)
 	if err != nil {
 		return err
 	}
-	defer stopServer(srv)
+	defer srv.Kill()
+	base := srv.Base
 	fmt.Println("servesmoke: server at", base)
 
-	if err := get(base+"/healthz", nil); err != nil {
+	if err := daemon.Get(base+"/healthz", nil); err != nil {
 		return fmt.Errorf("healthz: %w", err)
 	}
 
@@ -214,7 +134,7 @@ func run() error {
 			Misses uint64 `json:"misses"`
 		} `json:"cache"`
 	}
-	if err := get(base+"/v1/stats", &stats); err != nil {
+	if err := daemon.Get(base+"/v1/stats", &stats); err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
 	if stats.Cache.Hits == 0 {
@@ -341,46 +261,10 @@ func instantFlow(base string) error {
 	return nil
 }
 
-// bootServer starts ltpserved on a free port (with any extra flags)
-// and waits for the machine-readable "listening on <addr>" line.
-func bootServer(bin string, extra ...string) (*exec.Cmd, string, error) {
-	args := append([]string{"-addr", "127.0.0.1:0", "-q", "-parallel", "2"}, extra...)
-	srv := exec.Command(bin, args...)
-	stdout, err := srv.StdoutPipe()
-	if err != nil {
-		return nil, "", err
-	}
-	// Capture stderr instead of streaming it: on failure the harness
-	// dumps each daemon's tail next to the error, where it is readable,
-	// rather than interleaved with the whole run's output.
-	srv.Stderr = newDaemonTail("ltpserved " + strings.Join(args, " "))
-	if err := srv.Start(); err != nil {
-		return nil, "", fmt.Errorf("starting ltpserved: %w", err)
-	}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if line := sc.Text(); strings.HasPrefix(line, "listening on ") {
-				addrCh <- strings.TrimPrefix(line, "listening on ")
-				return
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		return srv, "http://" + addr, nil
-	case <-time.After(30 * time.Second):
-		stopServer(srv)
-		return nil, "", fmt.Errorf("server never reported its address")
-	}
-}
-
-// stopServer kills the server process outright (the restart flow wants
-// a crash, not a graceful drain) and reaps it.
-func stopServer(srv *exec.Cmd) {
-	srv.Process.Kill()
-	srv.Wait()
+// bootServer starts ltpserved on a free port with two workers and any
+// extra flags.
+func bootServer(bin string, extra ...string) (*daemon.Daemon, error) {
+	return daemon.Boot(bin, "server", append([]string{"-addr", "127.0.0.1:0", "-q", "-parallel", "2"}, extra...)...)
 }
 
 // storeStatsView mirrors the documented /v1/stats store section.
@@ -400,11 +284,12 @@ type storeStatsView struct {
 // server on the same store file must serve the identical campaign
 // entirely from disk — every run a store hit, zero new simulations.
 func storeRestartFlow(bin, storePath string) error {
-	srv1, base, err := bootServer(bin, "-store", storePath)
+	srv1, err := bootServer(bin, "-store", storePath)
 	if err != nil {
 		return err
 	}
-	defer stopServer(srv1)
+	defer srv1.Kill()
+	base := srv1.Base
 
 	var first campaignResp
 	if err := post(base+"/v1/sweep?wait=1", matrixBody, &first); err != nil {
@@ -415,7 +300,7 @@ func storeRestartFlow(bin, storePath string) error {
 	}
 	total := first.Job.Progress.TotalRuns
 	var st storeStatsView
-	if err := get(base+"/v1/stats", &st); err != nil {
+	if err := daemon.Get(base+"/v1/stats", &st); err != nil {
 		return fmt.Errorf("store stats: %w", err)
 	}
 	if st.Store == nil || st.Store.Appends == 0 {
@@ -423,13 +308,14 @@ func storeRestartFlow(bin, storePath string) error {
 	}
 	// Crash: no drain, no graceful close. The appended records must
 	// already be durable.
-	stopServer(srv1)
+	srv1.Kill()
 
-	srv2, base2, err := bootServer(bin, "-store", storePath)
+	srv2, err := bootServer(bin, "-store", storePath)
 	if err != nil {
 		return err
 	}
-	defer stopServer(srv2)
+	defer srv2.Kill()
+	base2 := srv2.Base
 	var redo campaignResp
 	if err := post(base2+"/v1/sweep?wait=1", matrixBody, &redo); err != nil {
 		return fmt.Errorf("post-restart campaign: %w", err)
@@ -442,7 +328,7 @@ func storeRestartFlow(bin, storePath string) error {
 		return fmt.Errorf("campaign hash changed across restart: %s vs %s", first.Job.Hash, redo.Job.Hash)
 	}
 	var st2 storeStatsView
-	if err := get(base2+"/v1/stats", &st2); err != nil {
+	if err := daemon.Get(base2+"/v1/stats", &st2); err != nil {
 		return fmt.Errorf("post-restart stats: %w", err)
 	}
 	if st2.Cache.Misses != 0 || st2.Store == nil || st2.Store.Hits != uint64(total) || st2.Store.Appends != 0 {
@@ -519,7 +405,7 @@ func backendFlow(base string) error {
 			Fidelity string `json:"fidelity"`
 		} `json:"backends"`
 	}
-	if err := get(base+"/v1/workloads", &w); err != nil {
+	if err := daemon.Get(base+"/v1/workloads", &w); err != nil {
 		return fmt.Errorf("workloads: %w", err)
 	}
 	names := map[string]bool{}
@@ -623,7 +509,7 @@ func microarchFlow(base string) error {
 		BranchPredictors []string `json:"branch_predictors"`
 		Prefetchers      []string `json:"prefetchers"`
 	}
-	if err := get(base+"/v1/workloads", &w); err != nil {
+	if err := daemon.Get(base+"/v1/workloads", &w); err != nil {
 		return fmt.Errorf("workloads: %w", err)
 	}
 	have := func(list []string, name string) bool {
@@ -752,7 +638,7 @@ func cancelFlow(base string) error {
 	var view campaignResp
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if err := get(base+"/v1/jobs/"+slow.Job.ID, &view); err != nil {
+		if err := daemon.Get(base+"/v1/jobs/"+slow.Job.ID, &view); err != nil {
 			return fmt.Errorf("polling cancelled job: %w", err)
 		}
 		if view.Job.Status == "canceled" {
@@ -780,11 +666,11 @@ func cancelFlow(base string) error {
 			Misses uint64 `json:"misses"`
 		} `json:"cache"`
 	}
-	if err := get(base+"/v1/stats", &st1); err != nil {
+	if err := daemon.Get(base+"/v1/stats", &st1); err != nil {
 		return err
 	}
 	time.Sleep(500 * time.Millisecond)
-	if err := get(base+"/v1/stats", &st2); err != nil {
+	if err := daemon.Get(base+"/v1/stats", &st2); err != nil {
 		return err
 	}
 	if st2.Cache.Misses != st1.Cache.Misses {
@@ -810,63 +696,13 @@ func cancelFlow(base string) error {
 	return nil
 }
 
-// decodeChecked reads a response, failing with the offending body —
-// trimmed to a sane length — whenever the status is unexpected or the
-// payload does not decode, so a failure shows what the server actually
-// said.
-func decodeChecked(resp *http.Response, out any, okStatus ...int) error {
-	defer resp.Body.Close()
-	body, readErr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	ok := false
-	for _, s := range okStatus {
-		if resp.StatusCode == s {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return fmt.Errorf("status %d; body: %s", resp.StatusCode, trimBody(body))
-	}
-	if readErr != nil {
-		return fmt.Errorf("reading response body: %w", readErr)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("decoding response: %v; body: %s", err, trimBody(body))
-	}
-	return nil
-}
-
-// trimBody renders a response body for an error message.
-func trimBody(body []byte) string {
-	s := strings.TrimSpace(string(body))
-	if s == "" {
-		return "<empty>"
-	}
-	if len(s) > 2048 {
-		s = s[:2048] + " ...[truncated]"
-	}
-	return s
-}
-
-// get fetches JSON into out (nil = just check the status).
-func get(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	return decodeChecked(resp, out, 200)
-}
-
 // post sends a JSON body and decodes the JSON response into out.
 func post(url, body string, out any) error {
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		return err
 	}
-	return decodeChecked(resp, out, 200, 202)
+	return daemon.Decode(resp, out, 200, 202)
 }
 
 // del issues a DELETE and decodes the JSON response into out.
@@ -879,5 +715,5 @@ func del(url string, out any) error {
 	if err != nil {
 		return err
 	}
-	return decodeChecked(resp, out, 200)
+	return daemon.Decode(resp, out, 200)
 }
