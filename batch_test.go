@@ -132,6 +132,49 @@ func warmBatchCase(backend string) batchCase {
 	return batchCase{name: backend, sweep: sweep, singles: singles}
 }
 
+// sampledGeometryCase is a sampled-backend sweep whose lanes differ in
+// interval count (K 2, 4, 8) and ROB size (64, 256), so one measured
+// pass serves lanes whose interval starts partly coincide (every K
+// starts at 0 and half-way) and partly differ (K=8's odd eighths), and
+// whose replayed spans — ramp and slack scale with the ROB — run past
+// the next interval's start.
+func sampledGeometryCase() batchCase {
+	base := ltp.RunSpec{
+		Scenario:  "hashjoin",
+		Seed:      3,
+		Backend:   ltp.BackendSampled,
+		Scale:     0.05,
+		WarmInsts: 4_000,
+		MaxInsts:  6_000,
+	}
+	ks := []int{2, 4, 8}
+	robs := []int{64, 256}
+
+	var kPts, robPts []ltp.SweepPoint
+	for i := range ks {
+		kPts = append(kPts, ltp.SweepPoint{Name: fmt.Sprintf("K%d", ks[i]), Patch: ltp.RunPatch{Intervals: &ks[i]}})
+	}
+	for i := range robs {
+		robPts = append(robPts, ltp.SweepPoint{Name: fmt.Sprintf("rob%d", robs[i]), Patch: ltp.RunPatch{ROBSize: &robs[i]}})
+	}
+	sweep := ltp.SweepSpec{
+		Base: base,
+		Axes: []ltp.SweepAxis{{Name: "k", Points: kPts}, {Name: "rob", Points: robPts}},
+	}
+
+	var singles []ltp.RunSpec
+	for _, k := range ks {
+		for _, rob := range robs {
+			s := base
+			cfg := pipeline.DefaultConfig()
+			cfg.ROBSize = rob
+			s.Intervals, s.Pipeline = k, &cfg
+			singles = append(singles, s)
+		}
+	}
+	return batchCase{name: "sampled-geometry", sweep: sweep, singles: singles}
+}
+
 // oracleBatchCase is a limit-study sweep (the paper's Fig. 6 core:
 // unlimited MSHRs, late LQ/SQ allocation) with oracle classification:
 // a kernel axis, then unlimited and sized IQ/RF/LQ-SQ cores, then the
@@ -227,6 +270,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 		modelBatchCase(),
 		warmBatchCase(ltp.BackendCycle),
 		warmBatchCase(ltp.BackendSampled),
+		sampledGeometryCase(),
 		oracleBatchCase(),
 	} {
 		t.Run(bc.name, func(t *testing.T) { checkBatchMatchesSingle(t, bc) })

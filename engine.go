@@ -308,6 +308,8 @@ func (x poolExecutor) RunBatch(ctx context.Context, costs []float64, fns []func(
 	x.pool.RunBatch(ctx, sched.TierInteractive, costs, fns)
 }
 
+func (x poolExecutor) Parallelism() int { return x.pool.Workers() }
+
 // poolBatches is the default Executor: each batch is ONE pool task at
 // the batch's tier and weight driving runBatch — one shared functional
 // stream, one warm pass — whose per-config lanes fan back onto the

@@ -280,9 +280,6 @@ func (l *LTP) Monitor() *DRAMMonitor { return l.monitor }
 // Predictor exposes the long-latency predictor.
 func (l *LTP) Predictor() *LLPredictor { return l.llpred }
 
-// Crit exposes the IdentCrit criticality table (nil under IdentPaper).
-func (l *LTP) Crit() *CritTable { return l.crit }
-
 // ParkedCount implements pipeline.Parker.
 func (l *LTP) ParkedCount() int { return l.queue.Len() }
 

@@ -59,9 +59,6 @@ func NewSuite(scale float64, warm, detail uint64) *Suite {
 	return &Suite{Scale: scale, WarmInsts: warm, DetailInsts: detail}
 }
 
-// DefaultSuite is sized for a full experiment campaign on a laptop.
-func DefaultSuite() *Suite { return NewSuite(1.0, 100_000, 300_000) }
-
 // QuickSuite is sized for tests and benches.
 func QuickSuite() *Suite {
 	s := NewSuite(0.1, 20_000, 60_000)

@@ -148,11 +148,3 @@ func (d *DRAM) Access(addr, now uint64) uint64 {
 
 	return done
 }
-
-// RowHitRate returns the fraction of accesses that hit an open row.
-func (d *DRAM) RowHitRate() float64 {
-	if d.Accesses == 0 {
-		return 0
-	}
-	return float64(d.RowHits) / float64(d.Accesses)
-}

@@ -1,9 +1,9 @@
 // Package model implements the "model" execution backend: an
 // interval-style analytical performance model of the out-of-order core
 // behind the same sim.Backend interface as the cycle-accurate
-// pipeline. Its lanes start from the same warm checkpoint as the cycle
-// and sampled tiers (sim.RunBatch): one functional pass trains the
-// caches, the branch predictor and each lane's LTP unit. The model then
+// pipeline. Its lanes start, through sim.RunBatch, from the same warm
+// checkpoint as the cycle and sampled tiers: one functional pass trains
+// the caches, the branch predictor and each lane's LTP unit. The model then
 // executes the measured region functionally and estimates CPI from
 // first-order structure: the µop mix and its dependency-chain depth (a
 // dataflow timeline over architectural registers and forwarded stores),

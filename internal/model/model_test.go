@@ -271,6 +271,13 @@ func (x *stubExec) RunBatch(ctx context.Context, costs []float64, fns []func(con
 	wg.Wait()
 }
 
+func (x *stubExec) Parallelism() int {
+	if x.concurrent {
+		return 3
+	}
+	return 1
+}
+
 // TestRunBatchLanesIndependent checks that lanes share nothing mutable:
 // every admitted lane is its own subtask, and whatever order or
 // concurrency the executor picks, each lane's result equals its own Run.
@@ -371,11 +378,13 @@ func TestRunBatchTraceReplay(t *testing.T) {
 }
 
 // countingStream counts the µops drawn from one stream instance, by
-// Next or FastForward. Its clones are the inner stream's own, so lanes
-// reading their clones leave the count alone.
+// Next or FastForward, and the clones taken of it. Its clones are the
+// inner stream's own, so lanes reading their clones leave the µop count
+// alone.
 type countingStream struct {
-	inner prog.Stream
-	drawn uint64
+	inner  prog.Stream
+	drawn  uint64
+	clones int
 }
 
 func (c *countingStream) Next(u *isa.Uop) bool {
@@ -393,13 +402,17 @@ func (c *countingStream) FastForward(n uint64, touch func(*isa.Uop)) uint64 {
 }
 
 func (c *countingStream) CloneStream() prog.Stream {
+	c.clones++
 	return c.inner.(prog.StreamCloner).CloneStream()
 }
 
 // TestOneWarmPassPerBatch: every tier warms a batch in one pass over
 // the lead stream — IQ {32, 64} × LTP {off, on} plus a TAGE lane as a
-// second warm group draw exactly WarmInsts µops from it, and every lane
-// measures from its own clone.
+// second warm group. Cycle and model lanes draw exactly WarmInsts µops
+// from it and measure from their own clones. The sampled tier goes on
+// with one measured-region pass for all lanes: the warm region plus at
+// most the measured region and the last span's fetch-ahead slack
+// (4 ROBs), with no lane cloning the stream.
 func TestOneWarmPassPerBatch(t *testing.T) {
 	const warm, insts = 5_000, 4_000
 	var specs []sim.Spec
@@ -427,6 +440,19 @@ func TestOneWarmPassPerBatch(t *testing.T) {
 			if r.Stats.Committed == 0 {
 				t.Fatalf("%s lane %d measured nothing", name, i)
 			}
+		}
+		if name == "sampled" {
+			rob := 0
+			for _, s := range specs {
+				rob = max(rob, s.Pipeline.ROBSize)
+			}
+			if most := uint64(warm + insts + 4*rob); lead.drawn <= warm || lead.drawn > most {
+				t.Fatalf("sampled: the lead stream yielded %d µops; want the %d-µop warm region and one measured pass, at most %d", lead.drawn, warm, most)
+			}
+			if lead.clones != 0 {
+				t.Fatalf("sampled: the lead stream was cloned %d times; want every lane served by the one pass", lead.clones)
+			}
+			continue
 		}
 		if lead.drawn != warm {
 			t.Fatalf("%s: the lead stream yielded %d µops; want exactly the %d-µop warm region, once", name, lead.drawn, warm)

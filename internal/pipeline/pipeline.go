@@ -411,19 +411,6 @@ func (p *Pipeline) ROBHeadSeq() uint64 {
 	return never
 }
 
-// ROBLen returns the ROB occupancy.
-func (p *Pipeline) ROBLen() int { return p.rob.Len() }
-
-// SecondLLSeq returns the sequence number of the second-oldest in-flight,
-// incomplete long-latency instruction (never if fewer than two). The
-// Non-Urgent wakeup policy wakes everything older than this (§3.2).
-func (p *Pipeline) SecondLLSeq() uint64 {
-	if len(p.llList) < 2 {
-		return never
-	}
-	return p.llList[1].Seq
-}
-
 // wakePace bounds how far past the last known stalling instruction the
 // Non-Urgent wakeup may run when fewer than two long-latency instructions
 // are in flight. Without pacing, a momentary dip in in-flight misses would
@@ -448,14 +435,6 @@ func (p *Pipeline) WakeBound() uint64 {
 	default:
 		return p.llList[1].Seq
 	}
-}
-
-// OldestLLSeq returns the oldest in-flight incomplete LL seq (never = none).
-func (p *Pipeline) OldestLLSeq() uint64 {
-	if len(p.llList) == 0 {
-		return never
-	}
-	return p.llList[0].Seq
 }
 
 // schedule pushes a timing event.

@@ -30,8 +30,8 @@ const warmCancelChunk = 1 << 16
 // warmer is the fast-warm touch hook: I-line fetch warming, D-side
 // cache warming, branch-predictor training and LTP table observation
 // for every attached unit. It carries the I-line dedup state, so one
-// warmer warms one contiguous region; a checkpoint hands that state on
-// so the sampled tier's continued warming is seamless.
+// warmer warms one contiguous region: the sampled tier's measured-region
+// pass goes on with the warm pass's own warmers.
 type warmer struct {
 	hier      *mem.Hierarchy
 	bp        bpred.Predictor
@@ -63,7 +63,6 @@ func (w *warmer) touch(u *isa.Uop) {
 type Warmed struct {
 	warmer // units holds the lane's LTP unit, if any
 	stream prog.Stream
-	insts  uint64 // µops the warm region actually consumed
 }
 
 // Hierarchy returns the lane's warmed memory hierarchy.
@@ -114,23 +113,84 @@ func warmSignature(s Spec) string {
 	return b.String()
 }
 
-// warmCheckpoints partitions specs[lanes] into warm groups, builds one
-// checkpoint per group, and drives the shared stream once through the
-// warm region for all of them. It returns each lane's checkpoint
-// (parallel to lanes) and the µops the warm region consumed (fewer than
-// warmInsts only when the stream ended early).
-func warmCheckpoints(ctx context.Context, stream prog.Stream, warmInsts uint64, specs []Spec, lanes []int) ([]*checkpoint, uint64, error) {
-	var groups []*checkpoint
-	owners := make([]*checkpoint, len(lanes))
+// warmBatch is a batch after admission and the shared warm pass: the
+// admitted lanes, their warm groups, and how far the pass got. The lead
+// spec's stream is positioned where the warm region ended.
+type warmBatch struct {
+	out    []BatchResult // per spec; refused lanes already hold their error
+	lanes  []int         // admitted lanes, indices into the specs
+	owners []*checkpoint // each admitted lane's warm group, parallel to lanes
+	groups []*checkpoint // the distinct warm groups, in first-lane order
+	insts  uint64        // µops the warm region consumed
+}
+
+// fail fails every admitted lane with err.
+func (b *warmBatch) fail(err error) {
+	for _, i := range b.lanes {
+		b.out[i].Err = err
+	}
+}
+
+// touch is the touch hook that warms every group in one pass.
+func (b *warmBatch) touch() func(*isa.Uop) {
+	if len(b.groups) == 1 {
+		return b.groups[0].touch
+	}
+	return func(u *isa.Uop) {
+		for _, g := range b.groups {
+			g.touch(u)
+		}
+	}
+}
+
+// startBatch admits specs against the lead spec (specs[0]) — admitted
+// lanes must also share the stream and the warm budget — partitions the
+// admitted lanes into warm groups, builds one checkpoint per group, and
+// drives the lead stream once through the warm region for all of them.
+// It returns every lane's outcome so far, and a nil batch when no lane
+// is left to run.
+func startBatch(ctx context.Context, specs []Spec, admit func(spec, lead Spec) error) ([]BatchResult, *warmBatch) {
+	out := make([]BatchResult, len(specs))
+	if len(specs) == 0 {
+		return out, nil
+	}
+	if ctx.Err() != nil {
+		for i := range out {
+			out[i].Err = CancelErr(ctx)
+		}
+		return out, nil
+	}
+	lead := specs[0]
+	b := &warmBatch{out: out}
+	for i, s := range specs {
+		switch err := admit(s, lead); {
+		case err != nil:
+			out[i].Err = err
+		case s.WarmInsts != lead.WarmInsts:
+			out[i].Err = fmt.Errorf("ltp: batched lanes must share the warm-up budget")
+		case s.Reader != lead.Reader:
+			out[i].Err = fmt.Errorf("ltp: batched lanes must share one µop stream")
+		case s.Recorder != nil && len(specs) > 1:
+			out[i].Err = fmt.Errorf("ltp: trace capture cannot be batched; record a single run")
+		default:
+			b.lanes = append(b.lanes, i)
+		}
+	}
+	if len(b.lanes) == 0 {
+		return out, nil
+	}
+
 	index := make(map[string]*checkpoint)
-	for j, i := range lanes {
+	b.owners = make([]*checkpoint, len(b.lanes))
+	for j, i := range b.lanes {
 		s := specs[i]
 		sig := warmSignature(s)
 		g := index[sig]
 		if g == nil {
 			bp, err := bpred.New(s.Pipeline.BranchPred)
 			if err != nil {
-				return nil, 0, err
+				b.fail(err)
+				return out, nil
 			}
 			h := mem.NewHierarchy(s.Pipeline.Hier)
 			h.AttachCorunners(s.Corunners)
@@ -139,55 +199,49 @@ func warmCheckpoints(ctx context.Context, stream prog.Stream, warmInsts uint64, 
 				observers: make(map[core.Config]*core.LTP),
 			}
 			index[sig] = g
-			groups = append(groups, g)
+			b.groups = append(b.groups, g)
 		}
-		owners[j] = g
+		b.owners[j] = g
 		if s.LTP != nil && g.observers[*s.LTP] == nil {
 			u := core.New(*s.LTP, s.Pipeline.Hier.DRAMLatency, s.Pipeline.Hier.TagEarlyLead)
 			g.observers[*s.LTP] = u
 			g.units = append(g.units, u)
 		}
 	}
-	if warmInsts == 0 {
-		return owners, 0, nil
+	if lead.WarmInsts == 0 {
+		return out, b
 	}
 
-	ff, ok := stream.(prog.FastForwarder)
+	ff, ok := lead.Stream.(prog.FastForwarder)
 	if !ok {
-		return nil, 0, fmt.Errorf("ltp: fast warm-up needs a fast-forwardable stream; use WarmDetailed")
+		b.fail(fmt.Errorf("ltp: fast warm-up needs a fast-forwardable stream; use WarmDetailed"))
+		return out, nil
 	}
-	touch := groups[0].touch
-	if len(groups) > 1 {
-		touch = func(u *isa.Uop) {
-			for _, g := range groups {
-				g.touch(u)
-			}
-		}
-	}
+	touch := b.touch()
 	// Chunk the fast-forward so a cancelled context aborts the warm-up
 	// within ~warmCancelChunk emulated instructions.
-	var insts uint64
-	for insts < warmInsts {
-		n := warmInsts - insts
+	for b.insts < lead.WarmInsts {
+		n := lead.WarmInsts - b.insts
 		if ctx.Done() != nil && n > warmCancelChunk {
 			n = warmCancelChunk
 		}
 		did := ff.FastForward(n, touch)
-		insts += did
+		b.insts += did
 		if ctx.Err() != nil {
-			return nil, 0, CancelErr(ctx)
+			b.fail(CancelErr(ctx))
+			return out, nil
 		}
 		if did < n {
 			break // stream exhausted; warm what there was
 		}
 	}
-	return owners, insts, nil
+	return out, b
 }
 
 // adopt hands the checkpoint's own state to the batch's only lane: a
 // single run pays nothing for the checkpoint.
-func (ck *checkpoint) adopt(stream prog.Stream, insts uint64) *Warmed {
-	return &Warmed{warmer: ck.warmer, stream: stream, insts: insts}
+func (ck *checkpoint) adopt(stream prog.Stream) *Warmed {
+	return &Warmed{warmer: ck.warmer, stream: stream}
 }
 
 // seal snapshots every observer so lanes can restore from it. After
@@ -202,11 +256,10 @@ func (ck *checkpoint) seal() {
 // clone gives one lane deep copies of the sealed checkpoint: its own
 // hierarchy, predictor, stream and — when it parks — a fresh LTP unit
 // restored from its configuration's observer.
-func (ck *checkpoint) clone(spec Spec, stream prog.StreamCloner, insts uint64) *Warmed {
+func (ck *checkpoint) clone(spec Spec, stream prog.StreamCloner) *Warmed {
 	w := &Warmed{
 		warmer: warmer{hier: ck.hier.Clone(), bp: ck.bp.Clone(), lastILine: ck.lastILine},
 		stream: stream.CloneStream(),
-		insts:  insts,
 	}
 	if spec.LTP != nil {
 		u := core.New(*spec.LTP, spec.Pipeline.Hier.DRAMLatency, spec.Pipeline.Hier.TagEarlyLead)
@@ -219,82 +272,48 @@ func (ck *checkpoint) clone(spec Spec, stream prog.StreamCloner, insts uint64) *
 // LaneFunc runs one lane's measured region from its private warm state.
 type LaneFunc func(ctx context.Context, spec Spec, w *Warmed) (Stats, error)
 
-// RunBatch is every backend's batch driver. admit vets each lane
-// against the lead spec (specs[0]); admitted lanes must also share the
-// stream and the warm budget. One functional pass warms a
+// RunBatch is the cycle and model backends' batch driver (the sampled
+// backend shares its admission and warm pass, startBatch, and goes on
+// with one measured-region pass of its own). admit vets each lane
+// against the lead spec (specs[0]). One functional pass warms a
 // checkpoint per warm group, then every lane runs from its own clone,
 // fanned out through the lead spec's Exec. A batch of one adopts its
 // checkpoint instead, which makes Run a batch of one at no extra cost.
 // Checkpoints are garbage once the last lane has cloned its state.
 func RunBatch(ctx context.Context, specs []Spec, admit func(spec, lead Spec) error, run LaneFunc) []BatchResult {
-	out := make([]BatchResult, len(specs))
-	if len(specs) == 0 {
+	out, b := startBatch(ctx, specs, admit)
+	if b == nil {
 		return out
 	}
-	if ctx.Err() != nil {
-		for i := range out {
-			out[i].Err = CancelErr(ctx)
-		}
+	stream := specs[0].Stream
+	if len(b.lanes) == 1 {
+		i := b.lanes[0]
+		out[i].Stats, out[i].Err = run(ctx, specs[i], b.owners[0].adopt(stream))
 		return out
 	}
-	lead := specs[0]
-	admitted := make([]int, 0, len(specs))
-	for i, s := range specs {
-		switch err := admit(s, lead); {
-		case err != nil:
-			out[i].Err = err
-		case s.WarmInsts != lead.WarmInsts:
-			out[i].Err = fmt.Errorf("ltp: batched lanes must share the warm-up budget")
-		case s.Reader != lead.Reader:
-			out[i].Err = fmt.Errorf("ltp: batched lanes must share one µop stream")
-		case s.Recorder != nil && len(specs) > 1:
-			out[i].Err = fmt.Errorf("ltp: trace capture cannot be batched; record a single run")
-		default:
-			admitted = append(admitted, i)
-		}
-	}
-	if len(admitted) == 0 {
-		return out
-	}
-	failAll := func(err error) []BatchResult {
-		for _, i := range admitted {
-			out[i].Err = err
-		}
-		return out
-	}
-
-	stream := lead.Stream
 	cloner, ok := stream.(prog.StreamCloner)
-	if len(admitted) > 1 && !ok {
-		return failAll(fmt.Errorf("ltp: batched lanes need a clonable µop stream"))
-	}
-	owners, insts, err := warmCheckpoints(ctx, stream, lead.WarmInsts, specs, admitted)
-	if err != nil {
-		return failAll(err)
-	}
-	if len(admitted) == 1 {
-		i := admitted[0]
-		out[i].Stats, out[i].Err = run(ctx, specs[i], owners[0].adopt(stream, insts))
+	if !ok {
+		b.fail(fmt.Errorf("ltp: batched lanes need a clonable µop stream"))
 		return out
 	}
 
 	// Lanes clone their state when they start, so at most one private
 	// copy per running lane is alive at a time.
-	fns := make([]func(context.Context) error, len(admitted))
-	for slot, i := range admitted {
-		g := owners[slot]
+	fns := make([]func(context.Context) error, len(b.lanes))
+	for slot, i := range b.lanes {
+		g := b.owners[slot]
 		if g.states == nil {
 			g.seal()
 		}
 		fns[slot] = func(lctx context.Context) error {
 			var err error
-			out[i].Stats, err = run(lctx, specs[i], g.clone(specs[i], cloner, insts))
+			out[i].Stats, err = run(lctx, specs[i], g.clone(specs[i], cloner))
 			return err
 		}
 	}
-	for slot, err := range FanOut(ctx, lead.Exec, nil, fns) {
+	for slot, err := range FanOut(ctx, specs[0].Exec, nil, fns) {
 		if err != nil {
-			out[admitted[slot]] = BatchResult{Err: err}
+			out[b.lanes[slot]] = BatchResult{Err: err}
 		}
 	}
 	return out

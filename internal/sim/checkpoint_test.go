@@ -21,6 +21,8 @@ func (x poolExec) RunBatch(ctx context.Context, costs []float64, fns []func(cont
 	x.p.RunBatch(ctx, sched.TierInteractive, costs, fns)
 }
 
+func (x poolExec) Parallelism() int { return x.p.Workers() }
+
 // TestFanOutContainsPanics holds the fan-out contract: a subtask that
 // panics — on the calling goroutine or on another pool worker — becomes
 // that subtask's error, the others still run, and the batch finishes.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"sort"
+	"sync"
 
 	"ltp/internal/bpred"
 	"ltp/internal/core"
@@ -18,16 +21,23 @@ func init() { Register(SampledBackend{}) }
 
 // SampledBackend is the interval-sampling fidelity tier between the
 // analytical model and the cycle-accurate reference (SMARTS-style).
-// One functional pass streams the whole run through the fast-warm
-// touch hooks, recording each interval's replayed span as a seekable
-// µop trace; at each of K interval boundaries it checkpoints the warm
-// state (caches, branch predictor, LTP tables) and the trace position.
-// A 1/K slice of each interval — preceded by a short detailed-but-
-// unmeasured ramp that keeps the pipeline-fill transient out of the
-// sample — is then simulated cycle-accurately from its checkpoint.
-// The intervals are independent, so they run concurrently on the
-// scheduler pool when Spec.Exec is set, and the per-interval CPIs are
-// stitched into a whole-run estimate with a Student-t sampling CI.
+// Each lane's measured region is split into K intervals, and a 1/K
+// slice of each — preceded by a short detailed-but-unmeasured ramp that
+// keeps the pipeline-fill transient out of the sample — is simulated
+// cycle-accurately from a checkpoint of the warm state (caches, branch
+// predictor, LTP tables) at the interval's start. The per-interval CPIs
+// are stitched into a whole-run estimate with a Student-t sampling CI.
+//
+// A batch makes one functional pass over the measured region, after
+// the warm pass it shares with the other tiers (startBatch): the same
+// warm groups keep warming, and the pass records the union of every
+// lane's replayed spans as one seekable µop trace. At each interval
+// start it checkpoints each warm group with a lane starting there, and
+// it launches an interval through the lead spec's Exec as soon as the
+// interval's span is recorded. A checkpoint lives from its position
+// until the last interval it serves has cloned it, and launches wait
+// once 2× Exec's parallelism are queued, so live checkpoints do not
+// grow with K or with the lane count.
 //
 // Total detailed work is MaxInsts/K instructions plus the ramps, so
 // wall-clock approaches the functional-pass floor as K grows. K=1
@@ -46,21 +56,6 @@ func (SampledBackend) About() string {
 	return "interval-sampled pipeline: K checkpointed measurement windows under continuous functional warming, CPI reported with a sampling CI"
 }
 
-// sampleCheckpoint is one interval boundary's warm-state checkpoint:
-// the trace position to reopen at plus deep copies of everything the
-// fast warm-up trains.
-type sampleCheckpoint struct {
-	pos  trace.Pos
-	hier *mem.Hierarchy
-	bp   bpred.Predictor
-	ltp  *core.WarmState
-
-	start  uint64 // interval start within the measured region
-	length uint64 // interval length
-	sample uint64 // measured sample length
-	ramp   uint64 // detailed-but-unmeasured µops run before the sample
-}
-
 // Run executes one interval-sampled simulation (a batch of one).
 func (b SampledBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
 	r := b.RunBatch(ctx, []Spec{spec})[0]
@@ -68,10 +63,14 @@ func (b SampledBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
 }
 
 // RunBatch implements BatchBackend: the warm region is warmed once per
-// warm group into a shared checkpoint, and each lane's phase A
-// continues from its own clone of it.
+// warm group (startBatch), and one measured-region pass serves every
+// lane's intervals (runSampledPass).
 func (SampledBackend) RunBatch(ctx context.Context, specs []Spec) []BatchResult {
-	return RunBatch(ctx, specs, admitSampled, runSampledLane)
+	out, b := startBatch(ctx, specs, admitSampled)
+	if b != nil {
+		runSampledPass(ctx, specs, b)
+	}
+	return out
 }
 
 var _ BatchBackend = SampledBackend{}
@@ -93,10 +92,32 @@ func admitSampled(spec, lead Spec) error {
 	return nil
 }
 
-// runSampledLane runs one sampled lane from its warmed state: phase A
-// keeps warming through the measured region and checkpoints every
-// interval, phase B simulates the intervals.
-func runSampledLane(ctx context.Context, spec Spec, w *Warmed) (Stats, error) {
+// sampleLane is one lane's interval geometry and outcomes.
+type sampleLane struct {
+	spec    Spec
+	group   *checkpoint // the lane's warm group
+	ivs     []sampleInterval
+	results []Stats
+	errs    []error
+	short   error // the stream ended before one of the lane's intervals
+}
+
+// sampleInterval is one interval of a lane: where it starts, the slice
+// of it that is measured, and the recorded span its replay reads.
+type sampleInterval struct {
+	lane   *sampleLane
+	idx    int
+	length uint64 // interval length
+	sample uint64 // measured sample length
+	ramp   uint64 // detailed-but-unmeasured µops run before the sample
+	abs    uint64 // stream position of the interval start
+	end    uint64 // stream position the recorded span must reach
+
+	ck  *sampleCheckpoint // set when the pass reaches abs
+	src *bytes.Reader     // the recording, once it holds the span
+}
+
+func newSampleLane(spec Spec, group *checkpoint) *sampleLane {
 	k := spec.Intervals
 	if k < 1 {
 		k = 1
@@ -104,37 +125,170 @@ func runSampledLane(ctx context.Context, spec Spec, w *Warmed) (Stats, error) {
 	if uint64(k) > spec.MaxInsts {
 		k = int(spec.MaxInsts)
 	}
-	pcfg := spec.Pipeline
-
-	// Phase A: one continuous functional pass — warm the touch hooks
-	// over the measured region, recording only the spans the intervals
-	// replay (each interval's ramp + sample plus fetch-ahead slack) as
-	// a seekable trace, and checkpointing at each interval start. The
-	// gaps between spans fast-forward without the encoder: they exist
-	// only to keep the warm state continuous, and skipping their
-	// serialization is what keeps phase A far cheaper than the cycle
-	// backend as K grows.
-	ff, ok := w.stream.(prog.FastForwarder)
-	if !ok {
-		return Stats{}, fmt.Errorf("ltp: the sampled backend needs a fast-forwardable stream")
+	l := &sampleLane{
+		spec:    spec,
+		group:   group,
+		ivs:     make([]sampleInterval, k),
+		results: make([]Stats, k),
+		errs:    make([]error, k),
 	}
+	rob := uint64(spec.Pipeline.ROBSize)
+	for i := range l.ivs {
+		start := uint64(i) * spec.MaxInsts / uint64(k)
+		end := uint64(i+1) * spec.MaxInsts / uint64(k)
+		sample := (end - start) / uint64(k)
+		if sample == 0 {
+			sample = 1
+		}
+		// A fresh pipeline spends its first couple of ROBs of
+		// instructions filling up; running that transient detailed but
+		// unmeasured keeps it out of the sample. K=1 has no slack
+		// (sample == interval) and stays bit-for-bit cycle-equal.
+		ramp := 2 * rob
+		if ramp > end-start-sample {
+			ramp = end - start - sample
+		}
+		abs := spec.WarmInsts + start
+		// The pipeline reads at most about a ROB's worth of µops beyond
+		// the sample's last committed instruction (the replay buffer
+		// bounds fetch-ahead), so a few ROBs of slack per span is
+		// generous.
+		l.ivs[i] = sampleInterval{
+			lane: l, idx: i,
+			length: end - start, sample: sample, ramp: ramp,
+			abs: abs, end: abs + ramp + sample + 4*rob,
+		}
+	}
+	return l
+}
+
+// sampleCheckpoint is one warm group's state at one interval start —
+// the trace position to reopen at plus copies of everything the fast
+// warm-up trains — shared by the intervals of the group's lanes that
+// start there.
+type sampleCheckpoint struct {
+	pos    trace.Pos
+	hier   *mem.Hierarchy
+	bp     bpred.Predictor
+	ltp    map[core.Config]*core.WarmState
+	serves int // intervals that start from the checkpoint
+
+	mu    sync.Mutex
+	taken int // of those, how many have taken their copy
+}
+
+// take gives one interval its private warm state: a copy-on-write clone
+// of the checkpoint (its own state when it is the only interval served)
+// and, when the lane parks, a fresh LTP unit restored from its
+// configuration's snapshot. The last taker drops the checkpoint.
+func (ck *sampleCheckpoint) take(spec Spec) (*mem.Hierarchy, bpred.Predictor, *core.LTP) {
+	var unit *core.LTP
+	if spec.LTP != nil {
+		unit = core.New(*spec.LTP, spec.Pipeline.Hier.DRAMLatency, spec.Pipeline.Hier.TagEarlyLead)
+		unit.WarmRestore(ck.ltp[*spec.LTP])
+	}
+	h, bp := ck.hier, ck.bp
+	if ck.serves > 1 {
+		h, bp = h.Clone(), bp.Clone()
+	}
+	ck.mu.Lock()
+	ck.taken++
+	last := ck.taken == ck.serves
+	ck.mu.Unlock()
+	if last {
+		if ck.serves > 1 {
+			ck.hier.Release()
+			bpred.Release(ck.bp)
+		}
+		ck.hier, ck.bp, ck.ltp = nil, nil, nil
+	}
+	return h, bp, unit
+}
+
+// checkpointAt takes the checkpoints of the intervals starting at the
+// pass's current position: one per warm group among their lanes, with
+// a snapshot of each LTP configuration those lanes run.
+func checkpointAt(ivs []*sampleInterval, pos trace.Pos) {
+	cks := make(map[*checkpoint]*sampleCheckpoint)
+	for _, iv := range ivs {
+		g := iv.lane.group
+		ck := cks[g]
+		if ck == nil {
+			ck = &sampleCheckpoint{
+				pos:  pos,
+				hier: g.hier.Clone(),
+				bp:   g.bp.Clone(),
+				ltp:  make(map[core.Config]*core.WarmState),
+			}
+			cks[g] = ck
+		}
+		if c := iv.lane.spec.LTP; c != nil && ck.ltp[*c] == nil {
+			ck.ltp[*c] = g.observers[*c].WarmSnapshot()
+		}
+		ck.serves++
+		iv.ck = ck
+	}
+}
+
+// runSampledPass runs every admitted lane of b. One continuous
+// functional pass over the lead stream keeps the warm groups warming
+// through the measured region, recording only the spans the intervals
+// replay (ramp + sample plus fetch-ahead slack) as one seekable trace.
+// The gaps between spans fast-forward without the encoder: they exist
+// only to keep the warm state continuous, and skipping their
+// serialization keeps the pass far cheaper than the cycle backend as K
+// grows. Each interval is checkpointed at its start and launched once
+// its span is recorded.
+func runSampledPass(ctx context.Context, specs []Spec, b *warmBatch) {
+	lead := specs[0]
+	lanes := make([]*sampleLane, len(b.lanes))
+	var ivs []*sampleInterval // every interval, by start position
+	for j, i := range b.lanes {
+		lanes[j] = newSampleLane(specs[i], b.owners[j])
+		for k := range lanes[j].ivs {
+			ivs = append(ivs, &lanes[j].ivs[k])
+		}
+	}
+	sort.SliceStable(ivs, func(a, c int) bool { return ivs[a].abs < ivs[c].abs })
+
+	launch, wait := startIntervals(ctx, lead.Exec, len(ivs))
+	err := func() error {
+		defer wait() // also when the pass panics: no interval worker is stranded
+		return measurePass(ctx, lead.Stream, b, ivs, launch)
+	}()
+
+	for j, l := range lanes {
+		o := &b.out[b.lanes[j]]
+		switch {
+		case err != nil:
+			o.Err = err
+		case ctx.Err() != nil:
+			o.Err = CancelErr(ctx)
+		case l.short != nil:
+			o.Err = l.short
+		default:
+			o.Stats, o.Err = l.finish()
+		}
+	}
+}
+
+// measurePass drives the lead stream through the measured region (see
+// runSampledPass), handing each interval to launch once its span is
+// recorded. An error fails every lane; a stream too short for some
+// interval's start fails that interval's lane.
+func measurePass(ctx context.Context, stream prog.Stream, b *warmBatch, ivs []*sampleInterval, launch func(*sampleInterval)) error {
+	ff := stream.(prog.FastForwarder) // admitSampled checked
 	var buf bytes.Buffer
-	rec := trace.NewRecorder(w.stream, &buf, "sampled")
-	unit := w.Unit()
-	touch := w.touch
+	rec := trace.NewRecorder(stream, &buf, "sampled")
+	touch := b.touch()
 
-	// The pipeline reads at most about a ROB's worth of µops beyond the
-	// sample's last committed instruction (the replay buffer bounds
-	// fetch-ahead), so a few ROBs of slack per span is generous.
-	slack := 4 * uint64(pcfg.ROBSize)
-
-	pos := w.insts      // µops pulled from the source so far
+	pos := b.insts      // µops pulled from the source so far
 	var recUntil uint64 // absolute position recording must reach
 	// advance pulls µops through touch up to absolute position to,
 	// recording them while inside a replayed span (pos < recUntil) and
 	// skipping the encoder otherwise, chunked so cancellation is
-	// honoured mid-warm. A short read is left for the callers' position
-	// checks.
+	// honoured mid-warm. A short read is left for the caller's position
+	// check.
 	advance := func(to uint64) error {
 		for pos < to {
 			step := to - pos
@@ -160,88 +314,143 @@ func runSampledLane(ctx context.Context, spec Spec, w *Warmed) (Stats, error) {
 		return nil
 	}
 
-	cks := make([]sampleCheckpoint, k)
-	for i := 0; i < k; i++ {
-		start := uint64(i) * spec.MaxInsts / uint64(k)
-		end := uint64(i+1) * spec.MaxInsts / uint64(k)
-		sample := (end - start) / uint64(k)
-		if sample == 0 {
-			sample = 1
+	var waiting []*sampleInterval // checkpointed, span not yet recorded
+	// launchRecorded launches the waiting intervals whose spans end by
+	// upTo on a reader over the bytes recorded so far. The recording is
+	// only ever appended to, so those bytes stay valid while the pass
+	// records on.
+	launchRecorded := func(upTo uint64) error {
+		var src *bytes.Reader
+		kept := waiting[:0]
+		for _, iv := range waiting {
+			if iv.end > upTo {
+				kept = append(kept, iv)
+				continue
+			}
+			if src == nil {
+				if err := rec.Flush(); err != nil {
+					return fmt.Errorf("ltp: sampled trace capture: %w", err)
+				}
+				src = bytes.NewReader(buf.Bytes())
+			}
+			iv.src = src
+			launch(iv)
 		}
-		// A fresh pipeline spends its first couple of ROBs of
-		// instructions filling up; running that transient detailed but
-		// unmeasured keeps it out of the sample. K=1 has no slack
-		// (sample == interval) and stays bit-for-bit cycle-equal.
-		ramp := 2 * uint64(pcfg.ROBSize)
-		if ramp > end-start-sample {
-			ramp = end - start - sample
-		}
-		abs := spec.WarmInsts + start
-		if err := advance(abs); err != nil {
-			return Stats{}, err
-		}
-		if pos < abs {
-			return Stats{}, fmt.Errorf(
-				"ltp: stream ended after %d µops; the sampled run needs %d (warm-up %d + measured %d)",
-				pos, spec.WarmInsts+spec.MaxInsts, spec.WarmInsts, spec.MaxInsts)
-		}
-		cks[i] = sampleCheckpoint{
-			pos:    rec.Pos(),
-			hier:   w.hier.Clone(),
-			bp:     w.bp.Clone(),
-			start:  start,
-			length: end - start,
-			sample: sample,
-			ramp:   ramp,
-		}
-		if unit != nil {
-			cks[i].ltp = unit.WarmSnapshot()
-		}
-		if seg := abs + ramp + sample + slack; seg > recUntil {
-			recUntil = seg
-		}
-	}
-	// Record the last interval's remaining span; a source too short for
-	// a sample is caught by the per-interval replay check below.
-	if err := advance(recUntil); err != nil {
-		return Stats{}, err
-	}
-	if err := rec.Close(); err != nil {
-		return Stats{}, fmt.Errorf("ltp: sampled trace capture: %w", err)
+		waiting = kept
+		return nil
 	}
 
-	// Phase B: simulate each interval's sample from its checkpoint.
-	// bytes.Reader.ReadAt is stateless, so all intervals share one.
-	br := bytes.NewReader(buf.Bytes())
-	results := make([]Stats, k)
-	fns := make([]func(context.Context) error, k)
-	costs := make([]float64, k)
-	for i := range fns {
-		costs[i] = float64(cks[i].sample)
-		fns[i] = func(ictx context.Context) (err error) {
-			results[i], err = runSampledInterval(ictx, spec, &cks[i], br, i)
+	next := 0 // first interval not yet checkpointed
+	for next < len(ivs) || len(waiting) > 0 {
+		to := uint64(math.MaxUint64)
+		if next < len(ivs) {
+			to = ivs[next].abs
+		}
+		for _, iv := range waiting {
+			to = min(to, iv.end)
+		}
+		if err := advance(to); err != nil {
 			return err
 		}
+		if pos < to {
+			break // the stream ended
+		}
+		if err := launchRecorded(pos); err != nil {
+			return err
+		}
+		if next < len(ivs) && ivs[next].abs == pos {
+			at := next
+			for next < len(ivs) && ivs[next].abs == pos {
+				recUntil = max(recUntil, ivs[next].end)
+				next++
+			}
+			checkpointAt(ivs[at:next], rec.Pos())
+			waiting = append(waiting, ivs[at:next]...)
+		}
 	}
-	errs := FanOut(ctx, spec.Exec, costs, fns)
-	if err := ctx.Err(); err != nil {
-		return Stats{}, CancelErr(ctx)
+
+	// The stream ended, or every span is recorded. Intervals still
+	// waiting replay to the end of the recording, where a source too
+	// short for a sample is caught by the replay check; an interval the
+	// pass never reached fails its lane.
+	if err := rec.Close(); err != nil {
+		return fmt.Errorf("ltp: sampled trace capture: %w", err)
 	}
-	for _, err := range errs {
+	if err := launchRecorded(math.MaxUint64); err != nil {
+		return err
+	}
+	for _, iv := range ivs[next:] {
+		if s := iv.lane.spec; iv.lane.short == nil {
+			iv.lane.short = fmt.Errorf(
+				"ltp: stream ended after %d µops; the sampled run needs %d (warm-up %d + measured %d)",
+				pos, s.WarmInsts+s.MaxInsts, s.WarmInsts, s.MaxInsts)
+		}
+	}
+	return nil
+}
+
+// startIntervals returns the pass's launch function and a wait that
+// returns once every launched interval has run. Without an executor an
+// interval runs at launch, in the pass's goroutine. With one, a
+// goroutine hands Parallelism() interval workers to ex — its RunBatch
+// runs one of them itself and idle pool workers take the rest — and
+// launch queues the interval for them, waiting while 2× Parallelism()
+// are queued.
+func startIntervals(ctx context.Context, ex Executor, n int) (launch func(*sampleInterval), wait func()) {
+	if ex == nil {
+		return func(iv *sampleInterval) { iv.run(ctx) }, func() {}
+	}
+	par := max(ex.Parallelism(), 1)
+	// The buffer bounds the queued intervals, and with them the live
+	// checkpoints; 2× the workers keeps every worker fed, the bound
+	// runUnits puts on batches.
+	ready := make(chan *sampleInterval, 2*par)
+	workers := make([]func(context.Context) error, min(par, n))
+	for w := range workers {
+		workers[w] = func(wctx context.Context) error {
+			for iv := range ready {
+				iv.run(wctx)
+			}
+			return nil
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		FanOut(ctx, ex, nil, workers)
+	}()
+	return func(iv *sampleInterval) { ready <- iv }, func() { close(ready); <-done }
+}
+
+// run simulates the interval into its lane's outcomes. A panic becomes
+// the interval's error, so it fails only its own lane.
+func (iv *sampleInterval) run(ctx context.Context) {
+	l := iv.lane
+	defer func() {
+		if p := recover(); p != nil {
+			l.errs[iv.idx] = fmt.Errorf("ltp: simulation panicked: %v", p)
+		}
+	}()
+	l.results[iv.idx], l.errs[iv.idx] = runSampledInterval(ctx, l.spec, iv)
+}
+
+// finish reports the lane's first failed interval, or stitches its
+// intervals into the lane's result.
+func (l *sampleLane) finish() (Stats, error) {
+	for _, err := range l.errs {
 		if err != nil {
 			return Stats{}, err
 		}
 	}
-
 	var sampledInsts uint64
-	for i := range results {
-		sampledInsts += results[i].Committed
+	for i := range l.results {
+		sampledInsts += l.results[i].Committed
 	}
-	if k == 1 {
+	if len(l.ivs) == 1 {
 		// The single interval is the whole measured region: pass its
 		// stats through untouched (bit-for-bit the cycle backend's
 		// result) and attach the sampling annotation.
-		st := results[0]
+		st := l.results[0]
 		st.Sampling = &SamplingStats{
 			Intervals:    1,
 			SampledInsts: sampledInsts,
@@ -249,27 +458,27 @@ func runSampledLane(ctx context.Context, spec Spec, w *Warmed) (Stats, error) {
 		}
 		return st, nil
 	}
-	return stitchSampled(cks, results, sampledInsts), nil
+	return stitchSampled(l.ivs, l.results, sampledInsts), nil
 }
 
 // runSampledInterval replays one interval's measured sample on a fresh
-// pipeline seeded with the checkpoint's warm state. The replayed µops
-// keep their recording-run sequence numbers, so squash bookkeeping and
-// commit-order checks behave exactly as in an unsampled run.
-func runSampledInterval(ctx context.Context, spec Spec, ck *sampleCheckpoint, src *bytes.Reader, idx int) (Stats, error) {
+// pipeline seeded with the warm state of its checkpoint. Replayed µops
+// are numbered by their record index in the pass's recording, which
+// skips the unrecorded gaps: numbering stays increasing and contiguous
+// within a span, which is all squash bookkeeping and commit-order
+// checks rely on.
+func runSampledInterval(ctx context.Context, spec Spec, iv *sampleInterval) (Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return Stats{}, CancelErr(ctx)
 	}
 	pcfg := spec.Pipeline
-	rd := trace.NewReaderAt(src, ck.pos)
+	rd := trace.NewReaderAt(iv.src, iv.ck.pos)
+	hier, bp, unit := iv.ck.take(spec)
 	var parker pipeline.Parker = pipeline.NullParker{}
-	var unit *core.LTP
-	if spec.LTP != nil {
-		unit = core.New(*spec.LTP, pcfg.Hier.DRAMLatency, pcfg.Hier.TagEarlyLead)
-		unit.WarmRestore(ck.ltp)
+	if unit != nil {
 		parker = unit
 	}
-	p := pipeline.NewShared(pcfg, rd, parker, ck.hier, ck.bp)
+	p := pipeline.NewShared(pcfg, rd, parker, hier, bp)
 	defer p.Release()
 	if done := ctx.Done(); done != nil {
 		p.SetCancel(done)
@@ -277,8 +486,8 @@ func runSampledInterval(ctx context.Context, spec Spec, ck *sampleCheckpoint, sr
 	// Mirror the cycle backend's warm/measured boundary: WarmFinish
 	// and statistic resets happen whenever any warming preceded this
 	// point — the spec's warm region, or earlier intervals functionally
-	// warmed during phase A.
-	if spec.WarmInsts > 0 || idx > 0 {
+	// warmed by the pass.
+	if spec.WarmInsts > 0 || iv.idx > 0 {
 		if unit != nil {
 			unit.WarmFinish(p.Now())
 		}
@@ -289,30 +498,30 @@ func runSampledInterval(ctx context.Context, spec Spec, ck *sampleCheckpoint, sr
 	if spec.MaxCycles > 0 {
 		// The interval's proportional share of the whole-run cap
 		// (exact for K=1, where sample == MaxInsts).
-		maxCycles = (spec.MaxCycles*(ck.ramp+ck.sample) + spec.MaxInsts - 1) / spec.MaxInsts
+		maxCycles = (spec.MaxCycles*(iv.ramp+iv.sample) + spec.MaxInsts - 1) / spec.MaxInsts
 		maxCycles += p.Now()
 	}
-	if ck.ramp > 0 {
+	if iv.ramp > 0 {
 		// Detailed-but-unmeasured ramp: run the pipeline-fill transient
 		// out before the sample, then reset every statistic at the
 		// boundary (exactly the cycle backend's detailed-warm reset).
-		p.Run(ck.ramp, maxCycles)
+		p.Run(iv.ramp, maxCycles)
 		if p.Aborted() {
 			return Stats{}, abortErr(ctx, p)
 		}
 		p.ResetStats()
 	}
 	ramped := p.Committed()
-	p.Run(ramped+ck.sample, maxCycles)
+	p.Run(ramped+iv.sample, maxCycles)
 	if p.Aborted() {
 		return Stats{}, abortErr(ctx, p)
 	}
 	if rd.Err() != nil {
-		return Stats{}, fmt.Errorf("ltp: sampled interval %d replay: %w", idx, rd.Err())
+		return Stats{}, fmt.Errorf("ltp: sampled interval %d replay: %w", iv.idx, rd.Err())
 	}
-	if done := p.Committed() - ramped; done < ck.sample && (maxCycles == 0 || p.Now() < maxCycles) {
+	if done := p.Committed() - ramped; done < iv.sample && (maxCycles == 0 || p.Now() < maxCycles) {
 		return Stats{}, fmt.Errorf(
-			"ltp: sampled interval %d ended after %d of %d instructions", idx, done, ck.sample)
+			"ltp: sampled interval %d ended after %d of %d instructions", iv.idx, done, iv.sample)
 	}
 	st := Stats{Result: p.Snapshot()}
 	if unit != nil {
@@ -335,7 +544,7 @@ func sampleScale(u uint64, w float64) uint64 {
 // (length/measured) and summed; time-averaged occupancies are
 // cycle-weighted means; latency and rate metrics are weighted by their
 // natural denominators.
-func stitchSampled(cks []sampleCheckpoint, sts []Stats, sampledInsts uint64) Stats {
+func stitchSampled(ivs []sampleInterval, sts []Stats, sampledInsts uint64) Stats {
 	var out pipeline.Result
 	var ltpOut LTPStats
 	haveLTP := false
@@ -351,7 +560,7 @@ func stitchSampled(cks []sampleCheckpoint, sts []Stats, sampledInsts uint64) Sta
 		if r.Committed == 0 {
 			continue
 		}
-		w := float64(cks[i].length) / float64(r.Committed)
+		w := float64(ivs[i].length) / float64(r.Committed)
 		cpis = append(cpis, r.CPI)
 
 		c := float64(r.Cycles)
@@ -458,7 +667,7 @@ func stitchSampled(cks []sampleCheckpoint, sts []Stats, sampledInsts uint64) Sta
 		st.LTP = &ltpOut
 	}
 	st.Sampling = &SamplingStats{
-		Intervals:    len(cks),
+		Intervals:    len(ivs),
 		SampledInsts: sampledInsts,
 		CPI:          sum,
 	}

@@ -100,9 +100,12 @@ type Spec struct {
 // for LPT ordering. Implementations must guarantee every fn runs
 // exactly once and must tolerate being called from a goroutine that is
 // itself a pool worker (the scheduler pool implements this with work
-// helping).
+// helping). Parallelism is how many subtasks it can run at once; the
+// sampled backend sizes its interval workers and its bound on live
+// checkpoints by it.
 type Executor interface {
 	RunBatch(ctx context.Context, costs []float64, fns []func(context.Context))
+	Parallelism() int
 }
 
 // LTPStats summarizes the parking unit's behaviour for one run

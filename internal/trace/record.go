@@ -65,6 +65,15 @@ func (r *Recorder) Count() uint64 { return r.w.Count() }
 // recording.
 func (r *Recorder) Pos() Pos { return r.w.Pos() }
 
+// Flush writes what has been recorded so far through to the underlying
+// io.Writer (see Writer.Flush); recording may continue afterwards.
+func (r *Recorder) Flush() error {
+	if err := r.w.Flush(); r.err == nil {
+		r.err = err
+	}
+	return r.err
+}
+
 // Close finalizes the trace (end marker + footer). The wrapped stream
 // and the underlying io.Writer are untouched.
 func (r *Recorder) Close() error {

@@ -187,6 +187,17 @@ func (tw *Writer) Pos() Pos {
 // Count returns the number of µops appended so far.
 func (tw *Writer) Count() uint64 { return tw.count }
 
+// Flush writes every record appended so far through to the underlying
+// io.Writer without ending the trace, so a Reader opened with
+// NewReaderAt at an earlier Pos can decode up to the current position
+// while recording goes on.
+func (tw *Writer) Flush() error {
+	if tw.err == nil && !tw.closed {
+		tw.err = tw.w.Flush()
+	}
+	return tw.err
+}
+
 // Close writes the end marker and footer and flushes. It does not close
 // the underlying io.Writer.
 func (tw *Writer) Close() error {

@@ -223,6 +223,52 @@ func TestSeekRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlushMidRecording pins what the sampled tier's streamed
+// intervals rely on: after Flush, a reader opened at an earlier Pos
+// over a snapshot of the bytes written so far decodes every record up to
+// the flush, while the recorder goes on appending behind it.
+func TestFlushMidRecording(t *testing.T) {
+	const at, flushed, n = 40, 120, 300
+	p := mustFamilyProgram(t)
+	var buf bytes.Buffer
+	rec := NewRecorder(prog.NewEmulator(p), &buf, p.Name)
+	var u isa.Uop
+	var pos Pos
+	for i := 0; i < flushed; i++ {
+		if i == at {
+			pos = rec.Pos()
+		}
+		if !rec.Next(&u) {
+			t.Fatalf("stream ended at %d", i)
+		}
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := buf.Bytes()
+	if got := rec.FastForward(n-flushed, nil); got != n-flushed {
+		t.Fatalf("recorded %d more µops after the flush, want %d", got, n-flushed)
+	}
+
+	want := pull(prog.NewEmulator(p), flushed)
+	r := NewReaderAt(bytes.NewReader(snapshot), pos)
+	got := pull(r, flushed-at)
+	if r.Err() != nil {
+		t.Fatalf("decode: %v", r.Err())
+	}
+	if len(got) != flushed-at {
+		t.Fatalf("decoded %d µops from the snapshot, want %d", len(got), flushed-at)
+	}
+	for j := range got {
+		if got[j] != want[at+j] {
+			t.Fatalf("µop %d drifted:\n got %#v\nwant %#v", j, got[j], want[at+j])
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFastForwardToEnd pins the boundary the sampled tier relies on:
 // fast-forwarding exactly to the final µop leaves the Reader able to
 // consume the footer cleanly, and overshooting stops at the end with

@@ -469,6 +469,12 @@ func (s RunSpec) canonical(sourced bool) (RunSpec, error) {
 		if err := lcfg.Validate(); err != nil {
 			return RunSpec{}, err
 		}
+		// Non-Urgent instructions that leave the LTP need a free IQ
+		// slot; without a reserved one the IQ can fill with urgent
+		// instructions waiting on parked producers, and the core wedges.
+		if lcfg.Mode.ParksNU() && pcfg.ParkReserveIQ < 1 {
+			return RunSpec{}, fmt.Errorf("ltp: Non-Urgent parking (mode %s) needs ParkReserveIQ >= 1, or the IQ can wedge with parked producers", lcfg.Mode)
+		}
 		s.LTP = &lcfg
 	} else {
 		// Run never reads these without UseLTP.

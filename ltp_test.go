@@ -223,6 +223,14 @@ func TestBadConfigErrors(t *testing.T) {
 			s.UseLTP, s.LTP = true, &c
 		}
 	}
+	// The squeezed core's IQ wedges under Non-Urgent parking without an
+	// IQ entry reserved for unparking; NR parking alone does not need it.
+	noIQReserve := func(m core.Mode) func(*ltp.RunSpec) {
+		return func(s *ltp.RunSpec) {
+			pipe(func(c *pipeline.Config) { c.ParkReserveIQ = 0 })(s)
+			ltpCfg(func(c *core.Config) { c.Mode = m })(s)
+		}
+	}
 	bad := []struct {
 		name string
 		mut  func(*ltp.RunSpec)
@@ -243,6 +251,8 @@ func TestBadConfigErrors(t *testing.T) {
 		})},
 		{"UIT 12", ltpCfg(func(c *core.Config) { c.UITEntries = 12 })},
 		{"crit table 100", ltpCfg(func(c *core.Config) { c.Ident, c.CritEntries = core.IdentCrit, 100 })},
+		{"NU with no IQ reserve", noIQReserve(core.ModeNU)},
+		{"NR+NU with no IQ reserve", noIQReserve(core.ModeNRNU)},
 	}
 	eng, err := ltp.NewEngine(ltp.EngineConfig{Parallelism: 1})
 	if err != nil {
@@ -273,6 +283,11 @@ func TestBadConfigErrors(t *testing.T) {
 				_, _, _, err := eng.RunCached(ctx, spec)
 				return err
 			})
+		}
+		spec := ltp.RunSpec{Workload: "compute", Scale: 0.05, WarmInsts: 1_000, MaxInsts: 2_000, Backend: backend}
+		noIQReserve(core.ModeNR)(&spec)
+		if _, err := ltp.RunContext(ctx, spec); err != nil {
+			t.Errorf("%s/NR with no IQ reserve: %v; NR parking alone must still run", backend, err)
 		}
 	}
 }

@@ -10,6 +10,8 @@ import (
 
 	"ltp"
 	"ltp/internal/cache"
+	"ltp/internal/pipeline"
+	"ltp/internal/sched"
 )
 
 // TestSampledK1MatchesCycle pins the sampled tier's degeneration
@@ -381,4 +383,66 @@ func TestSampledTriageDetail(t *testing.T) {
 	if got := res.Triage.Detailed[0].Backend; got != ltp.BackendSampled {
 		t.Errorf("detailed cell backend = %q; want sampled", got)
 	}
+}
+
+// FuzzSampledBatchMatchesSingle draws a program seed, a scenario family
+// and 2–4 sampled lanes on one stream, one byte each: K = 1 + the low
+// four bits, bits 4–5 pick the ROB size, bit 6 parks with LTP and bit 7
+// predicts with TAGE instead of gshare. The lanes run as one engine
+// batch — one warm pass, one measured-region pass — and each must come
+// back byte-identical to the same spec run alone, errors included.
+func FuzzSampledBatchMatchesSingle(f *testing.F) {
+	f.Add(int64(1), uint8(0), []byte{0x01, 0x13, 0x67})
+	f.Add(int64(2), uint8(3), []byte{0x0f, 0xb7, 0x40, 0xf0})
+	f.Add(int64(3), uint8(5), []byte{0x00, 0x00})
+	f.Add(int64(2), uint8(0), []byte{0x31, 0xb7}) // gshare and TAGE lanes: two warm groups
+	fams := ltp.Scenarios()
+	robs := []int{64, 128, 192, 256}
+	f.Fuzz(func(t *testing.T, seed int64, family uint8, lanes []byte) {
+		if len(lanes) < 2 {
+			return
+		}
+		lanes = lanes[:min(len(lanes), 4)]
+		specs := make([]ltp.RunSpec, len(lanes))
+		for i, b := range lanes {
+			cfg := pipeline.DefaultConfig()
+			cfg.ROBSize = robs[b>>4&3]
+			if b&0x80 != 0 {
+				cfg.BranchPred = "tage"
+			}
+			specs[i] = ltp.RunSpec{
+				Scenario:  fams[int(family)%len(fams)].Name,
+				Seed:      seed,
+				Backend:   ltp.BackendSampled,
+				Scale:     0.05,
+				WarmInsts: 2_000,
+				MaxInsts:  3_000,
+				Intervals: 1 + int(b&15),
+				Pipeline:  &cfg,
+				UseLTP:    b&0x40 != 0,
+			}
+		}
+		ctx := context.Background()
+		e, err := ltp.NewEngine(ltp.EngineConfig{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		got, _, _, errs := e.RunBatchCached(ctx, sched.TierInteractive, specs)
+		for i, s := range specs {
+			want, werr := ltp.RunContext(ctx, s)
+			switch {
+			case (werr == nil) != (errs[i] == nil):
+				t.Fatalf("lane %d (K %d, ROB %d): batch err %v, alone err %v", i, s.Intervals, s.Pipeline.ROBSize, errs[i], werr)
+			case werr != nil:
+				if werr.Error() != errs[i].Error() {
+					t.Fatalf("lane %d: batch err %q, alone err %q", i, errs[i], werr)
+				}
+			default:
+				if b, w := resultJSON(t, got[i]), resultJSON(t, want); b != w {
+					t.Fatalf("lane %d (K %d, ROB %d) diverged from its run alone:\nbatch: %s\nalone: %s", i, s.Intervals, s.Pipeline.ROBSize, b, w)
+				}
+			}
+		}
+	})
 }
