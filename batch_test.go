@@ -22,6 +22,9 @@ type batchCase struct {
 	name    string
 	sweep   ltp.SweepSpec
 	singles []ltp.RunSpec
+	// differ lists pairs of singles whose results must differ, so the
+	// case can tell apart the warm state their lanes start from.
+	differ [][2]int
 }
 
 // modelBatchCase is a model-backend sweep whose cells all share one
@@ -82,13 +85,14 @@ func modelBatchCase() batchCase {
 }
 
 // warmBatchCase is a cycle- or sampled-backend (K=4) sweep on one
-// stream whose lanes exercise every part of the shared warm
+// scenario's stream whose lanes exercise every part of the shared warm
 // checkpoint: LTP off and on with two UIT geometries (two LTP
 // observers warming in one pass), gshare and TAGE (two warm groups
 // driven by one stream), a non-default prefetcher, and a co-runner set.
-func warmBatchCase(backend string) batchCase {
+// Singles are ordered park point by park point, gshare then TAGE.
+func warmBatchCase(backend, scenario string) batchCase {
 	base := ltp.RunSpec{
-		Scenario:   "ptrchase",
+		Scenario:   scenario,
 		Seed:       5,
 		Backend:    backend,
 		Intervals:  4,
@@ -130,6 +134,19 @@ func warmBatchCase(backend string) batchCase {
 		}
 	}
 	return batchCase{name: backend, sweep: sweep, singles: singles}
+}
+
+// branchyWarmCase is warmBatchCase on the branchy family, where each
+// gshare single differs from its TAGE twin: a batch that hands one warm
+// group's checkpoint to the other group's lanes cannot match them.
+// (On ptrchase, which is branch-light, the two predictors agree.)
+func branchyWarmCase(backend string) batchCase {
+	bc := warmBatchCase(backend, "branchy")
+	bc.name += "-branchy"
+	for i := 0; i < len(bc.singles); i += 2 {
+		bc.differ = append(bc.differ, [2]int{i, i + 1})
+	}
+	return bc
 }
 
 // sampledGeometryCase is a sampled-backend sweep whose lanes differ in
@@ -268,8 +285,10 @@ func collectCells(t *testing.T, job *ltp.Job) map[string]ltp.CellResult {
 func TestBatchMatchesSingle(t *testing.T) {
 	for _, bc := range []batchCase{
 		modelBatchCase(),
-		warmBatchCase(ltp.BackendCycle),
-		warmBatchCase(ltp.BackendSampled),
+		warmBatchCase(ltp.BackendCycle, "ptrchase"),
+		warmBatchCase(ltp.BackendSampled, "ptrchase"),
+		branchyWarmCase(ltp.BackendCycle),
+		branchyWarmCase(ltp.BackendSampled),
 		sampledGeometryCase(),
 		oracleBatchCase(),
 	} {
@@ -306,6 +325,11 @@ func checkBatchMatchesSingle(t *testing.T, bc batchCase) {
 			t.Fatal(err)
 		}
 		hashes[i] = h
+	}
+	for _, d := range bc.differ {
+		if refs[d[0]] == refs[d[1]] {
+			t.Fatalf("singles %d and %d give the same result: the case cannot tell their warm state apart", d[0], d[1])
+		}
 	}
 
 	// Batched: the sweep through a fresh engine.

@@ -17,7 +17,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"ltp"
 	"ltp/internal/core"
@@ -168,7 +167,6 @@ func main() {
 	// few thousand cycles) instead of leaving it to run out the budget.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	defer shutdownEngine()
 
 	res, err := ltp.RunContext(ctx, spec)
 	if err != nil {
@@ -190,17 +188,6 @@ func main() {
 	}
 
 	printResult(res, *name, *scenario, *seed, *replay, *verbose)
-}
-
-// shutdownEngine drains the process-wide engine (a no-op unless some
-// code path touched DefaultEngine) so worker goroutines and the cache
-// release cleanly on exit.
-func shutdownEngine() {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ltp.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "ltpsim:", err)
-	}
 }
 
 // printResult renders the headline metrics.

@@ -86,8 +86,8 @@ type Batch struct {
 
 // Engine executes runs and sweep campaigns on one shared tiered-LPT
 // worker pool with a content-addressed result cache. It is safe for
-// concurrent use; create one per process (or use DefaultEngine) so the
-// parallelism cap and the cell deduplication are global.
+// concurrent use; create one per process so the parallelism cap and the
+// cell deduplication are global.
 type Engine struct {
 	pool  *sched.Pool // nil when EngineConfig.Executor was given
 	cache *cache.Cache
@@ -214,26 +214,6 @@ func (e *Engine) MeanRunSecondsByBackend() map[string]float64 {
 		out[b] = m
 	}
 	return out
-}
-
-// OutstandingSeconds estimates the wall-clock seconds of simulation
-// work currently queued or running: each outstanding cell weighted by
-// its own backend's EWMA mean (one second for a backend that has not
-// completed a cell yet). This is the mixed-fidelity Retry-After input —
-// a thousand queued model estimates no longer price like a thousand
-// cycle runs.
-func (e *Engine) OutstandingSeconds() float64 {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	var total float64
-	for b, n := range e.outstanding {
-		mean := e.runMeans[b]
-		if mean <= 0 {
-			mean = 1
-		}
-		total += float64(n) * mean
-	}
-	return total
 }
 
 // PerRunSeconds returns the mean wall-clock of one outstanding cell,
@@ -1118,55 +1098,4 @@ func firstRunError(runs []sweepRun, errs []error) error {
 		}
 	}
 	return nil
-}
-
-var (
-	defaultEngineMu sync.Mutex
-	defaultEngine   *Engine
-)
-
-// DefaultEngine returns the lazily created process-wide engine
-// (NumCPU workers, cache.DefaultEntries results), recreating it if
-// Shutdown retired an earlier one. The campaign service binary sizes
-// its own Engine instead.
-func DefaultEngine() *Engine {
-	defaultEngineMu.Lock()
-	defer defaultEngineMu.Unlock()
-	if defaultEngine == nil {
-		e, err := NewEngine(EngineConfig{})
-		if err != nil {
-			// Unreachable: only a StorePath can fail NewEngine, and the
-			// default engine has none.
-			panic(err)
-		}
-		defaultEngine = e
-	}
-	return defaultEngine
-}
-
-// Shutdown retires the process-wide DefaultEngine: it waits — bounded
-// by ctx — for its in-flight jobs and queued runs, then stops its
-// worker goroutines so they (and the cache they feed) drain cleanly on
-// process exit. It is a cheap no-op when DefaultEngine was never used.
-// Call it from main (typically deferred with a short timeout); a later
-// DefaultEngine call starts a fresh engine.
-func Shutdown(ctx context.Context) error {
-	defaultEngineMu.Lock()
-	e := defaultEngine
-	defaultEngine = nil
-	defaultEngineMu.Unlock()
-	if e == nil {
-		return nil
-	}
-	done := make(chan struct{})
-	go func() {
-		e.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("ltp: shutdown: %w", ctx.Err())
-	}
 }

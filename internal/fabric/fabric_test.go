@@ -9,6 +9,7 @@ package fabric
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -397,5 +398,40 @@ func TestWorkerRoster(t *testing.T) {
 	getJSON(t, c.front.URL+"/v1/workers", &roster)
 	if len(roster.Workers) != 2 {
 		t.Fatalf("roster has %d workers after leave; want 2", len(roster.Workers))
+	}
+}
+
+// TestFleetRepliesAreCompact checks the coordinator's own endpoints
+// share the service's reply writer: each body is the compact bytes
+// json.Marshal gives for it, plus a newline.
+func TestFleetRepliesAreCompact(t *testing.T) {
+	c := newCluster(t, clusterOpts{workers: 1})
+	for _, tc := range []struct {
+		path string
+		v    any
+	}{
+		{"/healthz", &HealthResponse{}},
+		{"/v1/workers", &WorkersResponse{}},
+		{"/v1/stats", &FleetStatsResponse{}},
+	} {
+		resp, err := http.Get(c.front.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, tc.v); err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		want, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != string(want)+"\n" {
+			t.Errorf("%s: reply is not json.Marshal(v)+\"\\n\":\n got %.300q\nwant %.300q", tc.path, body, string(want)+"\n")
+		}
 	}
 }

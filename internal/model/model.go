@@ -3,6 +3,7 @@ package model
 import (
 	"context"
 	"math"
+	"slices"
 
 	"ltp/internal/bpred"
 	"ltp/internal/core"
@@ -74,62 +75,62 @@ func (r *ring) push(v float64) {
 	}
 }
 
-// timeHeap is a min-heap of release times: a structure whose entries
-// leave out of order (the IQ, the MSHRs, the LTP) tracks its exact
-// occupancy with one — entries with release times in the past are
-// popped lazily, and admit answers "when is there room for one more".
-type timeHeap []float64
+// window is the exact occupancy of a structure whose entries leave out
+// of program order (the IQ, the LTP): its release times, kept sorted in
+// buf[head:tail]. The scorer queries it at strictly increasing times
+// (each µop dispatches after the last), and every time it pushes is at
+// or after the latest query, so released entries always leave from the
+// front, and a new entry lands at or near the back. admit answers "when
+// is there room for one more", exactly as a heap of the same release
+// times would.
+type window struct {
+	buf        []float64
+	head, tail int
+}
 
-// newTimeHeap returns an empty heap with room for capacity entries plus
-// one slack slot, so admit-bounded pushes never reallocate.
-func newTimeHeap(capacity int) timeHeap { return make(timeHeap, 0, max(capacity, 0)+1) }
+// newWindow returns an empty window for a structure of capacity
+// entries. The scorer never holds more than capacity, so a buffer of
+// twice that (plus one) is compacted in place and never grows.
+func newWindow(capacity int) window {
+	return window{buf: make([]float64, 2*(max(capacity, 0)+1))}
+}
 
-func (h *timeHeap) push(v float64) {
-	*h = append(*h, v)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p] <= (*h)[i] {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
+// len returns the entries held.
+func (w *window) len() int { return w.tail - w.head }
+
+// push inserts release time v in order.
+func (w *window) push(v float64) {
+	if w.tail == len(w.buf) {
+		w.tail = copy(w.buf, w.buf[w.head:w.tail])
+		w.head = 0
 	}
+	i := w.tail
+	if i > w.head && w.buf[i-1] > v {
+		// Out of order: shift the entries after v up by one.
+		j, _ := slices.BinarySearch(w.buf[w.head:i], v)
+		j += w.head
+		copy(w.buf[j+1:i+1], w.buf[j:i])
+		i = j
+	}
+	w.buf[i] = v
+	w.tail++
 }
 
 // popUntil removes every entry whose release time has passed.
-func (h *timeHeap) popUntil(now float64) {
-	for len(*h) > 0 && (*h)[0] <= now {
-		last := len(*h) - 1
-		(*h)[0] = (*h)[last]
-		*h = (*h)[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			best := i
-			if l < len(*h) && (*h)[l] < (*h)[best] {
-				best = l
-			}
-			if r < len(*h) && (*h)[r] < (*h)[best] {
-				best = r
-			}
-			if best == i {
-				break
-			}
-			(*h)[i], (*h)[best] = (*h)[best], (*h)[i]
-			i = best
-		}
+func (w *window) popUntil(now float64) {
+	for w.head < w.tail && w.buf[w.head] <= now {
+		w.head++
 	}
 }
 
 // admit returns the earliest time ≥ t at which the structure (bounded
 // by capacity) has a free entry, draining released entries as the
 // clock advances.
-func (h *timeHeap) admit(t float64, capacity int) float64 {
-	h.popUntil(t)
-	for len(*h) >= capacity {
-		t = (*h)[0]
-		h.popUntil(t)
+func (w *window) admit(t float64, capacity int) float64 {
+	w.popUntil(t)
+	for w.len() >= capacity {
+		t = w.buf[w.head]
+		w.popUntil(t)
 	}
 	return t
 }
@@ -141,7 +142,7 @@ type ltpModel struct {
 	early    float64 // NR early-wakeup lead (TagEarlyLead)
 	capacity int
 
-	occupied timeHeap
+	occupied window
 
 	parkedTotal   uint64
 	forced        uint64
@@ -191,14 +192,14 @@ type machine struct {
 
 	// Finite-window constraints. Structures drained in program order
 	// (ROB, rename registers, LQ/SQ — release times are monotone) use
-	// release-time rings; structures drained out of order (IQ, MSHRs)
-	// use exact occupancy heaps.
+	// release-time rings; the IQ, drained out of order, uses an exact
+	// sorted occupancy window (the MSHRs are the hierarchy's own).
 	robRing ring
 	intRing ring
 	fpRing  ring
 	lqRing  ring
 	sqRing  ring
-	iqHeap  timeHeap
+	iqWin   window
 	iqCap   int
 
 	// ltp is the parking side-state (nil exactly when unit is).
@@ -262,7 +263,7 @@ func newMachine(cal Calibration, spec sim.Spec, w *sim.Warmed) *machine {
 	if m.iqCap <= 0 {
 		m.iqCap = pipeline.Inf
 	}
-	m.iqHeap = newTimeHeap(m.iqCap)
+	m.iqWin = newWindow(m.iqCap)
 	m.fuCount = [isa.NumFUKinds]int{
 		isa.FUALU:  cfg.NumALU,
 		isa.FUMul:  cfg.NumMul,
@@ -288,7 +289,7 @@ func newMachine(cal Calibration, spec sim.Spec, w *sim.Warmed) *machine {
 			parksNR:  spec.LTP.Mode.ParksNR(),
 			early:    float64(cfg.Hier.TagEarlyLead),
 			capacity: capacity,
-			occupied: newTimeHeap(capacity),
+			occupied: newWindow(capacity),
 		}
 	}
 	return m
@@ -347,7 +348,7 @@ func (m *machine) score(u *isa.Uop) {
 				(m.ltp.parksNR && slack > m.cal.ParkThreshold))
 		if eligible {
 			m.ltp.occupied.popUntil(d)
-			if len(m.ltp.occupied) < m.ltp.capacity {
+			if m.ltp.occupied.len() < m.ltp.capacity {
 				parked = true
 				wake := depReady
 				if m.ltp.parksNR && slack > m.cal.ParkThreshold {
@@ -379,7 +380,7 @@ func (m *machine) score(u *isa.Uop) {
 	// The windows a non-parked µop must fit into: the IQ and, for
 	// register writers, the rename file.
 	if !parked {
-		d = m.iqHeap.admit(d, m.iqCap)
+		d = m.iqWin.admit(d, m.iqCap)
 		if u.Dst.Valid() {
 			rr := &m.intRing
 			if u.Dst.IsFP() {
@@ -470,7 +471,7 @@ func (m *machine) score(u *isa.Uop) {
 	m.robRing.push(retire)
 	m.robOcc += retire - d
 	if !parked {
-		m.iqHeap.push(issue)
+		m.iqWin.push(issue)
 		m.iqOcc += issue - d
 	}
 	if u.Dst.Valid() {

@@ -124,13 +124,12 @@ func (s *Server) Shutdown(ctx context.Context) {
 	s.Close()
 }
 
-// WriteJSON writes v as indented JSON with the given status.
+// WriteJSON writes v with the given status as compact JSON: the bytes
+// json.Marshal gives for it, plus a trailing newline.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // ErrorResponse is the JSON body of every non-2xx response.

@@ -890,3 +890,67 @@ func TestCellsBatchSplitsMixedStreams(t *testing.T) {
 		t.Fatalf("cache misses %d; want %d", st.Misses, len(specs))
 	}
 }
+
+// compactReply fetches one reply and checks its body is exactly
+// json.Marshal of the value it decodes to, plus the trailing newline:
+// compact, in one pass, with no field the typed reply lacks.
+func compactReply[T any](t *testing.T, method, url, body string, wantStatus int) T {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("%s %s: status %d; want %d\n%s", method, url, resp.StatusCode, wantStatus, buf.String())
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s %s: Content-Type %q", method, url, ct)
+	}
+	var v T
+	if err := json.Unmarshal(buf.Bytes(), &v); err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want)+"\n" {
+		t.Errorf("%s %s: reply is not json.Marshal(v)+\"\\n\":\n got %.300q\nwant %.300q", method, url, got, string(want)+"\n")
+	}
+	return v
+}
+
+// TestRepliesAreCompact covers every JSON endpoint — health, registry,
+// run (miss and hit), sweep (waited, async, job lookup, job list,
+// cancel), stats and the error replies: each body is compact JSON, the
+// bytes json.Marshal gives for it plus a newline.
+func TestRepliesAreCompact(t *testing.T) {
+	_, ts := newTestServer(t)
+	compactReply[HealthResponse](t, "GET", ts.URL+"/healthz", "", 200)
+	compactReply[WorkloadsResponse](t, "GET", ts.URL+"/v1/workloads", "", 200)
+	if r := compactReply[RunResponse](t, "POST", ts.URL+"/v1/run", quickRunBody, 200); r.Cache != "miss" {
+		t.Errorf("first run cache %q; want miss", r.Cache)
+	}
+	if r := compactReply[RunResponse](t, "POST", ts.URL+"/v1/run", quickRunBody, 200); r.Cache != "hit" {
+		t.Errorf("second run cache %q; want hit", r.Cache)
+	}
+	if r := compactReply[SweepResponse](t, "POST", ts.URL+"/v1/sweep?wait=1", quickMatrixBody, 200); r.Job.Status != JobDone {
+		t.Errorf("waited sweep status %q; want done", r.Job.Status)
+	}
+	async := compactReply[SweepResponse](t, "POST", ts.URL+"/v1/sweep", seedSweepBody("branchy", 0.05, 4000, 2, 7), 202)
+	compactReply[SweepResponse](t, "GET", ts.URL+"/v1/jobs/"+async.Job.ID, "", 200)
+	compactReply[JobsResponse](t, "GET", ts.URL+"/v1/jobs", "", 200)
+	compactReply[SweepResponse](t, "DELETE", ts.URL+"/v1/jobs/"+async.Job.ID, "", 200)
+	compactReply[StatsResponse](t, "GET", ts.URL+"/v1/stats", "", 200)
+	compactReply[ErrorResponse](t, "POST", ts.URL+"/v1/run", `{"scenario":"branchy","bogus":1}`, 400)
+	compactReply[ErrorResponse](t, "GET", ts.URL+"/v1/jobs/nope", "", 404)
+}

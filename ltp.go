@@ -16,7 +16,9 @@
 // Campaigns are sweeps — a base spec crossed with declarative axes —
 // submitted asynchronously with streaming per-cell results:
 //
-//	job, err := ltp.Submit(ctx, sweep) // or Engine.Submit
+//	eng, err := ltp.NewEngine(ltp.EngineConfig{})
+//	defer eng.Close()
+//	job, err := eng.Submit(ctx, sweep)
 //	for cell := range job.Cells() { ... }
 //	res, err := job.Wait()             // job.Cancel() aborts the rest
 //
@@ -32,6 +34,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ltp/internal/bpred"
 	"ltp/internal/core"
@@ -685,14 +690,39 @@ func cancelErr(ctx context.Context) error { return sim.CancelErr(ctx) }
 
 // execContextKey carries a sim.Executor through a context so a sampled
 // run launched from the engine fans its intervals onto the engine's
-// scheduler pool. Plain RunContext callers have no executor and run
-// intervals sequentially.
+// scheduler pool. A plain RunContext call supplies its own goExecutor.
 type execContextKey struct{}
 
 // withExecutor returns ctx carrying the interval executor for sampled
 // runs (engine-internal; see execContextKey).
 func withExecutor(ctx context.Context, ex sim.Executor) context.Context {
 	return context.WithValue(ctx, execContextKey{}, ex)
+}
+
+// goExecutor is the executor of a RunContext call made outside an
+// engine: the calling goroutine and up to n-1 more drain the batch in
+// order, so a sampled run's K intervals use the machine's cores.
+type goExecutor int
+
+func (x goExecutor) Parallelism() int { return int(x) }
+
+func (x goExecutor) RunBatch(ctx context.Context, _ []float64, fns []func(context.Context)) {
+	var next atomic.Int64
+	drain := func() {
+		for i := next.Add(1) - 1; i < int64(len(fns)); i = next.Add(1) - 1 {
+			fns[i](ctx)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(int(x), len(fns)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
 }
 
 // RunContext executes one simulation under ctx on the spec's execution
@@ -705,7 +735,8 @@ func withExecutor(ctx context.Context, ex sim.Executor) context.Context {
 //
 // A run is a batch of one: it resolves and executes exactly as one
 // lane of an engine sweep does, so the two are byte-identical by
-// construction.
+// construction. Outside an engine, a sampled run's intervals run on up
+// to GOMAXPROCS goroutines; results do not depend on how many.
 func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, cancelErr(ctx)
@@ -713,6 +744,9 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	in, canon, err := runInputs(spec)
 	if err != nil {
 		return RunResult{}, err
+	}
+	if _, ok := ctx.Value(execContextKey{}).(sim.Executor); !ok {
+		ctx = withExecutor(ctx, goExecutor(runtime.GOMAXPROCS(0)))
 	}
 	results, errs := runLanes(ctx, in, []RunSpec{canon})
 	return results[0], errs[0]
@@ -805,14 +839,4 @@ func finishResult(st sim.Stats, pcfg pipeline.Config, lcfg *core.Config) RunResu
 	}
 	res.Energy = energy.Compute(energy.DefaultParams(), res.Design, act)
 	return res
-}
-
-// Submit asynchronously submits a sweep campaign to the process-wide
-// DefaultEngine and returns immediately with a Job handle (streaming
-// cell results, progress counters, cancellation). Cells are
-// deduplicated through the engine's content-addressed cache: a cell
-// another in-flight or finished campaign already computed is shared,
-// not re-simulated. ctx bounds the whole job (see Engine.Submit).
-func Submit(ctx context.Context, spec SweepSpec) (*Job, error) {
-	return DefaultEngine().Submit(ctx, spec)
 }
