@@ -166,30 +166,30 @@ func resolveLane(spec RunSpec, in *laneInputs) (sim.Spec, error) {
 
 // runBatch evaluates a group of canonical specs (equal batchKey) in one
 // shared pass: the functional stream is built once and driven once,
-// and each lane's measured region fans out through the context's
-// executor when it has one. Results and errors are positional; each
-// cell's result is bit-identical to what RunContext produces for it
-// alone, because RunContext is runLanes over a batch of one.
-func runBatch(ctx context.Context, specs []RunSpec) ([]RunResult, []error) {
+// and the lanes' measured regions — and a sampled lane's intervals —
+// fan out through ex. Results and errors are positional; each cell's
+// result is bit-identical to what RunContext produces for it alone,
+// because RunContext is runLanes over a batch of one.
+func runBatch(ctx context.Context, ex sim.Executor, specs []RunSpec) ([]RunResult, []error) {
 	program, err := buildProgram(specs[0])
 	if err != nil {
 		return make([]RunResult, len(specs)), failLanes(len(specs), err)
 	}
 	in := newLaneInputs()
 	in.program = program
-	return runLanes(ctx, in, specs)
+	return runLanes(ctx, ex, in, specs)
 }
 
 // runLanes resolves canonical specs over their shared inputs and
-// evaluates them in one call to their backend's RunBatch.
-func runLanes(ctx context.Context, in *laneInputs, specs []RunSpec) ([]RunResult, []error) {
+// evaluates them in one call to their backend's RunBatch, fanning out
+// through ex.
+func runLanes(ctx context.Context, ex sim.Executor, in *laneInputs, specs []RunSpec) ([]RunResult, []error) {
 	results := make([]RunResult, len(specs))
 	backend, err := sim.Lookup(specs[0].Backend)
 	if err != nil {
 		return results, failLanes(len(specs), err)
 	}
 	errs := make([]error, len(specs))
-	ex, _ := ctx.Value(execContextKey{}).(sim.Executor)
 	simSpecs := make([]sim.Spec, 0, len(specs))
 	lanes := make([]int, 0, len(specs)) // simSpecs index -> specs index
 	for i, s := range specs {

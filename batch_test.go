@@ -143,6 +143,12 @@ func warmBatchCase(backend, scenario string) batchCase {
 func branchyWarmCase(backend string) batchCase {
 	bc := warmBatchCase(backend, "branchy")
 	bc.name += "-branchy"
+	if backend == ltp.BackendModel { // the model refuses co-runners
+		bc.sweep.Base.Corunners = nil
+		for i := range bc.singles {
+			bc.singles[i].Corunners = nil
+		}
+	}
 	for i := 0; i < len(bc.singles); i += 2 {
 		bc.differ = append(bc.differ, [2]int{i, i + 1})
 	}
@@ -289,6 +295,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 		warmBatchCase(ltp.BackendSampled, "ptrchase"),
 		branchyWarmCase(ltp.BackendCycle),
 		branchyWarmCase(ltp.BackendSampled),
+		branchyWarmCase(ltp.BackendModel),
 		sampledGeometryCase(),
 		oracleBatchCase(),
 	} {

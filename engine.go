@@ -284,8 +284,8 @@ func (e *Engine) noteOutstanding(backend string, delta int) {
 // deadlock-free.
 type poolExecutor struct{ pool *sched.Pool }
 
-func (x poolExecutor) RunBatch(ctx context.Context, costs []float64, fns []func(context.Context)) {
-	x.pool.RunBatch(ctx, sched.TierInteractive, costs, fns)
+func (x poolExecutor) RunBatch(ctx context.Context, fns []func(context.Context)) {
+	x.pool.RunBatch(ctx, sched.TierInteractive, nil, fns)
 }
 
 func (x poolExecutor) Parallelism() int { return x.pool.Workers() }
@@ -320,7 +320,7 @@ func (x poolBatches) RunBatch(ctx context.Context, b Batch) ([]RunResult, []cach
 		if b.clock != nil {
 			*b.clock = time.Now()
 		}
-		rres, rerrs := runBatch(withExecutor(tctx, poolExecutor{x.pool}), b.Lanes)
+		rres, rerrs := runBatch(tctx, poolExecutor{x.pool}, b.Lanes)
 		copy(results, rres)
 		copy(errs, rerrs)
 	})

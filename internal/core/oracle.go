@@ -42,17 +42,6 @@ func (o *Oracle) Flags(seq uint64) OracleFlag {
 // Len returns the number of classified instructions.
 func (o *Oracle) Len() int { return len(o.flags) }
 
-// CountUrgent returns how many instructions carry FlagUrgent (tests).
-func (o *Oracle) CountUrgent() int {
-	n := 0
-	for _, f := range o.flags {
-		if f&FlagUrgent != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // oracleEntry is one window slot of the streaming dependence analysis.
 type oracleEntry struct {
 	dst      isa.Reg

@@ -85,21 +85,27 @@ func TestChaosHangWorkerMidSweep(t *testing.T) {
 // alive with heartbeats, so it completes on its first dispatch and no
 // worker is marked down.
 func TestLongBatchNotSevered(t *testing.T) {
+	// The batch runs once on a cluster whose watchdog cannot fire, then
+	// again on a fresh one whose hang timeout is a fifth of that run, so
+	// it outlasts the timeout several times over however fast the host.
 	// A 4-wide worker takes the 4-lane group as one chunk.
-	c := newCluster(t, clusterOpts{workers: 1, parallelism: 4, proxied: true, cfg: Config{
-		HangTimeout: 300 * time.Millisecond,
-	}})
-	start := time.Now()
-	var out server.SweepResponse
-	if resp := postJSON(t, c.front.URL+"/v1/sweep?wait=1", longGroupBody(), &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit status %d", resp.StatusCode)
+	run := func(hang time.Duration) (*testCluster, time.Duration) {
+		c := newCluster(t, clusterOpts{workers: 1, parallelism: 4, proxied: true, cfg: Config{HangTimeout: hang}})
+		start := time.Now()
+		var out server.SweepResponse
+		if resp := postJSON(t, c.front.URL+"/v1/sweep?wait=1", longGroupBody(), &out); resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit status %d", resp.StatusCode)
+		}
+		if out.Job.Status != server.JobDone {
+			t.Fatalf("long batch (hang timeout %v) %q: %s", hang, out.Job.Status, out.Job.Error)
+		}
+		return c, time.Since(start)
 	}
-	took := time.Since(start)
-	if out.Job.Status != server.JobDone {
-		t.Fatalf("long batch %q: %s", out.Job.Status, out.Job.Error)
-	}
-	if took < 3*300*time.Millisecond {
-		t.Fatalf("the batch took %v; it must outlast the 300ms hang timeout several times over", took)
+	_, alone := run(time.Hour)
+	hang := alone / 5
+	c, took := run(hang)
+	if took < 3*hang {
+		t.Fatalf("the batch took %v; it must outlast the %v hang timeout several times over", took, hang)
 	}
 	if got := c.workers[0].batches.Load(); got != 1 {
 		t.Fatalf("the worker saw %d batch requests; want 1 (no retry)", got)

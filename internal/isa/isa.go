@@ -226,9 +226,6 @@ type Inst struct {
 	Label string
 }
 
-// HasDst reports whether the static instruction writes a register.
-func (in Inst) HasDst() bool { return in.Dst.Valid() }
-
 // String renders a compact assembly-like listing line.
 func (in Inst) String() string {
 	lbl := in.Label

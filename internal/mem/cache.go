@@ -302,18 +302,6 @@ func (c *Cache) MarkDirty(lineAddr uint64) {
 	}
 }
 
-// Invalidate drops the line if present (used by tests).
-func (c *Cache) Invalidate(lineAddr uint64) {
-	tag := lineAddr >> c.setShift
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.wset(lineAddr)[i].valid = false
-			return
-		}
-	}
-}
-
 // ResetStats zeroes the access statistics, keeping the cache contents
 // (warm-up/measured-region boundary).
 func (c *Cache) ResetStats() {

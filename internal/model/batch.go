@@ -12,9 +12,9 @@ import (
 var _ sim.BatchBackend = Backend{}
 
 // RunBatch evaluates every spec as its own lane through the shared
-// batch driver, sim.RunBatch: one functional pass warms a checkpoint per
-// warm group, exactly as for the cycle and sampled tiers, and each lane
-// scores its measured region from its own clone of that checkpoint, one
+// batch driver, sim.RunBatch: one functional pass warms each warm group,
+// exactly as for the cycle and sampled tiers, and each lane scores its
+// measured region from its own take of the group's snapshot, one
 // subtask per lane fanned out through the lead spec's Exec. Every lane
 // is bit-identical to a single Run: it scores the same µops from the
 // same warmed state and touches nothing it shares.
@@ -22,12 +22,16 @@ func (b Backend) RunBatch(ctx context.Context, specs []sim.Spec) []sim.BatchResu
 	return sim.RunBatch(ctx, specs, admitModel, b.measure)
 }
 
-// admitModel refuses trace capture and requires the lead's budgets:
-// model lanes share the measured budget as well as the warm one.
+// admitModel refuses trace capture and co-runners (the model has no
+// MSHR or DRAM timing for their traffic) and requires the lead's
+// budgets: model lanes share the measured budget as well as the warm
+// one.
 func admitModel(spec, lead sim.Spec) error {
 	switch {
 	case spec.Recorder != nil:
 		return fmt.Errorf("ltp: trace capture requires the cycle backend")
+	case len(spec.Corunners) > 0:
+		return fmt.Errorf("ltp: co-runner contention requires the cycle or sampled backend")
 	case spec.WarmInsts != lead.WarmInsts || spec.MaxInsts != lead.MaxInsts:
 		return fmt.Errorf("ltp: batched model lanes must share warm-up and measured budgets")
 	}
@@ -40,12 +44,12 @@ func admitModel(spec, lead sim.Spec) error {
 func (b Backend) measure(ctx context.Context, spec sim.Spec, w *sim.Warmed) (sim.Stats, error) {
 	if spec.WarmInsts > 0 {
 		// Warm-up activity must not leak into measured statistics.
-		w.Predictor().ResetStats()
-		w.Hierarchy().ResetStats()
+		w.BP.ResetStats()
+		w.Hier.ResetStats()
 	}
 	m := newMachine(b.Cal, spec, w)
 	defer m.release()
-	stream := w.Stream()
+	stream := w.Stream
 	maxCycles := float64(spec.MaxCycles)
 	capped := false
 	check := ctx.Done() != nil

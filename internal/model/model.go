@@ -247,9 +247,9 @@ func newMachine(cal Calibration, spec sim.Spec, w *sim.Warmed) *machine {
 	}
 	cfg := spec.Pipeline
 	m := &machine{
-		hier:       w.Hierarchy(),
-		bp:         w.Predictor(),
-		unit:       w.Unit(),
+		hier:       w.Hier,
+		bp:         w.BP,
+		unit:       w.Unit,
 		cal:        cal,
 		cfg:        cfg,
 		storeReady: make(map[uint64]float64),
@@ -298,9 +298,6 @@ func newMachine(cal Calibration, spec sim.Spec, w *sim.Warmed) *machine {
 // score advances the dataflow timeline by one measured µop.
 func (m *machine) score(u *isa.Uop) {
 	m.n++
-	// Co-runner cache pressure is modelled functionally (shared-level
-	// pollution, no MSHR timing) — a documented fidelity tolerance.
-	m.hier.WarmTick()
 
 	// Front end: sustained dispatch throughput, gated by redirect
 	// bubbles and the ROB window.
@@ -616,9 +613,6 @@ func (m *machine) snapshot() sim.Stats {
 	r.DemandDRAM = m.hier.DemandDRAM
 	r.L1DMissRate = m.hier.L1D.MissRate()
 	r.PrefIssued = m.hier.PrefetchIssued
-	r.CorunnerAccesses = m.hier.CorunnerAccesses
-	r.CorunnerDRAM = m.hier.CorunnerDRAM
-	r.CorunnerStalls = m.hier.CorunnerStalls
 	r.Branches = m.bp.Stats().Branches
 	r.Mispredicts = m.bp.Stats().Mispredicts
 	r.Squashes = m.bp.Stats().Mispredicts

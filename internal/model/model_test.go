@@ -185,7 +185,7 @@ func steadyMachines(t testing.TB, n int, warm, runway uint64) ([]*machine, []isa
 		m := newMachine(Calibration{}, spec, w)
 		uops = make([]isa.Uop, 0, runway)
 		var u isa.Uop
-		for uint64(len(uops)) < runway && w.Stream().Next(&u) {
+		for uint64(len(uops)) < runway && w.Stream.Next(&u) {
 			uops = append(uops, u)
 		}
 		for k := range uops {
@@ -241,12 +241,10 @@ func TestScoreAllocsPerLane(t *testing.T) {
 type stubExec struct {
 	concurrent bool
 	batches    [][]func(context.Context)
-	costs      [][]float64
 }
 
-func (x *stubExec) RunBatch(ctx context.Context, costs []float64, fns []func(context.Context)) {
+func (x *stubExec) RunBatch(ctx context.Context, fns []func(context.Context)) {
 	x.batches = append(x.batches, fns)
-	x.costs = append(x.costs, costs)
 	if !x.concurrent {
 		for i := len(fns) - 1; i >= 0; i-- {
 			fns[i](ctx)
@@ -317,9 +315,6 @@ func TestRunBatchLanesIndependent(t *testing.T) {
 		out := b.RunBatch(bg, batch)
 		if len(ex.batches) != 1 || len(ex.batches[0]) != len(admitted) {
 			t.Fatalf("concurrent=%v: executor saw %d fan-outs; want one of %d subtasks", concurrent, len(ex.batches), len(admitted))
-		}
-		if ex.costs[0] != nil {
-			t.Fatalf("concurrent=%v: lanes carry costs %v; want none, so queued runs go first", concurrent, ex.costs[0])
 		}
 		if out[2].Err == nil || !strings.Contains(out[2].Err.Error(), "budgets") {
 			t.Fatalf("concurrent=%v: refused lane err = %v; want a budget error", concurrent, out[2].Err)

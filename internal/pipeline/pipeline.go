@@ -208,11 +208,10 @@ type Pipeline struct {
 	OccIQ, OccROB, OccLQ, OccSQ stats.Accumulator
 	OccIntRF, OccFPRF           stats.Accumulator
 	OccOutstanding              stats.Accumulator
-	Counters                    *stats.Set
 	Issues, RFReads, RFWrites   uint64
 	Fetched, Dispatched         uint64
 	Squashes                    uint64
-	renameStallReasons          [8]uint64
+	renameStallReasons          [stallReasons]uint64
 }
 
 // Rename stall reasons (indices into renameStallReasons).
@@ -223,8 +222,7 @@ const (
 	stallLQ
 	stallSQ
 	stallLTP
-	stallDecode
-	stallOther
+	stallReasons // the count of reasons
 )
 
 // New builds a pipeline over the given µop stream with the given Parker
@@ -255,7 +253,6 @@ func NewShared(cfg Config, stream prog.Stream, parker Parker, h *mem.Hierarchy, 
 		decodeQCap:    cfg.FetchWidth * (int(cfg.FrontEndDepth) + 2),
 		mispredSeq:    never,
 		lastFetchLine: ^uint64(0),
-		Counters:      stats.NewSet(),
 	}
 	p.rob = newROB(cfg.ROBSize, &p.slab)
 	p.ssets = newStoreSets(&p.slab)
@@ -348,10 +345,9 @@ func (p *Pipeline) ResetStats() {
 	p.OccIntRF.Reset()
 	p.OccFPRF.Reset()
 	p.OccOutstanding.Reset()
-	p.Counters = stats.NewSet()
 	p.Issues, p.RFReads, p.RFWrites = 0, 0, 0
 	p.Fetched, p.Dispatched, p.Squashes = 0, 0, 0
-	p.renameStallReasons = [8]uint64{}
+	p.renameStallReasons = [stallReasons]uint64{}
 	p.skipped = 0
 	p.Hier.ResetStats()
 	p.BP.ResetStats()

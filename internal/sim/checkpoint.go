@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"ltp/internal/bpred"
 	"ltp/internal/core"
@@ -14,13 +15,13 @@ import (
 )
 
 // The warm checkpoint: one fast functional pass over the warm region
-// trains the caches, the branch predictor and the LTP classification
-// tables, and every lane of a batch starts its measured region from
-// that state. All three tiers share it — the cycle, sampled and model
-// backends each hand RunBatch their own lane function, and no backend
-// warms any other way — so a sizing sweep's cells (IQ × ROB × LTP
-// on/off, which the warm pass never reads) pay for the program build
-// and the warm region once per warm group instead of once per cell.
+// (startBatch) trains each warm group's caches, branch predictor and LTP
+// classification tables, and every lane of a batch — or, on the sampled
+// tier, every interval — takes its start state from a snapshot of that
+// group. All three tiers share the pass and the snapshot, and no backend
+// warms any other way, so a sizing sweep's cells (IQ × ROB × LTP on/off,
+// which the warm pass never reads) pay for the program build and the
+// warm region once per warm group instead of once per cell.
 
 // warmCancelChunk bounds how many instructions a fast functional
 // warm-up executes between context checks (~a few hundred microseconds
@@ -61,38 +62,91 @@ func (w *warmer) touch(u *isa.Uop) {
 // predictor and (when the lane parks) LTP unit, and its own µop stream
 // positioned where the warm region ended.
 type Warmed struct {
-	warmer // units holds the lane's LTP unit, if any
-	stream prog.Stream
+	Hier   *mem.Hierarchy  // the lane's warmed memory hierarchy
+	BP     bpred.Predictor // the lane's warmed branch predictor
+	Unit   *core.LTP       // the lane's warmed LTP unit (nil without one)
+	Stream prog.Stream     // the lane's µop stream, at the measured region
 }
 
-// Hierarchy returns the lane's warmed memory hierarchy.
-func (w *Warmed) Hierarchy() *mem.Hierarchy { return w.hier }
-
-// Predictor returns the lane's warmed branch predictor.
-func (w *Warmed) Predictor() bpred.Predictor { return w.bp }
-
-// Unit returns the lane's warmed LTP unit (nil without one).
-func (w *Warmed) Unit() *core.LTP {
-	if len(w.units) == 0 {
-		return nil
-	}
-	return w.units[0]
-}
-
-// Stream returns the lane's µop stream, positioned at the start of the
-// measured region.
-func (w *Warmed) Stream() prog.Stream { return w.stream }
-
-// checkpoint is one warm group's state at the warm/measured boundary:
-// lanes whose hierarchy, branch predictor and co-runners agree see the
-// identical warm pass, so they share one hierarchy and predictor. The
-// LTP tables depend on the unit's own configuration, so the group warms
-// one observer per distinct LTP configuration among its lanes; an
-// LTP-off lane simply ignores them.
-type checkpoint struct {
+// warmGroup is one warm group's live state: lanes whose hierarchy,
+// branch predictor and co-runners agree see the identical warm pass, so
+// they share one hierarchy and predictor. The LTP tables depend on the
+// unit's own configuration, so the group warms one observer per
+// distinct LTP configuration among its lanes; an LTP-off lane simply
+// ignores them.
+type warmGroup struct {
 	warmer
 	observers map[core.Config]*core.LTP
-	states    map[core.Config]*core.WarmState // observer snapshots, for cloning lanes
+}
+
+// snapshot is one warm group's state at one stream position — the warm
+// boundary for a batch's lanes, an interval start for the sampled
+// pass's intervals — shared by the takers that start there: a
+// hierarchy, a predictor, and the WarmState of each LTP configuration
+// its takers run.
+type snapshot struct {
+	hier   *mem.Hierarchy
+	bp     bpred.Predictor
+	ltp    map[core.Config]*core.WarmState
+	serves int // takers that start from the snapshot
+
+	mu    sync.Mutex
+	taken int // of those, how many have taken their state
+}
+
+// snapshots returns each taker's snapshot: one per distinct warm group
+// among owners (taker i starts from owners[i] and, when ltps[i] is set,
+// parks with that configuration). At the warm boundary a snapshot holds
+// its group's live hierarchy and predictor; the sampled pass, which
+// goes on warming them, snapshots clones.
+func snapshots(owners []*warmGroup, ltps []*core.Config, clone bool) []*snapshot {
+	byGroup := make(map[*warmGroup]*snapshot)
+	out := make([]*snapshot, len(owners))
+	for i, g := range owners {
+		s := byGroup[g]
+		if s == nil {
+			s = &snapshot{hier: g.hier, bp: g.bp, ltp: make(map[core.Config]*core.WarmState)}
+			if clone {
+				s.hier, s.bp = g.hier.Clone(), g.bp.Clone()
+			}
+			byGroup[g] = s
+		}
+		if c := ltps[i]; c != nil && s.ltp[*c] == nil {
+			s.ltp[*c] = g.observers[*c].WarmSnapshot()
+		}
+		s.serves++
+		out[i] = s
+	}
+	return out
+}
+
+// take gives one taker its private warm state: a copy-on-write clone of
+// the snapshot's hierarchy and predictor (the snapshot's own, when the
+// taker is its only one) and, when the spec parks, a fresh LTP unit
+// restored from its configuration's WarmState. The last taker releases
+// the snapshot. take may run on many goroutines.
+func (s *snapshot) take(spec Spec) (*mem.Hierarchy, bpred.Predictor, *core.LTP) {
+	var unit *core.LTP
+	if spec.LTP != nil {
+		unit = core.New(*spec.LTP, spec.Pipeline.Hier.DRAMLatency, spec.Pipeline.Hier.TagEarlyLead)
+		unit.WarmRestore(s.ltp[*spec.LTP])
+	}
+	h, bp := s.hier, s.bp
+	if s.serves > 1 {
+		h, bp = h.Clone(), bp.Clone()
+	}
+	s.mu.Lock()
+	s.taken++
+	last := s.taken == s.serves
+	s.mu.Unlock()
+	if last {
+		if s.serves > 1 {
+			s.hier.Release()
+			bpred.Release(s.bp)
+		}
+		s.hier, s.bp, s.ltp = nil, nil, nil
+	}
+	return h, bp, unit
 }
 
 // warmSignature keys the warm-group partition with everything the warm
@@ -119,8 +173,8 @@ func warmSignature(s Spec) string {
 type warmBatch struct {
 	out    []BatchResult // per spec; refused lanes already hold their error
 	lanes  []int         // admitted lanes, indices into the specs
-	owners []*checkpoint // each admitted lane's warm group, parallel to lanes
-	groups []*checkpoint // the distinct warm groups, in first-lane order
+	owners []*warmGroup  // each admitted lane's warm group, parallel to lanes
+	groups []*warmGroup  // the distinct warm groups, in first-lane order
 	insts  uint64        // µops the warm region consumed
 }
 
@@ -145,7 +199,7 @@ func (b *warmBatch) touch() func(*isa.Uop) {
 
 // startBatch admits specs against the lead spec (specs[0]) — admitted
 // lanes must also share the stream and the warm budget — partitions the
-// admitted lanes into warm groups, builds one checkpoint per group, and
+// admitted lanes into warm groups, and
 // drives the lead stream once through the warm region for all of them.
 // It returns every lane's outcome so far, and a nil batch when no lane
 // is left to run.
@@ -180,8 +234,8 @@ func startBatch(ctx context.Context, specs []Spec, admit func(spec, lead Spec) e
 		return out, nil
 	}
 
-	index := make(map[string]*checkpoint)
-	b.owners = make([]*checkpoint, len(b.lanes))
+	index := make(map[string]*warmGroup)
+	b.owners = make([]*warmGroup, len(b.lanes))
 	for j, i := range b.lanes {
 		s := specs[i]
 		sig := warmSignature(s)
@@ -194,7 +248,7 @@ func startBatch(ctx context.Context, specs []Spec, admit func(spec, lead Spec) e
 			}
 			h := mem.NewHierarchy(s.Pipeline.Hier)
 			h.AttachCorunners(s.Corunners)
-			g = &checkpoint{
+			g = &warmGroup{
 				warmer:    warmer{hier: h, bp: bp, lastILine: ^uint64(0)},
 				observers: make(map[core.Config]*core.LTP),
 			}
@@ -238,80 +292,48 @@ func startBatch(ctx context.Context, specs []Spec, admit func(spec, lead Spec) e
 	return out, b
 }
 
-// adopt hands the checkpoint's own state to the batch's only lane: a
-// single run pays nothing for the checkpoint.
-func (ck *checkpoint) adopt(stream prog.Stream) *Warmed {
-	return &Warmed{warmer: ck.warmer, stream: stream}
-}
-
-// seal snapshots every observer so lanes can restore from it. After
-// seal the checkpoint is read-only: clone may run on many goroutines.
-func (ck *checkpoint) seal() {
-	ck.states = make(map[core.Config]*core.WarmState, len(ck.observers))
-	for cfg, u := range ck.observers {
-		ck.states[cfg] = u.WarmSnapshot()
-	}
-}
-
-// clone gives one lane deep copies of the sealed checkpoint: its own
-// hierarchy, predictor, stream and — when it parks — a fresh LTP unit
-// restored from its configuration's observer.
-func (ck *checkpoint) clone(spec Spec, stream prog.StreamCloner) *Warmed {
-	w := &Warmed{
-		warmer: warmer{hier: ck.hier.Clone(), bp: ck.bp.Clone(), lastILine: ck.lastILine},
-		stream: stream.CloneStream(),
-	}
-	if spec.LTP != nil {
-		u := core.New(*spec.LTP, spec.Pipeline.Hier.DRAMLatency, spec.Pipeline.Hier.TagEarlyLead)
-		u.WarmRestore(ck.states[*spec.LTP])
-		w.units = []*core.LTP{u}
-	}
-	return w
-}
-
 // LaneFunc runs one lane's measured region from its private warm state.
 type LaneFunc func(ctx context.Context, spec Spec, w *Warmed) (Stats, error)
 
 // RunBatch is the cycle and model backends' batch driver (the sampled
 // backend shares its admission and warm pass, startBatch, and goes on
 // with one measured-region pass of its own). admit vets each lane
-// against the lead spec (specs[0]). One functional pass warms a
-// checkpoint per warm group, then every lane runs from its own clone,
-// fanned out through the lead spec's Exec. A batch of one adopts its
-// checkpoint instead, which makes Run a batch of one at no extra cost.
-// Checkpoints are garbage once the last lane has cloned its state.
+// against the lead spec (specs[0]). One functional pass warms each warm
+// group, which is snapshotted at the warm boundary; every lane takes its
+// state from its group's snapshot as it starts — so at most one private
+// copy per running lane is alive at a time — and the lanes fan out
+// through the lead spec's Exec. A batch of one takes the snapshot's own
+// state, which makes Run a batch of one at no extra cost.
 func RunBatch(ctx context.Context, specs []Spec, admit func(spec, lead Spec) error, run LaneFunc) []BatchResult {
 	out, b := startBatch(ctx, specs, admit)
 	if b == nil {
 		return out
 	}
 	stream := specs[0].Stream
-	if len(b.lanes) == 1 {
-		i := b.lanes[0]
-		out[i].Stats, out[i].Err = run(ctx, specs[i], b.owners[0].adopt(stream))
-		return out
-	}
 	cloner, ok := stream.(prog.StreamCloner)
-	if !ok {
+	if !ok && len(b.lanes) > 1 {
 		b.fail(fmt.Errorf("ltp: batched lanes need a clonable µop stream"))
 		return out
 	}
-
-	// Lanes clone their state when they start, so at most one private
-	// copy per running lane is alive at a time.
+	ltps := make([]*core.Config, len(b.lanes))
+	for slot, i := range b.lanes {
+		ltps[slot] = specs[i].LTP
+	}
+	snaps := snapshots(b.owners, ltps, false)
 	fns := make([]func(context.Context) error, len(b.lanes))
 	for slot, i := range b.lanes {
-		g := b.owners[slot]
-		if g.states == nil {
-			g.seal()
-		}
 		fns[slot] = func(lctx context.Context) error {
+			w := &Warmed{Stream: stream}
+			if len(b.lanes) > 1 {
+				w.Stream = cloner.CloneStream()
+			}
+			w.Hier, w.BP, w.Unit = snaps[slot].take(specs[i])
 			var err error
-			out[i].Stats, err = run(lctx, specs[i], g.clone(specs[i], cloner))
+			out[i].Stats, err = run(lctx, specs[i], w)
 			return err
 		}
 	}
-	for slot, err := range FanOut(ctx, specs[0].Exec, nil, fns) {
+	for slot, err := range FanOut(ctx, specs[0].Exec, fns) {
 		if err != nil {
 			out[b.lanes[slot]] = BatchResult{Err: err}
 		}
@@ -324,9 +346,8 @@ func RunBatch(ctx context.Context, specs []Spec, admit func(spec, lead Spec) err
 // panicking fn becomes that fn's error: on a pool worker an unrecovered
 // panic would kill the process and strand the batch, so each subtask is
 // contained here and always completes. Every backend's lanes and the
-// sampled tier's intervals fan out through it; nil costs leave the
-// subtasks unweighted, so queued single runs go ahead of them.
-func FanOut(ctx context.Context, ex Executor, costs []float64, fns []func(context.Context) error) []error {
+// sampled tier's intervals fan out through it.
+func FanOut(ctx context.Context, ex Executor, fns []func(context.Context) error) []error {
 	errs := make([]error, len(fns))
 	call := func(fctx context.Context, i int) {
 		defer func() {
@@ -346,7 +367,7 @@ func FanOut(ctx context.Context, ex Executor, costs []float64, fns []func(contex
 	for i := range fns {
 		wrapped[i] = func(fctx context.Context) { call(fctx, i) }
 	}
-	ex.RunBatch(ctx, costs, wrapped)
+	ex.RunBatch(ctx, wrapped)
 	return errs
 }
 

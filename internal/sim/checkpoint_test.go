@@ -17,8 +17,8 @@ import (
 // executor does.
 type poolExec struct{ p *sched.Pool }
 
-func (x poolExec) RunBatch(ctx context.Context, costs []float64, fns []func(context.Context)) {
-	x.p.RunBatch(ctx, sched.TierInteractive, costs, fns)
+func (x poolExec) RunBatch(ctx context.Context, fns []func(context.Context)) {
+	x.p.RunBatch(ctx, sched.TierInteractive, nil, fns)
 }
 
 func (x poolExec) Parallelism() int { return x.p.Workers() }
@@ -43,7 +43,7 @@ func TestFanOutContainsPanics(t *testing.T) {
 				func(context.Context) error { <-started; return errOdd },
 				func(context.Context) error { return nil },
 			}
-			errs := FanOut(context.Background(), ex, nil, fns)
+			errs := FanOut(context.Background(), ex, fns)
 			if errs[1] != nil || errs[3] != nil {
 				t.Fatalf("round %d: healthy subtasks failed: %v", round, errs)
 			}

@@ -51,10 +51,10 @@ func (b CycleBackend) Run(ctx context.Context, spec Spec) (Stats, error) {
 	return r.Stats, r.Err
 }
 
-// RunBatch implements BatchBackend: one fast warm pass builds a
-// checkpoint per warm group (hierarchy, branch predictor, co-runners)
-// and every lane's measured region runs from its own clone; a batch of
-// one adopts its checkpoint without cloning. A detailed warm-up cannot
+// RunBatch implements BatchBackend: one fast warm pass warms each warm
+// group (hierarchy, branch predictor, co-runners) and every lane's
+// measured region runs from its own take of the group's snapshot; a
+// batch of one takes the snapshot without cloning. A detailed warm-up cannot
 // share a warm pass: a lone detailed-warm lane runs the full pipeline
 // over its warm region too, and in a larger batch such lanes fail.
 func (CycleBackend) RunBatch(ctx context.Context, specs []Spec) []BatchResult {
@@ -78,11 +78,11 @@ func admitCycle(spec, _ Spec) error {
 // state.
 func runCycleLane(ctx context.Context, spec Spec, w *Warmed) (Stats, error) {
 	var parker pipeline.Parker = pipeline.NullParker{}
-	unit := w.Unit()
+	unit := w.Unit
 	if unit != nil {
 		parker = unit
 	}
-	p := pipeline.NewShared(spec.Pipeline, w.stream, parker, w.hier, w.bp)
+	p := pipeline.NewShared(spec.Pipeline, w.Stream, parker, w.Hier, w.BP)
 	defer p.Release()
 	if done := ctx.Done(); done != nil {
 		p.SetCancel(done)

@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
-	"ltp/internal/bpred"
 	"ltp/internal/core"
-	"ltp/internal/mem"
 	"ltp/internal/pipeline"
 	"ltp/internal/prog"
 	"ltp/internal/stats"
@@ -24,7 +21,7 @@ func init() { Register(SampledBackend{}) }
 // Each lane's measured region is split into K intervals, and a 1/K
 // slice of each — preceded by a short detailed-but-unmeasured ramp that
 // keeps the pipeline-fill transient out of the sample — is simulated
-// cycle-accurately from a checkpoint of the warm state (caches, branch
+// cycle-accurately from a snapshot of the warm state (caches, branch
 // predictor, LTP tables) at the interval's start. The per-interval CPIs
 // are stitched into a whole-run estimate with a Student-t sampling CI.
 //
@@ -32,16 +29,16 @@ func init() { Register(SampledBackend{}) }
 // the warm pass it shares with the other tiers (startBatch): the same
 // warm groups keep warming, and the pass records the union of every
 // lane's replayed spans as one seekable µop trace. At each interval
-// start it checkpoints each warm group with a lane starting there, and
+// start it snapshots each warm group with a lane starting there, and
 // it launches an interval through the lead spec's Exec as soon as the
-// interval's span is recorded. A checkpoint lives from its position
-// until the last interval it serves has cloned it, and launches wait
-// once 2× Exec's parallelism are queued, so live checkpoints do not
+// interval's span is recorded. A snapshot lives from its position
+// until the last interval it serves has taken its state, and launches
+// wait once 2× Exec's parallelism are queued, so live snapshots do not
 // grow with K or with the lane count.
 //
 // Total detailed work is MaxInsts/K instructions plus the ramps, so
 // wall-clock approaches the functional-pass floor as K grows. K=1
-// measures the entire region from the single warm checkpoint and
+// measures the entire region from the warm boundary's snapshot and
 // reproduces the cycle backend's result bit-for-bit.
 type SampledBackend struct{}
 
@@ -95,7 +92,7 @@ func admitSampled(spec, lead Spec) error {
 // sampleLane is one lane's interval geometry and outcomes.
 type sampleLane struct {
 	spec    Spec
-	group   *checkpoint // the lane's warm group
+	group   *warmGroup // the lane's warm group
 	ivs     []sampleInterval
 	results []Stats
 	errs    []error
@@ -113,11 +110,12 @@ type sampleInterval struct {
 	abs    uint64 // stream position of the interval start
 	end    uint64 // stream position the recorded span must reach
 
-	ck  *sampleCheckpoint // set when the pass reaches abs
-	src *bytes.Reader     // the recording, once it holds the span
+	pos  trace.Pos     // the recording's position at abs, set when the pass reaches it
+	snap *snapshot     // the warm group's state at abs, likewise
+	src  *bytes.Reader // the recording, once it holds the span
 }
 
-func newSampleLane(spec Spec, group *checkpoint) *sampleLane {
+func newSampleLane(spec Spec, group *warmGroup) *sampleLane {
 	k := spec.Intervals
 	if k < 1 {
 		k = 1
@@ -162,71 +160,17 @@ func newSampleLane(spec Spec, group *checkpoint) *sampleLane {
 	return l
 }
 
-// sampleCheckpoint is one warm group's state at one interval start —
-// the trace position to reopen at plus copies of everything the fast
-// warm-up trains — shared by the intervals of the group's lanes that
-// start there.
-type sampleCheckpoint struct {
-	pos    trace.Pos
-	hier   *mem.Hierarchy
-	bp     bpred.Predictor
-	ltp    map[core.Config]*core.WarmState
-	serves int // intervals that start from the checkpoint
-
-	mu    sync.Mutex
-	taken int // of those, how many have taken their copy
-}
-
-// take gives one interval its private warm state: a copy-on-write clone
-// of the checkpoint (its own state when it is the only interval served)
-// and, when the lane parks, a fresh LTP unit restored from its
-// configuration's snapshot. The last taker drops the checkpoint.
-func (ck *sampleCheckpoint) take(spec Spec) (*mem.Hierarchy, bpred.Predictor, *core.LTP) {
-	var unit *core.LTP
-	if spec.LTP != nil {
-		unit = core.New(*spec.LTP, spec.Pipeline.Hier.DRAMLatency, spec.Pipeline.Hier.TagEarlyLead)
-		unit.WarmRestore(ck.ltp[*spec.LTP])
+// snapshotAt snapshots the warm groups of the intervals starting at
+// the pass's current position, recording position pos: one clone per
+// warm group among their lanes, shared by those intervals.
+func snapshotAt(ivs []*sampleInterval, pos trace.Pos) {
+	owners := make([]*warmGroup, len(ivs))
+	ltps := make([]*core.Config, len(ivs))
+	for i, iv := range ivs {
+		owners[i], ltps[i] = iv.lane.group, iv.lane.spec.LTP
 	}
-	h, bp := ck.hier, ck.bp
-	if ck.serves > 1 {
-		h, bp = h.Clone(), bp.Clone()
-	}
-	ck.mu.Lock()
-	ck.taken++
-	last := ck.taken == ck.serves
-	ck.mu.Unlock()
-	if last {
-		if ck.serves > 1 {
-			ck.hier.Release()
-			bpred.Release(ck.bp)
-		}
-		ck.hier, ck.bp, ck.ltp = nil, nil, nil
-	}
-	return h, bp, unit
-}
-
-// checkpointAt takes the checkpoints of the intervals starting at the
-// pass's current position: one per warm group among their lanes, with
-// a snapshot of each LTP configuration those lanes run.
-func checkpointAt(ivs []*sampleInterval, pos trace.Pos) {
-	cks := make(map[*checkpoint]*sampleCheckpoint)
-	for _, iv := range ivs {
-		g := iv.lane.group
-		ck := cks[g]
-		if ck == nil {
-			ck = &sampleCheckpoint{
-				pos:  pos,
-				hier: g.hier.Clone(),
-				bp:   g.bp.Clone(),
-				ltp:  make(map[core.Config]*core.WarmState),
-			}
-			cks[g] = ck
-		}
-		if c := iv.lane.spec.LTP; c != nil && ck.ltp[*c] == nil {
-			ck.ltp[*c] = g.observers[*c].WarmSnapshot()
-		}
-		ck.serves++
-		iv.ck = ck
+	for i, s := range snapshots(owners, ltps, true) {
+		ivs[i].pos, ivs[i].snap = pos, s
 	}
 }
 
@@ -237,7 +181,7 @@ func checkpointAt(ivs []*sampleInterval, pos trace.Pos) {
 // The gaps between spans fast-forward without the encoder: they exist
 // only to keep the warm state continuous, and skipping their
 // serialization keeps the pass far cheaper than the cycle backend as K
-// grows. Each interval is checkpointed at its start and launched once
+// grows. Each interval is snapshotted at its start and launched once
 // its span is recorded.
 func runSampledPass(ctx context.Context, specs []Spec, b *warmBatch) {
 	lead := specs[0]
@@ -314,7 +258,7 @@ func measurePass(ctx context.Context, stream prog.Stream, b *warmBatch, ivs []*s
 		return nil
 	}
 
-	var waiting []*sampleInterval // checkpointed, span not yet recorded
+	var waiting []*sampleInterval // snapshotted, span not yet recorded
 	// launchRecorded launches the waiting intervals whose spans end by
 	// upTo on a reader over the bytes recorded so far. The recording is
 	// only ever appended to, so those bytes stay valid while the pass
@@ -340,7 +284,7 @@ func measurePass(ctx context.Context, stream prog.Stream, b *warmBatch, ivs []*s
 		return nil
 	}
 
-	next := 0 // first interval not yet checkpointed
+	next := 0 // first interval not yet snapshotted
 	for next < len(ivs) || len(waiting) > 0 {
 		to := uint64(math.MaxUint64)
 		if next < len(ivs) {
@@ -364,7 +308,7 @@ func measurePass(ctx context.Context, stream prog.Stream, b *warmBatch, ivs []*s
 				recUntil = max(recUntil, ivs[next].end)
 				next++
 			}
-			checkpointAt(ivs[at:next], rec.Pos())
+			snapshotAt(ivs[at:next], rec.Pos())
 			waiting = append(waiting, ivs[at:next]...)
 		}
 	}
@@ -402,7 +346,7 @@ func startIntervals(ctx context.Context, ex Executor, n int) (launch func(*sampl
 	}
 	par := max(ex.Parallelism(), 1)
 	// The buffer bounds the queued intervals, and with them the live
-	// checkpoints; 2× the workers keeps every worker fed, the bound
+	// snapshots; 2× the workers keeps every worker fed, the bound
 	// runUnits puts on batches.
 	ready := make(chan *sampleInterval, 2*par)
 	workers := make([]func(context.Context) error, min(par, n))
@@ -417,7 +361,7 @@ func startIntervals(ctx context.Context, ex Executor, n int) (launch func(*sampl
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		FanOut(ctx, ex, nil, workers)
+		FanOut(ctx, ex, workers)
 	}()
 	return func(iv *sampleInterval) { ready <- iv }, func() { close(ready); <-done }
 }
@@ -462,7 +406,7 @@ func (l *sampleLane) finish() (Stats, error) {
 }
 
 // runSampledInterval replays one interval's measured sample on a fresh
-// pipeline seeded with the warm state of its checkpoint. Replayed µops
+// pipeline seeded with the warm state of its snapshot. Replayed µops
 // are numbered by their record index in the pass's recording, which
 // skips the unrecorded gaps: numbering stays increasing and contiguous
 // within a span, which is all squash bookkeeping and commit-order
@@ -472,8 +416,8 @@ func runSampledInterval(ctx context.Context, spec Spec, iv *sampleInterval) (Sta
 		return Stats{}, CancelErr(ctx)
 	}
 	pcfg := spec.Pipeline
-	rd := trace.NewReaderAt(iv.src, iv.ck.pos)
-	hier, bp, unit := iv.ck.take(spec)
+	rd := trace.NewReaderAt(iv.src, iv.pos)
+	hier, bp, unit := iv.snap.take(spec)
 	var parker pipeline.Parker = pipeline.NullParker{}
 	if unit != nil {
 		parker = unit

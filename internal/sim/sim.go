@@ -96,15 +96,14 @@ type Spec struct {
 }
 
 // Executor runs a batch of independent subtasks to completion,
-// possibly concurrently. costs[i] is fns[i]'s relative cost estimate
-// for LPT ordering. Implementations must guarantee every fn runs
+// possibly concurrently. Implementations must guarantee every fn runs
 // exactly once and must tolerate being called from a goroutine that is
 // itself a pool worker (the scheduler pool implements this with work
 // helping). Parallelism is how many subtasks it can run at once; the
 // sampled backend sizes its interval workers and its bound on live
-// checkpoints by it.
+// snapshots by it.
 type Executor interface {
-	RunBatch(ctx context.Context, costs []float64, fns []func(context.Context))
+	RunBatch(ctx context.Context, fns []func(context.Context))
 	Parallelism() int
 }
 
@@ -186,10 +185,11 @@ type BatchResult struct {
 // BatchBackend is a backend that can evaluate many Specs sharing one
 // functional µop stream in a single pass, amortizing stream generation
 // and warm-up across all of them. Every registered backend is one, and
-// every one is the shared driver RunBatch with its own lane function:
-// it warms once per warm group and runs each lane's measured region
-// from its own clone of that warm state, one subtask per lane fanned
-// out through Spec.Exec, and its Run is a batch of one.
+// every one warms once per warm group and starts each lane's measured
+// region from its own take of the group's snapshot, fanned out through
+// Spec.Exec (the cycle and model backends are the shared driver
+// RunBatch with their own lane function; the sampled backend fans out
+// its lanes' intervals), and its Run is a batch of one.
 //
 // Contract: every spec in the batch must share the µop stream —
 // specs[0].Stream is the one driven; the Stream fields of the rest are

@@ -3,8 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // Accumulator integrates a per-cycle quantity so its time average can be
@@ -54,39 +52,6 @@ func (a *Accumulator) Reset() { *a = Accumulator{} }
 
 // Cycles returns the number of samples.
 func (a *Accumulator) Cycles() uint64 { return a.cycles }
-
-// Set is a named collection of counters, kept ordered for stable output.
-type Set struct {
-	counters map[string]uint64
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{counters: make(map[string]uint64)} }
-
-// Inc adds delta to the named counter.
-func (s *Set) Inc(name string, delta uint64) { s.counters[name] += delta }
-
-// Get returns the named counter (0 if absent).
-func (s *Set) Get(name string) uint64 { return s.counters[name] }
-
-// Names returns the counter names in sorted order.
-func (s *Set) Names() []string {
-	out := make([]string, 0, len(s.counters))
-	for k := range s.counters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// String renders the set one counter per line.
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, k := range s.Names() {
-		fmt.Fprintf(&b, "%-32s %d\n", k, s.counters[k])
-	}
-	return b.String()
-}
 
 // Summary condenses seed-replicated samples of one metric into the
 // form campaign tables report: mean ± half-width of the 95% confidence
@@ -162,13 +127,4 @@ func Summarize(vals []float64) Summary {
 // String renders "mean ± ci (n=N)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean, s.CI95, s.N)
-}
-
-// Ratio is a convenience for percentage reporting that tolerates a zero
-// denominator.
-func Ratio(num, den uint64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }

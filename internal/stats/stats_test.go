@@ -72,23 +72,6 @@ func TestAccumulatorBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Inc("b", 2)
-	s.Inc("a", 1)
-	s.Inc("b", 3)
-	if s.Get("b") != 5 || s.Get("a") != 1 || s.Get("missing") != 0 {
-		t.Error("counter arithmetic broken")
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("names %v", names)
-	}
-	if !strings.Contains(s.String(), "a") {
-		t.Error("String misses counters")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	if s := Summarize(nil); s.N != 0 || s.Mean != 0 || s.CI95 != 0 {
 		t.Errorf("empty summary %+v", s)
@@ -149,15 +132,6 @@ func TestSummarizeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(1, 0) != 0 {
-		t.Error("zero denominator must yield 0")
-	}
-	if Ratio(1, 4) != 0.25 {
-		t.Error("ratio arithmetic broken")
 	}
 }
 

@@ -211,14 +211,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return buf, true
 }
 
-// Has reports whether key is in the index (no counter traffic).
-func (s *Store) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // Put appends one record for key. A key already stored is a no-op:
 // keys are content addresses, so an existing record is the same
 // payload. A short or failed write truncates back to the last valid
@@ -279,9 +271,6 @@ func (s *Store) Keys() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Path returns the store's file path.
-func (s *Store) Path() string { return s.path }
 
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {

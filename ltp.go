@@ -297,7 +297,8 @@ type RunSpec struct {
 	Prefetcher string
 	// Corunners attaches co-running workload streams contending for
 	// the shared cache levels and DRAM (at most MaxCorunners). Empty
-	// means a solo run.
+	// means a solo run. Cycle and sampled backends only: the model has
+	// no MSHR or DRAM timing for their traffic.
 	Corunners []Corunner
 
 	// UseLTP attaches the parking unit.
@@ -487,6 +488,11 @@ func (s RunSpec) canonical(sourced bool) (RunSpec, error) {
 	}
 	if s.Oracle && backend.Fidelity() != sim.FidelityCycle {
 		return RunSpec{}, fmt.Errorf("ltp: oracle classification requires the cycle backend, not %q", s.Backend)
+	}
+	// The model has no MSHR or DRAM timing for co-runner traffic, so its
+	// estimate under contention would be far off and say nothing of it.
+	if len(s.Corunners) > 0 && backend.Fidelity() == sim.FidelityEstimate {
+		return RunSpec{}, fmt.Errorf("ltp: co-runner contention requires the cycle or sampled backend, not %q", s.Backend)
 	}
 	return s, nil
 }
@@ -688,25 +694,14 @@ func ScenarioByName(name string) (workload.Family, error) { return workload.Fami
 // context's own error (the cancellation cause when one was supplied).
 func cancelErr(ctx context.Context) error { return sim.CancelErr(ctx) }
 
-// execContextKey carries a sim.Executor through a context so a sampled
-// run launched from the engine fans its intervals onto the engine's
-// scheduler pool. A plain RunContext call supplies its own goExecutor.
-type execContextKey struct{}
-
-// withExecutor returns ctx carrying the interval executor for sampled
-// runs (engine-internal; see execContextKey).
-func withExecutor(ctx context.Context, ex sim.Executor) context.Context {
-	return context.WithValue(ctx, execContextKey{}, ex)
-}
-
-// goExecutor is the executor of a RunContext call made outside an
-// engine: the calling goroutine and up to n-1 more drain the batch in
-// order, so a sampled run's K intervals use the machine's cores.
+// goExecutor is RunContext's executor: the calling goroutine and up to
+// n-1 more drain the batch in order, so a sampled run's K intervals use
+// the machine's cores.
 type goExecutor int
 
 func (x goExecutor) Parallelism() int { return int(x) }
 
-func (x goExecutor) RunBatch(ctx context.Context, _ []float64, fns []func(context.Context)) {
+func (x goExecutor) RunBatch(ctx context.Context, fns []func(context.Context)) {
 	var next atomic.Int64
 	drain := func() {
 		for i := next.Add(1) - 1; i < int64(len(fns)); i = next.Add(1) - 1 {
@@ -735,8 +730,8 @@ func (x goExecutor) RunBatch(ctx context.Context, _ []float64, fns []func(contex
 //
 // A run is a batch of one: it resolves and executes exactly as one
 // lane of an engine sweep does, so the two are byte-identical by
-// construction. Outside an engine, a sampled run's intervals run on up
-// to GOMAXPROCS goroutines; results do not depend on how many.
+// construction. A sampled run's intervals run on up to GOMAXPROCS
+// goroutines; results do not depend on how many.
 func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, cancelErr(ctx)
@@ -745,10 +740,7 @@ func RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	if _, ok := ctx.Value(execContextKey{}).(sim.Executor); !ok {
-		ctx = withExecutor(ctx, goExecutor(runtime.GOMAXPROCS(0)))
-	}
-	results, errs := runLanes(ctx, in, []RunSpec{canon})
+	results, errs := runLanes(ctx, goExecutor(runtime.GOMAXPROCS(0)), in, []RunSpec{canon})
 	return results[0], errs[0]
 }
 

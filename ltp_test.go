@@ -2,6 +2,7 @@ package ltp_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"ltp"
@@ -289,5 +290,41 @@ func TestBadConfigErrors(t *testing.T) {
 		if _, err := ltp.RunContext(ctx, spec); err != nil {
 			t.Errorf("%s/NR with no IQ reserve: %v; NR parking alone must still run", backend, err)
 		}
+	}
+
+	// The model has no timing for co-runner traffic: a model run with a
+	// co-runner, and a triage sweep (whose pre-pass runs every cell on
+	// the model) with a co-runner cell, are refused, not estimated.
+	contended := ltp.RunSpec{Workload: "compute", Scale: 0.05, WarmInsts: 1_000, MaxInsts: 2_000,
+		Backend: ltp.BackendModel, Corunners: []ltp.Corunner{{Scenario: "memhog"}}}
+	refused := func(what string, run func() error) {
+		t.Helper()
+		noPanic(what, func() error {
+			err := run()
+			if err != nil && !strings.Contains(err.Error(), "co-runner") {
+				t.Errorf("%s: err = %v; want the co-runner refusal", what, err)
+			}
+			return err
+		})
+	}
+	refused("model/co-runner RunContext", func() error {
+		_, err := ltp.RunContext(ctx, contended)
+		return err
+	})
+	refused("model/co-runner RunCached", func() error {
+		_, _, _, err := eng.RunCached(ctx, contended)
+		return err
+	})
+	iqs := []int{32, 64}
+	triage := ltp.SweepSpec{Base: contended, Triage: &ltp.TriageSpec{TopK: 1}, Axes: []ltp.SweepAxis{{Name: "iq", Points: []ltp.SweepPoint{
+		{Name: "iq32", Patch: ltp.RunPatch{IQSize: &iqs[0]}}, {Name: "iq64", Patch: ltp.RunPatch{IQSize: &iqs[1]}}}}}}
+	triage.Base.Backend = ltp.BackendCycle
+	refused("triage/co-runner sweep", func() error {
+		_, err := eng.Submit(ctx, triage)
+		return err
+	})
+	triage.Base.Corunners = nil
+	if _, err := triage.Canonical(); err != nil {
+		t.Errorf("solo triage sweep: %v; only the co-runner cell may be refused", err)
 	}
 }

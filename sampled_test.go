@@ -209,7 +209,15 @@ func TestSampledCanceledWaiterKeepsEntry(t *testing.T) {
 		_, _, _, err := e.RunCached(context.Background(), spec)
 		resCh <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	// Cancel as soon as the second caller has joined the flight, so the
+	// cancel lands mid-run however fast the host simulates.
+	for e.CacheStats().Shared == 0 {
+		select {
+		case err := <-errCh:
+			t.Fatalf("the run finished (err %v) before the second caller joined its flight", err)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
 	cancel()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled caller err = %v; want context.Canceled", err)
@@ -233,7 +241,14 @@ func TestSampledCanceledWaiterKeepsEntry(t *testing.T) {
 		_, _, _, err := e.RunCached(ctx2, spec2)
 		errCh <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// Cancel as soon as the run has started.
+	for e.RunningRuns() == 0 {
+		select {
+		case err := <-errCh:
+			t.Fatalf("the run finished (err %v) before it was seen running", err)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
 	cancel2()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled solo caller err = %v", err)
@@ -385,18 +400,24 @@ func TestSampledTriageDetail(t *testing.T) {
 	}
 }
 
-// FuzzSampledBatchMatchesSingle draws a program seed, a scenario family
-// and 2–4 sampled lanes on one stream, one byte each: K = 1 + the low
-// four bits, bits 4–5 pick the ROB size, bit 6 parks with LTP and bit 7
-// predicts with TAGE instead of gshare. The lanes run as one engine
-// batch — one warm pass, one measured-region pass — and each must come
-// back byte-identical to the same spec run alone, errors included.
-func FuzzSampledBatchMatchesSingle(f *testing.F) {
+// FuzzBatchMatchesSingle draws a program seed, a tier and scenario
+// family, and 2–4 lanes on one stream, one byte each. The high two bits
+// of family pick the tier (0 sampled, 1 cycle, 2 model) and the rest the
+// family; in a lane byte, K = 1 + the low four bits (sampled only),
+// bits 4–5 pick the ROB size, bit 6 parks with LTP and bit 7 predicts
+// with TAGE instead of gshare. The lanes run as one engine batch — one
+// warm pass, then the tier's lanes or measured-region pass — and each
+// must come back byte-identical to the same spec run alone, errors
+// included.
+func FuzzBatchMatchesSingle(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0x01, 0x13, 0x67})
 	f.Add(int64(2), uint8(3), []byte{0x0f, 0xb7, 0x40, 0xf0})
 	f.Add(int64(3), uint8(5), []byte{0x00, 0x00})
-	f.Add(int64(2), uint8(0), []byte{0x31, 0xb7}) // gshare and TAGE lanes: two warm groups
+	f.Add(int64(2), uint8(0), []byte{0x31, 0xb7})    // gshare and TAGE lanes: two warm groups
+	f.Add(int64(2), uint8(0x40), []byte{0x31, 0xb7}) // the same on the cycle tier
+	f.Add(int64(2), uint8(0x80), []byte{0x31, 0xb7}) // and on the model tier
 	fams := ltp.Scenarios()
+	tiers := []string{ltp.BackendSampled, ltp.BackendCycle, ltp.BackendModel}
 	robs := []int{64, 128, 192, 256}
 	f.Fuzz(func(t *testing.T, seed int64, family uint8, lanes []byte) {
 		if len(lanes) < 2 {
@@ -411,9 +432,9 @@ func FuzzSampledBatchMatchesSingle(f *testing.F) {
 				cfg.BranchPred = "tage"
 			}
 			specs[i] = ltp.RunSpec{
-				Scenario:  fams[int(family)%len(fams)].Name,
+				Scenario:  fams[int(family&0x3f)%len(fams)].Name,
 				Seed:      seed,
-				Backend:   ltp.BackendSampled,
+				Backend:   tiers[int(family>>6)%len(tiers)],
 				Scale:     0.05,
 				WarmInsts: 2_000,
 				MaxInsts:  3_000,

@@ -489,11 +489,16 @@ func (s SweepSpec) computeHash() (string, []string, error) {
 				r.coords, canon.Backend)
 		}
 		// The pre-pass runs every cell on the model backend, which has
-		// no oracle — admitting an oracle cell would guarantee a
-		// post-admission phase-1 failure.
+		// no oracle and refuses co-runners — admitting such a cell would
+		// guarantee a post-admission phase-1 failure.
 		if s.Triage != nil && canon.Oracle {
 			return "", nil, fmt.Errorf(
 				"ltp: triage sweep cell %v requests oracle classification, which the model pre-pass cannot execute",
+				r.coords)
+		}
+		if s.Triage != nil && len(canon.Corunners) > 0 {
+			return "", nil, fmt.Errorf(
+				"ltp: triage sweep cell %v has co-runners, which the model pre-pass cannot execute",
 				r.coords)
 		}
 		h, err := hashJSON(runSpecHashVersion, canon)
