@@ -187,16 +187,32 @@ func main() {
 	// to the paper's figures.
 	order := []string{"table1", "groups", "fig1", "fig3", "fig6", "fig7", "fig10", "fig11", "uit", "ablation", "wibvsltp", "dram", "matrix"}
 
+	// A figure runner whose cell fails panics with an
+	// *experiment.CellError: report it in one line. Any other panic
+	// propagates.
+	runOne := func(name string) {
+		defer func() {
+			if p := recover(); p != nil {
+				ce, ok := p.(*experiment.CellError)
+				if !ok {
+					panic(p)
+				}
+				fmt.Fprintf(os.Stderr, "ltpexperiments: %s: %s: %v\n", name, ce.Cell, ce.Err)
+				os.Exit(1)
+			}
+		}()
+		run[name]()
+	}
+
 	if *exp == "all" {
 		for _, name := range order {
-			run[name]()
+			runOne(name)
 		}
 		return
 	}
-	fn, ok := run[*exp]
-	if !ok {
+	if _, ok := run[*exp]; !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of %s, all)\n", *exp, strings.Join(order, ", "))
 		os.Exit(2)
 	}
-	fn()
+	runOne(*exp)
 }

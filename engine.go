@@ -710,7 +710,7 @@ const (
 )
 
 // runJob is a submitted job's coordinator goroutine.
-func (e *Engine) runJob(jctx context.Context, job *Job, runs []sweepRun) {
+func (e *Engine) runJob(jctx context.Context, job *Job, runs []SweepRun) {
 	defer e.jobs.Done()
 	defer close(job.doneCh)
 	defer job.cancelFn(nil) // release the job context's resources
@@ -739,11 +739,11 @@ func (e *Engine) runJob(jctx context.Context, job *Job, runs []sweepRun) {
 // best cells. Both phases stream through the same cell log with
 // distinct Phase tags, and the detailed runs hash (and therefore
 // cache) exactly like directly submitted cycle-backend cells.
-func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []sweepRun) {
+func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []SweepRun) {
 	// Phase 1: estimate every cell on the model backend.
-	model := make([]sweepRun, len(runs))
+	model := make([]SweepRun, len(runs))
 	for i, r := range runs {
-		r.spec.Backend = BackendModel
+		r.Spec.Backend = BackendModel
 		model[i] = r
 	}
 	// Whatever ends this job early — cancellation here, or a failed
@@ -780,9 +780,9 @@ func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []sweepRun) {
 	// detailed fidelity (their specs are untouched — the triage
 	// validation pinned them to the cycle or sampled backend, so these
 	// hashes equal a direct submission's).
-	var detail []sweepRun
+	var detail []SweepRun
 	for _, r := range runs {
-		if selected[r.cell] {
+		if selected[r.Cell] {
 			detail = append(detail, r)
 		}
 	}
@@ -837,7 +837,7 @@ func phaseUnits(specs []RunSpec) [][]int {
 
 // recordPhaseCell folds one resolved cell into the job's counters and
 // cell stream.
-func (j *Job) recordPhaseCell(r sweepRun, res RunResult, outcome cache.Outcome, hash string, err error, phase string) {
+func (j *Job) recordPhaseCell(r SweepRun, res RunResult, outcome cache.Outcome, hash string, err error, phase string) {
 	if err != nil && isCancellation(err) {
 		j.canceled.Add(1)
 		return
@@ -854,12 +854,12 @@ func (j *Job) recordPhaseCell(r sweepRun, res RunResult, outcome cache.Outcome, 
 	}
 	j.done.Add(1)
 	cell := CellResult{
-		Index:     r.idx,
-		Coords:    r.coords,
-		Cell:      r.cell,
-		Replicate: r.rep,
+		Index:     r.Index,
+		Coords:    r.Coords,
+		Cell:      r.Cell,
+		Replicate: r.Replicate,
 		Hash:      hash,
-		Backend:   specBackendName(r.spec),
+		Backend:   specBackendName(r.Spec),
 		Phase:     phase,
 		Outcome:   outcome.String(),
 		Result:    res,
@@ -874,12 +874,12 @@ func (j *Job) recordPhaseCell(r sweepRun, res RunResult, outcome cache.Outcome, 
 // runPhase executes one batch of enumerated runs through the engine's
 // cache and pool at the campaign tier, streaming each resolved cell
 // with the given phase tag, and returns per-run results and errors.
-func (e *Engine) runPhase(jctx context.Context, job *Job, runs []sweepRun, phase string) ([]RunResult, []error) {
+func (e *Engine) runPhase(jctx context.Context, job *Job, runs []SweepRun, phase string) ([]RunResult, []error) {
 	results := make([]RunResult, len(runs))
 	errs := make([]error, len(runs))
 	specs := make([]RunSpec, len(runs))
 	for i := range runs {
-		specs[i] = runs[i].spec
+		specs[i] = runs[i].Spec
 	}
 	e.runUnits(jctx, sched.TierCampaign, specs, func(i int, res RunResult, out cache.Outcome, hash string, err error) {
 		results[i], errs[i] = res, err
@@ -1044,7 +1044,7 @@ func (e *Engine) compute(ctx context.Context, b Batch) ([]any, []cache.Outcome, 
 // snapshot-skipped — and returns the remainder for execution. The
 // snapshot set was normalized by SweepSpec.Canonical to addresses the
 // sweep actually enumerates, so this is a pure set lookup per run.
-func skipSnapshotRuns(job *Job, runs []sweepRun) []sweepRun {
+func skipSnapshotRuns(job *Job, runs []SweepRun) []SweepRun {
 	if len(job.spec.SinceSnapshot) == 0 {
 		return runs
 	}
@@ -1052,9 +1052,9 @@ func skipSnapshotRuns(job *Job, runs []sweepRun) []sweepRun {
 	for _, h := range job.spec.SinceSnapshot {
 		snap[h] = true
 	}
-	kept := make([]sweepRun, 0, len(runs))
+	kept := make([]SweepRun, 0, len(runs))
 	for _, r := range runs {
-		h, err := r.spec.Hash()
+		h, err := r.Spec.Hash()
 		if err != nil || !snap[h] {
 			// The hash cannot actually fail here — Canonical hashed every
 			// enumerated run when it normalized the snapshot — but an
@@ -1066,12 +1066,12 @@ func skipSnapshotRuns(job *Job, runs []sweepRun) []sweepRun {
 		job.done.Add(1)
 		job.skipped.Add(1)
 		job.appendCell(CellResult{
-			Index:     r.idx,
-			Coords:    r.coords,
-			Cell:      r.cell,
-			Replicate: r.rep,
+			Index:     r.Index,
+			Coords:    r.Coords,
+			Cell:      r.Cell,
+			Replicate: r.Replicate,
 			Hash:      h,
-			Backend:   specBackendName(r.spec),
+			Backend:   specBackendName(r.Spec),
 			Outcome:   "cached",
 		})
 	}
@@ -1091,10 +1091,10 @@ func (j *Job) abandonRemaining() {
 
 // firstRunError returns the first cell failure, labeled with its
 // coordinates.
-func firstRunError(runs []sweepRun, errs []error) error {
+func firstRunError(runs []SweepRun, errs []error) error {
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("ltp: sweep cell %v: %w", runs[i].coords, err)
+			return fmt.Errorf("ltp: sweep cell %v: %w", runs[i].Coords, err)
 		}
 	}
 	return nil

@@ -51,61 +51,11 @@ type oracleEntry struct {
 	nonReady bool
 }
 
-// funcCaches is the functional (timing-free) cache walk used to decide
-// which loads would be long-latency, including the stride prefetcher so
-// prefetch-friendly streams are not misclassified.
-type funcCaches struct {
-	l1, l2, l3 *mem.Cache
-	pref       mem.Prefetcher
-}
-
-func newFuncCaches(cfg mem.Config) *funcCaches {
-	fc := &funcCaches{
-		l1: mem.NewCache("oL1", cfg.L1DSize, cfg.L1DWays, cfg.L1Latency),
-		l2: mem.NewCache("oL2", cfg.L2Size, cfg.L2Ways, cfg.L2Latency),
-		l3: mem.NewCache("oL3", cfg.L3Size, cfg.L3Ways, cfg.L3Latency),
-	}
-	pf, err := mem.NewPrefetcher(cfg.PrefetcherName(), cfg.PrefetchTable, cfg.PrefetchDegree)
-	if err != nil {
-		panic("core: " + err.Error()) // names are validated at spec admission
-	}
-	fc.pref = pf
-	return fc
-}
-
-// access walks the hierarchy functionally and returns the serving level.
-func (fc *funcCaches) access(pc, addr uint64, isStore bool) mem.Level {
-	la := mem.LineAddr(addr)
-	if hit, _ := fc.l1.Lookup(la, 0); hit {
-		return mem.LvlL1
-	}
-	lvl := mem.LvlL2
-	if hit, _ := fc.l2.Lookup(la, 0); !hit {
-		lvl = mem.LvlL3
-		if hit3, _ := fc.l3.Lookup(la, 0); !hit3 {
-			lvl = mem.LvlDRAM
-			fc.l3.Insert(la, 0, false, false)
-		}
-		fc.l2.Insert(la, 0, false, false)
-	}
-	if fc.pref != nil && !isStore {
-		for _, pa := range fc.pref.Observe(pc, la<<mem.LineShift) {
-			pla := mem.LineAddr(pa)
-			if !fc.l2.Probe(pla) {
-				fc.l2.Insert(pla, 0, false, true)
-				if !fc.l3.Probe(pla) {
-					fc.l3.Insert(pla, 0, false, true)
-				}
-			}
-		}
-	}
-	fc.l1.Insert(la, 0, isStore, false)
-	return lvl
-}
-
-// BuildOracle runs the program's µop stream through a functional cache
-// model and a sliding-window dependence analysis to produce perfect
-// Urgent / Non-Ready / long-latency flags for the first `budget` dynamic
+// BuildOracle runs the program's µop stream through the timing-free walk
+// of a cold hierarchy (Hierarchy.Warm, the warm pass's walk, prefetcher
+// included so prefetch-friendly streams are not misclassified) and a
+// sliding-window dependence analysis to produce perfect Urgent /
+// Non-Ready / long-latency flags for the first `budget` dynamic
 // instructions. window bounds how far ancestry/descendance propagates
 // (use the ROB size: instructions further apart can never be in flight
 // together).
@@ -114,7 +64,7 @@ func BuildOracle(p *prog.Program, budget int, hcfg mem.Config, window int) *Orac
 		window = 256
 	}
 	em := prog.NewEmulator(p)
-	fc := newFuncCaches(hcfg)
+	h := mem.NewHierarchy(hcfg)
 
 	flags := make([]OracleFlag, 0, budget)
 	ring := make([]oracleEntry, window)
@@ -166,10 +116,9 @@ func BuildOracle(p *prog.Program, budget int, hcfg mem.Config, window int) *Orac
 
 		switch {
 		case u.Op == isa.Load:
-			lvl := fc.access(u.PC, u.Addr, false)
-			e.ll = lvl >= mem.LvlL3
+			e.ll = h.Warm(u.PC, u.Addr, false) >= mem.LvlL3
 		case u.Op == isa.Store:
-			fc.access(u.PC, u.Addr, true)
+			h.Warm(u.PC, u.Addr, true)
 		case u.Op.IsLongLatencyALU():
 			e.ll = true
 		}

@@ -151,7 +151,7 @@ func (s *Suite) base() ltp.RunSpec {
 // oracle gives the LTP cells the limit study's perfect classification
 // (the no-LTP cells canonicalize it away). A cell listed twice
 // simulates once: the engine joins the repeat to the first. A failed
-// cell panics: the figure runners have no error path.
+// cell panics with a *CellError: the figure runners have no error path.
 func (s *Suite) run(oracle bool, cells []cell) map[cell]ltp.RunResult {
 	specs := make([]ltp.RunSpec, len(cells))
 	for i, c := range cells {
@@ -167,12 +167,24 @@ func (s *Suite) run(oracle bool, cells []cell) map[cell]ltp.RunResult {
 	out := make(map[cell]ltp.RunResult, len(cells))
 	for i, c := range cells {
 		if errs[i] != nil {
-			panic(fmt.Sprintf("experiment: cell %+v: %v", c, errs[i]))
+			name := c.wl
+			if name == "" {
+				name = c.scenario
+			}
+			panic(&CellError{Cell: name, Err: errs[i]})
 		}
 		out[c] = res[i]
 	}
 	return out
 }
+
+// CellError is the panic value of a figure runner whose cell failed.
+type CellError struct {
+	Cell string // the cell's kernel or scenario
+	Err  error  // the engine's refusal or the run's failure
+}
+
+func (e *CellError) Error() string { return "experiment: cell " + e.Cell + ": " + e.Err.Error() }
 
 // Groups is the §4.1 MLP-sensitivity split of the workload suite.
 type Groups struct {

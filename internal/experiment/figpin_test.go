@@ -3,6 +3,7 @@ package experiment
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"strings"
 	"testing"
 )
 
@@ -80,4 +81,23 @@ func TestFiguresPinned(t *testing.T) {
 			t.Errorf("%s digest %s, pinned %s", r.name, got, want)
 		}
 	}
+}
+
+// TestRefusedCellPanicsWithCellError requires a figure runner whose
+// cell the engine refuses to panic with a *CellError naming the cell's
+// kernel and carrying the refusal, the value ltpexperiments recovers to
+// report the failure in one line.
+func TestRefusedCellPanicsWithCellError(t *testing.T) {
+	s := pinSuite(t)
+	s.Backend = "model" // the limit study's oracle cells need the cycle backend
+	defer func() {
+		ce, ok := recover().(*CellError)
+		if !ok {
+			t.Fatal("Fig6 on the model backend did not panic with a *CellError")
+		}
+		if ce.Cell == "" || !strings.Contains(ce.Err.Error(), "cycle backend") {
+			t.Errorf("cell %q, error %v: want a kernel name and the oracle refusal", ce.Cell, ce.Err)
+		}
+	}()
+	s.Fig6()
 }

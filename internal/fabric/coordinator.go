@@ -40,9 +40,6 @@ type Config struct {
 	// Logf, when non-nil, receives one line per request and per fleet
 	// event.
 	Logf func(format string, args ...any)
-	// VirtualNodes is the consistent-hash ring's per-worker vnode count
-	// (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// RetryAttempts is each batch's dispatch budget across worker
 	// losses (0 = 3).
 	RetryAttempts int
@@ -55,10 +52,6 @@ type Config struct {
 	HangTimeout time.Duration
 	// PollInterval paces the worker health/stats poll (0 = 2s).
 	PollInterval time.Duration
-	// SpillFactor tunes cache affinity against load balance: a batch
-	// leaves its ring home only when the home's estimated finish exceeds
-	// SpillFactor × the best worker's (0 = 3).
-	SpillFactor float64
 	// HTTPClient overrides the worker-facing client (nil = a default
 	// client; tests inject fault proxies here).
 	HTTPClient *http.Client
@@ -71,7 +64,6 @@ type Coordinator struct {
 	retryBackoff  time.Duration
 	hangTimeout   time.Duration
 	pollInterval  time.Duration
-	spillFactor   float64
 
 	ring *ring
 	hc   *http.Client
@@ -99,8 +91,7 @@ func New(cfg Config) (*Coordinator, error) {
 		retryBackoff:  cfg.RetryBackoff,
 		hangTimeout:   cfg.HangTimeout,
 		pollInterval:  cfg.PollInterval,
-		spillFactor:   cfg.SpillFactor,
-		ring:          newRing(cfg.VirtualNodes),
+		ring:          newRing(),
 		hc:            cfg.HTTPClient,
 		workers:       make(map[string]*worker),
 		started:       time.Now(),
@@ -118,9 +109,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if c.pollInterval <= 0 {
 		c.pollInterval = 2 * time.Second
-	}
-	if c.spillFactor <= 0 {
-		c.spillFactor = 3
 	}
 	if c.hc == nil {
 		c.hc = &http.Client{}

@@ -160,6 +160,11 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, b ltp.Batch, weight 
 	return left, err
 }
 
+// spillFactor tunes cache affinity against load balance: a batch leaves
+// its ring home only when the home's estimated finish exceeds
+// spillFactor × the best worker's.
+const spillFactor = 3
+
 // place picks the worker for one batch by its key: the ring home,
 // unless the home is so much more loaded than the best candidate that
 // cache affinity stops paying — then the worker that would finish the
@@ -185,7 +190,7 @@ func (c *Coordinator) place(key string, weight float64) *worker {
 	if home == nil {
 		return nil
 	}
-	if homeCost <= c.spillFactor*bestCost+1e-9 {
+	if homeCost <= spillFactor*bestCost+1e-9 {
 		return home
 	}
 	return best

@@ -2,10 +2,10 @@
 // tests: it sits between a coordinator and one worker and can, at any
 // moment, kill the worker (sever every connection and refuse new
 // ones), hang it (connections stay open but no byte moves — the
-// coordinator's hang watchdog territory), delay traffic, or corrupt
-// the worker's response bytes (the defensive-decoder territory). All
-// transitions are safe mid-campaign; Resume restores pass-through for
-// new connections.
+// coordinator's hang watchdog territory), or corrupt the worker's
+// response bytes (the defensive-decoder territory). All transitions
+// are safe mid-campaign; Resume restores pass-through for new
+// connections.
 package faultproxy
 
 import (
@@ -42,7 +42,6 @@ type Proxy struct {
 
 	mu    sync.Mutex
 	mode  Mode
-	delay time.Duration
 	conns map[net.Conn]bool
 	// gen increments on every mode change, waking hung forwarders.
 	gen    int
@@ -106,14 +105,6 @@ func (p *Proxy) Hang() { p.setMode(ModeHang) }
 
 // Corrupt flips a byte in every worker-to-client chunk from now on.
 func (p *Proxy) Corrupt() { p.setMode(ModeCorrupt) }
-
-// Delay adds per-chunk latency in both directions (0 restores full
-// speed). Independent of the mode.
-func (p *Proxy) Delay(d time.Duration) {
-	p.mu.Lock()
-	p.delay = d
-	p.mu.Unlock()
-}
 
 // Resume restores pass-through for new connections (connections Kill
 // severed stay dead — the coordinator re-dials).
@@ -217,12 +208,12 @@ func (p *Proxy) forward(dst, src net.Conn, corruptible bool) {
 }
 
 // gate applies the current mode to one chunk: blocks while hung,
-// sleeps the configured delay, corrupts in place when asked. Returns
+// corrupts in place when asked. Returns
 // false when the connection should be severed instead.
 func (p *Proxy) gate(corruptible bool, chunk []byte) bool {
 	for {
 		p.mu.Lock()
-		mode, delay, wake, closed := p.mode, p.delay, p.wake, p.closed
+		mode, wake, closed := p.mode, p.wake, p.closed
 		p.mu.Unlock()
 		if closed || mode == ModeKill {
 			return false
@@ -230,9 +221,6 @@ func (p *Proxy) gate(corruptible bool, chunk []byte) bool {
 		if mode == ModeHang {
 			<-wake // blocks until the next mode change
 			continue
-		}
-		if delay > 0 {
-			time.Sleep(delay)
 		}
 		if mode == ModeCorrupt && corruptible && len(chunk) > 0 {
 			chunk[len(chunk)/2] ^= 0xFF

@@ -1,6 +1,6 @@
 package fabric
 
-// The consistent-hash ring: every worker contributes VirtualNodes
+// The consistent-hash ring: every worker contributes virtualNodes
 // points hashed from its name, and a cell hash is owned by the first
 // point at or after it (wrapping). Placement is therefore a pure
 // function of the member set — stable across coordinator restarts —
@@ -15,30 +15,22 @@ import (
 	"sync"
 )
 
-// DefaultVirtualNodes is the per-member vnode count when Config leaves
-// it zero: enough points that member loads stay within a few percent
-// of even for small fleets.
-const DefaultVirtualNodes = 64
+// virtualNodes is the per-member vnode count: enough points that member
+// loads stay within a few percent of even for small fleets.
+const virtualNodes = 64
 
 // ring is a consistent-hash ring with virtual nodes. Safe for
 // concurrent use.
 type ring struct {
-	vnodes int
-
 	mu      sync.RWMutex
 	points  []uint64          // sorted vnode positions
 	owner   map[uint64]string // position -> member
 	members map[string]bool
 }
 
-// newRing builds an empty ring with the given vnode count per member
-// (0 = DefaultVirtualNodes).
-func newRing(vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// newRing builds an empty ring.
+func newRing() *ring {
 	return &ring{
-		vnodes:  vnodes,
 		owner:   make(map[uint64]string),
 		members: make(map[string]bool),
 	}
@@ -58,7 +50,7 @@ func (r *ring) add(member string) {
 		return
 	}
 	r.members[member] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < virtualNodes; i++ {
 		p := ringHash(fmt.Sprintf("%s#%d", member, i))
 		// A position collision (astronomically unlikely with 64-bit
 		// points) is resolved deterministically in favour of the

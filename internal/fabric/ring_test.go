@@ -36,7 +36,7 @@ func placements(r *ring, keys []string) map[string]string {
 func TestRingJoinMovesOnlyItsShare(t *testing.T) {
 	const K = 2000
 	keys := ringKeys(K)
-	r := newRing(0)
+	r := newRing()
 	members := []string{"http://a", "http://b", "http://c", "http://d", "http://e"}
 	for _, m := range members {
 		r.add(m)
@@ -77,7 +77,7 @@ func TestRingJoinMovesOnlyItsShare(t *testing.T) {
 func TestRingLeaveMovesOnlyOrphans(t *testing.T) {
 	const K = 2000
 	keys := ringKeys(K)
-	r := newRing(0)
+	r := newRing()
 	for _, m := range []string{"http://a", "http://b", "http://c", "http://d"} {
 		r.add(m)
 	}
@@ -104,8 +104,8 @@ func TestRingLeaveMovesOnlyOrphans(t *testing.T) {
 // a restarted coordinator keep worker caches warm.
 func TestRingPlacementStableAcrossRestart(t *testing.T) {
 	keys := ringKeys(1000)
-	a := newRing(0)
-	b := newRing(0)
+	a := newRing()
+	b := newRing()
 	for _, m := range []string{"http://a", "http://b", "http://c"} {
 		a.add(m)
 	}
@@ -122,7 +122,7 @@ func TestRingPlacementStableAcrossRestart(t *testing.T) {
 // TestRingLookupOrderWalksEveryMember checks the failover sequence:
 // home first, every member exactly once, deterministic.
 func TestRingLookupOrderWalksEveryMember(t *testing.T) {
-	r := newRing(0)
+	r := newRing()
 	members := []string{"http://a", "http://b", "http://c", "http://d"}
 	for _, m := range members {
 		r.add(m)
@@ -146,12 +146,12 @@ func TestRingLookupOrderWalksEveryMember(t *testing.T) {
 }
 
 // TestRingBalance checks the vnode count spreads load sanely: with
-// the default 64 vnodes no member of a 5-member ring strays wildly
+// 64 vnodes no member of a 5-member ring strays wildly
 // from its fair fifth.
 func TestRingBalance(t *testing.T) {
 	const K = 5000
 	keys := ringKeys(K)
-	r := newRing(0)
+	r := newRing()
 	members := []string{"http://a", "http://b", "http://c", "http://d", "http://e"}
 	for _, m := range members {
 		r.add(m)

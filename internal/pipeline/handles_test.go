@@ -83,17 +83,17 @@ func TestCheckInvariantsCatchesStaleHandles(t *testing.T) {
 			p.rob.entries[len(p.rob.entries)-1] = h
 		}, "ROB"},
 		{"LQ", func(p *Pipeline, h Handle) {
-			p.lq.entries = append(p.lq.entries, p.Rec(h).Ref())
+			p.lq.buf = append(p.lq.buf, p.Rec(h).Ref())
 		}, "LQ"},
 		{"LL list", func(p *Pipeline, h Handle) {
-			p.llList = append(p.llList, p.Rec(h).Ref())
+			p.llList.buf = append(p.llList.buf, p.Rec(h).Ref())
 		}, "LL list"},
 		{"drain queue", func(p *Pipeline, h Handle) {
 			p.drainQ = append(p.drainQ, h)
 			p.drainAt = append(p.drainAt, p.now+1)
 		}, "store drain queue"},
 		{"unknown handle", func(p *Pipeline, _ Handle) {
-			p.llList = append(p.llList, Ref{Seq: 1, H: p.slab.n + 5})
+			p.llList.buf = append(p.llList.buf, Ref{Seq: 1, H: p.slab.n + 5})
 		}, "invalid handle"},
 		{"reused record", func(p *Pipeline, _ Handle) {
 			r := p.rob.Head().Ref()

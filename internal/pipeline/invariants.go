@@ -63,12 +63,12 @@ func (p *Pipeline) CheckInvariants() error {
 	}
 
 	// LQ/SQ are in program order and within capacity.
-	for _, q := range []*orderedQueue{p.lq, p.sq} {
+	for _, q := range []*lsq{&p.lq, &p.sq} {
 		if q.Len() > q.Cap() {
 			return fmt.Errorf("LSQ over capacity: %d > %d", q.Len(), q.Cap())
 		}
-		for i := 1; i < len(q.entries); i++ {
-			if q.entries[i-1].Seq >= q.entries[i].Seq {
+		for i, e := 1, q.Items(); i < len(e); i++ {
+			if e[i-1].Seq >= e[i].Seq {
 				return fmt.Errorf("LSQ out of order at %d", i)
 			}
 		}
@@ -181,7 +181,7 @@ func (p *Pipeline) checkHandles() error {
 			return err
 		}
 	}
-	lists := [][]Ref{p.lq.entries, p.sq.entries, p.iq.ready.Items(), p.llList}
+	lists := [][]Ref{p.lq.Items(), p.sq.Items(), p.iq.ready.Items(), p.llList.Items()}
 	for i, where := range []string{"LQ", "SQ", "IQ ready list", "LL list"} {
 		for _, r := range lists[i] {
 			if err := p.CheckRef(r, where); err != nil {

@@ -155,8 +155,8 @@ type Pipeline struct {
 	rob   *ROB
 	wib   *WIB // nil unless the WIB baseline is enabled
 	iq    *IQ
-	lq    *orderedQueue
-	sq    *orderedQueue
+	lq    lsq
+	sq    lsq
 	intRF *RegFile
 	fpRF  *RegFile
 	rat   *RAT
@@ -168,7 +168,7 @@ type Pipeline struct {
 	// llList holds in-flight, incomplete long-latency instructions in
 	// program order (the paper's ROB long-latency tracking for the
 	// Non-Urgent wakeup policy).
-	llList []Ref
+	llList SeqList
 
 	// drainQ holds committed stores awaiting their SQ release.
 	drainQ  []Handle
@@ -244,8 +244,8 @@ func NewShared(cfg Config, stream prog.Stream, parker Parker, h *mem.Hierarchy, 
 		parker:        parker,
 		stream:        stream,
 		iq:            NewIQ(cfg.IQSize),
-		lq:            newOrderedQueue(cfg.LQSize),
-		sq:            newOrderedQueue(cfg.SQSize),
+		lq:            lsq{size: cfg.LQSize},
+		sq:            lsq{size: cfg.SQSize},
 		intRF:         NewRegFile("int", isa.NumIntRegs, cfg.IntRegs),
 		fpRF:          NewRegFile("fp", isa.NumFPRegs, cfg.FPRegs),
 		rat:           NewRAT(),
@@ -420,16 +420,16 @@ const wakePace = 64
 // and the second in-flight long-latency instruction (§3.2), paced when
 // fewer than two misses are outstanding.
 func (p *Pipeline) WakeBound() uint64 {
-	switch len(p.llList) {
+	switch ll := p.llList.Items(); len(ll) {
 	case 0:
 		if h := p.rob.Head(); h != nil {
 			return h.Seq() + wakePace
 		}
 		return p.bufBase + wakePace
 	case 1:
-		return p.llList[0].Seq + wakePace
+		return ll[0].Seq + wakePace
 	default:
-		return p.llList[1].Seq
+		return ll[1].Seq
 	}
 }
 
@@ -487,7 +487,9 @@ func (p *Pipeline) processEvents() {
 			if f.HasDst() {
 				p.RFWrites++
 			}
-			p.removeLL(f)
+			if f.LL {
+				p.llList.Remove(f)
+			}
 			if f.Mispred && f.Seq() == p.mispredSeq {
 				p.mispredSeq = never
 				p.fetchStallUntil = p.now
@@ -500,16 +502,6 @@ func (p *Pipeline) processEvents() {
 		}
 	}
 }
-
-// removeLL drops a completed instruction from the LL tracking list.
-func (p *Pipeline) removeLL(f *Inflight) {
-	if f.LL {
-		p.llList = removeRef(p.llList, f.Seq(), f.h)
-	}
-}
-
-// addLL inserts a detected long-latency instruction in program order.
-func (p *Pipeline) addLL(f *Inflight) { p.llList = insertRef(p.llList, f.Ref()) }
 
 // releaseDrainedStores frees SQ entries whose post-commit writeback is
 // done. Stores drain a fixed latency after commit, so the queue is in

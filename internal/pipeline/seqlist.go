@@ -3,15 +3,15 @@ package pipeline
 import "sort"
 
 // SeqList is a program-ordered list of in-flight instructions: the shape
-// of every select and wakeup structure — the IQ's ready list, and the
-// LTP's queue, free lists and ticket waiter lists. Its elements are Refs,
-// so ordered searches read seqs without resolving handles and the list
-// holds no pointers. Instructions mostly join near the tail (the
-// youngest) and leave near the head (the oldest), so the list is a
-// window buf[off:] into its array: a removal shifts whichever side of
-// the slot is shorter, and the room that frees at the front is reclaimed
-// when an insertion finds the array full. The steady state allocates
-// nothing. The zero value is an empty list.
+// of every ordered structure — the IQ's ready list, the LQ, the SQ, the
+// LL list, and the LTP's queue, free lists and ticket waiter lists. Its
+// elements are Refs, so ordered searches read seqs without resolving
+// handles and the list holds no pointers. Instructions mostly join near
+// the tail (the youngest) and leave near the head (the oldest), so the
+// list is a window buf[off:] into its array: a removal shifts whichever
+// side of the slot is shorter, and the room that frees at the front is
+// reclaimed when an insertion finds the array full. The steady state
+// allocates nothing. The zero value is an empty list.
 type SeqList struct {
 	buf []Ref
 	off int

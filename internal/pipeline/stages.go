@@ -66,7 +66,7 @@ func (p *Pipeline) issueALU(f *Inflight) {
 	}
 	if f.U.Op.IsLongLatencyALU() && !f.LL {
 		f.LL = true
-		p.addLL(f)
+		p.llList.Insert(f)
 	}
 	p.schedule(f.DoneAt, f, evDone)
 }
@@ -132,8 +132,9 @@ func (p *Pipeline) tryIssueLoad(f *Inflight) bool {
 	// Walk older stores in the SQ, youngest first. Store-set mode
 	// speculates past unresolved stores.
 	var fwd *Inflight
-	for i := len(p.sq.entries) - 1; i >= 0; i-- {
-		r := p.sq.entries[i]
+	stores := p.sq.Items()
+	for i := len(stores) - 1; i >= 0; i-- {
+		r := stores[i]
 		if r.Seq >= f.Seq() {
 			continue
 		}
@@ -180,7 +181,7 @@ func (p *Pipeline) tryIssueLoad(f *Inflight) bool {
 	}
 	if f.MemDone-now > p.cfg.LLThreshold && !f.LL {
 		f.LL = true
-		p.addLL(f)
+		p.llList.Insert(f)
 	}
 	p.parker.NoteLoadIssued(p, f, now)
 	p.schedule(f.DoneAt, f, evDone)
@@ -195,7 +196,7 @@ func (p *Pipeline) checkViolations(st *Inflight) {
 		return
 	}
 	var victim *Inflight
-	for _, r := range p.lq.entries {
+	for _, r := range p.lq.Items() {
 		if r.Seq <= st.Seq() {
 			continue
 		}
@@ -229,11 +230,11 @@ func (p *Pipeline) squash(fromSeq uint64) {
 			f.DstPreg = NoPReg
 		}
 		f.HasLSQ = false
-		p.removeLL(f)
 		p.recordRetired(f)
 	}
-	p.lq.SquashFrom(fromSeq)
-	p.sq.SquashFrom(fromSeq)
+	p.llList.TruncateFrom(fromSeq, nil)
+	p.lq.TruncateFrom(fromSeq, nil)
+	p.sq.TruncateFrom(fromSeq, nil)
 	p.ssets.OnSquash(fromSeq)
 	p.parker.NoteSquash(p, fromSeq, p.now)
 

@@ -1,32 +1,5 @@
 package pipeline
 
-import "sort"
-
-// insertRef places r at its program-order position in a seq-sorted
-// slice. The common case — inserting the youngest instruction — costs a
-// plain append.
-func insertRef(s []Ref, r Ref) []Ref {
-	n := len(s)
-	if n == 0 || s[n-1].Seq < r.Seq {
-		return append(s, r)
-	}
-	i := sort.Search(n, func(i int) bool { return s[i].Seq > r.Seq })
-	s = append(s, Ref{})
-	copy(s[i+1:], s[i:])
-	s[i] = r
-	return s
-}
-
-// removeRef drops the element for record h with the given seq from a
-// seq-sorted slice, if present.
-func removeRef(s []Ref, seq uint64, h Handle) []Ref {
-	i := sort.Search(len(s), func(i int) bool { return s[i].Seq >= seq })
-	if i < len(s) && s[i].H == h {
-		s = append(s[:i], s[i+1:]...)
-	}
-	return s
-}
-
 // ROB is the reorder buffer: a bounded FIFO of in-flight instructions in
 // program order. It is consumed from a head index and compacted in place,
 // so the steady state allocates nothing; the array grows with the
@@ -129,36 +102,19 @@ func (q *IQ) Len() int { return q.n }
 // Cap returns the capacity.
 func (q *IQ) Cap() int { return q.size }
 
-// orderedQueue is a program-ordered bounded queue used for the LQ and SQ.
-// Entries may be inserted out of program order (late LSQ allocation in the
-// limit study) so insertion keeps the slice sorted by seq.
-type orderedQueue struct {
-	entries []Ref
-	size    int
+// lsq is a bounded program-ordered queue: the LQ or the SQ. Entries may
+// join out of program order (late LSQ allocation in the limit study); the
+// SeqList keeps them sorted by seq.
+type lsq struct {
+	SeqList
+	size int
 }
-
-func newOrderedQueue(size int) *orderedQueue { return &orderedQueue{size: size} }
 
 // Full reports whether the queue is at capacity.
-func (o *orderedQueue) Full() bool { return len(o.entries) >= o.size }
-
-// Len returns the occupancy.
-func (o *orderedQueue) Len() int { return len(o.entries) }
+func (q *lsq) Full() bool { return q.Len() >= q.size }
 
 // Cap returns the capacity.
-func (o *orderedQueue) Cap() int { return o.size }
+func (q *lsq) Cap() int { return q.size }
 
 // FreeSlots returns the number of unused entries.
-func (o *orderedQueue) FreeSlots() int { return o.size - len(o.entries) }
-
-// Insert places f at its program-order position.
-func (o *orderedQueue) Insert(f *Inflight) { o.entries = insertRef(o.entries, f.Ref()) }
-
-// Remove drops f.
-func (o *orderedQueue) Remove(f *Inflight) { o.entries = removeRef(o.entries, f.Seq(), f.h) }
-
-// SquashFrom drops all entries with seq >= fromSeq.
-func (o *orderedQueue) SquashFrom(fromSeq uint64) {
-	i := sort.Search(len(o.entries), func(i int) bool { return o.entries[i].Seq >= fromSeq })
-	o.entries = o.entries[:i]
-}
+func (q *lsq) FreeSlots() int { return q.size - q.Len() }

@@ -198,47 +198,23 @@ func seqsOf(rs []Ref) []uint64 {
 
 func TestOrderedQueueSortedInsert(t *testing.T) {
 	pipe := testPipe()
-	q := newOrderedQueue(8)
+	q := &lsq{size: 8}
 	for _, s := range []uint64{5, 2, 9, 1} {
 		q.Insert(pipe.NewInflight(isa.Uop{Seq: s}))
 	}
-	for i := 1; i < len(q.entries); i++ {
-		if q.entries[i-1].Seq > q.entries[i].Seq {
-			t.Fatalf("unsorted: %v", seqsOf(q.entries))
-		}
+	if got := seqsOf(q.Items()); fmt.Sprint(got) != "[1 2 5 9]" {
+		t.Fatalf("unsorted: %v", got)
 	}
-	q.SquashFrom(5)
+	if q.FreeSlots() != 4 || q.Full() {
+		t.Errorf("occupancy: %d free, full %v", q.FreeSlots(), q.Full())
+	}
+	q.TruncateFrom(5, nil)
 	if q.Len() != 2 {
 		t.Errorf("squash left %d", q.Len())
 	}
-	q.Remove(pipe.Rec(q.entries[0].H))
-	if q.Len() != 1 || q.entries[0].Seq != 2 {
+	q.Remove(pipe.Rec(q.Front().H))
+	if q.Len() != 1 || q.Front().Seq != 2 {
 		t.Error("remove broken")
-	}
-}
-
-// Property: orderedQueue stays sorted under random insert orders.
-func TestOrderedQueueSortProperty(t *testing.T) {
-	f := func(seqs []uint16) bool {
-		pipe := testPipe()
-		q := newOrderedQueue(len(seqs) + 1)
-		seen := map[uint64]bool{}
-		for _, s := range seqs {
-			if seen[uint64(s)] {
-				continue // seqs are unique in reality
-			}
-			seen[uint64(s)] = true
-			q.Insert(pipe.NewInflight(isa.Uop{Seq: uint64(s)}))
-		}
-		for i := 1; i < len(q.entries); i++ {
-			if q.entries[i-1].Seq >= q.entries[i].Seq {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -384,21 +384,12 @@ func (s SweepSpec) Replicates() int {
 	return reps
 }
 
-// sweepRun is one enumerated simulation of a sweep.
-type sweepRun struct {
-	idx    int // enumeration index in the sweep's cross-product
-	spec   RunSpec
-	coords []string // one point name per axis, spec order
-	cell   int      // index into the row-major cell array
-	rep    int      // replicate index within the cell
-}
-
 // runs enumerates the sweep's cross-product in row-major order (last
 // axis varies fastest — for NewMatrixSweep that is scenario-major,
 // then config, then seed, matching the matrix's own enumeration).
-func (s SweepSpec) runs() []sweepRun {
+func (s SweepSpec) runs() []SweepRun {
 	total := s.TotalRuns()
-	out := make([]sweepRun, 0, total)
+	out := make([]SweepRun, 0, total)
 	idx := make([]int, len(s.Axes))
 	for n := 0; n < total; n++ {
 		spec := s.Base
@@ -414,7 +405,7 @@ func (s SweepSpec) runs() []sweepRun {
 				cell = cell*len(ax.Points) + idx[ai]
 			}
 		}
-		out = append(out, sweepRun{idx: n, spec: spec, coords: coords, cell: cell, rep: rep})
+		out = append(out, SweepRun{Index: n, Spec: spec, Coords: coords, Cell: cell, Replicate: rep})
 		for ai := len(s.Axes) - 1; ai >= 0; ai-- {
 			idx[ai]++
 			if idx[ai] < len(s.Axes[ai].Points) {
@@ -479,14 +470,14 @@ func (s SweepSpec) computeHash() (string, []string, error) {
 	}
 	seen := make(map[string][]string)
 	for _, r := range s.runs() {
-		canon, err := r.spec.Canonical()
+		canon, err := r.Spec.Canonical()
 		if err != nil {
-			return "", nil, fmt.Errorf("ltp: sweep cell %v: %w", r.coords, err)
+			return "", nil, fmt.Errorf("ltp: sweep cell %v: %w", r.Coords, err)
 		}
 		if s.Triage != nil && canon.Backend != BackendCycle && canon.Backend != BackendSampled {
 			return "", nil, fmt.Errorf(
 				"ltp: triage sweep cell %v selects backend %q; triage itself schedules the model pre-pass, so every cell must be a cycle- or sampled-backend cell",
-				r.coords, canon.Backend)
+				r.Coords, canon.Backend)
 		}
 		// The pre-pass runs every cell on the model backend, which has
 		// no oracle and refuses co-runners — admitting such a cell would
@@ -494,24 +485,24 @@ func (s SweepSpec) computeHash() (string, []string, error) {
 		if s.Triage != nil && canon.Oracle {
 			return "", nil, fmt.Errorf(
 				"ltp: triage sweep cell %v requests oracle classification, which the model pre-pass cannot execute",
-				r.coords)
+				r.Coords)
 		}
 		if s.Triage != nil && len(canon.Corunners) > 0 {
 			return "", nil, fmt.Errorf(
 				"ltp: triage sweep cell %v has co-runners, which the model pre-pass cannot execute",
-				r.coords)
+				r.Coords)
 		}
 		h, err := hashJSON(runSpecHashVersion, canon)
 		if err != nil {
-			return "", nil, fmt.Errorf("ltp: sweep cell %v: %w", r.coords, err)
+			return "", nil, fmt.Errorf("ltp: sweep cell %v: %w", r.Coords, err)
 		}
 		if prev, dup := seen[h]; dup {
 			return "", nil, fmt.Errorf(
 				"ltp: sweep cells %v and %v are the same simulation (an axis patch has no effect on that cell)",
-				prev, r.coords)
+				prev, r.Coords)
 		}
-		seen[h] = r.coords
-		id.Runs = append(id.Runs, runID{Coords: r.coords, Hash: h})
+		seen[h] = r.Coords
+		id.Runs = append(id.Runs, runID{Coords: r.Coords, Hash: h})
 	}
 	// Normalize the snapshot: keep only addresses this sweep enumerates,
 	// deduplicated and sorted. A snapshot of foreign or stale hashes
@@ -549,9 +540,9 @@ func (s SweepSpec) RunHashes() ([]string, error) {
 	runs := c.runs()
 	out := make([]string, 0, len(runs))
 	for _, r := range runs {
-		h, err := r.spec.Hash()
+		h, err := r.Spec.Hash()
 		if err != nil {
-			return nil, fmt.Errorf("ltp: sweep cell %v: %w", r.coords, err)
+			return nil, fmt.Errorf("ltp: sweep cell %v: %w", r.Coords, err)
 		}
 		out = append(out, h)
 	}
@@ -584,12 +575,7 @@ func (s SweepSpec) Runs() ([]SweepRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs := c.runs()
-	out := make([]SweepRun, len(runs))
-	for i, r := range runs {
-		out[i] = SweepRun{Index: r.idx, Spec: r.spec, Coords: r.coords, Cell: r.cell, Replicate: r.rep}
-	}
-	return out, nil
+	return c.runs(), nil
 }
 
 // SweepCell aggregates one cell's replicates.
@@ -676,7 +662,7 @@ func (r *SweepResult) Cell(coords ...string) *SweepCell {
 
 // aggregateSweep folds per-run results (indexed like runs' output)
 // into the sweep's cell summaries.
-func aggregateSweep(spec SweepSpec, runs []sweepRun, results []RunResult) *SweepResult {
+func aggregateSweep(spec SweepSpec, runs []SweepRun, results []RunResult) *SweepResult {
 	out := &SweepResult{}
 	for _, ax := range spec.Axes {
 		info := SweepAxisInfo{Name: ax.Name, Replicate: ax.Replicate}
@@ -694,12 +680,12 @@ func aggregateSweep(spec SweepSpec, runs []sweepRun, results []RunResult) *Sweep
 	samples := make([][]RunResult, len(out.Cells))
 	ltpSeen := make([]bool, len(out.Cells))
 	for i, r := range runs {
-		samples[r.cell] = append(samples[r.cell], results[i])
+		samples[r.Cell] = append(samples[r.Cell], results[i])
 		if results[i].LTP != nil {
-			ltpSeen[r.cell] = true
+			ltpSeen[r.Cell] = true
 		}
-		if out.Cells[r.cell].Backend == "" {
-			out.Cells[r.cell].Backend = specBackendName(r.spec)
+		if out.Cells[r.Cell].Backend == "" {
+			out.Cells[r.Cell].Backend = specBackendName(r.Spec)
 		}
 	}
 	for ci := range out.Cells {
@@ -731,7 +717,7 @@ func aggregateSweep(spec SweepSpec, runs []sweepRun, results []RunResult) *Sweep
 
 // fillCellCoords writes each cell's non-replicate coordinates, row-
 // major in axis order (last non-replicate axis varies fastest —
-// matching sweepRun.cell's encoding in runs).
+// matching SweepRun.Cell's encoding in runs).
 func fillCellCoords(spec SweepSpec, cells []SweepCell) {
 	var axes []SweepAxis
 	for _, ax := range spec.Axes {
