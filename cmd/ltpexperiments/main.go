@@ -22,7 +22,12 @@ import (
 	"ltp/internal/experiment"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run runs the requested experiments and returns the exit status: 0,
+// 1 for a failure, 2 for a usage error. It returns instead of exiting
+// so the deferred profile writes run on every path.
+func run() int {
 	var (
 		exp     = flag.String("exp", "all", "experiment: table1, groups, fig1, fig3, fig6, fig7, fig10, fig11, uit, ablation, wibvsltp, dram, microarch, matrix, triage, snapshot, diff, all")
 		scale   = flag.Float64("scale", 1.0, "workload working-set scale (0..1]")
@@ -48,11 +53,11 @@ func main() {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
-			os.Exit(2)
+			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
-			os.Exit(2)
+			return 2
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -77,7 +82,11 @@ func main() {
 	wm, err := ltp.ParseWarmMode(*warmMd)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
-		os.Exit(2)
+		return 2
+	}
+	if *exp == "snapshot" && *storeF == "" {
+		fmt.Fprintln(os.Stderr, "ltpexperiments: -exp snapshot needs -store")
+		return 2
 	}
 
 	s := experiment.NewSuite(*scale, *warm, *insts)
@@ -91,19 +100,15 @@ func main() {
 	s.Parallelism = *par
 	defer s.Close()
 
-	emit := func(name, content string) {
+	emit := func(name, content string) error {
 		fmt.Println(content)
-		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*outDir, name+".txt")
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if *outDir == "" {
+			return nil
 		}
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(*outDir, name+".txt"), []byte(content), 0o644)
 	}
 	joinTables := func(ts []*experiment.Table) string {
 		var b strings.Builder
@@ -113,74 +118,54 @@ func main() {
 		}
 		return b.String()
 	}
+	var list []string
+	if *scns != "" {
+		for _, s := range strings.Split(*scns, ",") {
+			list = append(list, strings.TrimSpace(s))
+		}
+	}
 
-	run := map[string]func(){
-		"table1":    func() { emit("table1", experiment.Table1()) },
-		"groups":    func() { emit("groups", s.GroupsTable().String()) },
-		"fig1":      func() { emit("fig1", joinTables(s.Fig1())) },
-		"fig3":      func() { emit("fig3", s.Fig3().String()) },
-		"fig6":      func() { emit("fig6", joinTables(s.Fig6())) },
-		"fig7":      func() { emit("fig7", joinTables(s.Fig7())) },
-		"fig10":     func() { emit("fig10", joinTables(s.Fig10())) },
-		"fig11":     func() { emit("fig11", joinTables(s.Fig11())) },
-		"uit":       func() { emit("uit", s.UITSweep().String()) },
-		"ablation":  func() { emit("ablation", s.Ablation().String()) },
-		"wibvsltp":  func() { emit("wibvsltp", joinTables(s.WIBvsLTP())) },
-		"dram":      func() { emit("dram", s.DRAMModelStudy().String()) },
-		"microarch": func() { emit("microarch", joinTables(s.Microarch())) },
-		"matrix": func() {
-			var list []string
-			if *scns != "" {
-				for _, s := range strings.Split(*scns, ",") {
-					list = append(list, strings.TrimSpace(s))
-				}
-			}
+	exps := map[string]func() error{
+		"table1":    func() error { return emit("table1", experiment.Table1()) },
+		"groups":    func() error { return emit("groups", s.GroupsTable().String()) },
+		"fig1":      func() error { return emit("fig1", joinTables(s.Fig1())) },
+		"fig3":      func() error { return emit("fig3", s.Fig3().String()) },
+		"fig6":      func() error { return emit("fig6", joinTables(s.Fig6())) },
+		"fig7":      func() error { return emit("fig7", joinTables(s.Fig7())) },
+		"fig10":     func() error { return emit("fig10", joinTables(s.Fig10())) },
+		"fig11":     func() error { return emit("fig11", joinTables(s.Fig11())) },
+		"uit":       func() error { return emit("uit", s.UITSweep().String()) },
+		"ablation":  func() error { return emit("ablation", s.Ablation().String()) },
+		"wibvsltp":  func() error { return emit("wibvsltp", joinTables(s.WIBvsLTP())) },
+		"dram":      func() error { return emit("dram", s.DRAMModelStudy().String()) },
+		"microarch": func() error { return emit("microarch", joinTables(s.Microarch())) },
+		"matrix": func() error {
 			tab, err := s.Matrix(list, *seeds)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
-				os.Exit(1)
+				return err
 			}
-			emit("matrix", tab.String())
+			return emit("matrix", tab.String())
 		},
-		"triage": func() {
-			var list []string
-			if *scns != "" {
-				for _, s := range strings.Split(*scns, ",") {
-					list = append(list, strings.TrimSpace(s))
-				}
-			}
+		"triage": func() error {
 			tabs, err := s.TriageMatrix(list, *seeds, *triageK)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
-				os.Exit(1)
+				return err
 			}
-			emit("triage", joinTables(tabs))
+			return emit("triage", joinTables(tabs))
 		},
-		"snapshot": func() {
-			if *storeF == "" {
-				fmt.Fprintln(os.Stderr, "ltpexperiments: -exp snapshot needs -store")
-				os.Exit(2)
-			}
+		"snapshot": func() error {
 			text, err := snapshotManifest(*storeF)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
-				os.Exit(1)
+				return err
 			}
-			emit("snapshot", text)
+			return emit("snapshot", text)
 		},
-		"diff": func() {
-			var list []string
-			if *scns != "" {
-				for _, s := range strings.Split(*scns, ",") {
-					list = append(list, strings.TrimSpace(s))
-				}
-			}
+		"diff": func() error {
 			text, err := diffCampaign(s, list, *seeds, *par, *storeF, *maniF)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
-				os.Exit(1)
+				return err
 			}
-			emit("diff", text)
+			return emit("diff", text)
 		},
 	}
 	// "triage", "snapshot" and "diff" are on demand only: "all" sticks
@@ -190,29 +175,32 @@ func main() {
 	// A figure runner whose cell fails panics with an
 	// *experiment.CellError: report it in one line. Any other panic
 	// propagates.
-	runOne := func(name string) {
+	runOne := func(name string) (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				ce, ok := p.(*experiment.CellError)
 				if !ok {
 					panic(p)
 				}
-				fmt.Fprintf(os.Stderr, "ltpexperiments: %s: %s: %v\n", name, ce.Cell, ce.Err)
-				os.Exit(1)
+				err = fmt.Errorf("%s: %s: %v", name, ce.Cell, ce.Err)
 			}
 		}()
-		run[name]()
+		return exps[name]()
 	}
 
-	if *exp == "all" {
-		for _, name := range order {
-			runOne(name)
+	names := order
+	if *exp != "all" {
+		if _, ok := exps[*exp]; !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of %s, all)\n", *exp, strings.Join(order, ", "))
+			return 2
 		}
-		return
+		names = []string{*exp}
 	}
-	if _, ok := run[*exp]; !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of %s, all)\n", *exp, strings.Join(order, ", "))
-		os.Exit(2)
+	for _, name := range names {
+		if err := runOne(name); err != nil {
+			fmt.Fprintln(os.Stderr, "ltpexperiments:", err)
+			return 1
+		}
 	}
-	runOne(*exp)
+	return 0
 }

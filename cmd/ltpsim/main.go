@@ -88,15 +88,8 @@ func main() {
 	pcfg.LQSize = *lq
 	pcfg.SQSize = *sq
 
-	var m core.Mode
-	switch *mode {
-	case "NU":
-		m = core.ModeNU
-	case "NR":
-		m = core.ModeNR
-	case "NR+NU", "NRNU":
-		m = core.ModeNRNU
-	default:
+	m, ok := core.ParseMode(*mode)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		os.Exit(2)
 	}

@@ -186,23 +186,6 @@ func (e *Engine) RunningRuns() int {
 // CacheStats returns a snapshot of the result-cache counters.
 func (e *Engine) CacheStats() cache.Stats { return e.cache.Stats() }
 
-// MeanRunSeconds returns the exponentially weighted mean wall-clock
-// duration of a simulated (non-cached) cycle-backend cell, or 0 before
-// the first completes. Use MeanRunSecondsFor for the other backends
-// and PerRunSeconds for a queue-composition-weighted figure.
-func (e *Engine) MeanRunSeconds() float64 {
-	return e.MeanRunSecondsFor(BackendCycle)
-}
-
-// MeanRunSecondsFor returns the exponentially weighted mean wall-clock
-// duration of a simulated (non-cached) cell on the named backend, or 0
-// before that backend's first simulation completes.
-func (e *Engine) MeanRunSecondsFor(backend string) float64 {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.runMeans[backend]
-}
-
 // MeanRunSecondsByBackend returns a snapshot of every backend's EWMA
 // mean simulated-cell seconds (backends with no completed simulation
 // are absent).

@@ -390,7 +390,7 @@ func TestExecutorOutcomes(t *testing.T) {
 		if _, got, _, _ := e.RunCached(context.Background(), engineSpec()); got != cache.Hit {
 			t.Fatalf("repeat was %v; want the engine's own hit", got)
 		}
-		if mean := e.MeanRunSeconds(); (out == cache.Miss) != (mean > 0) {
+		if mean := e.MeanRunSecondsByBackend()[ltp.BackendCycle]; (out == cache.Miss) != (mean > 0) {
 			t.Fatalf("executor outcome %v: mean run seconds %v", out, mean)
 		}
 		if q, r := e.QueuedRuns(), e.RunningRuns(); q != 0 || r != 0 {

@@ -52,6 +52,20 @@ func ParseIdent(s string) (IdentPolicy, bool) {
 	return IdentPaper, false
 }
 
+// ParseMode parses an LTP mode name as the paper's legends spell it
+// ("NU", "NR", "NR+NU" or "NRNU"); the empty string means ModeNU.
+func ParseMode(s string) (Mode, bool) {
+	switch s {
+	case "", "NU":
+		return ModeNU, true
+	case "NR":
+		return ModeNR, true
+	case "NR+NU", "NRNU":
+		return ModeNRNU, true
+	}
+	return ModeNU, false
+}
+
 const (
 	// critEpoch is the accesses per miss-history epoch.
 	critEpoch = 8

@@ -99,7 +99,8 @@ type Config struct {
 	UITWays int
 
 	// Tickets bounds concurrent long-latency tracking for the Non-Ready
-	// design (max 128; Fig. 11 sweeps 4..128).
+	// design (at most MaxTickets, which 0 also means; Fig. 11 sweeps
+	// 4..128).
 	Tickets int
 
 	// Oracle, when non-nil, supplies perfect per-instruction
@@ -116,10 +117,17 @@ type Config struct {
 	EarlyWakeupLead uint64
 }
 
-// Validate reports a table size New refuses: a finite UIT whose set
-// count is not a power of two, or a criticality-table size that is not
-// a power of two.
+// MaxTickets is the most long-latency tickets the Non-Ready design
+// tracks: one bit each in a pipeline.TicketMask (Appendix).
+const MaxTickets = 128
+
+// Validate reports a configuration New cannot honour: a ticket count
+// outside [0, MaxTickets], a finite UIT whose set count is not a power
+// of two, or a criticality-table size that is not a power of two.
 func (c Config) Validate() error {
+	if c.Tickets < 0 || c.Tickets > MaxTickets {
+		return fmt.Errorf("core: %d tickets out of range [0, %d]", c.Tickets, MaxTickets)
+	}
 	if c.UITEntries > 0 {
 		if _, _, err := uitSets(c.UITEntries, c.UITWays); err != nil {
 			return err
@@ -232,8 +240,8 @@ type LTP struct {
 
 // New builds an LTP unit for a hierarchy with the given DRAM latency.
 func New(cfg Config, dramLatency uint64, earlyLead uint64) *LTP {
-	if cfg.Tickets <= 0 || cfg.Tickets > 128 {
-		cfg.Tickets = 128
+	if cfg.Tickets <= 0 || cfg.Tickets > MaxTickets {
+		cfg.Tickets = MaxTickets
 	}
 	if cfg.EarlyWakeupLead == 0 {
 		cfg.EarlyWakeupLead = earlyLead

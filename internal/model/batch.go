@@ -47,7 +47,7 @@ func (b Backend) measure(ctx context.Context, spec sim.Spec, w *sim.Warmed) (sim
 		w.BP.ResetStats()
 		w.Hier.ResetStats()
 	}
-	m := newMachine(b.Cal, spec, w)
+	m := newMachine(spec, w)
 	defer m.release()
 	stream := w.Stream
 	maxCycles := float64(spec.MaxCycles)

@@ -1,51 +1,37 @@
 package model
 
-// Calibration holds the model's fitted coefficients. The structural
-// inputs (latencies, widths, structure sizes) come from the run's own
-// pipeline.Config; these constants absorb the second-order effects the
-// interval model does not simulate (wakeup/select loops, issue-port
-// contention, partial squash overlap), and were fitted so the model
-// tracks the cycle-accurate backend across the kernel registry and the
-// scenario families (see TestModelTracksCycleBackend).
-type Calibration struct {
-	// DispatchWidth is the sustained front-end throughput in µops per
+// The model's fitted coefficients. The structural inputs (latencies,
+// widths, structure sizes) come from the run's own pipeline.Config;
+// these constants absorb the second-order effects the interval model
+// does not simulate (wakeup/select loops, issue-port contention,
+// partial squash overlap), and were fitted so the model tracks the
+// cycle-accurate backend across the kernel registry and the scenario
+// families (see TestModelTracksCycleBackend).
+const (
+	// dispatchWidth is the sustained front-end throughput in µops per
 	// cycle. It sits below the nominal rename width: the fitted value
 	// covers fetch fragmentation and issue-port contention the model
 	// does not simulate.
-	DispatchWidth float64
-	// BranchBubble is the redirect penalty in cycles charged beyond
+	dispatchWidth = 4.0
+	// branchBubble is the redirect penalty in cycles charged beyond
 	// the configured front-end refill depth for every mispredicted
 	// branch (resolve-to-fetch turnaround).
-	BranchBubble float64
-	// ParkThreshold is the operand-slack in cycles beyond which a
+	branchBubble = 2.0
+	// parkThreshold is the operand-slack in cycles beyond which a
 	// non-urgent µop is parked when the LTP is attached (the model's
 	// stand-in for the non-urgent classification latency class).
-	ParkThreshold float64
-	// WakeDelay is the dequeue/re-dispatch delay in cycles a parked
+	parkThreshold = 8.0
+	// wakeDelay is the dequeue/re-dispatch delay in cycles a parked
 	// µop pays when it wakes (finite queue ports, in-order drain).
-	WakeDelay float64
-	// LoadExtra is the fixed per-load overhead in cycles added on top
+	wakeDelay = 4.0
+	// loadExtra is the fixed per-load overhead in cycles added on top
 	// of the hierarchy's level latency (AGU, issue-to-execute skew).
-	LoadExtra float64
-	// StoreDrain scales how long a missing store's SQ entry outlives
+	loadExtra = 1.0
+	// storeDrain scales how long a missing store's SQ entry outlives
 	// retirement (post-commit write buffering overlaps most of the
 	// fill latency).
-	StoreDrain float64
-	// CPIScale is a final multiplicative correction applied to the
+	storeDrain = 0.25
+	// cpiScale is a final multiplicative correction applied to the
 	// estimated cycle count.
-	CPIScale float64
-}
-
-// DefaultCalibration returns the fitted coefficient set used by the
-// registered "model" backend.
-func DefaultCalibration() Calibration {
-	return Calibration{
-		DispatchWidth: 4.0,
-		BranchBubble:  2.0,
-		ParkThreshold: 8.0,
-		WakeDelay:     4.0,
-		LoadExtra:     1.0,
-		StoreDrain:    0.25,
-		CPIScale:      1.0,
-	}
-}
+	cpiScale = 1.0
+)

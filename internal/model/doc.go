@@ -14,7 +14,7 @@
 // (slack-classified, urgency-filtered, capacity-bounded) that relieves
 // IQ and register pressure exactly where the mechanism does. It runs
 // one to two orders of magnitude faster than the detailed pipeline and
-// is calibrated against it (see Calibration and the differential
-// tests); use it to rank configurations and triage sweeps, not for
+// is calibrated against it (see the fitted constants in calibrate.go
+// and the differential tests); use it to rank configurations and triage sweeps, not for
 // absolute numbers.
 package model

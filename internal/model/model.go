@@ -13,14 +13,10 @@ import (
 	"ltp/internal/sim"
 )
 
-func init() { sim.Register(Backend{Cal: DefaultCalibration()}) }
+func init() { sim.Register(Backend{}) }
 
 // Backend is the interval-style analytical execution backend.
-type Backend struct {
-	// Cal supplies the fitted coefficients (zero fields fall back to
-	// DefaultCalibration).
-	Cal Calibration
-}
+type Backend struct{}
 
 // Name returns "model".
 func (Backend) Name() string { return "model" }
@@ -166,7 +162,6 @@ type machine struct {
 	// estimates (the hashjoin family's LTP loss comes from exactly
 	// that).
 	unit *core.LTP
-	cal  Calibration
 	cfg  pipeline.Config
 
 	// Dataflow timeline.
@@ -222,35 +217,12 @@ type machine struct {
 
 // newMachine assembles a scoring machine around a lane's warmed state,
 // which it takes over.
-func newMachine(cal Calibration, spec sim.Spec, w *sim.Warmed) *machine {
-	def := DefaultCalibration()
-	if cal.DispatchWidth <= 0 {
-		cal.DispatchWidth = def.DispatchWidth
-	}
-	if cal.BranchBubble <= 0 {
-		cal.BranchBubble = def.BranchBubble
-	}
-	if cal.ParkThreshold <= 0 {
-		cal.ParkThreshold = def.ParkThreshold
-	}
-	if cal.WakeDelay <= 0 {
-		cal.WakeDelay = def.WakeDelay
-	}
-	if cal.LoadExtra <= 0 {
-		cal.LoadExtra = def.LoadExtra
-	}
-	if cal.StoreDrain <= 0 {
-		cal.StoreDrain = def.StoreDrain
-	}
-	if cal.CPIScale <= 0 {
-		cal.CPIScale = def.CPIScale
-	}
+func newMachine(spec sim.Spec, w *sim.Warmed) *machine {
 	cfg := spec.Pipeline
 	m := &machine{
 		hier:       w.Hier,
 		bp:         w.BP,
 		unit:       w.Unit,
-		cal:        cal,
 		cfg:        cfg,
 		storeReady: make(map[uint64]float64),
 		iqCap:      cfg.IQSize,
@@ -301,7 +273,7 @@ func (m *machine) score(u *isa.Uop) {
 
 	// Front end: sustained dispatch throughput, gated by redirect
 	// bubbles and the ROB window.
-	d := m.lastDisp + 1/m.cal.DispatchWidth
+	d := m.lastDisp + 1/dispatchWidth
 	if m.fetchFloor > d {
 		d = m.fetchFloor
 	}
@@ -342,13 +314,13 @@ func (m *machine) score(u *isa.Uop) {
 		// operands are far in the future park regardless of urgency.
 		eligible := d < m.dramActiveUntil && !u.IsBranch() &&
 			((m.ltp.parksNU && !urgent) ||
-				(m.ltp.parksNR && slack > m.cal.ParkThreshold))
+				(m.ltp.parksNR && slack > parkThreshold))
 		if eligible {
 			m.ltp.occupied.popUntil(d)
 			if m.ltp.occupied.len() < m.ltp.capacity {
 				parked = true
 				wake := depReady
-				if m.ltp.parksNR && slack > m.cal.ParkThreshold {
+				if m.ltp.parksNR && slack > parkThreshold {
 					wake -= m.ltp.early
 					if wake < d {
 						wake = d
@@ -407,7 +379,7 @@ func (m *machine) score(u *isa.Uop) {
 	// timing-free hierarchy walk serves them from.
 	issue := depReady
 	if parked {
-		issue += m.cal.WakeDelay
+		issue += wakeDelay
 	}
 	lat := float64(isa.Latency[u.Op])
 	isDRAM := false
@@ -422,7 +394,7 @@ func (m *machine) score(u *isa.Uop) {
 			issue += 2 // L1 MSHRs full: replay, as the pipeline does
 			r, ok = m.hier.Load(u.PC, u.Addr, uint64(issue))
 		}
-		llat := float64(r.Latency(uint64(issue))) + m.cal.LoadExtra
+		llat := float64(r.Latency(uint64(issue))) + loadExtra
 		level = r.Level
 		isDRAM = level == mem.LvlDRAM
 		if isDRAM {
@@ -450,7 +422,7 @@ func (m *machine) score(u *isa.Uop) {
 
 	if u.IsBranch() {
 		if !m.bp.Lookup(u.PC, u.Taken, u.Target) {
-			floor := complete + float64(m.cfg.FrontEndDepth) + m.cal.BranchBubble
+			floor := complete + float64(m.cfg.FrontEndDepth) + branchBubble
 			if floor > m.fetchFloor {
 				m.fetchFloor = floor
 			}
@@ -504,7 +476,7 @@ func (m *machine) score(u *isa.Uop) {
 		res := m.hier.StoreCommit(u.Addr, uint64(retire))
 		drain := 0.0
 		if av := float64(res.Avail); av > retire {
-			drain = (av - retire) * m.cal.StoreDrain
+			drain = (av - retire) * storeDrain
 		}
 		m.storeReady[u.Addr] = complete
 		if m.stores&0xfff == 0 {
@@ -577,7 +549,7 @@ func (m *machine) snapshot() sim.Stats {
 	if m.lastDisp > cycles {
 		cycles = m.lastDisp
 	}
-	cycles *= m.cal.CPIScale
+	cycles *= cpiScale
 	cyc := uint64(math.Ceil(cycles))
 	if m.n > 0 && cyc == 0 {
 		cyc = 1

@@ -58,7 +58,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		laneSpec(32, true, 5_000, 10_000),
 		laneSpec(24, true, 5_000, 10_000),
 	}
-	b := Backend{Cal: DefaultCalibration()} // nil warm cache: hermetic
+	b := Backend{}
 
 	singles := make([]sim.Stats, len(specs))
 	for i := range specs {
@@ -91,7 +91,7 @@ func TestRunBatchHonorsMaxCycles(t *testing.T) {
 	capped := free
 	capped.MaxCycles = 500
 
-	b := Backend{Cal: DefaultCalibration()}
+	b := Backend{}
 	sc := capped
 	sc.Stream = testStream(t)
 	cSingle, err := b.Run(bg, sc)
@@ -132,7 +132,7 @@ func TestRunBatchBudgetMismatch(t *testing.T) {
 	c := laneSpec(32, false, 2_000, 4_000)
 	batch := []sim.Spec{a, bad, c}
 	batch[0].Stream = testStream(t)
-	out := Backend{Cal: DefaultCalibration()}.RunBatch(bg, batch)
+	out := Backend{}.RunBatch(bg, batch)
 	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "budgets") {
 		t.Fatalf("mismatched lane err = %v; want budget admission error", out[1].Err)
 	}
@@ -153,7 +153,7 @@ func TestRunBadPredictorErrors(t *testing.T) {
 	spec := laneSpec(64, false, 1_000, 2_000)
 	spec.Pipeline.BranchPred = "no-such-predictor"
 	spec.Stream = testStream(t)
-	b := Backend{Cal: DefaultCalibration()}
+	b := Backend{}
 	if _, err := b.Run(bg, spec); err == nil || !strings.Contains(err.Error(), "unknown branch predictor") {
 		t.Fatalf("Run err = %v; want the unknown-predictor error", err)
 	}
@@ -182,7 +182,7 @@ func steadyMachines(t testing.TB, n int, warm, runway uint64) ([]*machine, []isa
 	// this goroutine (no Exec), and each reads the same µops from its
 	// own clone of the stream.
 	lane := func(_ context.Context, spec sim.Spec, w *sim.Warmed) (sim.Stats, error) {
-		m := newMachine(Calibration{}, spec, w)
+		m := newMachine(spec, w)
 		uops = make([]isa.Uop, 0, runway)
 		var u isa.Uop
 		for uint64(len(uops)) < runway && w.Stream.Next(&u) {
@@ -292,7 +292,7 @@ func TestRunBatchLanesIndependent(t *testing.T) {
 		laneSpec(24, true, 5_000, 10_000),
 	}
 	admitted := []int{0, 1, 3, 4}
-	b := Backend{Cal: DefaultCalibration()}
+	b := Backend{}
 	singles := make([]sim.Stats, len(specs))
 	for _, i := range admitted {
 		s := specs[i]
@@ -349,7 +349,7 @@ func TestRunBatchTraceReplay(t *testing.T) {
 		spec.Stream, spec.Reader = r, r
 		return spec
 	}
-	b := Backend{Cal: DefaultCalibration()}
+	b := Backend{}
 	single, err := b.Run(bg, replay(laneSpec(32, true, warm, insts)))
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,9 @@ import (
 )
 
 // Limits bounds what a single request may ask for; everything above is
-// rejected with 400 before any simulation starts. The zero value of a
-// field means its DefaultLimits entry.
+// rejected with 400 before any simulation starts. The budgets bound the
+// canonical spec (RunSpec.Canonical), so an omitted budget counts at
+// its default. The zero value of a field means its DefaultLimits entry.
 type Limits struct {
 	// MaxWarmInsts caps the per-run warm-up budget.
 	MaxWarmInsts uint64 `json:"max_warm_insts"`
@@ -77,6 +78,18 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
+// checkBudgets reports a canonical spec whose warm or measured budget
+// is above the limits.
+func (l Limits) checkBudgets(canon ltp.RunSpec) error {
+	if canon.WarmInsts > l.MaxWarmInsts {
+		return fmt.Errorf("warm_insts = %d above the service limit %d", canon.WarmInsts, l.MaxWarmInsts)
+	}
+	if canon.MaxInsts > l.MaxDetailInsts {
+		return fmt.Errorf("max_insts = %d above the service limit %d", canon.MaxInsts, l.MaxDetailInsts)
+	}
+	return nil
+}
+
 // apiError is a validation or policy failure with its HTTP status.
 type apiError struct {
 	status int
@@ -134,39 +147,21 @@ type ConfigRequest struct {
 }
 
 // pipelineConfig applies the overrides to the Table 1 baseline.
-func (c *ConfigRequest) pipelineConfig() (*pipeline.Config, error) {
+func (c *ConfigRequest) pipelineConfig() *pipeline.Config {
 	if c == nil {
-		return nil, nil
-	}
-	cfg := pipeline.DefaultConfig()
-	set := func(dst *int, v int, name string, min int) error {
-		if v == 0 {
-			return nil
-		}
-		if v < min || v > pipeline.Inf {
-			return badRequest("config.%s = %d out of range [%d, %d]", name, v, min, pipeline.Inf)
-		}
-		*dst = v
 		return nil
 	}
-	for _, f := range []struct {
-		dst  *int
-		v    int
-		name string
-		min  int
-	}{
-		{&cfg.IQSize, c.IQSize, "iq_size", 4},
-		{&cfg.ROBSize, c.ROBSize, "rob_size", 16},
-		{&cfg.LQSize, c.LQSize, "lq_size", 4},
-		{&cfg.SQSize, c.SQSize, "sq_size", 4},
-		{&cfg.IntRegs, c.IntRegs, "int_regs", 8},
-		{&cfg.FPRegs, c.FPRegs, "fp_regs", 8},
+	cfg := pipeline.DefaultConfig()
+	for _, f := range []struct{ dst, v *int }{
+		{&cfg.IQSize, &c.IQSize}, {&cfg.ROBSize, &c.ROBSize},
+		{&cfg.LQSize, &c.LQSize}, {&cfg.SQSize, &c.SQSize},
+		{&cfg.IntRegs, &c.IntRegs}, {&cfg.FPRegs, &c.FPRegs},
 	} {
-		if err := set(f.dst, f.v, f.name, f.min); err != nil {
-			return nil, err
+		if *f.v != 0 {
+			*f.dst = *f.v
 		}
 	}
-	return &cfg, nil
+	return &cfg
 }
 
 // LTPRequest configures the parking unit. Pointer fields distinguish
@@ -189,16 +184,11 @@ func (l *LTPRequest) ltpConfig() (*core.Config, error) {
 		return nil, nil
 	}
 	cfg := core.DefaultConfig()
-	switch l.Mode {
-	case "", "NU":
-		cfg.Mode = core.ModeNU
-	case "NR":
-		cfg.Mode = core.ModeNR
-	case "NR+NU", "NRNU":
-		cfg.Mode = core.ModeNRNU
-	default:
+	mode, ok := core.ParseMode(l.Mode)
+	if !ok {
 		return nil, badRequest("ltp.mode %q unknown (want NU, NR or NR+NU)", l.Mode)
 	}
+	cfg.Mode = mode
 	ident, ok := core.ParseIdent(l.Ident)
 	if !ok {
 		return nil, badRequest("ltp.ident %q unknown (want paper or crit)", l.Ident)
@@ -214,9 +204,6 @@ func (l *LTPRequest) ltpConfig() (*core.Config, error) {
 		cfg.UITEntries = *l.UITEntries
 	}
 	if l.Tickets != nil {
-		if *l.Tickets < 0 || *l.Tickets > 128 {
-			return nil, badRequest("ltp.tickets = %d out of range [0, 128]", *l.Tickets)
-		}
 		cfg.Tickets = *l.Tickets
 	}
 	return &cfg, nil
@@ -240,28 +227,13 @@ type CorunnerRequest struct {
 	Accesses int `json:"accesses,omitempty"`
 }
 
-// corunners validates and converts a co-runner list.
-func corunnersFromRequest(reqs []CorunnerRequest) ([]ltp.Corunner, error) {
+// corunnersFromRequest converts a co-runner list.
+func corunnersFromRequest(reqs []CorunnerRequest) []ltp.Corunner {
 	if len(reqs) == 0 {
-		return nil, nil
-	}
-	if len(reqs) > ltp.MaxCorunners {
-		return nil, badRequest("%d corunners above the limit %d", len(reqs), ltp.MaxCorunners)
+		return nil
 	}
 	out := make([]ltp.Corunner, len(reqs))
 	for i, c := range reqs {
-		if c.Scenario == "" {
-			return nil, badRequest("corunners[%d] names no scenario", i)
-		}
-		if _, err := ltp.ScenarioByName(c.Scenario); err != nil {
-			return nil, badRequest("corunners[%d]: %v", i, err)
-		}
-		if c.Intensity < 0 || c.Intensity > 4096 {
-			return nil, badRequest("corunners[%d].intensity = %d out of range [0, 4096]", i, c.Intensity)
-		}
-		if c.Accesses < 0 || c.Accesses > 1<<20 {
-			return nil, badRequest("corunners[%d].accesses = %d out of range [0, %d]", i, c.Accesses, 1<<20)
-		}
 		out[i] = ltp.Corunner{
 			Scenario:  c.Scenario,
 			Knobs:     c.Knobs.knobs(),
@@ -270,7 +242,7 @@ func corunnersFromRequest(reqs []CorunnerRequest) ([]ltp.Corunner, error) {
 			Accesses:  c.Accesses,
 		}
 	}
-	return out, nil
+	return out
 }
 
 // RunRequest is the POST /v1/run body: one simulation. Exactly one of
@@ -301,11 +273,12 @@ type RunRequest struct {
 	Corunners []CorunnerRequest `json:"corunners,omitempty"`
 }
 
-// baseSpec validates the request's fields against the limits and
-// converts to an ltp.RunSpec without requiring a µop source or a
-// canonical form — the sweep endpoint uses it for base specs whose
-// scenario (and canonicalizability) an axis supplies.
-func (r *RunRequest) baseSpec(lim Limits) (ltp.RunSpec, error) {
+// baseSpec applies the request's own strictness (one µop source, no
+// field the engine would ignore, known warm-mode and LTP names, at most
+// MaxSampledIntervals) and converts it to an ltp.RunSpec. Whether the
+// spec may run is RunSpec.Canonical's to decide; the sweep endpoint
+// uses the result as a base whose scenario an axis may supply.
+func (r *RunRequest) baseSpec() (ltp.RunSpec, error) {
 	if r.Workload != "" && r.Scenario != "" {
 		return ltp.RunSpec{}, badRequest("request names both a workload and a scenario; pick one")
 	}
@@ -318,51 +291,16 @@ func (r *RunRequest) baseSpec(lim Limits) (ltp.RunSpec, error) {
 	if r.Workload != "" && (r.Knobs != nil || r.Seed != 0) {
 		return ltp.RunSpec{}, badRequest("knobs/seed apply to scenarios only; fixed kernel %q ignores them", r.Workload)
 	}
-	if r.Scale < 0 || r.Scale > 1 {
-		return ltp.RunSpec{}, badRequest("scale = %g out of range (0, 1]", r.Scale)
-	}
-	if r.WarmInsts > lim.MaxWarmInsts {
-		return ltp.RunSpec{}, badRequest("warm_insts = %d above the service limit %d", r.WarmInsts, lim.MaxWarmInsts)
-	}
-	if r.MaxInsts > lim.MaxDetailInsts {
-		return ltp.RunSpec{}, badRequest("max_insts = %d above the service limit %d", r.MaxInsts, lim.MaxDetailInsts)
-	}
 	wm, err := ltp.ParseWarmMode(r.WarmMode)
 	if err != nil {
 		return ltp.RunSpec{}, badRequest("%v", err)
-	}
-	pcfg, err := r.Config.pipelineConfig()
-	if err != nil {
-		return ltp.RunSpec{}, err
 	}
 	lcfg, err := r.LTP.ltpConfig()
 	if err != nil {
 		return ltp.RunSpec{}, err
 	}
-	if r.Backend != "" {
-		known := false
-		for _, b := range ltp.Backends() {
-			if b.Name == r.Backend {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return ltp.RunSpec{}, badRequest("backend %q unknown (see /v1/workloads for the registry)", r.Backend)
-		}
-	}
 	if r.Intervals < 0 || r.Intervals > ltp.MaxSampledIntervals {
 		return ltp.RunSpec{}, badRequest("intervals = %d out of range [0, %d]", r.Intervals, ltp.MaxSampledIntervals)
-	}
-	if err := knownName(r.BranchPred, ltp.BranchPredictors(), "branch_pred"); err != nil {
-		return ltp.RunSpec{}, err
-	}
-	if err := knownName(r.Prefetcher, ltp.Prefetchers(), "prefetcher"); err != nil {
-		return ltp.RunSpec{}, err
-	}
-	cors, err := corunnersFromRequest(r.Corunners)
-	if err != nil {
-		return ltp.RunSpec{}, err
 	}
 	return ltp.RunSpec{
 		Workload:   r.Workload,
@@ -373,44 +311,29 @@ func (r *RunRequest) baseSpec(lim Limits) (ltp.RunSpec, error) {
 		WarmInsts:  r.WarmInsts,
 		WarmMode:   wm,
 		MaxInsts:   r.MaxInsts,
-		Pipeline:   pcfg,
+		Pipeline:   r.Config.pipelineConfig(),
 		UseLTP:     r.UseLTP,
 		LTP:        lcfg,
 		Backend:    r.Backend,
 		Intervals:  r.Intervals,
 		BranchPred: r.BranchPred,
 		Prefetcher: r.Prefetcher,
-		Corunners:  cors,
+		Corunners:  corunnersFromRequest(r.Corunners),
 	}, nil
 }
 
-// knownName validates a registry-name field ("" = default, always
-// allowed).
-func knownName(name string, registry []string, field string) error {
-	if name == "" {
-		return nil
-	}
-	for _, n := range registry {
-		if n == name {
-			return nil
-		}
-	}
-	return badRequest("%s %q unknown (have %v)", field, name, registry)
-}
-
-// runSpec validates against the limits and converts to an ltp.RunSpec
-// (already canonicalizable: names checked, budgets bounded).
+// runSpec converts the request to an ltp.RunSpec that canonicalizes
+// within the limits' budgets.
 func (r *RunRequest) runSpec(lim Limits) (ltp.RunSpec, error) {
-	if r.Workload == "" && r.Scenario == "" {
-		return ltp.RunSpec{}, badRequest("request names neither a workload nor a scenario")
-	}
-	spec, err := r.baseSpec(lim)
+	spec, err := r.baseSpec()
 	if err != nil {
 		return ltp.RunSpec{}, err
 	}
-	// Canonical re-checks names and resolves knobs; surface its
-	// complaints as 400s, not 500s.
-	if _, err := spec.Canonical(); err != nil {
+	canon, err := spec.Canonical()
+	if err != nil {
+		return ltp.RunSpec{}, badRequest("%v", err)
+	}
+	if err := lim.checkBudgets(canon); err != nil {
 		return ltp.RunSpec{}, badRequest("%v", err)
 	}
 	return spec, nil
@@ -429,7 +352,7 @@ type PatchRequest struct {
 	Scenario  *string       `json:"scenario,omitempty"`   // scenario family name
 	Knobs     *KnobsRequest `json:"knobs,omitempty"`      // scenario knob overrides (replaces)
 	Seed      *int64        `json:"seed,omitempty"`       // scenario seed
-	Scale     *float64      `json:"scale,omitempty"`      // working-set scale in (0, 1]
+	Scale     *float64      `json:"scale,omitempty"`      // working-set scale in (0, 1]; 0 = 1.0
 	WarmInsts *uint64       `json:"warm_insts,omitempty"` // warm-up instructions
 	WarmMode  *string       `json:"warm_mode,omitempty"`  // "fast" or "detailed"
 	MaxInsts  *uint64       `json:"max_insts,omitempty"`  // measured instructions
@@ -456,28 +379,28 @@ type PatchRequest struct {
 	Corunners *[]CorunnerRequest `json:"corunners,omitempty"`
 }
 
-// patch validates the overrides against the limits and converts to an
-// ltp.RunPatch.
-func (p *PatchRequest) patch(lim Limits, where string) (ltp.RunPatch, error) {
+// patch converts the overrides to an ltp.RunPatch, parsing the
+// warm-mode and LTP names and bounding intervals as baseSpec does.
+func (p *PatchRequest) patch(where string) (ltp.RunPatch, error) {
 	out := ltp.RunPatch{
-		Workload:  p.Workload,
-		Scenario:  p.Scenario,
-		Seed:      p.Seed,
-		Scale:     p.Scale,
-		WarmInsts: p.WarmInsts,
-		MaxInsts:  p.MaxInsts,
-	}
-	if p.Knobs != nil {
-		out.Knobs = p.Knobs.knobs()
-	}
-	if p.Scale != nil && (*p.Scale <= 0 || *p.Scale > 1) {
-		return ltp.RunPatch{}, badRequest("%s: scale = %g out of range (0, 1]", where, *p.Scale)
-	}
-	if p.WarmInsts != nil && *p.WarmInsts > lim.MaxWarmInsts {
-		return ltp.RunPatch{}, badRequest("%s: warm_insts = %d above the service limit %d", where, *p.WarmInsts, lim.MaxWarmInsts)
-	}
-	if p.MaxInsts != nil && *p.MaxInsts > lim.MaxDetailInsts {
-		return ltp.RunPatch{}, badRequest("%s: max_insts = %d above the service limit %d", where, *p.MaxInsts, lim.MaxDetailInsts)
+		Workload:   p.Workload,
+		Scenario:   p.Scenario,
+		Knobs:      p.Knobs.knobs(),
+		Seed:       p.Seed,
+		Scale:      p.Scale,
+		WarmInsts:  p.WarmInsts,
+		MaxInsts:   p.MaxInsts,
+		IQSize:     p.IQSize,
+		ROBSize:    p.ROBSize,
+		LQSize:     p.LQSize,
+		SQSize:     p.SQSize,
+		IntRegs:    p.IntRegs,
+		FPRegs:     p.FPRegs,
+		UseLTP:     p.UseLTP,
+		Backend:    p.Backend,
+		BranchPred: p.BranchPred,
+		Prefetcher: p.Prefetcher,
+		Ident:      p.Ident,
 	}
 	if p.WarmMode != nil {
 		wm, err := ltp.ParseWarmMode(*p.WarmMode)
@@ -486,28 +409,6 @@ func (p *PatchRequest) patch(lim Limits, where string) (ltp.RunPatch, error) {
 		}
 		out.WarmMode = &wm
 	}
-	for _, f := range []struct {
-		dst  **int
-		v    *int
-		name string
-		min  int
-	}{
-		{&out.IQSize, p.IQSize, "iq_size", 4},
-		{&out.ROBSize, p.ROBSize, "rob_size", 16},
-		{&out.LQSize, p.LQSize, "lq_size", 4},
-		{&out.SQSize, p.SQSize, "sq_size", 4},
-		{&out.IntRegs, p.IntRegs, "int_regs", 8},
-		{&out.FPRegs, p.FPRegs, "fp_regs", 8},
-	} {
-		if f.v == nil {
-			continue
-		}
-		if *f.v < f.min || *f.v > pipeline.Inf {
-			return ltp.RunPatch{}, badRequest("%s: %s = %d out of range [%d, %d]", where, f.name, *f.v, f.min, pipeline.Inf)
-		}
-		*f.dst = f.v
-	}
-	out.UseLTP = p.UseLTP
 	if p.LTP != nil {
 		lcfg, err := p.LTP.ltpConfig()
 		if err != nil {
@@ -515,36 +416,14 @@ func (p *PatchRequest) patch(lim Limits, where string) (ltp.RunPatch, error) {
 		}
 		out.LTP = lcfg
 	}
-	out.Backend = p.Backend
 	if p.Intervals != nil {
 		if *p.Intervals < 0 || *p.Intervals > ltp.MaxSampledIntervals {
 			return ltp.RunPatch{}, badRequest("%s: intervals = %d out of range [0, %d]", where, *p.Intervals, ltp.MaxSampledIntervals)
 		}
 		out.Intervals = p.Intervals
 	}
-	if p.BranchPred != nil {
-		if err := knownName(*p.BranchPred, ltp.BranchPredictors(), where+": branch_pred"); err != nil {
-			return ltp.RunPatch{}, err
-		}
-		out.BranchPred = p.BranchPred
-	}
-	if p.Prefetcher != nil {
-		if err := knownName(*p.Prefetcher, ltp.Prefetchers(), where+": prefetcher"); err != nil {
-			return ltp.RunPatch{}, err
-		}
-		out.Prefetcher = p.Prefetcher
-	}
-	if p.Ident != nil {
-		if _, ok := core.ParseIdent(*p.Ident); !ok {
-			return ltp.RunPatch{}, badRequest("%s: ident %q unknown (want paper or crit)", where, *p.Ident)
-		}
-		out.Ident = p.Ident
-	}
 	if p.Corunners != nil {
-		cors, err := corunnersFromRequest(*p.Corunners)
-		if err != nil {
-			return ltp.RunPatch{}, err
-		}
+		cors := corunnersFromRequest(*p.Corunners)
 		if cors == nil {
 			cors = []ltp.Corunner{}
 		}
@@ -603,7 +482,7 @@ type SweepRequest struct {
 // sweepSpec validates against the limits and converts to an
 // ltp.SweepSpec.
 func (r *SweepRequest) sweepSpec(lim Limits) (ltp.SweepSpec, error) {
-	base, err := r.Base.baseSpec(lim)
+	base, err := r.Base.baseSpec()
 	if err != nil {
 		return ltp.SweepSpec{}, err
 	}
@@ -646,7 +525,7 @@ func (r *SweepRequest) sweepSpec(lim Limits) (ltp.SweepSpec, error) {
 		axis := ltp.SweepAxis{Name: ax.Name, Replicate: ax.Replicate}
 		for pi, pt := range ax.Points {
 			where := fmt.Sprintf("axes[%d] %q point[%d] %q", ai, ax.Name, pi, pt.Name)
-			patch, err := pt.Patch.patch(lim, where)
+			patch, err := pt.Patch.patch(where)
 			if err != nil {
 				return ltp.SweepSpec{}, err
 			}
@@ -659,6 +538,13 @@ func (r *SweepRequest) sweepSpec(lim Limits) (ltp.SweepSpec, error) {
 	canon, err := spec.Canonical()
 	if err != nil {
 		return ltp.SweepSpec{}, badRequest("%v", err)
+	}
+	runs, _ := canon.Runs() // a canonical sweep enumerates without error
+	for _, run := range runs {
+		cell, _ := run.Spec.Canonical() // Canonical checked every cell
+		if err := lim.checkBudgets(cell); err != nil {
+			return ltp.SweepSpec{}, badRequest("sweep cell %v: %v", run.Coords, err)
+		}
 	}
 	return canon, nil
 }

@@ -102,16 +102,11 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	// mid-stream after burning compute.
 	for i, spec := range req.Specs {
 		canon, err := spec.Canonical()
+		if err == nil {
+			err = s.limits.checkBudgets(canon)
+		}
 		if err != nil {
 			WriteError(w, badRequest("specs[%d]: %v", i, err))
-			return
-		}
-		if canon.WarmInsts > s.limits.MaxWarmInsts {
-			WriteError(w, badRequest("specs[%d]: warm_insts = %d above the service limit %d", i, canon.WarmInsts, s.limits.MaxWarmInsts))
-			return
-		}
-		if canon.MaxInsts > s.limits.MaxDetailInsts {
-			WriteError(w, badRequest("specs[%d]: max_insts = %d above the service limit %d", i, canon.MaxInsts, s.limits.MaxDetailInsts))
 			return
 		}
 	}

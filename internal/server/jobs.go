@@ -186,7 +186,7 @@ func (r *registry) admit(tenant, hash string) (string, error) {
 	r.perTenant[tenant]++
 	r.seq++
 	short := hash
-	if i := len("mx1:"); len(short) > i+8 {
+	if i := len("sw1:"); len(short) > i+8 {
 		short = short[i : i+8]
 	}
 	return fmt.Sprintf("j%04d-%s", r.seq, short), nil

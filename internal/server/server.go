@@ -343,6 +343,7 @@ func (s *Server) Stats() StatsResponse {
 	if st, ok := s.engine.StoreStats(); ok {
 		storeStats = &st
 	}
+	means := s.engine.MeanRunSecondsByBackend()
 	return StatsResponse{
 		Cache: s.engine.CacheStats(),
 		Store: storeStats,
@@ -350,8 +351,8 @@ func (s *Server) Stats() StatsResponse {
 			Parallelism:             s.engine.Parallelism(),
 			Queued:                  s.engine.QueuedRuns(),
 			Running:                 s.engine.RunningRuns(),
-			MeanRunSeconds:          s.engine.MeanRunSeconds(),
-			MeanRunSecondsByBackend: s.engine.MeanRunSecondsByBackend(),
+			MeanRunSeconds:          means[ltp.BackendCycle],
+			MeanRunSecondsByBackend: means,
 		},
 		Jobs:   JobStats{Total: total, Active: active},
 		Limits: s.limits,

@@ -213,6 +213,12 @@ const (
 	// DefaultCorunnerIntensity re-exports the replay rate used when
 	// Corunner.Intensity is unset (accesses per 1024 cycles).
 	DefaultCorunnerIntensity = mem.DefaultCorunnerIntensity
+
+	// maxCorunnerIntensity is four accesses per cycle.
+	maxCorunnerIntensity = 4096
+	// maxCorunnerAccesses bounds the captured pattern a run holds in
+	// memory per co-runner.
+	maxCorunnerAccesses = 1 << 20
 )
 
 // Corunner describes one co-running workload stream contending with
@@ -232,10 +238,11 @@ type Corunner struct {
 	// Seed varies the family's data layouts.
 	Seed int64
 	// Intensity is the replay rate in accesses per 1024 cycles
-	// (0 = DefaultCorunnerIntensity; 1024 = one access per cycle).
+	// (0 = DefaultCorunnerIntensity; 1024 = one access per cycle; at
+	// most 4096).
 	Intensity int
 	// Accesses is the captured pattern length (0 =
-	// DefaultCorunnerAccesses).
+	// DefaultCorunnerAccesses; at most 1<<20).
 	Accesses int
 }
 
@@ -366,6 +373,9 @@ func (s RunSpec) canonical(sourced bool) (RunSpec, error) {
 	if s.Scale == 0 {
 		s.Scale = 1.0
 	}
+	if !(s.Scale > 0 && s.Scale <= 1) { // NaN fails both
+		return RunSpec{}, fmt.Errorf("ltp: scale %g out of range (0, 1]", s.Scale)
+	}
 	if s.MaxInsts == 0 {
 		s.MaxInsts = 1_000_000
 	}
@@ -448,6 +458,20 @@ func (s RunSpec) canonical(sourced bool) (RunSpec, error) {
 		}
 	}
 	s.Prefetcher = ""
+	// The design space of the paper's sweeps: sizes up to the limit
+	// study's "unlimited", never below a few entries.
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"IQ", pcfg.IQSize, 4}, {"ROB", pcfg.ROBSize, 16},
+		{"LQ", pcfg.LQSize, 4}, {"SQ", pcfg.SQSize, 4},
+		{"integer register", pcfg.IntRegs, 8}, {"FP register", pcfg.FPRegs, 8},
+	} {
+		if f.v < f.min || f.v > pipeline.Inf {
+			return RunSpec{}, fmt.Errorf("ltp: %s size %d out of range [%d, %d]", f.name, f.v, f.min, pipeline.Inf)
+		}
+	}
 	// Geometry a constructor would refuse is an error here, before any
 	// tier builds the machine.
 	if err := pcfg.Validate(); err != nil {
@@ -578,15 +602,21 @@ func canonicalCorunners(cors []Corunner) ([]Corunner, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ltp: co-runner %d: %w", i, err)
 		}
+		if c.Intensity < 0 || c.Intensity > maxCorunnerIntensity {
+			return nil, fmt.Errorf("ltp: co-runner %d intensity %d out of range [0, %d]", i, c.Intensity, maxCorunnerIntensity)
+		}
+		if c.Accesses < 0 || c.Accesses > maxCorunnerAccesses {
+			return nil, fmt.Errorf("ltp: co-runner %d accesses %d out of range [0, %d]", i, c.Accesses, maxCorunnerAccesses)
+		}
 		knobs := fam.Resolve(c.Knobs)
 		if knobs.BranchEntropy == 0 {
 			knobs.BranchEntropy = -1 // see RunSpec.Canonical's sentinel note
 		}
 		c.Knobs = &knobs
-		if c.Intensity <= 0 {
+		if c.Intensity == 0 {
 			c.Intensity = DefaultCorunnerIntensity
 		}
-		if c.Accesses <= 0 {
+		if c.Accesses == 0 {
 			c.Accesses = DefaultCorunnerAccesses
 		}
 		out[i] = c

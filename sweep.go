@@ -168,11 +168,8 @@ func (p RunPatch) apply(s RunSpec) RunSpec {
 		if s.LTP != nil {
 			cfg = *s.LTP
 		}
-		// Unknown names surface in RunSpec.Canonical's LTP validation
-		// path; parse best-effort here so patches stay total functions.
-		if id, ok := core.ParseIdent(*p.Ident); ok {
-			cfg.Ident = id
-		}
+		// SweepSpec.Canonical refuses a name ParseIdent does not know.
+		cfg.Ident, _ = core.ParseIdent(*p.Ident)
 		s.LTP = &cfg
 	}
 	if p.Backend != nil {
@@ -266,15 +263,16 @@ const MaxSweepRuns = 1 << 20
 
 // Canonical validates the sweep and returns it in normal form: axis
 // and point names must be present and unique (per sweep and per axis
-// respectively), every axis needs at least one point, every enumerated
-// cell spec must have a canonical form (see RunSpec.Canonical — this
-// is what keeps arbitrary axes cache-keyable, and it is checked here,
-// once, rather than cell-by-cell at run time), and the enumerated runs
-// must be pairwise distinct. The distinctness rule catches axes whose
-// patches have no effect — e.g. a seed axis over a fixed-kernel base,
-// which RunSpec.Canonical would silently zero: every "replicate" would
-// be the same simulation, and the resulting zero-variance mean ± CI
-// would masquerade as real replication.
+// respectively), every axis needs at least one point, an Ident patch
+// must name a known policy, every enumerated cell spec must have a
+// canonical form (see RunSpec.Canonical — this is what keeps arbitrary
+// axes cache-keyable, and it is checked here, once, rather than
+// cell-by-cell at run time), and the enumerated runs must be pairwise
+// distinct. The distinctness rule catches axes whose patches have no
+// effect — e.g. a seed axis over a fixed-kernel base, which
+// RunSpec.Canonical would silently zero: every "replicate" would be the
+// same simulation, and the resulting zero-variance mean ± CI would
+// masquerade as real replication.
 //
 // Canonical also computes the sweep's content address as a by-product,
 // so a later Hash (or Engine.Submit) on the returned value is free.
@@ -313,6 +311,11 @@ func (s SweepSpec) Canonical() (SweepSpec, error) {
 				return SweepSpec{}, fmt.Errorf("ltp: axis %q has duplicate point %q", ax.Name, pt.Name)
 			}
 			seenPoint[pt.Name] = true
+			if id := pt.Patch.Ident; id != nil {
+				if _, ok := core.ParseIdent(*id); !ok {
+					return SweepSpec{}, fmt.Errorf("ltp: axis %q point %q: LTP identification policy %q unknown (want paper or crit)", ax.Name, pt.Name, *id)
+				}
+			}
 			// Replicates aggregate into one mean ± CI; pooling samples
 			// of different fidelities there would launder estimates
 			// into measurements.

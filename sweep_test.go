@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -260,6 +261,29 @@ func TestSweepRejectsNoOpAxis(t *testing.T) {
 	}
 	if _, err := spec.Canonical(); err == nil {
 		t.Fatal("seed axis over a fixed kernel accepted; replicates would be identical simulations")
+	}
+}
+
+// TestSweepRefusesUnknownIdent checks that a point patching an LTP
+// identification policy ParseIdent does not know is an error naming
+// the axis and the point, not a cell that quietly runs the paper
+// policy.
+func TestSweepRefusesUnknownIdent(t *testing.T) {
+	bogus := "bogus"
+	spec := ltp.SweepSpec{
+		Base: ltp.RunSpec{Scenario: "branchy", Scale: 0.05, MaxInsts: 4_000, UseLTP: true},
+		Axes: []ltp.SweepAxis{{Name: "ident", Points: []ltp.SweepPoint{
+			{Name: "typo", Patch: ltp.RunPatch{Ident: &bogus}},
+		}}},
+	}
+	_, err := spec.Canonical()
+	if err == nil {
+		t.Fatal("a point with an unknown identification policy was accepted")
+	}
+	for _, want := range []string{`"ident"`, `"typo"`, `"bogus"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 
