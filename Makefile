@@ -71,19 +71,19 @@ matrix:
 
 # Fuzz the trace codec for a minute.
 fuzz-trace:
-	go test -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=60s ./internal/trace/
+	go test -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=60s -fuzzminimizetime=1s ./internal/trace/
 
 # Fuzz the persistent result store for a minute: derived records must
 # round-trip bit-identically, and arbitrary bytes opened as a store
 # file must never panic (DESIGN.md §12).
 fuzz-store:
-	go test -run='^$$' -fuzz=FuzzStoreRoundTrip -fuzztime=60s ./internal/store/
+	go test -run='^$$' -fuzz=FuzzStoreRoundTrip -fuzztime=60s -fuzzminimizetime=1s ./internal/store/
 
 # Fuzz the coordinator's worker-response decoders for a minute:
 # arbitrary bytes off the wire — cell-event streams and stats bodies —
 # must error, never panic (DESIGN.md §13).
 fuzz-fabric:
-	go test -run='^$$' -fuzz=FuzzWorkerDecode -fuzztime=60s ./internal/fabric/
+	go test -run='^$$' -fuzz=FuzzWorkerDecode -fuzztime=60s -fuzzminimizetime=1s ./internal/fabric/
 
 # The campaign service (API.md documents the endpoints; DESIGN.md §8
 # the architecture). Ctrl-C drains gracefully.

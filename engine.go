@@ -360,8 +360,9 @@ func runWeight(spec RunSpec) float64 {
 // cancelled is the simulation itself aborted (within about a
 // millisecond, mid-pipeline).
 func (e *Engine) RunCached(ctx context.Context, spec RunSpec) (RunResult, cache.Outcome, string, error) {
-	res, outs, keys, errs := e.runBatchCached(ctx, sched.TierInteractive, []RunSpec{spec})
-	return res[0], outs[0], keys[0], errs[0]
+	a := admit(spec)
+	res, outs, errs := e.runBatchCached(ctx, sched.TierInteractive, []admission{a})
+	return res[0], outs[0], a.hash, errs[0]
 }
 
 // RunBatchCached is RunCached for many specs at the given tier: specs
@@ -370,17 +371,21 @@ func (e *Engine) RunCached(ctx context.Context, spec RunSpec) (RunResult, cache.
 // and the rest as batches of their own, all launched concurrently
 // within the engine's parallelism (see runUnits). A spec listed twice
 // simulates once: the repeat joins the first's cache flight. Results,
-// outcomes, content addresses and errors are positional with specs.
-// It is the execution path for a fabric coordinator's dispatched
-// batches (internal/server's /v1/cells) and for the figure runners of
-// internal/experiment.
+// outcomes, content addresses and errors are positional with specs (a
+// spec with no canonical form has no address). It is the execution
+// path for a fabric coordinator's dispatched batches (internal/server's
+// /v1/cells) and for the figure runners of internal/experiment.
 func (e *Engine) RunBatchCached(ctx context.Context, tier sched.Tier, specs []RunSpec) ([]RunResult, []cache.Outcome, []string, []error) {
+	lanes := make([]admission, len(specs))
+	for i, s := range specs {
+		lanes[i] = admit(s)
+	}
 	results := make([]RunResult, len(specs))
 	outcomes := make([]cache.Outcome, len(specs))
 	keys := make([]string, len(specs))
 	errs := make([]error, len(specs))
-	e.runUnits(ctx, tier, specs, func(i int, res RunResult, out cache.Outcome, key string, err error) {
-		results[i], outcomes[i], keys[i], errs[i] = res, out, key, err
+	e.runUnits(ctx, tier, lanes, func(i int, res RunResult, out cache.Outcome, err error) {
+		results[i], outcomes[i], keys[i], errs[i] = res, out, lanes[i].hash, err
 	})
 	return results, outcomes, keys, errs
 }
@@ -470,7 +475,7 @@ type Progress struct {
 // polled at any time; Done closes when the aggregated result (or
 // error) is ready; Cancel aborts the job's remaining work.
 type Job struct {
-	spec  SweepSpec // canonical
+	spec  SweepSpec // normal form, without the admitted runs
 	hash  string
 	total int
 
@@ -499,7 +504,8 @@ type Job struct {
 	err    error
 }
 
-// Spec returns the canonical sweep spec the job executes.
+// Spec returns the sweep the job executes, in normal form. The job keeps
+// no admitted runs, so Hash, Runs or Canonical on it admit them again.
 func (j *Job) Spec() SweepSpec { return j.spec }
 
 // Hash returns the sweep's content address (SweepSpec.Hash).
@@ -636,11 +642,11 @@ func (j *Job) Wait() (*SweepResult, error) {
 }
 
 // Submit validates and canonicalizes the sweep, arranges every
-// enumerated run to execute through the engine's cache and pool at the
-// campaign tier, and returns immediately with a job handle. Identical
-// cells — within the sweep, across concurrent jobs, or already
-// computed by an earlier request — are simulated exactly once and
-// shared.
+// admitted run (SweepSpec.Runs) to execute through the engine's cache
+// and pool at the campaign tier, and returns immediately with a job
+// handle. Identical cells — within the sweep, across concurrent jobs,
+// or already computed by an earlier request — are simulated exactly
+// once and shared.
 //
 // ctx bounds the whole job: cancelling it (or calling Job.Cancel)
 // stops remaining cells within one cell boundary — queued cells are
@@ -651,21 +657,21 @@ func (e *Engine) Submit(ctx context.Context, spec SweepSpec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	hash, err := canon.Hash()
-	if err != nil {
-		return nil, err
-	}
-	runs := canon.runs()
+	runs := canon.runs
 	total := len(runs)
 	if canon.Triage != nil {
 		// A triage job's detailed phase re-runs the TopK cells'
 		// replicates on top of the model pre-pass.
 		total += canon.Triage.TopK * canon.Replicates()
 	}
+	// The coordinator owns the runs: a retained finished Job must not
+	// pin every enumerated spec.
+	kept := canon
+	kept.canonical, kept.runs = false, nil
 	jctx, cancel := context.WithCancelCause(ctx)
 	job := &Job{
-		spec:       canon,
-		hash:       hash,
+		spec:       kept,
+		hash:       canon.hash,
 		total:      total,
 		cellNotify: make(chan struct{}),
 		cancelFn:   cancel,
@@ -704,7 +710,7 @@ func (e *Engine) runJob(jctx context.Context, job *Job, runs []SweepRun) {
 		return
 	}
 	runs = skipSnapshotRuns(job, runs)
-	results, errs := e.runPhase(jctx, job, runs, "")
+	results, errs := e.runPhase(jctx, job, runs, carried(runs), "")
 	if jctx.Err() != nil {
 		job.err = cancelErr(jctx)
 		return
@@ -723,10 +729,15 @@ func (e *Engine) runJob(jctx context.Context, job *Job, runs []SweepRun) {
 // distinct Phase tags, and the detailed runs hash (and therefore
 // cache) exactly like directly submitted cycle-backend cells.
 func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []SweepRun) {
-	// Phase 1: estimate every cell on the model backend.
+	// Phase 1: estimate every cell on the model backend. The backend is
+	// part of the canonical form, so each run is admitted again; a
+	// refusal fails its own lane.
 	model := make([]SweepRun, len(runs))
+	lanes := make([]admission, len(runs))
 	for i, r := range runs {
 		r.Spec.Backend = BackendModel
+		lanes[i] = admit(r.Spec)
+		r.Canonical, r.Hash = lanes[i].spec, lanes[i].hash
 		model[i] = r
 	}
 	// Whatever ends this job early — cancellation here, or a failed
@@ -734,7 +745,7 @@ func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []SweepRun) {
 	// charged as abandoned, so Progress always adds up to TotalRuns.
 	defer job.abandonRemaining()
 
-	mres, merrs := e.runPhase(jctx, job, model, PhaseTriage)
+	mres, merrs := e.runPhase(jctx, job, model, lanes, PhaseTriage)
 	if jctx.Err() != nil {
 		job.err = cancelErr(jctx)
 		return
@@ -769,7 +780,7 @@ func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []SweepRun) {
 			detail = append(detail, r)
 		}
 	}
-	dres, derrs := e.runPhase(jctx, job, detail, PhaseDetail)
+	dres, derrs := e.runPhase(jctx, job, detail, carried(detail), PhaseDetail)
 	if jctx.Err() != nil {
 		job.err = cancelErr(jctx)
 		return
@@ -792,20 +803,20 @@ func (e *Engine) runTriageJob(jctx context.Context, job *Job, runs []SweepRun) {
 	job.result = out
 }
 
-// phaseUnits partitions specs (by position) into launch units, each
+// phaseUnits partitions lanes (by position) into launch units, each
 // executed as one batch through runBatchCached. Cells that share a
 // backend, a functional stream and warm/measured budgets (equal
 // batchKey) coalesce, so the stream is built and warmed once for the
 // whole group; cells batchKey refuses — a detailed warm-up, no warm
-// region, no canonical form — are batches of one. Triage phase 1
+// region, a refused admission — are batches of one. Triage phase 1
 // rewrites every run to the model backend, so triage sweeps batch
 // wholesale without special-casing.
-func phaseUnits(specs []RunSpec) [][]int {
-	units := make([][]int, 0, len(specs))
+func phaseUnits(lanes []admission) [][]int {
+	units := make([][]int, 0, len(lanes))
 	groups := make(map[string]int) // batch key -> its unit's index
-	for i := range specs {
-		if canon, err := specs[i].Canonical(); err == nil {
-			if key, ok := batchKey(canon); ok {
+	for i, a := range lanes {
+		if a.err == nil {
+			if key, ok := batchKey(a.spec); ok {
 				if u, seen := groups[key]; seen {
 					units[u] = append(units[u], i)
 					continue
@@ -818,9 +829,19 @@ func phaseUnits(specs []RunSpec) [][]int {
 	return units
 }
 
+// carried is the admission SweepSpec.Canonical already made for each
+// run.
+func carried(runs []SweepRun) []admission {
+	lanes := make([]admission, len(runs))
+	for i, r := range runs {
+		lanes[i] = admission{spec: r.Canonical, hash: r.Hash}
+	}
+	return lanes
+}
+
 // recordPhaseCell folds one resolved cell into the job's counters and
 // cell stream.
-func (j *Job) recordPhaseCell(r SweepRun, res RunResult, outcome cache.Outcome, hash string, err error, phase string) {
+func (j *Job) recordPhaseCell(r SweepRun, res RunResult, outcome cache.Outcome, err error, phase string) {
 	if err != nil && isCancellation(err) {
 		j.canceled.Add(1)
 		return
@@ -841,7 +862,7 @@ func (j *Job) recordPhaseCell(r SweepRun, res RunResult, outcome cache.Outcome, 
 		Coords:    r.Coords,
 		Cell:      r.Cell,
 		Replicate: r.Replicate,
-		Hash:      hash,
+		Hash:      r.Hash,
 		Backend:   specBackendName(r.Spec),
 		Phase:     phase,
 		Outcome:   outcome.String(),
@@ -854,34 +875,30 @@ func (j *Job) recordPhaseCell(r SweepRun, res RunResult, outcome cache.Outcome, 
 	j.appendCell(cell)
 }
 
-// runPhase executes one batch of enumerated runs through the engine's
-// cache and pool at the campaign tier, streaming each resolved cell
-// with the given phase tag, and returns per-run results and errors.
-func (e *Engine) runPhase(jctx context.Context, job *Job, runs []SweepRun, phase string) ([]RunResult, []error) {
+// runPhase executes enumerated runs, admitted as lanes (positional),
+// through the engine's cache and pool at the campaign tier, streaming
+// each resolved cell with the phase tag; it returns results and errors.
+func (e *Engine) runPhase(jctx context.Context, job *Job, runs []SweepRun, lanes []admission, phase string) ([]RunResult, []error) {
 	results := make([]RunResult, len(runs))
 	errs := make([]error, len(runs))
-	specs := make([]RunSpec, len(runs))
-	for i := range runs {
-		specs[i] = runs[i].Spec
-	}
-	e.runUnits(jctx, sched.TierCampaign, specs, func(i int, res RunResult, out cache.Outcome, hash string, err error) {
+	e.runUnits(jctx, sched.TierCampaign, lanes, func(i int, res RunResult, out cache.Outcome, err error) {
 		results[i], errs[i] = res, err
-		job.recordPhaseCell(runs[i], res, out, hash, err, phase)
+		job.recordPhaseCell(runs[i], res, out, err, phase)
 	})
 	return results, errs
 }
 
-// runUnits executes specs through runBatchCached, one launch unit (see
-// phaseUnits) per goroutine, and calls done once per spec as its unit
+// runUnits executes lanes through runBatchCached, one launch unit (see
+// phaseUnits) per goroutine, and calls done once per lane as its unit
 // resolves (concurrently, from the unit's goroutine). At most 2× the
 // engine's parallelism units are outstanding: without the bound a large
 // batch would park one goroutine per unit (potentially hundreds of
 // thousands of stacks) before pool backpressure applies, and 2× keeps
 // every worker fed while cells resolve. Once ctx dies no further unit
-// launches: every spec of a unit not yet launched is reported with the
+// launches: every lane of a unit not yet launched is reported with the
 // cancellation cause without touching the cache or the executor.
-func (e *Engine) runUnits(ctx context.Context, tier sched.Tier, specs []RunSpec, done func(i int, res RunResult, out cache.Outcome, key string, err error)) {
-	units := phaseUnits(specs)
+func (e *Engine) runUnits(ctx context.Context, tier sched.Tier, lanes []admission, done func(i int, res RunResult, out cache.Outcome, err error)) {
+	units := phaseUnits(lanes)
 	sem := make(chan struct{}, 2*e.Parallelism())
 	var wg sync.WaitGroup
 	for u, unit := range units {
@@ -893,7 +910,7 @@ func (e *Engine) runUnits(ctx context.Context, tier sched.Tier, specs []RunSpec,
 			err := cancelErr(ctx)
 			for _, unit := range units[u:] {
 				for _, i := range unit {
-					done(i, RunResult{}, cache.Miss, "", err)
+					done(i, RunResult{}, cache.Miss, err)
 				}
 			}
 			break
@@ -902,71 +919,62 @@ func (e *Engine) runUnits(ctx context.Context, tier sched.Tier, specs []RunSpec,
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			group := make([]RunSpec, len(unit))
+			group := make([]admission, len(unit))
 			for j, i := range unit {
-				group[j] = specs[i]
+				group[j] = lanes[i]
 			}
-			res, outs, keys, errs := e.runBatchCached(ctx, tier, group)
+			res, outs, errs := e.runBatchCached(ctx, tier, group)
 			for j, i := range unit {
-				done(i, res[j], outs[j], keys[j], errs[j])
+				done(i, res[j], outs[j], errs[j])
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// runBatchCached resolves a group of specs (equal batchKey, or a batch
-// of one) through the cache: lanes already cached (memory or backing)
-// or in flight are served per key, and the remainder is computed by
-// one Executor.RunBatch call — by default one pool task driving
-// runBatch (poolBatches), so one shared functional stream and one warm
-// pass serve every lane. Each computed lane is
-// stored under its own content address, so a cell's cache entry is the
-// same whichever batch computed it. A spec with no canonical form
-// fails its own lane.
-func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []RunSpec) ([]RunResult, []cache.Outcome, []string, []error) {
-	n := len(specs)
+// runBatchCached resolves a group of admitted lanes (equal batchKey,
+// or a batch of one) through the cache: lanes already cached (memory or
+// backing) or in flight are served per key, and the remainder is
+// computed by one Executor.RunBatch call — by default one pool task
+// driving runBatch (poolBatches), so one shared functional stream and
+// one warm pass serve every lane. Each computed lane is stored under
+// its own content address, with its canonical spec riding into the
+// cache value so a fresh result can be persisted with its provenance
+// (see storedRecord); a cell's cache entry is the same whichever batch
+// computed it. A refused lane fails with its admission error.
+func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, lanes []admission) ([]RunResult, []cache.Outcome, []error) {
+	n := len(lanes)
 	results := make([]RunResult, n)
 	outcomes := make([]cache.Outcome, n)
 	errs := make([]error, n)
-	keys := make([]string, n)
-	sub := make([]int, 0, n) // lanes with a valid content address
+	sub := make([]int, 0, n) // admitted lanes
 	subKeys := make([]string, 0, n)
-	canons := make([]RunSpec, 0, n) // parallel to sub
-	for i, s := range specs {
-		// Canonicalize once: the hash needs it anyway, and the
-		// canonical spec rides into the cache value so a fresh result
-		// can be persisted with its provenance (see storedRecord).
-		canon, err := s.Canonical()
-		if err == nil {
-			keys[i], err = hashJSON(runSpecHashVersion, canon)
-		}
-		if err != nil {
-			errs[i] = err
+	for i, a := range lanes {
+		if a.err != nil {
+			errs[i] = a.err
 			continue
 		}
 		sub = append(sub, i)
-		subKeys = append(subKeys, keys[i])
-		canons = append(canons, canon)
+		subKeys = append(subKeys, a.hash)
 	}
 	if len(sub) == 0 {
-		return results, outcomes, keys, errs
+		return results, outcomes, errs
 	}
 	// remote[j] is how the executor served lane j when this call
 	// computed it.
 	remote := make([]cache.Outcome, len(sub))
 	vals, outs, cerrs := e.cache.DoBatch(ctx, subKeys, func(bctx context.Context, miss []int) ([]any, []error) {
-		lanes := make([]RunSpec, len(miss))
+		specs := make([]RunSpec, len(miss))
 		var weight float64
 		for j, mj := range miss {
-			lanes[j] = canons[mj]
-			weight += runWeight(lanes[j])
+			specs[j] = lanes[sub[mj]].spec
+			weight += runWeight(specs[j])
 		}
-		key, ok := batchKey(lanes[0])
+		key, ok := batchKey(specs[0])
 		if !ok {
 			key = subKeys[miss[0]]
 		}
-		mvals, routs, merrs := e.compute(bctx, Batch{Lanes: lanes, Key: key, Weight: weight, Tier: tier})
+		mvals, routs, merrs := e.compute(bctx, Batch{Lanes: specs, Key: key, Weight: weight, Tier: tier})
 		for j, mj := range miss {
 			remote[mj] = routs[j]
 		}
@@ -983,7 +991,7 @@ func (e *Engine) runBatchCached(ctx context.Context, tier sched.Tier, specs []Ru
 		}
 		results[i] = vals[j].(cachedCell).res
 	}
-	return results, outcomes, keys, errs
+	return results, outcomes, errs
 }
 
 // compute runs missed lanes on the engine's executor and turns them
@@ -1037,12 +1045,7 @@ func skipSnapshotRuns(job *Job, runs []SweepRun) []SweepRun {
 	}
 	kept := make([]SweepRun, 0, len(runs))
 	for _, r := range runs {
-		h, err := r.Spec.Hash()
-		if err != nil || !snap[h] {
-			// The hash cannot actually fail here — Canonical hashed every
-			// enumerated run when it normalized the snapshot — but an
-			// unexpected error degrades to executing the run, never to
-			// dropping it.
+		if !snap[r.Hash] {
 			kept = append(kept, r)
 			continue
 		}
@@ -1053,7 +1056,7 @@ func skipSnapshotRuns(job *Job, runs []SweepRun) []SweepRun {
 			Coords:    r.Coords,
 			Cell:      r.Cell,
 			Replicate: r.Replicate,
-			Hash:      h,
+			Hash:      r.Hash,
 			Backend:   specBackendName(r.Spec),
 			Outcome:   "cached",
 		})

@@ -2,6 +2,8 @@ package ltp_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -111,33 +113,81 @@ func TestHashNormalizesDefaults(t *testing.T) {
 	}
 }
 
-// TestCanonicalFixedPoint holds that Canonical is idempotent — in
-// particular for resolved BranchEntropy 0, whose literal-zero spelling
-// would re-merge to the family default on a second resolution.
-func TestCanonicalFixedPoint(t *testing.T) {
+// fixedPointSpecs is every shape of spec that is canonicalized and then
+// handed on to code that canonicalizes it again (a sweep's admitted
+// runs reach RunContext, ltpbench and the triage pre-pass): every
+// scenario family and two fixed kernels on each backend with and
+// without the LTP, plus a co-runner, a prefetcher and a TAGE row on the
+// cycle and sampled tiers.
+func fixedPointSpecs() []ltp.RunSpec {
 	specs := []ltp.RunSpec{
 		{Scenario: "branchy", MaxInsts: 50_000, Knobs: &workload.Knobs{BranchEntropy: -1}},
-		{Scenario: "hashjoin", MaxInsts: 50_000},
-		{Workload: "indirect", MaxInsts: 50_000},
 	}
-	for _, s := range specs {
+	sources := []ltp.RunSpec{{Workload: "indirect"}, {Workload: "chains"}}
+	for _, f := range workload.FamilyNames() {
+		sources = append(sources, ltp.RunSpec{Scenario: f, Seed: 3})
+	}
+	for _, src := range sources {
+		for _, backend := range []string{ltp.BackendCycle, ltp.BackendSampled, ltp.BackendModel} {
+			for _, useLTP := range []bool{false, true} {
+				s := src
+				s.Scale, s.WarmInsts, s.MaxInsts = 0.1, 20_000, 50_000
+				s.Backend, s.UseLTP = backend, useLTP
+				specs = append(specs, s)
+			}
+		}
+	}
+	for _, backend := range []string{ltp.BackendCycle, ltp.BackendSampled} {
+		base := ltp.RunSpec{Scenario: "hashjoin", MaxInsts: 50_000, Backend: backend, UseLTP: true}
+		cor, pf, tage := base, base, base
+		cor.Corunners = []ltp.Corunner{{Scenario: "memhog"}}
+		pf.Prefetcher = "stride"
+		tage.BranchPred = "tage"
+		specs = append(specs, cor, pf, tage)
+	}
+	return specs
+}
+
+// TestCanonicalFixedPoint holds that Canonical is idempotent on every
+// fixedPointSpecs shape — the second pass returns the first's spec
+// field for field, not only its hash — in particular for resolved
+// BranchEntropy 0, whose literal-zero spelling would re-merge to the
+// family default on a second resolution. It also holds the triage
+// property: swapping a canonical spec's backend to the model and
+// canonicalizing again gives what canonicalizing the swapped original
+// gives.
+func TestCanonicalFixedPoint(t *testing.T) {
+	for _, s := range fixedPointSpecs() {
+		name := fmt.Sprintf("%s%s/%s/ltp=%v", s.Workload, s.Scenario, s.Backend, s.UseLTP)
 		c1, err := s.Canonical()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		c2, err := c1.Canonical()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(c1, c2) {
+			t.Errorf("%s: canonical not a fixed point:\n%+v\n%+v", name, c1, c2)
 		}
 		h1, _ := c1.Hash()
 		h2, _ := c2.Hash()
 		ho, _ := s.Hash()
 		if h1 != h2 || h1 != ho {
-			t.Errorf("%s/%s: canonical not a fixed point: %s vs %s vs %s",
-				s.Workload, s.Scenario, ho, h1, h2)
+			t.Errorf("%s: canonical hash not a fixed point: %s vs %s vs %s", name, ho, h1, h2)
 		}
 		if c1.Scenario != "" && c1.Knobs.BranchEntropy == 0 {
-			t.Errorf("%s: canonical knobs carry literal entropy 0 (would re-merge to the family default)", c1.Scenario)
+			t.Errorf("%s: canonical knobs carry literal entropy 0 (would re-merge to the family default)", name)
+		}
+
+		swapped, orig := c1, s
+		swapped.Backend, orig.Backend = ltp.BackendModel, ltp.BackendModel
+		m1, err1 := swapped.Canonical()
+		m2, err2 := orig.Canonical()
+		if (err1 != nil) != (err2 != nil) {
+			t.Errorf("%s: model admission of the canonical spec (%v) and of the original (%v) disagree", name, err1, err2)
+		} else if !reflect.DeepEqual(m1, m2) {
+			t.Errorf("%s: model admission depends on a prior canonical pass:\n%+v\n%+v", name, m1, m2)
 		}
 	}
 

@@ -513,12 +513,6 @@ func (r *SweepRequest) sweepSpec(lim Limits) (ltp.SweepSpec, error) {
 	}
 	spec := ltp.SweepSpec{Base: base, SinceSnapshot: r.SinceSnapshot}
 	if r.Triage != nil {
-		if len(r.SinceSnapshot) > 0 {
-			return ltp.SweepSpec{}, badRequest("triage sweeps cannot use since_snapshot (the pre-pass must estimate every cell)")
-		}
-		if r.Triage.TopK < 1 || r.Triage.TopK > cells {
-			return ltp.SweepSpec{}, badRequest("triage top_k = %d out of range [1, %d] (the sweep's cell count)", r.Triage.TopK, cells)
-		}
 		spec.Triage = &ltp.TriageSpec{TopK: r.Triage.TopK}
 	}
 	for ai, ax := range r.Axes {
@@ -533,16 +527,16 @@ func (r *SweepRequest) sweepSpec(lim Limits) (ltp.SweepSpec, error) {
 		}
 		spec.Axes = append(spec.Axes, axis)
 	}
-	// Canonical validates axis/point naming and that every enumerated
-	// cell is canonicalizable; surface its complaints as 400s.
+	// Canonical validates axis/point naming, the triage settings and
+	// that every enumerated cell is canonicalizable; surface its
+	// complaints as 400s.
 	canon, err := spec.Canonical()
 	if err != nil {
 		return ltp.SweepSpec{}, badRequest("%v", err)
 	}
 	runs, _ := canon.Runs() // a canonical sweep enumerates without error
 	for _, run := range runs {
-		cell, _ := run.Spec.Canonical() // Canonical checked every cell
-		if err := lim.checkBudgets(cell); err != nil {
+		if err := lim.checkBudgets(run.Canonical); err != nil {
 			return ltp.SweepSpec{}, badRequest("sweep cell %v: %v", run.Coords, err)
 		}
 	}
@@ -577,9 +571,9 @@ func decodeJSON(r *http.Request, dst any) error {
 	if err := dec.Decode(dst); err != nil {
 		return badRequest("invalid request body: %v", err)
 	}
-	if dec.More() {
+	// Only the body's end may follow (More misses a stray '}' or ']').
+	if _, err := dec.Token(); err != io.EOF {
 		return badRequest("invalid request body: trailing data after the JSON object")
 	}
-	_, _ = io.Copy(io.Discard, r.Body)
 	return nil
 }

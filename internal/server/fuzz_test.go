@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"ltp"
@@ -19,7 +20,9 @@ var fuzzEndpoints = []string{"/v1/run", "/v1/sweep", "/v1/cells"}
 // endpoints. A handler must never panic or answer 5xx, and a body that
 // is not even JSON must be a 4xx. The endpoints share one admission
 // rule: when RunRequest.Spec admits a /v1/run body, /v1/cells must not
-// refuse its canonical spec. Requests carry an already-cancelled
+// refuse its canonical spec. When SweepRequest.Spec admits a /v1/sweep
+// body, every run must carry its spec's canonical form, a fixed point,
+// and that form's content address. Requests carry an already-cancelled
 // context and the limits allow one measured instruction, so a body that
 // passes validation costs next to nothing: runs and cells are cancelled
 // before they simulate, and at most one tiny sweep job runs at a time.
@@ -84,6 +87,32 @@ func FuzzServerDecode(f *testing.F) {
 		}
 		if !json.Valid(body) && (rec.Code < 400 || rec.Code > 499) {
 			t.Fatalf("POST %s with a malformed body %q: status %d, want 4xx", path, body, rec.Code)
+		}
+		if path == "/v1/sweep" {
+			var sweep SweepRequest
+			if DecodeJSON(httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)), &sweep) != nil {
+				return
+			}
+			spec, err := sweep.Spec(lim)
+			if err != nil {
+				return
+			}
+			runs, err := spec.Runs()
+			if err != nil {
+				t.Fatalf("SweepRequest.Spec admitted %q, but its runs do not enumerate: %v", body, err)
+			}
+			for _, r := range runs {
+				for _, s := range []ltp.RunSpec{r.Spec, r.Canonical} {
+					canon, err := s.Canonical()
+					if err != nil || !reflect.DeepEqual(canon, r.Canonical) {
+						t.Fatalf("sweep %q run %v: its canonical spec is not the fixed point of its spec (%v)", body, r.Coords, err)
+					}
+				}
+				if h, err := r.Spec.Hash(); err != nil || h != r.Hash {
+					t.Fatalf("sweep %q run %v carries hash %s; its spec hashes to %s (%v)", body, r.Coords, r.Hash, h, err)
+				}
+			}
+			return
 		}
 		if path != "/v1/run" {
 			return

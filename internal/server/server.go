@@ -534,11 +534,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	hash, err := spec.Hash()
-	if err != nil {
-		WriteError(w, badRequest("%v", err))
-		return
-	}
+	hash, _ := spec.Hash() // sweepSpec returned it canonical: free, and it cannot fail
 	tenant := r.Header.Get("X-LTP-Tenant")
 	id, err := s.jobs.admit(tenant, hash)
 	if err != nil {

@@ -536,11 +536,32 @@ const runSpecHashVersion = "rs3"
 // pointers, and zero-versus-explicit defaults do not perturb it. Specs
 // without a canonical form return Canonical's error.
 func (s RunSpec) Hash() (string, error) {
-	c, err := s.Canonical()
-	if err != nil {
-		return "", err
+	a := admit(s)
+	return a.hash, a.err
+}
+
+// admission is one run as it travels from admission to the result
+// cache: its canonical spec and content address, or the error that
+// refused it (spec and hash then zero).
+type admission struct {
+	spec RunSpec
+	hash string
+	err  error
+}
+
+// admit canonicalizes and hashes spec, the one pass a run gets:
+// SweepSpec.Canonical and the engine's public entry points admit, and
+// every later layer reads the admission.
+func admit(spec RunSpec) admission {
+	canon, err := spec.Canonical()
+	var h string
+	if err == nil {
+		h, err = hashJSON(runSpecHashVersion, canon)
 	}
-	return hashJSON(runSpecHashVersion, c)
+	if err != nil {
+		return admission{err: err}
+	}
+	return admission{spec: canon, hash: h}
 }
 
 // hashJSON content-addresses v via deterministic JSON (struct fields

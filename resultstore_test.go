@@ -264,9 +264,13 @@ func TestSweepSinceSnapshotRejectsTriage(t *testing.T) {
 // diffing does: one single-cell canonical hash per enumerated run.
 func sweepRunHashes(t *testing.T, sweep ltp.SweepSpec) []string {
 	t.Helper()
-	hashes, err := sweep.RunHashes()
+	runs, err := sweep.Runs()
 	if err != nil {
 		t.Fatal(err)
+	}
+	hashes := make([]string, len(runs))
+	for i, r := range runs {
+		hashes[i] = r.Hash
 	}
 	return hashes
 }

@@ -245,13 +245,14 @@ type SweepSpec struct {
 	// whose ranking needs every cell's model estimate.
 	SinceSnapshot []string `json:"since_snapshot,omitempty"`
 
-	// canonical marks a value returned by Canonical, letting Hash and
-	// Engine.Submit skip re-validating (and re-enumerating) an
-	// already-normalized sweep; hash carries the content address
-	// computed during that validation. Zero on every caller-
-	// constructed spec.
+	// canonical marks a value returned by Canonical, letting Hash, Runs
+	// and Engine.Submit skip re-validating (and re-enumerating) an
+	// already-normalized sweep; hash and runs carry the content address
+	// and the admitted runs computed during that validation. Zero on
+	// every caller-constructed spec.
 	canonical bool
 	hash      string
+	runs      []SweepRun
 }
 
 // MaxSweepRuns bounds how many simulations one sweep may enumerate.
@@ -274,8 +275,10 @@ const MaxSweepRuns = 1 << 20
 // same simulation, and the resulting zero-variance mean ± CI would
 // masquerade as real replication.
 //
-// Canonical also computes the sweep's content address as a by-product,
-// so a later Hash (or Engine.Submit) on the returned value is free.
+// Canonical also keeps the sweep's content address and every run's
+// canonical spec and address, so a later Hash, Runs or Engine.Submit on
+// the returned value is free. Do not edit the returned value: Submit
+// would run the runs kept from before the edit.
 func (s SweepSpec) Canonical() (SweepSpec, error) {
 	if s.canonical {
 		return s, nil
@@ -343,13 +346,11 @@ func (s SweepSpec) Canonical() (SweepSpec, error) {
 		}
 		s.Triage = &t
 	}
-	hash, snapshot, err := s.computeHash()
+	hash, snapshot, runs, err := s.computeHash()
 	if err != nil {
 		return SweepSpec{}, err
 	}
-	s.SinceSnapshot = snapshot
-	s.canonical = true
-	s.hash = hash
+	s.SinceSnapshot, s.canonical, s.hash, s.runs = snapshot, true, hash, runs
 	return s, nil
 }
 
@@ -387,10 +388,11 @@ func (s SweepSpec) Replicates() int {
 	return reps
 }
 
-// runs enumerates the sweep's cross-product in row-major order (last
+// enumerate lists the sweep's cross-product in row-major order (last
 // axis varies fastest — for NewMatrixSweep that is scenario-major,
-// then config, then seed, matching the matrix's own enumeration).
-func (s SweepSpec) runs() []SweepRun {
+// then config, then seed, matching the matrix's own enumeration), each
+// run's spec patched but not yet admitted.
+func (s SweepSpec) enumerate() []SweepRun {
 	total := s.TotalRuns()
 	out := make([]SweepRun, 0, total)
 	idx := make([]int, len(s.Axes))
@@ -439,16 +441,16 @@ func (s SweepSpec) Hash() (string, error) {
 	return c.hash, nil
 }
 
-// computeHash canonicalizes and hashes every enumerated run (checking
-// pairwise distinctness along the way) and folds the labeled cell
-// population into the sweep's content address. It also normalizes the
-// snapshot set to the sorted intersection with the run addresses it
-// just computed — the normalized set is part of the hash (a diffed
-// sweep is a different campaign: it executes, and therefore means,
-// something else), but via an omitempty field, so snapshot-free sweeps
-// keep their pre-snapshot "sw1" addresses. Called once, by Canonical,
-// after the structural axis checks bounded the enumeration.
-func (s SweepSpec) computeHash() (string, []string, error) {
+// computeHash admits every enumerated run (checking pairwise
+// distinctness along the way), folds the labeled cell population into
+// the sweep's content address, and returns the admitted runs. It also
+// normalizes the snapshot set to the sorted intersection with the run
+// addresses it just computed — the normalized set is part of the hash
+// (a diffed sweep is a different campaign: it executes, and therefore
+// means, something else), but via an omitempty field, so snapshot-free
+// sweeps keep their pre-snapshot "sw1" addresses. Called once, by
+// Canonical, after the structural axis checks bounded the enumeration.
+func (s SweepSpec) computeHash() (string, []string, []SweepRun, error) {
 	type axisID struct {
 		Name      string   `json:"name"`
 		Replicate bool     `json:"replicate"`
@@ -471,41 +473,39 @@ func (s SweepSpec) computeHash() (string, []string, error) {
 		}
 		id.Axes = append(id.Axes, a)
 	}
-	seen := make(map[string][]string)
-	for _, r := range s.runs() {
-		canon, err := r.Spec.Canonical()
-		if err != nil {
-			return "", nil, fmt.Errorf("ltp: sweep cell %v: %w", r.Coords, err)
+	runs := s.enumerate()
+	seen := make(map[string][]string, len(runs))
+	for i, r := range runs {
+		a := admit(r.Spec)
+		if a.err != nil {
+			return "", nil, nil, fmt.Errorf("ltp: sweep cell %v: %w", r.Coords, a.err)
 		}
-		if s.Triage != nil && canon.Backend != BackendCycle && canon.Backend != BackendSampled {
-			return "", nil, fmt.Errorf(
+		if s.Triage != nil && a.spec.Backend != BackendCycle && a.spec.Backend != BackendSampled {
+			return "", nil, nil, fmt.Errorf(
 				"ltp: triage sweep cell %v selects backend %q; triage itself schedules the model pre-pass, so every cell must be a cycle- or sampled-backend cell",
-				r.Coords, canon.Backend)
+				r.Coords, a.spec.Backend)
 		}
 		// The pre-pass runs every cell on the model backend, which has
 		// no oracle and refuses co-runners — admitting such a cell would
 		// guarantee a post-admission phase-1 failure.
-		if s.Triage != nil && canon.Oracle {
-			return "", nil, fmt.Errorf(
+		if s.Triage != nil && a.spec.Oracle {
+			return "", nil, nil, fmt.Errorf(
 				"ltp: triage sweep cell %v requests oracle classification, which the model pre-pass cannot execute",
 				r.Coords)
 		}
-		if s.Triage != nil && len(canon.Corunners) > 0 {
-			return "", nil, fmt.Errorf(
+		if s.Triage != nil && len(a.spec.Corunners) > 0 {
+			return "", nil, nil, fmt.Errorf(
 				"ltp: triage sweep cell %v has co-runners, which the model pre-pass cannot execute",
 				r.Coords)
 		}
-		h, err := hashJSON(runSpecHashVersion, canon)
-		if err != nil {
-			return "", nil, fmt.Errorf("ltp: sweep cell %v: %w", r.Coords, err)
-		}
-		if prev, dup := seen[h]; dup {
-			return "", nil, fmt.Errorf(
+		if prev, dup := seen[a.hash]; dup {
+			return "", nil, nil, fmt.Errorf(
 				"ltp: sweep cells %v and %v are the same simulation (an axis patch has no effect on that cell)",
 				prev, r.Coords)
 		}
-		seen[h] = r.Coords
-		id.Runs = append(id.Runs, runID{Coords: r.Coords, Hash: h})
+		seen[a.hash] = r.Coords
+		id.Runs = append(id.Runs, runID{Coords: r.Coords, Hash: a.hash})
+		runs[i].Canonical, runs[i].Hash = a.spec, a.hash
 	}
 	// Normalize the snapshot: keep only addresses this sweep enumerates,
 	// deduplicated and sorted. A snapshot of foreign or stale hashes
@@ -525,43 +525,27 @@ func (s SweepSpec) computeHash() (string, []string, error) {
 	id.Snapshot = snapshot
 	hash, err := hashJSON(sweepSpecHashVersion, id)
 	if err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
-	return hash, snapshot, nil
-}
-
-// RunHashes returns the content address (RunSpec.Hash) of every run
-// the sweep enumerates, in enumeration order. This is the set campaign
-// diffing works over: intersect it with a store snapshot's manifest to
-// see which runs are already banked, or feed the banked side into
-// SinceSnapshot to submit only the rest.
-func (s SweepSpec) RunHashes() ([]string, error) {
-	c, err := s.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	runs := c.runs()
-	out := make([]string, 0, len(runs))
-	for _, r := range runs {
-		h, err := r.Spec.Hash()
-		if err != nil {
-			return nil, fmt.Errorf("ltp: sweep cell %v: %w", r.Coords, err)
-		}
-		out = append(out, h)
-	}
-	return out, nil
+	return hash, snapshot, runs, nil
 }
 
 // SweepRun is one enumerated simulation of a sweep's cross-product:
-// the resolved (patched) spec plus the indices that place its result
-// in the SweepResult grid.
+// the resolved (patched) spec, its admission (canonical form and
+// content address), and the indices that place its result in the
+// SweepResult grid.
 type SweepRun struct {
 	// Index is the run's enumeration index (row-major, last axis
 	// fastest).
 	Index int `json:"index"`
-	// Spec is the fully patched run (canonicalizable by construction —
-	// Runs enumerates only validated sweeps).
+	// Spec is the fully patched run, as the axes spelled it.
 	Spec RunSpec `json:"spec"`
+	// Canonical is Spec in canonical form (Spec.Canonical), the spec the
+	// engine executes and the service checks its budgets on.
+	Canonical RunSpec `json:"canonical"`
+	// Hash is the run's content address (Spec.Hash), the key campaign
+	// diffing works over (a store manifest, SinceSnapshot).
+	Hash string `json:"hash"`
 	// Coords is the run's point name per axis, in axis order.
 	Coords []string `json:"coords"`
 	// Cell is the index of the run's cell in SweepResult.Cells.
@@ -570,15 +554,16 @@ type SweepRun struct {
 	Replicate int `json:"replicate"`
 }
 
-// Runs validates the sweep and enumerates its cross-product in
-// enumeration order (the same order RunHashes reports); each
-// SweepRun's spec hashes independently (RunSpec.Hash).
+// Runs validates the sweep and returns its admitted runs in
+// enumeration order, each with its canonical spec and content address.
+// The slice is fresh, but the specs and coordinates share memory with
+// the sweep and are read-only.
 func (s SweepSpec) Runs() ([]SweepRun, error) {
 	c, err := s.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	return c.runs(), nil
+	return append([]SweepRun(nil), c.runs...), nil
 }
 
 // SweepCell aggregates one cell's replicates.

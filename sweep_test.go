@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -153,6 +154,119 @@ func TestSweepCellsStream(t *testing.T) {
 	}
 	if _, err := job.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSweepRunsCarryAdmission holds that a canonical sweep's runs carry
+// their admission — each run's Canonical is its spec's canonical form
+// (a fixed point) and its Hash that spec's content address — and that
+// the engine streams exactly those
+// addresses: for plain cells, for since_snapshot "cached" cells and for
+// a triage sweep's detail cells, while a triage pre-pass cell carries
+// the address of its model-backend spec.
+func TestSweepRunsCarryAdmission(t *testing.T) {
+	iq := func(n int) *int { return &n }
+	seed := func(n int64) *int64 { return &n }
+	sweep := ltp.SweepSpec{
+		Base: ltp.RunSpec{Scenario: "branchy", Scale: 0.05, MaxInsts: 4_000},
+		Axes: []ltp.SweepAxis{
+			{Name: "iq", Points: []ltp.SweepPoint{
+				{Name: "iq32", Patch: ltp.RunPatch{IQSize: iq(32)}},
+				{Name: "iq64", Patch: ltp.RunPatch{IQSize: iq(64)}},
+			}},
+			{Name: "seed", Replicate: true, Points: []ltp.SweepPoint{
+				{Name: "s0", Patch: ltp.RunPatch{Seed: seed(0)}},
+				{Name: "s1", Patch: ltp.RunPatch{Seed: seed(1)}},
+			}},
+		},
+	}
+	runs, err := sweep.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != sweep.TotalRuns() {
+		t.Fatalf("%d runs; want %d", len(runs), sweep.TotalRuns())
+	}
+	for i, r := range runs {
+		if r.Index != i {
+			t.Fatalf("run %d has index %d", i, r.Index)
+		}
+		for _, s := range []ltp.RunSpec{r.Spec, r.Canonical} {
+			c, err := s.Canonical()
+			if err != nil {
+				t.Fatalf("run %v: %v", r.Coords, err)
+			}
+			if !reflect.DeepEqual(c, r.Canonical) {
+				t.Errorf("run %v carries canonical spec\n%+v\nbut canonicalizes to\n%+v", r.Coords, r.Canonical, c)
+			}
+		}
+		if h, err := r.Spec.Hash(); err != nil || h != r.Hash {
+			t.Errorf("run %v carries hash %s; its spec hashes to %s (%v)", r.Coords, r.Hash, h, err)
+		}
+	}
+
+	e := newTestEngine(t, ltp.EngineConfig{Parallelism: 2})
+	defer e.Close()
+	// check submits s and returns its streamed cells, each checked
+	// against the address want gives its run.
+	check := func(s ltp.SweepSpec, want func(c ltp.CellResult) string) []ltp.CellResult {
+		t.Helper()
+		job, err := e.Submit(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells []ltp.CellResult
+		for c := range job.Cells() {
+			if c.Err != nil {
+				t.Fatalf("cell %v: %v", c.Coords, c.Err)
+			}
+			if w := want(c); c.Hash != w {
+				t.Errorf("%s cell %v (%s) streams hash %s; want %s", c.Phase, c.Coords, c.Outcome, c.Hash, w)
+			}
+			cells = append(cells, c)
+		}
+		if _, err := job.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return cells
+	}
+	carried := func(c ltp.CellResult) string { return runs[c.Index].Hash }
+
+	if n := len(check(sweep, carried)); n != len(runs) {
+		t.Errorf("plain sweep streamed %d cells; want %d", n, len(runs))
+	}
+
+	diffed := sweep
+	diffed.SinceSnapshot = []string{runs[0].Hash, runs[3].Hash}
+	cached := 0
+	for _, c := range check(diffed, carried) {
+		if c.Outcome == "cached" {
+			cached++
+		}
+	}
+	if cached != 2 {
+		t.Errorf("since_snapshot sweep streamed %d cached cells; want 2", cached)
+	}
+
+	triage := sweep
+	triage.Triage = &ltp.TriageSpec{TopK: 1}
+	phases := map[string]int{}
+	for _, c := range check(triage, func(c ltp.CellResult) string {
+		if c.Phase != ltp.PhaseTriage {
+			return runs[c.Index].Hash
+		}
+		model := runs[c.Index].Spec
+		model.Backend = ltp.BackendModel
+		h, err := model.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}) {
+		phases[c.Phase]++
+	}
+	if phases[ltp.PhaseTriage] != len(runs) || phases[ltp.PhaseDetail] != sweep.Replicates() {
+		t.Errorf("triage sweep streamed %v; want %d triage and %d detail cells", phases, len(runs), sweep.Replicates())
 	}
 }
 
